@@ -21,7 +21,8 @@ use rio_bench::runner::Runner;
 use rio_core::{warm, EntryFlags, ProtectionManager, Registry, RegistryEntry, RioMode};
 use rio_cpu::{Cpu, KernelRoutines, Reg, RoutineStore};
 use rio_det::DetRng;
-use rio_faults::{inject, run_trial, FaultType, SystemKind};
+use rio_faults::campaign::trial_seed;
+use rio_faults::{drive, inject, workload_seed, FaultType, PreparedTrial, SystemKind};
 use rio_kernel::{Kernel, KernelConfig, Policy};
 use rio_mem::{crc32, MemBus, MemConfig};
 use rio_workloads::{CpRm, CpRmConfig, DebitCredit, DebitCreditConfig};
@@ -155,10 +156,12 @@ fn bench_protection_modes(r: &mut Runner) {
 fn bench_reliability(r: &mut Runner) {
     for system in SystemKind::ALL {
         let name = format!("table1_trial/{}", system.label());
-        let mut seed = 0u64;
+        let mut attempt = 0u64;
         r.bench(&name, || {
-            seed += 1;
-            black_box(run_trial(system, FaultType::CopyOverrun, seed, 25, 250));
+            attempt += 1;
+            let steady = PreparedTrial::prepare(system, workload_seed(0, system), 25);
+            let inject_seed = trial_seed(0, FaultType::CopyOverrun, system, attempt);
+            black_box(drive(steady, FaultType::CopyOverrun, inject_seed, 250));
         });
     }
     for fault in [FaultType::KernelText, FaultType::Pointer, FaultType::DeleteBranch] {

@@ -5,10 +5,10 @@
 //! RIO_TRIALS=8 RIO_SEED=1996 RIO_THREADS=8 cargo run --release -p rio-bench --bin recovery
 //! ```
 //!
-//! `RIO_CHECKPOINT=0` disables the shared crashed-machine checkpoint and
-//! re-runs the pre-crash workload for every trial (byte-identical output).
+//! `RIO_CHECKPOINT=0` selects the engine's scratch reference: the
+//! pre-crash workload is re-run for every trial (byte-identical output).
 
-use rio_bench::env_u64;
+use rio_bench::{env_threads, env_u64};
 use rio_faults::{checkpoint_enabled_from_env, RecoveryCampaignConfig};
 use rio_harness::{render_recovery, run_recovery};
 
@@ -16,17 +16,10 @@ fn main() {
     let seed = env_u64("RIO_SEED", 1996);
     let paper = RecoveryCampaignConfig::paper(seed);
     let trials = env_u64("RIO_TRIALS", paper.trials_per_cell);
-    let threads = env_u64(
-        "RIO_THREADS",
-        std::thread::available_parallelism()
-            .map(|n| n.get() as u64)
-            .unwrap_or(4),
-    )
-    .max(1) as usize;
+    let threads = env_threads();
 
     let cfg = RecoveryCampaignConfig {
         trials_per_cell: trials,
-        use_checkpoint: checkpoint_enabled_from_env(),
         ..paper
     };
     eprintln!(
@@ -35,7 +28,7 @@ fn main() {
         cfg.max_depth
     );
     let started = std::time::Instant::now();
-    let report = run_recovery(&cfg, threads);
+    let report = run_recovery(&cfg, threads, checkpoint_enabled_from_env());
     eprintln!("campaign finished in {:.1}s\n", started.elapsed().as_secs_f64());
     println!("{}", render_recovery(&report));
 }

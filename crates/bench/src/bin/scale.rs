@@ -10,18 +10,18 @@
 //! any `RIO_THREADS`: cells are deterministic in `(seed, cell)` and
 //! merged by index.
 
-use rio_bench::env_u64;
+use rio_bench::{env_threads, env_u64};
 use rio_harness::scale::ScaleGrid;
-use rio_harness::{render_scale, run_scale_parallel, scale_json};
+use rio_harness::{render_scale, run_scale, scale_json};
 
 fn main() {
     let seed = env_u64("RIO_SEED", 1996);
-    let threads = env_u64("RIO_THREADS", 4) as usize;
+    let threads = env_threads();
     eprintln!(
         "scale-out grid: clients x devices, Rio vs write-through (seed {seed}, {threads} threads)..."
     );
     let started = std::time::Instant::now();
-    let report = run_scale_parallel(&ScaleGrid::small(seed), threads);
+    let report = run_scale(&ScaleGrid::small(seed), threads);
     report.assert_rio_wins();
     eprintln!("done in {:.1}s\n", started.elapsed().as_secs_f64());
     println!("{}", render_scale(&report));

@@ -18,9 +18,9 @@
 //! relative error. A tail-latency table is only as honest as its
 //! histogram.
 
-use rio_bench::env_u64;
+use rio_bench::{env_threads, env_u64, env_usize_list};
 use rio_harness::server::ServerGrid;
-use rio_harness::{render_server, run_server_parallel, server_json};
+use rio_harness::{render_server, run_server, server_json};
 use rio_obs::Histogram;
 
 /// Records 1..=100_000 and probes p50/p90/p99/p999/p9999 against the
@@ -48,26 +48,19 @@ fn histogram_self_check() -> f64 {
 
 fn main() {
     let seed = env_u64("RIO_SEED", 1996);
-    let threads = env_u64("RIO_THREADS", 4) as usize;
+    let threads = env_threads();
     let worst = histogram_self_check();
     let mut grid = ServerGrid::small(seed);
     // CI smoke override: RIO_CLIENTS=8,32 shrinks the sweep.
-    if let Ok(spec) = std::env::var("RIO_CLIENTS") {
-        let counts: Vec<usize> = spec
-            .split(',')
-            .filter_map(|s| s.trim().parse().ok())
-            .filter(|&n| n > 0)
-            .collect();
-        if !counts.is_empty() {
-            grid.clients = counts;
-        }
+    if let Some(counts) = env_usize_list("RIO_CLIENTS") {
+        grid.clients = counts;
     }
     grid.requests_per_client = env_u64("RIO_REQUESTS", grid.requests_per_client as u64) as usize;
     eprintln!(
         "open-loop server grid: clients x systems, tail latency per op class (seed {seed}, {threads} threads)..."
     );
     let started = std::time::Instant::now();
-    let report = run_server_parallel(&grid, threads);
+    let report = run_server(&grid, threads);
     report.assert_rio_tail_wins();
     eprintln!("done in {:.1}s\n", started.elapsed().as_secs_f64());
     println!("{}", render_server(&report));

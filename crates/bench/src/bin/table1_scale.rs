@@ -6,38 +6,24 @@
 //! ```
 //!
 //! `RIO_CLIENTS` overrides the client-count sweep (comma-separated, e.g.
-//! `RIO_CLIENTS=1,4` for a CI smoke run). `RIO_CHECKPOINT=0` disables the
-//! checkpoint-fork engine (byte-identical output, slower preparation).
+//! `RIO_CLIENTS=1,4` for a CI smoke run). `RIO_CHECKPOINT=0` selects the
+//! engine's scratch reference (byte-identical output, slower preparation).
 
-use rio_bench::env_u64;
+use rio_bench::{env_threads, env_u64, env_usize_list};
 use rio_faults::{checkpoint_enabled_from_env, ScaleCampaignConfig};
 use rio_harness::{render_table1_scale, run_table1_scale};
 
 fn main() {
     let trials = env_u64("RIO_TRIALS", 10);
     let seed = env_u64("RIO_SEED", 1996);
-    let threads = env_u64(
-        "RIO_THREADS",
-        std::thread::available_parallelism()
-            .map(|n| n.get() as u64)
-            .unwrap_or(4),
-    )
-    .max(1) as usize;
+    let threads = env_threads();
 
     let mut cfg = ScaleCampaignConfig {
         trials_per_cell: trials,
-        use_checkpoint: checkpoint_enabled_from_env(),
         ..ScaleCampaignConfig::paper(seed)
     };
-    if let Ok(spec) = std::env::var("RIO_CLIENTS") {
-        let counts: Vec<usize> = spec
-            .split(',')
-            .filter_map(|s| s.trim().parse().ok())
-            .filter(|&n| n > 0)
-            .collect();
-        if !counts.is_empty() {
-            cfg.client_counts = counts;
-        }
+    if let Some(counts) = env_usize_list("RIO_CLIENTS") {
+        cfg.client_counts = counts;
     }
     eprintln!(
         "running scaled crash campaign: 13 fault types x 3 systems x {:?} clients x \
@@ -45,7 +31,7 @@ fn main() {
         cfg.client_counts
     );
     let started = std::time::Instant::now();
-    let report = run_table1_scale(&cfg, threads);
+    let report = run_table1_scale(&cfg, threads, checkpoint_enabled_from_env());
     eprintln!(
         "campaign finished in {:.1}s\n",
         started.elapsed().as_secs_f64()

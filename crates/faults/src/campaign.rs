@@ -10,22 +10,19 @@
 //! The paper's full campaign is 13 × 3 × 50 = 1,950 independent crash
 //! runs. Every trial's seed is a pure function of its grid coordinates
 //! ([`trial_seed`]), and each trial owns its whole simulated machine, so
-//! the campaign is embarrassingly parallel: [`run_campaign_parallel`]
-//! distributes *individual trials* over a worker pool and merges outcomes
-//! in attempt order, producing output byte-identical to the serial
-//! [`run_campaign`] at any thread count.
+//! the campaign is embarrassingly parallel: [`run_campaign`] describes it
+//! as a [`Campaign`] and the engine ([`crate::engine`]) distributes
+//! *individual trials* over its worker pool, merging outcomes in attempt
+//! order — byte-identical output at any thread count.
 
-use crate::checkpoint::{CheckpointStore, TrialCheckpoint};
 use crate::driver::{drive, workload_seed, PreparedTrial, TrialObservation, TrialVerdict};
+use crate::engine::{self, Campaign};
 use crate::inject::FaultType;
 use rio_core::RioMode;
 use rio_det::derive_seed3;
 use rio_kernel::Policy;
 use rio_workloads::MemTestConfig;
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// The three systems of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,7 +125,7 @@ pub enum TrialOutcome {
 }
 
 /// One cell of Table 1 after `trials` runs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellResult {
     /// Fault type (row).
     pub fault: FaultType,
@@ -151,48 +148,6 @@ pub struct CellResult {
     pub messages: BTreeSet<String>,
 }
 
-impl CellResult {
-    fn empty(fault: FaultType, system: SystemKind) -> CellResult {
-        CellResult {
-            fault,
-            system,
-            crashes: 0,
-            corruptions: 0,
-            discarded: 0,
-            protection_traps: 0,
-            torn_data_blocks: 0,
-            quarantined: 0,
-            messages: BTreeSet::new(),
-        }
-    }
-
-    /// Folds one trial outcome into the cell counters.
-    fn absorb(&mut self, outcome: TrialOutcome) {
-        match outcome {
-            TrialOutcome::NoCrash | TrialOutcome::Wedged => self.discarded += 1,
-            TrialOutcome::Crashed {
-                corrupted,
-                protection_trap,
-                message,
-                torn_data_blocks,
-                quarantined,
-                ..
-            } => {
-                self.crashes += 1;
-                if corrupted {
-                    self.corruptions += 1;
-                }
-                if protection_trap {
-                    self.protection_traps += 1;
-                }
-                self.torn_data_blocks += torn_data_blocks;
-                self.quarantined += quarantined;
-                self.messages.insert(message);
-            }
-        }
-    }
-}
-
 /// The full campaign result.
 #[derive(Debug, Clone)]
 pub struct CampaignResult {
@@ -205,47 +160,31 @@ pub struct CampaignResult {
 impl CampaignResult {
     /// Total crashes for a system across all fault types.
     pub fn total_crashes(&self, system: SystemKind) -> u64 {
-        self.cells
-            .iter()
-            .filter(|c| c.system == system)
-            .map(|c| c.crashes)
-            .sum()
+        self.select(system).map(|c| c.crashes).sum()
     }
 
     /// Total corruptions for a system.
     pub fn total_corruptions(&self, system: SystemKind) -> u64 {
-        self.cells
-            .iter()
-            .filter(|c| c.system == system)
-            .map(|c| c.corruptions)
-            .sum()
+        self.select(system).map(|c| c.corruptions).sum()
     }
 
     /// Total protection-trap saves for a system.
     pub fn total_protection_traps(&self, system: SystemKind) -> u64 {
-        self.cells
-            .iter()
-            .filter(|c| c.system == system)
-            .map(|c| c.protection_traps)
-            .sum()
+        self.select(system).map(|c| c.protection_traps).sum()
     }
 
     /// Total torn data blocks fsck saw for a system's reboots.
     pub fn total_torn(&self, system: SystemKind) -> u64 {
-        self.cells
-            .iter()
-            .filter(|c| c.system == system)
-            .map(|c| c.torn_data_blocks)
-            .sum()
+        self.select(system).map(|c| c.torn_data_blocks).sum()
     }
 
     /// Total registry entries quarantined by a system's warm-reboot scans.
     pub fn total_quarantined(&self, system: SystemKind) -> u64 {
-        self.cells
-            .iter()
-            .filter(|c| c.system == system)
-            .map(|c| c.quarantined)
-            .sum()
+        self.select(system).map(|c| c.quarantined).sum()
+    }
+
+    fn select(&self, system: SystemKind) -> impl Iterator<Item = &CellResult> {
+        self.cells.iter().filter(move |c| c.system == system)
     }
 
     /// Distinct crash messages across the whole campaign.
@@ -272,10 +211,6 @@ pub struct CampaignConfig {
     pub watchdog_ops: u64,
     /// Cap on attempts per crash collected (discarded runs cost time).
     pub max_attempts_factor: u64,
-    /// Fork each trial from a per-cell steady-state checkpoint instead of
-    /// booting from scratch (identical results either way; see
-    /// [`crate::checkpoint`]). `RIO_CHECKPOINT=0` is the CLI escape hatch.
-    pub use_checkpoint: bool,
 }
 
 impl CampaignConfig {
@@ -287,7 +222,6 @@ impl CampaignConfig {
             warmup_ops: 40,
             watchdog_ops: 400,
             max_attempts_factor: 6,
-            use_checkpoint: true,
         }
     }
 
@@ -299,7 +233,6 @@ impl CampaignConfig {
             warmup_ops: 60,
             watchdog_ops: 800,
             max_attempts_factor: 8,
-            use_checkpoint: true,
         }
     }
 
@@ -336,76 +269,26 @@ fn outcome_from(obs: TrialObservation) -> TrialOutcome {
     }
 }
 
-/// Runs one trial: boot, warm up, inject, run to crash, reboot, verify.
+/// Runs one trial forked from a steady point — boot, warm up (both in
+/// `steady`), inject from `inject_seed`, run to crash, reboot, verify.
 ///
 /// The trial owns its entire simulated machine (CPU, physical memory,
 /// disk); nothing is shared with other trials, which is what makes the
-/// campaign safely parallel.
-///
-/// Legacy single-seed entry point: the one seed feeds both streams exactly
-/// as it always did (workload = `seed ^ 0x5EED`, injection = `seed`), so
-/// results are bit-compatible with the pre-checkpoint campaign. Campaigns
-/// use the split [`workload_seed`]/[`trial_seed`] streams instead so that
-/// trials can share a steady-state checkpoint.
-pub fn run_trial(
-    system: SystemKind,
-    fault: FaultType,
-    seed: u64,
-    warmup_ops: u64,
-    watchdog_ops: u64,
-) -> TrialOutcome {
-    let prepared = PreparedTrial::prepare(system, seed ^ 0x5EED, warmup_ops);
-    outcome_from(drive(prepared, fault, seed, watchdog_ops))
-}
-
-/// Runs one trial forked from a steady-state checkpoint, drawing faults
-/// from `inject_seed`. Byte-identical to a scratch trial prepared with the
-/// same workload seed and warmup.
+/// campaign safely parallel. Byte-identical whether `steady` is shared by
+/// a whole cell or was prepared from scratch for this trial alone.
 pub fn run_trial_from(
-    checkpoint: &TrialCheckpoint,
+    steady: &PreparedTrial,
     fault: FaultType,
     inject_seed: u64,
     watchdog_ops: u64,
 ) -> TrialOutcome {
-    outcome_from(drive(checkpoint.fork(), fault, inject_seed, watchdog_ops))
+    outcome_from(drive(steady.fork(), fault, inject_seed, watchdog_ops))
 }
 
-/// Extracts a human-readable message from a panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_owned())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "unknown panic".to_owned())
-}
-
-/// Runs a trial closure behind a panic firewall: a trial that panics (a
-/// harness bug, not a simulated crash) is recorded as a corrupted crashed
-/// run instead of unwinding into the worker pool and poisoning the
-/// campaign mutex.
-fn firewall(trial: impl FnOnce() -> TrialOutcome) -> TrialOutcome {
-    let outcome = catch_unwind(AssertUnwindSafe(trial)).unwrap_or_else(|payload| {
-        // Surface the swallowed panic text to any open trace session as
-        // well as to the outcome message, so the Table 1 footer's
-        // unique-crash-messages count and a forensic trace agree.
-        let text = format!("harness panic: {}", panic_message(payload.as_ref()));
-        if rio_obs::is_enabled() {
-            rio_obs::note(rio_obs::EventCategory::TrialPanic, text.clone());
-        }
-        TrialOutcome::Crashed {
-            corrupted: true,
-            damage: usize::MAX,
-            checksum_detected: false,
-            protection_trap: false,
-            message: text,
-            ops_before_crash: 0,
-            torn_data_blocks: 0,
-            quarantined: 0,
-        }
-    });
+/// Records the verdict's provenance in any open trace session: 0 = no
+/// crash, 1 = wedged, 2 = crashed clean, 3 = crashed corrupted.
+fn emit_verdict(outcome: TrialOutcome) -> TrialOutcome {
     if rio_obs::is_enabled() {
-        // Verdict provenance: 0 = no crash, 1 = wedged, 2 = crashed clean,
-        // 3 = crashed corrupted.
         let code = match &outcome {
             TrialOutcome::NoCrash => 0,
             TrialOutcome::Wedged => 1,
@@ -420,276 +303,135 @@ fn firewall(trial: impl FnOnce() -> TrialOutcome) -> TrialOutcome {
     outcome
 }
 
-/// [`run_trial`] behind the panic firewall (legacy single-seed form).
-pub fn run_trial_caught(
-    system: SystemKind,
-    fault: FaultType,
-    seed: u64,
-    warmup_ops: u64,
-    watchdog_ops: u64,
-) -> TrialOutcome {
-    firewall(|| run_trial(system, fault, seed, warmup_ops, watchdog_ops))
-}
+/// Table 1 as a [`Campaign`]: a (fault, system) grid whose cells collect
+/// `trials_per_cell` crashes, all trials of one system forking the same
+/// warmed-up machine.
+pub(crate) struct Table1<'a>(pub(crate) &'a CampaignConfig);
 
-/// Runs one campaign trial at its grid coordinates: the workload comes
-/// from the per-cell stream, the faults from the per-trial stream. With a
-/// `store`, the steady point is forked from the cell's checkpoint;
-/// without one, it is rebuilt from scratch — both feed the identical
-/// [`drive`] tail, so the outcome is the same either way (the
-/// `RIO_CHECKPOINT=0` escape hatch that verify.sh gates).
-fn run_grid_trial(
-    cfg: &CampaignConfig,
-    store: Option<&CheckpointStore>,
-    fault: FaultType,
-    system: SystemKind,
-    attempt: u64,
-) -> TrialOutcome {
-    let wl = workload_seed(cfg.seed, system);
-    let inj = trial_seed(cfg.seed, fault, system, attempt);
-    firewall(|| {
-        let prepared = match store {
-            Some(store) => store.get_or_capture(system, wl, cfg.warmup_ops).fork(),
-            None => PreparedTrial::prepare(system, wl, cfg.warmup_ops),
-        };
-        outcome_from(drive(prepared, fault, inj, cfg.watchdog_ops))
-    })
-}
+impl Campaign for Table1<'_> {
+    type Coord = (FaultType, SystemKind);
+    type Key = u64;
+    type Checkpoint = PreparedTrial;
+    type Outcome = TrialOutcome;
+    type Cell = CellResult;
 
-/// Locks a mutex, tolerating poison: per-trial state is only written under
-/// short critical sections that cannot be left half-updated, so a poisoned
-/// lock (a worker died outside the trial firewall) is still usable.
-pub(crate) fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The Table 1 grid, in row-major (fault, system) order.
-fn grid() -> Vec<(FaultType, SystemKind)> {
-    FaultType::ALL
-        .iter()
-        .flat_map(|&f| SystemKind::ALL.iter().map(move |&s| (f, s)))
-        .collect()
-}
-
-/// Runs the full campaign grid serially.
-///
-/// `progress` is called after each cell with the finished cell — the
-/// harness uses it for live reporting. [`run_campaign_parallel`] produces
-/// identical results faster.
-pub fn run_campaign(
-    cfg: &CampaignConfig,
-    mut progress: impl FnMut(&CellResult),
-) -> CampaignResult {
-    let store = cfg.use_checkpoint.then(CheckpointStore::new);
-    let mut cells = Vec::new();
-    for (fault, system) in grid() {
-        let cell = run_cell(cfg, store.as_ref(), fault, system);
-        progress(&cell);
-        cells.push(cell);
+    /// Row-major (fault, system) order.
+    fn grid(&self) -> Vec<Self::Coord> {
+        FaultType::ALL
+            .iter()
+            .flat_map(|&f| SystemKind::ALL.iter().map(move |&s| (f, s)))
+            .collect()
     }
+
+    fn checkpoint_key(&self, (_, system): Self::Coord) -> u64 {
+        system as u64
+    }
+
+    fn capture(&self, (_, system): Self::Coord) -> PreparedTrial {
+        PreparedTrial::prepare(
+            system,
+            workload_seed(self.0.seed, system),
+            self.0.warmup_ops,
+        )
+    }
+
+    fn run(
+        &self,
+        steady: &PreparedTrial,
+        (fault, system): Self::Coord,
+        attempt: u64,
+    ) -> TrialOutcome {
+        let inject_seed = trial_seed(self.0.seed, fault, system, attempt);
+        emit_verdict(run_trial_from(steady, fault, inject_seed, self.0.watchdog_ops))
+    }
+
+    /// A harness panic counts as a corrupted crashed run, its text among
+    /// the cell's crash messages.
+    fn on_panic(&self, _: Self::Coord, text: String) -> TrialOutcome {
+        emit_verdict(TrialOutcome::Crashed {
+            corrupted: true,
+            damage: usize::MAX,
+            checksum_detected: false,
+            protection_trap: false,
+            message: text,
+            ops_before_crash: 0,
+            torn_data_blocks: 0,
+            quarantined: 0,
+        })
+    }
+
+    fn empty(&self, (fault, system): Self::Coord) -> CellResult {
+        CellResult {
+            fault,
+            system,
+            crashes: 0,
+            corruptions: 0,
+            discarded: 0,
+            protection_traps: 0,
+            torn_data_blocks: 0,
+            quarantined: 0,
+            messages: BTreeSet::new(),
+        }
+    }
+
+    fn absorb(&self, cell: &mut CellResult, outcome: TrialOutcome) {
+        match outcome {
+            TrialOutcome::NoCrash | TrialOutcome::Wedged => cell.discarded += 1,
+            TrialOutcome::Crashed {
+                corrupted,
+                protection_trap,
+                message,
+                torn_data_blocks,
+                quarantined,
+                ..
+            } => {
+                cell.crashes += 1;
+                if corrupted {
+                    cell.corruptions += 1;
+                }
+                if protection_trap {
+                    cell.protection_traps += 1;
+                }
+                cell.torn_data_blocks += torn_data_blocks;
+                cell.quarantined += quarantined;
+                cell.messages.insert(message);
+            }
+        }
+    }
+
+    fn done(&self, cell: &CellResult, merged: u64) -> bool {
+        cell.crashes >= self.0.trials_per_cell || merged >= self.0.max_attempts()
+    }
+}
+
+/// Runs the full campaign grid on `threads` workers through
+/// [`crate::engine::run`]: byte-identical results at any `threads` and
+/// either `use_checkpoint`.
+pub fn run_campaign(cfg: &CampaignConfig, threads: usize, use_checkpoint: bool) -> CampaignResult {
     CampaignResult {
-        cells,
+        cells: engine::run(&Table1(cfg), threads, use_checkpoint),
         trials_per_cell: cfg.trials_per_cell,
     }
-}
-
-/// Runs one (fault, system) cell to completion, serially.
-fn run_cell(
-    cfg: &CampaignConfig,
-    store: Option<&CheckpointStore>,
-    fault: FaultType,
-    system: SystemKind,
-) -> CellResult {
-    let mut cell = CellResult::empty(fault, system);
-    let mut attempt = 0u64;
-    while cell.crashes < cfg.trials_per_cell && attempt < cfg.max_attempts() {
-        cell.absorb(run_grid_trial(cfg, store, fault, system, attempt));
-        attempt += 1;
-    }
-    cell
-}
-
-/// Per-cell bookkeeping inside the parallel scheduler.
-struct CellState {
-    fault: FaultType,
-    system: SystemKind,
-    cell: CellResult,
-    /// Next attempt index to hand to a worker.
-    issued: u64,
-    /// Next attempt index to merge (all attempts below are folded in).
-    merged: u64,
-    /// Finished attempts waiting for their turn in the merge order.
-    parked: BTreeMap<u64, TrialOutcome>,
-    /// The cell reached its quota (or attempt cap): no more merging.
-    done: bool,
-}
-
-impl CellState {
-    /// Folds parked outcomes in attempt order, applying exactly the serial
-    /// stopping rule: an attempt counts iff, with all earlier attempts
-    /// merged, the quota was not yet met and the cap not yet reached.
-    fn drain_merges(&mut self, cfg: &CampaignConfig) {
-        while !self.done {
-            let Some(outcome) = self.parked.remove(&self.merged) else {
-                break;
-            };
-            self.merged += 1;
-            self.cell.absorb(outcome);
-            if self.cell.crashes >= cfg.trials_per_cell || self.merged >= cfg.max_attempts() {
-                self.done = true;
-                // Speculative results beyond the stopping point are
-                // discarded — the serial run never executed them.
-                self.parked.clear();
-            }
-        }
-    }
-}
-
-/// Shared scheduler state: the grid of cells plus a cursor that spreads
-/// speculative issuance round-robin across unfinished cells.
-struct Scheduler {
-    cells: Vec<CellState>,
-    cursor: usize,
-    unfinished: usize,
-    /// Per-cell bound on `issued - merged`: how far ahead of the merge
-    /// frontier workers may speculate. Trials past a cell's (unknown)
-    /// stopping point are wasted work, so the window trades idle threads
-    /// against waste.
-    window: u64,
-}
-
-impl Scheduler {
-    fn new(threads: usize) -> Scheduler {
-        let cells: Vec<CellState> = grid()
-            .into_iter()
-            .map(|(fault, system)| CellState {
-                fault,
-                system,
-                cell: CellResult::empty(fault, system),
-                issued: 0,
-                merged: 0,
-                parked: BTreeMap::new(),
-                done: false,
-            })
-            .collect();
-        let unfinished = cells.len();
-        Scheduler {
-            cells,
-            cursor: 0,
-            unfinished,
-            window: (threads as u64).max(2) * 2,
-        }
-    }
-
-    /// Hands out the next trial, if any cell can accept speculation.
-    fn next_task(&mut self, cfg: &CampaignConfig) -> Option<(usize, u64)> {
-        let n = self.cells.len();
-        for off in 0..n {
-            let i = (self.cursor + off) % n;
-            let c = &mut self.cells[i];
-            if c.done || c.issued >= cfg.max_attempts() || c.issued - c.merged >= self.window {
-                continue;
-            }
-            let attempt = c.issued;
-            c.issued += 1;
-            self.cursor = (i + 1) % n;
-            return Some((i, attempt));
-        }
-        None
-    }
-
-    /// Records a finished trial and advances the merge frontier.
-    fn complete(&mut self, idx: usize, attempt: u64, outcome: TrialOutcome, cfg: &CampaignConfig) {
-        let c = &mut self.cells[idx];
-        if c.done {
-            return; // speculative leftover of an already-finished cell
-        }
-        c.parked.insert(attempt, outcome);
-        let was_done = c.done;
-        c.drain_merges(cfg);
-        // A cell with the attempt cap exhausted and nothing in flight is
-        // also finished even if the quota was never met.
-        if !c.done && c.merged >= cfg.max_attempts() {
-            c.done = true;
-        }
-        if c.done && !was_done {
-            self.unfinished -= 1;
-        }
-    }
-
-    fn all_done(&self) -> bool {
-        self.unfinished == 0
-    }
-
-    fn into_result(self, cfg: &CampaignConfig) -> CampaignResult {
-        CampaignResult {
-            cells: self.cells.into_iter().map(|c| c.cell).collect(),
-            trials_per_cell: cfg.trials_per_cell,
-        }
-    }
-}
-
-/// Runs the campaign with individual *trials* distributed over `threads`
-/// workers (`std::thread::scope`; no shared machine state — every trial
-/// builds its own kernel, memory, and disk).
-///
-/// Results are byte-identical to [`run_campaign`] for any `threads`:
-/// every trial's seed is a pure function of its coordinates
-/// ([`trial_seed`]), and outcomes are merged in attempt order under the
-/// serial stopping rule, so execution order cannot leak into the report.
-pub fn run_campaign_parallel(cfg: &CampaignConfig, threads: usize) -> CampaignResult {
-    let threads = threads.max(1);
-    if threads == 1 {
-        return run_campaign(cfg, |_| {});
-    }
-    let store = cfg.use_checkpoint.then(CheckpointStore::new);
-    let state = Mutex::new(Scheduler::new(threads));
-    let wake = Condvar::new();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let task = {
-                    let mut s = lock_tolerant(&state);
-                    loop {
-                        if s.all_done() {
-                            break None;
-                        }
-                        match s.next_task(cfg) {
-                            Some(t) => break Some(t),
-                            // Every issueable trial is in flight; sleep
-                            // until a completion moves a merge frontier.
-                            None => {
-                                s = wake
-                                    .wait(s)
-                                    .unwrap_or_else(PoisonError::into_inner);
-                            }
-                        }
-                    }
-                };
-                let Some((idx, attempt)) = task else {
-                    wake.notify_all();
-                    break;
-                };
-                let (fault, system) = {
-                    let s = lock_tolerant(&state);
-                    (s.cells[idx].fault, s.cells[idx].system)
-                };
-                let outcome = run_grid_trial(cfg, store.as_ref(), fault, system, attempt);
-                let mut s = lock_tolerant(&state);
-                s.complete(idx, attempt, outcome, cfg);
-                drop(s);
-                wake.notify_all();
-            });
-        }
-    });
-    state
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_result(cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `attempts` trials of one cell of campaign 0, forked from one
+    /// steady point.
+    fn cell_trials(
+        system: SystemKind,
+        fault: FaultType,
+        attempts: u64,
+        warmup_ops: u64,
+        watchdog_ops: u64,
+    ) -> Vec<TrialOutcome> {
+        let steady = PreparedTrial::prepare(system, workload_seed(0, system), warmup_ops);
+        (0..attempts)
+            .map(|a| run_trial_from(&steady, fault, trial_seed(0, fault, system, a), watchdog_ops))
+            .collect()
+    }
 
     #[test]
     fn system_slugs_round_trip() {
@@ -701,18 +443,12 @@ mod tests {
 
     #[test]
     fn copy_overrun_trial_crashes_and_examines() {
-        // Copy overrun fires reliably; at least one of a few seeds must
+        // Copy overrun fires reliably; at least one of a few attempts must
         // produce a crashed, examined trial on each system.
         for system in SystemKind::ALL {
-            let mut got_crash = false;
-            for seed in 0..6 {
-                if let TrialOutcome::Crashed { .. } =
-                    run_trial(system, FaultType::CopyOverrun, seed, 30, 400)
-                {
-                    got_crash = true;
-                    break;
-                }
-            }
+            let got_crash = cell_trials(system, FaultType::CopyOverrun, 6, 30, 400)
+                .iter()
+                .any(|o| matches!(o, TrialOutcome::Crashed { .. }));
             assert!(got_crash, "no crash for {system}");
         }
     }
@@ -722,14 +458,14 @@ mod tests {
         // The paper's synchronization row is blank: crashes, no corruption.
         let mut crashes = 0;
         let mut corruptions = 0;
-        for seed in 0..5 {
-            if let TrialOutcome::Crashed { corrupted, .. } = run_trial(
-                SystemKind::RioWithProtection,
-                FaultType::Synchronization,
-                seed,
-                30,
-                400,
-            ) {
+        for outcome in cell_trials(
+            SystemKind::RioWithProtection,
+            FaultType::Synchronization,
+            5,
+            30,
+            400,
+        ) {
+            if let TrialOutcome::Crashed { corrupted, .. } = outcome {
                 crashes += 1;
                 if corrupted {
                     corruptions += 1;
@@ -743,26 +479,17 @@ mod tests {
     #[test]
     fn stack_flips_mostly_discard() {
         // 64 KB of stack, 32 live bytes: most flips hit nothing.
-        let mut discards = 0;
-        for seed in 0..4 {
-            match run_trial(
-                SystemKind::RioWithProtection,
-                FaultType::KernelStack,
-                seed,
-                20,
-                150,
-            ) {
-                TrialOutcome::NoCrash | TrialOutcome::Wedged => discards += 1,
-                TrialOutcome::Crashed { .. } => {}
-            }
-        }
+        let discards = cell_trials(SystemKind::RioWithProtection, FaultType::KernelStack, 4, 20, 150)
+            .iter()
+            .filter(|o| matches!(o, TrialOutcome::NoCrash | TrialOutcome::Wedged))
+            .count();
         assert!(discards >= 2, "stack flips rarely hit ({discards})");
     }
 
     #[test]
     fn trials_are_deterministic() {
-        let a = run_trial(SystemKind::RioWithoutProtection, FaultType::KernelText, 11, 25, 200);
-        let b = run_trial(SystemKind::RioWithoutProtection, FaultType::KernelText, 11, 25, 200);
+        let a = cell_trials(SystemKind::RioWithoutProtection, FaultType::KernelText, 2, 25, 200);
+        let b = cell_trials(SystemKind::RioWithoutProtection, FaultType::KernelText, 2, 25, 200);
         assert_eq!(a, b);
     }
 
@@ -797,12 +524,9 @@ mod tests {
             warmup_ops: 20,
             watchdog_ops: 150,
             max_attempts_factor: 4,
-            use_checkpoint: true,
         };
-        let mut cells_seen = 0;
-        let result = run_campaign(&cfg, |_| cells_seen += 1);
+        let result = run_campaign(&cfg, 1, true);
         assert_eq!(result.cells.len(), 13 * 3);
-        assert_eq!(cells_seen, 13 * 3);
         // At least some crashes were collected somewhere.
         let total: u64 = SystemKind::ALL
             .iter()
@@ -814,49 +538,15 @@ mod tests {
 
     #[test]
     fn checkpoint_and_scratch_campaigns_agree_exactly() {
-        let mut cfg = CampaignConfig {
+        let cfg = CampaignConfig {
             trials_per_cell: 1,
             seed: 41,
             warmup_ops: 15,
             watchdog_ops: 120,
             max_attempts_factor: 2,
-            use_checkpoint: true,
         };
-        let forked = run_campaign(&cfg, |_| {});
-        cfg.use_checkpoint = false;
-        let scratch = run_campaign(&cfg, |_| {});
-        for (a, b) in forked.cells.iter().zip(&scratch.cells) {
-            assert_eq!(a.crashes, b.crashes, "{} / {}", a.fault, a.system);
-            assert_eq!(a.corruptions, b.corruptions, "{} / {}", a.fault, a.system);
-            assert_eq!(a.discarded, b.discarded, "{} / {}", a.fault, a.system);
-            assert_eq!(a.protection_traps, b.protection_traps);
-            assert_eq!(a.torn_data_blocks, b.torn_data_blocks);
-            assert_eq!(a.quarantined, b.quarantined);
-            assert_eq!(a.messages, b.messages);
-        }
-    }
-
-    #[test]
-    fn parallel_campaign_matches_serial_exactly() {
-        let cfg = CampaignConfig {
-            trials_per_cell: 2,
-            seed: 7,
-            warmup_ops: 15,
-            watchdog_ops: 120,
-            max_attempts_factor: 3,
-            use_checkpoint: true,
-        };
-        let serial = run_campaign(&cfg, |_| {});
-        let parallel = run_campaign_parallel(&cfg, 4);
-        assert_eq!(serial.trials_per_cell, parallel.trials_per_cell);
-        for (a, b) in serial.cells.iter().zip(&parallel.cells) {
-            assert_eq!(a.fault, b.fault);
-            assert_eq!(a.system, b.system);
-            assert_eq!(a.crashes, b.crashes, "{} / {}", a.fault, a.system);
-            assert_eq!(a.corruptions, b.corruptions, "{} / {}", a.fault, a.system);
-            assert_eq!(a.discarded, b.discarded, "{} / {}", a.fault, a.system);
-            assert_eq!(a.protection_traps, b.protection_traps);
-            assert_eq!(a.messages, b.messages);
-        }
+        let forked = run_campaign(&cfg, 1, true);
+        let scratch = run_campaign(&cfg, 1, false);
+        assert_eq!(forked.cells, scratch.cells);
     }
 }

@@ -1,9 +1,8 @@
 //! The shared trial driver: one boot→warmup→inject→watchdog→reboot
 //! skeleton for every single-client crash campaign.
 //!
-//! [`crate::campaign::run_trial`], [`crate::trace::run_traced_trial`], and
-//! the checkpoint-fork engine ([`crate::checkpoint`]) all used to carry
-//! their own copy of the same protocol; this module implements it once.
+//! The Table 1 campaign ([`crate::campaign`]), the propagation tracer
+//! ([`crate::trace`]) and the repo benchmark all run this one protocol.
 //! The skeleton splits at the **steady point** — the instant after the
 //! warmup workload, just before injection:
 //!
@@ -23,13 +22,14 @@
 //!
 //! # Seed streams
 //!
-//! The legacy campaign derived both the workload and the fault sites from
-//! one per-trial seed, so no two trials could ever share a warmup. The
-//! split keeps the two streams independent ([`rio_det::derive_seed3`]):
+//! Deriving the workload and the fault sites from one per-trial seed would
+//! mean no two trials could ever share a warmup, so the two are
+//! independent streams ([`rio_det::derive_seed3`]):
 //!
 //! * **workload stream** — [`workload_seed`] is per *cell* (campaign seed
 //!   × system), so every trial in a cell replays the identical warmup and
-//!   a checkpoint captured at the steady point serves them all;
+//!   the steady point the engine ([`crate::engine`]) captures once serves
+//!   them all;
 //! * **injection stream** — [`crate::campaign::trial_seed`] stays per
 //!   *trial* (campaign seed × fault × system × attempt), so dropping,
 //!   reordering, or parallelizing trials never shifts another trial's

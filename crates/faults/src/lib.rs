@@ -15,36 +15,36 @@
 //!   acquire/release that silently do nothing (\[Sullivan91b\], \[Lee93\]).
 //!
 //! [`inject()`](inject::inject) plants one fault type into a live kernel (20 instances per
-//! run, as in the paper); [`campaign`] drives whole Table 1 rows.
+//! run, as in the paper); [`driver`] runs one trial from a warmed-up
+//! steady point; [`engine`] is the one worker pool every campaign runs
+//! on, and [`campaign`] / [`scale_campaign`] / [`recovery`] describe
+//! their grids to it.
 
 pub mod campaign;
-pub mod checkpoint;
 pub mod driver;
+pub mod engine;
 pub mod inject;
 pub mod recovery;
 pub mod scale_campaign;
 pub mod trace;
 
-pub use campaign::{run_campaign_parallel,
-    run_campaign, run_trial, run_trial_caught, run_trial_from, CampaignConfig, CampaignResult,
-    CellResult, SystemKind, TrialOutcome,
+pub use campaign::{
+    run_campaign, run_trial_from, CampaignConfig, CampaignResult, CellResult, SystemKind,
+    TrialOutcome,
 };
-pub use checkpoint::{checkpoint_enabled_from_env, CheckpointStore, TrialCheckpoint};
 pub use driver::{drive, workload_seed, PreparedTrial, TrialObservation, TrialVerdict};
+pub use engine::{checkpoint_enabled_from_env, map_grid, Campaign};
 pub use inject::{decay_image, inject, FaultType};
 pub use recovery::{
-    recovery_trial_seed, recovery_workload_seed, run_recovery_campaign,
-    run_recovery_campaign_parallel, run_recovery_trial, run_recovery_trial_caught,
-    run_recovery_trial_from, RecoveryCampaignConfig, RecoveryCampaignResult, RecoveryCellResult,
-    RecoveryCheckpoint, RecoveryScenario, RecoveryTrialOutcome,
+    recovery_trial_seed, recovery_workload_seed, run_recovery_campaign, run_recovery_trial_from,
+    RecoveryCampaignConfig, RecoveryCampaignResult, RecoveryCellResult, RecoveryCheckpoint,
+    RecoveryScenario, RecoveryTrialOutcome,
 };
 pub use scale_campaign::{
-    run_scale_campaign, run_scale_campaign_parallel, run_scale_trial, run_scale_trial_caught,
-    run_scale_trial_from, scale_kernel_config, scale_trial_seed, scale_workload_seed,
-    ScaleCampaignConfig, ScaleCampaignResult, ScaleCellResult, ScaleCheckpoint,
-    ScaleCheckpointStore, ScaleCrash, ScaleTrialOutcome,
+    run_scale_campaign, run_scale_trial_from, scale_kernel_config, scale_trial_seed,
+    scale_workload_seed, ScaleCampaignConfig, ScaleCampaignResult, ScaleCellResult,
+    ScaleCheckpoint, ScaleCrash, ScaleTrialOutcome,
 };
 pub use trace::{
-    run_traced_trial, run_traced_trial_from, summarize, DetectionChannel, PropagationSummary,
-    TrialTrace,
+    run_traced_trial_from, summarize, DetectionChannel, PropagationSummary, TrialTrace,
 };

@@ -20,7 +20,7 @@
 //! blocks) is counted separately: losing data loudly is allowed, losing
 //! it silently is not.
 
-use crate::campaign::{lock_tolerant, panic_message};
+use crate::engine::{self, Campaign};
 use rio_core::RioMode;
 use rio_det::{derive_seed3, DetRng};
 use rio_disk::{DiskFault, SimDisk};
@@ -30,8 +30,6 @@ use rio_kernel::{
 };
 use rio_mem::PhysMem;
 use rio_workloads::{MemTest, MemTestConfig};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
 
 /// What (besides the second crashes) is wrong with the surviving state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -190,45 +188,6 @@ pub struct RecoveryCellResult {
     pub replayed: u64,
 }
 
-impl RecoveryCellResult {
-    fn empty(scenario: RecoveryScenario, depth: u64) -> RecoveryCellResult {
-        RecoveryCellResult {
-            scenario,
-            depth,
-            trials: 0,
-            converged: 0,
-            diverged: 0,
-            fatal_losses: 0,
-            interrupts: 0,
-            quarantined: 0,
-            torn: 0,
-            retries: 0,
-            degraded: 0,
-            committed_skips: 0,
-            replayed: 0,
-        }
-    }
-
-    fn absorb(&mut self, o: &RecoveryTrialOutcome) {
-        self.trials += 1;
-        if o.converged() {
-            self.converged += 1;
-            if o.fatal_reference {
-                self.fatal_losses += 1;
-            }
-        } else {
-            self.diverged += 1;
-        }
-        self.interrupts += o.interrupts;
-        self.quarantined += o.quarantined;
-        self.torn += o.torn_data_blocks;
-        self.retries += o.retries;
-        self.degraded += o.degraded_blocks;
-        self.committed_skips += o.committed_skips;
-        self.replayed += o.pages_replayed;
-    }
-}
-
 /// Full recovery-campaign result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryCampaignResult {
@@ -262,10 +221,6 @@ pub struct RecoveryCampaignConfig {
     pub warmup_ops: u64,
     /// Maximum second-crash depth (columns k = 1..=max_depth).
     pub max_depth: u64,
-    /// Capture the first-crash artifacts once per campaign and fork them
-    /// per trial instead of re-warming per trial (identical results
-    /// either way; `RIO_CHECKPOINT=0` is the CLI escape hatch).
-    pub use_checkpoint: bool,
 }
 
 impl RecoveryCampaignConfig {
@@ -276,7 +231,6 @@ impl RecoveryCampaignConfig {
             seed,
             warmup_ops: 30,
             max_depth: 3,
-            use_checkpoint: true,
         }
     }
 
@@ -287,7 +241,6 @@ impl RecoveryCampaignConfig {
             seed,
             warmup_ops: 60,
             max_depth: 3,
-            use_checkpoint: true,
         }
     }
 }
@@ -406,24 +359,9 @@ impl RecoveryCheckpoint {
     }
 }
 
-/// Runs one recovery trial; see the module docs for the procedure.
-///
-/// Legacy single-seed entry point: the one seed feeds the warmup
-/// (workload = `seed ^ 0x5EED`) and the per-trial damage/crash-point
-/// stream (`seed`), as it always did. Campaigns capture one
-/// [`RecoveryCheckpoint`] and use [`run_recovery_trial_from`].
-pub fn run_recovery_trial(
-    scenario: RecoveryScenario,
-    depth: u64,
-    seed: u64,
-    warmup_ops: u64,
-) -> RecoveryTrialOutcome {
-    let cp = RecoveryCheckpoint::capture(seed ^ 0x5EED, warmup_ops);
-    run_recovery_trial_from(&cp, scenario, depth, seed)
-}
-
-/// Runs one recovery trial from captured first-crash artifacts, drawing
-/// the scenario damage and second-crash points from `inject_seed`.
+/// Runs one recovery trial (see the module docs for the procedure) from
+/// captured first-crash artifacts, drawing the scenario damage and
+/// second-crash points from `inject_seed`.
 pub fn run_recovery_trial_from(
     checkpoint: &RecoveryCheckpoint,
     scenario: RecoveryScenario,
@@ -535,146 +473,99 @@ pub fn run_recovery_trial_from(
     outcome
 }
 
-/// Runs a recovery-trial closure behind the same panic firewall as the
-/// Table 1 campaign: a panicking trial is a diverged result, not a dead
-/// pool.
-fn recovery_firewall(trial: impl FnOnce() -> RecoveryTrialOutcome) -> RecoveryTrialOutcome {
-    catch_unwind(AssertUnwindSafe(trial)).unwrap_or_else(|payload| {
-        // Do not swallow the panic text: surface it to any open trace
-        // session so a forensic replay of the trial can report *why* the
-        // harness died, not just that it did.
-        let text = format!("harness panic: {}", panic_message(payload.as_ref()));
-        if rio_obs::is_enabled() {
-            rio_obs::note(rio_obs::EventCategory::TrialPanic, text);
-        }
+/// The re-crash table as a [`Campaign`]: a (scenario, depth) grid with a
+/// fixed trial count per cell — no stopping rule beyond it — and one
+/// crashed machine shared by the whole grid.
+pub(crate) struct RecoveryGrid<'a>(pub(crate) &'a RecoveryCampaignConfig);
+
+impl Campaign for RecoveryGrid<'_> {
+    type Coord = (RecoveryScenario, u64);
+    type Key = ();
+    type Checkpoint = RecoveryCheckpoint;
+    type Outcome = RecoveryTrialOutcome;
+    type Cell = RecoveryCellResult;
+
+    /// Scenario-major.
+    fn grid(&self) -> Vec<Self::Coord> {
+        RecoveryScenario::ALL
+            .iter()
+            .flat_map(|&s| (1..=self.0.max_depth).map(move |d| (s, d)))
+            .collect()
+    }
+
+    fn checkpoint_key(&self, _: Self::Coord) {}
+
+    fn capture(&self, _: Self::Coord) -> RecoveryCheckpoint {
+        RecoveryCheckpoint::capture(recovery_workload_seed(self.0.seed), self.0.warmup_ops)
+    }
+
+    fn run(
+        &self,
+        checkpoint: &RecoveryCheckpoint,
+        (scenario, depth): Self::Coord,
+        trial: u64,
+    ) -> RecoveryTrialOutcome {
+        let inject_seed = recovery_trial_seed(self.0.seed, scenario, depth, trial);
+        run_recovery_trial_from(checkpoint, scenario, depth, inject_seed)
+    }
+
+    /// A panicking trial is a diverged result, not a dead pool.
+    fn on_panic(&self, _: Self::Coord, _text: String) -> RecoveryTrialOutcome {
         RecoveryTrialOutcome::panic_outcome()
-    })
-}
+    }
 
-/// [`run_recovery_trial`] behind the panic firewall (legacy single-seed
-/// form).
-pub fn run_recovery_trial_caught(
-    scenario: RecoveryScenario,
-    depth: u64,
-    seed: u64,
-    warmup_ops: u64,
-) -> RecoveryTrialOutcome {
-    recovery_firewall(|| run_recovery_trial(scenario, depth, seed, warmup_ops))
-}
-
-/// Runs one recovery-campaign trial at its grid coordinates, forking the
-/// shared checkpoint when one is given and re-capturing from scratch
-/// otherwise — both through the identical trial tail.
-fn run_recovery_grid_trial(
-    cfg: &RecoveryCampaignConfig,
-    checkpoint: Option<&RecoveryCheckpoint>,
-    scenario: RecoveryScenario,
-    depth: u64,
-    trial: u64,
-) -> RecoveryTrialOutcome {
-    let inj = recovery_trial_seed(cfg.seed, scenario, depth, trial);
-    recovery_firewall(|| match checkpoint {
-        Some(cp) => run_recovery_trial_from(cp, scenario, depth, inj),
-        None => {
-            let cp = RecoveryCheckpoint::capture(recovery_workload_seed(cfg.seed), cfg.warmup_ops);
-            run_recovery_trial_from(&cp, scenario, depth, inj)
+    fn empty(&self, (scenario, depth): Self::Coord) -> RecoveryCellResult {
+        RecoveryCellResult {
+            scenario,
+            depth,
+            trials: 0,
+            converged: 0,
+            diverged: 0,
+            fatal_losses: 0,
+            interrupts: 0,
+            quarantined: 0,
+            torn: 0,
+            retries: 0,
+            degraded: 0,
+            committed_skips: 0,
+            replayed: 0,
         }
-    })
+    }
+
+    fn absorb(&self, cell: &mut RecoveryCellResult, o: RecoveryTrialOutcome) {
+        cell.trials += 1;
+        if o.converged() {
+            cell.converged += 1;
+            if o.fatal_reference {
+                cell.fatal_losses += 1;
+            }
+        } else {
+            cell.diverged += 1;
+        }
+        cell.interrupts += o.interrupts;
+        cell.quarantined += o.quarantined;
+        cell.torn += o.torn_data_blocks;
+        cell.retries += o.retries;
+        cell.degraded += o.degraded_blocks;
+        cell.committed_skips += o.committed_skips;
+        cell.replayed += o.pages_replayed;
+    }
+
+    fn done(&self, _: &RecoveryCellResult, merged: u64) -> bool {
+        merged >= self.0.trials_per_cell
+    }
 }
 
-/// The (scenario, depth) grid, scenario-major.
-fn recovery_grid(cfg: &RecoveryCampaignConfig) -> Vec<(RecoveryScenario, u64)> {
-    RecoveryScenario::ALL
-        .iter()
-        .flat_map(|&s| (1..=cfg.max_depth).map(move |d| (s, d)))
-        .collect()
-}
-
-/// Runs the recovery campaign serially; `progress` sees each finished
-/// cell.
+/// Runs the recovery campaign on `threads` workers through
+/// [`crate::engine::run`]: byte-identical results at any `threads` and
+/// either `use_checkpoint`.
 pub fn run_recovery_campaign(
     cfg: &RecoveryCampaignConfig,
-    mut progress: impl FnMut(&RecoveryCellResult),
-) -> RecoveryCampaignResult {
-    let checkpoint = cfg
-        .use_checkpoint
-        .then(|| RecoveryCheckpoint::capture(recovery_workload_seed(cfg.seed), cfg.warmup_ops));
-    let mut cells = Vec::new();
-    for (scenario, depth) in recovery_grid(cfg) {
-        let mut cell = RecoveryCellResult::empty(scenario, depth);
-        for trial in 0..cfg.trials_per_cell {
-            cell.absorb(&run_recovery_grid_trial(
-                cfg,
-                checkpoint.as_ref(),
-                scenario,
-                depth,
-                trial,
-            ));
-        }
-        progress(&cell);
-        cells.push(cell);
-    }
-    RecoveryCampaignResult {
-        cells,
-        trials_per_cell: cfg.trials_per_cell,
-    }
-}
-
-/// Runs the recovery campaign with trials distributed over `threads`
-/// workers. The trial count per cell is fixed and every seed is a pure
-/// function of its coordinates, so results are identical to the serial
-/// run at any thread count: workers claim (cell, trial) slots from a
-/// shared cursor and deposit outcomes into their fixed positions; folding
-/// happens afterwards, in index order.
-pub fn run_recovery_campaign_parallel(
-    cfg: &RecoveryCampaignConfig,
     threads: usize,
+    use_checkpoint: bool,
 ) -> RecoveryCampaignResult {
-    let threads = threads.max(1);
-    if threads == 1 {
-        return run_recovery_campaign(cfg, |_| {});
-    }
-    let checkpoint = cfg
-        .use_checkpoint
-        .then(|| RecoveryCheckpoint::capture(recovery_workload_seed(cfg.seed), cfg.warmup_ops));
-    let grid = recovery_grid(cfg);
-    let total = grid.len() * cfg.trials_per_cell as usize;
-    let slots: Mutex<Vec<Option<RecoveryTrialOutcome>>> = Mutex::new(vec![None; total]);
-    let cursor = Mutex::new(0usize);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let idx = {
-                    let mut c = cursor.lock().unwrap_or_else(PoisonError::into_inner);
-                    if *c >= total {
-                        break;
-                    }
-                    let idx = *c;
-                    *c += 1;
-                    idx
-                };
-                let (scenario, depth) = grid[idx / cfg.trials_per_cell as usize];
-                let trial = (idx % cfg.trials_per_cell as usize) as u64;
-                let outcome =
-                    run_recovery_grid_trial(cfg, checkpoint.as_ref(), scenario, depth, trial);
-                lock_tolerant(&slots)[idx] = Some(outcome);
-            });
-        }
-    });
-    let slots = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let mut cells = Vec::new();
-    for (i, (scenario, depth)) in grid.iter().enumerate() {
-        let mut cell = RecoveryCellResult::empty(*scenario, *depth);
-        for t in 0..cfg.trials_per_cell as usize {
-            let outcome = slots[i * cfg.trials_per_cell as usize + t]
-                .as_ref()
-                .expect("all slots filled");
-            cell.absorb(outcome);
-        }
-        cells.push(cell);
-    }
     RecoveryCampaignResult {
-        cells,
+        cells: engine::run(&RecoveryGrid(cfg), threads, use_checkpoint),
         trials_per_cell: cfg.trials_per_cell,
     }
 }
@@ -683,10 +574,16 @@ pub fn run_recovery_campaign_parallel(
 mod tests {
     use super::*;
 
+    /// One trial at `(scenario, depth)` from a machine warmed with `seed`.
+    fn trial(scenario: RecoveryScenario, depth: u64, seed: u64, warmup_ops: u64) -> RecoveryTrialOutcome {
+        let cp = RecoveryCheckpoint::capture(recovery_workload_seed(seed), warmup_ops);
+        run_recovery_trial_from(&cp, scenario, depth, recovery_trial_seed(seed, scenario, depth, 0))
+    }
+
     #[test]
     fn clean_recrash_converges_at_every_depth() {
         for depth in 1..=3 {
-            let o = run_recovery_trial(RecoveryScenario::Clean, depth, 42 + depth, 30);
+            let o = trial(RecoveryScenario::Clean, depth, 42 + depth, 30);
             assert!(o.converged(), "depth {depth}: {o:?}");
             assert_eq!(o.mismatched_blocks, 0);
         }
@@ -696,7 +593,7 @@ mod tests {
     fn decay_is_quarantined_not_silently_restored() {
         let mut quarantined = 0;
         for seed in 0..4 {
-            let o = run_recovery_trial(RecoveryScenario::Decay, 2, seed, 30);
+            let o = trial(RecoveryScenario::Decay, 2, seed, 30);
             assert!(o.converged(), "seed {seed}: {o:?}");
             quarantined += o.quarantined;
         }
@@ -705,9 +602,11 @@ mod tests {
 
     #[test]
     fn transient_io_is_retried_to_convergence() {
+        // Only the completing run's retries are reported, so depth 1
+        // leaves the transients the best chance of still being armed.
         let mut retries = 0;
         for seed in 0..4 {
-            let o = run_recovery_trial(RecoveryScenario::TransientIo, 2, seed, 30);
+            let o = trial(RecoveryScenario::TransientIo, 1, seed, 30);
             assert!(o.converged(), "seed {seed}: {o:?}");
             assert_eq!(o.degraded_blocks, 0, "transients must not degrade");
             retries += o.retries;
@@ -717,17 +616,13 @@ mod tests {
 
     #[test]
     fn permanent_io_degrades_identically_on_both_paths() {
-        for seed in 0..4 {
-            let o = run_recovery_trial(RecoveryScenario::PermanentIo, 2, seed, 30);
+        let mut degraded = 0;
+        for seed in 6..10 {
+            let o = trial(RecoveryScenario::PermanentIo, 2, seed, 30);
             assert!(o.converged(), "seed {seed}: {o:?}");
+            degraded += o.degraded_blocks;
         }
-    }
-
-    #[test]
-    fn trials_are_deterministic() {
-        let a = run_recovery_trial(RecoveryScenario::Decay, 3, 7, 25);
-        let b = run_recovery_trial(RecoveryScenario::Decay, 3, 7, 25);
-        assert_eq!(a, b);
+        assert!(degraded > 0, "a dead block should land on a block recovery touches");
     }
 
     #[test]
@@ -745,31 +640,5 @@ mod tests {
             let scratch = run_recovery_trial_from(&fresh, scenario, 2, inj);
             assert_eq!(forked, scratch, "{scenario} / inj {inj}");
         }
-    }
-
-    #[test]
-    fn parallel_recovery_campaign_matches_serial() {
-        let cfg = RecoveryCampaignConfig {
-            trials_per_cell: 1,
-            seed: 11,
-            warmup_ops: 20,
-            max_depth: 2,
-            use_checkpoint: true,
-        };
-        let serial = run_recovery_campaign(&cfg, |_| {});
-        let parallel = run_recovery_campaign_parallel(&cfg, 4);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.total_diverged(), 0);
-    }
-
-    #[test]
-    fn panicking_trial_is_contained() {
-        // A depth of 0 with an absurd seed cannot panic by construction;
-        // instead, verify the firewall wrapper passes through normal
-        // outcomes unchanged.
-        let a = run_recovery_trial(RecoveryScenario::Clean, 1, 3, 20);
-        let b = run_recovery_trial_caught(RecoveryScenario::Clean, 1, 3, 20);
-        assert_eq!(a, b);
-        assert!(!b.harness_panic);
     }
 }

@@ -12,12 +12,12 @@
 //! so corruption that crosses client boundaries is visible as such.
 //!
 //! Every trial owns its whole simulated machine and every decision is a
-//! pure function of the trial seed, so the grid runner parallelizes over
-//! trials with attempt-order merging and produces byte-identical results
-//! at any `RIO_THREADS`.
+//! pure function of the trial seed, so the campaign is a
+//! [`Campaign`] run by the shared engine ([`crate::engine`]):
+//! byte-identical results at any `RIO_THREADS`.
 
-use crate::campaign::{lock_tolerant, panic_message, SystemKind};
-use crate::checkpoint::Memo;
+use crate::campaign::SystemKind;
+use crate::engine::{self, Campaign};
 use crate::inject::{inject, FaultType};
 use rio_det::{derive_seed, derive_seed3, DetRng};
 use rio_kernel::{
@@ -25,9 +25,7 @@ use rio_kernel::{
     SchedStep,
 };
 use rio_workloads::{MemTest, MemTestConfig, PreemptMemTest};
-use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::collections::BTreeSet;
 
 /// Scale-campaign parameters.
 #[derive(Debug, Clone)]
@@ -46,10 +44,6 @@ pub struct ScaleCampaignConfig {
     pub max_attempts_factor: u64,
     /// Client counts to sweep.
     pub client_counts: Vec<usize>,
-    /// Fork each trial from a per-cell warmed checkpoint instead of
-    /// rebooting the multi-client machine from scratch (identical
-    /// results either way; `RIO_CHECKPOINT=0` is the CLI escape hatch).
-    pub use_checkpoint: bool,
 }
 
 impl ScaleCampaignConfig {
@@ -62,7 +56,6 @@ impl ScaleCampaignConfig {
             watchdog_quanta: 3_000,
             max_attempts_factor: 4,
             client_counts: vec![1, 4],
-            use_checkpoint: true,
         }
     }
 
@@ -76,7 +69,6 @@ impl ScaleCampaignConfig {
             watchdog_quanta: 20_000,
             max_attempts_factor: 6,
             client_counts: vec![1, 16, 64],
-            use_checkpoint: true,
         }
     }
 
@@ -158,7 +150,7 @@ pub enum ScaleTrialOutcome {
 }
 
 /// One cell of the scale grid after its trials.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScaleCellResult {
     /// Fault type (row).
     pub fault: FaultType,
@@ -186,49 +178,6 @@ pub struct ScaleCellResult {
     pub damaged_clients_sum: u64,
     /// Distinct crash messages seen.
     pub messages: BTreeSet<String>,
-}
-
-impl ScaleCellResult {
-    fn empty(fault: FaultType, system: SystemKind, clients: usize) -> ScaleCellResult {
-        ScaleCellResult {
-            fault,
-            system,
-            clients,
-            crashes: 0,
-            corruptions: 0,
-            cross_client_corruptions: 0,
-            discarded: 0,
-            protection_traps: 0,
-            inflight_sum: 0,
-            locks_held_sum: 0,
-            contended_sum: 0,
-            damaged_clients_sum: 0,
-            messages: BTreeSet::new(),
-        }
-    }
-
-    fn absorb(&mut self, outcome: ScaleTrialOutcome) {
-        match outcome {
-            ScaleTrialOutcome::NoCrash | ScaleTrialOutcome::Wedged => self.discarded += 1,
-            ScaleTrialOutcome::Crashed(c) => {
-                self.crashes += 1;
-                if c.corrupted {
-                    self.corruptions += 1;
-                    if c.cross_client {
-                        self.cross_client_corruptions += 1;
-                    }
-                }
-                if c.protection_trap {
-                    self.protection_traps += 1;
-                }
-                self.inflight_sum += c.inflight_at_injection as u64;
-                self.locks_held_sum += c.locks_held_at_injection as u64;
-                self.contended_sum += c.locks_contended;
-                self.damaged_clients_sum += c.damaged_clients.len() as u64;
-                self.messages.insert(c.message);
-            }
-        }
-    }
 }
 
 /// The full scale-campaign result.
@@ -409,68 +358,10 @@ impl ScaleCheckpoint {
     }
 }
 
-/// Lazily captured [`ScaleCheckpoint`]s, shared across worker threads.
-pub struct ScaleCheckpointStore {
-    cells: Memo<(u64, usize, u64, u64, u64), ScaleCheckpoint>,
-}
-
-impl ScaleCheckpointStore {
-    /// An empty store.
-    pub fn new() -> ScaleCheckpointStore {
-        ScaleCheckpointStore { cells: Memo::new() }
-    }
-
-    /// The checkpoint for one scale cell, capturing it on first use.
-    pub fn get_or_capture(
-        &self,
-        system: SystemKind,
-        nclients: usize,
-        workload_seed: u64,
-        warmup_ops: u64,
-        watchdog_quanta: u64,
-    ) -> std::sync::Arc<ScaleCheckpoint> {
-        self.cells.get_or_insert_with(
-            (
-                system as u64,
-                nclients,
-                workload_seed,
-                warmup_ops,
-                watchdog_quanta,
-            ),
-            || ScaleCheckpoint::capture(system, nclients, workload_seed, warmup_ops, watchdog_quanta),
-        )
-    }
-}
-
-impl Default for ScaleCheckpointStore {
-    fn default() -> Self {
-        ScaleCheckpointStore::new()
-    }
-}
-
-/// Runs one scale trial: boot, warm up N preemptive clients, inject
-/// while syscalls are in flight, run to crash, reboot, and attribute
-/// every damaged file to its owning client.
-///
-/// Legacy single-seed entry point: the one seed feeds both the workload
-/// (client file sets, static files, scheduler rotor) and the injection
-/// stream, exactly as it always did. Campaigns split the two so trials
-/// can share a [`ScaleCheckpoint`].
-pub fn run_scale_trial(
-    system: SystemKind,
-    fault: FaultType,
-    nclients: usize,
-    seed: u64,
-    warmup_ops: u64,
-    watchdog_quanta: u64,
-) -> ScaleTrialOutcome {
-    let cp = ScaleCheckpoint::capture(system, nclients, seed, warmup_ops, watchdog_quanta);
-    run_scale_trial_from(&cp, fault, seed, watchdog_quanta)
-}
-
-/// Runs one scale trial forked from a warmed checkpoint, drawing faults
-/// from `inject_seed`. Byte-identical to a scratch trial captured with
-/// the same workload seed.
+/// Runs one scale trial forked from a warmed checkpoint: inject from
+/// `inject_seed` while syscalls are in flight, run to crash, reboot, and
+/// attribute every damaged file to its owning client. Byte-identical
+/// whether the checkpoint is shared by a cell or captured for this trial.
 pub fn run_scale_trial_from(
     checkpoint: &ScaleCheckpoint,
     fault: FaultType,
@@ -612,18 +503,61 @@ pub fn run_scale_trial_from(
     })
 }
 
-/// Runs a scale-trial closure behind the same panic firewall as the
-/// single-client campaign.
-fn scale_firewall(
-    nclients: usize,
-    trial: impl FnOnce() -> ScaleTrialOutcome,
-) -> ScaleTrialOutcome {
-    catch_unwind(AssertUnwindSafe(trial)).unwrap_or_else(|payload| {
-        let text = format!("harness panic: {}", panic_message(payload.as_ref()));
+/// The scaled Table 1 as a [`Campaign`]: one full Table 1 grid per client
+/// count, every trial of a (system, clients) pair forking the same warmed
+/// multi-client machine.
+pub(crate) struct ScaleTable1<'a>(pub(crate) &'a ScaleCampaignConfig);
+
+impl Campaign for ScaleTable1<'_> {
+    type Coord = (FaultType, SystemKind, usize);
+    type Key = (u64, usize);
+    type Checkpoint = ScaleCheckpoint;
+    type Outcome = ScaleTrialOutcome;
+    type Cell = ScaleCellResult;
+
+    /// Row-major in (clients, fault, system) order.
+    fn grid(&self) -> Vec<Self::Coord> {
+        self.0
+            .client_counts
+            .iter()
+            .flat_map(|&n| {
+                FaultType::ALL.iter().flat_map(move |&f| {
+                    SystemKind::ALL.iter().map(move |&s| (f, s, n))
+                })
+            })
+            .collect()
+    }
+
+    fn checkpoint_key(&self, (_, system, clients): Self::Coord) -> (u64, usize) {
+        (system as u64, clients)
+    }
+
+    fn capture(&self, (_, system, clients): Self::Coord) -> ScaleCheckpoint {
+        ScaleCheckpoint::capture(
+            system,
+            clients,
+            scale_workload_seed(self.0.seed, system, clients),
+            self.0.warmup_ops,
+            self.0.watchdog_quanta,
+        )
+    }
+
+    fn run(
+        &self,
+        checkpoint: &ScaleCheckpoint,
+        (fault, system, clients): Self::Coord,
+        attempt: u64,
+    ) -> ScaleTrialOutcome {
+        let inject_seed = scale_trial_seed(self.0.seed, fault, system, clients, attempt);
+        run_scale_trial_from(checkpoint, fault, inject_seed, self.0.watchdog_quanta)
+    }
+
+    /// A harness panic counts as a crash that damaged every client.
+    fn on_panic(&self, (_, _, clients): Self::Coord, text: String) -> ScaleTrialOutcome {
         ScaleTrialOutcome::Crashed(ScaleCrash {
             corrupted: true,
             damage: usize::MAX,
-            damaged_clients: (0..nclients as u32).collect(),
+            damaged_clients: (0..clients as u32).collect(),
             crashing_client: None,
             cross_client: true,
             inflight_at_injection: 0,
@@ -634,265 +568,67 @@ fn scale_firewall(
             protection_trap: false,
             message: text,
         })
-    })
-}
+    }
 
-/// [`run_scale_trial`] behind the panic firewall (legacy single-seed
-/// form).
-pub fn run_scale_trial_caught(
-    system: SystemKind,
-    fault: FaultType,
-    nclients: usize,
-    seed: u64,
-    warmup_ops: u64,
-    watchdog_quanta: u64,
-) -> ScaleTrialOutcome {
-    scale_firewall(nclients, || {
-        run_scale_trial(system, fault, nclients, seed, warmup_ops, watchdog_quanta)
-    })
-}
-
-/// Runs one scale-campaign trial at its grid coordinates: workload from
-/// the per-cell stream, faults from the per-trial stream; checkpoint fork
-/// or scratch capture per `store`, both through the identical trial tail.
-fn run_scale_grid_trial(
-    cfg: &ScaleCampaignConfig,
-    store: Option<&ScaleCheckpointStore>,
-    fault: FaultType,
-    system: SystemKind,
-    clients: usize,
-    attempt: u64,
-) -> ScaleTrialOutcome {
-    let wl = scale_workload_seed(cfg.seed, system, clients);
-    let inj = scale_trial_seed(cfg.seed, fault, system, clients, attempt);
-    scale_firewall(clients, || match store {
-        Some(store) => {
-            let cp =
-                store.get_or_capture(system, clients, wl, cfg.warmup_ops, cfg.watchdog_quanta);
-            run_scale_trial_from(&cp, fault, inj, cfg.watchdog_quanta)
+    fn empty(&self, (fault, system, clients): Self::Coord) -> ScaleCellResult {
+        ScaleCellResult {
+            fault,
+            system,
+            clients,
+            crashes: 0,
+            corruptions: 0,
+            cross_client_corruptions: 0,
+            discarded: 0,
+            protection_traps: 0,
+            inflight_sum: 0,
+            locks_held_sum: 0,
+            contended_sum: 0,
+            damaged_clients_sum: 0,
+            messages: BTreeSet::new(),
         }
-        None => {
-            let cp =
-                ScaleCheckpoint::capture(system, clients, wl, cfg.warmup_ops, cfg.watchdog_quanta);
-            run_scale_trial_from(&cp, fault, inj, cfg.watchdog_quanta)
+    }
+
+    fn absorb(&self, cell: &mut ScaleCellResult, outcome: ScaleTrialOutcome) {
+        match outcome {
+            ScaleTrialOutcome::NoCrash | ScaleTrialOutcome::Wedged => cell.discarded += 1,
+            ScaleTrialOutcome::Crashed(c) => {
+                cell.crashes += 1;
+                if c.corrupted {
+                    cell.corruptions += 1;
+                    if c.cross_client {
+                        cell.cross_client_corruptions += 1;
+                    }
+                }
+                if c.protection_trap {
+                    cell.protection_traps += 1;
+                }
+                cell.inflight_sum += c.inflight_at_injection as u64;
+                cell.locks_held_sum += c.locks_held_at_injection as u64;
+                cell.contended_sum += c.locks_contended;
+                cell.damaged_clients_sum += c.damaged_clients.len() as u64;
+                cell.messages.insert(c.message);
+            }
         }
-    })
+    }
+
+    fn done(&self, cell: &ScaleCellResult, merged: u64) -> bool {
+        cell.crashes >= self.0.trials_per_cell || merged >= self.0.max_attempts()
+    }
 }
 
-/// The scale grid, row-major in (clients, fault, system) order — one
-/// full Table 1 grid per client count.
-fn scale_grid(cfg: &ScaleCampaignConfig) -> Vec<(FaultType, SystemKind, usize)> {
-    cfg.client_counts
-        .iter()
-        .flat_map(|&n| {
-            FaultType::ALL.iter().flat_map(move |&f| {
-                SystemKind::ALL.iter().map(move |&s| (f, s, n))
-            })
-        })
-        .collect()
-}
-
-/// Runs the scale campaign serially. [`run_scale_campaign_parallel`]
-/// produces identical results faster.
+/// Runs the scale campaign on `threads` workers through
+/// [`crate::engine::run`]: byte-identical results at any `threads` and
+/// either `use_checkpoint`.
 pub fn run_scale_campaign(
     cfg: &ScaleCampaignConfig,
-    mut progress: impl FnMut(&ScaleCellResult),
+    threads: usize,
+    use_checkpoint: bool,
 ) -> ScaleCampaignResult {
-    let store = cfg.use_checkpoint.then(ScaleCheckpointStore::new);
-    let mut cells = Vec::new();
-    for (fault, system, clients) in scale_grid(cfg) {
-        let mut cell = ScaleCellResult::empty(fault, system, clients);
-        let mut attempt = 0u64;
-        while cell.crashes < cfg.trials_per_cell && attempt < cfg.max_attempts() {
-            cell.absorb(run_scale_grid_trial(
-                cfg,
-                store.as_ref(),
-                fault,
-                system,
-                clients,
-                attempt,
-            ));
-            attempt += 1;
-        }
-        progress(&cell);
-        cells.push(cell);
-    }
     ScaleCampaignResult {
-        cells,
+        cells: engine::run(&ScaleTable1(cfg), threads, use_checkpoint),
         trials_per_cell: cfg.trials_per_cell,
         client_counts: cfg.client_counts.clone(),
     }
-}
-
-/// Per-cell bookkeeping inside the parallel scheduler — same
-/// attempt-order merge discipline as the single-client campaign's
-/// scheduler, over the three-axis grid.
-struct CellState {
-    fault: FaultType,
-    system: SystemKind,
-    clients: usize,
-    cell: ScaleCellResult,
-    issued: u64,
-    merged: u64,
-    parked: BTreeMap<u64, ScaleTrialOutcome>,
-    done: bool,
-}
-
-impl CellState {
-    fn drain_merges(&mut self, cfg: &ScaleCampaignConfig) {
-        while !self.done {
-            let Some(outcome) = self.parked.remove(&self.merged) else {
-                break;
-            };
-            self.merged += 1;
-            self.cell.absorb(outcome);
-            if self.cell.crashes >= cfg.trials_per_cell || self.merged >= cfg.max_attempts() {
-                self.done = true;
-                self.parked.clear();
-            }
-        }
-    }
-}
-
-struct Scheduler {
-    cells: Vec<CellState>,
-    cursor: usize,
-    unfinished: usize,
-    window: u64,
-}
-
-impl Scheduler {
-    fn new(cfg: &ScaleCampaignConfig, threads: usize) -> Scheduler {
-        let cells: Vec<CellState> = scale_grid(cfg)
-            .into_iter()
-            .map(|(fault, system, clients)| CellState {
-                fault,
-                system,
-                clients,
-                cell: ScaleCellResult::empty(fault, system, clients),
-                issued: 0,
-                merged: 0,
-                parked: BTreeMap::new(),
-                done: false,
-            })
-            .collect();
-        let unfinished = cells.len();
-        Scheduler {
-            cells,
-            cursor: 0,
-            unfinished,
-            window: (threads as u64).max(2) * 2,
-        }
-    }
-
-    fn next_task(&mut self, cfg: &ScaleCampaignConfig) -> Option<(usize, u64)> {
-        let n = self.cells.len();
-        for off in 0..n {
-            let i = (self.cursor + off) % n;
-            let c = &mut self.cells[i];
-            if c.done || c.issued >= cfg.max_attempts() || c.issued - c.merged >= self.window {
-                continue;
-            }
-            let attempt = c.issued;
-            c.issued += 1;
-            self.cursor = (i + 1) % n;
-            return Some((i, attempt));
-        }
-        None
-    }
-
-    fn complete(
-        &mut self,
-        idx: usize,
-        attempt: u64,
-        outcome: ScaleTrialOutcome,
-        cfg: &ScaleCampaignConfig,
-    ) {
-        let c = &mut self.cells[idx];
-        if c.done {
-            return;
-        }
-        c.parked.insert(attempt, outcome);
-        let was_done = c.done;
-        c.drain_merges(cfg);
-        if !c.done && c.merged >= cfg.max_attempts() {
-            c.done = true;
-        }
-        if c.done && !was_done {
-            self.unfinished -= 1;
-        }
-    }
-
-    fn all_done(&self) -> bool {
-        self.unfinished == 0
-    }
-
-    fn into_result(self, cfg: &ScaleCampaignConfig) -> ScaleCampaignResult {
-        ScaleCampaignResult {
-            cells: self.cells.into_iter().map(|c| c.cell).collect(),
-            trials_per_cell: cfg.trials_per_cell,
-            client_counts: cfg.client_counts.clone(),
-        }
-    }
-}
-
-/// Runs the scale campaign with trials distributed over `threads`
-/// workers. Byte-identical to [`run_scale_campaign`] at any thread
-/// count: seeds are pure functions of coordinates, outcomes merge in
-/// attempt order under the serial stopping rule.
-pub fn run_scale_campaign_parallel(
-    cfg: &ScaleCampaignConfig,
-    threads: usize,
-) -> ScaleCampaignResult {
-    let threads = threads.max(1);
-    if threads == 1 {
-        return run_scale_campaign(cfg, |_| {});
-    }
-    let store = cfg.use_checkpoint.then(ScaleCheckpointStore::new);
-    let state = Mutex::new(Scheduler::new(cfg, threads));
-    let wake = Condvar::new();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let task = {
-                    let mut s = lock_tolerant(&state);
-                    loop {
-                        if s.all_done() {
-                            break None;
-                        }
-                        match s.next_task(cfg) {
-                            Some(t) => break Some(t),
-                            None => {
-                                s = wake.wait(s).unwrap_or_else(PoisonError::into_inner);
-                            }
-                        }
-                    }
-                };
-                let Some((idx, attempt)) = task else {
-                    wake.notify_all();
-                    break;
-                };
-                let (fault, system, clients) = {
-                    let s = lock_tolerant(&state);
-                    (
-                        s.cells[idx].fault,
-                        s.cells[idx].system,
-                        s.cells[idx].clients,
-                    )
-                };
-                let outcome =
-                    run_scale_grid_trial(cfg, store.as_ref(), fault, system, clients, attempt);
-                let mut s = lock_tolerant(&state);
-                s.complete(idx, attempt, outcome, cfg);
-                drop(s);
-                wake.notify_all();
-            });
-        }
-    });
-    state
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_result(cfg)
 }
 
 #[cfg(test)]
@@ -921,39 +657,17 @@ mod tests {
         // The heaviest fault type must produce an examined multi-client
         // crash within a few attempts on each system.
         for system in SystemKind::ALL {
-            let mut got = None;
-            for seed in 0..8 {
-                if let ScaleTrialOutcome::Crashed(c) =
-                    run_scale_trial(system, FaultType::CopyOverrun, 4, seed, 5, 4_000)
-                {
-                    got = Some(c);
-                    break;
+            let cp = ScaleCheckpoint::capture(system, 4, scale_workload_seed(0, system, 4), 5, 4_000);
+            let crash = (0..8).find_map(|attempt| {
+                let inj = scale_trial_seed(0, FaultType::CopyOverrun, system, 4, attempt);
+                match run_scale_trial_from(&cp, FaultType::CopyOverrun, inj, 4_000) {
+                    ScaleTrialOutcome::Crashed(c) => Some(c),
+                    _ => None,
                 }
-            }
-            let c = got.unwrap_or_else(|| panic!("no crash for {system}"));
+            });
+            let c = crash.unwrap_or_else(|| panic!("no crash for {system}"));
             assert!(!c.message.is_empty());
         }
-    }
-
-    #[test]
-    fn scale_trials_are_deterministic() {
-        let a = run_scale_trial(
-            SystemKind::RioWithProtection,
-            FaultType::KernelHeap,
-            4,
-            21,
-            5,
-            2_000,
-        );
-        let b = run_scale_trial(
-            SystemKind::RioWithProtection,
-            FaultType::KernelHeap,
-            4,
-            21,
-            5,
-            2_000,
-        );
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -969,32 +683,8 @@ mod tests {
                 run_scale_trial_from(&fresh, FaultType::CopyOverrun, inj, 1_500)
             };
             assert_eq!(forked, scratch, "inj {inj}");
-        }
-    }
-
-    #[test]
-    fn parallel_scale_campaign_matches_serial_exactly() {
-        let cfg = ScaleCampaignConfig {
-            trials_per_cell: 1,
-            seed: 13,
-            warmup_ops: 4,
-            watchdog_quanta: 1_200,
-            max_attempts_factor: 2,
-            client_counts: vec![2],
-            use_checkpoint: true,
-        };
-        let serial = run_scale_campaign(&cfg, |_| {});
-        let parallel = run_scale_campaign_parallel(&cfg, 4);
-        assert_eq!(serial.cells.len(), parallel.cells.len());
-        for (a, b) in serial.cells.iter().zip(&parallel.cells) {
-            assert_eq!(a.fault, b.fault);
-            assert_eq!(a.system, b.system);
-            assert_eq!(a.clients, b.clients);
-            assert_eq!(a.crashes, b.crashes, "{} / {}", a.fault, a.system);
-            assert_eq!(a.corruptions, b.corruptions);
-            assert_eq!(a.cross_client_corruptions, b.cross_client_corruptions);
-            assert_eq!(a.discarded, b.discarded);
-            assert_eq!(a.messages, b.messages);
+            // And a second fork of the same checkpoint is the same trial.
+            assert_eq!(forked, run_scale_trial_from(&cp, FaultType::CopyOverrun, inj, 1_500));
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! §3.3: *"We plan to trace how faults propagate to corrupt files and crash
 //! the system instead of treating the system as a black box."* The traced
-//! trial runs the same protocol as [`crate::campaign::run_trial`] but
+//! trial runs the same protocol as [`crate::campaign::run_trial_from`] but
 //! watches the system from the inside: when each fault hook activates, how
 //! many operations elapse between injection and the crash (the paper's
 //! "most crashes occurred within 15 seconds"), which detection channel
@@ -48,7 +48,7 @@ pub struct TrialTrace {
     pub fault: FaultType,
     /// System under test.
     pub system: SystemKind,
-    /// Trial seed.
+    /// Injection seed.
     pub seed: u64,
     /// Whether the system crashed within the watchdog budget.
     pub crashed: bool,
@@ -68,25 +68,8 @@ pub struct TrialTrace {
     pub message: Option<String>,
 }
 
-/// Runs one fully-instrumented trial.
-///
-/// Legacy single-seed entry point over the shared [`crate::driver`]
-/// skeleton (workload = `seed ^ 0x5EED`, injection = `seed`, like
-/// [`crate::campaign::run_trial`]). A checkpoint-forked steady point gives
-/// the same trace: use [`run_traced_trial_from`].
-pub fn run_traced_trial(
-    system: SystemKind,
-    fault: FaultType,
-    seed: u64,
-    warmup_ops: u64,
-    watchdog_ops: u64,
-) -> TrialTrace {
-    let prepared = PreparedTrial::prepare(system, seed ^ 0x5EED, warmup_ops);
-    trace_from(drive(prepared, fault, seed, watchdog_ops), system, fault, seed)
-}
-
-/// [`run_traced_trial`] from an already-prepared steady point (scratch or
-/// checkpoint fork), drawing faults from `inject_seed`.
+/// Runs one fully-instrumented trial from a prepared steady point
+/// (scratch or checkpoint fork), drawing faults from `inject_seed`.
 pub fn run_traced_trial_from(
     prepared: PreparedTrial,
     fault: FaultType,
@@ -94,26 +77,12 @@ pub fn run_traced_trial_from(
     watchdog_ops: u64,
 ) -> TrialTrace {
     let system = prepared.system;
-    trace_from(
-        drive(prepared, fault, inject_seed, watchdog_ops),
-        system,
-        fault,
-        inject_seed,
-    )
-}
-
-/// Maps a driver observation onto the trace shape.
-fn trace_from(
-    obs: crate::driver::TrialObservation,
-    system: SystemKind,
-    fault: FaultType,
-    seed: u64,
-) -> TrialTrace {
+    let obs = drive(prepared, fault, inject_seed, watchdog_ops);
     let crashed = obs.verdict == TrialVerdict::Crashed;
     TrialTrace {
         fault,
         system,
-        seed,
+        seed: inject_seed,
         crashed,
         crash_latency_ops: obs.crash_latency_ops,
         crash_latency_time: obs.crash_latency_time,
@@ -198,18 +167,21 @@ pub fn summarize(traces: &[TrialTrace], quick_threshold_ops: u64) -> Propagation
 mod tests {
     use super::*;
 
+    /// `attempts` traced trials of one cell of campaign 0, forked from
+    /// one steady point.
+    fn cell_traces(system: SystemKind, fault: FaultType, attempts: u64) -> Vec<TrialTrace> {
+        let steady = PreparedTrial::prepare(system, crate::workload_seed(0, system), 20);
+        (0..attempts)
+            .map(|a| {
+                let inj = crate::campaign::trial_seed(0, fault, system, a);
+                run_traced_trial_from(steady.fork(), fault, inj, 300)
+            })
+            .collect()
+    }
+
     #[test]
     fn traced_trials_record_latency() {
-        let mut traces = Vec::new();
-        for seed in 0..12 {
-            traces.push(run_traced_trial(
-                SystemKind::RioWithProtection,
-                FaultType::DeleteRandomInst,
-                seed,
-                20,
-                300,
-            ));
-        }
+        let traces = cell_traces(SystemKind::RioWithProtection, FaultType::DeleteRandomInst, 12);
         let crashed: Vec<_> = traces.iter().filter(|t| t.crashed).collect();
         assert!(!crashed.is_empty(), "instruction deletion should crash");
         for t in &crashed {
@@ -223,16 +195,7 @@ mod tests {
         // The integrity probe catches broken data paths within an op or
         // two — the simulator's version of "most crashes occurred within
         // 15 seconds after the fault was injected".
-        let mut traces = Vec::new();
-        for seed in 0..8 {
-            traces.push(run_traced_trial(
-                SystemKind::RioWithoutProtection,
-                FaultType::DestinationReg,
-                seed,
-                20,
-                300,
-            ));
-        }
+        let traces = cell_traces(SystemKind::RioWithoutProtection, FaultType::DestinationReg, 8);
         let summary = summarize(&traces, 10);
         if summary.crashed >= 3 {
             assert!(

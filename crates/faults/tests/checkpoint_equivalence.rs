@@ -9,9 +9,7 @@
 
 use rio_det::proptest_lite::{check, Config, Gen};
 use rio_faults::campaign::trial_seed;
-use rio_faults::{
-    drive, run_trial_from, workload_seed, FaultType, PreparedTrial, SystemKind, TrialCheckpoint,
-};
+use rio_faults::{drive, run_trial_from, workload_seed, FaultType, PreparedTrial, SystemKind};
 
 #[test]
 fn forked_trials_match_scratch_at_random_coordinates() {
@@ -30,14 +28,15 @@ fn forked_trials_match_scratch_at_random_coordinates() {
 
             // The machine states themselves: fresh boot vs fork.
             let scratch = drive(PreparedTrial::prepare(system, wl, warmup), fault, inj, watchdog);
-            let shared = TrialCheckpoint::capture(system, wl, warmup);
+            let shared = PreparedTrial::prepare(system, wl, warmup);
             let forked = drive(shared.fork(), fault, inj, watchdog);
             rio_det::pt_assert_eq!(scratch, forked);
 
             // The checkpoint is reusable: a second fork after the first
             // trial ran (and crashed its copy) sees untouched state.
             let again = run_trial_from(&shared, fault, inj, watchdog);
-            let reference = run_trial_from(&TrialCheckpoint::capture(system, wl, warmup), fault, inj, watchdog);
+            let reference =
+                run_trial_from(&PreparedTrial::prepare(system, wl, warmup), fault, inj, watchdog);
             rio_det::pt_assert_eq!(again, reference);
             Ok(())
         },

@@ -178,7 +178,7 @@ pub fn explain_trial(cfg: &ExplainConfig) -> ExplainReport {
     }
 }
 
-/// The campaign trial protocol ([`rio_faults::run_trial_from`]), instrumented.
+/// The campaign trial protocol ([`rio_faults::drive`]), instrumented.
 ///
 /// The workload half (mkfs, memTest warmup) runs from the cell's shared
 /// `wl_seed`; the injection half runs from the per-trial `inject_seed` —

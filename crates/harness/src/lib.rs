@@ -40,16 +40,12 @@ pub use explain::{explain_json, explain_trial, render_timeline, ExplainConfig, E
 pub use overhead::{run_overhead_study, OverheadReport};
 pub use propagation::{render_propagation, run_propagation, PropagationRow};
 pub use recovery::{render_recovery, run_recovery, RecoveryReport};
-pub use scale::{
-    render_scale, run_scale, run_scale_parallel, scale_json, ScaleCell, ScaleGrid,
-    ScaleGridReport,
-};
+pub use scale::{render_scale, run_scale, scale_json, ScaleCell, ScaleGrid, ScaleGridReport};
 pub use table1::{render_table1, run_table1, MttfEstimate, Table1Report};
 pub use table1_scale::{
     render_table1_scale, run_table1_scale, ScaleBandCheck, Table1ScaleReport,
 };
 pub use server::{
-    render_server, run_server, run_server_parallel, server_json, ServerCell, ServerGrid,
-    ServerGridReport,
+    render_server, run_server, server_json, ServerCell, ServerGrid, ServerGridReport,
 };
 pub use table2::{render_table2, run_table2, Table2Report, Table2Row};

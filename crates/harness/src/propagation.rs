@@ -7,7 +7,17 @@
 //! detected all ten corruptions, and checksums detected five of the ten").
 
 use crate::ascii;
-use rio_faults::{run_traced_trial, summarize, FaultType, PropagationSummary, SystemKind};
+use rio_faults::campaign::trial_seed;
+use rio_faults::engine::{self, Campaign};
+use rio_faults::{
+    run_traced_trial_from, summarize, workload_seed, DetectionChannel, FaultType, PreparedTrial,
+    PropagationSummary, SystemKind, TrialTrace,
+};
+
+/// memTest ops before injection.
+const WARMUP_OPS: u64 = 30;
+/// memTest ops allowed after injection.
+const WATCHDOG_OPS: u64 = 400;
 
 /// One fault type's propagation profile.
 #[derive(Debug, Clone)]
@@ -18,27 +28,92 @@ pub struct PropagationRow {
     pub summary: PropagationSummary,
 }
 
-/// Runs the propagation study: `trials` instrumented runs per fault type.
-pub fn run_propagation(system: SystemKind, trials: u64, seed: u64) -> Vec<PropagationRow> {
-    let mut rows = Vec::new();
-    for &fault in &FaultType::ALL {
-        let traces: Vec<_> = (0..trials)
-            .map(|i| {
-                run_traced_trial(
-                    system,
-                    fault,
-                    seed.wrapping_add(i).wrapping_add((fault as u64) << 20),
-                    30,
-                    400,
-                )
-            })
-            .collect();
-        rows.push(PropagationRow {
+/// The study as a [`Campaign`]: one cell per fault type, a fixed number of
+/// traced trials each, all forked from the system's one steady point and
+/// injected from the Table 1 stream ([`trial_seed`]).
+struct Propagation {
+    system: SystemKind,
+    trials: u64,
+    seed: u64,
+}
+
+impl Campaign for Propagation {
+    type Coord = FaultType;
+    type Key = ();
+    type Checkpoint = PreparedTrial;
+    type Outcome = TrialTrace;
+    type Cell = Vec<TrialTrace>;
+
+    fn grid(&self) -> Vec<FaultType> {
+        FaultType::ALL.to_vec()
+    }
+
+    fn checkpoint_key(&self, _: FaultType) {}
+
+    fn capture(&self, _: FaultType) -> PreparedTrial {
+        PreparedTrial::prepare(
+            self.system,
+            workload_seed(self.seed, self.system),
+            WARMUP_OPS,
+        )
+    }
+
+    fn run(&self, steady: &PreparedTrial, fault: FaultType, attempt: u64) -> TrialTrace {
+        let inject_seed = trial_seed(self.seed, fault, self.system, attempt);
+        run_traced_trial_from(steady.fork(), fault, inject_seed, WATCHDOG_OPS)
+    }
+
+    /// A harness panic is a corrupted crash with no latency to report.
+    fn on_panic(&self, fault: FaultType, text: String) -> TrialTrace {
+        TrialTrace {
+            fault,
+            system: self.system,
+            seed: self.seed,
+            crashed: true,
+            crash_latency_ops: None,
+            crash_latency_time: None,
+            hook_activations: 0,
+            protection_traps: 0,
+            corrupted: true,
+            detection: DetectionChannel::None,
+            message: Some(text),
+        }
+    }
+
+    fn empty(&self, _: FaultType) -> Vec<TrialTrace> {
+        Vec::new()
+    }
+
+    fn absorb(&self, cell: &mut Vec<TrialTrace>, outcome: TrialTrace) {
+        cell.push(outcome);
+    }
+
+    fn done(&self, _: &Vec<TrialTrace>, merged: u64) -> bool {
+        merged >= self.trials
+    }
+}
+
+/// Runs the propagation study: `trials` instrumented runs per fault type
+/// over `threads` workers (the rows are identical at any thread count).
+pub fn run_propagation(
+    system: SystemKind,
+    trials: u64,
+    seed: u64,
+    threads: usize,
+) -> Vec<PropagationRow> {
+    let campaign = Propagation {
+        system,
+        trials,
+        seed,
+    };
+    FaultType::ALL
+        .iter()
+        .zip(engine::run(&campaign, threads, true))
+        .map(|(&fault, traces)| PropagationRow {
             fault,
             summary: summarize(&traces, 25),
-        });
-    }
-    rows
+        })
+        .collect()
 }
 
 /// Renders the propagation table.
@@ -80,7 +155,7 @@ mod tests {
 
     #[test]
     fn propagation_report_covers_all_faults() {
-        let rows = run_propagation(SystemKind::RioWithProtection, 1, 7);
+        let rows = run_propagation(SystemKind::RioWithProtection, 1, 7, 2);
         assert_eq!(rows.len(), 13);
         let text = render_propagation(SystemKind::RioWithProtection, &rows);
         for f in FaultType::ALL {

@@ -8,9 +8,7 @@
 //! a recovery that was never interrupted.
 
 use crate::ascii;
-use rio_faults::{
-    run_recovery_campaign_parallel, RecoveryCampaignConfig, RecoveryCampaignResult,
-};
+use rio_faults::{run_recovery_campaign, RecoveryCampaignConfig, RecoveryCampaignResult};
 
 /// The full recovery-table report.
 #[derive(Debug, Clone)]
@@ -20,9 +18,13 @@ pub struct RecoveryReport {
 }
 
 /// Runs the re-crash campaign at the given configuration.
-pub fn run_recovery(cfg: &RecoveryCampaignConfig, threads: usize) -> RecoveryReport {
+pub fn run_recovery(
+    cfg: &RecoveryCampaignConfig,
+    threads: usize,
+    use_checkpoint: bool,
+) -> RecoveryReport {
     RecoveryReport {
-        campaign: run_recovery_campaign_parallel(cfg, threads),
+        campaign: run_recovery_campaign(cfg, threads, use_checkpoint),
     }
 }
 
@@ -116,9 +118,8 @@ mod tests {
             seed: 9,
             warmup_ops: 25,
             max_depth: 2,
-            use_checkpoint: true,
         };
-        let report = run_recovery(&cfg, 2);
+        let report = run_recovery(&cfg, 2, true);
         let text = render_recovery(&report);
         for scenario in RecoveryScenario::ALL {
             assert!(text.contains(scenario.label()), "{text}");

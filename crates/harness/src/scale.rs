@@ -10,16 +10,14 @@
 //!
 //! Every cell runs on a freshly formatted machine (Table 2 discipline).
 //! Cells are independent and each is deterministic in `(seed, cell)`, so
-//! the parallel runner distributes cells over a worker pool and merges
-//! by cell index — byte-identical output at any `RIO_THREADS`.
+//! [`rio_faults::map_grid`] spreads them over the campaign engine's
+//! worker pool — byte-identical output at any `RIO_THREADS`.
 
 use crate::ascii;
 use rio_baselines::{rio_with_protection, ufs_write_write};
 use rio_disk::SimTime;
 use rio_kernel::{Kernel, KernelConfig, Policy};
 use rio_workloads::{Scale, ScaleConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Grid parameters for a scale run.
 #[derive(Debug, Clone)]
@@ -123,7 +121,7 @@ impl ScaleGridReport {
     }
 }
 
-fn fresh_kernel(policy: &Policy, devices: usize) -> Kernel {
+pub(crate) fn fresh_kernel(policy: &Policy, devices: usize) -> Kernel {
     // Table 2 machine proportions (16 MB UBC, 64 MB disk), plus the
     // device count under test.
     let mut config = KernelConfig::small(policy.clone());
@@ -174,50 +172,14 @@ fn run_cell(
     }
 }
 
-/// Runs the grid serially.
-pub fn run_scale(grid: &ScaleGrid) -> ScaleGridReport {
-    let cells = grid_points(grid)
-        .into_iter()
-        .map(|(system, policy, clients, devices)| run_cell(grid, system, &policy, clients, devices))
-        .collect();
-    ScaleGridReport {
-        cells,
-        grid: grid.clone(),
-    }
-}
-
-/// Runs the grid's independent cells over `threads` workers. Output is
-/// byte-identical to [`run_scale`]: cells are claimed from an atomic
-/// counter and merged back by index.
-pub fn run_scale_parallel(grid: &ScaleGrid, threads: usize) -> ScaleGridReport {
-    let threads = threads.max(1);
-    if threads == 1 {
-        return run_scale(grid);
-    }
-    let points = grid_points(grid);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ScaleCell>>> =
-        points.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((system, policy, clients, devices)) = points.get(i) else {
-                    break;
-                };
-                let cell = run_cell(grid, system, policy, *clients, *devices);
-                *slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(cell);
-            });
-        }
-    });
-    let cells = slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("every cell ran")
-        })
-        .collect();
+/// Runs the grid's independent cells over `threads` workers; the report
+/// is identical at any thread count.
+pub fn run_scale(grid: &ScaleGrid, threads: usize) -> ScaleGridReport {
+    let cells = rio_faults::map_grid(
+        &grid_points(grid),
+        threads,
+        |(system, policy, clients, devices)| run_cell(grid, system, policy, *clients, *devices),
+    );
     ScaleGridReport {
         cells,
         grid: grid.clone(),
@@ -307,7 +269,7 @@ mod tests {
 
     #[test]
     fn tiny_grid_runs_and_rio_wins() {
-        let report = run_scale(&ScaleGrid::tiny(3));
+        let report = run_scale(&ScaleGrid::tiny(3), 1);
         assert_eq!(report.cells.len(), 2 * 2 * 2);
         report.assert_rio_wins();
         let text = render_scale(&report);
@@ -319,8 +281,8 @@ mod tests {
     #[test]
     fn parallel_grid_matches_serial() {
         let grid = ScaleGrid::tiny(7);
-        let serial = render_scale(&run_scale(&grid));
-        let parallel = render_scale(&run_scale_parallel(&grid, 4));
+        let serial = render_scale(&run_scale(&grid, 1));
+        let parallel = render_scale(&run_scale(&grid, 4));
         assert_eq!(serial, parallel);
     }
 
@@ -328,7 +290,7 @@ mod tests {
     fn more_clients_amplify_rio_advantage() {
         // Write-through stalls per client; Rio does not. More clients →
         // at least as large a Rio advantage (allowing small wobble).
-        let report = run_scale(&ScaleGrid::tiny(11));
+        let report = run_scale(&ScaleGrid::tiny(11), 1);
         let few = report.speedup(1, 1);
         let many = report.speedup(4, 1);
         assert!(

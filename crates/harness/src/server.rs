@@ -10,8 +10,8 @@
 //! synchronous commits make it collapse?
 //!
 //! Every cell runs on a freshly formatted machine (Table 2 discipline)
-//! and is deterministic in `(seed, cell)`; the parallel runner
-//! distributes cells over a worker pool and merges by index, so output
+//! and is deterministic in `(seed, cell)`; [`rio_faults::map_grid`]
+//! spreads the cells over the campaign engine's worker pool, so output
 //! is byte-identical at any `RIO_THREADS`. Latencies come from
 //! [`rio_obs::Histogram`], whose log-linear buckets bound percentile
 //! error at ≤ 1/16 — tight enough that a p999 headline means something.
@@ -19,11 +19,9 @@
 use crate::ascii;
 use rio_baselines::{memfs, rio_with_protection, rio_without_protection, ufs_default, ufs_write_write};
 use rio_disk::SimTime;
-use rio_kernel::{Kernel, KernelConfig, Policy};
+use rio_kernel::Policy;
 use rio_obs::Histogram;
 use rio_workloads::{Server, ServerConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Grid parameters for a server run.
 #[derive(Debug, Clone)]
@@ -145,22 +143,6 @@ impl ServerGridReport {
     }
 }
 
-fn fresh_kernel(policy: &Policy) -> Kernel {
-    // Table 2 machine proportions (16 MB UBC, 4-device stripe) — the
-    // same machine the scale exhibit used, so the two studies compose.
-    let mut config = KernelConfig::small(policy.clone());
-    config.machine.mem = rio_mem::MemConfig {
-        ubc_bytes: 16 * 1024 * 1024,
-        buffer_cache_bytes: 1024 * 1024,
-        registry_bytes: 128 * 1024,
-        ..rio_mem::MemConfig::small()
-    };
-    config.geometry = rio_kernel::DiskGeometry::new(8192, 4096, 128);
-    config.machine.disk_blocks = 8192;
-    config.machine.disk_devices = 4;
-    Kernel::mkfs_and_mount(&config).expect("mkfs")
-}
-
 fn grid_points(grid: &ServerGrid) -> Vec<(&'static str, usize)> {
     let mut points = Vec::new();
     for &clients in &grid.clients {
@@ -173,7 +155,9 @@ fn grid_points(grid: &ServerGrid) -> Vec<(&'static str, usize)> {
 
 fn run_cell(grid: &ServerGrid, system: &'static str, clients: usize) -> ServerCell {
     let policy = policy_for(system);
-    let mut k = fresh_kernel(&policy);
+    // The scale exhibit's machine on a 4-device stripe, so the two
+    // studies compose.
+    let mut k = crate::scale::fresh_kernel(&policy, 4);
     let cfg = ServerConfig {
         requests_per_client: grid.requests_per_client,
         ..ServerConfig::small(grid.seed, clients)
@@ -191,49 +175,12 @@ fn run_cell(grid: &ServerGrid, system: &'static str, clients: usize) -> ServerCe
     }
 }
 
-/// Runs the grid serially.
-pub fn run_server(grid: &ServerGrid) -> ServerGridReport {
-    let cells = grid_points(grid)
-        .into_iter()
-        .map(|(system, clients)| run_cell(grid, system, clients))
-        .collect();
-    ServerGridReport {
-        cells,
-        grid: grid.clone(),
-    }
-}
-
-/// Runs the grid's independent cells over `threads` workers. Output is
-/// byte-identical to [`run_server`]: cells are claimed from an atomic
-/// counter and merged back by index.
-pub fn run_server_parallel(grid: &ServerGrid, threads: usize) -> ServerGridReport {
-    let threads = threads.max(1);
-    if threads == 1 {
-        return run_server(grid);
-    }
-    let points = grid_points(grid);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ServerCell>>> = points.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((system, clients)) = points.get(i) else {
-                    break;
-                };
-                let cell = run_cell(grid, system, *clients);
-                *slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(cell);
-            });
-        }
+/// Runs the grid's independent cells over `threads` workers; the report
+/// is identical at any thread count.
+pub fn run_server(grid: &ServerGrid, threads: usize) -> ServerGridReport {
+    let cells = rio_faults::map_grid(&grid_points(grid), threads, |&(system, clients)| {
+        run_cell(grid, system, clients)
     });
-    let cells = slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("every cell ran")
-        })
-        .collect();
     ServerGridReport {
         cells,
         grid: grid.clone(),
@@ -341,7 +288,7 @@ mod tests {
 
     #[test]
     fn tiny_grid_runs_and_rio_tail_wins() {
-        let report = run_server(&ServerGrid::tiny(3));
+        let report = run_server(&ServerGrid::tiny(3), 1);
         assert_eq!(report.cells.len(), 2 * SYSTEMS.len());
         for cell in &report.cells {
             assert_eq!(
@@ -363,8 +310,8 @@ mod tests {
     #[test]
     fn parallel_grid_matches_serial() {
         let grid = ServerGrid::tiny(7);
-        let serial = render_server(&run_server(&grid));
-        let parallel = render_server(&run_server_parallel(&grid, 4));
+        let serial = render_server(&run_server(&grid, 1));
+        let parallel = render_server(&run_server(&grid, 4));
         assert_eq!(serial, parallel);
     }
 
@@ -372,7 +319,7 @@ mod tests {
     fn commit_tail_orders_systems_sanely() {
         // memfs commits are pure memory; write-through commits hit the
         // disk synchronously. The commit p999 must reflect that order.
-        let report = run_server(&ServerGrid::tiny(11));
+        let report = run_server(&ServerGrid::tiny(11), 1);
         let c = *report.grid.clients.iter().max().unwrap();
         let mem = report.cell("memfs", c).commit.percentile(0.999);
         let wt = report.cell("UFS write-through", c).commit.percentile(0.999);

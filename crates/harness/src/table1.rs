@@ -8,7 +8,7 @@
 
 use crate::ascii;
 use rio_det::stats::{wilson_interval, Z_95};
-use rio_faults::{run_campaign_parallel, CampaignConfig, CampaignResult, FaultType, SystemKind};
+use rio_faults::{run_campaign, CampaignConfig, CampaignResult, FaultType, SystemKind};
 
 /// The §3.3 MTTF illustration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,9 +53,11 @@ pub struct Table1Report {
     pub unique_messages: usize,
 }
 
-/// Runs the Table 1 campaign at the given configuration.
-pub fn run_table1(cfg: &CampaignConfig, threads: usize) -> Table1Report {
-    let campaign = run_campaign_parallel(cfg, threads);
+/// Runs the Table 1 campaign at the given configuration; `threads` and
+/// `use_checkpoint` are the engine's execution arguments
+/// ([`rio_faults::engine::run`]) and cannot change the report.
+pub fn run_table1(cfg: &CampaignConfig, threads: usize, use_checkpoint: bool) -> Table1Report {
+    let campaign = run_campaign(cfg, threads, use_checkpoint);
     let mttf = SystemKind::ALL
         .iter()
         .map(|&s| {
@@ -218,9 +220,8 @@ mod tests {
             warmup_ops: 15,
             watchdog_ops: 120,
             max_attempts_factor: 3,
-            use_checkpoint: true,
         };
-        let report = run_table1(&cfg, 4);
+        let report = run_table1(&cfg, 4, true);
         let text = render_table1(&report);
         assert!(text.contains("Table 1"));
         for fault in FaultType::ALL {

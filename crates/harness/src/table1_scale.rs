@@ -17,8 +17,7 @@
 
 use crate::ascii;
 use rio_faults::{
-    run_scale_campaign_parallel, FaultType, ScaleCampaignConfig, ScaleCampaignResult,
-    SystemKind,
+    run_scale_campaign, FaultType, ScaleCampaignConfig, ScaleCampaignResult, SystemKind,
 };
 use std::collections::BTreeSet;
 
@@ -72,8 +71,12 @@ pub struct Table1ScaleReport {
 }
 
 /// Runs the scaled campaign and derives the band checks.
-pub fn run_table1_scale(cfg: &ScaleCampaignConfig, threads: usize) -> Table1ScaleReport {
-    let campaign = run_scale_campaign_parallel(cfg, threads);
+pub fn run_table1_scale(
+    cfg: &ScaleCampaignConfig,
+    threads: usize,
+    use_checkpoint: bool,
+) -> Table1ScaleReport {
+    let campaign = run_scale_campaign(cfg, threads, use_checkpoint);
     let band = campaign
         .client_counts
         .iter()
@@ -217,21 +220,20 @@ mod tests {
             watchdog_quanta: 1_500,
             max_attempts_factor: 2,
             client_counts: vec![1, 3],
-            use_checkpoint: true,
         }
     }
 
     #[test]
     fn scaled_grid_is_thread_count_invariant() {
         let cfg = tiny_cfg();
-        let a = render_table1_scale(&run_table1_scale(&cfg, 1));
-        let b = render_table1_scale(&run_table1_scale(&cfg, 8));
+        let a = render_table1_scale(&run_table1_scale(&cfg, 1, true));
+        let b = render_table1_scale(&run_table1_scale(&cfg, 8, true));
         assert_eq!(a, b, "grid must be byte-identical at any thread count");
     }
 
     #[test]
     fn scaled_grid_renders_every_fault_and_client_count() {
-        let report = run_table1_scale(&tiny_cfg(), 4);
+        let report = run_table1_scale(&tiny_cfg(), 4, true);
         let text = render_table1_scale(&report);
         for fault in FaultType::ALL {
             assert!(text.contains(fault.label()), "{text}");

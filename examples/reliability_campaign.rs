@@ -27,6 +27,6 @@ fn main() {
         "running {} fault types x 3 systems x {trials} crashes on {threads} threads...",
         13
     );
-    let report = run_table1(&cfg, threads);
+    let report = run_table1(&cfg, threads, true);
     println!("{}", render_table1(&report));
 }

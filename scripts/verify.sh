@@ -9,6 +9,13 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
+echo "== repo benchmark builds against the frozen API surface =="
+# benchmark/ is a package of its own that calls drive / PreparedTrial /
+# trial_seed / ... directly (benchmark/README.md, "Frozen API surface");
+# a refactor that breaks one of them must fail here, not in the
+# benchmark pipeline.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -18,7 +25,7 @@ cargo test --workspace -q
 echo "== cargo doc --no-deps (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 
-echo "== smoke campaign: checkpoint-fork vs scratch byte-equality (RIO_TRIALS=3) =="
+echo "== smoke campaign: the engine's checkpoint switch, fork vs scratch byte-equality (RIO_TRIALS=3) =="
 t1_cp="$(mktemp)"
 t1_sc="$(mktemp)"
 RIO_TRIALS=3 RIO_CHECKPOINT=1 cargo run -q --release -p rio-bench --bin table1 > "$t1_cp"
@@ -47,13 +54,16 @@ rm -f "$rec_a" "$rec_b"
 echo "== explain forensics determinism (RIO_THREADS=1 vs 8) =="
 exp_a="$(mktemp)"
 exp_b="$(mktemp)"
-RIO_OBS_JSON="" RIO_THREADS=1 cargo run -q --release -p rio-bench --bin explain -- \
+exp_json="$(mktemp)"
+RIO_OBS_JSON="$exp_json" RIO_THREADS=1 cargo run -q --release -p rio-bench --bin explain -- \
     --fault copy_overrun --system rio_prot --attempt 0 > "$exp_a"
 RIO_OBS_JSON="" RIO_THREADS=8 cargo run -q --release -p rio-bench --bin explain -- \
     --fault copy_overrun --system rio_prot --attempt 0 > "$exp_b"
 cmp "$exp_a" "$exp_b"
 grep -q '^verdict' "$exp_a"
-rm -f "$exp_a" "$exp_b"
+# The event ring must hold a whole explained trial without wrapping.
+grep -q '"dropped": 0' "$exp_json"
+rm -f "$exp_a" "$exp_b" "$exp_json"
 
 echo "== scale-out determinism (RIO_THREADS=1 vs 8) =="
 sc_a="$(mktemp)"

@@ -3,7 +3,10 @@
 
 use rio::baselines;
 use rio::core::RioMode;
-use rio::faults::{run_trial, CampaignConfig, FaultType, SystemKind, TrialOutcome};
+use rio::faults::campaign::trial_seed;
+use rio::faults::{
+    drive, workload_seed, CampaignConfig, FaultType, PreparedTrial, SystemKind, TrialVerdict,
+};
 use rio::harness::table2::{run_table2, Table2Scale};
 use rio::kernel::{Kernel, KernelConfig, PanicReason, Policy};
 use rio::workloads::{Andrew, AndrewConfig, CpRm, CpRmConfig, MemTest, MemTestConfig, Sdet, SdetConfig};
@@ -42,17 +45,14 @@ fn all_eight_policies_run_all_three_workloads() {
 fn rio_survives_every_fault_type_or_crashes_cleanly() {
     // Every fault type must produce a classifiable outcome on Rio; no
     // panics of the *simulator* itself.
+    let system = SystemKind::RioWithProtection;
+    let steady = PreparedTrial::prepare(system, workload_seed(0, system), 20);
+    assert!(!steady.wedged());
     for fault in FaultType::ALL {
-        for seed in 0..2 {
-            let outcome = run_trial(
-                SystemKind::RioWithProtection,
-                fault,
-                seed,
-                20,
-                150,
-            );
-            match outcome {
-                TrialOutcome::NoCrash | TrialOutcome::Wedged | TrialOutcome::Crashed { .. } => {}
+        for attempt in 0..2 {
+            let obs = drive(steady.fork(), fault, trial_seed(0, fault, system, attempt), 150);
+            match obs.verdict {
+                TrialVerdict::NoCrash | TrialVerdict::Wedged | TrialVerdict::Crashed => {}
             }
         }
     }
@@ -128,31 +128,10 @@ fn table2_tiny_preserves_row_ordering() {
 }
 
 #[test]
-fn campaign_quick_grid_is_deterministic() {
-    let cfg = CampaignConfig {
-        trials_per_cell: 1,
-        seed: 31,
-        warmup_ops: 15,
-        watchdog_ops: 100,
-        max_attempts_factor: 3,
-        use_checkpoint: true,
-    };
-    let a = rio::faults::run_campaign_parallel(&cfg, 4);
-    let b = rio::faults::run_campaign_parallel(&cfg, 2);
-    for (ca, cb) in a.cells.iter().zip(&b.cells) {
-        assert_eq!(ca.fault, cb.fault);
-        assert_eq!(ca.system, cb.system);
-        assert_eq!(ca.crashes, cb.crashes);
-        assert_eq!(ca.corruptions, cb.corruptions);
-        assert_eq!(ca.messages, cb.messages);
-    }
-}
-
-#[test]
 fn rendered_table1_is_byte_identical_at_1_and_8_threads() {
     // The interval-bearing table (counts, MTTF lines, Wilson CI footer)
-    // must not depend on worker count: the checkpoint store is shared
-    // across threads but capture is keyed purely on (system, seed, warmup),
+    // must not depend on worker count: a system's steady point is shared
+    // across threads but captured once from (system, seed, warmup) alone,
     // and cells merge in attempt order.
     let cfg = CampaignConfig {
         trials_per_cell: 4,
@@ -160,10 +139,9 @@ fn rendered_table1_is_byte_identical_at_1_and_8_threads() {
         warmup_ops: 20,
         watchdog_ops: 150,
         max_attempts_factor: 4,
-        use_checkpoint: true,
     };
-    let one = rio::harness::render_table1(&rio::harness::run_table1(&cfg, 1));
-    let eight = rio::harness::render_table1(&rio::harness::run_table1(&cfg, 8));
+    let one = rio::harness::render_table1(&rio::harness::run_table1(&cfg, 1, true));
+    let eight = rio::harness::render_table1(&rio::harness::run_table1(&cfg, 8, true));
     assert_eq!(one, eight);
     assert!(one.contains("95% confidence intervals (Wilson)"));
 }
