@@ -5,6 +5,17 @@
 //! rewritten operands, deleted branches) take effect exactly when the
 //! corrupted instruction is next executed. Every load and store goes through
 //! the [`MemBus`], so protection and illegal-address machine checks apply.
+//!
+//! Decoding is memoised per instruction index, and the memo is validated by
+//! that same fetch: it is used only when the 8 bytes read from text at `pc`
+//! on *this* step equal the word the memoised decoding came from, otherwise
+//! the word is decoded and the entry replaced. `Instr::decode` is a pure
+//! function of the word, so a hit and a decode cannot disagree and nothing
+//! ever has to invalidate the memo — whoever changes text (the injector,
+//! `patch_instr`, a wild store in the middle of a run) is seen at the next
+//! fetch of that word, as before. The plain fetch→decode→execute loop this
+//! replaced is kept, for tests only, in `interp/differential.rs` as the
+//! reference the memoised loop is checked against.
 
 use crate::isa::{decompose_addr, Instr, Opcode, Reg, INSTR_BYTES, NUM_REGS};
 use crate::routines::{RoutineHandle, RoutineStore};
@@ -70,9 +81,22 @@ impl RunResult {
 }
 
 /// Architectural register file plus execution engine.
+///
+/// Besides the registers the CPU carries a **decode memo** — for each
+/// absolute instruction index, the last raw word that decoded there and what
+/// it decoded to — and two work counters. A clone (a forked kernel) inherits
+/// all three.
 #[derive(Debug, Clone)]
 pub struct Cpu {
+    /// `regs[0]` is never written, so it reads as the hardwired zero.
     regs: [u64; NUM_REGS],
+    /// `(raw word, its decoding)` by absolute instruction index, grown on
+    /// the first decode at an index. Only successful decodes are stored, and
+    /// an entry is used only when the word fetched *now* equals its raw
+    /// word; the all-zero filler is itself a true entry (word 0 is `Nop`).
+    decoded: Vec<(u64, Instr)>,
+    steps: u64,
+    decode_misses: u64,
 }
 
 impl Default for Cpu {
@@ -84,30 +108,52 @@ impl Default for Cpu {
 impl Cpu {
     /// A CPU with all registers zero.
     pub fn new() -> Self {
-        Cpu { regs: [0; NUM_REGS] }
-    }
-
-    /// Reads a register (`r0` always reads 0).
-    pub fn reg(&self, r: Reg) -> u64 {
-        if r.0 == 0 {
-            0
-        } else {
-            self.regs[r.0 as usize]
+        Cpu {
+            regs: [0; NUM_REGS],
+            decoded: Vec::new(),
+            steps: 0,
+            decode_misses: 0,
         }
     }
 
+    /// Reads a register (`r0` always reads 0).
+    #[inline]
+    pub fn reg(&self, r: Reg) -> u64 {
+        self.regs[r.0 as usize]
+    }
+
     /// Writes a register (writes to `r0` are discarded).
+    #[inline]
     pub fn set_reg(&mut self, r: Reg, v: u64) {
         if r.0 != 0 {
             self.regs[r.0 as usize] = v;
         }
     }
 
-    /// Corrupts a register with an arbitrary value — used by fault hooks
-    /// that model register-state corruption.
-    pub fn poke_reg_raw(&mut self, index: usize, v: u64) {
-        if index > 0 && index < NUM_REGS {
-            self.regs[index] = v;
+    /// Instructions executed by every [`Cpu::run`] so far.
+    pub fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// Fetches that had to run the decoder: the word at that index was new,
+    /// or differed from the memoised one (text was patched or corrupted).
+    pub fn decode_misses(&self) -> u64 {
+        self.decode_misses
+    }
+
+    /// Register read for a decoded operand. Decode admits only indices
+    /// below [`NUM_REGS`], so the mask changes nothing — it lets the
+    /// compiler drop the bounds check.
+    #[inline(always)]
+    fn get(&self, r: Reg) -> u64 {
+        self.regs[r.0 as usize % NUM_REGS]
+    }
+
+    /// Register write for a decoded operand (see [`Cpu::get`]).
+    #[inline(always)]
+    fn set(&mut self, r: Reg, v: u64) {
+        if r.0 != 0 {
+            self.regs[r.0 as usize % NUM_REGS] = v;
         }
     }
 
@@ -124,134 +170,143 @@ impl Cpu {
         routine: RoutineHandle,
         step_limit: u64,
     ) -> RunResult {
+        let text_base = store.text_base();
+        let installed = store.installed_instrs();
         let mut pc = routine.first_index as i64;
         let mut steps = 0u64;
-        loop {
+        let outcome = loop {
             if steps >= step_limit {
-                return RunResult { outcome: Outcome::StepLimit, steps };
+                break Outcome::StepLimit;
             }
-            if pc < 0 || pc as u64 >= store.installed_instrs() {
-                return RunResult {
-                    outcome: Outcome::Panic(PanicCause::IllegalPc(pc)),
-                    steps,
-                };
+            if pc < 0 || pc as u64 >= installed {
+                break Outcome::Panic(PanicCause::IllegalPc(pc));
             }
-            let addr = store.text_base() + pc as u64 * INSTR_BYTES;
-            let mut raw = [0u8; 8];
             // Instruction fetch: reads DRAM directly (fetches cannot trap on
             // write protection, and text is always mapped).
-            raw.copy_from_slice(bus.mem().slice(addr, INSTR_BYTES));
-            let instr = match Instr::decode(raw) {
-                Ok(i) => i,
-                Err(e) => {
-                    return RunResult {
-                        outcome: Outcome::Panic(PanicCause::IllegalInstruction {
-                            index: pc as u64,
-                            reason: e.to_string(),
-                        }),
-                        steps,
-                    }
-                }
+            let raw = bus.mem().read_u64(text_base + pc as u64 * INSTR_BYTES);
+            let instr = match self.decoded.get(pc as usize) {
+                Some(&(word, instr)) if word == raw => instr,
+                _ => match self.decode_miss(pc as u64, raw) {
+                    Ok(instr) => instr,
+                    Err(cause) => break Outcome::Panic(cause),
+                },
             };
             steps += 1;
             match self.step(bus, instr, &mut pc) {
-                StepResult::Continue => {}
-                StepResult::Halt => return RunResult { outcome: Outcome::Done, steps },
-                StepResult::Panic(cause) => {
-                    return RunResult { outcome: Outcome::Panic(cause), steps }
-                }
+                Ok(true) => {}
+                Ok(false) => break Outcome::Done,
+                Err(cause) => break Outcome::Panic(*cause),
             }
-        }
+        };
+        self.steps += steps;
+        RunResult { outcome, steps }
     }
 
-    fn step(&mut self, bus: &mut MemBus, i: Instr, pc: &mut i64) -> StepResult {
+    /// Decodes a word the memo does not hold at `index` and memoises it if
+    /// it decodes.
+    #[cold]
+    fn decode_miss(&mut self, index: u64, raw: u64) -> Result<Instr, PanicCause> {
+        self.decode_misses += 1;
+        let instr = Instr::decode(raw.to_le_bytes()).map_err(|e| {
+            PanicCause::IllegalInstruction {
+                index,
+                reason: e.to_string(),
+            }
+        })?;
+        let index = index as usize;
+        if index >= self.decoded.len() {
+            self.decoded.resize(index + 1, (0, Instr::nop()));
+        }
+        self.decoded[index] = (raw, instr);
+        Ok(instr)
+    }
+
+    /// Executes one decoded instruction; `Ok(false)` is `Halt`.
+    #[inline]
+    fn step(&mut self, bus: &mut MemBus, i: Instr, pc: &mut i64) -> Result<bool, Box<PanicCause>> {
         let imm64 = i.imm as i64 as u64;
         let mut next = *pc + 1;
         match i.op {
             Opcode::Nop => {}
-            Opcode::Li => self.set_reg(i.rd, imm64),
-            Opcode::Lih => {
-                let v = (self.reg(i.rd) << 32) | (i.imm as u32 as u64);
-                self.set_reg(i.rd, v);
-            }
-            Opcode::Mov => self.set_reg(i.rd, self.reg(i.rs1)),
-            Opcode::Add => self.set_reg(i.rd, self.reg(i.rs1).wrapping_add(self.reg(i.rs2))),
-            Opcode::Addi => self.set_reg(i.rd, self.reg(i.rs1).wrapping_add(imm64)),
-            Opcode::Sub => self.set_reg(i.rd, self.reg(i.rs1).wrapping_sub(self.reg(i.rs2))),
-            Opcode::And => self.set_reg(i.rd, self.reg(i.rs1) & self.reg(i.rs2)),
-            Opcode::Or => self.set_reg(i.rd, self.reg(i.rs1) | self.reg(i.rs2)),
-            Opcode::Xor => self.set_reg(i.rd, self.reg(i.rs1) ^ self.reg(i.rs2)),
-            Opcode::Shli => self.set_reg(i.rd, self.reg(i.rs1) << (i.imm as u32 & 63)),
-            Opcode::Shri => self.set_reg(i.rd, self.reg(i.rs1) >> (i.imm as u32 & 63)),
-            Opcode::Mul => self.set_reg(i.rd, self.reg(i.rs1).wrapping_mul(self.reg(i.rs2))),
+            Opcode::Li => self.set(i.rd, imm64),
+            Opcode::Lih => self.set(i.rd, (self.get(i.rd) << 32) | (i.imm as u32 as u64)),
+            Opcode::Mov => self.set(i.rd, self.get(i.rs1)),
+            Opcode::Add => self.set(i.rd, self.get(i.rs1).wrapping_add(self.get(i.rs2))),
+            Opcode::Addi => self.set(i.rd, self.get(i.rs1).wrapping_add(imm64)),
+            Opcode::Sub => self.set(i.rd, self.get(i.rs1).wrapping_sub(self.get(i.rs2))),
+            Opcode::And => self.set(i.rd, self.get(i.rs1) & self.get(i.rs2)),
+            Opcode::Or => self.set(i.rd, self.get(i.rs1) | self.get(i.rs2)),
+            Opcode::Xor => self.set(i.rd, self.get(i.rs1) ^ self.get(i.rs2)),
+            Opcode::Shli => self.set(i.rd, self.get(i.rs1) << (i.imm as u32 & 63)),
+            Opcode::Shri => self.set(i.rd, self.get(i.rs1) >> (i.imm as u32 & 63)),
+            Opcode::Mul => self.set(i.rd, self.get(i.rs1).wrapping_mul(self.get(i.rs2))),
             Opcode::Ld8 => {
-                let (kind, phys) = Self::effective(self.reg(i.rs1), imm64);
-                match bus.load_u8(kind, phys) {
-                    Ok(v) => self.set_reg(i.rd, v as u64),
-                    Err(f) => return StepResult::Panic(PanicCause::MemFault(f)),
-                }
+                let (kind, phys) = self.effective(i);
+                let v = bus.load_u8(kind, phys).map_err(mem_fault)?;
+                self.set(i.rd, v as u64);
             }
             Opcode::Ld64 => {
-                let (kind, phys) = Self::effective(self.reg(i.rs1), imm64);
-                match bus.load_u64(kind, phys) {
-                    Ok(v) => self.set_reg(i.rd, v),
-                    Err(f) => return StepResult::Panic(PanicCause::MemFault(f)),
-                }
+                let (kind, phys) = self.effective(i);
+                let v = bus.load_u64(kind, phys).map_err(mem_fault)?;
+                self.set(i.rd, v);
             }
             Opcode::St8 => {
-                let (kind, phys) = Self::effective(self.reg(i.rs1), imm64);
-                if let Err(f) = bus.store_u8(kind, phys, self.reg(i.rs2) as u8) {
-                    return StepResult::Panic(PanicCause::MemFault(f));
-                }
+                let (kind, phys) = self.effective(i);
+                bus.store_u8(kind, phys, self.get(i.rs2) as u8)
+                    .map_err(mem_fault)?;
             }
             Opcode::St64 => {
-                let (kind, phys) = Self::effective(self.reg(i.rs1), imm64);
-                if let Err(f) = bus.store_u64(kind, phys, self.reg(i.rs2)) {
-                    return StepResult::Panic(PanicCause::MemFault(f));
-                }
+                let (kind, phys) = self.effective(i);
+                bus.store_u64(kind, phys, self.get(i.rs2))
+                    .map_err(mem_fault)?;
             }
             Opcode::Beq => {
-                if self.reg(i.rs1) == self.reg(i.rs2) {
+                if self.get(i.rs1) == self.get(i.rs2) {
                     next = *pc + i.imm as i64;
                 }
             }
             Opcode::Bne => {
-                if self.reg(i.rs1) != self.reg(i.rs2) {
+                if self.get(i.rs1) != self.get(i.rs2) {
                     next = *pc + i.imm as i64;
                 }
             }
             Opcode::Bltu => {
-                if self.reg(i.rs1) < self.reg(i.rs2) {
+                if self.get(i.rs1) < self.get(i.rs2) {
                     next = *pc + i.imm as i64;
                 }
             }
             Opcode::Bgeu => {
-                if self.reg(i.rs1) >= self.reg(i.rs2) {
+                if self.get(i.rs1) >= self.get(i.rs2) {
                     next = *pc + i.imm as i64;
                 }
             }
             Opcode::Jmp => next = *pc + i.imm as i64,
             Opcode::Chk => {
-                if self.reg(i.rs1) != self.reg(i.rs2) {
-                    return StepResult::Panic(PanicCause::ConsistencyCheck(i.imm));
+                if self.get(i.rs1) != self.get(i.rs2) {
+                    return Err(Box::new(PanicCause::ConsistencyCheck(i.imm)));
                 }
             }
-            Opcode::Halt => return StepResult::Halt,
+            Opcode::Halt => return Ok(false),
         }
         *pc = next;
-        StepResult::Continue
+        Ok(true)
     }
 
-    fn effective(base: u64, offset: u64) -> (AddrKind, u64) {
-        decompose_addr(base.wrapping_add(offset))
+    /// The access route and physical address of a load/store: `rs1 + imm`.
+    #[inline(always)]
+    fn effective(&self, i: Instr) -> (AddrKind, u64) {
+        decompose_addr(self.get(i.rs1).wrapping_add(i.imm as i64 as u64))
     }
 }
 
-enum StepResult {
-    Continue,
-    Halt,
-    Panic(PanicCause),
+/// A faulting load or store ends the run; out of line like every panic.
+#[cold]
+fn mem_fault(f: MemFault) -> Box<PanicCause> {
+    Box::new(PanicCause::MemFault(f))
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

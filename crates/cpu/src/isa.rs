@@ -46,6 +46,7 @@ impl std::fmt::Display for Reg {
 /// identity — what differs between the two routes is *whether the
 /// write-permission bits apply*, which is exactly the distinction §2.1 of
 /// the paper turns on.
+#[inline]
 pub fn decompose_addr(addr: u64) -> (AddrKind, u64) {
     if addr & KSEG_BIT != 0 {
         (AddrKind::Kseg, addr & !KSEG_BIT)

@@ -10,6 +10,7 @@ use crate::asm::{AsmError, Assembler};
 use crate::interp::{Cpu, RunResult};
 use crate::isa::{DecodeError, Instr, Reg, INSTR_BYTES};
 use rio_mem::{MemBus, PhysMem, Region};
+use std::sync::Arc;
 
 /// Identifies an installed routine: where it starts and how long it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,7 +59,9 @@ impl From<AsmError> for InstallError {
 pub struct RoutineStore {
     text: Region,
     installed: u64,
-    names: Vec<(String, RoutineHandle)>,
+    /// Written at boot only; shared so that forking a machine does not
+    /// copy the directory.
+    names: Arc<Vec<(String, RoutineHandle)>>,
 }
 
 impl RoutineStore {
@@ -67,7 +70,7 @@ impl RoutineStore {
         RoutineStore {
             text,
             installed: 0,
-            names: Vec::new(),
+            names: Arc::default(),
         }
     }
 
@@ -114,7 +117,7 @@ impl RoutineStore {
             bus.mem_mut().write_bytes(addr, &instr.encode());
         }
         self.installed += code.len() as u64;
-        self.names.push((name.to_owned(), handle));
+        Arc::make_mut(&mut self.names).push((name.to_owned(), handle));
         Ok(handle)
     }
 

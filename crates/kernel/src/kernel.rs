@@ -511,6 +511,8 @@ impl Kernel {
         reg.add("mem.protection_traps", m.protection_traps);
         reg.add("mem.patch_checks", m.patch_checks);
         reg.add("mem.kseg_forced", m.kseg_forced);
+        reg.add("cpu.steps", self.machine.cpu.steps());
+        reg.add("cpu.decode_misses", self.machine.cpu.decode_misses());
 
         let k = self.stats;
         reg.add("kernel.syscalls", k.syscalls);

@@ -34,6 +34,7 @@ pub enum AddrKind {
 }
 
 impl AddrKind {
+    #[inline]
     fn is_kseg(self) -> bool {
         matches!(self, AddrKind::Kseg)
     }
@@ -134,6 +135,7 @@ impl MemBus {
     }
 
     /// Raw access to the memory cells (fault injection, warm reboot).
+    #[inline]
     pub fn mem(&self) -> &PhysMem {
         &self.mem
     }
@@ -171,6 +173,7 @@ impl MemBus {
         self.stats = AccessStats::default();
     }
 
+    #[inline]
     fn check_bounds(&self, addr: u64, len: u64) -> Result<(), MemFault> {
         if self.mem.in_bounds(addr, len) {
             Ok(())
@@ -179,45 +182,53 @@ impl MemBus {
         }
     }
 
+    #[inline]
     fn check_store(&mut self, addr: u64, len: u64, kind: AddrKind) -> Result<(), MemFault> {
         self.check_bounds(addr, len)?;
         if self.prot.mode() == ProtectionMode::CodePatching {
             self.stats.patch_checks += 1;
         }
-        if len == 0 {
+        if len == 0 || !self.prot.route_is_checked(kind.is_kseg()) {
             return Ok(());
         }
-        if kind.is_kseg()
-            && match self.prot.mode() {
-                ProtectionMode::Off => false,
-                ProtectionMode::Hardware => self.prot.kseg_through_tlb(),
-                ProtectionMode::CodePatching => true,
-            }
-        {
+        if kind.is_kseg() {
             self.stats.kseg_forced += 1;
         }
         let first = PageNum::containing(addr);
         let last = PageNum::containing(addr + len - 1);
-        for pn in first.0..=last.0 {
-            let pn = PageNum(pn);
-            if self.prot.store_would_trap(pn, kind.is_kseg()) {
-                self.stats.protection_traps += 1;
-                let fault_addr = addr.max(pn.base());
-                rio_obs::emit(
-                    rio_obs::EventCategory::ProtectionTrap,
-                    rio_obs::Payload::Addr {
-                        addr: fault_addr,
-                        aux: pn.0,
-                    },
-                );
-                return Err(MemFault::ProtectionViolation {
-                    addr: fault_addr,
-                    page: pn,
-                    kseg: kind.is_kseg(),
-                });
-            }
+        // Every store the interpreter issues is at most 8 bytes, so the
+        // page-local case is the one that matters.
+        let trapped = if first == last {
+            self.prot.is_protected(first).then_some(first)
+        } else {
+            (first.0..=last.0).map(PageNum).find(|&pn| self.prot.is_protected(pn))
+        };
+        match trapped {
+            None => Ok(()),
+            Some(pn) => Err(self.protection_trap(addr, pn, kind)),
         }
-        Ok(())
+    }
+
+    /// Accounts for and reports a store refused by write protection: the
+    /// fault address is the first byte of the span inside the protected
+    /// page. Out of line — a trap ends the run.
+    #[cold]
+    #[inline(never)]
+    fn protection_trap(&mut self, addr: u64, pn: PageNum, kind: AddrKind) -> MemFault {
+        self.stats.protection_traps += 1;
+        let fault_addr = addr.max(pn.base());
+        rio_obs::emit(
+            rio_obs::EventCategory::ProtectionTrap,
+            rio_obs::Payload::Addr {
+                addr: fault_addr,
+                aux: pn.0,
+            },
+        );
+        MemFault::ProtectionViolation {
+            addr: fault_addr,
+            page: pn,
+            kseg: kind.is_kseg(),
+        }
     }
 
     /// Loads one byte.
@@ -225,6 +236,7 @@ impl MemBus {
     /// # Errors
     ///
     /// [`MemFault::BadAddress`] if out of bounds.
+    #[inline]
     pub fn load_u8(&mut self, _kind: AddrKind, addr: u64) -> Result<u8, MemFault> {
         self.check_bounds(addr, 1)?;
         self.stats.loads += 1;
@@ -237,6 +249,7 @@ impl MemBus {
     /// # Errors
     ///
     /// [`MemFault::BadAddress`] if any byte of the span is out of bounds.
+    #[inline]
     pub fn load_u64(&mut self, _kind: AddrKind, addr: u64) -> Result<u64, MemFault> {
         self.check_bounds(addr, 8)?;
         self.stats.loads += 1;
@@ -264,6 +277,7 @@ impl MemBus {
     /// [`MemFault::BadAddress`] if out of bounds;
     /// [`MemFault::ProtectionViolation`] if the page is write-protected via
     /// a checked route.
+    #[inline]
     pub fn store_u8(&mut self, kind: AddrKind, addr: u64, value: u8) -> Result<(), MemFault> {
         self.stats.stores += 1;
         self.check_store(addr, 1, kind)?;
@@ -277,6 +291,7 @@ impl MemBus {
     /// # Errors
     ///
     /// As [`MemBus::store_u8`].
+    #[inline]
     pub fn store_u64(&mut self, kind: AddrKind, addr: u64, value: u64) -> Result<(), MemFault> {
         self.stats.stores += 1;
         self.check_store(addr, 8, kind)?;
@@ -332,9 +347,6 @@ impl MemBus {
         Ok(state ^ 0xFFFF_FFFF)
     }
 }
-
-/// Page size re-exported next to the bus for convenience.
-pub const BUS_PAGE_SIZE: usize = PAGE_SIZE;
 
 #[cfg(test)]
 mod tests {
@@ -425,6 +437,250 @@ mod tests {
         b.protection_mut().unprotect(pn);
         b.store_u8(AddrKind::Kseg, addr, 1).unwrap();
         assert_eq!(b.stats().patch_checks, 2);
+    }
+
+    /// Runs `f` inside an obs session and returns the events it emitted.
+    fn traced(f: impl FnOnce()) -> Vec<rio_obs::Event> {
+        rio_obs::start(64);
+        f();
+        rio_obs::finish().expect("session open").events
+    }
+
+    #[test]
+    fn straddling_store_traps_on_the_second_page_base() {
+        let mut b = bus();
+        b.protection_mut().set_mode(ProtectionMode::Hardware);
+        let second = PageNum::containing(b.layout().ubc.start + PAGE_SIZE as u64);
+        b.protection_mut().protect(second);
+        let addr = second.base() - 3; // 3 bytes in the open page, 5 in the protected one
+        let mut err = None;
+        let events = traced(|| err = b.store_u64(AddrKind::Virtual, addr, u64::MAX).err());
+        assert_eq!(
+            err,
+            Some(MemFault::ProtectionViolation {
+                addr: second.base(),
+                page: second,
+                kseg: false
+            })
+        );
+        assert_eq!(
+            b.stats(),
+            AccessStats {
+                stores: 1,
+                protection_traps: 1,
+                ..AccessStats::default()
+            }
+        );
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].category, rio_obs::EventCategory::ProtectionTrap);
+        assert_eq!(
+            events[0].payload,
+            rio_obs::Payload::Addr {
+                addr: second.base(),
+                aux: second.0
+            }
+        );
+        // No byte written on either side of the boundary.
+        assert_eq!(b.mem().to_vec(addr, 8), vec![0u8; 8]);
+
+        // The mirror image — first page protected — faults on the store's
+        // own first byte.
+        b.protection_mut().unprotect(second);
+        b.protection_mut().protect(PageNum(second.0 - 1));
+        assert_eq!(
+            b.store_u64(AddrKind::Virtual, addr, u64::MAX),
+            Err(MemFault::ProtectionViolation {
+                addr,
+                page: PageNum(second.0 - 1),
+                kseg: false
+            })
+        );
+        // With neither protected the straddling store lands whole.
+        b.protection_mut().unprotect(PageNum(second.0 - 1));
+        b.store_u64(AddrKind::Virtual, addr, 0x0807_0605_0403_0201).unwrap();
+        assert_eq!(b.mem().to_vec(addr, 8), vec![1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(b.stats().bytes_moved, 8);
+    }
+
+    #[test]
+    fn kseg_forced_counts_only_stores_the_tlb_actually_checks() {
+        let mut b = bus();
+        let addr = b.layout().ubc.start;
+        // Stock machine: nothing is forced, in either mode that has a bit
+        // to ignore.
+        b.store_u64(AddrKind::Kseg, addr, 1).unwrap();
+        b.protection_mut().set_mode(ProtectionMode::Hardware);
+        b.store_u64(AddrKind::Kseg, addr, 2).unwrap();
+        assert_eq!(b.stats().kseg_forced, 0);
+        // The ABOX bit: every KSEG store is forced, trapped or not;
+        // virtual stores never count.
+        b.protection_mut().set_kseg_through_tlb(true);
+        b.store_u64(AddrKind::Kseg, addr, 3).unwrap();
+        b.store_u8(AddrKind::Virtual, addr, 4).unwrap();
+        b.protection_mut().protect(PageNum::containing(addr));
+        assert!(b.store_u8(AddrKind::Kseg, addr, 5).is_err());
+        let s = b.stats();
+        assert_eq!((s.kseg_forced, s.protection_traps, s.stores), (2, 1, 5));
+        // A zero-length KSEG store is checked for bounds only.
+        b.store_bytes(AddrKind::Kseg, addr, &[]).unwrap();
+        assert_eq!(b.stats().kseg_forced, 2);
+        // Code patching forces KSEG stores whatever the ABOX bit says.
+        b.protection_mut().set_mode(ProtectionMode::CodePatching);
+        b.protection_mut().set_kseg_through_tlb(false);
+        assert!(b.store_u8(AddrKind::Kseg, addr, 6).is_err());
+        assert_eq!(b.stats().kseg_forced, 3);
+    }
+
+    #[test]
+    fn code_patching_charges_one_check_per_in_bounds_store() {
+        let mut b = bus();
+        let addr = b.layout().heap.start;
+        let end = b.mem().len();
+        b.protection_mut().set_mode(ProtectionMode::CodePatching);
+        b.store_u8(AddrKind::Virtual, addr, 1).unwrap();
+        b.store_u64(AddrKind::Kseg, addr, 1).unwrap();
+        b.store_bytes(AddrKind::Virtual, addr, &[0; 3 * PAGE_SIZE]).unwrap();
+        b.store_bytes(AddrKind::Virtual, addr, &[]).unwrap(); // zero-length: still checked
+        assert_eq!(b.stats().patch_checks, 4);
+        // The bounds check comes first: an illegal address is a machine
+        // check before any inserted software check runs.
+        assert!(b.store_u8(AddrKind::Virtual, end, 1).is_err());
+        assert_eq!(b.stats().patch_checks, 4);
+        // Loads are never patched.
+        b.load_u64(AddrKind::Virtual, addr).unwrap();
+        assert_eq!(b.stats().patch_checks, 4);
+        // Other modes charge nothing.
+        b.protection_mut().set_mode(ProtectionMode::Hardware);
+        b.store_u8(AddrKind::Virtual, addr, 1).unwrap();
+        assert_eq!(b.stats().patch_checks, 4);
+    }
+
+    #[test]
+    fn out_of_bounds_store_counts_the_attempt_and_nothing_else() {
+        let mut b = bus();
+        b.protection_mut().set_mode(ProtectionMode::Hardware);
+        b.protection_mut().set_kseg_through_tlb(true);
+        let end = b.mem().len();
+        let events = traced(|| {
+            assert_eq!(
+                b.store_u64(AddrKind::Kseg, end - 4, 1),
+                Err(MemFault::BadAddress { addr: end - 4, len: 8 })
+            );
+            assert_eq!(
+                b.store_u8(AddrKind::Virtual, u64::MAX, 1),
+                Err(MemFault::BadAddress { addr: u64::MAX, len: 1 })
+            );
+        });
+        assert!(events.is_empty());
+        assert_eq!(
+            b.stats(),
+            AccessStats {
+                stores: 2,
+                ..AccessStats::default()
+            }
+        );
+        assert_eq!(b.mem().to_vec(end - 4, 4), vec![0u8; 4]);
+        // A faulting load counts nothing at all.
+        assert!(b.load_u64(AddrKind::Virtual, end - 4).is_err());
+        assert_eq!(b.stats().loads, 0);
+    }
+
+    /// Every store entry point against the page-by-page rule it replaced:
+    /// same verdict, same counters, same trap event, same bytes.
+    #[test]
+    fn stores_match_the_page_by_page_rule() {
+        use rio_det::proptest_lite::{check, Config};
+        use rio_det::pt_assert_eq;
+
+        check("stores_match_the_page_by_page_rule", Config::with_cases(128), |g| {
+            let mut b = bus();
+            let mode = [ProtectionMode::Off, ProtectionMode::Hardware, ProtectionMode::CodePatching]
+                [g.in_range(0..3usize)];
+            b.protection_mut().set_mode(mode);
+            b.protection_mut().set_kseg_through_tlb(g.bool());
+            let pages = b.mem().len() / PAGE_SIZE as u64;
+            for pn in 0..pages {
+                if g.in_range(0..3u32) == 0 {
+                    b.protection_mut().protect(PageNum(pn));
+                }
+            }
+            let mut want = AccessStats::default();
+            for _ in 0..g.len_between(1, 60) {
+                let kind = if g.bool() { AddrKind::Kseg } else { AddrKind::Virtual };
+                // Mostly near a page boundary, sometimes the end of memory.
+                let boundary = PAGE_SIZE as u64 * g.in_range(1..=pages);
+                let addr = boundary - g.in_range(0..12u64);
+                let data = g.bytes(0, 20);
+                let len = match g.in_range(0..3u32) {
+                    0 => 1,
+                    1 => 8,
+                    _ => data.len() as u64,
+                };
+
+                // The rule, as the bus applied it before the fast path.
+                want.stores += 1;
+                let prot = b.protection().clone();
+                let kseg = kind == AddrKind::Kseg;
+                let verdict = if !b.mem().in_bounds(addr, len) {
+                    Err(MemFault::BadAddress { addr, len })
+                } else {
+                    if mode == ProtectionMode::CodePatching {
+                        want.patch_checks += 1;
+                    }
+                    let forced = match mode {
+                        ProtectionMode::Off => false,
+                        ProtectionMode::Hardware => prot.kseg_through_tlb(),
+                        ProtectionMode::CodePatching => true,
+                    };
+                    if len > 0 && kseg && forced {
+                        want.kseg_forced += 1;
+                    }
+                    let span = PageNum::containing(addr).0..=PageNum::containing(addr + len.max(1) - 1).0;
+                    match span.map(PageNum).find(|&pn| len > 0 && prot.store_would_trap(pn, kseg)) {
+                        Some(page) => {
+                            want.protection_traps += 1;
+                            Err(MemFault::ProtectionViolation {
+                                addr: addr.max(page.base()),
+                                page,
+                                kseg,
+                            })
+                        }
+                        None => {
+                            want.bytes_moved += len;
+                            Ok(())
+                        }
+                    }
+                };
+                let before = if b.mem().in_bounds(addr, len) {
+                    b.mem().to_vec(addr, len)
+                } else {
+                    Vec::new()
+                };
+
+                let mut got = Ok(());
+                let events = traced(|| {
+                    got = match len {
+                        1 if data.len() != 1 => b.store_u8(kind, addr, 0xA5),
+                        8 if data.len() != 8 => b.store_u64(kind, addr, 0xA5A5_A5A5_A5A5_A5A5),
+                        _ => b.store_bytes(kind, addr, &data),
+                    }
+                });
+                pt_assert_eq!(got, verdict);
+                pt_assert_eq!(b.stats(), want);
+                match verdict {
+                    Err(MemFault::ProtectionViolation { addr, page, .. }) => {
+                        pt_assert_eq!(events.len(), 1);
+                        pt_assert_eq!(events[0].category, rio_obs::EventCategory::ProtectionTrap);
+                        pt_assert_eq!(events[0].payload, rio_obs::Payload::Addr { addr, aux: page.0 });
+                    }
+                    _ => pt_assert_eq!(events.len(), 0),
+                }
+                if verdict.is_err() && !before.is_empty() {
+                    pt_assert_eq!(b.mem().to_vec(addr, len), before);
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]

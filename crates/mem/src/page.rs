@@ -26,21 +26,25 @@ pub struct PageNum(pub u64);
 
 impl PageNum {
     /// Page containing the given byte address.
+    #[inline]
     pub fn containing(addr: u64) -> Self {
         PageNum(addr / PAGE_SIZE as u64)
     }
 
     /// Byte address of the first byte of this page.
+    #[inline]
     pub fn base(self) -> u64 {
         self.0 * PAGE_SIZE as u64
     }
 
     /// Byte address one past the last byte of this page.
+    #[inline]
     pub fn end(self) -> u64 {
         self.base() + PAGE_SIZE as u64
     }
 
     /// Whether the byte address falls inside this page.
+    #[inline]
     pub fn contains(self, addr: u64) -> bool {
         addr >= self.base() && addr < self.end()
     }

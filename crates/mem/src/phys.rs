@@ -74,6 +74,7 @@ impl PhysMem {
     }
 
     /// Total size in bytes.
+    #[inline]
     pub fn len(&self) -> u64 {
         (self.pages.len() * PAGE_SIZE) as u64
     }
@@ -84,24 +85,28 @@ impl PhysMem {
     }
 
     /// Whether `[addr, addr+len)` lies inside physical memory.
+    #[inline]
     pub fn in_bounds(&self, addr: u64, len: u64) -> bool {
         addr.checked_add(len).is_some_and(|end| end <= self.len())
     }
 
     /// Reads one byte. Panics if out of bounds (hardware cannot issue an
     /// out-of-range DRAM access; bounds are checked at the bus).
+    #[inline]
     pub fn read_u8(&self, addr: u64) -> u8 {
         let (pi, off) = split(addr);
         self.pages[pi][off]
     }
 
     /// Writes one byte directly to the cells (no protection check).
+    #[inline]
     pub fn write_u8(&mut self, addr: u64, value: u8) {
         let (pi, off) = split(addr);
         Arc::make_mut(&mut self.pages[pi])[off] = value;
     }
 
     /// Reads a little-endian u64.
+    #[inline]
     pub fn read_u64(&self, addr: u64) -> u64 {
         let (pi, off) = split(addr);
         if off + 8 <= PAGE_SIZE {
@@ -109,26 +114,35 @@ impl PhysMem {
             b.copy_from_slice(&self.pages[pi][off..off + 8]);
             u64::from_le_bytes(b)
         } else {
-            // Unaligned load straddling a page boundary: byte-wise.
-            let mut b = [0u8; 8];
-            for (i, byte) in b.iter_mut().enumerate() {
-                *byte = self.read_u8(addr + i as u64);
-            }
-            u64::from_le_bytes(b)
+            self.read_u64_straddling(addr)
         }
     }
 
+    /// Unaligned load straddling a page boundary: byte-wise, and out of
+    /// line so the page-local case inlines small.
+    #[cold]
+    fn read_u64_straddling(&self, addr: u64) -> u64 {
+        let mut b = [0u8; 8];
+        self.copy_out(addr, &mut b);
+        u64::from_le_bytes(b)
+    }
+
     /// Writes a little-endian u64 directly to the cells.
+    #[inline]
     pub fn write_u64(&mut self, addr: u64, value: u64) {
         let (pi, off) = split(addr);
         if off + 8 <= PAGE_SIZE {
             Arc::make_mut(&mut self.pages[pi])[off..off + 8]
                 .copy_from_slice(&value.to_le_bytes());
         } else {
-            for (i, byte) in value.to_le_bytes().iter().enumerate() {
-                self.write_u8(addr + i as u64, *byte);
-            }
+            self.write_u64_straddling(addr, value);
         }
+    }
+
+    /// The straddling counterpart of [`PhysMem::read_u64_straddling`].
+    #[cold]
+    fn write_u64_straddling(&mut self, addr: u64, value: u64) {
+        self.write_bytes(addr, &value.to_le_bytes());
     }
 
     /// Borrows `[addr, addr+len)` as a slice.

@@ -13,6 +13,7 @@
 use crate::datagen;
 use crate::model::ModelFs;
 use rio_kernel::{Kernel, KernelError, PreemptClient, SyscallOp, SyscallRet};
+use std::sync::Arc;
 
 /// memTest parameters.
 #[derive(Debug, Clone)]
@@ -261,11 +262,12 @@ impl MemTest {
             Op::Create { path, len, tag } => {
                 let data = datagen::bytes(cfg.seed, *tag, *len);
                 *total += data.len() as u64;
-                model.files.insert(path.clone(), data);
+                model.files.insert(path.clone(), data.into());
             }
             Op::Rewrite { path, len, tag } => {
                 let new = datagen::bytes(cfg.seed, *tag, *len);
-                let entry = model.files.get_mut(path).expect("rewrite target exists");
+                let entry =
+                    Arc::make_mut(model.files.get_mut(path).expect("rewrite target exists"));
                 let old_len = entry.len();
                 if new.len() >= old_len {
                     *total += (new.len() - old_len) as u64;

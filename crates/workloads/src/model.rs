@@ -8,12 +8,14 @@
 
 use rio_kernel::{Kernel, KernelError};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Expected file-system state (paths under the workload root).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ModelFs {
-    /// path → expected contents.
-    pub files: BTreeMap<String, Vec<u8>>,
+    /// path → expected contents. Shared, so forking a warmed-up workload
+    /// copies a file's bytes only when the fork rewrites that file.
+    pub files: BTreeMap<String, Arc<Vec<u8>>>,
     /// Expected directories.
     pub dirs: BTreeSet<String>,
 }
@@ -89,7 +91,7 @@ impl ModelFs {
             }
             match k.file_contents(path) {
                 Ok(actual) => {
-                    if &actual == expected {
+                    if actual == **expected {
                         report.files_ok += 1;
                     } else {
                         report.corrupted.push(path.clone());
@@ -124,7 +126,7 @@ mod tests {
         let fd = k.create("/d/f").unwrap();
         k.write(fd, b"abc").unwrap();
         k.close(fd).unwrap();
-        m.files.insert("/d/f".to_owned(), b"abc".to_vec());
+        m.files.insert("/d/f".to_owned(), b"abc".to_vec().into());
         let r = m.verify(&mut k, None).unwrap();
         assert!(!r.is_corrupt());
         assert_eq!(r.files_ok, 1);
@@ -137,8 +139,8 @@ mod tests {
         let fd = k.create("/x").unwrap();
         k.write(fd, b"wrong").unwrap();
         k.close(fd).unwrap();
-        m.files.insert("/x".to_owned(), b"right".to_vec());
-        m.files.insert("/gone".to_owned(), b"data".to_vec());
+        m.files.insert("/x".to_owned(), b"right".to_vec().into());
+        m.files.insert("/gone".to_owned(), b"data".to_vec().into());
         let r = m.verify(&mut k, None).unwrap();
         assert_eq!(r.corrupted, vec!["/x".to_owned()]);
         assert_eq!(r.missing, vec!["/gone".to_owned()]);
@@ -150,7 +152,7 @@ mod tests {
     fn in_flight_target_is_skipped() {
         let mut k = kernel();
         let mut m = ModelFs::new();
-        m.files.insert("/pending".to_owned(), b"half".to_vec());
+        m.files.insert("/pending".to_owned(), b"half".to_vec().into());
         let r = m.verify(&mut k, Some("/pending")).unwrap();
         assert!(!r.is_corrupt());
         assert_eq!(r.skipped_in_flight, 1);

@@ -9,12 +9,16 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== repo benchmark builds against the frozen API surface =="
+echo "== repo benchmark: builds against the frozen API surface, and its exactness check =="
 # benchmark/ is a package of its own that calls drive / PreparedTrial /
 # trial_seed / ... directly (benchmark/README.md, "Frozen API surface");
 # a refactor that breaks one of them must fail here, not in the
-# benchmark pipeline.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# benchmark pipeline. check.sh builds it, then runs all five workloads end
+# to end and traced at smoke size; each run fails unless every simulated
+# time and count repeats bit-for-bit across its repetitions and the traced
+# mirror of `drive` equals `drive` on all 39 coordinates — so a hot-path
+# change that perturbs a count fails tier-1 too.
+benchmark/check.sh --quick
 
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
