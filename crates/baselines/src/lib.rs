@@ -30,6 +30,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 use rio_core::RioMode;
 use rio_disk::SimTime;
 use rio_kernel::{DataPolicy, MetadataPolicy, Policy};

@@ -22,6 +22,8 @@
 //! * `propagation` / `recovery` / `write_bench` / `inspect` — see each
 //!   binary's module docs.
 
+#![forbid(unsafe_code)]
+
 pub mod runner;
 
 /// Reads a `u64` configuration value from the environment.

@@ -52,6 +52,8 @@
 //! assert_eq!(recovery.file_pages[0].ino, 42);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod protection;
 pub mod registry;
 pub mod shadow;

@@ -78,9 +78,8 @@ impl ShadowPool {
         };
         let orig = registry.page_for_slot(slot);
         // Copy current (consistent) contents into the shadow.
-        let data = bus.mem().page(orig).to_vec();
         prot.with_window(bus, shadow, |bus| {
-            bus.store_bytes(AddrKind::Virtual, shadow.base(), &data)
+            bus.copy_page(AddrKind::Virtual, orig, shadow)
         })?;
         // Atomically repoint the entry: a single entry write flips the
         // SHADOW bit and the shadow page number together.

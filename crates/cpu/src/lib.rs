@@ -42,6 +42,8 @@
 //! assert_eq!(bus.mem().read_u8(bus.layout().ubc.start), 0x2A);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod asm;
 pub mod interp;
 pub mod isa;

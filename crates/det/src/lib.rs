@@ -13,6 +13,8 @@
 //!   failure-seed reporting, bounded shrink) replacing the external
 //!   `proptest` dependency.
 
+#![forbid(unsafe_code)]
+
 //! * [`stats`] — the workspace's single percentile convention, shared by
 //!   the bench runner and the campaign summaries.
 

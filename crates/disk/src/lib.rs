@@ -27,6 +27,8 @@
 //! assert_eq!(data, block); // read sees the completed write
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod array;
 pub mod model;
 pub mod sim;

@@ -14,9 +14,10 @@
 //!   crash examination) from a consumed [`PreparedTrial`], drawing every
 //!   random decision from the per-trial **injection stream**.
 //!
-//! Because the simulated machine is copy-on-write ([`rio_mem::PhysMem`]
-//! pages and [`rio_disk::SimDisk`] blocks are shared `Arc`s until
-//! written), [`PreparedTrial::fork`] costs microseconds while a scratch
+//! Because the simulated machine is copy-on-write ([`rio_disk::SimDisk`]
+//! blocks and the pages of a sealed [`rio_mem::PhysMem`] — `prepare` seals
+//! it — are shared `Arc`s until written),
+//! [`PreparedTrial::fork`] costs microseconds while a scratch
 //! [`PreparedTrial::prepare`] costs a full boot + warmup — the ~50×+
 //! campaign-setup speedup measured in `BENCH_campaign.json`.
 //!
@@ -83,6 +84,8 @@ impl PreparedTrial {
             let mut mt = MemTest::new(mt_cfg.clone());
             mt.setup(&mut k).ok()?;
             mt.run(&mut k, warmup_ops).ok()?;
+            // Frozen here and forked per trial: share every page.
+            k.machine.bus.mem_mut().seal();
             Some((k, mt))
         })();
         PreparedTrial {

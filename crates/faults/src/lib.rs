@@ -20,6 +20,8 @@
 //! on, and [`campaign`] / [`scale_campaign`] / [`recovery`] describe
 //! their grids to it.
 
+#![forbid(unsafe_code)]
+
 pub mod campaign;
 pub mod driver;
 pub mod engine;

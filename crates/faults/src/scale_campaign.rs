@@ -341,6 +341,8 @@ impl ScaleCheckpoint {
         let inflight_at_injection = sched.in_flight();
         let locks_held_at_injection: usize =
             (0..nclients).map(|c| sched.held_locks(c).len()).sum();
+        // Frozen here and forked per trial: share every page.
+        k.machine.bus.mem_mut().seal();
         cp.state = Some(ScaleSteady {
             k,
             pms,

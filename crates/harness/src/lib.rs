@@ -25,6 +25,8 @@
 //!   D striped devices, Rio vs write-through throughput.
 //! * [`ascii`] — plain-text table rendering shared by the report binaries.
 
+#![forbid(unsafe_code)]
+
 pub mod ascii;
 pub mod explain;
 pub mod overhead;

@@ -141,6 +141,22 @@ mod tests {
     }
 
     #[test]
+    fn prefix_crc_matches_bytewise_at_every_valid_length() {
+        let mut bus = MemBus::new(MemConfig::small());
+        let page = ubc_page(&bus);
+        for (i, b) in bus.mem_mut().page_mut(page).iter_mut().enumerate() {
+            *b = (i as u32).wrapping_mul(2_654_435_761).to_le_bytes()[3];
+        }
+        let mut cache = SectorCrcCache::new();
+        for valid in (0..=PAGE_SIZE as u32).step_by(37).chain([PAGE_SIZE as u32]) {
+            let direct = rio_mem::crc32_bytewise(&bus.mem().page(page)[..valid as usize]);
+            assert_eq!(cache.prefix_crc(bus.mem(), page, valid), direct, "valid {valid}");
+            cache.invalidate_page(page);
+            assert_eq!(cache.prefix_crc(bus.mem(), page, valid), direct, "valid {valid}, cold");
+        }
+    }
+
+    #[test]
     fn dirty_span_recomputes_only_touched_sectors() {
         let mut bus = MemBus::new(MemConfig::small());
         let page = ubc_page(&bus);

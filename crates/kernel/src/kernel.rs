@@ -390,7 +390,11 @@ impl Kernel {
         // tear exactly as the disk's crash model dictates.
         let now = self.machine.clock.now();
         self.machine.disk.crash(now);
-        (self.machine.bus.into_image(), self.machine.disk)
+        // The DRAM a crash leaves is frozen: the warm reboot and every
+        // recovery trial clone it, so hand it over sealed.
+        let mut image = self.machine.bus.into_image();
+        image.seal();
+        (image, self.machine.disk)
     }
 
     /// Records an asynchronous write-back sourced from a cache frame, so

@@ -27,6 +27,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod alloc;
 pub mod cache;
 pub mod clock;

@@ -433,9 +433,8 @@ impl Kernel {
             .machine
             .bus
             .mem()
-            .slice(page.base() + off as u64, INODE_BYTES as u64)
-            .to_vec();
-        match Inode::decode(&rec) {
+            .slice(page.base() + off as u64, INODE_BYTES as u64);
+        match Inode::decode(rec) {
             Ok(i) => Ok(i),
             Err(()) => Err(self.die(PanicReason::Consistency(
                 "inode table: bad inode magic".to_owned(),

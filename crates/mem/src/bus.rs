@@ -319,6 +319,33 @@ impl MemBus {
         Ok(())
     }
 
+    /// Stores the contents of page `src` over page `dst`, memory to memory.
+    ///
+    /// Checked and charged exactly as a [`MemBus::store_bytes`] of `src`'s
+    /// 8 KB at `dst`'s base (one store, no load counted), without staging
+    /// the page in a host buffer.
+    ///
+    /// # Errors
+    ///
+    /// As [`MemBus::store_u8`], for the destination page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is not a page of this memory, as
+    /// [`PhysMem::page`] does.
+    pub fn copy_page(
+        &mut self,
+        kind: AddrKind,
+        src: PageNum,
+        dst: PageNum,
+    ) -> Result<(), MemFault> {
+        self.stats.stores += 1;
+        self.check_store(dst.base(), PAGE_SIZE as u64, kind)?;
+        self.stats.bytes_moved += PAGE_SIZE as u64;
+        self.mem.copy_page(src, dst);
+        Ok(())
+    }
+
     /// Convenience: CRC32 of a page's current contents.
     pub fn page_crc(&self, pn: PageNum) -> u32 {
         crate::checksum::crc32(self.mem.page(pn))
@@ -681,6 +708,31 @@ mod tests {
             }
             Ok(())
         });
+    }
+
+    #[test]
+    fn copy_page_is_checked_and_charged_as_the_store_bytes_it_replaces() {
+        let mut staged = bus();
+        let ubc = staged.layout().ubc;
+        let src = PageNum::containing(ubc.start);
+        let dst = PageNum(src.0 + 1);
+        staged.mem_mut().page_mut(src).fill(0x3C);
+        staged.protection_mut().set_mode(ProtectionMode::Hardware);
+        let mut direct = staged.clone();
+        for protect_dst in [false, true] {
+            for b in [&mut staged, &mut direct] {
+                if protect_dst {
+                    b.protection_mut().protect(dst);
+                }
+                b.mem_mut().page_mut(dst).fill(0);
+            }
+            let data = staged.mem().page(src).to_vec();
+            let want = staged.store_bytes(AddrKind::Virtual, dst.base(), &data);
+            assert_eq!(direct.copy_page(AddrKind::Virtual, src, dst), want);
+            assert_eq!(want.is_err(), protect_dst);
+            assert_eq!(direct.stats(), staged.stats());
+            assert_eq!(direct.mem().page(dst), staged.mem().page(dst));
+        }
     }
 
     #[test]

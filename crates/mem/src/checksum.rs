@@ -6,18 +6,26 @@
 //! implement CRC32 in-repo (reflected 0xEDB88320) rather than pulling a
 //! dependency; it is also used to protect registry entries.
 //!
-//! Two properties make the checksum cheap enough for the write fast path:
+//! Three properties make the checksum cheap enough for the write fast path:
 //!
 //! * **Slice-by-8** ([`crc32_update`]): eight 256-entry tables let the inner
 //!   loop fold 8 input bytes per iteration instead of 1, roughly 5–8× faster
 //!   on page-sized buffers than the classic byte-at-a-time loop (kept as
 //!   [`crc32_bytewise`], the reference the property tests compare against).
+//! * **Four lanes** for the two shapes that are hot — a whole page (every
+//!   shadow commit re-checksums one) and a 512-byte sector (the kernel's
+//!   sector cache): one slice-by-8 chain is bound by the latency of its own
+//!   lookups, each step waiting for the last, so the input is cut into four
+//!   equal lanes whose chains advance in one loop and overlap, and the four
+//!   registers are spliced with a zero-advance operator tabulated per byte
+//!   (four lookups a splice). ~3× faster on a page; the same `u32`.
 //! * **Linearity over GF(2)** ([`crc32_combine`], [`CrcShift`]): the CRC of a
 //!   concatenation can be spliced from the CRCs of the halves with a 32×32
 //!   bit-matrix multiply, zlib-style. The kernel's sector checksum cache uses
 //!   this to derive a page's registry CRC from per-sector CRCs — identical
 //!   values, O(dirty sectors) work per write instead of O(valid bytes).
 
+use crate::page::PAGE_SIZE;
 use std::sync::OnceLock;
 
 const POLY: u32 = 0xEDB8_8320;
@@ -57,31 +65,117 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
 
+/// The sector length that, with [`PAGE_SIZE`], takes the four-lane path.
+const SECTOR_BYTES: usize = 512;
+
 /// Streaming form: feed chunks through repeated calls, starting from
 /// `0xFFFF_FFFF` and XOR-finalizing with `0xFFFF_FFFF`.
 ///
-/// Folds 8 bytes per iteration (slice-by-8); bit-identical to
+/// Folds 8 bytes per iteration (slice-by-8), in four interleaved lanes
+/// when `data` is exactly a page or a sector; bit-identical to
 /// [`crc32_bytewise`] on every input.
 pub fn crc32_update(state: u32, data: &[u8]) -> u32 {
+    match data.len() {
+        PAGE_SIZE => update_lanes(state, data, &splices().page),
+        SECTOR_BYTES => update_lanes(state, data, &splices().sector),
+        _ => update_serial(state, data),
+    }
+}
+
+/// One slice-by-8 step: folds the 8 bytes of `chunk` into register `c`.
+#[inline(always)]
+fn fold8(t: &[[u32; 256]; 8], c: u32, chunk: &[u8]) -> u32 {
+    let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
+    let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][((lo >> 8) & 0xFF) as usize]
+        ^ t[5][((lo >> 16) & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xFF) as usize]
+        ^ t[2][((hi >> 8) & 0xFF) as usize]
+        ^ t[1][((hi >> 16) & 0xFF) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
+/// One chain over the whole input: any length.
+fn update_serial(state: u32, data: &[u8]) -> u32 {
     let t = tables();
     let mut c = state;
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
-        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        c = fold8(t, c, chunk);
     }
     for &b in chunks.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c
+}
+
+/// Four chains over the four quarters of `data` (whose length is 32·k),
+/// spliced by `splice`, the zero-advance operator for a quarter's length.
+///
+/// The register update is linear over GF(2) in (register, data), so the
+/// register after `A ∥ B` from `s` is the register after `A` from `s`,
+/// advanced across `|B|` zero bytes, XOR the register after `B` from 0.
+fn update_lanes(state: u32, data: &[u8], splice: &Splice) -> u32 {
+    let t = tables();
+    let (a, rest) = data.split_at(data.len() / 4);
+    let (b, rest) = rest.split_at(a.len());
+    let (c, d) = rest.split_at(a.len());
+    let (mut ra, mut rb, mut rc, mut rd) = (state, 0u32, 0u32, 0u32);
+    let lanes = a
+        .chunks_exact(8)
+        .zip(b.chunks_exact(8))
+        .zip(c.chunks_exact(8))
+        .zip(d.chunks_exact(8));
+    for (((a, b), c), d) in lanes {
+        ra = fold8(t, ra, a);
+        rb = fold8(t, rb, b);
+        rc = fold8(t, rc, c);
+        rd = fold8(t, rd, d);
+    }
+    let r = splice.apply(ra) ^ rb;
+    let r = splice.apply(r) ^ rc;
+    splice.apply(r) ^ rd
+}
+
+/// A [`CrcShift`] tabulated per byte of the register, so applying it is
+/// four lookups instead of a 32-step matrix product.
+struct Splice([[u32; 256]; 4]);
+
+impl Splice {
+    fn for_len(len: usize) -> Splice {
+        let shift = CrcShift::for_len(len as u64);
+        let mut t = [[0u32; 256]; 4];
+        for (k, table) in t.iter_mut().enumerate() {
+            for (b, entry) in table.iter_mut().enumerate() {
+                *entry = shift.apply((b as u32) << (8 * k));
+            }
+        }
+        Splice(t)
+    }
+
+    #[inline]
+    fn apply(&self, r: u32) -> u32 {
+        self.0[0][(r & 0xFF) as usize]
+            ^ self.0[1][((r >> 8) & 0xFF) as usize]
+            ^ self.0[2][((r >> 16) & 0xFF) as usize]
+            ^ self.0[3][(r >> 24) as usize]
+    }
+}
+
+/// The lane splices of the two four-lane shapes.
+struct Splices {
+    page: Splice,
+    sector: Splice,
+}
+
+fn splices() -> &'static Splices {
+    static SPLICES: OnceLock<Splices> = OnceLock::new();
+    SPLICES.get_or_init(|| Splices {
+        page: Splice::for_len(PAGE_SIZE / 4),
+        sector: Splice::for_len(SECTOR_BYTES / 4),
+    })
 }
 
 /// The classic byte-at-a-time CRC32 — the reference implementation the
@@ -235,6 +329,43 @@ mod tests {
         }
         let page: Vec<u8> = (0..8192u32).map(|i| (i ^ (i >> 5)) as u8).collect();
         assert_eq!(crc32(&page), crc32_bytewise(&page));
+    }
+
+    /// Every path — one-shot, streamed at random cuts, and the four-lane
+    /// shapes entered from a non-initial state — against the bytewise
+    /// reference, at every length around the serial/laned boundaries.
+    #[test]
+    fn every_path_matches_bytewise_at_every_length() {
+        use rio_det::DetRng;
+        let mut rng = DetRng::seed_from_u64(0xC4C32);
+        let streamed = |pieces: &[&[u8]]| {
+            pieces.iter().fold(0xFFFF_FFFF, |st, p| crc32_update(st, p)) ^ 0xFFFF_FFFF
+        };
+        for len in (0..=1100).chain(PAGE_SIZE - 9..=PAGE_SIZE + 9) {
+            let mut data = vec![0u8; len];
+            rng.fill_bytes(&mut data);
+            let want = crc32_bytewise(&data);
+            assert_eq!(crc32(&data), want, "len {len}");
+            let mut cuts = [0, 0, 0].map(|_| rng.gen_range(0..=len));
+            cuts.sort_unstable();
+            let [a, b, c] = cuts;
+            assert_eq!(
+                streamed(&[&data[..a], &data[a..b], &data[b..c], &data[c..]]),
+                want,
+                "len {len} cut at {cuts:?}"
+            );
+            // A laned piece in the middle of a stream.
+            for laned in [SECTOR_BYTES, PAGE_SIZE] {
+                if len > laned {
+                    let at = rng.gen_range(1..=len - laned);
+                    assert_eq!(
+                        streamed(&[&data[..at], &data[at..at + laned], &data[at + laned..]]),
+                        want,
+                        "len {len}: {laned} bytes at {at}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -45,6 +45,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bus;
 pub mod checksum;
 pub mod layout;

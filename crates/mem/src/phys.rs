@@ -12,16 +12,30 @@
 //!
 //! # Copy-on-write cloning
 //!
-//! Storage is one [`Arc`] per 8 KB page, so `clone()` is a pointer-table
-//! copy (~5 µs for the 5 MB small configuration) rather than a full memcpy
-//! (~2.5 ms). The crash-campaign checkpoint engine forks thousands of
-//! kernels from one warmed-up snapshot; each fork pays only for the pages
-//! it actually dirties afterwards. Semantics are unchanged: a clone is a
-//! fully independent snapshot (writes through either side copy the shared
-//! page first via [`Arc::make_mut`]).
+//! Each 8 KB page is held in one of two ways, and which one is known from
+//! a plain enum tag — no atomic is touched to find out:
+//!
+//! * **private** (`Box`): this image is the page's only holder, so a write
+//!   is a tag test and a plain store — what a load costs;
+//! * **shared** (`Arc`): other images may hold the same page. It is never
+//!   written in place: the first write copies it into a private page once
+//!   (out of line), and every later write takes the private path.
+//!
+//! `clone()` shares the shared pages by pointer and *copies* the private
+//! ones, so a clone is always a fully independent snapshot, but it is only
+//! a pointer-table copy (~5 µs for the 5 MB small configuration, against
+//! ~2.5 ms for a full memcpy) when the image was sealed first:
+//! [`PhysMem::seal`] turns every private page into a shared one, at one
+//! page copy each. Whoever freezes a machine in order to fork it many
+//! times seals it once — the campaign checkpoints
+//! (`PreparedTrial::prepare`, `ScaleCheckpoint::capture`) and
+//! `Kernel::into_crash_artifacts` (the DRAM a crash leaves is cloned by
+//! the warm reboot and by every recovery trial) — and each fork then pays
+//! only for the pages it dirties afterwards. A fresh image is born sealed:
+//! all its pages share one zero page.
 //!
 //! The price is that a *borrow* ([`PhysMem::slice`]) cannot span two pages,
-//! because consecutive pages are no longer contiguous in host memory. Every
+//! because consecutive pages are not contiguous in host memory. Every
 //! borrowing access in the simulator is naturally page-contained (region
 //! boundaries, disk blocks, and cache frames are all page-aligned, and
 //! instructions are 8-byte-aligned); byte-range readers that may straddle a
@@ -32,18 +46,67 @@ use crate::layout::{MemConfig, MemLayout};
 use crate::page::{PageNum, PAGE_SIZE};
 use std::sync::Arc;
 
-/// One shared page of simulated DRAM.
+/// One page of simulated DRAM.
 type Page = [u8; PAGE_SIZE];
+
+/// How an image holds one page (see the module docs).
+#[derive(Debug)]
+enum Slot {
+    /// Possibly held by other images too; copied before the first write.
+    Shared(Arc<Page>),
+    /// Held by this image alone; written in place.
+    Owned(Box<Page>),
+}
+
+impl Slot {
+    #[inline]
+    fn page(&self) -> &Page {
+        match self {
+            Slot::Shared(p) => p,
+            Slot::Owned(p) => p,
+        }
+    }
+
+    /// The page for writing, made private first if it is shared.
+    #[inline]
+    fn page_mut(&mut self) -> &mut Page {
+        if let Slot::Shared(_) = self {
+            self.privatise();
+        }
+        let Slot::Owned(page) = self else {
+            unreachable!("privatise leaves the slot owned")
+        };
+        page
+    }
+
+    /// The shared→private transition: the one copy a page's first write
+    /// after a clone or a seal pays.
+    #[cold]
+    #[inline(never)]
+    fn privatise(&mut self) {
+        *self = Slot::Owned(Box::new(*self.page()));
+    }
+}
+
+impl Clone for Slot {
+    fn clone(&self) -> Slot {
+        match self {
+            Slot::Shared(p) => Slot::Shared(Arc::clone(p)),
+            Slot::Owned(p) => Slot::Owned(p.clone()),
+        }
+    }
+}
 
 /// A byte-addressable physical memory image plus its region layout.
 ///
 /// Cloning a `PhysMem` snapshots the DRAM contents; the crash harness clones
 /// the image at crash time to model memory surviving a reboot. Clones are
-/// copy-on-write per page (see the module docs), so snapshots are cheap.
+/// copy-on-write per page once the image is sealed (see the module docs),
+/// so snapshots of a frozen machine are cheap.
 #[derive(Debug, Clone)]
 pub struct PhysMem {
     layout: MemLayout,
-    pages: Vec<Arc<Page>>,
+    pages: Vec<Slot>,
 }
 
 /// Splits a byte address into (page index, offset within page).
@@ -61,10 +124,22 @@ impl PhysMem {
         let layout = MemLayout::new(config);
         let num_pages = (layout.total_bytes() as usize) / PAGE_SIZE;
         // All-zero pages can share one allocation until first written.
-        let zero: Arc<Page> = Arc::new([0u8; PAGE_SIZE]);
+        let zero = Slot::Shared(Arc::new([0u8; PAGE_SIZE]));
         PhysMem {
             layout,
             pages: vec![zero; num_pages],
+        }
+    }
+
+    /// Makes every private page shareable, so that clones of this image
+    /// are pointer-table copies until someone writes (see the module
+    /// docs). Costs one page copy per private page; contents are unchanged.
+    /// Call it once where a machine is frozen to be forked many times.
+    pub fn seal(&mut self) {
+        for slot in &mut self.pages {
+            if let Slot::Owned(page) = slot {
+                *slot = Slot::Shared(Arc::new(**page));
+            }
         }
     }
 
@@ -95,14 +170,14 @@ impl PhysMem {
     #[inline]
     pub fn read_u8(&self, addr: u64) -> u8 {
         let (pi, off) = split(addr);
-        self.pages[pi][off]
+        self.pages[pi].page()[off]
     }
 
     /// Writes one byte directly to the cells (no protection check).
     #[inline]
     pub fn write_u8(&mut self, addr: u64, value: u8) {
         let (pi, off) = split(addr);
-        Arc::make_mut(&mut self.pages[pi])[off] = value;
+        self.pages[pi].page_mut()[off] = value;
     }
 
     /// Reads a little-endian u64.
@@ -111,7 +186,7 @@ impl PhysMem {
         let (pi, off) = split(addr);
         if off + 8 <= PAGE_SIZE {
             let mut b = [0u8; 8];
-            b.copy_from_slice(&self.pages[pi][off..off + 8]);
+            b.copy_from_slice(&self.pages[pi].page()[off..off + 8]);
             u64::from_le_bytes(b)
         } else {
             self.read_u64_straddling(addr)
@@ -132,8 +207,7 @@ impl PhysMem {
     pub fn write_u64(&mut self, addr: u64, value: u64) {
         let (pi, off) = split(addr);
         if off + 8 <= PAGE_SIZE {
-            Arc::make_mut(&mut self.pages[pi])[off..off + 8]
-                .copy_from_slice(&value.to_le_bytes());
+            self.pages[pi].page_mut()[off..off + 8].copy_from_slice(&value.to_le_bytes());
         } else {
             self.write_u64_straddling(addr, value);
         }
@@ -158,7 +232,7 @@ impl PhysMem {
             off as u64 + len <= PAGE_SIZE as u64,
             "slice [{addr:#x}, +{len}) straddles a page boundary; use copy_out/to_vec"
         );
-        &self.pages[pi][off..off + len as usize]
+        &self.pages[pi].page()[off..off + len as usize]
     }
 
     /// Mutably borrows `[addr, addr+len)`.
@@ -172,7 +246,7 @@ impl PhysMem {
             off as u64 + len <= PAGE_SIZE as u64,
             "slice_mut [{addr:#x}, +{len}) straddles a page boundary; use write_bytes"
         );
-        &mut Arc::make_mut(&mut self.pages[pi])[off..off + len as usize]
+        &mut self.pages[pi].page_mut()[off..off + len as usize]
     }
 
     /// Copies `[addr, addr+buf.len())` out of memory into `buf`, page by
@@ -184,7 +258,7 @@ impl PhysMem {
         while done < buf.len() {
             let (pi, off) = split(addr);
             let n = (PAGE_SIZE - off).min(buf.len() - done);
-            buf[done..done + n].copy_from_slice(&self.pages[pi][off..off + n]);
+            buf[done..done + n].copy_from_slice(&self.pages[pi].page()[off..off + n]);
             addr += n as u64;
             done += n;
         }
@@ -205,8 +279,7 @@ impl PhysMem {
         while done < data.len() {
             let (pi, off) = split(addr);
             let n = (PAGE_SIZE - off).min(data.len() - done);
-            Arc::make_mut(&mut self.pages[pi])[off..off + n]
-                .copy_from_slice(&data[done..done + n]);
+            self.pages[pi].page_mut()[off..off + n].copy_from_slice(&data[done..done + n]);
             addr += n as u64;
             done += n;
         }
@@ -214,12 +287,32 @@ impl PhysMem {
 
     /// Borrows a whole page.
     pub fn page(&self, pn: PageNum) -> &[u8] {
-        &self.pages[pn.0 as usize][..]
+        &self.pages[pn.0 as usize].page()[..]
     }
 
     /// Mutably borrows a whole page.
     pub fn page_mut(&mut self, pn: PageNum) -> &mut [u8] {
-        &mut Arc::make_mut(&mut self.pages[pn.0 as usize])[..]
+        &mut self.pages[pn.0 as usize].page_mut()[..]
+    }
+
+    /// Copies page `src` over page `dst` (no protection check) without a
+    /// round trip through a buffer.
+    pub fn copy_page(&mut self, src: PageNum, dst: PageNum) {
+        let (s, d) = (src.0 as usize, dst.0 as usize);
+        if s == d {
+            return;
+        }
+        let (low, high) = self.pages.split_at_mut(s.max(d));
+        let (src, dst) = if s < d {
+            (&low[s], &mut high[0])
+        } else {
+            (&high[0], &mut low[d])
+        };
+        match dst {
+            Slot::Owned(page) => **page = *src.page(),
+            // Overwritten whole: nothing of the shared page is worth copying.
+            Slot::Shared(_) => *dst = Slot::Owned(Box::new(*src.page())),
+        }
     }
 
     /// Flips a single bit — the cell-level corruption primitive used by the
@@ -231,7 +324,7 @@ impl PhysMem {
     pub fn flip_bit(&mut self, addr: u64, bit: u8) {
         assert!(bit < 8, "bit index out of range");
         let (pi, off) = split(addr);
-        Arc::make_mut(&mut self.pages[pi])[off] ^= 1 << bit;
+        self.pages[pi].page_mut()[off] ^= 1 << bit;
     }
 
     /// Fills `[addr, addr+len)` with a byte value; the range may straddle
@@ -243,7 +336,7 @@ impl PhysMem {
         while left > 0 {
             let (pi, off) = split(addr);
             let n = (PAGE_SIZE - off).min(left);
-            Arc::make_mut(&mut self.pages[pi])[off..off + n].fill(value);
+            self.pages[pi].page_mut()[off..off + n].fill(value);
             addr += n as u64;
             left -= n;
         }
@@ -326,6 +419,144 @@ mod tests {
         a.flip_bit(0, 3);
         assert_eq!(b.read_u8(0), 0);
         assert_eq!(b.read_u64(4096), 8);
+    }
+
+    #[test]
+    fn seal_keeps_contents_and_isolation() {
+        let mut a = mem();
+        a.write_u64(8, 1);
+        a.seal();
+        assert_eq!(a.read_u64(8), 1);
+        let mut b = a.clone();
+        a.write_u64(8, 2); // write after seal copies the page first
+        b.write_u8(9, 3);
+        assert_eq!(a.read_u64(8), 2);
+        assert_eq!(b.read_u64(8), 1 | 3 << 8);
+    }
+
+    #[test]
+    fn copy_page_overwrites_private_and_shared_destinations() {
+        let mut m = mem();
+        m.page_mut(PageNum(1)).fill(0x11);
+        m.page_mut(PageNum(3)).fill(0x33); // private destination
+        m.copy_page(PageNum(1), PageNum(3));
+        m.copy_page(PageNum(1), PageNum(0)); // shared (zero-page) destination
+        m.copy_page(PageNum(1), PageNum(1));
+        let snap = m.clone();
+        m.page_mut(PageNum(1)).fill(0x22);
+        for pn in [0, 3] {
+            assert!(m.page(PageNum(pn)).iter().all(|&b| b == 0x11), "page {pn}");
+        }
+        assert!(snap.page(PageNum(1)).iter().all(|&b| b == 0x11));
+        assert_eq!(m.read_u8(PageNum(2).base()), 0);
+    }
+
+    /// Model-based: several live images, each mirrored by a flat `Vec<u8>`,
+    /// driven through every mutator plus clone / seal / drop. After every
+    /// step every image must equal its mirror — so a write never leaks
+    /// into, or out of, any clone, sealed or not.
+    #[test]
+    fn images_equal_flat_mirrors_through_every_mutator() {
+        use rio_det::proptest_lite::{check, Config};
+        use rio_det::{pt_assert, pt_assert_eq};
+
+        const P: u64 = PAGE_SIZE as u64;
+        let tiny = MemConfig {
+            text_bytes: P,
+            heap_bytes: P,
+            stack_bytes: 0,
+            buffer_cache_bytes: P,
+            ubc_bytes: P,
+            registry_bytes: 0,
+        };
+        let total = tiny.total_bytes();
+        check("images_equal_flat_mirrors", Config::with_cases(256), |g| {
+            let mut images = vec![(PhysMem::new(tiny), vec![0u8; total as usize])];
+            for _ in 0..g.len_between(4, 64) {
+                let i = g.in_range(0..images.len());
+                let (mem, mirror) = &mut images[i];
+                let addr = g.in_range(0..total - 8);
+                let boundary = P * g.in_range(1..total / P);
+                match g.in_range(0..13u32) {
+                    0 => {
+                        let v = g.u8();
+                        mem.write_u8(addr, v);
+                        mirror[addr as usize] = v;
+                    }
+                    // u64 stores: aligned, anywhere, straddling two pages.
+                    op @ 1..=3 => {
+                        let addr = match op {
+                            1 => addr & !7,
+                            2 => addr,
+                            _ => boundary - g.in_range(1..8u64),
+                        };
+                        let v = g.u64();
+                        mem.write_u64(addr, v);
+                        mirror[addr as usize..][..8].copy_from_slice(&v.to_le_bytes());
+                        pt_assert_eq!(mem.read_u64(addr), v);
+                    }
+                    4 => {
+                        let data = g.bytes(0, 2 * PAGE_SIZE + 100);
+                        let addr = g.in_range(0..=total - data.len() as u64);
+                        mem.write_bytes(addr, &data);
+                        mirror[addr as usize..][..data.len()].copy_from_slice(&data);
+                    }
+                    5 => {
+                        let len = g.len_between(0, 2 * PAGE_SIZE + 100) as u64;
+                        let (addr, v) = (g.in_range(0..=total - len), g.u8());
+                        mem.fill(addr, len, v);
+                        mirror[addr as usize..][..len as usize].fill(v);
+                    }
+                    6 => {
+                        let bit = g.in_range(0..8u8);
+                        mem.flip_bit(addr, bit);
+                        mirror[addr as usize] ^= 1 << bit;
+                    }
+                    7 => {
+                        let (pn, at, v) = (addr / P, g.in_range(0..PAGE_SIZE), g.u8());
+                        mem.page_mut(PageNum(pn))[at] = v;
+                        mirror[(pn * P) as usize + at] = v;
+                    }
+                    8 => {
+                        let len = g.in_range(0..=P - addr % P);
+                        let v = g.u8();
+                        mem.slice_mut(addr, len).fill(v);
+                        mirror[addr as usize..][..len as usize].fill(v);
+                    }
+                    9 => {
+                        let (src, dst) = (addr / P, g.in_range(0..total / P));
+                        mem.copy_page(PageNum(src), PageNum(dst));
+                        mirror.copy_within(
+                            (src * P) as usize..((src + 1) * P) as usize,
+                            (dst * P) as usize,
+                        );
+                    }
+                    10 => mem.seal(),
+                    11 if images.len() < 4 => {
+                        let fork = images[i].clone();
+                        images.push(fork);
+                    }
+                    _ if images.len() > 1 => drop(images.swap_remove(i)),
+                    _ => {}
+                }
+                for (n, (mem, mirror)) in images.iter().enumerate() {
+                    for (pn, want) in mirror.chunks_exact(PAGE_SIZE).enumerate() {
+                        pt_assert!(
+                            mem.page(PageNum(pn as u64)) == want,
+                            "image {n} of {} differs from its mirror in page {pn}",
+                            images.len()
+                        );
+                    }
+                }
+                let (mem, mirror) = &images[0];
+                pt_assert_eq!(mem.read_u8(addr), mirror[addr as usize]);
+                pt_assert_eq!(
+                    mem.to_vec(boundary - 3, 8),
+                    mirror[boundary as usize - 3..][..8]
+                );
+            }
+            Ok(())
+        });
     }
 
     #[test]

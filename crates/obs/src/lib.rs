@@ -37,6 +37,8 @@
 //! delayed write-backs), §3.1 (fault injection sites), and §3.2 (trial
 //! verdicts).
 
+#![forbid(unsafe_code)]
+
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 

@@ -17,6 +17,8 @@
 //! same operations byte for byte, which is what makes post-crash
 //! verification possible.
 
+#![forbid(unsafe_code)]
+
 pub mod andrew;
 pub mod cprm;
 pub mod datagen;

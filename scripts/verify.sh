@@ -29,15 +29,21 @@ cargo test --workspace -q
 echo "== cargo doc --no-deps (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 
-echo "== smoke campaign: the engine's checkpoint switch, fork vs scratch byte-equality (RIO_TRIALS=3) =="
+echo "== smoke campaign: forks of the sealed checkpoint vs scratch boots, at RIO_THREADS 1 and 4 (RIO_TRIALS=3) =="
+# Three runs, one answer: every fork shares the checkpoint's sealed pages
+# (PhysMem::seal), concurrently at 4 threads, and must see what a machine
+# booted for that one trial sees.
 t1_cp="$(mktemp)"
+t1_cp4="$(mktemp)"
 t1_sc="$(mktemp)"
-RIO_TRIALS=3 RIO_CHECKPOINT=1 cargo run -q --release -p rio-bench --bin table1 > "$t1_cp"
-RIO_TRIALS=3 RIO_CHECKPOINT=0 cargo run -q --release -p rio-bench --bin table1 > "$t1_sc"
+RIO_TRIALS=3 RIO_CHECKPOINT=1 RIO_THREADS=1 cargo run -q --release -p rio-bench --bin table1 > "$t1_cp"
+RIO_TRIALS=3 RIO_CHECKPOINT=1 RIO_THREADS=4 cargo run -q --release -p rio-bench --bin table1 > "$t1_cp4"
+RIO_TRIALS=3 RIO_CHECKPOINT=0 RIO_THREADS=4 cargo run -q --release -p rio-bench --bin table1 > "$t1_sc"
+cmp "$t1_cp" "$t1_cp4"
 cmp "$t1_cp" "$t1_sc"
 grep -q '95% confidence intervals (Wilson)' "$t1_cp"
 cat "$t1_cp"
-rm -f "$t1_cp" "$t1_sc"
+rm -f "$t1_cp" "$t1_cp4" "$t1_sc"
 
 echo "== campaign throughput bench smoke (preparation speedup >= 50x) =="
 cb_json="$(mktemp)"

@@ -32,6 +32,8 @@
 //! build a Rio machine, write files, crash it with an injected fault, warm
 //! reboot, and observe that every synchronously-written byte survived.
 
+#![forbid(unsafe_code)]
+
 pub use rio_baselines as baselines;
 pub use rio_core as core;
 pub use rio_cpu as cpu;
