@@ -16,6 +16,15 @@
 //! fetch of that word, as before. The plain fetch→decode→execute loop this
 //! replaced is kept, for tests only, in `interp/differential.rs` as the
 //! reference the memoised loop is checked against.
+//!
+//! This loop is the only implementation of instruction semantics. The
+//! kernel's three dispatched routines also have *summaries*
+//! ([`crate::routines`]): closed forms of what this loop computes from their
+//! assembly, taken only when the routine's text reads as installed and the
+//! call's spans, protection state and step limit leave the loop nothing to
+//! decide. A summary dispatches no opcode; whenever one of its preconditions
+//! fails the call comes here untouched, and a differential property holds
+//! the two equal.
 
 use crate::isa::{decompose_addr, Instr, Opcode, Reg, INSTR_BYTES, NUM_REGS};
 use crate::routines::{RoutineHandle, RoutineStore};
@@ -130,9 +139,17 @@ impl Cpu {
         }
     }
 
-    /// Instructions executed by every [`Cpu::run`] so far.
+    /// Instructions executed so far: by every [`Cpu::run`], and by every
+    /// routine call that ran as its summary.
     pub fn steps(&self) -> u64 {
         self.steps
+    }
+
+    /// Counts `steps` instructions as executed: a routine summary
+    /// (`routines.rs`) accounting for the steps [`Cpu::run`] would have
+    /// taken.
+    pub(crate) fn count_steps(&mut self, steps: u64) {
+        self.steps += steps;
     }
 
     /// Fetches that had to run the decoder: the word at that index was new,

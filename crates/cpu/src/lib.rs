@@ -19,6 +19,12 @@
 //! store lands, raises an illegal-address machine check, or (with Rio
 //! protection on) a write-protection trap.
 //!
+//! When none of that can happen — the routine's text reads exactly as
+//! installed and the call's spans are in bounds, unprotected and apart —
+//! the kernel's entry points ([`KernelRoutines::bcopy`] and its siblings)
+//! skip the dispatch and compute the same steps, registers, counters and
+//! bytes in closed form; see [`routines`].
+//!
 //! # Example
 //!
 //! ```

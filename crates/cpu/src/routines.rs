@@ -5,11 +5,46 @@
 //! where they are exposed to text-targeting faults for the rest of the run.
 //! [`KernelRoutines`] installs the four routines every kernel build uses:
 //! `bcopy`, `bzero`, `bcmp`, and `fill_pattern`.
+//!
+//! # Assembly and summary
+//!
+//! The **assembly** (`asm_bcopy`, `asm_bzero`, `asm_bcmp`) is the definition
+//! of each routine: it is what sits in simulated text, what faults corrupt,
+//! and what [`Cpu::run`] interprets. Beside it each of the three routines
+//! the kernel dispatches has a **summary** — the closed form of what the
+//! interpreter computes from that assembly when nothing can go wrong: the
+//! bytes, the step count, the final registers and the bus counters, worked
+//! out from `(src, dst, len)` one loop at a time from the per-loop step
+//! counts written next to the assembly, with no opcode dispatch.
+//! [`KernelRoutines::bcopy`], [`KernelRoutines::bzero`] and
+//! [`KernelRoutines::bcmp`] take the summary exactly when the call's own
+//! inputs show that all of this holds, and call [`Cpu::run`] otherwise:
+//!
+//! * **(a)** the routine's bytes in simulated text read as installed
+//!   ([`RoutineStore::reads_as_installed`]; pristine text also keeps control
+//!   inside the routine);
+//! * **(b)** every byte of the source and destination spans is in bounds;
+//! * **(c)** no page of the destination span is write-protected on the
+//!   route the destination address selects (virtual or KSEG);
+//! * **(d)** the destination span is disjoint from kernel text and from the
+//!   source span, so no store changes what a later fetch or load reads;
+//! * **(e)** the walk's step count is within the caller's step limit (for
+//!   `bcmp`, whose walk ends at the first difference, the longest walk —
+//!   equal spans — is what must fit, so that the loads can be charged by
+//!   the same bus call that finds the difference).
+//!
+//! (b)–(d) are judged by the [`MemBus`] span entry points, which also move
+//! the bytes and charge the counters. So the interpreter still decides every
+//! run over corrupted text, every protection trap (the §3.3 copy-overrun
+//! save included), every illegal address and every watchdog expiry, and
+//! there is nothing to configure. `routines/differential.rs` holds summary
+//! and interpreter equal — result, registers, counters, memory image — over
+//! randomly drawn calls on both sides of every precondition.
 
 use crate::asm::{AsmError, Assembler};
-use crate::interp::{Cpu, RunResult};
-use crate::isa::{DecodeError, Instr, Reg, INSTR_BYTES};
-use rio_mem::{MemBus, PhysMem, Region};
+use crate::interp::{Cpu, Outcome, RunResult};
+use crate::isa::{decompose_addr, DecodeError, Instr, Reg, INSTR_BYTES};
+use rio_mem::{MemBus, PhysMem, Region, PAGE_SIZE};
 use std::sync::Arc;
 
 /// Identifies an installed routine: where it starts and how long it is.
@@ -62,6 +97,10 @@ pub struct RoutineStore {
     /// Written at boot only; shared so that forking a machine does not
     /// copy the directory.
     names: Arc<Vec<(String, RoutineHandle)>>,
+    /// The bytes [`RoutineStore::install`] wrote, from the start of text —
+    /// what text reads as until something corrupts or patches it. Written
+    /// at boot only and shared, like `names`.
+    encoding: Arc<Vec<u8>>,
 }
 
 impl RoutineStore {
@@ -71,6 +110,7 @@ impl RoutineStore {
             text,
             installed: 0,
             names: Arc::default(),
+            encoding: Arc::default(),
         }
     }
 
@@ -112,10 +152,12 @@ impl RoutineStore {
             first_index: self.installed,
             len: code.len() as u64,
         };
-        for (i, instr) in code.iter().enumerate() {
-            let addr = self.instr_addr(handle.first_index + i as u64);
-            bus.mem_mut().write_bytes(addr, &instr.encode());
+        let encoding = Arc::make_mut(&mut self.encoding);
+        for instr in &code {
+            encoding.extend_from_slice(&instr.encode());
         }
+        bus.mem_mut()
+            .write_bytes(self.text.start + offset, &encoding[offset as usize..]);
         self.installed += code.len() as u64;
         Arc::make_mut(&mut self.names).push((name.to_owned(), handle));
         Ok(handle)
@@ -132,6 +174,30 @@ impl RoutineStore {
     /// Installed routines in installation order.
     pub fn routines(&self) -> impl Iterator<Item = (&str, RoutineHandle)> {
         self.names.iter().map(|(n, h)| (n.as_str(), *h))
+    }
+
+    /// Whether every byte of `routine` in simulated text still equals what
+    /// [`RoutineStore::install`] wrote there — no fault, patch or wild store
+    /// has changed it (or one has, and put the same bytes back). A handle
+    /// this store did not install reads as not installed.
+    pub fn reads_as_installed(&self, mem: &PhysMem, routine: RoutineHandle) -> bool {
+        if routine.first_index.saturating_add(routine.len) > self.installed {
+            return false;
+        }
+        let start = routine.first_index * INSTR_BYTES;
+        let mut installed = &self.encoding[start as usize..][..(routine.len * INSTR_BYTES) as usize];
+        // A borrow of simulated memory cannot span two pages.
+        let mut addr = self.text.start + start;
+        while !installed.is_empty() {
+            let n = (PAGE_SIZE - addr as usize % PAGE_SIZE).min(installed.len());
+            let (piece, rest) = installed.split_at(n);
+            if mem.slice(addr, n as u64) != piece {
+                return false;
+            }
+            addr += n as u64;
+            installed = rest;
+        }
+        true
     }
 
     /// Decodes the instruction currently stored at an absolute index
@@ -192,6 +258,11 @@ impl KernelRoutines {
     /// copy that runs into a protected or out-of-bounds page faults on
     /// exactly the same byte, with exactly the same earlier bytes already
     /// written, as the bytewise loop would.
+    ///
+    /// Steps per loop ([`BCOPY_STEPS`]): prologue 4; `align` 9 per byte
+    /// moved (3 to test, 6 to move), leaving in 1 (`bltu` to `tail`) or 3
+    /// (`beq` to `bulk`); `bulk` 21 per 64 bytes; `wide` 7 per word; `tail`
+    /// 7 per byte; each of those three 1 to leave; `halt` 1.
     fn asm_bcopy() -> Assembler {
         let (src, dst, len) = (Reg(1), Reg(2), Reg(3));
         let (data, rem, c8, c64, seven, t) =
@@ -249,6 +320,11 @@ impl KernelRoutines {
     /// `bzero`: zero `r2` bytes at `r1`. Same structure as `bcopy`: aligned
     /// head, 64-byte unrolled bulk, word loop, byte tail — same
     /// fault-on-the-same-byte guarantee.
+    ///
+    /// Steps per loop ([`BZERO_STEPS`]): prologue 3; `align` 7 per byte (3
+    /// to test, 4 to store), leaving in 1 or 3 as in `bcopy`; `bulk` 12 per
+    /// 64 bytes; `wide` 5 per word; `tail` 5 per byte; each of those three
+    /// 1 to leave; `halt` 1.
     fn asm_bzero() -> Assembler {
         let (dst, len) = (Reg(1), Reg(2));
         let (c8, c64, seven, t) = (Reg(13), Reg(14), Reg(10), Reg(15));
@@ -292,6 +368,11 @@ impl KernelRoutines {
     /// `bcmp`: compare `r3` bytes at `r1` and `r2`; `r10 = 0` iff equal.
     /// Word-wide: compares 8 bytes per iteration (loads never need
     /// alignment — only equality matters), byte loop for the tail.
+    ///
+    /// Steps per loop (the `BCMP_*` constants): prologue 2; `wide` and `tail` each 8
+    /// per equal pair (1 to test, 3 to load and compare, 4 to advance), 1 to
+    /// leave, and 4 for the pair that differs (test, two loads, taken
+    /// `bne`); `diff` 1; `halt` 1.
     fn asm_bcmp() -> Assembler {
         let (pa, pb, len, res) = (Reg(1), Reg(2), Reg(3), Reg(10));
         let (da, db, c8) = (Reg(11), Reg(12), Reg(13));
@@ -347,26 +428,287 @@ impl KernelRoutines {
     }
 }
 
-/// Runs `bcopy` with the given physical/KSEG-tagged addresses.
-///
-/// Convenience wrapper used by the kernel; returns the raw [`RunResult`] so
-/// callers can charge CPU time and convert panics into kernel crashes.
-#[allow(clippy::too_many_arguments)] // mirrors the routine's register ABI
-pub fn run_bcopy(
-    cpu: &mut Cpu,
-    bus: &mut MemBus,
-    store: &RoutineStore,
-    routines: &KernelRoutines,
-    src: u64,
-    dst: u64,
-    len: u64,
-    step_limit: u64,
-) -> RunResult {
-    cpu.set_reg(Reg(1), src);
-    cpu.set_reg(Reg(2), dst);
-    cpu.set_reg(Reg(3), len);
-    cpu.run(bus, store, routines.bcopy, step_limit)
+/// Steps the interpreter spends per iteration of each loop of `bcopy` or
+/// `bzero`, as counted on its assembly.
+struct LoopSteps {
+    prologue: u64,
+    /// `align`, per byte.
+    head: u64,
+    /// `bulk`, per 64 bytes.
+    bulk: u64,
+    /// `wide`, per 8 bytes.
+    wide: u64,
+    /// `tail`, per byte.
+    tail: u64,
 }
+
+/// See `asm_bcopy`.
+const BCOPY_STEPS: LoopSteps = LoopSteps { prologue: 4, head: 9, bulk: 21, wide: 7, tail: 7 };
+/// See `asm_bzero`.
+const BZERO_STEPS: LoopSteps = LoopSteps { prologue: 3, head: 7, bulk: 12, wide: 5, tail: 5 };
+
+/// `bcmp`'s steps, see `asm_bcmp`: its prologue; one iteration of `wide` or
+/// `tail` over a pair that is equal; over the pair that differs (test, two
+/// loads, taken `bne`); `diff` and `halt` after that.
+const BCMP_PROLOGUE: u64 = 2;
+const BCMP_EQUAL_PAIR: u64 = 8;
+const BCMP_DIFFERING_PAIR: u64 = 4;
+const BCMP_DIFF_AND_HALT: u64 = 2;
+
+/// What walking `align` → `bulk` → `wide` → `tail` → `halt` over `len`
+/// bytes at `dst` costs and leaves behind (`bcopy` and `bzero` share the
+/// shape and differ in [`LoopSteps`]).
+struct Walk {
+    steps: u64,
+    /// Iterations' worth of bus accesses: one per byte moved in `align` and
+    /// `tail`, one per word in `wide`, eight per `bulk` iteration.
+    accesses: u64,
+    /// `dst & 7` as the last `and` that ran computed it (`r15`); `None` if
+    /// `len < 8`, when `bltu` leaves `align` before the first one.
+    and: Option<u64>,
+    /// Width in bytes of the last access, 0 if there was none.
+    last_width: u64,
+}
+
+impl Walk {
+    /// `len` must not exceed the size of memory (which also keeps the
+    /// arithmetic from overflowing).
+    fn of(k: &LoopSteps, dst: u64, len: u64) -> Walk {
+        let (mut dst, mut rem) = (dst, len);
+        let mut w = Walk { steps: k.prologue, accesses: 0, and: None, last_width: 0 };
+        // `align`: a byte at a time until `dst` is 8-aligned, ≤ 7 times.
+        while rem >= 8 && dst & 7 != 0 {
+            w.and = Some(dst & 7);
+            w.steps += k.head;
+            w.accesses += 1;
+            w.last_width = 1;
+            dst = dst.wrapping_add(1);
+            rem -= 1;
+        }
+        if rem >= 8 {
+            // `bltu` falls through, `and` gives 0, `beq` leaves for `bulk`.
+            w.and = Some(0);
+            w.steps += 3;
+            w.steps += rem / 64 * k.bulk + 1;
+            w.accesses += rem / 64 * 8;
+            rem %= 64;
+            w.steps += rem / 8 * k.wide + 1;
+            w.accesses += rem / 8;
+            rem %= 8;
+            w.last_width = 8;
+        } else {
+            w.steps += 1; // `bltu` leaves for `tail`
+        }
+        w.steps += rem * k.tail + 1;
+        w.accesses += rem;
+        if rem > 0 {
+            w.last_width = 1;
+        }
+        w.steps += 1; // `halt`
+        w
+    }
+
+    /// The scratch registers both routines leave the same way: the three
+    /// constants of the prologue and the last `and`, if one ran.
+    fn leave_scratch(&self, cpu: &mut Cpu) {
+        cpu.set_reg(Reg(10), 7);
+        cpu.set_reg(Reg(13), 8);
+        cpu.set_reg(Reg(14), 64);
+        if let Some(t) = self.and {
+            cpu.set_reg(Reg(15), t);
+        }
+    }
+}
+
+/// A routine's summary: from the argument registers and (a) to the steps it
+/// ran, or `None` — with nothing changed — if (b)–(e) do not all hold.
+type Summary = fn(&mut Cpu, &mut MemBus, u64) -> Option<u64>;
+
+/// The value a load of `width` (1 or 8) bytes at `addr` leaves in a register.
+fn loaded(bus: &MemBus, addr: u64, width: u64) -> u64 {
+    if width == 8 {
+        bus.mem().read_u64(addr)
+    } else {
+        bus.mem().read_u8(addr) as u64
+    }
+}
+
+/// `asm_bcopy` over `(r1, r2, r3)`.
+fn bcopy_summary(cpu: &mut Cpu, bus: &mut MemBus, step_limit: u64) -> Option<u64> {
+    let (src, dst, len) = (cpu.reg(Reg(1)), cpu.reg(Reg(2)), cpu.reg(Reg(3)));
+    if len > bus.mem().len() {
+        return None;
+    }
+    let walk = Walk::of(&BCOPY_STEPS, dst, len);
+    let ((_, src_phys), (kind, dst_phys)) = (decompose_addr(src), decompose_addr(dst));
+    if walk.steps > step_limit || !bus.copy_span(kind, src_phys, dst_phys, len, walk.accesses) {
+        return None;
+    }
+    cpu.set_reg(Reg(1), src.wrapping_add(len));
+    cpu.set_reg(Reg(2), dst.wrapping_add(len));
+    if walk.last_width > 0 {
+        // `data` holds the last load, which ended at the span's last byte.
+        cpu.set_reg(Reg(11), loaded(bus, src_phys + len - walk.last_width, walk.last_width));
+    }
+    cpu.set_reg(Reg(12), 0);
+    walk.leave_scratch(cpu);
+    Some(walk.steps)
+}
+
+/// `asm_bzero` over `(r1, r2)`.
+fn bzero_summary(cpu: &mut Cpu, bus: &mut MemBus, step_limit: u64) -> Option<u64> {
+    let (dst, len) = (cpu.reg(Reg(1)), cpu.reg(Reg(2)));
+    if len > bus.mem().len() {
+        return None;
+    }
+    let walk = Walk::of(&BZERO_STEPS, dst, len);
+    let (kind, dst_phys) = decompose_addr(dst);
+    if walk.steps > step_limit || !bus.fill_span(kind, dst_phys, len, 0, walk.accesses) {
+        return None;
+    }
+    cpu.set_reg(Reg(1), dst.wrapping_add(len));
+    cpu.set_reg(Reg(2), 0);
+    walk.leave_scratch(cpu);
+    Some(walk.steps)
+}
+
+/// `asm_bcmp` over `(r1, r2, r3)`, with (e) judged on the longest walk (see
+/// the module docs).
+fn bcmp_summary(cpu: &mut Cpu, bus: &mut MemBus, step_limit: u64) -> Option<u64> {
+    let (a, b, len) = (cpu.reg(Reg(1)), cpu.reg(Reg(2)), cpu.reg(Reg(3)));
+    if len > bus.mem().len() {
+        return None;
+    }
+    // Equal spans: every pair, 1 step to leave each loop, `halt`.
+    let equal_walk = |pairs: u64| BCMP_PROLOGUE + pairs * BCMP_EQUAL_PAIR + 1 + 1 + 1;
+    if equal_walk(len / 8 + len % 8) > step_limit {
+        return None;
+    }
+    let (a_phys, b_phys) = (decompose_addr(a).1, decompose_addr(b).1);
+    let cmp = bus.compare_spans(a_phys, b_phys, len)?;
+    let pairs = cmp.words + cmp.bytes;
+    let (steps, advanced) = match (cmp.differ, cmp.bytes) {
+        (false, _) => (equal_walk(pairs), len),
+        // A difference found in `wide` leaves without taking either loop's
+        // exit; one found in `tail` has taken `wide`'s.
+        (true, tail_pairs) => (
+            BCMP_PROLOGUE
+                + (pairs - 1) * BCMP_EQUAL_PAIR
+                + u64::from(tail_pairs > 0)
+                + BCMP_DIFFERING_PAIR
+                + BCMP_DIFF_AND_HALT,
+            if tail_pairs > 0 { 8 * cmp.words + cmp.bytes - 1 } else { 8 * (cmp.words - 1) },
+        ),
+    };
+    cpu.set_reg(Reg(1), a.wrapping_add(advanced));
+    cpu.set_reg(Reg(2), b.wrapping_add(advanced));
+    cpu.set_reg(Reg(3), len - advanced);
+    cpu.set_reg(Reg(10), cmp.differ as u64);
+    // `da`, `db`: the last pair loaded, differing or not.
+    let last = match (cmp.words, cmp.bytes) {
+        (0, 0) => None,
+        (words, 0) => Some((8 * (words - 1), 8)),
+        (words, bytes) => Some((8 * words + bytes - 1, 1)),
+    };
+    if let Some((at, width)) = last {
+        cpu.set_reg(Reg(11), loaded(bus, a_phys + at, width));
+        cpu.set_reg(Reg(12), loaded(bus, b_phys + at, width));
+    }
+    cpu.set_reg(Reg(13), 8);
+    Some(steps)
+}
+
+impl KernelRoutines {
+    /// The run of `routine` over the registers as they stand, by `summary`,
+    /// if (a)–(e) hold (module docs); `None`, with nothing changed, if not.
+    fn summarise(
+        cpu: &mut Cpu,
+        bus: &mut MemBus,
+        store: &RoutineStore,
+        routine: RoutineHandle,
+        summary: Summary,
+        step_limit: u64,
+    ) -> Option<RunResult> {
+        if !store.reads_as_installed(bus.mem(), routine) {
+            return None;
+        }
+        let steps = summary(cpu, bus, step_limit)?;
+        cpu.count_steps(steps);
+        Some(RunResult { outcome: Outcome::Done, steps })
+    }
+
+    /// One dispatched call: the summary when it applies, [`Cpu::run`] —
+    /// untouched — when it does not.
+    fn call(
+        cpu: &mut Cpu,
+        bus: &mut MemBus,
+        store: &RoutineStore,
+        routine: RoutineHandle,
+        summary: Summary,
+        step_limit: u64,
+    ) -> RunResult {
+        Self::summarise(cpu, bus, store, routine, summary, step_limit)
+            .unwrap_or_else(|| cpu.run(bus, store, routine, step_limit))
+    }
+
+    /// Runs `bcopy(src, dst, len)`; addresses may carry the KSEG tag.
+    ///
+    /// Returns the raw [`RunResult`] so callers can charge CPU time and
+    /// convert panics into kernel crashes.
+    #[allow(clippy::too_many_arguments)] // mirrors the routine's register ABI
+    pub fn bcopy(
+        &self,
+        cpu: &mut Cpu,
+        bus: &mut MemBus,
+        store: &RoutineStore,
+        src: u64,
+        dst: u64,
+        len: u64,
+        step_limit: u64,
+    ) -> RunResult {
+        cpu.set_reg(Reg(1), src);
+        cpu.set_reg(Reg(2), dst);
+        cpu.set_reg(Reg(3), len);
+        Self::call(cpu, bus, store, self.bcopy, bcopy_summary, step_limit)
+    }
+
+    /// Runs `bzero(dst, len)`; as [`KernelRoutines::bcopy`].
+    pub fn bzero(
+        &self,
+        cpu: &mut Cpu,
+        bus: &mut MemBus,
+        store: &RoutineStore,
+        dst: u64,
+        len: u64,
+        step_limit: u64,
+    ) -> RunResult {
+        cpu.set_reg(Reg(1), dst);
+        cpu.set_reg(Reg(2), len);
+        Self::call(cpu, bus, store, self.bzero, bzero_summary, step_limit)
+    }
+
+    /// Runs `bcmp(a, b, len)`, leaving 0 in `r10` iff the spans are equal;
+    /// as [`KernelRoutines::bcopy`].
+    #[allow(clippy::too_many_arguments)] // mirrors the routine's register ABI
+    pub fn bcmp(
+        &self,
+        cpu: &mut Cpu,
+        bus: &mut MemBus,
+        store: &RoutineStore,
+        a: u64,
+        b: u64,
+        len: u64,
+        step_limit: u64,
+    ) -> RunResult {
+        cpu.set_reg(Reg(1), a);
+        cpu.set_reg(Reg(2), b);
+        cpu.set_reg(Reg(3), len);
+        Self::call(cpu, bus, store, self.bcmp, bcmp_summary, step_limit)
+    }
+}
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {
@@ -378,6 +720,25 @@ mod tests {
         let mut store = RoutineStore::new(bus.layout().text);
         let routines = KernelRoutines::install_all(&mut bus, &mut store).unwrap();
         (bus, store, routines, Cpu::new())
+    }
+
+    /// Interprets `bcopy`: the tests below pin the assembly, which is what
+    /// the summaries are held equal to (`routines/differential.rs`).
+    #[allow(clippy::too_many_arguments)]
+    fn run_bcopy(
+        cpu: &mut Cpu,
+        bus: &mut MemBus,
+        store: &RoutineStore,
+        routines: &KernelRoutines,
+        src: u64,
+        dst: u64,
+        len: u64,
+        step_limit: u64,
+    ) -> RunResult {
+        cpu.set_reg(Reg(1), src);
+        cpu.set_reg(Reg(2), dst);
+        cpu.set_reg(Reg(3), len);
+        cpu.run(bus, store, routines.bcopy, step_limit)
     }
 
     #[test]

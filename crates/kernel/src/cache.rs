@@ -9,7 +9,30 @@
 
 use rio_mem::PageNum;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// Multiply-mix hasher for the index: its keys are block numbers and
+/// `(inode, page)` pairs the kernel itself hands out, so there is nothing to
+/// defend against and SipHash's cost per lookup buys nothing. Fixed, not
+/// seeded — and nothing depends on the map's iteration order
+/// ([`PageCache::keys`] walks the slots).
+#[derive(Debug, Clone, Copy, Default)]
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b as u64));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits, the multiply mixes upwards.
+        self.0 ^ (self.0 >> 32)
+    }
+}
 
 /// What [`PageCache::insert`] displaced, if anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +59,7 @@ struct Slot<K> {
 pub struct PageCache<K> {
     pages: Vec<PageNum>,
     slots: Vec<Slot<K>>,
-    map: HashMap<K, usize>,
+    map: HashMap<K, usize, BuildHasherDefault<MixHasher>>,
     tick: u64,
     dirty_count: usize,
 }
@@ -61,7 +84,7 @@ impl<K: Eq + Hash + Copy> PageCache<K> {
         PageCache {
             pages,
             slots,
-            map: HashMap::new(),
+            map: HashMap::default(),
             tick: 0,
             dirty_count: 0,
         }
@@ -217,9 +240,10 @@ impl<K: Eq + Hash + Copy> PageCache<K> {
         v.into_iter().map(|(_, k)| k).collect()
     }
 
-    /// All cached keys (unordered).
-    pub fn keys(&self) -> Vec<K> {
-        self.map.keys().copied().collect()
+    /// All cached keys, in slot order — the same order in every run, which
+    /// the map's own iteration would not be.
+    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
+        self.slots.iter().filter_map(|s| s.key)
     }
 }
 
@@ -301,6 +325,26 @@ mod tests {
         assert!(c.is_empty());
         let (_, ev) = c.insert(6);
         assert!(ev.is_none(), "slot was free");
+    }
+
+    #[test]
+    fn keys_come_in_slot_order() {
+        let mut c = cache(4);
+        for k in [30, 10, 20] {
+            c.insert(k);
+        }
+        c.remove(10);
+        c.insert(5); // takes the freed slot, between 30 and 20
+        c.lookup(20);
+        assert_eq!(c.keys().collect::<Vec<_>>(), vec![30, 5, 20]);
+        // Pair keys hash through the same mix and behave the same.
+        let mut ubc: PageCache<(u64, u64)> = PageCache::new((0..64).map(PageNum).collect());
+        let keys: Vec<(u64, u64)> = (0..64).map(|i| (i % 4, i / 4)).collect();
+        for &k in &keys {
+            ubc.insert(k);
+        }
+        assert_eq!(ubc.keys().collect::<Vec<_>>(), keys);
+        assert!(keys.iter().all(|&k| ubc.peek(k).is_some()));
     }
 
     #[test]

@@ -197,7 +197,8 @@ impl Machine {
         }
     }
 
-    /// Runs the interpreted `bcopy`, applying the copy-overrun and
+    /// Runs `bcopy` (interpreted, or as its summary when that is provably
+    /// the same — [`rio_cpu::routines`]), applying the copy-overrun and
     /// off-by-one fault hooks to the length. Returns the **effective**
     /// length the routine was asked to copy (post-hooks), which callers use
     /// to track exactly which bytes a (possibly faulty) copy touched.
@@ -214,17 +215,14 @@ impl Machine {
         let effective = self.hooks.bcopy_len(len);
         let limit = effective * 8 + 1_000;
         self.pollute_scratch();
-        self.cpu.set_reg(Reg(1), src);
-        self.cpu.set_reg(Reg(2), dst);
-        self.cpu.set_reg(Reg(3), effective);
         let run = self
-            .cpu
-            .run(&mut self.bus, &self.store, self.routines.bcopy, limit);
+            .routines
+            .bcopy(&mut self.cpu, &mut self.bus, &self.store, src, dst, effective, limit);
         self.finish(run.outcome, run.steps)?;
         Ok(effective)
     }
 
-    /// Runs the interpreted `bzero`.
+    /// Runs `bzero`, as [`Machine::bcopy`] runs `bcopy`.
     ///
     /// # Errors
     ///
@@ -232,15 +230,13 @@ impl Machine {
     pub fn bzero(&mut self, dst: u64, len: u64) -> Result<(), PanicReason> {
         let limit = len * 8 + 1_000;
         self.pollute_scratch();
-        self.cpu.set_reg(Reg(1), dst);
-        self.cpu.set_reg(Reg(2), len);
         let run = self
-            .cpu
-            .run(&mut self.bus, &self.store, self.routines.bzero, limit);
+            .routines
+            .bzero(&mut self.cpu, &mut self.bus, &self.store, dst, len, limit);
         self.finish(run.outcome, run.steps)
     }
 
-    /// Runs the interpreted `bcmp`; `Ok(true)` means equal.
+    /// Runs `bcmp`, as [`Machine::bcopy`] runs `bcopy`; `Ok(true)` means equal.
     ///
     /// # Errors
     ///
@@ -248,12 +244,9 @@ impl Machine {
     pub fn bcmp(&mut self, a: u64, b: u64, len: u64) -> Result<bool, PanicReason> {
         let limit = len * 12 + 1_000;
         self.pollute_scratch();
-        self.cpu.set_reg(Reg(1), a);
-        self.cpu.set_reg(Reg(2), b);
-        self.cpu.set_reg(Reg(3), len);
         let run = self
-            .cpu
-            .run(&mut self.bus, &self.store, self.routines.bcmp, limit);
+            .routines
+            .bcmp(&mut self.cpu, &mut self.bus, &self.store, a, b, len, limit);
         self.finish(run.outcome, run.steps)?;
         Ok(self.cpu.reg(Reg(10)) == 0)
     }
@@ -341,10 +334,65 @@ mod tests {
         m.hooks.copy_overrun = Some(OverrunSpec::new(Cadence::every(1), vec![100]));
         let src = m.bus.layout().heap.start + 4096;
         let dst = kseg_addr(m.bus.layout().ubc.start + 8192 - 50);
+        m.bus.mem_mut().fill(src, 150, 0x77);
+        let stores = m.bus.stats().stores;
         let err = m.bcopy(src, dst, 50).unwrap_err();
-        assert!(err.is_protection_trap(), "got {err:?}");
+        // A span with a protected page in it is the interpreter's: it
+        // stores every byte before the page and traps on the page's first.
+        assert_eq!(
+            err,
+            PanicReason::Mem(rio_mem::MemFault::ProtectionViolation {
+                addr: second.base(),
+                page: second,
+                kseg: true
+            })
+        );
+        assert!(m.bus.mem().slice(second.base() - 50, 50).iter().all(|&b| b == 0x77));
+        assert_eq!(m.bus.stats().stores - stores, 2 + 6 + 1, "2 to align, 6 words, the trapped one");
         // The protected page is untouched.
         assert_eq!(m.bus.mem().read_u8(second.base()), 0);
+    }
+
+    #[test]
+    fn a_flipped_bit_in_live_bcopy_text_sends_the_call_to_the_interpreter() {
+        let mut m = machine();
+        let src = m.bus.layout().heap.start + 16384;
+        let dst = m.bus.layout().ubc.start + 3;
+        m.bus.mem_mut().fill(src, 700, 0x5A);
+        // Pristine text: summarised, so nothing is decoded.
+        m.bcopy(src, dst, 600).unwrap();
+        assert_eq!(m.cpu.decode_misses(), 0);
+
+        // `addi rem, rem, -64` in `bulk` becomes `-63`: still decodes, still
+        // halts, copies more than it was asked to. (Immediate: bytes 4..8.)
+        let at = m.store.instr_addr(m.routines.bcopy.first_index + 4 + 9 + 1 + 16 + 2) + 4;
+        m.bus.mem_mut().flip_bit(at, 0);
+        let mut want = m.clone();
+        want.pollute_scratch();
+        for (r, v) in [(1, src), (2, dst), (3, 600)] {
+            want.cpu.set_reg(Reg(r), v);
+        }
+        let run = want.cpu.run(&mut want.bus, &want.store, want.routines.bcopy, 600 * 8 + 1_000);
+        want.clock.charge_steps(run.steps, false);
+
+        let got = m.bcopy(src, dst, 600);
+        assert_eq!(got.is_ok(), run.is_done(), "{got:?} vs {run:?}");
+        assert!(m.cpu.decode_misses() > 0, "the interpreter ran");
+        assert_eq!(m.cpu.steps(), want.cpu.steps());
+        for r in 0..32 {
+            assert_eq!(m.cpu.reg(Reg(r)), want.cpu.reg(Reg(r)), "r{r}");
+        }
+        assert_eq!(m.bus.stats(), want.bus.stats());
+        assert_eq!(m.clock.now(), want.clock.now());
+        for pn in m.bus.layout().ubc.page_numbers().take(2) {
+            assert!(m.bus.mem().page(pn) == want.bus.mem().page(pn), "{pn}");
+        }
+        // And it is not what the installed routine does.
+        let mut pristine = machine();
+        pristine.bus.mem_mut().fill(src, 700, 0x5A);
+        pristine.bcopy(src, dst, 600).unwrap();
+        pristine.bcopy(src, dst, 600).unwrap();
+        assert_ne!(pristine.cpu.steps(), m.cpu.steps());
     }
 
     #[test]

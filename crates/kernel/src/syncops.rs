@@ -177,7 +177,7 @@ impl Kernel {
     pub fn checkpoint_now(&mut self) -> Result<u64, KernelError> {
         use rio_core::EntryFlags;
         let mut committed = 0u64;
-        let keys = self.ubc.keys();
+        let keys: Vec<(u64, u64)> = self.ubc.keys().collect();
         for key in keys {
             let Some(page) = self.ubc.peek(key) else {
                 continue;

@@ -297,12 +297,7 @@ impl Kernel {
         }
         self.dir_remove(dir, leaf)?;
         // Drop cached pages (and their registry entries).
-        let keys: Vec<(u64, u64)> = self
-            .ubc
-            .keys()
-            .into_iter()
-            .filter(|k| k.0 == ino)
-            .collect();
+        let keys: Vec<(u64, u64)> = self.ubc.keys().filter(|k| k.0 == ino).collect();
         for key in keys {
             if let Some(page) = self.ubc.remove(key) {
                 self.rio_clear_entry(page)?;

@@ -99,6 +99,17 @@ pub struct AccessStats {
     pub kseg_forced: u64,
 }
 
+/// What [`MemBus::compare_spans`] loaded before it stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanCompare {
+    /// 8-byte pairs loaded, the differing one included.
+    pub words: u64,
+    /// Single-byte pairs loaded after them, the differing one included.
+    pub bytes: u64,
+    /// Whether the last pair loaded differed (otherwise the spans are equal).
+    pub differ: bool,
+}
+
 /// Physical memory plus protection state plus access accounting.
 ///
 /// See the [crate-level docs](crate) for an example.
@@ -344,6 +355,92 @@ impl MemBus {
         self.stats.bytes_moved += PAGE_SIZE as u64;
         self.mem.copy_page(src, dst);
         Ok(())
+    }
+
+    /// Whether `stores` word or byte stores by route `kind`, together
+    /// covering exactly `[dst, dst+len)`, would all land: the span is in
+    /// bounds, none of its pages is write-protected on that route, and it
+    /// touches neither kernel text nor `[src, src+len)` (so that no store
+    /// can change what a later fetch or load of the same loop reads). If
+    /// so, charges those stores exactly as [`MemBus::store_u64`] /
+    /// [`MemBus::store_u8`] would one by one.
+    fn admit_span_stores(&mut self, kind: AddrKind, dst: u64, len: u64, src: Option<u64>, stores: u64) -> bool {
+        let disjoint = |start: u64, end: u64| len == 0 || dst + len <= start || end <= dst;
+        let text = self.layout().text;
+        if !self.mem.in_bounds(dst, len)
+            || !disjoint(text.start, text.end)
+            || src.is_some_and(|src| !self.mem.in_bounds(src, len) || !disjoint(src, src + len))
+        {
+            return false;
+        }
+        let checked = self.prot.route_is_checked(kind.is_kseg());
+        if checked && len > 0 {
+            let pages = PageNum::containing(dst).0..=PageNum::containing(dst + len - 1).0;
+            if pages.map(PageNum).any(|pn| self.prot.is_protected(pn)) {
+                return false;
+            }
+        }
+        self.stats.stores += stores;
+        self.stats.bytes_moved += len;
+        if self.prot.mode() == ProtectionMode::CodePatching {
+            self.stats.patch_checks += stores;
+        }
+        if checked && kind.is_kseg() {
+            self.stats.kseg_forced += stores;
+        }
+        true
+    }
+
+    /// A whole copy loop at once: `accesses` loads covering
+    /// `[src, src+len)` and as many stores, by route `kind`, covering
+    /// `[dst, dst+len)`.
+    ///
+    /// Returns `false`, having changed nothing, unless every one of those
+    /// accesses would succeed and none could change what a later one reads:
+    /// both spans in bounds, no destination page write-protected on that
+    /// route, the destination disjoint from the source and from kernel
+    /// text. Otherwise moves the bytes and charges every counter what the
+    /// single accesses would have ([`AccessStats`]), in one step.
+    pub fn copy_span(&mut self, kind: AddrKind, src: u64, dst: u64, len: u64, accesses: u64) -> bool {
+        if !self.admit_span_stores(kind, dst, len, Some(src), accesses) {
+            return false;
+        }
+        self.stats.loads += accesses;
+        self.stats.bytes_moved += len;
+        self.mem.copy_within(src, dst, len);
+        true
+    }
+
+    /// A whole fill loop at once: `stores` stores of `value` bytes by route
+    /// `kind`, covering `[dst, dst+len)`; the store-only half of
+    /// [`MemBus::copy_span`], with the same conditions on the destination.
+    pub fn fill_span(&mut self, kind: AddrKind, dst: u64, len: u64, value: u8, stores: u64) -> bool {
+        if !self.admit_span_stores(kind, dst, len, None, stores) {
+            return false;
+        }
+        self.mem.fill(dst, len, value);
+        true
+    }
+
+    /// A whole compare loop at once: loads `[a, a+len)` and `[b, b+len)`
+    /// in step — a pair of 8-byte words at a time while 8 bytes remain,
+    /// then a pair of bytes at a time — and stops after the first pair
+    /// that differs. Charges the loads it describes.
+    ///
+    /// Returns `None`, having charged nothing, unless both whole spans are
+    /// in bounds (the loop itself would only need the part it reads).
+    pub fn compare_spans(&mut self, a: u64, b: u64, len: u64) -> Option<SpanCompare> {
+        if !self.mem.in_bounds(a, len) || !self.mem.in_bounds(b, len) {
+            return None;
+        }
+        let cmp = match self.mem.first_difference(a, b, len) {
+            Some(at) if at < len & !7 => SpanCompare { words: at / 8 + 1, bytes: 0, differ: true },
+            Some(at) => SpanCompare { words: len / 8, bytes: at % 8 + 1, differ: true },
+            None => SpanCompare { words: len / 8, bytes: len % 8, differ: false },
+        };
+        self.stats.loads += 2 * (cmp.words + cmp.bytes);
+        self.stats.bytes_moved += 2 * (8 * cmp.words + cmp.bytes);
+        Some(cmp)
     }
 
     /// Convenience: CRC32 of a page's current contents.
@@ -704,6 +801,124 @@ mod tests {
                 }
                 if verdict.is_err() && !before.is_empty() {
                     pt_assert_eq!(b.mem().to_vec(addr, len), before);
+                }
+            }
+            Ok(())
+        });
+    }
+
+    /// The span entry points against the single accesses they stand for: a
+    /// span call that answers yes has done exactly what byte-by-byte
+    /// `load_u8`/`store_u8` calls do — bytes, counters — none of which
+    /// fails; one that answers no has changed nothing.
+    #[test]
+    fn span_calls_match_the_single_accesses_they_stand_for() {
+        use rio_det::proptest_lite::{check, Config};
+        use rio_det::{pt_assert, pt_assert_eq};
+
+        let same_image = |a: &MemBus, b: &MemBus| {
+            (0..a.mem().len() / PAGE_SIZE as u64).all(|pn| a.mem().page(PageNum(pn)) == b.mem().page(PageNum(pn)))
+        };
+        check("span_calls_match_single_accesses", Config::with_cases(256), |g| {
+            let mut b = bus();
+            let mode = [ProtectionMode::Off, ProtectionMode::Hardware, ProtectionMode::CodePatching]
+                [g.in_range(0..3usize)];
+            b.protection_mut().set_mode(mode);
+            b.protection_mut().set_kseg_through_tlb(g.bool());
+            let (end, text) = (b.mem().len(), b.layout().text);
+            for _ in 0..4 {
+                b.protection_mut().protect(PageNum(g.in_range(0..end / PAGE_SIZE as u64)));
+            }
+            let len = g.in_range(0..3 * PAGE_SIZE as u64);
+            let place = |g: &mut rio_det::proptest_lite::Gen| match g.in_range(0..4u32) {
+                0 => end - len + g.in_range(0..3u64),
+                1 => text.end - g.in_range(0..=len.min(text.end)),
+                _ => g.in_range(0..end - len),
+            };
+            let (src, dst) = (place(g), place(g));
+            let noise = g.bytes(PAGE_SIZE, PAGE_SIZE);
+            b.mem_mut().write_bytes(src.min(end - noise.len() as u64), &noise);
+            let kind = if g.bool() { AddrKind::Kseg } else { AddrKind::Virtual };
+            let before = b.clone();
+
+            // Byte by byte, as a copy loop (or, with no source, a fill loop).
+            let single = |fill: Option<u8>| {
+                let mut one = before.clone();
+                let ok = (0..len).all(|i| {
+                    let v = match fill {
+                        Some(v) => Ok(v),
+                        None => one.load_u8(AddrKind::Virtual, src + i),
+                    };
+                    v.and_then(|v| one.store_u8(kind, dst + i, v)).is_ok()
+                });
+                (one, ok)
+            };
+            let apart = |a: u64, a_end: u64| len == 0 || dst + len <= a || a_end <= dst;
+
+            let mut span = before.clone();
+            let (one, ok) = single(None);
+            if span.copy_span(kind, src, dst, len, len) {
+                pt_assert!(ok && apart(text.start, text.end) && apart(src, src + len));
+                pt_assert_eq!(span.stats(), one.stats());
+                pt_assert!(same_image(&span, &one));
+            } else {
+                pt_assert!(!ok || !apart(text.start, text.end) || !apart(src, src + len) || len == 0);
+                pt_assert_eq!(span.stats(), before.stats());
+                pt_assert!(same_image(&span, &before));
+            }
+
+            let mut span = before.clone();
+            let (one, ok) = single(Some(0xE7));
+            if span.fill_span(kind, dst, len, 0xE7, len) {
+                pt_assert!(ok && apart(text.start, text.end));
+                pt_assert_eq!(span.stats(), one.stats());
+                pt_assert!(same_image(&span, &one));
+            } else {
+                pt_assert!(!ok || !apart(text.start, text.end) || len == 0);
+                pt_assert_eq!(span.stats(), before.stats());
+                pt_assert!(same_image(&span, &before));
+            }
+
+            // Word pairs, then byte pairs, up to the first that differs.
+            let mut span = before.clone();
+            let mut one = before.clone();
+            if g.bool() && before.mem().in_bounds(src, len) && before.mem().in_bounds(dst, len) {
+                let bytes = before.mem().to_vec(src, len);
+                let flip = len > 0 && g.bool();
+                for bus in [&mut span, &mut one] {
+                    bus.mem_mut().write_bytes(dst, &bytes);
+                    if flip {
+                        bus.mem_mut().flip_bit(dst + len / 2, 0);
+                    }
+                }
+            }
+            let mut want = SpanCompare { words: 0, bytes: 0, differ: false };
+            let mut at = 0;
+            let mut faulted = false;
+            while at < len && !want.differ && !faulted {
+                let pair = if len - at >= 8 {
+                    want.words += 1;
+                    one.load_u64(kind, src + at).and_then(|x| Ok((x, one.load_u64(kind, dst + at)?)))
+                } else {
+                    want.bytes += 1;
+                    one.load_u8(kind, src + at)
+                        .and_then(|x| Ok((x as u64, one.load_u8(kind, dst + at)? as u64)))
+                };
+                at += if len - at >= 8 { 8 } else { 1 };
+                match pair {
+                    Ok((x, y)) => want.differ = x != y,
+                    Err(_) => faulted = true,
+                }
+            }
+            match span.compare_spans(src, dst, len) {
+                Some(got) => {
+                    pt_assert!(!faulted);
+                    pt_assert_eq!(got, want);
+                    pt_assert_eq!(span.stats(), one.stats());
+                }
+                None => {
+                    pt_assert!(!before.mem().in_bounds(src, len) || !before.mem().in_bounds(dst, len));
+                    pt_assert_eq!(span.stats(), before.stats());
                 }
             }
             Ok(())

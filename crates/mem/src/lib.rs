@@ -54,7 +54,7 @@ pub mod page;
 pub mod phys;
 pub mod prot;
 
-pub use bus::{AccessStats, AddrKind, MemBus, MemFault};
+pub use bus::{AccessStats, AddrKind, MemBus, MemFault, SpanCompare};
 pub use checksum::{crc32, crc32_bytewise, crc32_combine, crc32_update, CrcShift};
 pub use layout::{MemConfig, MemLayout, Region};
 pub use page::{PageNum, PAGE_SIZE};

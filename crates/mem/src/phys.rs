@@ -315,6 +315,55 @@ impl PhysMem {
         }
     }
 
+    /// Copies `[src, src+len)` over `[dst, dst+len)` memory to memory (no
+    /// protection check), in pieces that stay inside one page on both
+    /// sides. Each destination page the span reaches ends up private,
+    /// exactly as a store to it would leave it. The spans must
+    /// not overlap: pieces are moved as `memmove` would, which is not what
+    /// an ascending byte copy does to overlapping spans.
+    pub fn copy_within(&mut self, src: u64, dst: u64, len: u64) {
+        let (mut src, mut dst, mut left) = (src, dst, len as usize);
+        while left > 0 {
+            let ((sp, so), (dp, d_off)) = (split(src), split(dst));
+            let n = (PAGE_SIZE - so).min(PAGE_SIZE - d_off).min(left);
+            if n == PAGE_SIZE {
+                // Overwritten whole: a shared page need not be copied first.
+                self.copy_page(PageNum(sp as u64), PageNum(dp as u64));
+            } else if sp == dp {
+                self.pages[sp].page_mut().copy_within(so..so + n, d_off);
+            } else {
+                let (low, high) = self.pages.split_at_mut(sp.max(dp));
+                let (from, to) = if sp < dp {
+                    (&low[sp], &mut high[0])
+                } else {
+                    (&high[0], &mut low[dp])
+                };
+                to.page_mut()[d_off..d_off + n].copy_from_slice(&from.page()[so..so + n]);
+            }
+            src += n as u64;
+            dst += n as u64;
+            left -= n;
+        }
+    }
+
+    /// Offset of the first byte at which `[a, a+len)` and `[b, b+len)`
+    /// differ, or `None` if they are equal; the spans may straddle pages
+    /// and may overlap.
+    pub fn first_difference(&self, a: u64, b: u64, len: u64) -> Option<u64> {
+        let mut at = 0u64;
+        while at < len {
+            let ((ap, ao), (bp, bo)) = (split(a + at), split(b + at));
+            let n = (PAGE_SIZE - ao).min(PAGE_SIZE - bo).min((len - at) as usize);
+            let (x, y) = (&self.pages[ap].page()[ao..ao + n], &self.pages[bp].page()[bo..bo + n]);
+            if x != y {
+                let i = x.iter().zip(y).position(|(p, q)| p != q);
+                return Some(at + i.expect("unequal slices differ somewhere") as u64);
+            }
+            at += n as u64;
+        }
+        None
+    }
+
     /// Flips a single bit — the cell-level corruption primitive used by the
     /// bit-flip fault models (§3.1 of the paper).
     ///
@@ -477,7 +526,7 @@ mod tests {
                 let (mem, mirror) = &mut images[i];
                 let addr = g.in_range(0..total - 8);
                 let boundary = P * g.in_range(1..total / P);
-                match g.in_range(0..13u32) {
+                match g.in_range(0..14u32) {
                     0 => {
                         let v = g.u8();
                         mem.write_u8(addr, v);
@@ -532,7 +581,23 @@ mod tests {
                         );
                     }
                     10 => mem.seal(),
-                    11 if images.len() < 4 => {
+                    // Disjoint spans anywhere, page-straddling included.
+                    11 => {
+                        let (lo, hi, len) = if g.bool() {
+                            let len = g.in_range(0..=(2 * P + 100).min(total / 2));
+                            let lo = g.in_range(0..=total - 2 * len);
+                            (lo, g.in_range(lo + len..=total - len), len)
+                        } else {
+                            // Page to page: whole pages move at once.
+                            let lo = g.in_range(0..2u64);
+                            (lo * P, (lo + 2) * P, g.in_range(0..=(2 - lo) * P))
+                        };
+                        let (src, dst) = if g.bool() { (lo, hi) } else { (hi, lo) };
+                        mem.copy_within(src, dst, len);
+                        mirror.copy_within(src as usize..(src + len) as usize, dst as usize);
+                        pt_assert_eq!(mem.first_difference(src, dst, len), None);
+                    }
+                    12 if images.len() < 4 => {
                         let fork = images[i].clone();
                         images.push(fork);
                     }
@@ -569,6 +634,24 @@ mod tests {
         let mut buf = vec![0u8; data.len()];
         m.copy_out(addr, &mut buf);
         assert_eq!(buf, data);
+    }
+
+    #[test]
+    fn first_difference_finds_the_first_differing_byte_across_pages() {
+        let mut m = mem();
+        let (a, b) = (PAGE_SIZE as u64 - 5, 3 * PAGE_SIZE as u64 + 1);
+        let len = 2 * PAGE_SIZE as u64;
+        m.fill(a, len, 0x6B);
+        m.fill(b, len, 0x6B);
+        assert_eq!(m.first_difference(a, b, len), None);
+        assert_eq!(m.first_difference(a, b, 0), None);
+        for at in [len - 1, PAGE_SIZE as u64 + 4, 5, 0] {
+            m.write_u8(b + at, 0x6C);
+            assert_eq!(m.first_difference(a, b, len), Some(at));
+            assert_eq!(m.first_difference(a, b, at), None);
+        }
+        // A span compared with itself, shifted: overlapping is fine.
+        assert_eq!(m.first_difference(a, a + 1, 100), None);
     }
 
     #[test]

@@ -20,6 +20,20 @@ echo "== repo benchmark: builds against the frozen API surface, and its exactnes
 # change that perturbs a count fails tier-1 too.
 benchmark/check.sh --quick
 
+echo "== campaign outcomes pinned: the simulated result of 13 trials, seeds 1996 and 2026 =="
+# The digest covers every field of every trial's observation (verdict,
+# crash reason and time, damage, protection traps). It was recorded before bcopy/bzero/bcmp gained
+# summaries (crates/cpu/src/routines.rs), so a summary that drifts from
+# the interpreter — or any other change to what a trial simulates — fails
+# here, before it reaches an exhibit. A PR that means to change the
+# simulation updates the two values and says why.
+perf="${CARGO_TARGET_DIR:-benchmark/target}/release/perf"
+for pin in 1996:2765caca46332028 2026:1f14cefe948de1a4; do
+    "$perf" run --workload campaign --seed "${pin%%:*}" --quick \
+        | grep -q "outcome_digest ${pin##*:}" \
+        || { echo "campaign --quick --seed ${pin%%:*}: outcome_digest is not ${pin##*:}" >&2; exit 1; }
+done
+
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -45,7 +59,7 @@ grep -q '95% confidence intervals (Wilson)' "$t1_cp"
 cat "$t1_cp"
 rm -f "$t1_cp" "$t1_cp4" "$t1_sc"
 
-echo "== campaign throughput bench smoke (preparation speedup >= 50x) =="
+echo "== campaign throughput bench smoke (a fork is >= 20x cheaper than a scratch prepare) =="
 cb_json="$(mktemp)"
 RIO_BENCH_TRIALS=1 RIO_BENCH_PREPARES=10 RIO_BENCH_FORKS=200 RIO_BENCH_JSON="$cb_json" \
     cargo run -q --release -p rio-bench --bin campaign_bench
