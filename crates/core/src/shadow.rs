@@ -90,7 +90,10 @@ impl ShadowPool {
     }
 
     /// Finishes an atomic update: repoints the entry back at the original
-    /// buffer (with its new CRC) and returns the shadow to the pool.
+    /// buffer and returns the shadow to the pool. The caller has already
+    /// set `entry.crc` to the CRC of the buffer's new contents — it knows
+    /// what it wrote, so it need not re-hash the page
+    /// ([`Registry::update_crc`] is the whole-page form).
     ///
     /// # Errors
     ///
@@ -106,7 +109,7 @@ impl ShadowPool {
     ) -> Result<(), MemFault> {
         entry.flags = entry.flags.without(EntryFlags::SHADOW);
         entry.offset = 0;
-        registry.update_crc(bus, prot, slot, entry)?;
+        registry.write_entry(bus, prot, slot, entry)?;
         self.free.push(shadow);
         Ok(())
     }
@@ -180,13 +183,17 @@ mod tests {
         })
         .unwrap();
 
-        // End: entry points back, new CRC, shadow freed.
+        // End: entry points back carrying the CRC the caller computed,
+        // shadow freed.
+        entry.crc = crc32(bus.mem().page(orig));
+        assert_ne!(entry.crc, crc, "the write changed the page");
         pool.end_atomic(&mut bus, &mut prot, &registry, slot, &mut entry, shadow)
             .unwrap();
         assert_eq!(pool.available(), 4);
         let fin = registry.read_entry(bus.mem(), slot).unwrap().unwrap();
         assert!(!fin.flags.contains(EntryFlags::SHADOW));
-        assert_eq!(fin.crc, crc32(bus.mem().page(orig)));
+        assert_eq!(fin.offset, 0);
+        assert_eq!(fin.crc, entry.crc, "end_atomic stores the caller's CRC");
     }
 
     #[test]

@@ -11,13 +11,14 @@ use rio_mem::PageNum;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// Multiply-mix hasher for the index: its keys are block numbers and
-/// `(inode, page)` pairs the kernel itself hands out, so there is nothing to
-/// defend against and SipHash's cost per lookup buys nothing. Fixed, not
-/// seeded — and nothing depends on the map's iteration order
-/// ([`PageCache::keys`] walks the slots).
+/// Multiply-mix hasher for the index (and for the sector checksum cache's
+/// page map): the keys are block numbers, page numbers and `(inode, page)`
+/// pairs the kernel itself hands out, so there is nothing to defend against
+/// and SipHash's cost per lookup buys nothing. Fixed, not seeded — and
+/// nothing depends on a map's iteration order ([`PageCache::keys`] walks
+/// the slots).
 #[derive(Debug, Clone, Copy, Default)]
-struct MixHasher(u64);
+pub(crate) struct MixHasher(u64);
 
 impl Hasher for MixHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -228,12 +229,15 @@ impl<K: Eq + Hash + Copy> PageCache<K> {
         Some(self.pages[slot])
     }
 
-    /// All dirty keys, oldest first (write-back order).
+    /// All dirty keys, oldest first (write-back order). The walk over the
+    /// slots ends at the last dirty one — at once when nothing is dirty,
+    /// which is what most `fsync` and update-daemon runs find.
     pub fn dirty_keys(&self) -> Vec<K> {
         let mut v: Vec<(u64, K)> = self
             .slots
             .iter()
             .filter(|s| s.dirty)
+            .take(self.dirty_count)
             .map(|s| (s.stamp, s.key.expect("dirty slot occupied")))
             .collect();
         v.sort_by_key(|&(stamp, _)| stamp);
@@ -315,6 +319,31 @@ mod tests {
         // 3 was dirtied first by stamp order of its slot (insert stamp),
         // but stamps track last touch: 1 inserted first => older stamp.
         assert_eq!(c.dirty_keys(), vec![1, 3]);
+    }
+
+    #[test]
+    fn dirty_keys_skip_interleaved_clean_slots() {
+        let mut c = cache(8);
+        assert!(c.dirty_keys().is_empty(), "nothing cached");
+        for k in 0..8 {
+            c.insert(k);
+        }
+        assert!(c.dirty_keys().is_empty(), "nothing dirty");
+        // Dirty every other slot, then touch them out of slot order so the
+        // stamps, not the slots, decide the order.
+        for k in [6, 2, 4, 0] {
+            c.mark_dirty(k);
+        }
+        for k in [4, 0, 6, 2] {
+            c.lookup(k);
+        }
+        assert_eq!(c.dirty_keys(), vec![4, 0, 6, 2]);
+        // The last dirty slot is found though clean ones follow it, and a
+        // cleaned or evicted one drops out.
+        c.mark_clean(6);
+        c.remove(0);
+        assert_eq!(c.dirty_keys(), vec![4, 2]);
+        assert_eq!(c.dirty_count(), 2);
     }
 
     #[test]

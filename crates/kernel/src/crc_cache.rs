@@ -1,33 +1,53 @@
-//! The sector checksum cache: O(dirty) registry CRCs for the write path.
+//! The sector checksum cache: registry CRCs at the cost of what changed.
 //!
 //! §3.2 keeps "a checksum of each memory block in the file cache", and the
 //! seed implementation recomputed it over the page's full valid prefix on
 //! every write — up to 8 KB of hashing for a 100-byte store. This cache
-//! holds the CRC of each full 512-byte *sector* of a UBC page; a write
-//! invalidates only the sectors its copy actually touched
-//! ([`SectorCrcCache::note_write`]), and the page CRC is then spliced from
-//! the sector CRCs with one fixed GF(2) shift operator plus a direct CRC of
-//! the partial tail ([`SectorCrcCache::prefix_crc`]). CRC linearity makes
-//! the spliced value bit-identical to `crc32(&page[..valid])`.
+//! holds the CRC of each full 512-byte *sector* of a file-cache page; a
+//! write invalidates only the sectors it touched, and the page CRC is then
+//! spliced from the sector CRCs with one tabulated GF(2) shift
+//! ([`rio_mem::crc32_append_sector`]) plus a direct CRC of the partial tail
+//! ([`SectorCrcCache::prefix_crc`]). CRC linearity makes the spliced value
+//! bit-identical to `crc32(&page[..valid])` *of whatever the cached sector
+//! CRCs describe* — and what they describe is decided by who feeds the
+//! cache. Every page of the file cache goes through this one cache; the two
+//! kinds of page feed it differently, and so differ in what a wild store
+//! does to the CRC the registry ends up holding:
 //!
-//! The cache is **host-side volatile state**: it mirrors what the last
-//! *legitimate* writes put in memory and dies with the kernel at a crash.
-//! An injected wild store that scribbles a cached sector leaves the derived
-//! registry CRC describing the legitimate contents — so the warm-reboot
-//! scanner's comparison against actual memory detects the corruption. (The
-//! seed's recompute-from-memory path would instead absorb the scribble into
-//! the next write's checksum and silently recover corrupt data.)
+//! | | UBC (file data) | buffer cache (metadata) |
+//! |---|---|---|
+//! | fed by | [`SectorCrcCache::note_write`]: the span each legitimate `bcopy` reported writing | [`SectorCrcCache::note_sectors`] with [`PhysMem::take_written`]: every sector *any* store touched since the last derivation |
+//! | the cache is | a mirror of the legitimate writes | a memo of memory |
+//! | a wild store into a cached sector | is **detected**: the derived CRC keeps describing the legitimate contents, so the warm reboot's comparison against memory fails | is **absorbed**: the next commit re-hashes the sector and the registry CRC equals `crc32(page)` as memory holds it |
+//! | which is | what the seed's recompute-from-memory did *not* do (it absorbed) — changed on purpose when the cache was introduced | exactly what `Registry::update_crc` over the whole page did, bit for bit, at a sixteenth of the hashing for an inode update |
+//!
+//! So a scribbled metadata page is caught at warm reboot only until its
+//! next update: up to then it mismatches the CRC registered before the
+//! scribble; the update's commit then checksums the scribble in. Whether
+//! metadata should *detect* instead — feed from the `fc_store` span alone,
+//! like the UBC — is an open question (ROADMAP 5b): it would move Table 1
+//! cells, so it belongs to a change that means to move them.
+//!
+//! `take_written` has exactly one consumer, the metadata column above
+//! (`Kernel::meta_page_crc`). Draining a UBC page's bits anywhere would be
+//! harmless to this cache but a second consumer of a metadata page's bits
+//! would make this one miss stores — keep it one.
+//!
+//! The cache is **host-side volatile state** and dies with the kernel at a
+//! crash; a warm reboot starts with an empty one.
 
-use rio_mem::{crc32, crc32_update, CrcShift, PageNum, PhysMem, PAGE_SIZE};
+use crate::cache::MixHasher;
+use rio_mem::{crc32, crc32_append_sector, crc32_update, sector_mask, PageNum, PhysMem, PAGE_SIZE};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Checksum granularity. 16 sectors per 8 KB page.
-pub const SECTOR_BYTES: usize = 512;
+pub use rio_mem::SECTOR_BYTES;
 /// Sectors per page.
 pub const SECTORS_PER_PAGE: usize = PAGE_SIZE / SECTOR_BYTES;
 
 /// Per-page cached sector CRCs; a mask bit set means that sector's CRC is
-/// current with respect to the last legitimate write.
+/// current with respect to everything the cache has been told.
 #[derive(Debug, Clone)]
 struct PageSectors {
     crcs: [u32; SECTORS_PER_PAGE],
@@ -43,8 +63,8 @@ impl PageSectors {
 /// See module docs.
 #[derive(Debug, Clone)]
 pub struct SectorCrcCache {
-    pages: HashMap<PageNum, PageSectors>,
-    shift_sector: CrcShift,
+    /// Never iterated; keyed by page numbers the kernel hands out.
+    pages: HashMap<PageNum, PageSectors, BuildHasherDefault<MixHasher>>,
     /// Sector recomputations avoided (full sectors served from cache).
     pub sectors_cached: u64,
     /// Sector CRCs recomputed from memory.
@@ -55,8 +75,7 @@ impl SectorCrcCache {
     /// An empty cache (built once per kernel boot).
     pub fn new() -> Self {
         SectorCrcCache {
-            pages: HashMap::new(),
-            shift_sector: CrcShift::for_len(SECTOR_BYTES as u64),
+            pages: HashMap::default(),
             sectors_cached: 0,
             sectors_recomputed: 0,
         }
@@ -65,15 +84,17 @@ impl SectorCrcCache {
     /// Records that `page[start..end)` was just written through a legitimate
     /// path: the overlapped sectors' cached CRCs are stale.
     pub fn note_write(&mut self, page: PageNum, start: usize, end: usize) {
-        if start >= end {
-            return;
-        }
         let end = end.min(PAGE_SIZE);
-        let first = start / SECTOR_BYTES;
-        let last = (end - 1) / SECTOR_BYTES;
-        let entry = self.pages.entry(page).or_insert_with(PageSectors::empty);
-        for s in first..=last {
-            entry.valid_mask &= !(1u16 << s);
+        self.note_sectors(page, sector_mask(start, end.saturating_sub(start)));
+    }
+
+    /// Records that the sectors in `written` (bit `s` = sector `s`, the
+    /// shape of [`PhysMem::take_written`]) may no longer hold what was
+    /// hashed: their cached CRCs are stale.
+    pub fn note_sectors(&mut self, page: PageNum, written: u16) {
+        // No entry means nothing cached, hence nothing to make stale.
+        if let Some(entry) = self.pages.get_mut(&page) {
+            entry.valid_mask &= !written;
         }
     }
 
@@ -100,7 +121,7 @@ impl SectorCrcCache {
             } else {
                 self.sectors_cached += 1;
             }
-            crc = self.shift_sector.apply(crc) ^ entry.crcs[s];
+            crc = crc32_append_sector(crc, entry.crcs[s]);
         }
         // Partial tail: append directly to the finalized prefix CRC — for
         // under one sector of bytes that is cheaper than a matrix build.
@@ -173,6 +194,53 @@ mod tests {
         assert_eq!(cache.sectors_recomputed, 17, "exactly one sector re-hashed");
         assert_ne!(updated, full);
         assert_eq!(updated, crc32(bus.mem().page(page)));
+    }
+
+    #[test]
+    fn fed_the_written_log_the_cache_is_a_memo_of_memory() {
+        // The metadata discipline: no `note_write`; before each derivation
+        // the cache is told what `take_written` saw — so any store at all,
+        // wild ones included, is re-hashed (absorbed), and nothing else is.
+        let mut bus = MemBus::new(MemConfig::small());
+        let page = PageNum::containing(bus.layout().buffer_cache.start);
+        bus.mem_mut().fill(page.base(), PAGE_SIZE as u64, 0x42);
+        let mut cache = SectorCrcCache::new();
+        let mut derive = |bus: &mut MemBus| {
+            let written = bus.mem_mut().take_written(page);
+            cache.note_sectors(page, written);
+            let crc = cache.prefix_crc(bus.mem(), page, PAGE_SIZE as u32);
+            assert_eq!(crc, rio_mem::crc32_bytewise(bus.mem().page(page)));
+            cache.sectors_recomputed
+        };
+        assert_eq!(derive(&mut bus), 16, "cold: every sector");
+        assert_eq!(derive(&mut bus), 16, "nothing stored: nothing re-hashed");
+        bus.mem_mut().flip_bit(page.base() + 2000, 3); // sector 3
+        bus.mem_mut().write_u64(page.base() + 7 * 512 - 4, 7); // sectors 6 and 7
+        assert_eq!(derive(&mut bus), 19, "exactly the three sectors stored to");
+        // A store into a neighbour is not this page's.
+        bus.mem_mut().write_u8(page.base() + PAGE_SIZE as u64, 1);
+        assert_eq!(derive(&mut bus), 19);
+    }
+
+    #[test]
+    fn note_sectors_makes_exactly_the_named_sectors_stale() {
+        let mut bus = MemBus::new(MemConfig::small());
+        let page = ubc_page(&bus);
+        let mut cache = SectorCrcCache::new();
+        cache.note_sectors(page, 0xFFFF); // nothing cached yet: nothing to do
+        let before = cache.prefix_crc(bus.mem(), page, PAGE_SIZE as u32);
+        assert_eq!((cache.sectors_recomputed, cache.sectors_cached), (16, 0));
+        cache.note_sectors(page, 0);
+        cache.note_sectors(page, 1 << 0 | 1 << 9 | 1 << 15);
+        assert_eq!(cache.prefix_crc(bus.mem(), page, PAGE_SIZE as u32), before);
+        assert_eq!((cache.sectors_recomputed, cache.sectors_cached), (19, 13));
+        // `note_write` names sectors by byte span, ends included.
+        cache.note_write(page, 511, 1025);
+        cache.note_write(page, 8191, 9000);
+        cache.note_write(page, 700, 700);
+        bus.mem_mut().fill(page.base() + 511, 514, 1);
+        assert_ne!(cache.prefix_crc(bus.mem(), page, PAGE_SIZE as u32), before);
+        assert_eq!(cache.sectors_recomputed, 19 + 4, "sectors 0, 1, 2 and 15");
     }
 
     #[test]

@@ -95,22 +95,24 @@ impl Kernel {
         }
         let valid = Self::valid_bytes(inode.size, pidx);
         self.ubc.set_valid(key, valid);
-        // Fresh contents in a (possibly reused) frame: any cached sector
-        // CRCs for it are for the previous tenant.
-        self.crc_cache.invalidate_page(page);
-        let crc = self.page_crc_prefix(page, valid);
-        self.rio_write_entry(
-            page,
-            &RegistryEntry {
-                flags: EntryFlags::VALID,
-                phys_page: page.0 as u32,
-                dev: 1,
-                ino,
-                offset: pidx * PAGE_SIZE as u64,
-                size: valid,
-                crc,
-            },
-        )?;
+        if self.rio.is_some() {
+            // Fresh contents in a (possibly reused) frame: any cached
+            // sector CRCs for it are for the previous tenant.
+            self.crc_cache.invalidate_page(page);
+            let crc = self.page_crc_prefix(page, valid);
+            self.rio_write_entry(
+                page,
+                &RegistryEntry {
+                    flags: EntryFlags::VALID,
+                    phys_page: page.0 as u32,
+                    dev: 1,
+                    ino,
+                    offset: pidx * PAGE_SIZE as u64,
+                    size: valid,
+                    crc,
+                },
+            )?;
+        }
         Ok(page)
     }
 
@@ -331,16 +333,6 @@ impl Kernel {
                 rio.prot.window_close(&mut self.machine.bus, page);
             }
             let effective = res.map_err(|e| self.die(e))?;
-            // Sector cache: exactly the bytes the (possibly hook-extended)
-            // copy touched in this page are now stale. An overrun past the
-            // page end lands in a page whose cache is *not* told — so its
-            // derived CRC keeps describing the legitimate contents and the
-            // warm-reboot scan flags the damage.
-            self.crc_cache.note_write(
-                page,
-                in_page,
-                (in_page + effective as usize).min(PAGE_SIZE),
-            );
             self.machine.clock.charge_page_op();
 
             // Registry: record the new contents, clear CHANGING.
@@ -351,6 +343,17 @@ impl Kernel {
             self.ubc.set_valid(key, new_valid);
             self.ubc.mark_dirty(key);
             if let Some(e) = entry.as_mut() {
+                // Sector cache: exactly the bytes the (possibly
+                // hook-extended) copy touched in this page are now stale.
+                // An overrun past the page end lands in a page whose cache
+                // is *not* told — so its derived CRC keeps describing the
+                // legitimate contents and the warm-reboot scan flags the
+                // damage.
+                self.crc_cache.note_write(
+                    page,
+                    in_page,
+                    (in_page + effective as usize).min(PAGE_SIZE),
+                );
                 if self.policy.checkpoint_interval.is_some() {
                     // Phoenix mode ([Gait90]): the page stays CHANGING —
                     // unrecoverable — until the next checkpoint walks it.

@@ -209,20 +209,34 @@ impl Kernel {
             self.fc_store(page, page.base(), &data)?;
         }
         // Register the (clean) resident block.
-        let crc = self.machine.bus.page_crc(page);
-        self.rio_write_entry(
-            page,
-            &RegistryEntry {
-                flags: EntryFlags::VALID | EntryFlags::METADATA,
-                phys_page: page.0 as u32,
-                dev: 1,
-                ino: block,
-                offset: 0,
-                size: PAGE_SIZE as u32,
-                crc,
-            },
-        )?;
+        if self.rio.is_some() {
+            let crc = self.meta_page_crc(page, PAGE_SIZE as u32);
+            self.rio_write_entry(
+                page,
+                &RegistryEntry {
+                    flags: EntryFlags::VALID | EntryFlags::METADATA,
+                    phys_page: page.0 as u32,
+                    dev: 1,
+                    ino: block,
+                    offset: 0,
+                    size: PAGE_SIZE as u32,
+                    crc,
+                },
+            )?;
+        }
         Ok(page)
+    }
+
+    /// CRC of a metadata page's first `valid` bytes *as memory holds them
+    /// now*, re-hashing only the sectors some store has touched since the
+    /// page's CRC was last derived: the sector cache, told what the
+    /// written-sector log saw (`crc_cache` module docs, metadata column).
+    /// The one consumer of [`rio_mem::PhysMem::take_written`].
+    fn meta_page_crc(&mut self, page: PageNum, valid: u32) -> u32 {
+        let written = self.machine.bus.mem_mut().take_written(page);
+        self.crc_cache.note_sectors(page, written);
+        self.crc_cache
+            .prefix_crc(self.machine.bus.mem(), page, valid)
     }
 
     /// The single funnel for metadata mutation: updates `bytes` at `off`
@@ -317,6 +331,7 @@ impl Kernel {
         self.fc_store(page, page.base() + off as u64, bytes)?;
 
         if let Some((slot, mut entry, shadow)) = shadow_ctx {
+            entry.crc = self.meta_page_crc(page, entry.size);
             let rio = self.rio.as_mut().expect("rio checked");
             let committed_shadow = shadow.is_some();
             let res = match shadow {
@@ -328,10 +343,11 @@ impl Kernel {
                     &mut entry,
                     sh,
                 ),
-                // Pool exhausted: non-atomic fallback, still re-CRC.
-                None => rio
-                    .registry
-                    .update_crc(&mut self.machine.bus, &mut rio.prot, slot, &mut entry),
+                // Pool exhausted: non-atomic fallback, still the new CRC.
+                None => {
+                    rio.registry
+                        .write_entry(&mut self.machine.bus, &mut rio.prot, slot, &entry)
+                }
             };
             res.map_err(|f| self.die(PanicReason::Mem(f)))?;
             if committed_shadow {
@@ -810,5 +826,127 @@ impl Kernel {
         let leaf = components.last().expect("non-empty").clone();
         let target = self.dir_lookup(dir, &leaf)?.map(|(ino, _, _)| ino);
         Ok((dir, leaf, target))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kernel::KernelConfig;
+    use crate::policy::Policy;
+    use rio_core::{RioMode, ShadowPool};
+    use rio_det::proptest_lite::{check, Config, Gen};
+    use rio_det::{pt_assert, pt_assert_eq};
+    use rio_mem::crc32_bytewise;
+
+    /// One store the kernel's metadata path never hears about, into `page`
+    /// (a resident metadata buffer) or the shadow pool.
+    fn wild_store(g: &mut Gen, k: &mut Kernel, page: PageNum) {
+        let at = g.in_range(0..PAGE_SIZE as u64 - 8);
+        let m = &mut k.machine;
+        let rio = k.rio.as_mut().expect("rio kernel");
+        // The first buffer has no buffer below it to overrun from.
+        let kinds = if page.base() == m.bus.layout().buffer_cache.start {
+            3u32
+        } else {
+            4
+        };
+        match g.in_range(0..kinds) {
+            // Electrical: no bus, no window.
+            0 => m
+                .bus
+                .mem_mut()
+                .flip_bit(page.base() + at, g.in_range(0..8u8)),
+            // A bus store that finds the window open.
+            1 => {
+                let v = g.u64();
+                rio.prot
+                    .with_window(&mut m.bus, page, |bus| {
+                        bus.store_u64(AddrKind::Virtual, page.base() + at, v)
+                    })
+                    .expect("window open");
+            }
+            // A scribble on a shadow page: not this page's business.
+            2 => {
+                let Some(&shadow) = rio.shadows.reserved_pages().first() else {
+                    return;
+                };
+                m.bus.mem_mut().write_u64(shadow.base() + at, g.u64());
+            }
+            // A bcopy into the buffer below that runs over into this one.
+            _ => {
+                let below = PageNum(page.0 - 1);
+                let (over, src) = (g.in_range(1..700u64), m.bus.layout().heap.start);
+                rio.prot.window_open(&mut m.bus, below);
+                rio.prot.window_open(&mut m.bus, page);
+                m.bcopy(src, page.base() - 40, 40 + over)
+                    .expect("both windows open");
+                rio.prot.window_close(&mut m.bus, page);
+                rio.prot.window_close(&mut m.bus, below);
+            }
+        }
+    }
+
+    /// After every registration and every commit the registry holds the CRC
+    /// of the page *as memory holds it* — what `Registry::update_crc` over
+    /// the whole page stored — whatever wild stores came in between, on the
+    /// shadow route and on the pool-exhausted one, across frame reuse.
+    #[test]
+    fn registry_crc_of_a_metadata_page_is_the_crc_of_memory() {
+        check("registry_crc_is_crc_of_memory", Config::with_cases(48), |g| {
+            let mode = if g.bool() {
+                RioMode::Protected
+            } else {
+                RioMode::Unprotected
+            };
+            let mut k = Kernel::mkfs_and_mount(&KernelConfig::small(Policy::rio(mode)))
+                .expect("fresh kernel");
+            let exhausted = g.bool();
+            if exhausted {
+                let layout = *k.machine.bus.layout();
+                k.rio.as_mut().expect("rio kernel").shadows = ShadowPool::new(&layout, 0);
+            }
+            // More blocks than the buffer cache has frames, all made
+            // resident once, so the updates below keep evicting.
+            let blocks: Vec<u64> = (0..k.bufcache.capacity() as u64 + 6)
+                .map(|i| k.geometry.data_start + i)
+                .collect();
+            for &b in &blocks {
+                k.bget(b, true).expect("bget");
+            }
+            let registered = |k: &mut Kernel, page: PageNum| {
+                let entry = k
+                    .rio_read_entry(page)
+                    .expect("readable")
+                    .expect("registered");
+                (entry, crc32_bytewise(k.machine.bus.mem().page(page)))
+            };
+            let mut commits = 0;
+            for _ in 0..g.len_between(4, 48) {
+                let block = blocks[g.in_range(0..blocks.len())];
+                if let Some(page) = k.bufcache.peek(block) {
+                    for _ in 0..g.in_range(0..4u32) {
+                        wild_store(g, &mut k, page);
+                    }
+                } else if g.bool() {
+                    // Registration alone, into a reused frame.
+                    let page = k.bget(block, g.bool()).expect("bget");
+                    let (entry, crc) = registered(&mut k, page);
+                    pt_assert_eq!(entry.crc, crc);
+                    continue;
+                }
+                let off = g.in_range(0..BLOCK_SIZE);
+                let bytes = g.bytes(1, (BLOCK_SIZE - off).min(700));
+                k.meta_update(block, off, &bytes).expect("meta_update");
+                commits += 1;
+                let page = k.bufcache.peek(block).expect("just updated");
+                let (entry, crc) = registered(&mut k, page);
+                pt_assert_eq!(entry.crc, crc);
+                pt_assert!(!entry.flags.contains(EntryFlags::SHADOW));
+                pt_assert!(entry.flags.contains(EntryFlags::DIRTY));
+            }
+            pt_assert_eq!(k.stats.shadow_commits, if exhausted { 0 } else { commits });
+            Ok(())
+        });
     }
 }

@@ -25,7 +25,7 @@
 //!   this to derive a page's registry CRC from per-sector CRCs — identical
 //!   values, O(dirty sectors) work per write instead of O(valid bytes).
 
-use crate::page::PAGE_SIZE;
+use crate::page::{PAGE_SIZE, SECTOR_BYTES};
 use std::sync::OnceLock;
 
 const POLY: u32 = 0xEDB8_8320;
@@ -65,14 +65,12 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
 
-/// The sector length that, with [`PAGE_SIZE`], takes the four-lane path.
-const SECTOR_BYTES: usize = 512;
-
 /// Streaming form: feed chunks through repeated calls, starting from
 /// `0xFFFF_FFFF` and XOR-finalizing with `0xFFFF_FFFF`.
 ///
 /// Folds 8 bytes per iteration (slice-by-8), in four interleaved lanes
-/// when `data` is exactly a page or a sector; bit-identical to
+/// when `data` is exactly a page or a sector ([`PAGE_SIZE`],
+/// [`SECTOR_BYTES`]); bit-identical to
 /// [`crc32_bytewise`] on every input.
 pub fn crc32_update(state: u32, data: &[u8]) -> u32 {
     match data.len() {
@@ -164,10 +162,12 @@ impl Splice {
     }
 }
 
-/// The lane splices of the two four-lane shapes.
+/// The lane splices of the two four-lane shapes, and the splice across one
+/// whole sector ([`crc32_append_sector`]).
 struct Splices {
     page: Splice,
     sector: Splice,
+    whole_sector: Splice,
 }
 
 fn splices() -> &'static Splices {
@@ -175,7 +175,18 @@ fn splices() -> &'static Splices {
     SPLICES.get_or_init(|| Splices {
         page: Splice::for_len(PAGE_SIZE / 4),
         sector: Splice::for_len(SECTOR_BYTES / 4),
+        whole_sector: Splice::for_len(SECTOR_BYTES),
     })
+}
+
+/// `crc32(A ∥ S)` from `crc_a = crc32(A)` and `crc_sector = crc32(S)` for a
+/// sector `S` of [`SECTOR_BYTES`] bytes: [`crc32_combine`] at the one length
+/// the kernel's sector checksum cache splices at, with the shift tabulated
+/// per byte of the CRC — four lookups where [`CrcShift::apply`] takes up to
+/// 32 steps.
+#[inline]
+pub fn crc32_append_sector(crc_a: u32, crc_sector: u32) -> u32 {
+    splices().whole_sector.apply(crc_a) ^ crc_sector
 }
 
 /// The classic byte-at-a-time CRC32 — the reference implementation the
@@ -404,6 +415,35 @@ mod tests {
             crc32_combine(crc32(&a), crc32(&b), 512),
             crc32(&joined)
         );
+    }
+
+    #[test]
+    fn tabulated_sector_append_equals_the_matrix_shift() {
+        use rio_det::DetRng;
+        let shift = CrcShift::for_len(SECTOR_BYTES as u64);
+        let mut rng = DetRng::seed_from_u64(0x5EC7);
+        let mut probes = vec![0u32, 1, 0x8000_0000, u32::MAX];
+        probes.extend((0..1000).map(|_| rng.next_u32()));
+        for a in probes {
+            let b = rng.next_u32();
+            assert_eq!(
+                crc32_append_sector(a, b),
+                shift.apply(a) ^ b,
+                "{a:#x} {b:#x}"
+            );
+        }
+        // And on data: a prefix of any length, then one sector.
+        let data: Vec<u8> = (0..2000u32)
+            .map(|i| (i.wrapping_mul(193) >> 3) as u8)
+            .collect();
+        for cut in [0, 1, 7, 512, 1000, 2000 - SECTOR_BYTES] {
+            let (a, s) = (&data[..cut], &data[cut..cut + SECTOR_BYTES]);
+            assert_eq!(
+                crc32_append_sector(crc32(a), crc32(s)),
+                crc32_bytewise(&data[..cut + SECTOR_BYTES]),
+                "cut {cut}"
+            );
+        }
     }
 
     #[test]

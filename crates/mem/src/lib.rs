@@ -55,8 +55,10 @@ pub mod phys;
 pub mod prot;
 
 pub use bus::{AccessStats, AddrKind, MemBus, MemFault, SpanCompare};
-pub use checksum::{crc32, crc32_bytewise, crc32_combine, crc32_update, CrcShift};
+pub use checksum::{
+    crc32, crc32_append_sector, crc32_bytewise, crc32_combine, crc32_update, CrcShift,
+};
 pub use layout::{MemConfig, MemLayout, Region};
-pub use page::{PageNum, PAGE_SIZE};
+pub use page::{sector_mask, PageNum, PAGE_SIZE, SECTOR_BYTES};
 pub use phys::PhysMem;
 pub use prot::{ProtectionMode, ProtectionTable};

@@ -7,6 +7,26 @@
 /// Size of a physical page in bytes (8 KB, as on the DEC Alpha 21064).
 pub const PAGE_SIZE: usize = 8192;
 
+/// Size of a checksum sector in bytes: the grain of [`PhysMem`]'s
+/// written-sector log, of the four-lane CRC path and of the kernel's sector
+/// checksum cache. 16 sectors per page.
+///
+/// [`PhysMem`]: crate::phys::PhysMem
+pub const SECTOR_BYTES: usize = 512;
+const _: () = assert!(PAGE_SIZE / SECTOR_BYTES == u16::BITS as usize);
+
+/// The sectors of a page that bytes `[off, off+n)` of it overlap, one bit
+/// per sector (bit `s` = sector `s`); `off + n <= PAGE_SIZE`. The shape of
+/// `PhysMem::take_written` and of the kernel's `note_sectors`.
+#[inline]
+pub fn sector_mask(off: usize, n: usize) -> u16 {
+    if n == 0 {
+        return 0;
+    }
+    let (first, last) = (off / SECTOR_BYTES, (off + n - 1) / SECTOR_BYTES);
+    ((2u32 << last) - (1u32 << first)) as u16
+}
+
 /// A physical page number.
 ///
 /// Newtype so page numbers cannot be confused with byte addresses

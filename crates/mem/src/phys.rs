@@ -41,9 +41,31 @@
 //! instructions are 8-byte-aligned); byte-range readers that may straddle a
 //! boundary use the copying accessors [`PhysMem::copy_out`] /
 //! [`PhysMem::to_vec`] instead.
+//!
+//! # Written-sector log
+//!
+//! Beside the pages the image keeps one `u16` per page, a bit per 512-byte
+//! sector ([`SECTOR_BYTES`](crate::page::SECTOR_BYTES)). Every mutator —
+//! `write_u8`, `write_u64`, `slice_mut`, `write_bytes`, `page_mut`,
+//! `flip_bit`, `fill`, `copy_page`, `copy_within` — sets the bits of the
+//! sectors its span covers before it hands out or writes the bytes, so
+//! the log sees every store whoever made it: kernel, interpreter, routine
+//! summary, fault injector. A set bit means "may differ from when the log
+//! was last taken" (a store of the same value still marks); a clear bit
+//! means "byte-identical". The log is part of the image: a clone carries
+//! its parent's bits, so a fork of a checkpoint owes the same re-hashing
+//! the checkpoint did.
+//!
+//! The log has **one consumer**. [`PhysMem::take_written`] drains, and the
+//! kernel's registry CRC of a metadata page (`Kernel::meta_page_crc`) is
+//! correct only because nothing else drains the pages it memoises: a
+//! second taker would swallow bits the kernel never sees, and later
+//! commits would store a CRC that misses those stores with nothing
+//! failing. Anything else that wants to look — a debug tool, a recovery
+//! scanner, a test helper — uses the non-draining [`PhysMem::written`].
 
 use crate::layout::{MemConfig, MemLayout};
-use crate::page::{PageNum, PAGE_SIZE};
+use crate::page::{sector_mask, PageNum, PAGE_SIZE};
 use std::sync::Arc;
 
 /// One page of simulated DRAM.
@@ -107,6 +129,8 @@ impl Clone for Slot {
 pub struct PhysMem {
     layout: MemLayout,
     pages: Vec<Slot>,
+    /// The written-sector log (module docs): per page, a bit per sector.
+    written: Vec<u16>,
 }
 
 /// Splits a byte address into (page index, offset within page).
@@ -128,7 +152,36 @@ impl PhysMem {
         PhysMem {
             layout,
             pages: vec![zero; num_pages],
+            written: vec![0; num_pages],
         }
+    }
+
+    /// `[off, off+n)` of page `pi` for writing, logged as written.
+    #[inline]
+    fn span_mut(&mut self, pi: usize, off: usize, n: usize) -> &mut [u8] {
+        self.written[pi] |= sector_mask(off, n);
+        &mut self.pages[pi].page_mut()[off..off + n]
+    }
+
+    /// The sectors of page `pn` written since the log was last taken
+    /// (bit `s` = sector `s`), without clearing them. A set bit means
+    /// "may differ", a clear bit means "byte-identical".
+    #[inline]
+    pub fn written(&self, pn: PageNum) -> u16 {
+        self.written[pn.0 as usize]
+    }
+
+    /// [`PhysMem::written`], clearing the bits it returns.
+    ///
+    /// **Destructive, single consumer** (module docs, "Written-sector
+    /// log"): the kernel's `meta_page_crc` is the one caller, and its
+    /// stored registry CRCs are right only while it stays the one. Taking
+    /// a resident file-cache page's bits anywhere else hides those stores
+    /// from the kernel for good; to look without owning the log, call
+    /// [`PhysMem::written`].
+    #[inline]
+    pub fn take_written(&mut self, pn: PageNum) -> u16 {
+        std::mem::take(&mut self.written[pn.0 as usize])
     }
 
     /// Makes every private page shareable, so that clones of this image
@@ -177,7 +230,7 @@ impl PhysMem {
     #[inline]
     pub fn write_u8(&mut self, addr: u64, value: u8) {
         let (pi, off) = split(addr);
-        self.pages[pi].page_mut()[off] = value;
+        self.span_mut(pi, off, 1)[0] = value;
     }
 
     /// Reads a little-endian u64.
@@ -207,7 +260,8 @@ impl PhysMem {
     pub fn write_u64(&mut self, addr: u64, value: u64) {
         let (pi, off) = split(addr);
         if off + 8 <= PAGE_SIZE {
-            self.pages[pi].page_mut()[off..off + 8].copy_from_slice(&value.to_le_bytes());
+            self.span_mut(pi, off, 8)
+                .copy_from_slice(&value.to_le_bytes());
         } else {
             self.write_u64_straddling(addr, value);
         }
@@ -246,7 +300,7 @@ impl PhysMem {
             off as u64 + len <= PAGE_SIZE as u64,
             "slice_mut [{addr:#x}, +{len}) straddles a page boundary; use write_bytes"
         );
-        &mut self.pages[pi].page_mut()[off..off + len as usize]
+        self.span_mut(pi, off, len as usize)
     }
 
     /// Copies `[addr, addr+buf.len())` out of memory into `buf`, page by
@@ -279,7 +333,8 @@ impl PhysMem {
         while done < data.len() {
             let (pi, off) = split(addr);
             let n = (PAGE_SIZE - off).min(data.len() - done);
-            self.pages[pi].page_mut()[off..off + n].copy_from_slice(&data[done..done + n]);
+            self.span_mut(pi, off, n)
+                .copy_from_slice(&data[done..done + n]);
             addr += n as u64;
             done += n;
         }
@@ -292,7 +347,7 @@ impl PhysMem {
 
     /// Mutably borrows a whole page.
     pub fn page_mut(&mut self, pn: PageNum) -> &mut [u8] {
-        &mut self.pages[pn.0 as usize].page_mut()[..]
+        self.span_mut(pn.0 as usize, 0, PAGE_SIZE)
     }
 
     /// Copies page `src` over page `dst` (no protection check) without a
@@ -302,6 +357,7 @@ impl PhysMem {
         if s == d {
             return;
         }
+        self.written[d] = sector_mask(0, PAGE_SIZE);
         let (low, high) = self.pages.split_at_mut(s.max(d));
         let (src, dst) = if s < d {
             (&low[s], &mut high[0])
@@ -326,6 +382,7 @@ impl PhysMem {
         while left > 0 {
             let ((sp, so), (dp, d_off)) = (split(src), split(dst));
             let n = (PAGE_SIZE - so).min(PAGE_SIZE - d_off).min(left);
+            self.written[dp] |= sector_mask(d_off, n);
             if n == PAGE_SIZE {
                 // Overwritten whole: a shared page need not be copied first.
                 self.copy_page(PageNum(sp as u64), PageNum(dp as u64));
@@ -373,7 +430,7 @@ impl PhysMem {
     pub fn flip_bit(&mut self, addr: u64, bit: u8) {
         assert!(bit < 8, "bit index out of range");
         let (pi, off) = split(addr);
-        self.pages[pi].page_mut()[off] ^= 1 << bit;
+        self.span_mut(pi, off, 1)[0] ^= 1 << bit;
     }
 
     /// Fills `[addr, addr+len)` with a byte value; the range may straddle
@@ -385,7 +442,7 @@ impl PhysMem {
         while left > 0 {
             let (pi, off) = split(addr);
             let n = (PAGE_SIZE - off).min(left);
-            self.pages[pi].page_mut()[off..off + n].fill(value);
+            self.span_mut(pi, off, n).fill(value);
             addr += n as u64;
             left -= n;
         }
@@ -395,6 +452,7 @@ impl PhysMem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::SECTOR_BYTES;
 
     fn mem() -> PhysMem {
         PhysMem::new(MemConfig::small())
@@ -500,16 +558,79 @@ mod tests {
         assert_eq!(m.read_u8(PageNum(2).base()), 0);
     }
 
+    #[test]
+    fn take_written_reports_the_sectors_stored_to_and_clears_them() {
+        const S: u64 = SECTOR_BYTES as u64;
+        let mut m = mem();
+        let (p1, p2) = (PageNum(1), PageNum(2));
+        assert_eq!(m.take_written(p1), 0, "a fresh image has nothing written");
+        m.write_u8(p1.base() + 3 * S, 1);
+        m.write_u64(p1.base() + 6 * S - 4, 2); // straddles sectors 5 and 6
+        m.flip_bit(p1.base() + 16 * S - 1, 7);
+        assert_eq!(m.written(p1), 1 << 3 | 1 << 5 | 1 << 6 | 1 << 15);
+        let seen = m.written(p1);
+        assert_eq!(m.take_written(p1), seen, "looking does not clear");
+        assert_eq!(m.take_written(p1), 0, "taking clears");
+        // A span across a page boundary marks each page's own sectors.
+        m.fill(p1.base() + 14 * S + 1, 2 * S + 5, 9);
+        m.write_bytes(p2.base() + 2 * S, &[1; 1]);
+        assert_eq!(m.take_written(p1), 0b11 << 14);
+        assert_eq!(m.take_written(p2), 0b101);
+        m.slice_mut(p2.base() + S, 0);
+        assert_eq!(m.take_written(p2), 0, "an empty borrow writes nothing");
+        m.copy_within(p1.base() + 14 * S, p2.base() + 7 * S - 1, 2);
+        assert_eq!(m.take_written(p2), 0b11 << 6);
+        assert_eq!(m.take_written(p1), 0, "the source is only read");
+        m.copy_page(p1, p2);
+        m.page_mut(p1)[0] = 1;
+        assert_eq!(
+            (m.take_written(p1), m.take_written(p2)),
+            (u16::MAX, u16::MAX)
+        );
+        // The log travels with a clone, and each side drains its own.
+        m.write_u8(p1.base(), 2);
+        let mut fork = m.clone();
+        assert_eq!((m.take_written(p1), fork.take_written(p1)), (1, 1));
+    }
+
     /// Model-based: several live images, each mirrored by a flat `Vec<u8>`,
     /// driven through every mutator plus clone / seal / drop. After every
     /// step every image must equal its mirror — so a write never leaks
-    /// into, or out of, any clone, sealed or not.
+    /// into, or out of, any clone, sealed or not. Each image also carries
+    /// the bytes every page held when its written-sector log was last
+    /// taken: whenever a log is taken (at random, and for every page at the
+    /// end), each sector that differs from those bytes must be marked.
     #[test]
     fn images_equal_flat_mirrors_through_every_mutator() {
         use rio_det::proptest_lite::{check, Config};
         use rio_det::{pt_assert, pt_assert_eq};
 
         const P: u64 = PAGE_SIZE as u64;
+
+        /// Takes page `pn`'s log and checks it against what changed since
+        /// `taken`, which then becomes the page as it is now.
+        fn take_checked(
+            mem: &mut PhysMem,
+            mirror: &[u8],
+            taken: &mut [u8],
+            pn: u64,
+        ) -> Result<(), String> {
+            let bits = mem.take_written(PageNum(pn));
+            let page = (pn * P) as usize..((pn + 1) * P) as usize;
+            let (now, then) = (&mirror[page.clone()], &mut taken[page]);
+            let sectors = now
+                .chunks_exact(SECTOR_BYTES)
+                .zip(then.chunks_exact(SECTOR_BYTES));
+            for (s, (now, then)) in sectors.enumerate() {
+                pt_assert!(
+                    now == then || bits & 1 << s != 0,
+                    "page {pn} sector {s} changed but is not in the log {bits:#06x}"
+                );
+            }
+            then.copy_from_slice(now);
+            pt_assert_eq!(mem.take_written(PageNum(pn)), 0);
+            Ok(())
+        }
         let tiny = MemConfig {
             text_bytes: P,
             heap_bytes: P,
@@ -520,13 +641,14 @@ mod tests {
         };
         let total = tiny.total_bytes();
         check("images_equal_flat_mirrors", Config::with_cases(256), |g| {
-            let mut images = vec![(PhysMem::new(tiny), vec![0u8; total as usize])];
+            let zeroes = vec![0u8; total as usize];
+            let mut images = vec![(PhysMem::new(tiny), zeroes.clone(), zeroes)];
             for _ in 0..g.len_between(4, 64) {
                 let i = g.in_range(0..images.len());
-                let (mem, mirror) = &mut images[i];
+                let (mem, mirror, taken) = &mut images[i];
                 let addr = g.in_range(0..total - 8);
                 let boundary = P * g.in_range(1..total / P);
-                match g.in_range(0..14u32) {
+                match g.in_range(0..15u32) {
                     0 => {
                         let v = g.u8();
                         mem.write_u8(addr, v);
@@ -597,14 +719,16 @@ mod tests {
                         mirror.copy_within(src as usize..(src + len) as usize, dst as usize);
                         pt_assert_eq!(mem.first_difference(src, dst, len), None);
                     }
-                    12 if images.len() < 4 => {
+                    12 => take_checked(mem, mirror, taken, addr / P)?,
+                    // A clone carries the log as it stands.
+                    13 if images.len() < 4 => {
                         let fork = images[i].clone();
                         images.push(fork);
                     }
                     _ if images.len() > 1 => drop(images.swap_remove(i)),
                     _ => {}
                 }
-                for (n, (mem, mirror)) in images.iter().enumerate() {
+                for (n, (mem, mirror, _)) in images.iter().enumerate() {
                     for (pn, want) in mirror.chunks_exact(PAGE_SIZE).enumerate() {
                         pt_assert!(
                             mem.page(PageNum(pn as u64)) == want,
@@ -613,12 +737,17 @@ mod tests {
                         );
                     }
                 }
-                let (mem, mirror) = &images[0];
+                let (mem, mirror, _) = &images[0];
                 pt_assert_eq!(mem.read_u8(addr), mirror[addr as usize]);
                 pt_assert_eq!(
                     mem.to_vec(boundary - 3, 8),
                     mirror[boundary as usize - 3..][..8]
                 );
+            }
+            for (mem, mirror, taken) in &mut images {
+                for pn in 0..total / P {
+                    take_checked(mem, mirror, taken, pn)?;
+                }
             }
             Ok(())
         });

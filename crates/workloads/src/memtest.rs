@@ -257,23 +257,41 @@ impl MemTest {
         }
     }
 
-    fn apply_to_model(cfg: &MemTestConfig, op: &Op, model: &mut ModelFs, total: &mut u64) {
+    /// The bytes a `Create` / `Rewrite` writes — a pure function of the op
+    /// and the seed; empty (and unallocated) for every other op.
+    fn payload(cfg: &MemTestConfig, op: &Op) -> Vec<u8> {
         match op {
-            Op::Create { path, len, tag } => {
-                let data = datagen::bytes(cfg.seed, *tag, *len);
+            Op::Create { len, tag, .. } | Op::Rewrite { len, tag, .. } => {
+                datagen::bytes(cfg.seed, *tag, *len)
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    /// Applies `op` to the model, generating its payload: the form replay
+    /// and the preemptive client use. [`MemTest::step`], which has already
+    /// built the payload for the kernel, hands it to
+    /// [`MemTest::apply_payload_to_model`] instead.
+    fn apply_to_model(cfg: &MemTestConfig, op: &Op, model: &mut ModelFs, total: &mut u64) {
+        Self::apply_payload_to_model(op, Self::payload(cfg, op), model, total);
+    }
+
+    /// Applies `op`, whose [`MemTest::payload`] is `data`, to the model.
+    fn apply_payload_to_model(op: &Op, data: Vec<u8>, model: &mut ModelFs, total: &mut u64) {
+        match op {
+            Op::Create { path, .. } => {
                 *total += data.len() as u64;
                 model.files.insert(path.clone(), data.into());
             }
-            Op::Rewrite { path, len, tag } => {
-                let new = datagen::bytes(cfg.seed, *tag, *len);
+            Op::Rewrite { path, .. } => {
                 let entry =
                     Arc::make_mut(model.files.get_mut(path).expect("rewrite target exists"));
                 let old_len = entry.len();
-                if new.len() >= old_len {
-                    *total += (new.len() - old_len) as u64;
-                    *entry = new;
+                if data.len() >= old_len {
+                    *total += (data.len() - old_len) as u64;
+                    *entry = data;
                 } else {
-                    entry[..new.len()].copy_from_slice(&new);
+                    entry[..data.len()].copy_from_slice(&data);
                 }
             }
             Op::Read { .. } => {}
@@ -290,25 +308,20 @@ impl MemTest {
         }
     }
 
-    fn apply_to_kernel(
-        &self,
-        k: &mut Kernel,
-        op: &Op,
-    ) -> Result<(), KernelError> {
+    /// Issues `op`'s syscalls; `data` is its [`MemTest::payload`].
+    fn apply_to_kernel(&self, k: &mut Kernel, op: &Op, data: &[u8]) -> Result<(), KernelError> {
         match op {
-            Op::Create { path, len, tag } => {
-                let data = datagen::bytes(self.cfg.seed, *tag, *len);
+            Op::Create { path, .. } => {
                 let fd = k.create(path)?;
-                k.write(fd, &data)?;
+                k.write(fd, data)?;
                 if self.cfg.fsync_every_write {
                     k.fsync(fd)?;
                 }
                 k.close(fd)?;
             }
-            Op::Rewrite { path, len, tag } => {
-                let data = datagen::bytes(self.cfg.seed, *tag, *len);
+            Op::Rewrite { path, .. } => {
                 let fd = k.open(path)?;
-                k.pwrite(fd, 0, &data)?;
+                k.pwrite(fd, 0, data)?;
                 if self.cfg.fsync_every_write {
                     k.fsync(fd)?;
                 }
@@ -335,8 +348,10 @@ impl MemTest {
     pub fn step(&mut self, k: &mut Kernel) -> Result<(), KernelError> {
         let op = Self::decide(&self.cfg, self.ops_done, &self.model, self.total_bytes);
         self.in_flight = Some(op.target().to_owned());
-        self.apply_to_kernel(k, &op)?;
-        Self::apply_to_model(&self.cfg, &op, &mut self.model, &mut self.total_bytes);
+        // Generated once: lent to the kernel, then moved into the model.
+        let data = Self::payload(&self.cfg, &op);
+        self.apply_to_kernel(k, &op, &data)?;
+        Self::apply_payload_to_model(&op, data, &mut self.model, &mut self.total_bytes);
         self.ops_done += 1;
         self.in_flight = None;
         Ok(())
@@ -451,17 +466,17 @@ impl PreemptMemTest {
     /// Queues the fd-dependent tail of the current logical op.
     fn enqueue_with_fd(&mut self, fd: rio_kernel::Fd) {
         let cfg = &self.mt.cfg;
-        match self.cur.as_ref().expect("awaiting an fd implies an op") {
-            Op::Create { len, tag, .. } => {
-                let data = datagen::bytes(cfg.seed, *tag, *len);
+        let op = self.cur.as_ref().expect("awaiting an fd implies an op");
+        let data = MemTest::payload(cfg, op);
+        match op {
+            Op::Create { .. } => {
                 self.queue.push_back(SyscallOp::Write { fd, data });
                 if cfg.fsync_every_write {
                     self.queue.push_back(SyscallOp::Fsync(fd));
                 }
                 self.queue.push_back(SyscallOp::Close(fd));
             }
-            Op::Rewrite { len, tag, .. } => {
-                let data = datagen::bytes(cfg.seed, *tag, *len);
+            Op::Rewrite { .. } => {
                 self.queue.push_back(SyscallOp::Pwrite {
                     fd,
                     offset: 0,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Flat sampling profile of a release binary, with nothing but ptrace.
 
-    scripts/sample_profile.py [--hz 1000] [--top 20] -- <binary> [args...]
+    scripts/sample_profile.py [--hz 1000] [--top 20] [--callers] -- <binary> [args...]
 
 The container has no perf and no gdb, so this is the profiler DESIGN.md
 §4.5 quotes: it starts the command, seizes it with ptrace, and `--hz`
@@ -11,6 +11,15 @@ holds the program counter — self time only; inlined callees count as
 their caller, so the symbols that appear are the ones the optimiser left
 out of line. Only the main thread is sampled: profile single-threaded
 runs (`perf run`, `RIO_THREADS=1`).
+
+A sample outside the binary (libc's `memcpy` and `malloc`, a fifth of every
+profile) is charged to its mapping, `[libc.so.6]` — which says nothing about
+who is copying. With `--callers` it is charged instead to the function in
+the binary that the first return address on the stack points into, printed
+as `name <- [libc.so.6]`: release builds keep no frame pointers, so "first
+return address" is the first stack word that points into the binary's
+executable mapping — a heuristic (a stale word can be hit), good enough to
+tell one hot caller from a dozen lukewarm ones.
 """
 
 import argparse
@@ -18,12 +27,14 @@ import bisect
 import collections
 import ctypes
 import os
+import struct
 import subprocess
 import sys
 import time
 
 PTRACE_CONT, PTRACE_GETREGS, PTRACE_SEIZE, PTRACE_INTERRUPT = 7, 12, 0x4206, 0x4207
-RIP = 16  # index of rip in x86-64 user_regs_struct
+RIP, RSP = 16, 19  # indices of rip and rsp in x86-64 user_regs_struct
+STACK_SCAN = 4096  # bytes of stack searched for a return address
 
 libc = ctypes.CDLL(None, use_errno=True)
 libc.ptrace.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
@@ -47,14 +58,23 @@ def symbols(binary):
     return [a for a, _ in table], [n for _, n in table]
 
 
-def load_base(pid, binary):
+def binary_mappings(pid, binary):
+    """Where the binary is loaded: (load base, (lo, hi) of its executable mapping)."""
     real = os.path.realpath(binary)
+    base = text = None
     with open(f"/proc/{pid}/maps") as maps:
         for line in maps:
             fields = line.split()
-            if len(fields) >= 6 and fields[5] == real and int(fields[2], 16) == 0:
-                return int(fields[0].split("-")[0], 16)
-    raise RuntimeError(f"{real} is not mapped in {pid}")
+            if len(fields) < 6 or fields[5] != real:
+                continue
+            lo, hi = (int(x, 16) for x in fields[0].split("-"))
+            if int(fields[2], 16) == 0:
+                base = lo
+            if "x" in fields[1]:
+                text = (lo, hi)
+    if base is None or text is None:
+        raise RuntimeError(f"{real} is not mapped in {pid}")
+    return base, text
 
 
 def mapping(pid, addr):
@@ -68,10 +88,29 @@ def mapping(pid, addr):
     return "[unmapped]"
 
 
+def first_return_address(pid, rsp, text):
+    """The first word on the stack that points into `text`, or None."""
+    try:
+        with open(f"/proc/{pid}/mem", "rb") as mem:
+            mem.seek(rsp)
+            stack = mem.read(STACK_SCAN)
+    except OSError:
+        return None
+    for (word,) in struct.iter_unpack("<Q", stack[: len(stack) // 8 * 8]):
+        if text[0] <= word < text[1]:
+            return word
+    return None
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--hz", type=int, default=1000, help="samples per second")
     parser.add_argument("--top", type=int, default=20, help="symbols to print")
+    parser.add_argument(
+        "--callers",
+        action="store_true",
+        help="charge a sample outside the binary to its first caller inside it",
+    )
     parser.add_argument("command", nargs=argparse.REMAINDER, help="-- <binary> [args...]")
     args = parser.parse_args()
     hz, top = args.hz, args.top
@@ -97,11 +136,17 @@ def main():
         if not os.WIFSTOPPED(status):
             break
         if base is None:
-            base = load_base(pid, command[0])
+            base, text = binary_mappings(pid, command[0])
         ptrace(PTRACE_GETREGS, pid, ctypes.byref(regs))
         at = bisect.bisect_right(addrs, regs[RIP] - base) - 1
-        inside = base <= regs[RIP] < base + end and at >= 0
-        hits[names[at] if inside else mapping(pid, regs[RIP])] += 1
+        if base <= regs[RIP] < base + end and at >= 0:
+            name = names[at]
+        else:
+            name = mapping(pid, regs[RIP])
+            caller = first_return_address(pid, regs[RSP], text) if args.callers else None
+            if caller is not None:
+                name = f"{names[bisect.bisect_right(addrs, caller - base) - 1]} <- {name}"
+        hits[name] += 1
         ptrace(PTRACE_CONT, pid)
     child.wait()
 
