@@ -1,29 +1,53 @@
-//! A striped multi-device request plane: D independent queues with C-LOOK
-//! dispatch.
+//! The request plane: D ≥ 1 independent device queues, one dispatch rule
+//! chosen by D.
 //!
-//! [`DiskArray`] manages only the *queue/timing* plane of a striped disk;
-//! the data plane (block contents, torn flags, fault tables, counters)
-//! stays in [`crate::SimDisk`], which owns an array when constructed via
-//! [`crate::SimDisk::new_striped`]. Global block `b` lives on device
-//! `b % D` at inner (per-platter) block `b / D`, so a sequential global
-//! stream fans out round-robin across all spindles.
+//! [`DiskArray`] owns the *queue/timing* half of a [`crate::SimDisk`];
+//! the data half (block contents, torn flags, fault tables, counters)
+//! stays in `SimDisk`, which holds exactly one plane. Global block `b`
+//! lives on device `b % D` at inner (per-platter) block `b / D`, so a
+//! sequential global stream fans out round-robin across all spindles.
 //!
-//! # Dispatch model
+//! # Dispatch rule
 //!
-//! Each device keeps its requests in **dispatch order**. A request whose
-//! scheduled start time has passed is *pinned* — the head has committed to
-//! it — as is everything before a read (reads are synchronous barriers at
-//! the OS level). The unstarted tail behind the pinned prefix is kept in
-//! C-LOOK order: an ascending sweep from the head's position, wrapping to
-//! the lowest outstanding block, recomputed whenever a new write arrives.
-//! Service times returned to callers are therefore *scheduled estimates*;
-//! a later arrival can re-order the unstarted tail and shift them. Exact
-//! durability is always available through [`DiskArray::drain_time`] +
-//! retirement, which is what `SimDisk::sync` uses — the single-device
-//! FIFO disk remains the reference model for crash-precision experiments.
+//! Each device keeps its requests in **dispatch order**: a *pinned*
+//! prefix the head has committed to, then an unstarted tail it may still
+//! re-order.
+//!
+//! * `D = 1` — **arrival order.** Every request is pinned on arrival, the
+//!   tail is always empty, and a completion time returned to a caller
+//!   never moves: the classic single-spindle FIFO disk, and the model
+//!   every single-device exhibit is calibrated on.
+//! * `D > 1` — **C-LOOK.** A request is pinned once its scheduled start
+//!   has passed, as is everything ahead of a read (reads are synchronous
+//!   barriers at the OS level). The tail behind the pinned prefix is an
+//!   ascending sweep from the head's position, wrapping to the lowest
+//!   outstanding block, re-planned whenever a write arrives — so a
+//!   returned completion time is a *scheduled estimate* that a later
+//!   arrival can shift. Exact durability is always available through
+//!   [`DiskArray::drain_time`] plus retirement, which is what
+//!   `SimDisk::sync` uses.
+//!
+//! The rule is a function of D and nothing else; no caller selects it.
+//!
+//! # Positioning
+//!
+//! A request is charged [`Positioning::Sequential`] when forced or when
+//! it follows the device's previous request by one inner block,
+//! [`Positioning::SameBlock`] when it rewrites it, and
+//! [`Positioning::Random`] otherwise — "previous" being the request
+//! ahead of it in dispatch order, or the last retired one when the queue
+//! is empty.
+//!
+//! # What a crash does
+//!
+//! Per device, in dispatch order: requests complete by the crash instant
+//! are durable, as are writes the kernel observed complete
+//! ([`DiskArray::harden_until`]); the one write in flight (started, not
+//! finished) tears; writes that never started are lost; the queue and
+//! head state reset. At most one write tears per device.
 
 use crate::model::{DiskModel, Positioning};
-use crate::sim::BlockBuf;
+use crate::sim::{BlockBuf, BLOCK_SIZE};
 use crate::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -31,8 +55,8 @@ use std::collections::{BTreeMap, VecDeque};
 /// can be interned as constants — no allocation on the submit path).
 pub const MAX_DEVICES: usize = 8;
 
-/// Interned per-device queue-depth histogram names.
-pub(crate) const DEV_QUEUE_DEPTH: [&str; MAX_DEVICES] = [
+/// Interned per-device queue-depth histogram names (`D > 1`).
+const DEV_QUEUE_DEPTH: [&str; MAX_DEVICES] = [
     "disk.queue_depth.dev0",
     "disk.queue_depth.dev1",
     "disk.queue_depth.dev2",
@@ -70,15 +94,14 @@ struct Req {
 /// The tail is a `BTreeMap` keyed by `(inner block, arrival seq)`:
 /// C-LOOK dispatch order is a wrap-iteration from [`Device::sweep_head`]
 /// (keys ≥ `(sweep_head, 0)` ascending, then the wrap-around below it).
-/// That order is exactly what the retired implementation's per-insert
-/// stable sort by `(inner < head, inner)` produced — including the wart
-/// where a queued write to the boundary's own block gets demoted to the
-/// end of the sweep once the head passes it — but an insert is now an
-/// O(log q) keyed insert plus a reschedule of only the requests *behind*
-/// the new one in sweep order, instead of draining, re-sorting, and
-/// re-planning the entire tail. An ascending write stream (the UBC
-/// flusher's common case) inserts at the sweep's end and re-plans
-/// nothing.
+/// That order is exactly a stable sort of the tail by
+/// `(inner < head, inner)` — including the wart where a queued write to
+/// the boundary's own block is demoted to the end of the sweep once the
+/// head passes it — at the cost of an O(log q) keyed insert plus a
+/// reschedule of only the requests *behind* the new one in sweep order.
+/// An ascending write stream (the UBC flusher's common case) inserts at
+/// the sweep's end and re-plans nothing. With one device the tail is
+/// never used.
 #[derive(Debug, Clone, Default)]
 struct Device {
     /// Requests the head has committed to, in dispatch order: started
@@ -98,31 +121,26 @@ struct Device {
     retired_until: SimTime,
 }
 
-/// A write made durable by retirement: `(global block, payload)`.
-pub type RetiredWrite = (u64, BlockBuf);
-
 /// A write torn by a crash: `(global block, payload)` — the caller applies
 /// the half-old/half-new tear.
 pub type TornWrite = (u64, BlockBuf);
 
-/// The striped request plane. See the module docs for the model.
+/// The request plane. See the module docs for the model.
 #[derive(Debug, Clone)]
 pub struct DiskArray {
     devices: Vec<Device>,
 }
 
 impl DiskArray {
-    /// An array of `devices` empty queues.
+    /// A plane of `devices` empty queues.
     ///
     /// # Panics
     ///
-    /// Panics unless `2 <= devices <= MAX_DEVICES` — a 1-device array is
-    /// just the FIFO disk, which `SimDisk::new_striped` constructs
-    /// directly.
+    /// Panics unless `1 <= devices <= MAX_DEVICES`.
     pub fn new(devices: usize) -> Self {
         assert!(
-            (2..=MAX_DEVICES).contains(&devices),
-            "device count {devices} outside 2..={MAX_DEVICES}"
+            (1..=MAX_DEVICES).contains(&devices),
+            "device count {devices} outside 1..={MAX_DEVICES}"
         );
         DiskArray {
             devices: (0..devices).map(|_| Device::default()).collect(),
@@ -168,11 +186,22 @@ impl DiskArray {
             .count()
     }
 
-    /// Retires every request complete by `now`, returning durable writes
-    /// in device order (a block maps to exactly one device, so cross-device
-    /// application order cannot affect final contents).
-    pub fn retire(&mut self, now: SimTime) -> Vec<RetiredWrite> {
-        let mut out = Vec::new();
+    /// Name of the histogram device `dev`'s queue depth is recorded
+    /// under: the single spindle keeps the unsuffixed name.
+    pub fn queue_depth_histogram(&self, dev: usize) -> &'static str {
+        if self.devices.len() == 1 {
+            "disk.queue_depth"
+        } else {
+            DEV_QUEUE_DEPTH[dev]
+        }
+    }
+
+    /// Retires every request complete by `now`, handing each durable
+    /// write to `durable` as `(global block, payload)` — device by device,
+    /// in dispatch order within a device (a block maps to exactly one
+    /// device, so cross-device application order cannot affect final
+    /// contents).
+    pub fn retire(&mut self, now: SimTime, mut durable: impl FnMut(u64, BlockBuf)) {
         for dev in &mut self.devices {
             dev.pin_started(now);
             while let Some(front) = dev.pinned.front() {
@@ -183,11 +212,10 @@ impl DiskArray {
                 dev.retired_inner = Some(r.inner);
                 dev.retired_until = r.end;
                 if let Some(data) = r.data {
-                    out.push((r.global, data));
+                    durable(r.global, data);
                 }
             }
         }
-        out
     }
 
     /// Submits a write of `block`; returns its scheduled completion time.
@@ -210,7 +238,13 @@ impl DiskArray {
             end: SimTime::ZERO,
             hardened: false,
         };
-        self.devices[dev].insert_clook(req, now, model)
+        let arrival_order = self.devices.len() == 1;
+        let d = &mut self.devices[dev];
+        if arrival_order {
+            d.push_pinned(req, now, model)
+        } else {
+            d.insert_clook(req, now, model)
+        }
     }
 
     /// Submits a read of `block`; returns `(latest queued payload if any,
@@ -245,20 +279,16 @@ impl DiskArray {
         // The read seals the queue: everything unstarted dispatches in
         // its current sweep order ahead of the read, then the read.
         d.seal();
-        let (prev_inner, free_at) = d.boundary();
-        let start = free_at.max(now);
-        let kind = positioning(prev_inner, inner, force_sequential);
-        let end = start + model.service_time_kind(crate::sim::BLOCK_SIZE as u64, kind);
-        d.pinned.push_back(Req {
+        let read = Req {
             inner,
             global: block,
             data: None,
             force_sequential,
-            start,
-            end,
+            start: SimTime::ZERO,
+            end: SimTime::ZERO,
             hardened: false,
-        });
-        (pending, end)
+        };
+        (pending, d.push_pinned(read, now, model))
     }
 
     /// Marks every queued write completing by `t` as observed-complete by
@@ -276,13 +306,21 @@ impl DiskArray {
         }
     }
 
-    /// Crash at `now`: retires what completed, applies hardened writes
-    /// fully, tears the per-device in-flight write, and counts unstarted
-    /// writes as lost. Returns `(hardened writes, torn writes, lost
-    /// count)`; queues are reset.
-    pub fn crash(&mut self, now: SimTime) -> (Vec<RetiredWrite>, Vec<TornWrite>, u64) {
-        let _ = self.retire(now);
-        let mut hardened = Vec::new();
+    /// Crash at `now`. `durable` receives every write that survives
+    /// whole — those complete by `now` (as [`DiskArray::retire`] hands
+    /// them over), then, device by device in dispatch order, those the
+    /// kernel observed complete. Returns the per-device
+    /// in-flight writes (to be torn *after* the durable ones land — a
+    /// hardened request completes no later than the waited instant and an
+    /// in-flight one ends after it, so on any one block the tear is the
+    /// later write) and the count of unstarted writes lost. Queues and
+    /// head state are reset.
+    pub fn crash(
+        &mut self,
+        now: SimTime,
+        mut durable: impl FnMut(u64, BlockBuf),
+    ) -> (Vec<TornWrite>, u64) {
+        self.retire(now, &mut durable);
         let mut torn = Vec::new();
         let mut lost = 0u64;
         for dev in &mut self.devices {
@@ -290,7 +328,7 @@ impl DiskArray {
             while let Some(r) = dev.pinned.pop_front() {
                 let Some(data) = r.data else { continue };
                 if r.hardened {
-                    hardened.push((r.global, data));
+                    durable(r.global, data);
                 } else if r.start < now && now < r.end {
                     torn.push((r.global, data));
                 } else {
@@ -299,9 +337,8 @@ impl DiskArray {
             }
             *dev = Device::default();
         }
-        (hardened, torn, lost)
+        (torn, lost)
     }
-
 }
 
 /// Positioning class given the previous inner block on the device.
@@ -367,6 +404,19 @@ impl Device {
         }
     }
 
+    /// Commits the head to `req` behind everything already pinned and
+    /// schedules it there; returns its completion time, which no later
+    /// arrival can move.
+    fn push_pinned(&mut self, mut req: Req, now: SimTime, model: &DiskModel) -> SimTime {
+        let (prev_inner, free_at) = self.boundary();
+        let kind = positioning(prev_inner, req.inner, req.force_sequential);
+        req.start = free_at.max(now);
+        req.end = req.start + model.service_time_kind(BLOCK_SIZE as u64, kind);
+        let end = req.end;
+        self.pinned.push_back(req);
+        end
+    }
+
     /// Seals the whole queue (read barrier / crash drain): every tail
     /// request moves into the pinned prefix in dispatch order.
     fn seal(&mut self) {
@@ -389,8 +439,7 @@ impl Device {
         // If the head advanced past a block that still has queued writes
         // (same-block resubmission), those writes demote from the front
         // of the old sweep to the end of the wrap-around — the whole
-        // tail's order shifts, exactly as the retired full-sort
-        // implementation behaved, so the whole schedule is re-planned.
+        // tail's order shifts, so the whole schedule is re-planned.
         // Otherwise the sweep order of existing requests is unchanged
         // and only the new request's successors move.
         let demoted = head != self.sweep_head
@@ -478,7 +527,7 @@ impl Device {
             let r = self.tail.get_mut(&k).expect("collected key");
             let kind = positioning(prev_inner, r.inner, r.force_sequential);
             r.start = cursor;
-            r.end = cursor + model.service_time_kind(crate::sim::BLOCK_SIZE as u64, kind);
+            r.end = cursor + model.service_time_kind(BLOCK_SIZE as u64, kind);
             cursor = r.end;
             prev_inner = Some(r.inner);
         }
@@ -488,10 +537,26 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::BLOCK_SIZE;
+
+    /// A write made durable: `(global block, payload)`.
+    type RetiredWrite = (u64, BlockBuf);
 
     fn model() -> DiskModel {
         DiskModel::paper_scsi()
+    }
+
+    /// [`DiskArray::retire`], collected.
+    fn retire(a: &mut DiskArray, now: SimTime) -> Vec<RetiredWrite> {
+        let mut out = Vec::new();
+        a.retire(now, |block, data| out.push((block, data)));
+        out
+    }
+
+    /// [`DiskArray::crash`] as `(writes made durable, torn, lost)`.
+    fn crash(a: &mut DiskArray, now: SimTime) -> (Vec<RetiredWrite>, Vec<TornWrite>, u64) {
+        let mut durable = Vec::new();
+        let (torn, lost) = a.crash(now, |block, data| durable.push((block, data)));
+        (durable, torn, lost)
     }
 
     fn block_of(byte: u8) -> BlockBuf {
@@ -540,9 +605,26 @@ mod tests {
         assert!(e_near > e_far, "cannot pass the in-flight request");
         assert!(e_near < e_mid_after, "swept ahead of the farther block");
         // Retirement applies every payload exactly once.
-        let retired = a.retire(e_mid_after);
+        let retired = retire(&mut a, e_mid_after);
         assert_eq!(retired.len(), 3);
         let _ = e_mid;
+    }
+
+    #[test]
+    fn one_device_dispatches_in_arrival_order() {
+        // The same three arrivals as the sweep test above, on one device:
+        // the near block queues behind both earlier ones, and no
+        // completion time already handed out moves.
+        let mut a = DiskArray::new(1);
+        let e_far = a.submit_write(40, block_of(1), SimTime::ZERO, false, &model());
+        let e_mid = a.submit_write(80, block_of(2), SimTime::ZERO, false, &model());
+        let e_near = a.submit_write(60, block_of(3), SimTime::ZERO, false, &model());
+        assert!(e_far < e_mid && e_mid < e_near, "{e_far:?} {e_mid:?} {e_near:?}");
+        assert_eq!(a.drain_time(SimTime::ZERO), e_near);
+        let order: Vec<u64> = retire(&mut a, e_near).iter().map(|w| w.0).collect();
+        assert_eq!(order, [40, 80, 60]);
+        assert_eq!(a.queue_depth_histogram(0), "disk.queue_depth");
+        assert_eq!(DiskArray::new(2).queue_depth_histogram(1), "disk.queue_depth.dev1");
     }
 
     #[test]
@@ -565,8 +647,9 @@ mod tests {
         a.submit_write(1, block_of(3), SimTime::ZERO, false, &model()); // device 1
         // Crash mid-way through device 0's second request; device 1's
         // single request (same duration as device 0's first) is durable.
-        let (hardened, torn, lost) = a.crash(first + SimTime::from_micros(1));
-        assert!(hardened.is_empty(), "nothing was waited on");
+        let (durable, torn, lost) = crash(&mut a, first + SimTime::from_micros(1));
+        let durable: Vec<u64> = durable.iter().map(|w| w.0).collect();
+        assert_eq!(durable, [0, 1], "both first requests completed; nothing was waited on");
         assert_eq!(torn.len(), 1, "device 0's in-flight write tears");
         assert_eq!(torn[0].0, 2);
         assert_eq!(lost, 0);
@@ -580,7 +663,7 @@ mod tests {
         a.harden_until(e0);
         // Crash before anything starts: block 0's write was observed
         // complete by the kernel, block 2's (ending later) was not.
-        let (hardened, torn, lost) = a.crash(SimTime::ZERO);
+        let (hardened, torn, lost) = crash(&mut a, SimTime::ZERO);
         assert_eq!(hardened.len(), 1);
         assert_eq!(hardened[0].0, 0);
         assert_eq!(hardened[0].1, block_of(1));
@@ -593,7 +676,8 @@ mod tests {
     /// tested against: one dispatch-order `VecDeque` per device, full
     /// drain + stable sort + full re-plan on every insert.
     mod reference {
-        use super::super::{positioning, Req, RetiredWrite, TornWrite};
+        use super::super::{positioning, Req, TornWrite};
+        use super::RetiredWrite;
         use crate::model::DiskModel;
         use crate::sim::BlockBuf;
         use crate::time::SimTime;
@@ -854,7 +938,7 @@ mod tests {
                 7 => {
                     now += SimTime::from_micros(rng() % 30_000);
                     assert_eq!(
-                        new.retire(now),
+                        retire(&mut new, now),
                         old.retire(now),
                         "retire batch diverged at op {op}"
                     );
@@ -867,9 +951,15 @@ mod tests {
                 _ => {
                     now += SimTime::from_micros(rng() % 3_000);
                     if rng() % 8 == 0 {
+                        // The plane hands over what completed by the
+                        // crash instant together with what was hardened;
+                        // the reference returns the two separately.
+                        let mut durable = old.retire(now);
+                        let (hardened, torn, lost) = old.crash(now);
+                        durable.extend(hardened);
                         assert_eq!(
-                            new.crash(now),
-                            old.crash(now),
+                            crash(&mut new, now),
+                            (durable, torn, lost),
                             "crash triage diverged at op {op}"
                         );
                     }
@@ -888,7 +978,7 @@ mod tests {
         }
         // Final drain: both retire the same writes in the same order.
         let end = new.drain_time(now);
-        assert_eq!(new.retire(end), old.retire(end));
+        assert_eq!(retire(&mut new, end), old.retire(end));
     }
 
     #[test]
@@ -935,7 +1025,7 @@ mod tests {
         for (i, &(block, at)) in seq.iter().enumerate() {
             payload += 1;
             let now = SimTime::from_micros(at);
-            let retired_new = new.retire(now);
+            let retired_new = retire(&mut new, now);
             let retired_old = old.retire(now);
             assert_eq!(retired_new, retired_old, "retire diverged before op {i}");
             let e_new = new.submit_write(block, block_of(payload), now, false, &m);
@@ -945,7 +1035,7 @@ mod tests {
         let now = SimTime::from_micros(28_000);
         let end = new.drain_time(now);
         assert_eq!(end, old.drain_time(now));
-        assert_eq!(new.retire(end), old.retire(end));
+        assert_eq!(retire(&mut new, end), old.retire(end));
     }
 
     #[test]
@@ -956,6 +1046,6 @@ mod tests {
         assert_eq!(a.queue_depth_at(SimTime::ZERO), 2);
         assert_eq!(a.queue_depth_at(e0.max(e1)), 0);
         // Probing did not retire anything.
-        assert_eq!(a.retire(e0.max(e1)).len(), 2);
+        assert_eq!(retire(&mut a, e0.max(e1)).len(), 2);
     }
 }

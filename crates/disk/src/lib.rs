@@ -4,10 +4,11 @@
 //! write-through file system pays a mechanical disk access per write, while
 //! Rio pays none. The model is a 1996-class SCSI drive (the paper's DEC
 //! 3000/600 era): average seek plus half-rotation per random access, a
-//! sequential-transfer fast path (used by the AdvFS journal), and a single
-//! request queue served in FIFO order. [`SimDisk::new_striped`] extends
-//! the same machine to a [`DiskArray`]: blocks striped round-robin across
-//! D devices, each with its own queue and C-LOOK dispatch.
+//! sequential-transfer fast path (used by the AdvFS journal), and one
+//! request plane ([`DiskArray`]) of D ≥ 1 device queues: a single device
+//! ([`SimDisk::new`]) serves requests in arrival order;
+//! [`SimDisk::new_striped`] stripes blocks round-robin across D devices,
+//! each sweeping its own queue C-LOOK.
 //!
 //! Crash semantics matter for the reliability experiments: a write that is
 //! *in flight* when the system crashes leaves a **torn block** (half old

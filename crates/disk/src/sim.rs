@@ -1,10 +1,17 @@
-//! The simulated disk: a block store with a FIFO request queue, asynchronous
-//! writes, and torn-write crash semantics.
+//! The simulated disk: a block store behind one request plane, with
+//! asynchronous writes and torn-write crash semantics.
+//!
+//! [`SimDisk`] is the data half of the drive — block contents, torn
+//! flags, the injected-fault tables, the counters. Everything timed
+//! (queueing, positioning, completion, what a crash catches mid-flight)
+//! is the request plane's, [`crate::array::DiskArray`], of which a disk
+//! holds exactly one: one device for [`SimDisk::new`], D for
+//! [`SimDisk::new_striped`]. No method here asks which.
 
-use crate::array::{DiskArray, DEV_QUEUE_DEPTH};
-use crate::model::{DiskModel, Positioning};
+use crate::array::DiskArray;
+use crate::model::DiskModel;
 use crate::time::SimTime;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// An injected per-block I/O fault (recovery-path fault model).
@@ -74,19 +81,18 @@ fn buf_from(free: &mut Vec<BlockBuf>, data: &[u8]) -> BlockBuf {
     buf
 }
 
-/// One asynchronous write making its way to the platter.
-#[derive(Debug, Clone)]
-struct PendingWrite {
+/// Lands a whole write on the platter: the block takes the payload, its
+/// old buffer is recycled, and any tear is healed.
+fn land(
+    blocks: &mut [BlockBuf],
+    torn: &mut [bool],
+    free: &mut Vec<BlockBuf>,
     block: u64,
     data: BlockBuf,
-    /// When the head starts writing this request.
-    start: SimTime,
-    /// When the request is durable.
-    end: SimTime,
-    /// The submitter observed this write's completion (a `biowait`): the
-    /// crash model must treat it as durable even if the global clock has
-    /// not yet reached `end` (see [`SimDisk::harden_until`]).
-    hardened: bool,
+) {
+    let old = std::mem::replace(&mut blocks[block as usize], data);
+    free.push(old);
+    torn[block as usize] = false;
 }
 
 /// Operation counters.
@@ -108,38 +114,45 @@ pub struct DiskStats {
 
 /// The simulated drive.
 ///
-/// All operations take the current simulated time `now`; the disk tracks
-/// when its head frees up and returns per-request completion times, so
-/// callers can model both synchronous waiting (block until completion) and
-/// asynchronous overlap (proceed, let the queue drain).
+/// All operations take the current simulated time `now`; the request
+/// plane tracks when each head frees up and returns per-request
+/// completion times, so callers can model both synchronous waiting (block
+/// until completion) and asynchronous overlap (proceed, let the queue
+/// drain).
 #[derive(Debug, Clone)]
 pub struct SimDisk {
     model: DiskModel,
     blocks: Vec<BlockBuf>,
     /// Blocks corrupted by a mid-write crash; cleared when rewritten.
     torn: Vec<bool>,
-    pending: VecDeque<PendingWrite>,
     /// Retired block buffers, recycled by [`SimDisk::submit_write_from`] so
     /// the steady-state write path performs one copy and no allocation.
     free: Vec<BlockBuf>,
-    /// When the head finishes its last accepted request.
-    busy_until: SimTime,
-    /// Block number of the last request (sequential detection).
-    last_block: Option<u64>,
+    /// Every queued request, on every device.
+    plane: DiskArray,
     /// Injected faults for the fallible (recovery-path) accessors.
     read_faults: BTreeMap<u64, DiskFault>,
     write_faults: BTreeMap<u64, DiskFault>,
     stats: DiskStats,
-    /// Striped multi-device request plane ([`SimDisk::new_striped`]). When
-    /// set, the FIFO fields above (`pending`, `busy_until`, `last_block`)
-    /// are unused and every timed operation routes through the array; the
-    /// data plane (blocks, torn flags, fault tables, stats) is shared.
-    array: Option<DiskArray>,
 }
 
 impl SimDisk {
-    /// A disk with `num_blocks` zeroed blocks.
+    /// A single-spindle disk with `num_blocks` zeroed blocks, served in
+    /// arrival order.
     pub fn new(num_blocks: u64, model: DiskModel) -> Self {
+        SimDisk::new_striped(num_blocks, model, 1)
+    }
+
+    /// A disk whose blocks are striped round-robin across `devices`
+    /// spindles, each with its own queue. The dispatch rule follows from
+    /// the device count (see [`crate::array`]): one device serves in
+    /// arrival order, more sweep C-LOOK.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `devices` is 0 or exceeds
+    /// [`crate::array::MAX_DEVICES`].
+    pub fn new_striped(num_blocks: u64, model: DiskModel, devices: usize) -> Self {
         // Every block shares one zeroed buffer until first written — a
         // fresh 16 MB disk costs one 8 KB allocation. The shared `Arc` is
         // the point (writes replace the pointer, never the buffer), hence
@@ -149,40 +162,17 @@ impl SimDisk {
             model,
             blocks: vec![Arc::new([0u8; BLOCK_SIZE]); num_blocks as usize],
             torn: vec![false; num_blocks as usize],
-            pending: VecDeque::new(),
             free: Vec::new(),
-            busy_until: SimTime::ZERO,
-            last_block: None,
+            plane: DiskArray::new(devices),
             read_faults: BTreeMap::new(),
             write_faults: BTreeMap::new(),
             stats: DiskStats::default(),
-            array: None,
         }
     }
 
-    /// A disk whose blocks are striped round-robin across `devices`
-    /// spindles, each with its own queue and C-LOOK dispatch (see
-    /// [`crate::array`]). `devices == 1` yields the plain FIFO disk —
-    /// the two are the same machine, so the single-device timing model
-    /// (and every artifact derived from it) is unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `devices` is 0 or exceeds
-    /// [`crate::array::MAX_DEVICES`].
-    pub fn new_striped(num_blocks: u64, model: DiskModel, devices: usize) -> Self {
-        assert!(devices >= 1, "need at least one device");
-        let mut d = SimDisk::new(num_blocks, model);
-        if devices > 1 {
-            d.array = Some(DiskArray::new(devices));
-        }
-        d
-    }
-
-    /// Number of devices the block space is striped across (1 for the
-    /// plain FIFO disk).
+    /// Number of devices the block space is striped across.
     pub fn devices(&self) -> usize {
-        self.array.as_ref().map_or(1, DiskArray::devices)
+        self.plane.devices()
     }
 
     /// Number of blocks.
@@ -202,66 +192,21 @@ impl SimDisk {
 
     /// When the queue fully drains (≥ `now`).
     pub fn idle_at(&self, now: SimTime) -> SimTime {
-        match &self.array {
-            Some(a) => a.drain_time(now),
-            None => self.busy_until.max(now),
-        }
-    }
-
-    /// Number of writes still in the queue at `now`.
-    ///
-    /// Alias of [`SimDisk::queue_depth_at`]. This used to retire completed
-    /// writes as a side effect of observing the queue, which let an
-    /// observability probe perturb subsequent retirement/crash ordering;
-    /// observation is now pure.
-    pub fn queue_depth(&self, now: SimTime) -> usize {
-        self.queue_depth_at(now)
+        self.plane.drain_time(now)
     }
 
     /// Number of writes outstanding (not yet durable) at `now`, without
     /// mutating any disk state: completed-but-unretired requests are
     /// excluded by timestamp, not by retiring them.
     pub fn queue_depth_at(&self, now: SimTime) -> usize {
-        match &self.array {
-            Some(a) => a.queue_depth_at(now),
-            None => self.pending.iter().filter(|w| w.end > now).count(),
-        }
+        self.plane.queue_depth_at(now)
     }
 
-    /// Makes durable the retired writes a striped array hands back.
-    fn apply_retired(&mut self, retired: Vec<(u64, BlockBuf)>) {
-        for (block, data) in retired {
-            let old = std::mem::replace(&mut self.blocks[block as usize], data);
-            self.free.push(old);
-            self.torn[block as usize] = false;
-        }
-    }
-
-    /// Applies every pending write whose completion time has passed.
-    fn apply_completed(&mut self, now: SimTime) {
-        while let Some(front) = self.pending.front() {
-            if front.end <= now {
-                let w = self.pending.pop_front().expect("front exists");
-                let old = std::mem::replace(&mut self.blocks[w.block as usize], w.data);
-                self.free.push(old);
-                self.torn[w.block as usize] = false;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Positioning class for the next access to `block`.
-    fn positioning(&self, block: u64, force_sequential: bool) -> Positioning {
-        if force_sequential || self.last_block == Some(block.wrapping_sub(1)) {
-            Positioning::Sequential
-        } else if self.last_block == Some(block) {
-            // Rewriting the block just accessed: no seek, but the platter
-            // must come all the way around again.
-            Positioning::SameBlock
-        } else {
-            Positioning::Random
-        }
+    /// Lands every queued write whose completion time has passed.
+    fn retire(&mut self, now: SimTime) {
+        self.plane.retire(now, |block, data| {
+            land(&mut self.blocks, &mut self.torn, &mut self.free, block, data)
+        });
     }
 
     /// Submits an asynchronous block write; returns its completion time.
@@ -281,9 +226,7 @@ impl SimDisk {
         now: SimTime,
         force_sequential: bool,
     ) -> SimTime {
-        assert_eq!(data.len(), BLOCK_SIZE, "write must be one full block");
-        let buf = buf_from(&mut self.free, &data);
-        self.submit_pending(block, buf, now, force_sequential)
+        self.submit_write_from(block, &data, now, force_sequential)
     }
 
     /// [`SimDisk::submit_write`] from a borrowed buffer: the single copy
@@ -302,57 +245,21 @@ impl SimDisk {
         force_sequential: bool,
     ) -> SimTime {
         assert_eq!(data.len(), BLOCK_SIZE, "write must be one full block");
-        let buf = buf_from(&mut self.free, data);
-        self.submit_pending(block, buf, now, force_sequential)
-    }
-
-    fn submit_pending(
-        &mut self,
-        block: u64,
-        data: BlockBuf,
-        now: SimTime,
-        force_sequential: bool,
-    ) -> SimTime {
         assert!(block < self.num_blocks(), "block {block} out of range");
-        if self.array.is_some() {
-            return self.submit_striped(block, data, now, force_sequential);
-        }
-        self.apply_completed(now);
-        let kind = self.positioning(block, force_sequential);
-        let start = self.busy_until.max(now);
-        let end = start + self.model.service_time_kind(BLOCK_SIZE as u64, kind);
-        self.busy_until = end;
-        self.last_block = Some(block);
-        self.stats.writes += 1;
-        self.stats.bytes_written += BLOCK_SIZE as u64;
-        self.pending.push_back(PendingWrite { block, data, start, end, hardened: false });
-        if rio_obs::is_enabled() {
-            rio_obs::histogram_record("disk.queue_depth", self.queue_depth_at(now) as u64);
-        }
-        end
-    }
-
-    /// Striped-array write path: queue on the block's device, retire what
-    /// completed, and record the device's queue depth.
-    fn submit_striped(
-        &mut self,
-        block: u64,
-        data: BlockBuf,
-        now: SimTime,
-        force_sequential: bool,
-    ) -> SimTime {
-        let model = self.model;
-        let array = self.array.as_mut().expect("striped path");
-        let retired = array.retire(now);
-        let end = array.submit_write(block, data, now, force_sequential, &model);
-        let dev = array.device_of(block);
-        let depth = array.device_queue_depth_at(dev, now) as u64;
+        let data = buf_from(&mut self.free, data);
+        self.retire(now);
+        let end = self
+            .plane
+            .submit_write(block, data, now, force_sequential, &self.model);
         self.stats.writes += 1;
         self.stats.bytes_written += BLOCK_SIZE as u64;
         if rio_obs::is_enabled() {
-            rio_obs::histogram_record(DEV_QUEUE_DEPTH[dev], depth);
+            let dev = self.plane.device_of(block);
+            rio_obs::histogram_record(
+                self.plane.queue_depth_histogram(dev),
+                self.plane.device_queue_depth_at(dev, now) as u64,
+            );
         }
-        self.apply_retired(retired);
         end
     }
 
@@ -365,36 +272,16 @@ impl SimDisk {
     /// Panics if `block` is out of range.
     pub fn read(&mut self, block: u64, now: SimTime, force_sequential: bool) -> (Vec<u8>, SimTime) {
         assert!(block < self.num_blocks(), "block {block} out of range");
-        if self.array.is_some() {
-            let model = self.model;
-            let array = self.array.as_mut().expect("striped path");
-            let retired = array.retire(now);
-            let (pending, end) = array.submit_read(block, now, force_sequential, &model);
-            self.stats.reads += 1;
-            self.stats.bytes_read += BLOCK_SIZE as u64;
-            self.apply_retired(retired);
-            let data = pending
-                .as_deref()
-                .map(|b| &b[..])
-                .unwrap_or(&self.blocks[block as usize][..])
-                .to_vec();
-            return (data, end);
-        }
-        self.apply_completed(now);
-        let kind = self.positioning(block, force_sequential);
-        let start = self.busy_until.max(now);
-        let end = start + self.model.service_time_kind(BLOCK_SIZE as u64, kind);
-        self.busy_until = end;
-        self.last_block = Some(block);
+        self.retire(now);
+        let (pending, end) = self
+            .plane
+            .submit_read(block, now, force_sequential, &self.model);
         self.stats.reads += 1;
         self.stats.bytes_read += BLOCK_SIZE as u64;
-        // Latest pending write to this block wins.
-        let data = self
-            .pending
-            .iter()
-            .rev()
-            .find(|w| w.block == block)
-            .map(|w| &w.data[..])
+        // Latest queued write to this block wins.
+        let data = pending
+            .as_deref()
+            .map(|b| &b[..])
             .unwrap_or(&self.blocks[block as usize][..])
             .to_vec();
         (data, end)
@@ -404,14 +291,8 @@ impl SimDisk {
     /// queue drained.
     pub fn sync(&mut self, now: SimTime) -> SimTime {
         let done = self.idle_at(now);
-        if let Some(array) = self.array.as_mut() {
-            let retired = array.retire(done);
-            self.apply_retired(retired);
-            debug_assert_eq!(self.queue_depth_at(done), 0);
-            return done;
-        }
-        self.apply_completed(done);
-        debug_assert!(self.pending.is_empty());
+        self.retire(done);
+        debug_assert_eq!(self.queue_depth_at(done), 0);
         done
     }
 
@@ -429,66 +310,28 @@ impl SimDisk {
     /// order instead of tearing or losing them. Timing is untouched (the
     /// request still occupies head time and retires normally), and under
     /// non-deferred execution this is exactly the set a crash-time
-    /// `apply_completed` would apply anyway — a behavioral no-op there.
+    /// retirement would land anyway — a behavioral no-op there.
     pub fn harden_until(&mut self, t: SimTime) {
-        if let Some(array) = self.array.as_mut() {
-            array.harden_until(t);
-            return;
-        }
-        for w in self.pending.iter_mut().filter(|w| w.end <= t) {
-            w.hardened = true;
-        }
+        self.plane.harden_until(t);
     }
 
     /// Crashes the system at time `now`.
     ///
     /// * Writes already durable stay, as do writes the kernel observed as
-    ///   complete ([`SimDisk::harden`]).
-    /// * The write in flight (started, not finished) leaves a **torn block**:
-    ///   the first half of the new data lands, the second half keeps the old
-    ///   contents, and the block is flagged torn.
+    ///   complete ([`SimDisk::harden_until`]).
+    /// * The write in flight on each device (started, not finished) leaves
+    ///   a **torn block**: the first half of the new data lands, the second
+    ///   half keeps the old contents, and the block is flagged torn.
     /// * Queued writes that never started are lost.
     pub fn crash(&mut self, now: SimTime) {
-        if let Some(array) = self.array.as_mut() {
-            let retired = array.retire(now);
-            let (hardened, torn, lost) = array.crash(now);
-            self.apply_retired(retired);
-            // Hardened requests complete no later than the waited instant;
-            // an in-flight (torn) request ends after it, so per device —
-            // and therefore per block — the tear is the later write and
-            // must land after the hardened applications.
-            self.apply_retired(hardened);
-            for (block, data) in torn {
-                let half = BLOCK_SIZE / 2;
-                Arc::make_mut(&mut self.blocks[block as usize])[..half]
-                    .copy_from_slice(&data[..half]);
-                self.torn[block as usize] = true;
-                self.stats.blocks_torn_at_crash += 1;
-                self.free.push(data);
-            }
-            self.stats.writes_lost_at_crash += lost;
-            return;
+        let (in_flight, lost) = self.plane.crash(now, |block, data| {
+            land(&mut self.blocks, &mut self.torn, &mut self.free, block, data)
+        });
+        for (block, data) in in_flight {
+            self.poke_torn(block, &data[..]);
+            self.free.push(data);
         }
-        self.apply_completed(now);
-        while let Some(w) = self.pending.pop_front() {
-            if w.hardened {
-                let old = std::mem::replace(&mut self.blocks[w.block as usize], w.data);
-                self.free.push(old);
-                self.torn[w.block as usize] = false;
-                continue;
-            }
-            if w.start < now && now < w.end {
-                let half = BLOCK_SIZE / 2;
-                Arc::make_mut(&mut self.blocks[w.block as usize])[..half]
-                    .copy_from_slice(&w.data[..half]);
-                self.torn[w.block as usize] = true;
-                self.stats.blocks_torn_at_crash += 1;
-            } else {
-                self.stats.writes_lost_at_crash += 1;
-            }
-        }
-        self.busy_until = SimTime::ZERO;
-        self.last_block = None;
+        self.stats.writes_lost_at_crash += lost;
     }
 
     /// Whether a block was torn by a crash and not yet rewritten.
@@ -614,6 +457,9 @@ impl SimDisk {
 }
 
 #[cfg(test)]
+mod differential;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -711,7 +557,7 @@ mod tests {
         assert!(t2 > t1);
         let drained = d.sync(SimTime::ZERO);
         assert_eq!(drained, t2);
-        assert_eq!(d.queue_depth(drained), 0);
+        assert_eq!(d.queue_depth_at(drained), 0);
     }
 
     #[test]
@@ -828,8 +674,8 @@ mod observation_tests {
         vec![byte; BLOCK_SIZE]
     }
 
-    /// The regression for the old `queue_depth(&mut self)` bug: observing
-    /// the queue must never change disk state, timing, or crash outcome.
+    /// Observing the queue must never change disk state, timing, or crash
+    /// outcome (a probe that retired what it counted once did).
     #[test]
     fn observation_never_changes_state_or_timing() {
         let script = |d: &mut SimDisk, probe: bool| {
@@ -869,7 +715,7 @@ mod observation_tests {
         assert_eq!(d.queue_depth_at(e1), 1);
         assert_eq!(d.queue_depth_at(e2), 0);
         // Repeated probes at a late time do not retire anything: the
-        // pending queue still holds both writes for the crash model.
+        // queue still holds both writes for the crash model.
         assert_eq!(d.queue_depth_at(e2), 0);
         d.crash(SimTime::from_micros(e1.as_micros() / 2 + 1));
         assert!(d.is_torn(1), "first write was still in flight at crash");

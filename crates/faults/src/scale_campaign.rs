@@ -21,7 +21,7 @@ use crate::engine::{self, Campaign};
 use crate::inject::{inject, FaultType};
 use rio_det::{derive_seed, derive_seed3, DetRng};
 use rio_kernel::{
-    DiskGeometry, Kernel, KernelConfig, KernelError, PreemptClient, PreemptSched,
+    client_refs, DiskGeometry, Kernel, KernelConfig, KernelError, PreemptSched,
     SchedStep,
 };
 use rio_workloads::{MemTest, MemTestConfig, PreemptMemTest};
@@ -326,11 +326,7 @@ impl ScaleCheckpoint {
             if pms.iter().any(PreemptMemTest::failed) || warm_quanta >= warmup_cap {
                 return cp;
             }
-            let mut clients: Vec<&mut dyn PreemptClient> = pms
-                .iter_mut()
-                .map(|p| p as &mut dyn PreemptClient)
-                .collect();
-            match sched.step_once(&mut k, &mut clients) {
+            match sched.step_once(&mut k, &mut client_refs(&mut pms)) {
                 Ok(SchedStep::Done) => return cp,
                 Ok(_) => {}
                 Err(_) => return cp,
@@ -397,11 +393,7 @@ pub fn run_scale_trial_from(
             return ScaleTrialOutcome::Wedged;
         }
         let before = sched.trace.quanta.len();
-        let mut clients: Vec<&mut dyn PreemptClient> = pms
-            .iter_mut()
-            .map(|p| p as &mut dyn PreemptClient)
-            .collect();
-        match sched.step_once(&mut k, &mut clients) {
+        match sched.step_once(&mut k, &mut client_refs(&mut pms)) {
             Ok(SchedStep::Done) => return ScaleTrialOutcome::Wedged,
             Ok(_) => {}
             Err(KernelError::Panic(_) | KernelError::Crashed) => {

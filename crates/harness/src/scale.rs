@@ -215,7 +215,7 @@ pub fn render_scale(report: &ScaleGridReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "Scale-out: {} ops/client server workload (Sdet mix + debit-credit commits), \
-         deterministic round-robin scheduler\n\n",
+         deterministic preemptive scheduler\n\n",
         report.grid.ops_per_client
     ));
     out.push_str(&ascii::render(&rows));

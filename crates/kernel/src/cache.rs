@@ -11,12 +11,12 @@ use rio_mem::PageNum;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// Multiply-mix hasher for the index (and for the sector checksum cache's
-/// page map): the keys are block numbers, page numbers and `(inode, page)`
-/// pairs the kernel itself hands out, so there is nothing to defend against
-/// and SipHash's cost per lookup buys nothing. Fixed, not seeded — and
-/// nothing depends on a map's iteration order ([`PageCache::keys`] walks
-/// the slots).
+/// Multiply-mix hasher for the index and for every other host-side kernel
+/// table ([`MixMap`]): the keys are block numbers, page numbers, inode
+/// numbers, descriptors and `(inode, page)` pairs the kernel itself hands
+/// out, so there is nothing to defend against and SipHash's cost per
+/// lookup buys nothing. Fixed, not seeded — and nothing depends on a map's
+/// iteration order ([`PageCache::keys`] walks the slots).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct MixHasher(u64);
 
@@ -34,6 +34,9 @@ impl Hasher for MixHasher {
         self.0 ^ (self.0 >> 32)
     }
 }
+
+/// A host-side kernel table keyed by numbers the kernel hands out.
+pub(crate) type MixMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
 
 /// What [`PageCache::insert`] displaced, if anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +63,7 @@ struct Slot<K> {
 pub struct PageCache<K> {
     pages: Vec<PageNum>,
     slots: Vec<Slot<K>>,
-    map: HashMap<K, usize, BuildHasherDefault<MixHasher>>,
+    map: MixMap<K, usize>,
     tick: u64,
     dirty_count: usize,
 }

@@ -36,10 +36,8 @@
 //! The cache is **host-side volatile state** and dies with the kernel at a
 //! crash; a warm reboot starts with an empty one.
 
-use crate::cache::MixHasher;
+use crate::cache::MixMap;
 use rio_mem::{crc32, crc32_append_sector, crc32_update, sector_mask, PageNum, PhysMem, PAGE_SIZE};
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 
 /// Checksum granularity. 16 sectors per 8 KB page.
 pub use rio_mem::SECTOR_BYTES;
@@ -64,7 +62,7 @@ impl PageSectors {
 #[derive(Debug, Clone)]
 pub struct SectorCrcCache {
     /// Never iterated; keyed by page numbers the kernel hands out.
-    pages: HashMap<PageNum, PageSectors, BuildHasherDefault<MixHasher>>,
+    pages: MixMap<PageNum, PageSectors>,
     /// Sector recomputations avoided (full sectors served from cache).
     pub sectors_cached: u64,
     /// Sector CRCs recomputed from memory.
@@ -75,7 +73,7 @@ impl SectorCrcCache {
     /// An empty cache (built once per kernel boot).
     pub fn new() -> Self {
         SectorCrcCache {
-            pages: HashMap::default(),
+            pages: MixMap::default(),
             sectors_cached: 0,
             sectors_recomputed: 0,
         }

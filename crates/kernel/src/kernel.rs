@@ -6,7 +6,7 @@
 //! disk — which is precisely the paper's model: DRAM and platters survive a
 //! reboot, kernel data structures do not.
 
-use crate::cache::PageCache;
+use crate::cache::{MixMap, PageCache};
 use crate::clock::CostModel;
 use crate::error::{CrashInfo, KernelError, PanicReason};
 use crate::machine::{Machine, MachineConfig};
@@ -16,7 +16,6 @@ use crate::crc_cache::SectorCrcCache;
 use rio_core::{ProtectionManager, Registry, RegistryEntry, RioMode, ShadowPool};
 use rio_disk::{SimDisk, SimTime};
 use rio_mem::{PageNum, PhysMem};
-use std::collections::HashMap;
 
 /// Number of buffer-cache pages reserved as metadata shadows (§2.3).
 pub const NUM_SHADOWS: usize = 4;
@@ -34,10 +33,10 @@ pub struct RioState {
     /// authoritative in-kernel descriptor, mirroring how a real kernel keeps
     /// native buf structs and treats the registry as the crash-surviving
     /// encoding. Reads skip the 40-byte bus decode; writes go through
-    /// [`Kernel::rio_write_entry`] (write-through) and
-    /// [`Kernel::rio_clear_entry`] (invalidate). Dies with the kernel at a
+    /// `Kernel::rio_write_entry` (write-through) and
+    /// `Kernel::rio_clear_entry` (invalidate). Dies with the kernel at a
     /// crash, like every other host-side structure.
-    pub entry_cache: HashMap<PageNum, RegistryEntry>,
+    pub(crate) entry_cache: MixMap<PageNum, RegistryEntry>,
 }
 
 /// Is the system up?
@@ -120,7 +119,7 @@ pub struct Kernel {
     pub(crate) ubc: PageCache<(u64, u64)>,
     pub(crate) rio: Option<RioState>,
     /// fd → heap address of the in-kernel file object.
-    pub(crate) fds: HashMap<u64, u64>,
+    pub(crate) fds: MixMap<u64, u64>,
     pub(crate) next_fd: u64,
     pub(crate) next_update: Option<SimTime>,
     /// Journal head (next journal slot), for the AdvFS policy.
@@ -128,7 +127,7 @@ pub struct Kernel {
     /// Per-inode `(bytes accumulated since last async flush, last write
     /// end offset)` — drives UFS 64 KB clustering and its non-sequential
     /// flush rule.
-    pub(crate) cluster_accum: HashMap<u64, (u64, u64)>,
+    pub(crate) cluster_accum: MixMap<u64, (u64, u64)>,
     /// Next Phoenix-style checkpoint instant, when the policy sets one.
     pub(crate) next_checkpoint: Option<SimTime>,
     /// Sector checksum cache backing the O(dirty) write fast path.
@@ -238,7 +237,7 @@ impl Kernel {
                 registry: Registry::new(layout),
                 prot: ProtectionManager::new(mode),
                 shadows: ShadowPool::new(&layout, NUM_SHADOWS),
-                entry_cache: HashMap::new(),
+                entry_cache: MixMap::default(),
             }
         });
         // Buffer-cache pages: all but the reserved shadow tail.
@@ -265,11 +264,11 @@ impl Kernel {
             bufcache: PageCache::new(bc_pages),
             ubc: PageCache::new(ubc_pages),
             rio,
-            fds: HashMap::new(),
+            fds: MixMap::default(),
             next_fd: 3, // 0-2 reserved, as tradition demands
             next_update,
             journal_head: 0,
-            cluster_accum: HashMap::new(),
+            cluster_accum: MixMap::default(),
             next_checkpoint: config
                 .policy
                 .checkpoint_interval

@@ -65,6 +65,6 @@ pub use recovery::{
 pub use locks::LockId;
 pub use preempt::{LockQueues, SyscallCont, SyscallOp, SyscallRet, Yield};
 pub use sched::{
-    run_clients, run_preemptive, ClientStream, PreemptClient, PreemptSched, SchedStep, SchedTrace,
+    client_refs, run_preemptive, PreemptClient, PreemptSched, SchedStep, SchedTrace,
 };
 pub use syscalls::Stat;

@@ -25,9 +25,9 @@ pub struct MachineConfig {
     pub disk_blocks: u64,
     /// Disk service model.
     pub disk_model: DiskModel,
-    /// Number of devices the block space is striped across (1 = the
-    /// classic single-spindle FIFO disk; >1 = a [`rio_disk::DiskArray`]
-    /// with per-device C-LOOK queues).
+    /// Number of devices the block space is striped across (the request
+    /// plane, [`rio_disk::DiskArray`], serves one device in arrival order
+    /// and sweeps more C-LOOK).
     pub disk_devices: usize,
     /// Cost model.
     pub costs: CostModel,

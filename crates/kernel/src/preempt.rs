@@ -1,12 +1,10 @@
 //! Preemptive syscall execution: resumable continuations and blocking
 //! locks with deterministic FIFO wait queues.
 //!
-//! The legacy scheduler ([`crate::sched::run_clients`]) runs one whole
-//! blocking op per quantum with every kernel lock asserted free between
-//! quanta — so lock contention and mid-syscall crashes literally cannot
-//! happen, while the paper's Table 1 was measured on a kernel where real
-//! processes had half-finished syscall state at every crash. This module
-//! closes that gap:
+//! The paper's Table 1 was measured on a kernel where real processes had
+//! half-finished syscall state at every crash, and contended for its
+//! locks. A syscall that ran to completion inside one scheduler quantum
+//! could show neither. This module is what [`crate::sched`] runs instead:
 //!
 //! - [`SyscallOp`] names a syscall with owned arguments; [`SyscallCont`]
 //!   executes it as an explicit phase machine that yields the CPU at the

@@ -1,5 +1,5 @@
-//! Deterministic schedulers for multi-client runs: the legacy
-//! run-to-completion rotor and the preemptive continuation scheduler.
+//! The scheduler: one deterministic, preemptive, single-CPU scheduler for
+//! every multi-client run.
 //!
 //! The paper's Sdet exhibit (§5) is a *multi-user* benchmark: concurrent
 //! scripts contending for the same file cache. Our kernel is a
@@ -9,33 +9,33 @@
 //! blocked client's **disk wait** hiding behind another client's CPU
 //! burst.
 //!
-//! Two schedulers share that clock machinery:
+//! A client ([`PreemptClient`]) is a script that emits one syscall at a
+//! time. [`PreemptSched`] runs each syscall as a resumable continuation
+//! ([`crate::preempt::SyscallCont`]) that gives up the CPU at its actual
+//! block points — buffer-cache miss, registry I/O, dirty-throttle stall,
+//! fsync wait — with kernel state half-mutated and locks
+//! ([`crate::preempt`]) legitimately held across the yield. A **quantum**
+//! is one such run, from pick to block point.
 //!
-//! - [`run_clients`] (legacy, PR 5): each [`ClientStream::step`] quantum
-//!   runs one whole blocking op to completion; between quanta every
-//!   kernel lock is asserted free. Single-client paths stay
-//!   byte-identical to the pre-scheduler kernel.
-//! - [`PreemptSched`] (this PR): syscalls execute as resumable
-//!   continuations ([`crate::preempt::SyscallCont`]) that yield the CPU
-//!   at their actual block points — buffer-cache miss, registry I/O,
-//!   dirty-throttle stall, fsync wait — with kernel state half-mutated
-//!   and locks ([`crate::preempt`]) legitimately held across the yield.
-//!   Lock contention is resolved by a deterministic FIFO wait queue.
-//!
-//! Shared mechanics:
-//!
-//! - Quanta are serialized on the simulated clock — CPU time never
-//!   overlaps (one CPU). During a quantum the clock runs in deferred-wait
-//!   mode ([`crate::clock::Clock::set_deferred_waits`]): a synchronous
-//!   disk wait (fsync, dirty throttle) does not advance global time, it
-//!   *blocks the client* until the recorded wake-up, and the rotor hands
-//!   the CPU to the next runnable client.
-//! - When no client is runnable the scheduler advances time to the
+//! - **One CPU.** Quanta are serialized on the simulated clock. During a
+//!   quantum the clock runs in deferred-wait mode
+//!   ([`crate::clock::Clock::set_deferred_waits`]): a synchronous disk
+//!   wait does not advance global time, it *blocks the client* until the
+//!   recorded wake-up, and the CPU goes to the next runnable client.
+//! - **The pick.** A rotor sits one past the client that ran last; its
+//!   starting position is derived from the seed (splitmix64). Each
+//!   decision runs the first *ready* client at or after the rotor,
+//!   wrapping once. Ready means: never blocked, or blocked on a disk
+//!   wake-up (or open-loop arrival) that has come due, or blocked on a
+//!   lock whose FIFO hand-off has reserved it for this client.
+//! - **The wake rule.** When nobody is ready the clock hops to the
 //!   earliest wake-up through [`Kernel::idle_until`], so background
-//!   daemons keep firing on schedule inside the gap.
-//! - The rotor's starting client is derived from the campaign seed
-//!   (splitmix64) and every subsequent decision is a pure function of
-//!   simulated state — the interleaving is byte-identical on any host,
+//!   daemons keep firing on schedule inside the gap. Every client whose
+//!   wake-up has come due becomes ready at that instant and the pick
+//!   above chooses among them: clients that tie on a wake-up time run in
+//!   rotor order, regardless of which of them blocked first.
+//! - **Determinism.** Every decision is a pure function of the seed and
+//!   of simulated state — the interleaving is byte-identical on any host,
 //!   at any `RIO_THREADS`.
 
 use crate::error::KernelError;
@@ -44,18 +44,6 @@ use crate::locks::LockId;
 use crate::preempt::{SyscallCont, SyscallOp, SyscallRet, Yield};
 use rio_disk::SimTime;
 use std::collections::BTreeSet;
-
-/// One logical client driving syscalls against a shared [`Kernel`].
-pub trait ClientStream {
-    /// Runs one quantum. Returns `Ok(true)` while the client has more
-    /// work, `Ok(false)` once its script is finished.
-    ///
-    /// A quantum should issue at most one *blocking* operation (fsync,
-    /// throttled write): the scheduler applies the deferred wake-up after
-    /// the quantum returns, so later ops inside the same quantum would
-    /// not observe the wait.
-    fn step(&mut self, kernel: &mut Kernel) -> Result<bool, KernelError>;
-}
 
 /// What the scheduler did: the quantum order and per-client accounting.
 /// Drives the fairness and determinism tests.
@@ -75,101 +63,6 @@ fn splitmix64(x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Runs `clients` round-robin against `kernel` until every stream
-/// finishes. The rotor's first pick is seed-derived; after a quantum the
-/// rotor moves past the client that just ran, and a blocked client
-/// (deferred disk wake-up in the future) is skipped until its time
-/// arrives — first-blocked is first-woken, so throttle stalls resolve in
-/// a deterministic fair order.
-///
-/// # Errors
-///
-/// The first client error (kernel crash/panic) aborts the run.
-///
-/// # Panics
-///
-/// If a client yields with a kernel lock still held.
-pub fn run_clients(
-    kernel: &mut Kernel,
-    clients: &mut [&mut dyn ClientStream],
-    seed: u64,
-) -> Result<SchedTrace, KernelError> {
-    let n = clients.len();
-    let mut trace = SchedTrace {
-        finish_at: vec![SimTime::ZERO; n],
-        ..SchedTrace::default()
-    };
-    if n == 0 {
-        return Ok(trace);
-    }
-    let mut ready_at = vec![SimTime::ZERO; n];
-    let mut done = vec![false; n];
-    // Quantum number at which each client last blocked: the idle-hop
-    // tie-break below wakes the longest-blocked client first.
-    let mut blocked_seq = vec![0u64; n];
-    let mut quantum_no = 0u64;
-    let mut remaining = n;
-    let mut rotor = (splitmix64(seed) % n as u64) as usize;
-    while remaining > 0 {
-        let now = kernel.machine.clock.now();
-        // First runnable client at or after the rotor, wrapping once.
-        let pick = (0..n)
-            .map(|i| (rotor + i) % n)
-            .find(|&c| !done[c] && ready_at[c] <= now);
-        let Some(c) = pick else {
-            // Everyone is blocked on a disk wake-up: hop to the earliest
-            // one, daemon-honestly. Among the clients waking at that
-            // instant, hand the rotor to the one that blocked earliest —
-            // rotor position is an accident of who ran last, and leaving
-            // it put would wake whichever tied client happens to sit
-            // next in rotor order instead of the longest-waiting one.
-            let wake = ready_at
-                .iter()
-                .zip(&done)
-                .filter(|&(_, d)| !d)
-                .map(|(&t, _)| t)
-                .min()
-                .expect("remaining > 0");
-            rotor = (0..n)
-                .filter(|&c| !done[c] && ready_at[c] == wake)
-                .min_by_key(|&c| (blocked_seq[c], c))
-                .expect("some client wakes at the minimum");
-            trace.idle_hops += 1;
-            kernel.idle_until(wake)?;
-            continue;
-        };
-        kernel.machine.clock.set_deferred_waits(true);
-        let result = clients[c].step(kernel);
-        let deferred = kernel.machine.clock.take_deferred();
-        kernel.machine.clock.set_deferred_waits(false);
-        let more = result?;
-        assert_locks_free(kernel);
-        trace.quanta.push(c as u32);
-        quantum_no += 1;
-        // Blocked until the deferred wake-up; otherwise runnable now.
-        ready_at[c] = deferred.unwrap_or_else(|| kernel.machine.clock.now());
-        if deferred.is_some() {
-            blocked_seq[c] = quantum_no;
-        }
-        if !more {
-            done[c] = true;
-            remaining -= 1;
-            trace.finish_at[c] = ready_at[c].max(kernel.machine.clock.now());
-        }
-        rotor = (c + 1) % n;
-    }
-    Ok(trace)
-}
-
-fn assert_locks_free(kernel: &Kernel) {
-    for id in LockId::ALL {
-        assert!(
-            !kernel.machine.locks.is_held(kernel.machine.bus.mem(), id),
-            "client yielded the CPU holding the {id:?} lock"
-        );
-    }
 }
 
 /// One logical client of the preemptive scheduler: a script that emits
@@ -228,11 +121,11 @@ pub enum SchedStep {
     Done,
 }
 
-/// The preemptive continuation scheduler. Unlike [`run_clients`], a
-/// quantum ends wherever the syscall actually blocks — so between
-/// quanta, clients hold locks and carry half-mutated kernel state in
-/// their parked [`SyscallCont`]s. Fault campaigns inject *between*
-/// quanta, which is exactly when that in-flight state is exposed.
+/// The preemptive continuation scheduler. A quantum ends wherever the
+/// syscall actually blocks — so between quanta, clients hold locks and
+/// carry half-mutated kernel state in their parked [`SyscallCont`]s.
+/// Fault campaigns inject *between* quanta, which is exactly when that
+/// in-flight state is exposed.
 ///
 /// Exposed as a stepwise object (not just a run loop) so campaigns can
 /// interleave warm-up, injection, and watchdog logic with scheduling.
@@ -248,23 +141,22 @@ pub struct PreemptSched {
     check_invariants: bool,
     /// Clients runnable right now (`Run::Ready`, expired disk waits, and
     /// lock waiters whose reservation came through), keyed by index so
-    /// `range(rotor..)` finds the rotor pick in O(log n) — the per-quantum
-    /// O(clients) scan this replaced made every quantum linear in the
-    /// client count, which the 1000-client server exhibit turns into
-    /// O(n²) total work.
+    /// `range(rotor..)` finds the rotor pick in O(log n): a quantum must
+    /// not cost O(clients), or a 1000-client run is O(n²).
     ready: BTreeSet<usize>,
     /// Time-ordered wake heap for disk-blocked clients: the earliest
     /// entry is the next wake-up, so expiring waits and idle hops are
-    /// O(log n) instead of a full scan.
+    /// O(log n).
     disk_waits: BTreeSet<(SimTime, usize)>,
     /// Retired-client count (O(1) `all_finished`).
     finished: usize,
     /// One-time arrival priming (open-loop clients) done.
     primed: bool,
-    /// Re-derive every pick with the old O(n) linear scan and assert the
-    /// indexed structures agree — the regression gate for this refactor.
+    /// Re-derive every pick with the O(n) linear scan and assert the
+    /// indexed structures agree.
+    #[cfg(test)]
     cross_check: bool,
-    /// Quantum order and accounting, same shape as the legacy trace.
+    /// Quantum order and accounting.
     pub trace: SchedTrace,
 }
 
@@ -290,20 +182,13 @@ impl PreemptSched {
             disk_waits: BTreeSet::new(),
             finished: 0,
             primed: false,
+            #[cfg(test)]
             cross_check: false,
             trace: SchedTrace {
                 finish_at: vec![SimTime::ZERO; n],
                 ..SchedTrace::default()
             },
         }
-    }
-
-    /// Enables per-pick cross-checking against the retired O(n) linear
-    /// rotor scan: every scheduling decision made through the indexed
-    /// ready set and wake heap is re-derived the old way and asserted
-    /// identical. Regression-test instrumentation; off by default.
-    pub fn set_cross_check(&mut self, on: bool) {
-        self.cross_check = on;
     }
 
     /// How many clients currently have a parked in-flight syscall.
@@ -349,9 +234,10 @@ impl PreemptSched {
         }
     }
 
-    /// The retired per-quantum O(n) pick: first eligible client at or
-    /// after the rotor, wrapping once. Kept as the cross-check reference
-    /// the indexed pick is asserted against.
+    /// The pick as the module docs define it, by linear scan: first
+    /// eligible client at or after the rotor, wrapping once. The
+    /// reference the indexed pick is asserted against.
+    #[cfg(test)]
     fn reference_pick(&self, kernel: &Kernel, now: SimTime) -> Option<usize> {
         let n = self.run.len();
         (0..n).map(|i| (self.rotor + i) % n).find(|&c| match self.run[c] {
@@ -399,8 +285,7 @@ impl PreemptSched {
                     if let Some(t) = client.next_op_at() {
                         if t > now {
                             self.ready.remove(&c);
-                            self.run[c] = Run::Disk(t);
-                            self.disk_waits.insert((t, c));
+                            self.park(c, Run::Disk(t));
                         }
                     }
                 }
@@ -433,6 +318,7 @@ impl PreemptSched {
             .next()
             .or_else(|| self.ready.iter().next())
             .copied();
+        #[cfg(test)]
         if self.cross_check {
             assert_eq!(
                 pick,
@@ -446,6 +332,7 @@ impl PreemptSched {
             let wake = wake.expect(
                 "scheduler deadlock: all unfinished clients lock-blocked with no reservation",
             );
+            #[cfg(test)]
             if self.cross_check {
                 let reference = self
                     .run
@@ -497,13 +384,9 @@ impl PreemptSched {
                 // Park until both the trailing wait and the next op's
                 // open-loop arrival (if any) have passed. A trailing wait
                 // still blocks the client past the op's completion.
-                let arrival = clients[c].next_op_at();
-                let wake = match (deferred, arrival) {
-                    (None, None) => None,
-                    (d, a) => Some(
-                        d.unwrap_or(SimTime::ZERO).max(a.unwrap_or(SimTime::ZERO)),
-                    ),
-                };
+                // (`None` sorts below every time: the later of the two, if
+                // there is either.)
+                let wake = deferred.max(clients[c].next_op_at());
                 self.park(c, wake.map_or(Run::Ready, Run::Disk));
             }
             Ok(Yield::Disk) => {
@@ -552,6 +435,15 @@ impl PreemptSched {
     }
 }
 
+/// A fleet of one client type as the slice of trait objects the
+/// scheduler takes.
+pub fn client_refs<C: PreemptClient>(fleet: &mut [C]) -> Vec<&mut dyn PreemptClient> {
+    fleet
+        .iter_mut()
+        .map(|c| c as &mut dyn PreemptClient)
+        .collect()
+}
+
 /// Runs `clients` under the preemptive scheduler until every script
 /// finishes. Convenience wrapper over [`PreemptSched::step_once`] for
 /// fault-free runs (campaigns drive the scheduler stepwise instead).
@@ -573,64 +465,83 @@ pub fn run_preemptive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::KernelConfig;
+    use crate::kernel::{Fd, KernelConfig};
     use crate::policy::Policy;
-
-    struct Writer {
-        fd: Option<crate::kernel::Fd>,
-        name: String,
-        ops: u32,
-        payload: u8,
-    }
-
-    impl Writer {
-        fn new(id: usize, ops: u32) -> Self {
-            Writer {
-                fd: None,
-                name: format!("/c{id}"),
-                ops,
-                payload: id as u8 + 1,
-            }
-        }
-    }
-
-    impl ClientStream for Writer {
-        fn step(&mut self, k: &mut Kernel) -> Result<bool, KernelError> {
-            let Some(fd) = self.fd else {
-                self.fd = Some(k.create(&self.name)?);
-                return Ok(true);
-            };
-            if self.ops == 0 {
-                return Ok(false);
-            }
-            self.ops -= 1;
-            let buf = vec![self.payload; 512];
-            k.write(fd, &buf)?;
-            Ok(true)
-        }
-    }
 
     fn kernel(policy: Policy) -> Kernel {
         Kernel::mkfs_and_mount(&KernelConfig::small(policy)).expect("boot")
     }
 
-    #[test]
-    fn interleaving_is_seed_deterministic() {
-        let run = |seed: u64| {
-            let mut k = kernel(Policy::rio(rio_core::RioMode::Protected));
-            let mut a = Writer::new(0, 4);
-            let mut b = Writer::new(1, 4);
-            let mut clients: [&mut dyn ClientStream; 2] = [&mut a, &mut b];
-            let trace = run_clients(&mut k, &mut clients, seed).unwrap();
-            (trace.quanta, k.machine.clock.now())
-        };
-        assert_eq!(run(7), run(7), "same seed, same interleaving");
-        let (q1, _) = run(1);
-        let (q2, _) = run(2);
-        assert_eq!(q1.len(), q2.len(), "same total work");
-        // The first pick is the seed-derived rotor position.
-        assert_eq!(u64::from(q1[0]), splitmix64(1) % 2);
-        assert_eq!(u64::from(q2[0]), splitmix64(2) % 2);
+    /// Stands in a [`Script`] op for "the descriptor this script was last
+    /// handed", so one fixed op list can open a file and then use it.
+    const LAST_FD: Fd = Fd(u64::MAX);
+
+    /// A scripted [`PreemptClient`]: runs a fixed op list, remembers
+    /// results, requires every op to succeed. With `arrivals` it is
+    /// open-loop: op `i` is not issued before `arrivals[i]`.
+    struct Script {
+        ops: Vec<SyscallOp>,
+        arrivals: Vec<SimTime>,
+        next: usize,
+        rets: Vec<SyscallRet>,
+        last_fd: Option<Fd>,
+    }
+
+    impl Script {
+        fn new(ops: Vec<SyscallOp>) -> Self {
+            Script::open_loop(ops, Vec::new())
+        }
+
+        fn open_loop(ops: Vec<SyscallOp>, arrivals: Vec<SimTime>) -> Self {
+            Script {
+                ops,
+                arrivals,
+                next: 0,
+                rets: Vec::new(),
+                last_fd: None,
+            }
+        }
+
+        /// `/c{id}`: create, then `writes` sequential 512-byte writes.
+        fn writer(id: usize, writes: usize) -> Self {
+            let mut ops = vec![SyscallOp::Create(format!("/c{id}"))];
+            ops.resize(
+                1 + writes,
+                SyscallOp::Write {
+                    fd: LAST_FD,
+                    data: vec![id as u8 + 1; 512],
+                },
+            );
+            Script::new(ops)
+        }
+    }
+
+    impl PreemptClient for Script {
+        fn next_op(&mut self, prev: Option<&SyscallRet>) -> Option<SyscallOp> {
+            if self.next > 0 {
+                let prev = prev.expect("scripted ops must succeed");
+                if let SyscallRet::Fd(fd) = prev {
+                    self.last_fd = Some(*fd);
+                }
+                self.rets.push(prev.clone());
+            }
+            let mut op = self.ops.get(self.next).cloned();
+            self.next += 1;
+            match &mut op {
+                Some(
+                    SyscallOp::Close(fd)
+                    | SyscallOp::Fsync(fd)
+                    | SyscallOp::Write { fd, .. }
+                    | SyscallOp::Pread { fd, .. },
+                ) if *fd == LAST_FD => *fd = self.last_fd.expect("no descriptor handed out yet"),
+                _ => {}
+            }
+            op
+        }
+
+        fn next_op_at(&mut self) -> Option<SimTime> {
+            self.arrivals.get(self.next).copied()
+        }
     }
 
     #[test]
@@ -639,11 +550,11 @@ mod tests {
         // Warm the metadata caches (root dir, bitmaps, inode block) so no
         // client blocks on a cold disk read.
         k.create("/warm").unwrap();
-        let mut a = Writer::new(0, 3);
-        let mut b = Writer::new(1, 3);
-        let mut clients: [&mut dyn ClientStream; 2] = [&mut a, &mut b];
-        let trace = run_clients(&mut k, &mut clients, 0).unwrap();
+        let mut scripts = [Script::writer(0, 3), Script::writer(1, 3)];
+        let trace = run_preemptive(&mut k, &mut client_refs(&mut scripts), 0, true).unwrap();
         // Rio never blocks these small writes, so strict alternation.
+        assert_eq!(trace.quanta.len(), 2 * 4, "one quantum per syscall");
+        assert_eq!(trace.idle_hops, 0);
         for w in trace.quanta.windows(2) {
             assert_ne!(w[0], w[1], "unblocked clients must alternate: {:?}", trace.quanta);
         }
@@ -652,19 +563,33 @@ mod tests {
     #[test]
     fn all_clients_finish_and_times_are_monotonic() {
         let mut k = kernel(Policy::disk_write_through());
-        let mut a = Writer::new(0, 5);
-        let mut b = Writer::new(1, 2);
-        let mut c = Writer::new(2, 8);
-        let mut clients: [&mut dyn ClientStream; 3] = [&mut a, &mut b, &mut c];
-        let trace = run_clients(&mut k, &mut clients, 42).unwrap();
+        let mut scripts = [
+            Script::writer(0, 5),
+            Script::writer(1, 2),
+            Script::writer(2, 8),
+        ];
+        let trace = run_preemptive(&mut k, &mut client_refs(&mut scripts), 42, true).unwrap();
         assert_eq!(trace.finish_at.len(), 3);
         let end = k.machine.clock.now();
         for (i, &t) in trace.finish_at.iter().enumerate() {
             assert!(t > SimTime::ZERO, "client {i} never finished");
             assert!(t <= end);
         }
-        // 3 quanta overhead (create) + 5+2+8 writes + 3 finish probes.
-        assert_eq!(trace.quanta.len(), 3 + 15 + 3);
+        // Round-robin over equal-cost writes: the shorter script is done
+        // first, and the last one to finish ends the run.
+        let [a, b, c] = trace.finish_at[..] else {
+            unreachable!()
+        };
+        assert!(b < a && a < c, "finish order follows script length: {:?}", trace.finish_at);
+        assert_eq!(c, end);
+        // Every syscall ran: a quantum each at least (a write-through
+        // write's disk wait trails its last phase, so it needs no second
+        // one), and the cold creates block mid-syscall on top of that.
+        assert!(trace.quanta.len() > 3 + 15, "{}", trace.quanta.len());
+        assert!(trace.idle_hops > 0, "write-through must leave the CPU idle");
+        for s in &scripts {
+            assert_eq!(s.rets.len(), s.ops.len());
+        }
     }
 
     #[test]
@@ -672,116 +597,42 @@ mod tests {
         // Write-through: every write waits for the disk. With the
         // scheduler, a blocked client's wait hides another client's CPU —
         // total time for 2 clients is less than 2× one client.
-        let solo = {
+        let time_for = |clients: usize| {
             let mut k = kernel(Policy::disk_write_through());
-            let mut a = Writer::new(0, 6);
-            let mut clients: [&mut dyn ClientStream; 1] = [&mut a];
-            run_clients(&mut k, &mut clients, 0).unwrap();
+            let mut scripts: Vec<Script> = (0..clients).map(|i| Script::writer(i, 6)).collect();
+            run_preemptive(&mut k, &mut client_refs(&mut scripts), 0, true).unwrap();
             k.machine.clock.now()
         };
-        let duo = {
-            let mut k = kernel(Policy::disk_write_through());
-            let mut a = Writer::new(0, 6);
-            let mut b = Writer::new(1, 6);
-            let mut clients: [&mut dyn ClientStream; 2] = [&mut a, &mut b];
-            run_clients(&mut k, &mut clients, 0).unwrap();
-            k.machine.clock.now()
-        };
+        let (solo, duo) = (time_for(1), time_for(2));
         assert!(
             duo.as_micros() < solo.as_micros() * 2,
             "disk waits should overlap CPU: solo={solo:?} duo={duo:?}"
         );
     }
 
-    /// A client that blocks until scripted absolute times (`None` = a
-    /// quantum that stays runnable): exercises the legacy scheduler's
-    /// idle-hop path without real disk traffic.
-    struct Sleeper {
-        wakes: Vec<Option<u64>>,
-        next: usize,
-    }
-
-    impl ClientStream for Sleeper {
-        fn step(&mut self, k: &mut Kernel) -> Result<bool, KernelError> {
-            let Some(&w) = self.wakes.get(self.next) else {
-                return Ok(false);
-            };
-            self.next += 1;
-            if let Some(us) = w {
-                k.machine.clock.wait_until(SimTime::from_micros(us));
-            }
-            Ok(true)
-        }
-    }
-
     #[test]
-    fn idle_hop_wakes_longest_blocked_client_first() {
-        // Three clients tie on a wake-up time. Block order: c2 first
-        // (quantum 3), then c1 (quantum 5), then c0 blocks last at a
-        // later time (quantum 6). The rotor sits just past c0 when the
-        // idle hop fires, so rotor order alone would wake c1 — but c2
-        // has waited longer. The fairness pin: longest-blocked wins the
-        // tie.
+    fn idle_hop_wakes_tied_clients_in_rotor_order() {
+        // The wake rule of the module docs. c2 parks first (its only op
+        // arrives at T+100 ms), c1 parks second on the same instant, c0
+        // parks last on a later one, leaving the rotor just past c0 — at
+        // c1. The idle hop to T+100 ms makes c1 and c2 ready together and
+        // the rotor picks c1: position decides, not time spent waiting.
         let seed = (0..).find(|&s| splitmix64(s).is_multiple_of(3)).unwrap();
         let mut k = kernel(Policy::rio(rio_core::RioMode::Protected));
-        // Wake times must be in the simulated future — boot already
-        // advanced the clock.
-        let base = k.machine.clock.now().as_micros();
-        let mut c0 = Sleeper {
-            wakes: vec![None, None, Some(base + 200)],
-            next: 0,
-        };
-        let mut c1 = Sleeper {
-            wakes: vec![None, Some(base + 100)],
-            next: 0,
-        };
-        let mut c2 = Sleeper {
-            wakes: vec![Some(base + 100)],
-            next: 0,
-        };
-        let mut clients: [&mut dyn ClientStream; 3] = [&mut c0, &mut c1, &mut c2];
-        let trace = run_clients(&mut k, &mut clients, seed).unwrap();
-        assert_eq!(&trace.quanta[..6], &[0, 1, 2, 0, 1, 0]);
-        assert_eq!(
-            trace.quanta[6], 2,
-            "after the idle hop the longest-blocked tied client (c2) must run first: {:?}",
-            trace.quanta
-        );
-        assert_eq!(trace.quanta, vec![0, 1, 2, 0, 1, 0, 2, 1, 0]);
+        // Warm the root directory so no listing waits on a cold read.
+        k.readdir("/").unwrap();
+        let t = k.machine.clock.now();
+        let at = |ms: u64| t + SimTime::from_micros(ms * 1000);
+        let list = || SyscallOp::Readdir("/".into());
+        let mut scripts = [
+            Script::open_loop(vec![list(), list(), list()], vec![t, t, at(200)]),
+            Script::open_loop(vec![list(), list()], vec![t, at(100)]),
+            Script::open_loop(vec![list()], vec![at(100)]),
+        ];
+        let trace = run_preemptive(&mut k, &mut client_refs(&mut scripts), seed, true).unwrap();
+        assert_eq!(trace.quanta, vec![0, 1, 0, 1, 2, 0]);
         assert_eq!(trace.idle_hops, 2);
-    }
-
-    /// A scripted [`PreemptClient`]: runs a fixed op list, remembers
-    /// results, requires every op to succeed.
-    struct Script {
-        ops: Vec<SyscallOp>,
-        next: usize,
-        rets: Vec<SyscallRet>,
-        started: bool,
-    }
-
-    impl Script {
-        fn new(ops: Vec<SyscallOp>) -> Self {
-            Script {
-                ops,
-                next: 0,
-                rets: Vec::new(),
-                started: false,
-            }
-        }
-    }
-
-    impl PreemptClient for Script {
-        fn next_op(&mut self, prev: Option<&SyscallRet>) -> Option<SyscallOp> {
-            if self.started {
-                let prev = prev.expect("scripted ops must succeed");
-                self.rets.push(prev.clone());
-            }
-            self.started = true;
-            let op = self.ops.get(self.next).cloned();
-            self.next += 1;
-            op
-        }
+        assert!(trace.finish_at[0] >= at(200));
     }
 
     #[test]
@@ -853,23 +704,25 @@ mod tests {
         assert_eq!(names, vec!["a".to_owned(), "b".to_owned()]);
     }
 
+    /// `/f{i}` then `/d{i}` in the shared root: under write-through both
+    /// block on the disk and contend for `Fs`.
+    fn create_mkdir_scripts(n: usize) -> Vec<Script> {
+        (0..n)
+            .map(|i| {
+                Script::new(vec![
+                    SyscallOp::Create(format!("/f{i}")),
+                    SyscallOp::Mkdir(format!("/d{i}")),
+                ])
+            })
+            .collect()
+    }
+
     #[test]
-    fn preemptive_interleaving_is_seed_deterministic() {
+    fn interleaving_is_seed_deterministic() {
         let run = |seed: u64| {
             let mut k = kernel(Policy::disk_write_through());
-            let mut scripts: Vec<Script> = (0..3)
-                .map(|i| {
-                    Script::new(vec![
-                        SyscallOp::Create(format!("/f{i}")),
-                        SyscallOp::Mkdir(format!("/d{i}")),
-                    ])
-                })
-                .collect();
-            let mut clients: Vec<&mut dyn PreemptClient> = scripts
-                .iter_mut()
-                .map(|s| s as &mut dyn PreemptClient)
-                .collect();
-            let trace = run_preemptive(&mut k, &mut clients, seed, true).unwrap();
+            let mut scripts = create_mkdir_scripts(3);
+            let trace = run_preemptive(&mut k, &mut client_refs(&mut scripts), seed, true).unwrap();
             (trace.quanta, k.machine.clock.now())
         };
         assert_eq!(run(9), run(9), "same seed, same interleaving");
@@ -880,48 +733,82 @@ mod tests {
         assert_eq!(t1, t2, "same work, same total time");
     }
 
-    fn run_cross_checked(n: usize, seed: u64) -> Vec<u32> {
-        let mut k = kernel(Policy::disk_write_through());
-        let mut scripts: Vec<Script> = (0..n)
-            .map(|i| {
-                Script::new(vec![
-                    SyscallOp::Create(format!("/f{i}")),
-                    SyscallOp::Mkdir(format!("/d{i}")),
-                ])
-            })
-            .collect();
-        let mut clients: Vec<&mut dyn PreemptClient> = scripts
-            .iter_mut()
-            .map(|s| s as &mut dyn PreemptClient)
-            .collect();
-        let mut sched = PreemptSched::new(n, seed, true);
-        sched.set_cross_check(true);
-        while !matches!(
-            sched.step_once(&mut k, &mut clients).unwrap(),
-            SchedStep::Done
-        ) {}
-        sched.trace.quanta
+    /// Runs `scripts` with every decision re-derived by linear scan
+    /// inside `step_once` — pick against [`PreemptSched::reference_pick`],
+    /// idle-hop target against the minimum over all disk-blocked clients.
+    fn run_cross_checked(k: &mut Kernel, scripts: &mut [Script], seed: u64) -> SchedTrace {
+        let mut sched = PreemptSched::new(scripts.len(), seed, true);
+        sched.cross_check = true;
+        let mut clients = client_refs(scripts);
+        while !matches!(sched.step_once(k, &mut clients).unwrap(), SchedStep::Done) {}
+        sched.trace
     }
 
     #[test]
     fn indexed_pick_matches_linear_scan_at_1_and_64_clients() {
-        // Every pick is re-derived with the old O(n) rotor scan inside
-        // step_once (cross-check mode) and asserted identical; the
-        // 1024-client case runs in the server workload's tests. Disk and
-        // lock blocking both occur (write-through + shared root dir), so
-        // all three wake paths are exercised.
-        for &n in &[1usize, 64] {
-            let q = run_cross_checked(n, 11);
-            assert_eq!(q, run_cross_checked(n, 11), "n={n} not deterministic");
+        // Disk and lock blocking both occur (write-through + shared root
+        // dir), so all three wake paths are exercised.
+        for n in [1usize, 64] {
+            let run = || {
+                let mut k = kernel(Policy::disk_write_through());
+                run_cross_checked(&mut k, &mut create_mkdir_scripts(n), 11).quanta
+            };
+            let q = run();
+            assert_eq!(q, run(), "n={n} not deterministic");
             assert!(q.len() > n, "n={n}: too few quanta: {}", q.len());
         }
     }
 
     #[test]
+    fn indexed_pick_matches_linear_scan_at_1024_open_loop_clients() {
+        // 1024 connections, two open → pread → close requests each over
+        // 32 shared keys, arriving on their own clocks under Rio: nothing
+        // blocks on the disk, so every entry of the wake heap is an
+        // arrival. It starts with all 1024 parked, and the arrivals are
+        // sparse enough (~10 % CPU) that most requests are reached by an
+        // idle hop, each checked against the linear minimum.
+        const CLIENTS: usize = 1024;
+        let mut k = kernel(Policy::rio(rio_core::RioMode::Protected));
+        for key in 0..32 {
+            let fd = k.create(&format!("/k{key}")).unwrap();
+            k.write(fd, &[key as u8; 4096]).unwrap();
+            k.close(fd).unwrap();
+        }
+        let base = k.machine.clock.now();
+        let mut scripts: Vec<Script> = (0..CLIENTS)
+            .map(|c| {
+                let mut ops = Vec::new();
+                let mut arrivals = Vec::new();
+                for r in 0..2u64 {
+                    let draw = splitmix64(((c as u64) << 1) | r);
+                    // A request's later ops arrived with it: due at once.
+                    let at = base + SimTime::from_micros(r * 4_000_000 + draw % 4_000_000);
+                    ops.extend([
+                        SyscallOp::Open(format!("/k{}", (draw >> 32) % 32)),
+                        SyscallOp::Pread {
+                            fd: LAST_FD,
+                            offset: (draw >> 40) % 3840,
+                            len: 256,
+                        },
+                        SyscallOp::Close(LAST_FD),
+                    ]);
+                    arrivals.extend([at; 3]);
+                }
+                Script::open_loop(ops, arrivals)
+            })
+            .collect();
+        let trace = run_cross_checked(&mut k, &mut scripts, 13);
+        assert_eq!(trace.quanta.len(), CLIENTS * 6, "every syscall of every request ran");
+        assert!(trace.idle_hops > 100, "arrivals must park the fleet: {}", trace.idle_hops);
+        for s in &scripts {
+            assert!(matches!(&s.rets[1], SyscallRet::Bytes(b) if b.len() == 256));
+        }
+    }
+
+    #[test]
     fn preemptive_multi_client_matches_serialized_runs() {
-        // The property at the heart of the refactor: interleaving
-        // fault-free clients must not change what ends up in the file
-        // system, only when. Compare against the same scripts run one
+        // Interleaving fault-free clients must not change what ends up in
+        // the file system, only when. Compare against the same scripts run one
         // client at a time.
         let script = |i: usize| {
             vec![
@@ -929,7 +816,7 @@ mod tests {
                 SyscallOp::Mkdir(format!("/dir{i}")),
             ]
         };
-        let write_script = |fd: crate::kernel::Fd, i: usize| {
+        let write_script = |fd: Fd, i: usize| {
             vec![
                 SyscallOp::Write {
                     fd,
@@ -944,18 +831,14 @@ mod tests {
             // Phase 1: create files (returns per-client fds).
             let mut scripts: Vec<Script> = (0..4).map(|i| Script::new(script(i))).collect();
             if preemptive {
-                let mut clients: Vec<&mut dyn PreemptClient> = scripts
-                    .iter_mut()
-                    .map(|s| s as &mut dyn PreemptClient)
-                    .collect();
-                run_preemptive(&mut k, &mut clients, 5, true).unwrap();
+                run_preemptive(&mut k, &mut client_refs(&mut scripts), 5, true).unwrap();
             } else {
                 for s in &mut scripts {
                     let mut clients: [&mut dyn PreemptClient; 1] = [s];
                     run_preemptive(&mut k, &mut clients, 5, true).unwrap();
                 }
             }
-            let fds: Vec<crate::kernel::Fd> = scripts
+            let fds: Vec<Fd> = scripts
                 .iter()
                 .map(|s| match s.rets[0] {
                     SyscallRet::Fd(fd) => fd,
@@ -969,11 +852,7 @@ mod tests {
                 .map(|(i, &fd)| Script::new(write_script(fd, i)))
                 .collect();
             if preemptive {
-                let mut clients: Vec<&mut dyn PreemptClient> = scripts
-                    .iter_mut()
-                    .map(|s| s as &mut dyn PreemptClient)
-                    .collect();
-                run_preemptive(&mut k, &mut clients, 6, true).unwrap();
+                run_preemptive(&mut k, &mut client_refs(&mut scripts), 6, true).unwrap();
             } else {
                 for s in &mut scripts {
                     let mut clients: [&mut dyn PreemptClient; 1] = [s];

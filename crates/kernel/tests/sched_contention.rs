@@ -1,15 +1,15 @@
-//! Satellite coverage: `throttle_dirty_bytes` under multi-client
-//! contention.
+//! `throttle_dirty_bytes` under multi-client contention.
 //!
 //! N writers against a saturated device must block deterministically and
-//! in a fair order: the dirty-throttle stall is a deferred disk wait, so
-//! the scheduler parks the throttled client, lets the others run, and
-//! wakes blocked clients in rotor (FIFO) order when the flush drains.
+//! in a fair order: the dirty-throttle stall is a deferred disk wait at
+//! the end of the write that crossed the bound, so the scheduler parks
+//! the throttled client, lets the others run, and wakes blocked clients
+//! as their flushes drain — first stalled, first woken.
 
 use rio_disk::SimTime;
 use rio_kernel::{
-    ClientStream, DataPolicy, Fd, Kernel, KernelConfig, KernelError, MetadataPolicy, Policy,
-    run_clients,
+    client_refs, run_preemptive, DataPolicy, Fd, Kernel, KernelConfig, MetadataPolicy, Policy,
+    PreemptClient, SyscallOp, SyscallRet,
 };
 
 /// Delayed writes with a tight dirty bound: two pages of slack, then the
@@ -48,25 +48,36 @@ impl PageWriter {
     }
 }
 
-impl ClientStream for PageWriter {
-    fn step(&mut self, k: &mut Kernel) -> Result<bool, KernelError> {
-        let Some(fd) = self.fd else {
-            self.fd = Some(k.create(&self.name)?);
-            return Ok(true);
-        };
+impl PreemptClient for PageWriter {
+    fn next_op(&mut self, prev: Option<&SyscallRet>) -> Option<SyscallOp> {
+        match prev {
+            None if self.fd.is_none() => return Some(SyscallOp::Create(self.name.clone())),
+            None => panic!("{}: a write failed", self.name),
+            Some(SyscallRet::Fd(fd)) => self.fd = Some(*fd),
+            Some(_) => {}
+        }
         if self.remaining == 0 {
-            return Ok(false);
+            return None;
         }
         self.remaining -= 1;
-        k.write(fd, &vec![self.payload; 8192])?;
-        Ok(true)
+        Some(SyscallOp::Write {
+            fd: self.fd.expect("created first"),
+            data: vec![self.payload; 8192],
+        })
     }
 }
 
 fn kernel(devices: usize) -> Kernel {
     let mut config = KernelConfig::small(throttled_policy());
     config.machine.disk_devices = devices;
-    Kernel::mkfs_and_mount(&config).unwrap()
+    let mut k = Kernel::mkfs_and_mount(&config).unwrap();
+    // Warm the metadata caches (root directory, bitmaps, inode block): a
+    // cold create sleeps in namei holding `Fs`, which costs its holder and
+    // each contender a different number of quanta. The throttle is what
+    // is under test here, so every create is one quantum.
+    let fd = k.create("/warm").unwrap();
+    k.close(fd).unwrap();
+    k
 }
 
 struct Run {
@@ -79,11 +90,7 @@ struct Run {
 fn run(clients: usize, pages: u32, devices: usize, seed: u64) -> Run {
     let mut k = kernel(devices);
     let mut writers: Vec<PageWriter> = (0..clients).map(|i| PageWriter::new(i, pages)).collect();
-    let mut streams: Vec<&mut dyn ClientStream> = writers
-        .iter_mut()
-        .map(|w| w as &mut dyn ClientStream)
-        .collect();
-    let trace = run_clients(&mut k, &mut streams, seed).unwrap();
+    let trace = run_preemptive(&mut k, &mut client_refs(&mut writers), seed, true).unwrap();
     // Every byte written is verifiable afterwards.
     for (i, _) in (0..clients).enumerate() {
         let data = k.file_contents(&format!("/w{i}")).unwrap();
@@ -100,44 +107,60 @@ fn run(clients: usize, pages: u32, devices: usize, seed: u64) -> Run {
 
 #[test]
 fn contended_throttle_is_deterministic() {
-    let a = run(4, 6, 1, 42);
-    let b = run(4, 6, 1, 42);
-    assert_eq!(a.quanta, b.quanta, "same seed, same interleaving");
-    assert_eq!(a.end, b.end, "same seed, same finish time");
-    assert_eq!(a.sync_waits, b.sync_waits);
-    // The device was actually saturated: writers stalled, and at some
-    // point everyone was blocked at once.
-    assert!(a.sync_waits > 0, "the throttle must have engaged");
-    assert!(a.idle_hops > 0, "all clients blocked together at least once");
+    for devices in [1, 4] {
+        let a = run(4, 6, devices, 42);
+        let b = run(4, 6, devices, 42);
+        assert_eq!(a.quanta, b.quanta, "same seed, same interleaving");
+        assert_eq!(a.end, b.end, "same seed, same finish time");
+        assert_eq!(a.sync_waits, b.sync_waits);
+        // The device was actually saturated: writers stalled, and at some
+        // point everyone was blocked at once.
+        assert!(a.sync_waits > 0, "{devices} device(s): the throttle must have engaged");
+        assert!(a.idle_hops > 0, "{devices} device(s): all clients blocked together at least once");
+    }
 }
 
 #[test]
 fn blocked_writers_wake_in_fair_rotor_order() {
-    let r = run(4, 6, 1, 7);
-    // Same script per client → same quantum count per client: nobody
-    // starves, nobody gets extra turns.
-    let mut counts = [0u32; 4];
-    for &q in &r.quanta {
-        counts[q as usize] += 1;
-    }
-    assert_eq!(counts, [counts[0]; 4], "equal work, equal quanta: {counts:?}");
-    // Fairness of the wake order: between two consecutive quanta of any
-    // client, every other client can run at most 3 write quanta (the
-    // 2-page dirty slack plus the write that stalls it — the flush
-    // empties everyone's dirty data, so nobody writes more than that
-    // before blocking again), plus create/finish bookkeeping. A starving
-    // scheduler would show unbounded same-client bursts instead.
-    let max_gap = 3 * (4 - 1) + 3;
-    let mut last_seen = [None::<usize>; 4];
-    for (pos, &q) in r.quanta.iter().enumerate() {
-        if let Some(prev) = last_seen[q as usize] {
-            let gap = pos - prev;
-            assert!(
-                gap <= max_gap,
-                "client {q} waited {gap} quanta between turns"
-            );
+    const CLIENTS: usize = 4;
+    for devices in [1usize, 4] {
+        // The dirty bound scales with the device count; so does the work,
+        // to keep the same number of stalls per client.
+        let pages = 6 * devices as u32;
+        let r = run(CLIENTS, pages, devices, 7);
+        // A quantum is one syscall here: the create is warm, and a write's
+        // only wait — the throttle stall — trails its last phase, with
+        // `Ubc` already released. Same script per client → same quantum
+        // count per client: nobody starves, nobody gets extra turns.
+        let mut counts = [0u32; CLIENTS];
+        for &q in &r.quanta {
+            counts[q as usize] += 1;
         }
-        last_seen[q as usize] = Some(pos);
+        assert_eq!(counts, [1 + pages; CLIENTS], "equal work, equal quanta");
+        // Fairness of the wake order. The bound is global — `slack` dirty
+        // pages, then the write that crosses it flushes *everyone's* pages
+        // and stalls its writer until that flush drains — so any
+        // `slack + 1` consecutive writes contain a stall. While client X
+        // is stalled, another client can stall at most once more (a later
+        // stall drains no earlier than X's, so it cannot wake first):
+        // at most `(slack + 1) · (n − 1)` quanta by others until all are
+        // parked. When X's wake-up comes due, clients due at the same
+        // instant (or still on their create) may sit ahead of it in rotor
+        // order: `n − 1` more. A starving scheduler would show unbounded
+        // gaps instead.
+        let slack = 2 * devices;
+        let max_gap = (slack + 2) * (CLIENTS - 1) + 1;
+        let mut last_seen = [None::<usize>; CLIENTS];
+        for (pos, &q) in r.quanta.iter().enumerate() {
+            if let Some(prev) = last_seen[q as usize] {
+                let gap = pos - prev;
+                assert!(
+                    gap <= max_gap,
+                    "{devices} device(s): client {q} waited {gap} quanta between turns"
+                );
+            }
+            last_seen[q as usize] = Some(pos);
+        }
     }
 }
 

@@ -184,10 +184,10 @@ const SUB_BITS: u32 = 4;
 /// linear sub-buckets for each of the 60 octaves `2^4 ..= 2^63`.
 const BUCKETS: usize = SUB_BUCKETS + (64 - SUB_BITS as usize) * SUB_BUCKETS;
 
-/// A log-linear histogram (HdrHistogram-style): values below
-/// [`SUB_BUCKETS`] get exact unit buckets, and every power-of-two octave
-/// above that is split into [`SUB_BUCKETS`] linear sub-buckets keyed by
-/// the top [`SUB_BITS`] bits after the leading one. Bucket width is
+/// A log-linear histogram (HdrHistogram-style): values below 16 get exact
+/// unit buckets, and every power-of-two octave above that is split into
+/// 16 linear sub-buckets keyed by the top 4 bits after the leading one
+/// (`SUB_BUCKETS`, `SUB_BITS`). Bucket width is
 /// therefore at most `low/16`, which bounds the relative error of any
 /// percentile estimate by **1/16** — the pure power-of-two layout this
 /// replaced was off by up to 2×, exactly where a p999 claim lives.

@@ -699,11 +699,8 @@ mod tests {
                 pm.setup_skeleton(&mut k).unwrap();
             }
             if interleaved {
-                let mut clients: Vec<&mut dyn PreemptClient> = pms
-                    .iter_mut()
-                    .map(|p| p as &mut dyn PreemptClient)
-                    .collect();
-                rio_kernel::run_preemptive(&mut k, &mut clients, 11, true).unwrap();
+                rio_kernel::run_preemptive(&mut k, &mut rio_kernel::client_refs(&mut pms), 11, true)
+                    .unwrap();
             } else {
                 for pm in &mut pms {
                     let mut clients: [&mut dyn PreemptClient; 1] = [pm];

@@ -5,19 +5,22 @@
 //! Sdet-style operation mix (edit cycles, re-reads, log appends, cleanup,
 //! listings) with a debit-credit twist — every `commit_every`-th log
 //! append is a transaction commit and calls `fsync`. The clients run
-//! against one shared kernel under the deterministic round-robin
-//! scheduler ([`rio_kernel::run_clients`]), so a blocked client's disk
-//! wait overlaps other clients' CPU time, and the whole interleaving is
-//! a pure function of the seed.
+//! against one shared kernel under the preemptive scheduler
+//! ([`rio_kernel::run_preemptive`]), so a blocked client's disk wait
+//! overlaps other clients' CPU time, and the whole interleaving is a pure
+//! function of the seed.
 //!
-//! Each scheduler quantum executes one *operation* (up to a few
-//! syscalls, e.g. create+write+close); the deferred-wait clock records
-//! the operation's final disk wake-up, which is when the client becomes
-//! runnable again — batch-issue semantics at the op level.
+//! Each *operation* is a short script of syscalls (create → write →
+//! close, open → pread → close, …) issued one at a time: a client gives
+//! up the CPU wherever a syscall actually blocks, and again between
+//! syscalls.
 
 use crate::datagen;
 use rio_disk::SimTime;
-use rio_kernel::{ClientStream, Fd, Kernel, KernelError, SchedTrace};
+use rio_kernel::{
+    client_refs, Fd, Kernel, KernelError, PreemptClient, SchedTrace, SyscallOp, SyscallRet,
+};
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 /// Scale-workload parameters.
@@ -73,34 +76,41 @@ impl ScaleReport {
     }
 }
 
-enum Phase {
-    Mkdir,
-    Ops,
-}
+/// Stands in a scripted op for the descriptor the client's most recent
+/// `create`/`open` handed back — not known when the script is written.
+const LAST_OPENED: Fd = Fd(u64::MAX);
 
 struct Client {
     seed: u64,
     uid: usize,
     dir: String,
-    phase: Phase,
+    /// Operations planned so far (one past `ops` once the log is closed).
     step: usize,
     ops: usize,
     max_file_bytes: usize,
     commit_every: u64,
-    files: VecDeque<String>,
+    /// Live files, oldest first, with their sizes.
+    files: VecDeque<(String, usize)>,
     next_file: u64,
     appends: u64,
     commits: u64,
+    /// Syscalls of the current operation not yet issued.
+    script: VecDeque<SyscallOp>,
+    last_opened: Option<Fd>,
+    /// The log, open from the first append to retirement.
     log: Option<Fd>,
+    /// A syscall has been issued, so `next_op`'s `prev` is its result.
+    issued: bool,
 }
 
 impl Client {
     fn new(cfg: &ScaleConfig, uid: usize) -> Self {
+        let dir = format!("{}/c{uid}", cfg.root);
         Client {
             seed: cfg.seed,
             uid,
-            dir: format!("{}/c{uid}", cfg.root),
-            phase: Phase::Mkdir,
+            script: VecDeque::from([SyscallOp::Mkdir(dir.clone())]),
+            dir,
             step: 0,
             ops: cfg.ops_per_client,
             max_file_bytes: cfg.max_file_bytes,
@@ -109,11 +119,15 @@ impl Client {
             next_file: 0,
             appends: 0,
             commits: 0,
+            last_opened: None,
             log: None,
+            issued: false,
         }
     }
 
-    fn run_op(&mut self, k: &mut Kernel) -> Result<(), KernelError> {
+    /// Queues the syscalls of operation number `self.step` (possibly
+    /// none: a re-read or a delete with no file to act on).
+    fn plan_op(&mut self) {
         let tag = (self.uid as u64) << 32 | self.step as u64;
         match datagen::length(self.seed, tag, 0, 99) {
             // Edit cycle: create + write a new file.
@@ -121,72 +135,86 @@ impl Client {
                 let name = format!("{}/s{}", self.dir, self.next_file);
                 self.next_file += 1;
                 let len = datagen::length(self.seed, tag ^ 0xA5, 64, self.max_file_bytes);
-                let fd = k.create(&name)?;
-                k.write(fd, &datagen::bytes(self.seed, tag, len))?;
-                k.close(fd)?;
-                self.files.push_back(name);
+                let data = datagen::bytes(self.seed, tag, len);
+                self.script.extend([
+                    SyscallOp::Create(name.clone()),
+                    SyscallOp::Write { fd: LAST_OPENED, data },
+                    SyscallOp::Close(LAST_OPENED),
+                ]);
+                self.files.push_back((name, len));
             }
             // Re-read the newest file.
             35..=54 => {
-                if let Some(name) = self.files.back() {
-                    let name = name.clone();
-                    k.file_contents(&name)?;
+                if let Some((name, len)) = self.files.back() {
+                    self.script.extend([
+                        SyscallOp::Open(name.clone()),
+                        SyscallOp::Pread { fd: LAST_OPENED, offset: 0, len: *len },
+                        SyscallOp::Close(LAST_OPENED),
+                    ]);
                 }
             }
             // Append to the log; periodically commit (debit-credit).
             55..=69 => {
-                let fd = match self.log {
-                    Some(fd) => fd,
-                    None => {
-                        let fd = k.create(&format!("{}/log", self.dir))?;
-                        self.log = Some(fd);
-                        fd
-                    }
-                };
+                if self.appends == 0 {
+                    self.script.push_back(SyscallOp::Create(format!("{}/log", self.dir)));
+                }
+                // Until its `create` has returned, the log is the
+                // descriptor opened last.
+                let fd = self.log.unwrap_or(LAST_OPENED);
                 let len = datagen::length(self.seed, tag ^ 0x5A, 32, 512);
-                k.write(fd, &datagen::bytes(self.seed, tag ^ 0x11, len))?;
+                let data = datagen::bytes(self.seed, tag ^ 0x11, len);
+                self.script.push_back(SyscallOp::Write { fd, data });
                 self.appends += 1;
                 if self.appends.is_multiple_of(self.commit_every) {
-                    k.fsync(fd)?;
+                    self.script.push_back(SyscallOp::Fsync(fd));
                     self.commits += 1;
                 }
             }
             // Delete the oldest file.
             70..=84 => {
-                if let Some(name) = self.files.pop_front() {
-                    k.unlink(&name)?;
+                if let Some((name, _)) = self.files.pop_front() {
+                    self.script.push_back(SyscallOp::Unlink(name));
                 }
             }
             // Directory listing.
-            _ => {
-                k.readdir(&self.dir)?;
-            }
+            _ => self.script.push_back(SyscallOp::Readdir(self.dir.clone())),
         }
-        Ok(())
     }
 }
 
-impl ClientStream for Client {
-    fn step(&mut self, k: &mut Kernel) -> Result<bool, KernelError> {
-        match self.phase {
-            Phase::Mkdir => {
-                k.mkdir(&self.dir)?;
-                self.phase = Phase::Ops;
-                Ok(true)
-            }
-            Phase::Ops => {
-                if self.step >= self.ops {
-                    // Final quantum: close the log and retire.
-                    if let Some(fd) = self.log.take() {
-                        k.close(fd)?;
-                    }
-                    return Ok(false);
-                }
-                self.run_op(k)?;
-                self.step += 1;
-                Ok(true)
+impl PreemptClient for Client {
+    fn next_op(&mut self, prev: Option<&SyscallRet>) -> Option<SyscallOp> {
+        // Every name is the client's own and every descriptor live.
+        assert!(prev.is_some() || !self.issued, "{}: a syscall failed", self.dir);
+        self.issued = true;
+        if let Some(SyscallRet::Fd(fd)) = prev {
+            self.last_opened = Some(*fd);
+            // The first append has been planned and its `create` is the
+            // one that just returned.
+            if self.appends > 0 && self.log.is_none() {
+                self.log = Some(*fd);
             }
         }
+        while self.script.is_empty() {
+            match self.step.cmp(&self.ops) {
+                Ordering::Less => self.plan_op(),
+                // Last act: close the log, if one was ever opened.
+                Ordering::Equal => self.script.extend(self.log.map(SyscallOp::Close)),
+                Ordering::Greater => return None,
+            }
+            self.step += 1;
+        }
+        let mut op = self.script.pop_front()?;
+        if let SyscallOp::Write { fd, .. }
+        | SyscallOp::Pread { fd, .. }
+        | SyscallOp::Fsync(fd)
+        | SyscallOp::Close(fd) = &mut op
+        {
+            if *fd == LAST_OPENED {
+                *fd = self.last_opened.expect("scripts open before they use");
+            }
+        }
+        Some(op)
     }
 }
 
@@ -213,13 +241,8 @@ impl Scale {
         let mut clients: Vec<Client> = (0..self.cfg.clients)
             .map(|uid| Client::new(&self.cfg, uid))
             .collect();
-        let trace = {
-            let mut streams: Vec<&mut dyn ClientStream> = clients
-                .iter_mut()
-                .map(|c| c as &mut dyn ClientStream)
-                .collect();
-            rio_kernel::run_clients(k, &mut streams, self.cfg.seed)?
-        };
+        let trace =
+            rio_kernel::run_preemptive(k, &mut client_refs(&mut clients), self.cfg.seed, true)?;
         Ok(ScaleReport {
             total: k.machine.clock.now().saturating_sub(t0),
             ops: (self.cfg.clients * self.cfg.ops_per_client) as u64,

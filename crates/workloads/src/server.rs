@@ -23,9 +23,7 @@
 use crate::datagen;
 use rio_det::{derive_seed, derive_seed3, DetRng};
 use rio_disk::SimTime;
-use rio_kernel::{
-    Fd, Kernel, KernelError, PreemptClient, PreemptSched, SchedStep, SyscallOp, SyscallRet,
-};
+use rio_kernel::{client_refs, Fd, Kernel, KernelError, PreemptClient, SyscallOp, SyscallRet};
 use rio_obs::Histogram;
 use std::sync::Arc;
 
@@ -170,7 +168,6 @@ const STREAM_OPMIX: u64 = 0x5253_5256_4F50_4D58; // "RSRVOPMX"
 const STREAM_BURST: u64 = 0x5253_5256_4255_5253; // "RSRVBURS"
 
 impl ServerClient {
-    #[allow(clippy::too_many_arguments)]
     fn new(cfg: &ServerConfig, uid: usize, base: SimTime, zipf_cdf: Arc<Vec<f64>>) -> Self {
         ServerClient {
             uid,
@@ -366,16 +363,6 @@ impl Server {
     /// Propagates kernel errors (request-level syscalls are expected to
     /// succeed — the key population is pre-created).
     pub fn run(&self, k: &mut Kernel) -> Result<ServerReport, KernelError> {
-        self.run_opts(k, false)
-    }
-
-    /// [`Server::run`] with the scheduler's linear-scan cross-check
-    /// enabled (regression tests).
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors.
-    pub fn run_opts(&self, k: &mut Kernel, cross_check: bool) -> Result<ServerReport, KernelError> {
         let cfg = &self.cfg;
         // Key population: pre-created and fsynced so every policy starts
         // from a drained queue and no request ever creates a file.
@@ -392,15 +379,7 @@ impl Server {
         let mut clients: Vec<ServerClient> = (0..cfg.clients)
             .map(|uid| ServerClient::new(cfg, uid, base, Arc::clone(&cdf)))
             .collect();
-        let mut sched = PreemptSched::new(cfg.clients, cfg.seed, true);
-        sched.set_cross_check(cross_check);
-        {
-            let mut streams: Vec<&mut dyn PreemptClient> = clients
-                .iter_mut()
-                .map(|c| c as &mut dyn PreemptClient)
-                .collect();
-            while !matches!(sched.step_once(k, &mut streams)?, SchedStep::Done) {}
-        }
+        let trace = rio_kernel::run_preemptive(k, &mut client_refs(&mut clients), cfg.seed, true)?;
         let mut read = Histogram::default();
         let mut write = Histogram::default();
         let mut commit = Histogram::default();
@@ -415,8 +394,8 @@ impl Server {
             read,
             write,
             commit,
-            idle_hops: sched.trace.idle_hops,
-            quanta: sched.trace.quanta.len() as u64,
+            idle_hops: trace.idle_hops,
+            quanta: trace.quanta.len() as u64,
         })
     }
 }
@@ -494,24 +473,5 @@ mod tests {
             r.commit.percentile(0.5) >= r.read.percentile(0.5),
             "synchronous commits cannot be faster than cached reads"
         );
-    }
-
-    #[test]
-    fn indexed_sched_matches_linear_scan_at_1024_clients() {
-        // The tentpole's regression gate at scale: every pick the indexed
-        // ready set + wake heap makes for a 1024-client open-loop fleet
-        // is re-derived with the old O(n) rotor scan and asserted equal
-        // (see PreemptSched::set_cross_check).
-        let cfg = ServerConfig {
-            requests_per_client: 2,
-            keys: 32,
-            key_bytes: 4096,
-            io_bytes: 256,
-            mean_interarrival_us: 500,
-            ..ServerConfig::small(13, 1024)
-        };
-        let mut k = kernel(Policy::rio(RioMode::Protected));
-        let r = Server::new(cfg).run_opts(&mut k, true).unwrap();
-        assert_eq!(r.requests, 2048, "every request completes at 1024 clients");
     }
 }
