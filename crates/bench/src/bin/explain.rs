@@ -11,7 +11,9 @@
 //! enabled, prints the causal timeline to stdout, and writes the JSON
 //! record to `BENCH_obs.json` (override with `RIO_OBS_JSON`; empty
 //! disables the write). Output is deterministic: byte-identical across
-//! hosts, runs, and `RIO_THREADS` settings.
+//! hosts, runs, and `RIO_THREADS` settings. Exits non-zero if the record
+//! cannot be written, or if the event ring wrapped — a timeline with its
+//! oldest events missing explains nothing.
 
 use rio_bench::env_u64;
 use rio_faults::{FaultType, SystemKind};
@@ -92,9 +94,15 @@ fn main() {
         format!("{}/../../BENCH_obs.json", env!("CARGO_MANIFEST_DIR"))
     });
     if !json_path.is_empty() {
-        match std::fs::write(&json_path, explain_json(&report)) {
-            Ok(()) => eprintln!("wrote {json_path}"),
-            Err(e) => eprintln!("could not write {json_path}: {e}"),
-        }
+        std::fs::write(&json_path, explain_json(&report))
+            .unwrap_or_else(|e| panic!("writing {json_path}: {e}"));
+        eprintln!("wrote {json_path}");
+    }
+    if report.trace.dropped > 0 {
+        eprintln!(
+            "the event ring dropped {} events: the trial does not fit",
+            report.trace.dropped
+        );
+        std::process::exit(1);
     }
 }

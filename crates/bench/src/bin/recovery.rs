@@ -4,12 +4,9 @@
 //! ```text
 //! RIO_TRIALS=8 RIO_SEED=1996 RIO_THREADS=8 cargo run --release -p rio-bench --bin recovery
 //! ```
-//!
-//! `RIO_CHECKPOINT=0` selects the engine's scratch reference: the
-//! pre-crash workload is re-run for every trial (byte-identical output).
 
 use rio_bench::{env_threads, env_u64};
-use rio_faults::{checkpoint_enabled_from_env, RecoveryCampaignConfig};
+use rio_faults::RecoveryCampaignConfig;
 use rio_harness::{render_recovery, run_recovery};
 
 fn main() {
@@ -28,7 +25,7 @@ fn main() {
         cfg.max_depth
     );
     let started = std::time::Instant::now();
-    let report = run_recovery(&cfg, threads, checkpoint_enabled_from_env());
+    let report = run_recovery(&cfg, threads);
     eprintln!("campaign finished in {:.1}s\n", started.elapsed().as_secs_f64());
     println!("{}", render_recovery(&report));
 }

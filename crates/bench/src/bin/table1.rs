@@ -3,19 +3,15 @@
 //! ```text
 //! RIO_TRIALS=1000 RIO_SEED=1996 RIO_THREADS=8 cargo run --release -p rio-bench --bin table1
 //! ```
-//!
-//! `RIO_CHECKPOINT=0` selects the engine's scratch reference: every trial
-//! boots its own machine (same bytes out, ~50× slower trial preparation).
 
 use rio_bench::{env_threads, env_u64};
-use rio_faults::{checkpoint_enabled_from_env, CampaignConfig};
+use rio_faults::CampaignConfig;
 use rio_harness::{render_table1, run_table1};
 
 fn main() {
     let trials = env_u64("RIO_TRIALS", 1000);
     let seed = env_u64("RIO_SEED", 1996);
     let threads = env_threads();
-    let use_checkpoint = checkpoint_enabled_from_env();
 
     let cfg = CampaignConfig {
         trials_per_cell: trials,
@@ -23,11 +19,10 @@ fn main() {
     };
     eprintln!(
         "running crash campaign: 13 fault types x 3 systems x {trials} crashes \
-         (seed {seed}, {threads} threads, checkpoint {})...",
-        if use_checkpoint { "on" } else { "off" }
+         (seed {seed}, {threads} threads)..."
     );
     let started = std::time::Instant::now();
-    let report = run_table1(&cfg, threads, use_checkpoint);
+    let report = run_table1(&cfg, threads);
     eprintln!("campaign finished in {:.1}s\n", started.elapsed().as_secs_f64());
     println!("{}", render_table1(&report));
 }

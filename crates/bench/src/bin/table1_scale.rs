@@ -6,11 +6,10 @@
 //! ```
 //!
 //! `RIO_CLIENTS` overrides the client-count sweep (comma-separated, e.g.
-//! `RIO_CLIENTS=1,4` for a CI smoke run). `RIO_CHECKPOINT=0` selects the
-//! engine's scratch reference (byte-identical output, slower preparation).
+//! `RIO_CLIENTS=1,4` for a CI smoke run).
 
 use rio_bench::{env_threads, env_u64, env_usize_list};
-use rio_faults::{checkpoint_enabled_from_env, ScaleCampaignConfig};
+use rio_faults::ScaleCampaignConfig;
 use rio_harness::{render_table1_scale, run_table1_scale};
 
 fn main() {
@@ -31,7 +30,7 @@ fn main() {
         cfg.client_counts
     );
     let started = std::time::Instant::now();
-    let report = run_table1_scale(&cfg, threads, checkpoint_enabled_from_env());
+    let report = run_table1_scale(&cfg, threads);
     eprintln!(
         "campaign finished in {:.1}s\n",
         started.elapsed().as_secs_f64()

@@ -1,4 +1,7 @@
-//! Benchmark harness and table-regeneration binaries.
+//! The exhibit binaries: each regenerates one committed `results_*.txt` /
+//! `BENCH_*.json` (EXPERIMENTS.md indexes them), plus the three helpers
+//! that read their knobs from the environment. Nothing here times host
+//! code — that is `perf`'s job (`benchmark/`, `BENCH_perf.jsonl`).
 //!
 //! Binaries (run with `cargo run -p rio-bench --release --bin <name>`):
 //!
@@ -9,22 +12,14 @@
 //! * `table2` — regenerates Table 2 (performance) plus the headline
 //!   ratios. `RIO_SEED` selects workload seeds.
 //! * `overhead` — the protection / code-patching overhead study.
-//! * `bench` — the self-contained micro/meso benchmark runner ([`runner`]):
-//!   interpreted `bcopy`, CRC32, registry update, warm-reboot scan, the
-//!   per-policy workload costs, the protection-mode write loop, and one
-//!   full crash trial per system. Reports median/p95 over warmup + N
-//!   timed iterations. Knobs: `RIO_BENCH_ITERS`, `RIO_BENCH_WARMUP`,
-//!   `RIO_BENCH_FILTER`.
 //! * `explain` — crash forensics: replays one campaign trial
 //!   (`--fault <slug> --system <slug> --attempt <n>`) with event tracing
 //!   enabled and renders the causal timeline from injection to the first
 //!   corrupted byte. Writes `BENCH_obs.json` (`RIO_OBS_JSON` overrides).
-//! * `propagation` / `recovery` / `write_bench` / `inspect` — see each
-//!   binary's module docs.
+//! * `table1_scale` / `propagation` / `recovery` / `scale` / `server` /
+//!   `inspect` — see each binary's module docs.
 
 #![forbid(unsafe_code)]
-
-pub mod runner;
 
 /// Reads a `u64` configuration value from the environment.
 pub fn env_u64(name: &str, default: u64) -> u64 {

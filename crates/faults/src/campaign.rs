@@ -405,11 +405,10 @@ impl Campaign for Table1<'_> {
 }
 
 /// Runs the full campaign grid on `threads` workers through
-/// [`crate::engine::run`]: byte-identical results at any `threads` and
-/// either `use_checkpoint`.
-pub fn run_campaign(cfg: &CampaignConfig, threads: usize, use_checkpoint: bool) -> CampaignResult {
+/// [`crate::engine::run`]: byte-identical results at any `threads`.
+pub fn run_campaign(cfg: &CampaignConfig, threads: usize) -> CampaignResult {
     CampaignResult {
-        cells: engine::run(&Table1(cfg), threads, use_checkpoint),
+        cells: engine::run(&Table1(cfg), threads),
         trials_per_cell: cfg.trials_per_cell,
     }
 }
@@ -525,7 +524,7 @@ mod tests {
             watchdog_ops: 150,
             max_attempts_factor: 4,
         };
-        let result = run_campaign(&cfg, 1, true);
+        let result = run_campaign(&cfg, 1);
         assert_eq!(result.cells.len(), 13 * 3);
         // At least some crashes were collected somewhere.
         let total: u64 = SystemKind::ALL
@@ -534,19 +533,5 @@ mod tests {
             .sum();
         assert!(total > 0);
         assert!(!result.unique_messages().is_empty());
-    }
-
-    #[test]
-    fn checkpoint_and_scratch_campaigns_agree_exactly() {
-        let cfg = CampaignConfig {
-            trials_per_cell: 1,
-            seed: 41,
-            warmup_ops: 15,
-            watchdog_ops: 120,
-            max_attempts_factor: 2,
-        };
-        let forked = run_campaign(&cfg, 1, true);
-        let scratch = run_campaign(&cfg, 1, false);
-        assert_eq!(forked.cells, scratch.cells);
     }
 }

@@ -17,9 +17,10 @@
 //! Because the simulated machine is copy-on-write ([`rio_disk::SimDisk`]
 //! blocks and the pages of a sealed [`rio_mem::PhysMem`] — `prepare` seals
 //! it — are shared `Arc`s until written),
-//! [`PreparedTrial::fork`] costs microseconds while a scratch
-//! [`PreparedTrial::prepare`] costs a full boot + warmup — the ~50×+
-//! campaign-setup speedup measured in `BENCH_campaign.json`.
+//! [`PreparedTrial::fork`] copies no page (the sharing test below counts
+//! them) and costs tens of microseconds, while a
+//! [`PreparedTrial::prepare`] costs a full boot + warmup, ~1.2 ms —
+//! `perf`'s `faults.fork_us` and `faults.prepare_ms` probes.
 //!
 //! # Seed streams
 //!
@@ -69,13 +70,13 @@ pub struct PreparedTrial {
     pub mt_cfg: MemTestConfig,
     /// Live kernel + workload cursor at the steady point; `None` when the
     /// boot or warmup itself failed (every fork is then a wedged trial,
-    /// exactly as the scratch path would be).
+    /// exactly as one booted for it alone would be).
     state: Option<(Kernel, MemTest)>,
 }
 
 impl PreparedTrial {
-    /// Boots, formats, and warms up a fresh machine — the scratch path to
-    /// the steady point. Pure function of its arguments.
+    /// Boots, formats, and warms up a fresh machine, and seals it at the
+    /// steady point. Pure function of its arguments.
     pub fn prepare(system: SystemKind, workload_seed: u64, warmup_ops: u64) -> PreparedTrial {
         let config = KernelConfig::small(system.policy());
         let mt_cfg = system.memtest_config(workload_seed);
@@ -102,8 +103,8 @@ impl PreparedTrial {
         self.state.is_none()
     }
 
-    /// A copy-on-write fork of the steady point — the per-trial cost of
-    /// the checkpoint path.
+    /// A copy-on-write fork of the steady point — what the engine pays per
+    /// trial.
     pub fn fork(&self) -> PreparedTrial {
         self.clone()
     }
@@ -189,9 +190,10 @@ impl TrialObservation {
 /// crash point and compare).
 ///
 /// The observation is a pure function of `(prepared state, fault,
-/// inject_seed, watchdog_ops)` — identical whether `prepared` came from a
-/// scratch [`PreparedTrial::prepare`] or a checkpoint
-/// [`PreparedTrial::fork`], which is the equivalence verify.sh gates.
+/// inject_seed, watchdog_ops)` — identical whether `prepared` came
+/// straight from [`PreparedTrial::prepare`] or is a
+/// [`PreparedTrial::fork`] of one, the equivalence
+/// `tests/checkpoint_equivalence.rs` and the engine's `Scratch` test check.
 pub fn drive(
     prepared: PreparedTrial,
     fault: FaultType,
@@ -321,5 +323,35 @@ mod tests {
         assert_eq!(a.message, b.message);
         assert_eq!(a.damage, b.damage);
         assert_eq!(a.ops_before_crash, b.ops_before_crash);
+    }
+
+    /// "A fork is not a deep copy", as a count: a timing ratio against
+    /// `prepare` would move whenever `prepare` got faster.
+    #[test]
+    fn a_fork_shares_every_page_of_the_sealed_checkpoint_until_it_writes() {
+        fn owned_pages(trial: &PreparedTrial) -> usize {
+            let (k, _) = trial.state.as_ref().expect("booted");
+            k.machine.bus.mem().owned_pages()
+        }
+        let system = SystemKind::RioWithProtection;
+        let cp = PreparedTrial::prepare(system, workload_seed(7, system), 25);
+        assert_eq!(owned_pages(&cp), 0, "prepare seals the steady point");
+        let fork = cp.fork();
+        assert_eq!(owned_pages(&fork), 0, "a fresh fork owns no page");
+
+        // The watchdog run of `drive`, on a machine we can still look at.
+        let (mut k, mut mt) = fork.state.expect("booted");
+        for _ in 0..40 {
+            mt.step(&mut k).expect("a healthy machine runs memTest");
+        }
+        let mem = k.machine.bus.mem();
+        let (dirtied, total) = (mem.owned_pages(), mem.len() as usize / rio_mem::PAGE_SIZE);
+        assert!(
+            0 < dirtied && dirtied < total / 4,
+            "a fork pays for the pages it writes: {dirtied} of {total}"
+        );
+
+        drive(cp.fork(), FaultType::CopyOverrun, 3, 200);
+        assert_eq!(owned_pages(&cp), 0, "forks never unseal the checkpoint");
     }
 }

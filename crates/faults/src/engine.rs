@@ -24,13 +24,16 @@
 //! * **Capture-once.** Cells whose [`Campaign::checkpoint_key`]s agree
 //!   share one [`Campaign::capture`]d checkpoint, built by the first
 //!   worker that needs it. Copy-on-write memory pages and disk blocks
-//!   make forking a checkpoint cost microseconds against the tens of
-//!   milliseconds of a scratch boot (`BENCH_campaign.json`).
+//!   make forking a checkpoint cost tens of microseconds against the
+//!   ~1.2 ms of booting and warming one up (`perf`'s `faults.fork_us`
+//!   and `faults.prepare_ms` probes, `benchmark/README.md`).
 //!
-//! `use_checkpoint = false` is the scratch reference: every attempt
-//! captures its own checkpoint. The results are byte-identical either way
-//! (`scripts/verify.sh` gates that with a `cmp` double-run) — the switch
-//! exists so that equivalence stays checkable, not to change behaviour.
+//! Forking a shared checkpoint must not change a result: an attempt that
+//! captured a checkpoint of its own would see the same machine. That
+//! scratch reference is not an execution mode — it is the `Scratch`
+//! adaptor in this module's tests, which wraps any [`Campaign`] so that
+//! every attempt captures privately, and is asserted equal to the engine
+//! for every `Campaign` impl in this crate.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -81,24 +84,16 @@ pub trait Campaign: Sync {
     fn done(&self, cell: &Self::Cell, merged: u64) -> bool;
 }
 
-/// Reads the `RIO_CHECKPOINT` switch for [`run`]'s `use_checkpoint`: `0`
-/// selects the scratch reference, anything else (including unset) forks.
-pub fn checkpoint_enabled_from_env() -> bool {
-    std::env::var("RIO_CHECKPOINT")
-        .map(|v| v != "0")
-        .unwrap_or(true)
-}
-
 /// Runs a campaign over `threads` workers and returns its cells in grid
-/// order — identical at any `threads` and either `use_checkpoint`.
-pub fn run<C: Campaign>(campaign: &C, threads: usize, use_checkpoint: bool) -> Vec<C::Cell> {
+/// order — identical at any `threads`.
+pub fn run<C: Campaign>(campaign: &C, threads: usize) -> Vec<C::Cell> {
     let grid = campaign.grid();
-    let memo = use_checkpoint.then(|| Memo::new(grid.iter().map(|&c| campaign.checkpoint_key(c))));
+    let memo = Memo::new(grid.iter().map(|&c| campaign.checkpoint_key(c)));
     if threads <= 1 {
-        return run_serial(campaign, &grid, memo.as_ref());
+        return run_serial(campaign, &grid, &memo);
     }
     let state = Mutex::new(Pool::new(campaign, &grid, threads));
-    run_pool(campaign, memo.as_ref(), threads, &state);
+    run_pool(campaign, &memo, threads, &state);
     state
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner)
@@ -146,7 +141,7 @@ pub fn map_grid<P: Sync, T: Send>(
             merged >= 1
         }
     }
-    run(&MapGrid { points, f }, threads, true)
+    run(&MapGrid { points, f }, threads)
         .into_iter()
         .map(|cell| match cell.expect("every point ran once") {
             Ok(value) => value,
@@ -193,22 +188,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "unknown panic".to_owned())
 }
 
-/// Runs one attempt behind the panic firewall, forking the cell's shared
-/// checkpoint when there is a `memo` and capturing a private one when
-/// there is not — the same [`Campaign::run`] either way.
+/// Runs one attempt behind the panic firewall, from the cell's shared
+/// checkpoint (captured here if this is the first attempt to need it).
 fn trial<C: Campaign>(
     campaign: &C,
-    memo: Option<&Memo<C::Checkpoint>>,
+    memo: &Memo<C::Checkpoint>,
     cell: usize,
     coord: C::Coord,
     attempt: u64,
 ) -> C::Outcome {
-    catch_unwind(AssertUnwindSafe(|| match memo {
-        Some(memo) => {
-            let checkpoint = memo.get_or_capture(cell, || campaign.capture(coord));
-            campaign.run(checkpoint, coord, attempt)
-        }
-        None => campaign.run(&campaign.capture(coord), coord, attempt),
+    catch_unwind(AssertUnwindSafe(|| {
+        let checkpoint = memo.get_or_capture(cell, || campaign.capture(coord));
+        campaign.run(checkpoint, coord, attempt)
     }))
     .unwrap_or_else(|payload| {
         // Do not swallow the panic text: it goes to any open trace session
@@ -226,7 +217,7 @@ fn trial<C: Campaign>(
 fn run_serial<C: Campaign>(
     campaign: &C,
     grid: &[C::Coord],
-    memo: Option<&Memo<C::Checkpoint>>,
+    memo: &Memo<C::Checkpoint>,
 ) -> Vec<C::Cell> {
     grid.iter()
         .enumerate()
@@ -355,10 +346,10 @@ fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Drains `state` with `threads` scoped workers. No machine state is
-/// shared: every attempt forks or builds its own kernel, memory and disk.
+/// shared: every attempt forks its own kernel, memory and disk.
 fn run_pool<C: Campaign>(
     campaign: &C,
-    memo: Option<&Memo<C::Checkpoint>>,
+    memo: &Memo<C::Checkpoint>,
     threads: usize,
     state: &Mutex<Pool<C>>,
 ) {
@@ -500,6 +491,42 @@ mod tests {
         }
     }
 
+    /// The scratch reference: the wrapped campaign with nothing shared —
+    /// every attempt captures a checkpoint of its own and runs from that.
+    /// Forking a capture-once checkpoint must be indistinguishable from it.
+    struct Scratch<'a, C>(&'a C);
+
+    impl<C: Campaign> Campaign for Scratch<'_, C> {
+        type Coord = C::Coord;
+        type Key = C::Key;
+        type Checkpoint = ();
+        type Outcome = C::Outcome;
+        type Cell = C::Cell;
+
+        fn grid(&self) -> Vec<C::Coord> {
+            self.0.grid()
+        }
+        fn checkpoint_key(&self, coord: C::Coord) -> C::Key {
+            self.0.checkpoint_key(coord)
+        }
+        fn capture(&self, _: C::Coord) {}
+        fn run(&self, _: &(), coord: C::Coord, attempt: u64) -> C::Outcome {
+            self.0.run(&self.0.capture(coord), coord, attempt)
+        }
+        fn on_panic(&self, coord: C::Coord, text: String) -> C::Outcome {
+            self.0.on_panic(coord, text)
+        }
+        fn empty(&self, coord: C::Coord) -> C::Cell {
+            self.0.empty(coord)
+        }
+        fn absorb(&self, cell: &mut C::Cell, outcome: C::Outcome) {
+            self.0.absorb(cell, outcome)
+        }
+        fn done(&self, cell: &C::Cell, merged: u64) -> bool {
+            self.0.done(cell, merged)
+        }
+    }
+
     #[test]
     fn pool_equals_the_serial_rule_and_captures_each_key_once() {
         check(
@@ -531,9 +558,9 @@ mod tests {
                 for threads in [1, 2, 8] {
                     // Equal to the model means equal to each other, and
                     // that nothing past a stopping point was absorbed.
-                    rio_det::pt_assert_eq!(run(&campaign, threads, true), model.clone());
+                    rio_det::pt_assert_eq!(run(&campaign, threads), model.clone());
                     rio_det::pt_assert_eq!(campaign.take_captures(), keys_used.clone());
-                    rio_det::pt_assert_eq!(run(&campaign, threads, false), model.clone());
+                    rio_det::pt_assert_eq!(run(&Scratch(&campaign), threads), model.clone());
                     campaign.take_captures();
                 }
                 Ok(())
@@ -546,9 +573,9 @@ mod tests {
         let hits = vec![vec![true; 4]; 5];
         for (quota, cap) in [(0, 4), (2, 0)] {
             let campaign = Synthetic::new(hits.clone(), quota, cap, 2);
-            let serial = run(&campaign, 1, true);
+            let serial = run(&campaign, 1);
             assert!(serial.iter().all(|c| c.attempts.is_empty()));
-            assert_eq!(run(&campaign, 4, true), serial, "quota {quota} cap {cap}");
+            assert_eq!(run(&campaign, 4), serial, "quota {quota} cap {cap}");
         }
     }
 
@@ -561,7 +588,7 @@ mod tests {
 
         // Serial, inside a trace session on this thread.
         rio_obs::start(64);
-        let serial = run(&campaign, 1, true);
+        let serial = run(&campaign, 1);
         let trace = rio_obs::finish().expect("session open");
         assert_eq!(
             trace
@@ -590,7 +617,8 @@ mod tests {
                 .join()
         });
         assert!(poisoner.is_err() && state.is_poisoned());
-        run_pool(&campaign, None, 4, &state);
+        let memo = Memo::new(grid.iter().map(|&c| campaign.checkpoint_key(c)));
+        run_pool(&campaign, &memo, 4, &state);
         let pooled = state
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
@@ -604,16 +632,23 @@ mod tests {
         use crate::recovery::{RecoveryCampaignConfig, RecoveryGrid};
         use crate::scale_campaign::{ScaleCampaignConfig, ScaleTable1};
 
-        fn assert_parallel_matches_serial<C: Campaign>(name: &str, campaign: &C)
+        /// Four workers forking shared checkpoints, and four workers
+        /// booting every trial from scratch, against the serial loop.
+        fn assert_pool_and_scratch_match_serial<C: Campaign>(
+            name: &str,
+            campaign: &C,
+        ) -> Vec<C::Cell>
         where
             C::Cell: std::fmt::Debug + PartialEq,
         {
-            let serial = run(campaign, 1, true);
+            let serial = run(campaign, 1);
             assert!(!serial.is_empty(), "{name}");
-            assert_eq!(run(campaign, 4, true), serial, "{name}");
+            assert_eq!(run(campaign, 4), serial, "{name}: pool");
+            assert_eq!(run(&Scratch(campaign), 4), serial, "{name}: scratch boots");
+            serial
         }
 
-        assert_parallel_matches_serial(
+        assert_pool_and_scratch_match_serial(
             "table1",
             &Table1(&CampaignConfig {
                 trials_per_cell: 2,
@@ -623,7 +658,7 @@ mod tests {
                 max_attempts_factor: 3,
             }),
         );
-        assert_parallel_matches_serial(
+        assert_pool_and_scratch_match_serial(
             "table1_scale",
             &ScaleTable1(&ScaleCampaignConfig {
                 trials_per_cell: 1,
@@ -640,12 +675,8 @@ mod tests {
             warmup_ops: 20,
             max_depth: 2,
         };
-        assert_parallel_matches_serial("recovery", &RecoveryGrid(&recovery));
-        let diverged: u64 = run(&RecoveryGrid(&recovery), 4, true)
-            .iter()
-            .map(|c| c.diverged)
-            .sum();
-        assert_eq!(diverged, 0);
+        let cells = assert_pool_and_scratch_match_serial("recovery", &RecoveryGrid(&recovery));
+        assert_eq!(cells.iter().map(|c| c.diverged).sum::<u64>(), 0);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub use campaign::{
     TrialOutcome,
 };
 pub use driver::{drive, workload_seed, PreparedTrial, TrialObservation, TrialVerdict};
-pub use engine::{checkpoint_enabled_from_env, map_grid, Campaign};
+pub use engine::{map_grid, Campaign};
 pub use inject::{decay_image, inject, FaultType};
 pub use recovery::{
     recovery_trial_seed, recovery_workload_seed, run_recovery_campaign, run_recovery_trial_from,

@@ -557,15 +557,13 @@ impl Campaign for RecoveryGrid<'_> {
 }
 
 /// Runs the recovery campaign on `threads` workers through
-/// [`crate::engine::run`]: byte-identical results at any `threads` and
-/// either `use_checkpoint`.
+/// [`crate::engine::run`]: byte-identical results at any `threads`.
 pub fn run_recovery_campaign(
     cfg: &RecoveryCampaignConfig,
     threads: usize,
-    use_checkpoint: bool,
 ) -> RecoveryCampaignResult {
     RecoveryCampaignResult {
-        cells: engine::run(&RecoveryGrid(cfg), threads, use_checkpoint),
+        cells: engine::run(&RecoveryGrid(cfg), threads),
         trials_per_cell: cfg.trials_per_cell,
     }
 }

@@ -611,15 +611,10 @@ impl Campaign for ScaleTable1<'_> {
 }
 
 /// Runs the scale campaign on `threads` workers through
-/// [`crate::engine::run`]: byte-identical results at any `threads` and
-/// either `use_checkpoint`.
-pub fn run_scale_campaign(
-    cfg: &ScaleCampaignConfig,
-    threads: usize,
-    use_checkpoint: bool,
-) -> ScaleCampaignResult {
+/// [`crate::engine::run`]: byte-identical results at any `threads`.
+pub fn run_scale_campaign(cfg: &ScaleCampaignConfig, threads: usize) -> ScaleCampaignResult {
     ScaleCampaignResult {
-        cells: engine::run(&ScaleTable1(cfg), threads, use_checkpoint),
+        cells: engine::run(&ScaleTable1(cfg), threads),
         trials_per_cell: cfg.trials_per_cell,
         client_counts: cfg.client_counts.clone(),
     }

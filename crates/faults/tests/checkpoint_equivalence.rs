@@ -4,8 +4,9 @@
 //! campaign coordinates, and no matter how many forks the checkpoint has
 //! already served.
 //!
-//! This is the invariant that makes `RIO_CHECKPOINT=0` a pure escape hatch
-//! (same bytes, slower) and lets verify.sh gate the two paths with `cmp`.
+//! This is the invariant that lets the engine fork every trial and never
+//! boot one: `engine.rs`'s `Scratch` adaptor checks it on whole grids,
+//! this property on single trials at coordinates no grid test visits.
 
 use rio_det::proptest_lite::{check, Config, Gen};
 use rio_faults::campaign::trial_seed;

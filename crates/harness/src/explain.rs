@@ -622,7 +622,7 @@ fn esc(s: &str) -> String {
 }
 
 /// Serializes the forensic report as JSON (hand-rolled, like the rest of
-/// the dependency-free workspace — see `rio_bench::runner`).
+/// the dependency-free workspace).
 pub fn explain_json(report: &ExplainReport) -> String {
     let cfg = &report.cfg;
     let mut out = String::from("{\n");

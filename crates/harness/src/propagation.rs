@@ -108,7 +108,7 @@ pub fn run_propagation(
     };
     FaultType::ALL
         .iter()
-        .zip(engine::run(&campaign, threads, true))
+        .zip(engine::run(&campaign, threads))
         .map(|(&fault, traces)| PropagationRow {
             fault,
             summary: summarize(&traces, 25),

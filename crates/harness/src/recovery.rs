@@ -18,13 +18,9 @@ pub struct RecoveryReport {
 }
 
 /// Runs the re-crash campaign at the given configuration.
-pub fn run_recovery(
-    cfg: &RecoveryCampaignConfig,
-    threads: usize,
-    use_checkpoint: bool,
-) -> RecoveryReport {
+pub fn run_recovery(cfg: &RecoveryCampaignConfig, threads: usize) -> RecoveryReport {
     RecoveryReport {
-        campaign: run_recovery_campaign(cfg, threads, use_checkpoint),
+        campaign: run_recovery_campaign(cfg, threads),
     }
 }
 
@@ -119,7 +115,7 @@ mod tests {
             warmup_ops: 25,
             max_depth: 2,
         };
-        let report = run_recovery(&cfg, 2, true);
+        let report = run_recovery(&cfg, 2);
         let text = render_recovery(&report);
         for scenario in RecoveryScenario::ALL {
             assert!(text.contains(scenario.label()), "{text}");

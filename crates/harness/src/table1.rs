@@ -53,11 +53,11 @@ pub struct Table1Report {
     pub unique_messages: usize,
 }
 
-/// Runs the Table 1 campaign at the given configuration; `threads` and
-/// `use_checkpoint` are the engine's execution arguments
-/// ([`rio_faults::engine::run`]) and cannot change the report.
-pub fn run_table1(cfg: &CampaignConfig, threads: usize, use_checkpoint: bool) -> Table1Report {
-    let campaign = run_campaign(cfg, threads, use_checkpoint);
+/// Runs the Table 1 campaign at the given configuration; `threads` is the
+/// engine's worker count ([`rio_faults::engine::run`]) and cannot change
+/// the report.
+pub fn run_table1(cfg: &CampaignConfig, threads: usize) -> Table1Report {
+    let campaign = run_campaign(cfg, threads);
     let mttf = SystemKind::ALL
         .iter()
         .map(|&s| {
@@ -221,7 +221,7 @@ mod tests {
             watchdog_ops: 120,
             max_attempts_factor: 3,
         };
-        let report = run_table1(&cfg, 4, true);
+        let report = run_table1(&cfg, 4);
         let text = render_table1(&report);
         assert!(text.contains("Table 1"));
         for fault in FaultType::ALL {

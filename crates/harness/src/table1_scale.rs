@@ -71,12 +71,8 @@ pub struct Table1ScaleReport {
 }
 
 /// Runs the scaled campaign and derives the band checks.
-pub fn run_table1_scale(
-    cfg: &ScaleCampaignConfig,
-    threads: usize,
-    use_checkpoint: bool,
-) -> Table1ScaleReport {
-    let campaign = run_scale_campaign(cfg, threads, use_checkpoint);
+pub fn run_table1_scale(cfg: &ScaleCampaignConfig, threads: usize) -> Table1ScaleReport {
+    let campaign = run_scale_campaign(cfg, threads);
     let band = campaign
         .client_counts
         .iter()
@@ -226,14 +222,14 @@ mod tests {
     #[test]
     fn scaled_grid_is_thread_count_invariant() {
         let cfg = tiny_cfg();
-        let a = render_table1_scale(&run_table1_scale(&cfg, 1, true));
-        let b = render_table1_scale(&run_table1_scale(&cfg, 8, true));
+        let a = render_table1_scale(&run_table1_scale(&cfg, 1));
+        let b = render_table1_scale(&run_table1_scale(&cfg, 8));
         assert_eq!(a, b, "grid must be byte-identical at any thread count");
     }
 
     #[test]
     fn scaled_grid_renders_every_fault_and_client_count() {
-        let report = run_table1_scale(&tiny_cfg(), 4, true);
+        let report = run_table1_scale(&tiny_cfg(), 4);
         let text = render_table1_scale(&report);
         for fault in FaultType::ALL {
             assert!(text.contains(fault.label()), "{text}");

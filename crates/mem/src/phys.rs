@@ -196,6 +196,16 @@ impl PhysMem {
         }
     }
 
+    /// How many pages this image holds privately — the pages a `clone()`
+    /// would copy rather than share. Zero right after [`PhysMem::seal`],
+    /// and in a clone of a sealed image until it writes.
+    pub fn owned_pages(&self) -> usize {
+        self.pages
+            .iter()
+            .filter(|slot| matches!(slot, Slot::Owned(_)))
+            .count()
+    }
+
     /// The region layout of this memory.
     pub fn layout(&self) -> &MemLayout {
         &self.layout
@@ -531,12 +541,17 @@ mod tests {
     #[test]
     fn seal_keeps_contents_and_isolation() {
         let mut a = mem();
+        assert_eq!(a.owned_pages(), 0, "a fresh image is born sealed");
         a.write_u64(8, 1);
+        assert_eq!(a.owned_pages(), 1);
         a.seal();
+        assert_eq!(a.owned_pages(), 0);
         assert_eq!(a.read_u64(8), 1);
         let mut b = a.clone();
+        assert_eq!(b.owned_pages(), 0, "a clone of a sealed image copies nothing");
         a.write_u64(8, 2); // write after seal copies the page first
         b.write_u8(9, 3);
+        assert_eq!((a.owned_pages(), b.owned_pages()), (1, 1));
         assert_eq!(a.read_u64(8), 2);
         assert_eq!(b.read_u64(8), 1 | 3 << 8);
     }

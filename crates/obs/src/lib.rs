@@ -27,8 +27,8 @@
 //!   thread-local: [`start`] opens it, [`finish`] closes it and returns
 //!   the [`Trace`]. When no session is open every instrumentation site
 //!   costs a single thread-local boolean read ([`is_enabled`]), which is
-//!   what keeps the campaign binaries and `write_bench` at their
-//!   pre-instrumentation numbers.
+//!   what keeps the campaign binaries and `perf`'s `kernel.pwrite_*_ns`
+//!   probes at their pre-instrumentation numbers.
 //!
 //! This crate is a dependency-free leaf: `rio-mem`, `rio-disk`,
 //! `rio-kernel`, and `rio-faults` all emit into it without cycles.

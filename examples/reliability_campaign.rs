@@ -27,6 +27,6 @@ fn main() {
         "running {} fault types x 3 systems x {trials} crashes on {threads} threads...",
         13
     );
-    let report = run_table1(&cfg, threads, true);
+    let report = run_table1(&cfg, threads);
     println!("{}", render_table1(&report));
 }

@@ -19,8 +19,8 @@ fn quick_config(seed: u64) -> CampaignConfig {
 
 #[test]
 fn table1_is_identical_across_thread_counts() {
-    let serial = run_table1(&quick_config(0xD57E_2026), 1, true);
-    let wide = run_table1(&quick_config(0xD57E_2026), 8, true);
+    let serial = run_table1(&quick_config(0xD57E_2026), 1);
+    let wide = run_table1(&quick_config(0xD57E_2026), 8);
 
     assert_eq!(serial.campaign.cells.len(), wide.campaign.cells.len());
     for (a, b) in serial.campaign.cells.iter().zip(wide.campaign.cells.iter()) {
@@ -42,7 +42,7 @@ fn table1_is_identical_across_thread_counts() {
 
     // And the seed knob is live: a different campaign seed produces a
     // different table.
-    let other = run_table1(&quick_config(0xD57E_2027), 4, true);
+    let other = run_table1(&quick_config(0xD57E_2027), 4);
     assert_ne!(
         render_table1(&serial),
         render_table1(&other),
@@ -58,8 +58,8 @@ fn recovery_table_is_identical_across_thread_counts() {
         max_depth: 2,
         ..RecoveryCampaignConfig::quick(0x5EC0_2026)
     };
-    let serial = run_recovery(&cfg, 1, true);
-    let wide = run_recovery(&cfg, 8, true);
+    let serial = run_recovery(&cfg, 1);
+    let wide = run_recovery(&cfg, 8);
 
     assert_eq!(serial.campaign.cells.len(), wide.campaign.cells.len());
     for (a, b) in serial.campaign.cells.iter().zip(wide.campaign.cells.iter()) {
