@@ -6,7 +6,8 @@
 //! Binaries (run with `cargo run -p rio-bench --release --bin <name>`):
 //!
 //! * `table1` — regenerates the paper's Table 1 (reliability). Scale with
-//!   `RIO_TRIALS` (crashes per cell, default 50), `RIO_SEED`,
+//!   `RIO_TRIALS` (crashes per cell; default 1000, the size of the
+//!   committed `results_table1.txt` — 50 is the paper's), `RIO_SEED`,
 //!   `RIO_THREADS` (every grid-running binary reads it through
 //!   [`env_threads`]).
 //! * `table2` — regenerates Table 2 (performance) plus the headline

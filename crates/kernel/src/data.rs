@@ -16,32 +16,23 @@ use rio_core::{EntryFlags, RegistryEntry};
 use rio_cpu::kseg_addr;
 use rio_mem::{PageNum, PAGE_SIZE};
 
-/// A write in progress: the self-contained cursor a preemptive
-/// continuation carries across yields. The user bytes already live in the
-/// kernel-heap staging area, so nothing borrows the caller's buffer.
+/// A read or write in progress: the self-contained cursor a continuation
+/// carries across yields. A write's user bytes already live in the
+/// kernel-heap staging area, so nothing borrows the caller's buffer; a
+/// read's collect there. `len == 0` on a read means it was past EOF and
+/// no staging was allocated.
 #[derive(Debug, Clone)]
-pub(crate) struct WriteJob {
+pub(crate) struct IoJob {
     pub(crate) ino: u64,
     pub(crate) offset: u64,
-    /// Heap address of the staged copyin.
+    /// Heap address of the staged copyin / copyout.
     pub(crate) staging: u64,
-    /// Effective byte count (post activation-record re-read).
+    /// Effective byte count (post activation-record re-read; for a read,
+    /// post EOF clamp).
     pub(crate) len: usize,
-    /// Bytes copied into the UBC so far.
+    /// Bytes copied into / out of the UBC so far.
     pub(crate) done: usize,
     /// The inode as read at prep time (block mapping for `ubc_get`).
-    pub(crate) inode: Inode,
-}
-
-/// A read in progress, mirroring [`WriteJob`]. `total == 0` means the
-/// read was past EOF and no staging was allocated.
-#[derive(Debug, Clone)]
-pub(crate) struct ReadJob {
-    pub(crate) ino: u64,
-    pub(crate) offset: u64,
-    pub(crate) staging: u64,
-    pub(crate) total: usize,
-    pub(crate) done: usize,
     pub(crate) inode: Inode,
 }
 
@@ -220,37 +211,15 @@ impl Kernel {
         Ok(())
     }
 
-    /// The pwrite engine: copies `data` into the file cache at `offset`.
-    pub(crate) fn do_write(
-        &mut self,
-        ino: u64,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<(), KernelError> {
-        self.lock(crate::locks::LockId::Ubc)?;
-        let r = self.do_write_locked(ino, offset, data);
-        self.unlock(crate::locks::LockId::Ubc)?;
-        r
-    }
-
-    fn do_write_locked(&mut self, ino: u64, offset: u64, data: &[u8]) -> Result<(), KernelError> {
-        let mut job = self.write_prep(ino, offset, data)?;
-        while job.done < job.len {
-            self.write_one_page(&mut job)?;
-        }
-        self.write_finish(job, false)
-    }
-
     /// Write setup: activation record, inode read, staging copyin. The
     /// returned cursor is self-contained (the user bytes live in the
-    /// staged heap copy), so a preemptive continuation can carry it
-    /// across yields.
+    /// staged heap copy), so a continuation can carry it across yields.
     pub(crate) fn write_prep(
         &mut self,
         ino: u64,
         offset: u64,
         data: &[u8],
-    ) -> Result<WriteJob, KernelError> {
+    ) -> Result<IoJob, KernelError> {
         // Save parameters in the kernel-stack activation record and re-read
         // them: stack corruption becomes wrong-parameter I/O (§3.2 indirect
         // corruption).
@@ -274,7 +243,7 @@ impl Kernel {
         // Stage the user bytes in the kernel heap (copyin).
         let staging = self.kmalloc_traced(data.len().max(1) as u64)?;
         self.machine.bus.mem_mut().write_bytes(staging, data);
-        Ok(WriteJob {
+        Ok(IoJob {
             ino,
             offset,
             staging,
@@ -286,16 +255,15 @@ impl Kernel {
 
     /// Copies one page's worth of staged bytes into the UBC, with the full
     /// registry CHANGING/DIRTY discipline. Advances the cursor.
-    pub(crate) fn write_one_page(&mut self, job: &mut WriteJob) -> Result<(), KernelError> {
+    pub(crate) fn write_one_page(&mut self, job: &mut IoJob) -> Result<(), KernelError> {
         let (ino, offset, staging, data_len, done) =
             (job.ino, job.offset, job.staging, job.len, job.done);
-        let inode = job.inode.clone();
         {
             let abs = offset + done as u64;
             let pidx = abs / PAGE_SIZE as u64;
             let in_page = (abs % PAGE_SIZE as u64) as usize;
             let n = (PAGE_SIZE - in_page).min(data_len - done);
-            let page = self.ubc_get(ino, pidx, &inode)?;
+            let page = self.ubc_get(ino, pidx, &job.inode)?;
             let key = (ino, pidx);
 
             // Registry: mark CHANGING before touching the page (§3.2).
@@ -375,31 +343,20 @@ impl Kernel {
     /// Write teardown: staging free, inode size/mtime update, data policy
     /// (clustered flush, dirty throttle).
     ///
-    /// `refresh_inode` re-reads the inode before the size update instead
-    /// of writing back the copy captured at [`Kernel::write_prep`]: a
-    /// preemptive writer can lose the CPU mid-job to the `update` daemon
-    /// or another client whose flush assigns backing blocks to this file,
-    /// and writing the stale copy back would discard those pointers. The
-    /// legacy run-to-completion path passes `false` and stays
-    /// byte-identical.
-    pub(crate) fn write_finish(
-        &mut self,
-        job: WriteJob,
-        refresh_inode: bool,
-    ) -> Result<(), KernelError> {
-        let WriteJob {
+    /// The inode is re-read for the size update, not written back from
+    /// the copy captured at [`Kernel::write_prep`]: a writer can lose the
+    /// CPU mid-job to the `update` daemon or another client whose flush
+    /// assigns backing blocks to this file, and the stale copy would
+    /// discard those pointers.
+    pub(crate) fn write_finish(&mut self, job: &IoJob) -> Result<(), KernelError> {
+        let IoJob {
             ino,
             offset,
             staging,
             len,
-            inode,
             ..
-        } = job;
-        let mut inode = if refresh_inode {
-            self.read_inode(ino)?
-        } else {
-            inode
-        };
+        } = *job;
+        let mut inode = self.read_inode(ino)?;
         self.kfree_traced(staging)?;
 
         // Metadata: size and mtime (ordering-noncritical, as in FFS).
@@ -485,27 +442,6 @@ impl Kernel {
         Ok(())
     }
 
-    /// The pread engine.
-    pub(crate) fn do_read(
-        &mut self,
-        ino: u64,
-        offset: u64,
-        len: usize,
-    ) -> Result<Vec<u8>, KernelError> {
-        self.lock(crate::locks::LockId::Ubc)?;
-        let r = self.do_read_locked(ino, offset, len);
-        self.unlock(crate::locks::LockId::Ubc)?;
-        r
-    }
-
-    fn do_read_locked(&mut self, ino: u64, offset: u64, len: usize) -> Result<Vec<u8>, KernelError> {
-        let mut job = self.read_prep(ino, offset, len)?;
-        while job.done < job.total {
-            self.read_one_page(&mut job)?;
-        }
-        self.read_finish(job)
-    }
-
     /// Read setup: activation record, inode read, EOF clamp, staging
     /// allocation. See [`Kernel::write_prep`] for the continuation
     /// contract.
@@ -514,7 +450,7 @@ impl Kernel {
         ino: u64,
         offset: u64,
         len: usize,
-    ) -> Result<ReadJob, KernelError> {
+    ) -> Result<IoJob, KernelError> {
         self.machine.push_act_record(ino, offset, len as u64);
         let (ino, offset, len64) = self
             .machine
@@ -528,35 +464,34 @@ impl Kernel {
         }
         let end = (offset + len as u64).min(inode.size);
         if offset >= end {
-            return Ok(ReadJob {
+            return Ok(IoJob {
                 ino,
                 offset,
                 staging: 0,
-                total: 0,
+                len: 0,
                 done: 0,
                 inode,
             });
         }
         let total = (end - offset) as usize;
         let staging = self.kmalloc_traced(total.max(1) as u64)?;
-        Ok(ReadJob {
+        Ok(IoJob {
             ino,
             offset,
             staging,
-            total,
+            len: total,
             done: 0,
             inode,
         })
     }
 
     /// Copies one page's worth of file bytes out to the staging area.
-    pub(crate) fn read_one_page(&mut self, job: &mut ReadJob) -> Result<(), KernelError> {
+    pub(crate) fn read_one_page(&mut self, job: &mut IoJob) -> Result<(), KernelError> {
         let abs = job.offset + job.done as u64;
         let pidx = abs / PAGE_SIZE as u64;
         let in_page = (abs % PAGE_SIZE as u64) as usize;
-        let n = (PAGE_SIZE - in_page).min(job.total - job.done);
-        let inode = job.inode.clone();
-        let page = self.ubc_get(job.ino, pidx, &inode)?;
+        let n = (PAGE_SIZE - in_page).min(job.len - job.done);
+        let page = self.ubc_get(job.ino, pidx, &job.inode)?;
         // Copy out through the interpreted bcopy (KSEG source; heap
         // destination needs no window).
         self.machine
@@ -572,13 +507,13 @@ impl Kernel {
     }
 
     /// Read teardown: extract the result and free the staging area.
-    pub(crate) fn read_finish(&mut self, job: ReadJob) -> Result<Vec<u8>, KernelError> {
-        if job.total == 0 {
+    pub(crate) fn read_finish(&mut self, job: &IoJob) -> Result<Vec<u8>, KernelError> {
+        if job.len == 0 {
             return Ok(Vec::new());
         }
         // The staging buffer is a heap kmalloc of up to a whole file: it
         // can straddle page boundaries, so copy out rather than borrow.
-        let out = self.machine.bus.mem().to_vec(job.staging, job.total as u64);
+        let out = self.machine.bus.mem().to_vec(job.staging, job.len as u64);
         self.kfree_traced(job.staging)?;
         Ok(out)
     }

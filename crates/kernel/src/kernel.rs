@@ -53,7 +53,7 @@ pub enum SysState {
 pub struct Fd(pub u64);
 
 /// Kernel-wide counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Syscalls served.
     pub syscalls: u64,
@@ -70,10 +70,11 @@ pub struct KernelStats {
     pub bwrite_to_bdwrite: u64,
     /// Atomic shadow-page metadata commits (§2.3).
     pub shadow_commits: u64,
-    /// Kernel locks acquired through the preemptive blocking path.
+    /// `Fs` / `Ubc` acquisitions: the locks a syscall holds across its
+    /// phases (the within-phase `Buf` / `Alloc` pairs are not counted).
     pub locks_acquired: u64,
-    /// Preemptive lock acquisitions that found the lock held and joined
-    /// the FIFO wait queue.
+    /// Those acquisitions that found the lock held and joined the FIFO
+    /// wait queue.
     pub locks_contended: u64,
 }
 
@@ -137,8 +138,9 @@ pub struct Kernel {
     /// interrupted-and-resumed recovery converges to the same on-disk
     /// bytes as an uninterrupted one.
     pub(crate) preserve_mtime_on_write: bool,
-    /// Client whose continuation currently holds the CPU (preemptive
-    /// scheduling only; `None` on the legacy single-client paths).
+    /// Client whose continuation currently holds the CPU: set by the
+    /// scheduler for a quantum, `None` inside a blocking
+    /// [`Kernel::syscall`].
     pub(crate) cur_client: Option<u32>,
     /// Host-side lock ownership and FIFO wait queues for the preemptive
     /// scheduler. Dies with the kernel at a crash, like the fd table.

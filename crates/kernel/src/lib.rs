@@ -63,7 +63,7 @@ pub use recovery::{
     RecoveryPoint, WarmBootError,
 };
 pub use locks::LockId;
-pub use preempt::{LockQueues, SyscallCont, SyscallOp, SyscallRet, Yield};
+pub use preempt::{LockQueues, OpRef, SyscallCont, SyscallOp, SyscallRet, Yield};
 pub use sched::{
     client_refs, run_preemptive, PreemptClient, PreemptSched, SchedStep, SchedTrace,
 };

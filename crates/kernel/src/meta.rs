@@ -76,7 +76,7 @@ impl Kernel {
     /// Writes a page's registry entry (no-op when Rio is off).
     ///
     /// File (non-metadata) entries are written through to the decoded-entry
-    /// cache, so the flag flips in `do_write_locked` never re-decode the
+    /// cache, so the flag flips in `write_one_page` never re-decode the
     /// 40-byte encoding on the next read. Metadata entries are *not* cached:
     /// the shadow-atomic protocol mutates them through `rio-core` directly,
     /// and a cached copy would go stale mid-update.
@@ -790,17 +790,8 @@ impl Kernel {
     }
 
     /// Resolves an absolute path to `(parent inode, leaf name, leaf inode
-    /// if it exists)`.
-    pub(crate) fn namei(
-        &mut self,
-        path: &str,
-    ) -> Result<(u64, String, Option<u64>), KernelError> {
-        self.lock(crate::locks::LockId::Fs)?;
-        let r = self.namei_locked(path);
-        self.unlock(crate::locks::LockId::Fs)?;
-        r
-    }
-
+    /// if it exists)`. The caller — the `Namei` phase of
+    /// [`crate::preempt`] — holds `Fs`.
     pub(crate) fn namei_locked(
         &mut self,
         path: &str,

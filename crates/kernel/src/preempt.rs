@@ -1,12 +1,15 @@
-//! Preemptive syscall execution: resumable continuations and blocking
-//! locks with deterministic FIFO wait queues.
+//! The syscall sequencer: resumable continuations and blocking locks with
+//! deterministic FIFO wait queues.
 //!
 //! The paper's Table 1 was measured on a kernel where real processes had
 //! half-finished syscall state at every crash, and contended for its
 //! locks. A syscall that ran to completion inside one scheduler quantum
-//! could show neither. This module is what [`crate::sched`] runs instead:
+//! could show neither. This module is the one place a syscall is
+//! sequenced — which lock it takes, what runs under it, where it may
+//! sleep — for [`crate::sched`] and for the blocking wrappers of
+//! [`crate::syscalls`] alike ([`Kernel::syscall`]):
 //!
-//! - [`SyscallOp`] names a syscall with owned arguments; [`SyscallCont`]
+//! - [`SyscallOp`] names a syscall and its arguments; [`SyscallCont`]
 //!   executes it as an explicit phase machine that yields the CPU at the
 //!   operation's *actual block points* — a buffer-cache or UBC miss that
 //!   goes to disk, a dirty-throttle stall, an fsync drain — with kernel
@@ -41,21 +44,25 @@
 //! acquired and released *within* a single phase (where no yield can
 //! occur). Hold-one-at-a-time means no cycle, hence no deadlock.
 
-use crate::data::{ReadJob, WriteJob};
+use crate::data::IoJob;
 use crate::error::KernelError;
 use crate::kernel::{Fd, Kernel};
 use crate::locks::LockId;
-use crate::ondisk::ROOT_INO;
+use crate::ondisk::{FileType, ROOT_INO};
+use crate::syscalls::Stat;
 use rio_disk::SimTime;
 use std::collections::VecDeque;
 
-/// A syscall with owned arguments, ready to run as a continuation.
+/// A syscall and its arguments, ready to run as a continuation. Generic
+/// over how the path and data arguments are held: a parked client owns
+/// them (`String` / `Vec<u8>`, the defaults), a blocking wrapper lends the
+/// caller's ([`OpRef`]) — the phase machine only ever reads them.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SyscallOp {
+pub enum SyscallOp<S = String, B = Vec<u8>> {
     /// `create(path)` → [`SyscallRet::Fd`].
-    Create(String),
+    Create(S),
     /// `open(path)` → [`SyscallRet::Fd`].
-    Open(String),
+    Open(S),
     /// `close(fd)` → [`SyscallRet::Unit`].
     Close(Fd),
     /// `write(fd, data)` → [`SyscallRet::Size`].
@@ -63,7 +70,7 @@ pub enum SyscallOp {
         /// Target descriptor.
         fd: Fd,
         /// Bytes to write at the descriptor position.
-        data: Vec<u8>,
+        data: B,
     },
     /// `pwrite(fd, offset, data)` → [`SyscallRet::Size`].
     Pwrite {
@@ -72,7 +79,7 @@ pub enum SyscallOp {
         /// Absolute byte offset.
         offset: u64,
         /// Bytes to write.
-        data: Vec<u8>,
+        data: B,
     },
     /// `read(fd, len)` → [`SyscallRet::Bytes`].
     Read {
@@ -92,18 +99,43 @@ pub enum SyscallOp {
     },
     /// `fsync(fd)` → [`SyscallRet::Unit`].
     Fsync(Fd),
+    /// `sync()` → [`SyscallRet::Unit`].
+    Sync,
     /// `mkdir(path)` → [`SyscallRet::Unit`].
-    Mkdir(String),
+    Mkdir(S),
     /// `rmdir(path)` → [`SyscallRet::Unit`].
-    Rmdir(String),
+    Rmdir(S),
     /// `unlink(path)` → [`SyscallRet::Unit`].
-    Unlink(String),
+    Unlink(S),
+    /// `rename(from, to)` → [`SyscallRet::Unit`].
+    Rename {
+        /// Existing name.
+        from: S,
+        /// New name; must not exist.
+        to: S,
+    },
     /// `readdir(path)` → [`SyscallRet::Names`].
-    Readdir(String),
+    Readdir(S),
+    /// `stat(path)` → [`SyscallRet::Stat`].
+    Stat(S),
+    /// Privileged `pwrite` by inode number (the warm-reboot replay) →
+    /// [`SyscallRet::Size`].
+    PwriteIno {
+        /// Target inode; must be a regular file.
+        ino: u64,
+        /// Absolute byte offset.
+        offset: u64,
+        /// Bytes to write.
+        data: B,
+    },
 }
 
-impl SyscallOp {
-    /// The path argument, for path-resolving ops.
+/// A [`SyscallOp`] over the caller's own `&str` / `&[u8]`: what the
+/// blocking wrappers hand to [`Kernel::syscall`], copying nothing.
+pub type OpRef<'a> = SyscallOp<&'a str, &'a [u8]>;
+
+impl<S: AsRef<str>, B> SyscallOp<S, B> {
+    /// The path the namei phase resolves, for path-resolving ops.
     fn path(&self) -> Option<&str> {
         match self {
             SyscallOp::Create(p)
@@ -111,7 +143,9 @@ impl SyscallOp {
             | SyscallOp::Mkdir(p)
             | SyscallOp::Rmdir(p)
             | SyscallOp::Unlink(p)
-            | SyscallOp::Readdir(p) => Some(p),
+            | SyscallOp::Rename { from: p, .. }
+            | SyscallOp::Readdir(p)
+            | SyscallOp::Stat(p) => Some(p.as_ref()),
             _ => None,
         }
     }
@@ -128,7 +162,9 @@ pub enum SyscallRet {
     Size(usize),
     /// Directory listing.
     Names(Vec<String>),
-    /// Nothing (close/fsync/mkdir/rmdir/unlink).
+    /// Inode metadata.
+    Stat(Stat),
+    /// Nothing (close/fsync/sync/mkdir/rmdir/unlink/rename).
     Unit,
 }
 
@@ -154,8 +190,9 @@ pub enum Yield {
 /// *words* in simulated memory ([`crate::locks::LockSet`]).
 #[derive(Debug, Clone, Default)]
 pub struct LockQueues {
-    /// Which client's continuation holds each lock (set only by the
-    /// preemptive acquire path; legacy within-phase lock pairs never
+    /// Which client's continuation holds each lock (set only by a
+    /// scheduled [`Kernel::lock_acquire_preempt`]; the within-phase
+    /// `Buf` / `Alloc` pairs and a blocking [`Kernel::syscall`] never
     /// register here).
     owner: [Option<u32>; 4],
     /// FIFO of `(client, wait-start time)` per lock.
@@ -166,7 +203,7 @@ pub struct LockQueues {
 }
 
 impl LockQueues {
-    /// Which client holds the lock, if the preemptive path acquired it.
+    /// Which client holds the lock, if a scheduled quantum acquired it.
     pub fn owner(&self, id: LockId) -> Option<u32> {
         self.owner[id.index()]
     }
@@ -199,7 +236,25 @@ impl Kernel {
         self.lockq.reserved_for(id)
     }
 
-    /// Blocking lock acquire for the preemptive path. `Ok(true)` means
+    /// Runs one syscall to completion: the same continuation the
+    /// scheduler parks and resumes, on the ordinary (blocking) clock. A
+    /// disk wait advances time on the spot, so no phase boundary ever
+    /// finds a deferred wake-up pending, and with no scheduled client
+    /// there is nobody to queue behind — the continuation cannot yield.
+    /// Every public syscall method of [`crate::syscalls`] is a typed
+    /// wrapper over this.
+    ///
+    /// # Errors
+    ///
+    /// The syscall's own errors; [`KernelError::Panic`] on a crash.
+    pub fn syscall(&mut self, op: OpRef<'_>) -> Result<SyscallRet, KernelError> {
+        match SyscallCont::new(op).resume(self)? {
+            Yield::Done(ret) => Ok(ret),
+            y => unreachable!("a blocking syscall yielded {y:?}"),
+        }
+    }
+
+    /// Blocking acquire of a lock held across phases. `Ok(true)` means
     /// the lock word was taken; `Ok(false)` means the lock is held (or
     /// reserved for another client) and the caller joined the FIFO —
     /// the continuation must yield [`Yield::Lock`] and re-run this
@@ -207,13 +262,18 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// Word-level panics propagate exactly as on the legacy path: a word
-    /// left held by a skipped release, a corrupted word, or a true
-    /// double acquire crashes the kernel.
+    /// Word-level panics propagate from [`crate::locks`]: a word left
+    /// held by a skipped release, a corrupted word, or a true double
+    /// acquire crashes the kernel.
     pub(crate) fn lock_acquire_preempt(&mut self, id: LockId) -> Result<bool, KernelError> {
-        let me = self
-            .cur_client
-            .expect("preemptive lock acquire outside a scheduled quantum");
+        let Some(me) = self.cur_client else {
+            // A blocking syscall: the word decides alone — free, or the
+            // `simple_lock: … already held` panic (a parked client's hold
+            // included; a caller that interleaves the two asked for it).
+            self.lock(id)?;
+            self.stats.locks_acquired += 1;
+            return Ok(true);
+        };
         let i = id.index();
         // FIFO hand-off: a release reserved the word for us.
         if self.lockq.reserved[i] == Some(me) {
@@ -233,8 +293,7 @@ impl Kernel {
             && self.lockq.waiters[i].is_empty();
         if uncontended || self.lockq.owner[i] == Some(me) {
             // Free — or a double acquire by the owner, which must hit the
-            // word and reproduce the legacy `simple_lock: already held`
-            // panic.
+            // word and panic `simple_lock: … already held`.
             self.lock(id)?;
             self.lockq.owner[i] = Some(me);
             self.stats.locks_acquired += 1;
@@ -258,10 +317,10 @@ impl Kernel {
         Ok(false)
     }
 
-    /// Release for the preemptive path: frees the word (legacy
-    /// semantics, including the skipped-release fault and the
-    /// crashed-kernel no-op), clears ownership, and reserves the lock
-    /// for the FIFO head so the scheduler can wake it.
+    /// Release of a lock held across phases: frees the word (with the
+    /// skipped-release fault and the crashed-kernel no-op of
+    /// [`Kernel::unlock`]), clears ownership, and reserves the lock for
+    /// the FIFO head so the scheduler can wake it.
     pub(crate) fn unlock_preempt(&mut self, id: LockId) -> Result<(), KernelError> {
         let i = id.index();
         let r = self.unlock(id);
@@ -294,10 +353,10 @@ enum Phase {
     },
     /// File-object allocation after the namespace work (create/open).
     MakeFd { ino: u64 },
-    /// `readdir("/")`: no path walk, no `Fs` — mirrors the legacy
-    /// fast path.
-    RootReaddir,
-    /// close/fsync body (flush may sleep on the disk drain).
+    /// `readdir("/")` / `stat("/")`: the root has no parent to walk from
+    /// and no name to look up, so no namei and no `Fs`.
+    Root,
+    /// close/fsync/sync body (a flush may sleep on the disk drain).
     FdBody,
     /// Blocking acquire of the UBC lock (read/write).
     AcqUbc,
@@ -305,208 +364,225 @@ enum Phase {
     WritePrep,
     /// The per-page copy loop under `Ubc`; yields between pages when a
     /// UBC miss went to disk.
-    WriteLoop {
-        job: WriteJob,
-        fd_addr: u64,
-        pos: u64,
-    },
+    WriteLoop,
     /// Write teardown: inode update, data policy (throttle may stall),
     /// `Ubc` release, fd position.
-    WriteTail {
-        job: WriteJob,
-        fd_addr: u64,
-        pos: u64,
-    },
+    WriteTail,
     /// Read setup under `Ubc`.
     ReadPrep,
     /// The per-page copy-out loop under `Ubc`.
-    ReadLoop {
-        job: ReadJob,
-        fd_addr: u64,
-        pos: u64,
-    },
+    ReadLoop,
     /// Read teardown and `Ubc` release.
-    ReadTail {
-        job: ReadJob,
-        fd_addr: u64,
-        pos: u64,
-    },
-    /// Deliver the result.
-    Finish(SyscallRet),
-    /// Transient marker while a phase executes; also the terminal state
-    /// after `Finish`.
+    ReadTail,
+    /// What a continuation holds while its phase is out being executed,
+    /// and for good once the syscall has completed or failed.
     Poisoned,
 }
 
-/// A resumable in-flight syscall: the explicit continuation the
-/// preemptive scheduler parks when a client blocks. All state a real
-/// kernel would keep on the sleeping process's stack lives here —
-/// which phase comes next, the I/O cursor, and which locks the process
-/// holds.
-#[derive(Debug, Clone)]
-pub struct SyscallCont {
-    op: SyscallOp,
-    phase: Phase,
-    /// Locks held across yields (release order is the reverse).
-    held: Vec<LockId>,
+/// What executing one phase came to.
+enum Step {
+    /// Go on with this phase — after yielding the CPU, if the one just
+    /// run slept on the disk.
+    Next(Phase),
+    /// Queued for this lock: yield, and run this (acquire) phase again.
+    Wait(LockId, Phase),
+    /// The syscall completed.
+    Done(SyscallRet),
 }
 
-impl SyscallCont {
+/// The cursor of a read or write between its prep and tail phases. Kept
+/// beside the phase, not in it, so a phase change moves a few words.
+#[derive(Debug, Clone)]
+struct Io {
+    job: IoJob,
+    /// The file object's address and position as read at prep.
+    fd_addr: u64,
+    pos: u64,
+}
+
+/// A resumable in-flight syscall: the explicit continuation the
+/// scheduler parks when a client blocks, and [`Kernel::syscall`] runs
+/// straight through. All state a real kernel would keep on the sleeping
+/// process's stack lives here — which phase comes next, the I/O cursor,
+/// and which lock the process holds.
+#[derive(Debug, Clone)]
+pub struct SyscallCont<S = String, B = Vec<u8>> {
+    op: SyscallOp<S, B>,
+    phase: Phase,
+    /// The lock held across yields — at most one, see the module docs.
+    held: Option<LockId>,
+    io: Option<Io>,
+}
+
+impl<S: AsRef<str>, B: AsRef<[u8]>> SyscallCont<S, B> {
     /// A continuation at its entry point.
-    pub fn new(op: SyscallOp) -> Self {
+    pub fn new(op: SyscallOp<S, B>) -> Self {
         SyscallCont {
             op,
             phase: Phase::Start,
-            held: Vec::new(),
+            held: None,
+            io: None,
         }
     }
 
     /// The operation this continuation is executing.
-    pub fn op(&self) -> &SyscallOp {
+    pub fn op(&self) -> &SyscallOp<S, B> {
         &self.op
     }
 
     /// Locks currently held across a yield.
     pub fn held_locks(&self) -> &[LockId] {
-        &self.held
+        self.held.as_slice()
     }
 
-    /// Runs the continuation until it completes or blocks. Must be
-    /// called with the clock in deferred-wait mode and
-    /// [`Kernel::cur_client`] set; the caller takes the deferred
-    /// wake-up after this returns.
+    /// Runs the continuation until it completes or blocks. Under the
+    /// scheduler the clock is in deferred-wait mode and
+    /// [`Kernel::cur_client`] is set, and the caller takes the deferred
+    /// wake-up after this returns; on the blocking clock with no client
+    /// ([`Kernel::syscall`]) it always runs to [`Yield::Done`].
     ///
     /// # Errors
     ///
-    /// Syscall errors and kernel panics propagate; all held locks are
+    /// Syscall errors and kernel panics propagate; the held lock is
     /// released first (a real kernel's error unwind does the same), so
-    /// a failed op never wedges the lock queues.
+    /// a failed op never wedges the lock queues. If that release itself
+    /// panics — the word was never taken, a skipped acquire — the panic
+    /// is the outcome: the caller must not read a dead kernel's last
+    /// error as benign.
     pub(crate) fn resume(&mut self, k: &mut Kernel) -> Result<Yield, KernelError> {
         let r = self.drive(k);
         if r.is_err() {
-            while let Some(id) = self.held.pop() {
-                let _ = k.unlock_preempt(id);
+            if let Some(id) = self.held.take() {
+                return k.unlock_preempt(id).and(r);
             }
         }
         r
     }
 
     fn drive(&mut self, k: &mut Kernel) -> Result<Yield, KernelError> {
+        let mut phase = std::mem::replace(&mut self.phase, Phase::Poisoned);
         loop {
-            if let Some(y) = self.step(k)? {
-                return Ok(y);
-            }
-            // Phase boundary: if the phase we just ran slept on the disk,
-            // the client loses the CPU here — possibly holding locks.
-            // (`Finish` is exempt: the scheduler folds a trailing wait
-            // into the completed op's wake-up time.)
-            if k.machine.clock.deferred_pending() && !matches!(self.phase, Phase::Finish(_)) {
-                return Ok(Yield::Disk);
+            match self.step(k, phase)? {
+                Step::Done(ret) => return Ok(Yield::Done(ret)),
+                Step::Wait(id, again) => return Ok(self.park(again, Yield::Lock(id))),
+                // Phase boundary: if the phase we just ran slept on the
+                // disk, the client loses the CPU here — possibly holding
+                // locks. (A sleep in the op's last phase does not come
+                // here: the scheduler folds a trailing wait into the
+                // completed op's wake-up time.)
+                Step::Next(next) if k.machine.clock.deferred_pending() => {
+                    return Ok(self.park(next, Yield::Disk));
+                }
+                Step::Next(next) => phase = next,
             }
         }
     }
 
+    /// Gives up the CPU, to come back at `phase`.
+    fn park(&mut self, phase: Phase, y: Yield) -> Yield {
+        self.phase = phase;
+        y
+    }
+
+    /// Takes `id` for the phases that follow, or queues for it and comes
+    /// back to `again`.
+    fn acquire(
+        &mut self,
+        k: &mut Kernel,
+        id: LockId,
+        again: Phase,
+        next: Phase,
+    ) -> Result<Step, KernelError> {
+        Ok(if k.lock_acquire_preempt(id)? {
+            self.held = Some(id);
+            Step::Next(next)
+        } else {
+            Step::Wait(id, again)
+        })
+    }
+
     fn release(&mut self, k: &mut Kernel, id: LockId) -> Result<(), KernelError> {
-        debug_assert_eq!(self.held.last(), Some(&id));
-        self.held.pop();
+        debug_assert_eq!(self.held, Some(id));
+        self.held = None;
         k.unlock_preempt(id)
     }
 
-    /// Executes the current phase. `Ok(None)` advances to the next
-    /// phase; `Ok(Some(y))` gives up the CPU.
+    /// `readdir` / `stat` of a resolved inode.
+    fn inspect(&self, k: &mut Kernel, ino: u64) -> Result<SyscallRet, KernelError> {
+        match self.op {
+            SyscallOp::Readdir(_) => k.readdir_body(ino).map(SyscallRet::Names),
+            SyscallOp::Stat(_) => k.stat_body(ino).map(SyscallRet::Stat),
+            _ => unreachable!("only readdir and stat inspect an inode"),
+        }
+    }
+
+    /// Executes one phase.
     #[allow(clippy::too_many_lines)]
-    fn step(&mut self, k: &mut Kernel) -> Result<Option<Yield>, KernelError> {
-        let phase = std::mem::replace(&mut self.phase, Phase::Poisoned);
-        match phase {
+    fn step(&mut self, k: &mut Kernel, phase: Phase) -> Result<Step, KernelError> {
+        Ok(match phase {
             Phase::Start => {
                 k.enter_syscall()?;
-                self.phase = match &self.op {
-                    SyscallOp::Readdir(p) if p == "/" => Phase::RootReaddir,
+                Step::Next(match &self.op {
+                    SyscallOp::Readdir(p) | SyscallOp::Stat(p) if p.as_ref() == "/" => Phase::Root,
                     SyscallOp::Create(_)
                     | SyscallOp::Open(_)
                     | SyscallOp::Mkdir(_)
                     | SyscallOp::Rmdir(_)
                     | SyscallOp::Unlink(_)
-                    | SyscallOp::Readdir(_) => Phase::AcqFs,
-                    SyscallOp::Close(_) | SyscallOp::Fsync(_) => Phase::FdBody,
+                    | SyscallOp::Rename { .. }
+                    | SyscallOp::Readdir(_)
+                    | SyscallOp::Stat(_) => Phase::AcqFs,
+                    SyscallOp::Close(_) | SyscallOp::Fsync(_) | SyscallOp::Sync => Phase::FdBody,
                     SyscallOp::Write { .. }
                     | SyscallOp::Pwrite { .. }
+                    | SyscallOp::PwriteIno { .. }
                     | SyscallOp::Read { .. }
                     | SyscallOp::Pread { .. } => Phase::AcqUbc,
-                };
-                Ok(None)
+                })
             }
-            Phase::AcqFs => {
-                if k.lock_acquire_preempt(LockId::Fs)? {
-                    self.held.push(LockId::Fs);
-                    self.phase = Phase::Namei;
-                    Ok(None)
-                } else {
-                    self.phase = Phase::AcqFs;
-                    Ok(Some(Yield::Lock(LockId::Fs)))
-                }
-            }
+            Phase::AcqFs => self.acquire(k, LockId::Fs, Phase::AcqFs, Phase::Namei)?,
             Phase::Namei => {
                 let path = self.op.path().expect("namei phase implies a path op");
                 let (dir, leaf, existing) = k.namei_locked(path)?;
-                self.phase = Phase::PathBody {
+                Step::Next(Phase::PathBody {
                     dir,
                     leaf,
                     existing,
-                };
-                Ok(None)
+                })
             }
             Phase::PathBody {
                 dir,
                 leaf,
                 existing,
             } => {
-                match &self.op {
-                    SyscallOp::Create(_) => {
-                        let ino = k.create_body(dir, &leaf, existing)?;
-                        self.release(k, LockId::Fs)?;
-                        self.phase = Phase::MakeFd { ino };
+                let step = match &self.op {
+                    SyscallOp::Create(_) => Step::Next(Phase::MakeFd {
+                        ino: k.create_body(dir, &leaf, existing)?,
+                    }),
+                    SyscallOp::Open(_) => Step::Next(Phase::MakeFd {
+                        ino: k.open_body(existing)?,
+                    }),
+                    SyscallOp::Readdir(_) | SyscallOp::Stat(_) => {
+                        Step::Done(self.inspect(k, existing.ok_or(KernelError::NotFound)?)?)
                     }
-                    SyscallOp::Open(_) => {
-                        let ino = k.open_body(existing)?;
-                        self.release(k, LockId::Fs)?;
-                        self.phase = Phase::MakeFd { ino };
+                    op => {
+                        match op {
+                            SyscallOp::Mkdir(_) => k.mkdir_body(dir, &leaf, existing)?,
+                            SyscallOp::Rmdir(_) => k.rmdir_body(dir, &leaf, existing)?,
+                            SyscallOp::Unlink(_) => k.unlink_body(dir, &leaf, existing)?,
+                            SyscallOp::Rename { to, .. } => {
+                                k.rename_body(dir, &leaf, existing, to.as_ref())?;
+                            }
+                            _ => unreachable!("PathBody only runs for path ops"),
+                        }
+                        Step::Done(SyscallRet::Unit)
                     }
-                    SyscallOp::Mkdir(_) => {
-                        k.mkdir_body(dir, &leaf, existing)?;
-                        self.release(k, LockId::Fs)?;
-                        self.phase = Phase::Finish(SyscallRet::Unit);
-                    }
-                    SyscallOp::Rmdir(_) => {
-                        k.rmdir_body(dir, &leaf, existing)?;
-                        self.release(k, LockId::Fs)?;
-                        self.phase = Phase::Finish(SyscallRet::Unit);
-                    }
-                    SyscallOp::Unlink(_) => {
-                        k.unlink_body(dir, &leaf, existing)?;
-                        self.release(k, LockId::Fs)?;
-                        self.phase = Phase::Finish(SyscallRet::Unit);
-                    }
-                    SyscallOp::Readdir(_) => {
-                        let ino = existing.ok_or(KernelError::NotFound)?;
-                        let names = k.readdir_body(ino)?;
-                        self.release(k, LockId::Fs)?;
-                        self.phase = Phase::Finish(SyscallRet::Names(names));
-                    }
-                    _ => unreachable!("PathBody only runs for path ops"),
-                }
-                Ok(None)
+                };
+                self.release(k, LockId::Fs)?;
+                step
             }
-            Phase::MakeFd { ino } => {
-                let fd = k.make_fd(ino)?;
-                self.phase = Phase::Finish(SyscallRet::Fd(fd));
-                Ok(None)
-            }
-            Phase::RootReaddir => {
-                let names = k.readdir_body(ROOT_INO)?;
-                self.phase = Phase::Finish(SyscallRet::Names(names));
-                Ok(None)
-            }
+            Phase::MakeFd { ino } => Step::Done(SyscallRet::Fd(k.make_fd(ino)?)),
+            Phase::Root => Step::Done(self.inspect(k, ROOT_INO)?),
             Phase::FdBody => {
                 match self.op {
                     SyscallOp::Close(fd) => {
@@ -523,106 +599,105 @@ impl SyscallCont {
                             k.fsync_ino(ino)?;
                         }
                     }
-                    _ => unreachable!("FdBody only runs for close/fsync"),
+                    SyscallOp::Sync => {
+                        if k.policy.fsync_writes_disk {
+                            k.flush_everything(true)?;
+                        }
+                    }
+                    _ => unreachable!("FdBody only runs for close/fsync/sync"),
                 }
-                self.phase = Phase::Finish(SyscallRet::Unit);
-                Ok(None)
+                Step::Done(SyscallRet::Unit)
             }
             Phase::AcqUbc => {
-                if k.lock_acquire_preempt(LockId::Ubc)? {
-                    self.held.push(LockId::Ubc);
-                    self.phase = match &self.op {
-                        SyscallOp::Write { .. } | SyscallOp::Pwrite { .. } => Phase::WritePrep,
-                        SyscallOp::Read { .. } | SyscallOp::Pread { .. } => Phase::ReadPrep,
-                        _ => unreachable!("AcqUbc only runs for data ops"),
-                    };
-                    Ok(None)
-                } else {
-                    self.phase = Phase::AcqUbc;
-                    Ok(Some(Yield::Lock(LockId::Ubc)))
-                }
+                let next = match &self.op {
+                    SyscallOp::Read { .. } | SyscallOp::Pread { .. } => Phase::ReadPrep,
+                    _ => Phase::WritePrep,
+                };
+                self.acquire(k, LockId::Ubc, Phase::AcqUbc, next)?
             }
             Phase::WritePrep => {
-                let (fd, explicit_offset, data) = match &self.op {
-                    SyscallOp::Write { fd, data } => (*fd, None, data.clone()),
-                    SyscallOp::Pwrite { fd, offset, data } => (*fd, Some(*offset), data.clone()),
+                let (fd_addr, ino, pos) = match self.op {
+                    SyscallOp::Write { fd, .. } | SyscallOp::Pwrite { fd, .. } => {
+                        k.fd_read_state(fd)?
+                    }
+                    // The replay process names a device + inode, not an
+                    // open file: no file object, no position.
+                    SyscallOp::PwriteIno { ino, .. } => match k.read_inode_opt(ino)? {
+                        Some(i) if i.itype == FileType::File => (0, ino, 0),
+                        _ => return Err(KernelError::NotFound),
+                    },
                     _ => unreachable!("WritePrep only runs for write ops"),
                 };
-                let (fd_addr, ino, pos) = k.fd_read_state(fd)?;
-                let offset = explicit_offset.unwrap_or(pos);
-                let job = k.write_prep(ino, offset, &data)?;
-                self.phase = Phase::WriteLoop { job, fd_addr, pos };
-                Ok(None)
-            }
-            Phase::WriteLoop {
-                mut job,
-                fd_addr,
-                pos,
-            } => {
-                if job.done < job.len {
-                    k.write_one_page(&mut job)?;
-                }
-                self.phase = if job.done < job.len {
-                    Phase::WriteLoop { job, fd_addr, pos }
-                } else {
-                    Phase::WriteTail { job, fd_addr, pos }
+                let (offset, data) = match &self.op {
+                    SyscallOp::Write { data, .. } => (pos, data),
+                    SyscallOp::Pwrite { offset, data, .. }
+                    | SyscallOp::PwriteIno { offset, data, .. } => (*offset, data),
+                    _ => unreachable!("WritePrep only runs for write ops"),
                 };
-                Ok(None)
+                let job = k.write_prep(ino, offset, data.as_ref())?;
+                self.io = Some(Io { job, fd_addr, pos });
+                Step::Next(Phase::WriteLoop)
             }
-            Phase::WriteTail { job, fd_addr, pos } => {
-                // Refresh the inode (`true`): a daemon or another client
-                // may have assigned backing blocks while we were parked.
-                k.write_finish(job, true)?;
+            Phase::WriteLoop => {
+                let job = &mut self.io.as_mut().expect("set by WritePrep").job;
+                if job.done < job.len {
+                    k.write_one_page(job)?;
+                }
+                Step::Next(if job.done < job.len {
+                    Phase::WriteLoop
+                } else {
+                    Phase::WriteTail
+                })
+            }
+            Phase::WriteTail => {
+                let io = self.io.as_ref().expect("set by WritePrep");
+                let (fd_addr, pos) = (io.fd_addr, io.pos);
+                k.write_finish(&io.job)?;
                 self.release(k, LockId::Ubc)?;
                 let written = match &self.op {
                     SyscallOp::Write { data, .. } => {
-                        k.fd_write_pos(fd_addr, pos + data.len() as u64);
-                        data.len()
+                        k.fd_write_pos(fd_addr, pos + data.as_ref().len() as u64);
+                        data
                     }
-                    SyscallOp::Pwrite { data, .. } => data.len(),
+                    SyscallOp::Pwrite { data, .. } | SyscallOp::PwriteIno { data, .. } => data,
                     _ => unreachable!("WriteTail only runs for write ops"),
                 };
-                self.phase = Phase::Finish(SyscallRet::Size(written));
-                Ok(None)
+                Step::Done(SyscallRet::Size(written.as_ref().len()))
             }
             Phase::ReadPrep => {
-                let (fd, explicit_offset, len) = match &self.op {
-                    SyscallOp::Read { fd, len } => (*fd, None, *len),
-                    SyscallOp::Pread { fd, offset, len } => (*fd, Some(*offset), *len),
+                let (fd, explicit_offset, len) = match self.op {
+                    SyscallOp::Read { fd, len } => (fd, None, len),
+                    SyscallOp::Pread { fd, offset, len } => (fd, Some(offset), len),
                     _ => unreachable!("ReadPrep only runs for read ops"),
                 };
                 let (fd_addr, ino, pos) = k.fd_read_state(fd)?;
                 let offset = explicit_offset.unwrap_or(pos);
                 let job = k.read_prep(ino, offset, len)?;
-                self.phase = Phase::ReadLoop { job, fd_addr, pos };
-                Ok(None)
+                self.io = Some(Io { job, fd_addr, pos });
+                Step::Next(Phase::ReadLoop)
             }
-            Phase::ReadLoop {
-                mut job,
-                fd_addr,
-                pos,
-            } => {
-                if job.done < job.total {
-                    k.read_one_page(&mut job)?;
+            Phase::ReadLoop => {
+                let job = &mut self.io.as_mut().expect("set by ReadPrep").job;
+                if job.done < job.len {
+                    k.read_one_page(job)?;
                 }
-                self.phase = if job.done < job.total {
-                    Phase::ReadLoop { job, fd_addr, pos }
+                Step::Next(if job.done < job.len {
+                    Phase::ReadLoop
                 } else {
-                    Phase::ReadTail { job, fd_addr, pos }
-                };
-                Ok(None)
+                    Phase::ReadTail
+                })
             }
-            Phase::ReadTail { job, fd_addr, pos } => {
-                let out = k.read_finish(job)?;
+            Phase::ReadTail => {
+                let io = self.io.as_ref().expect("set by ReadPrep");
+                let (fd_addr, pos) = (io.fd_addr, io.pos);
+                let out = k.read_finish(&io.job)?;
                 self.release(k, LockId::Ubc)?;
                 if matches!(self.op, SyscallOp::Read { .. }) {
                     k.fd_write_pos(fd_addr, pos + out.len() as u64);
                 }
-                self.phase = Phase::Finish(SyscallRet::Bytes(out));
-                Ok(None)
+                Step::Done(SyscallRet::Bytes(out))
             }
-            Phase::Finish(ret) => Ok(Some(Yield::Done(ret))),
             Phase::Poisoned => unreachable!("resumed a finished continuation"),
-        }
+        })
     }
 }

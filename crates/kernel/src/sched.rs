@@ -467,6 +467,8 @@ mod tests {
     use super::*;
     use crate::kernel::{Fd, KernelConfig};
     use crate::policy::Policy;
+    use rio_det::proptest_lite::{check, Config, Gen};
+    use rio_det::{pt_assert, pt_assert_eq};
 
     fn kernel(policy: Policy) -> Kernel {
         Kernel::mkfs_and_mount(&KernelConfig::small(policy)).expect("boot")
@@ -525,18 +527,12 @@ mod tests {
                 }
                 self.rets.push(prev.clone());
             }
-            let mut op = self.ops.get(self.next).cloned();
+            let mut op = self.ops.get(self.next).cloned()?;
             self.next += 1;
-            match &mut op {
-                Some(
-                    SyscallOp::Close(fd)
-                    | SyscallOp::Fsync(fd)
-                    | SyscallOp::Write { fd, .. }
-                    | SyscallOp::Pread { fd, .. },
-                ) if *fd == LAST_FD => *fd = self.last_fd.expect("no descriptor handed out yet"),
-                _ => {}
-            }
-            op
+            // (Before any descriptor was handed out the placeholder stays,
+            // and fails the op as a bad descriptor.)
+            bind_fd(&mut op, self.last_fd.unwrap_or(LAST_FD));
+            Some(op)
         }
 
         fn next_op_at(&mut self) -> Option<SimTime> {
@@ -635,51 +631,396 @@ mod tests {
         assert!(trace.finish_at[0] >= at(200));
     }
 
+    /// `op` through the typed blocking wrapper of the same name.
+    fn call_wrapper(k: &mut Kernel, op: &SyscallOp) -> Result<SyscallRet, KernelError> {
+        match op {
+            SyscallOp::Create(p) => k.create(p).map(SyscallRet::Fd),
+            SyscallOp::Open(p) => k.open(p).map(SyscallRet::Fd),
+            SyscallOp::Close(fd) => k.close(*fd).map(|()| SyscallRet::Unit),
+            SyscallOp::Write { fd, data } => k.write(*fd, data).map(SyscallRet::Size),
+            SyscallOp::Pwrite { fd, offset, data } => {
+                k.pwrite(*fd, *offset, data).map(SyscallRet::Size)
+            }
+            SyscallOp::Read { fd, len } => k.read(*fd, *len).map(SyscallRet::Bytes),
+            SyscallOp::Pread { fd, offset, len } => {
+                k.pread(*fd, *offset, *len).map(SyscallRet::Bytes)
+            }
+            SyscallOp::Fsync(fd) => k.fsync(*fd).map(|()| SyscallRet::Unit),
+            SyscallOp::Sync => k.sync().map(|()| SyscallRet::Unit),
+            SyscallOp::Mkdir(p) => k.mkdir(p).map(|()| SyscallRet::Unit),
+            SyscallOp::Rmdir(p) => k.rmdir(p).map(|()| SyscallRet::Unit),
+            SyscallOp::Unlink(p) => k.unlink(p).map(|()| SyscallRet::Unit),
+            SyscallOp::Rename { from, to } => k.rename(from, to).map(|()| SyscallRet::Unit),
+            SyscallOp::Readdir(p) => k.readdir(p).map(SyscallRet::Names),
+            SyscallOp::Stat(p) => k.stat(p).map(SyscallRet::Stat),
+            SyscallOp::PwriteIno { ino, offset, data } => k
+                .pwrite_ino(*ino, *offset, data)
+                .map(|()| SyscallRet::Size(data.len())),
+        }
+    }
+
+    /// Points an op written against [`LAST_FD`] at a real descriptor.
+    fn bind_fd(op: &mut SyscallOp, last: Fd) {
+        if let SyscallOp::Close(fd)
+        | SyscallOp::Fsync(fd)
+        | SyscallOp::Write { fd, .. }
+        | SyscallOp::Pwrite { fd, .. }
+        | SyscallOp::Read { fd, .. }
+        | SyscallOp::Pread { fd, .. } = op
+        {
+            if *fd == LAST_FD {
+                *fd = last;
+            }
+        }
+    }
+
+    /// A script whose ops may fail: it keeps going, and records what each
+    /// op returned (`None` for an error — all a client is ever told).
+    struct Fuzz {
+        ops: Vec<SyscallOp>,
+        started: bool,
+        rets: Vec<Option<SyscallRet>>,
+        last_fd: Fd,
+    }
+
+    impl Fuzz {
+        fn new(ops: Vec<SyscallOp>) -> Self {
+            Fuzz {
+                ops,
+                started: false,
+                rets: Vec::new(),
+                last_fd: Fd(0),
+            }
+        }
+
+        /// The same script through the blocking wrappers, up to the first
+        /// kernel crash.
+        fn run_wrappers(&mut self, k: &mut Kernel) -> Result<(), KernelError> {
+            let mut prev = None;
+            while let Some(op) = self.next_op(prev.as_ref()) {
+                prev = match call_wrapper(k, &op) {
+                    Err(e) if k.is_crashed() => return Err(e),
+                    r => r.ok(),
+                };
+            }
+            Ok(())
+        }
+
+        /// The same script as the one client of a scheduler.
+        fn run_scheduled(&mut self, k: &mut Kernel) -> Result<SchedTrace, KernelError> {
+            let mut clients: [&mut dyn PreemptClient; 1] = [self];
+            // No invariant check: the lock-skip sweep desynchronizes word
+            // and owner table on purpose.
+            run_preemptive(k, &mut clients, 0, false)
+        }
+    }
+
+    impl PreemptClient for Fuzz {
+        fn next_op(&mut self, prev: Option<&SyscallRet>) -> Option<SyscallOp> {
+            if self.started {
+                if let Some(SyscallRet::Fd(fd)) = prev {
+                    self.last_fd = *fd;
+                }
+                self.rets.push(prev.cloned());
+            }
+            self.started = true;
+            let mut op = self.ops.get(self.rets.len()).cloned()?;
+            bind_fd(&mut op, self.last_fd);
+            Some(op)
+        }
+    }
+
+    /// A random op over a namespace small enough that names collide: every
+    /// syscall kind, succeeding and failing.
+    fn random_op(g: &mut Gen) -> SyscallOp {
+        const PATHS: [&str; 8] = ["/", "/a", "/b", "/d", "/d/x", "/d/y", "/e", "/a/under-a-file"];
+        let path = |g: &mut Gen| PATHS[g.in_range(0..PATHS.len())].to_owned();
+        let fd = LAST_FD;
+        let offset = g.in_range(0..3 * 4096u64);
+        match g.in_range(0..18u32) {
+            0 | 1 => SyscallOp::Create(path(g)),
+            2 => SyscallOp::Open(path(g)),
+            3 => SyscallOp::Close(fd),
+            4 | 5 => SyscallOp::Write {
+                fd,
+                data: g.bytes(1, 2 * 4096 + 77),
+            },
+            6 => SyscallOp::Pwrite {
+                fd,
+                offset,
+                data: g.bytes(1, 4096 + 5),
+            },
+            7 => SyscallOp::Read {
+                fd,
+                len: g.in_range(0..5000usize),
+            },
+            8 => SyscallOp::Pread {
+                fd,
+                offset,
+                len: g.in_range(0..9000usize),
+            },
+            9 => SyscallOp::Fsync(fd),
+            10 => SyscallOp::Mkdir(path(g)),
+            11 => SyscallOp::Rmdir(path(g)),
+            12 => SyscallOp::Unlink(path(g)),
+            13 => SyscallOp::Rename {
+                from: path(g),
+                to: path(g),
+            },
+            14 => SyscallOp::Readdir(path(g)),
+            15 => SyscallOp::Stat(path(g)),
+            // Inodes 1–3 exist after the boot prelude (root, a directory,
+            // a file); the rest may or may not, depending on the script.
+            16 => SyscallOp::PwriteIno {
+                ino: g.in_range(1..9u64),
+                offset,
+                data: g.bytes(1, 600),
+            },
+            _ => SyscallOp::Sync,
+        }
+    }
+
+    /// What a crash would leave behind plus every counter: the memory
+    /// image, the disk image and its statistics, the kernel's statistics.
+    fn same_machine(a: &Kernel, b: &Kernel) -> Result<(), String> {
+        let (ma, mb) = (a.machine.bus.mem(), b.machine.bus.mem());
+        pt_assert_eq!(ma.len(), mb.len());
+        for pn in 0..ma.len() / rio_mem::PAGE_SIZE as u64 {
+            let pn = rio_mem::PageNum(pn);
+            pt_assert!(
+                ma.page(pn) == mb.page(pn),
+                "memory differs in page {pn:?} ({:?})",
+                ma.layout().region_of(pn.base())
+            );
+        }
+        let (da, db) = (&a.machine.disk, &b.machine.disk);
+        for block in 0..da.num_blocks() {
+            pt_assert!(da.peek(block) == db.peek(block), "disk differs in block {block}");
+        }
+        pt_assert_eq!(da.stats(), db.stats());
+        pt_assert_eq!(a.stats(), b.stats());
+        pt_assert_eq!(a.machine.bus.stats(), b.machine.bus.stats());
+        Ok(())
+    }
+
     #[test]
-    fn preemptive_single_client_matches_direct_syscalls() {
-        // One client, no contention: the continuation path must land on
-        // the same final state as calling the syscalls directly. (The
-        // clocks legitimately differ: the direct path waits for the disk
-        // *inside* the op, the preemptive path defers the wait to the
-        // scheduler, which shifts when later disk requests are issued.)
-        let payload = vec![7u8; 3 * 4096 + 123];
-        let direct = {
-            let mut k = kernel(Policy::rio(rio_core::RioMode::Protected));
-            let fd = k.create("/a").unwrap();
-            k.write(fd, &payload).unwrap();
-            k.fsync(fd).unwrap();
-            k.close(fd).unwrap();
-            k.mkdir("/d").unwrap();
-            let names = k.readdir("/").unwrap();
-            (k.file_contents("/a").unwrap(), names)
-        };
-        let preempted = {
-            let mut k = kernel(Policy::rio(rio_core::RioMode::Protected));
-            let mut s = Script::new(vec![SyscallOp::Create("/a".into())]);
-            let mut clients: [&mut dyn PreemptClient; 1] = [&mut s];
-            run_preemptive(&mut k, &mut clients, 0, true).unwrap();
-            let SyscallRet::Fd(fd) = s.rets[0] else {
-                panic!("create returns an fd")
+    fn one_scheduled_client_is_the_blocking_wrappers() {
+        // One client, nobody to contend with: a continuation the scheduler
+        // resumes quantum by quantum and the same continuation run straight
+        // through by a wrapper are one sequencer, so they must leave the
+        // same *machine* — every byte of memory and disk, every counter —
+        // and, when neither run slept on the disk, the same clock. (When
+        // one did they legitimately differ in time, and in the mtimes
+        // stamped from it: the blocking clock sleeps inside the op; the
+        // scheduler defers the sleep to the phase's end, so it overlaps
+        // the rest of the phase's CPU time and the phase's later disk
+        // requests are issued earlier.)
+        let (mut cases, mut timed) = (0, 0);
+        check("one scheduled client == blocking wrappers", Config::default(), |g: &mut Gen| {
+            let policy = if g.in_range(0..4u32) == 0 {
+                Policy::disk_write_through()
+            } else {
+                Policy::rio(rio_core::RioMode::Protected)
             };
-            let mut s2 = Script::new(vec![
+            let ops = g.vec(1, 48, random_op);
+            cases += 1;
+            let boot = || {
+                let mut k = kernel(policy.clone());
+                // Warm the metadata caches so that most Rio scripts never
+                // go to the disk at all.
+                k.mkdir("/d").unwrap();
+                k.create("/a").unwrap();
+                k
+            };
+            let (mut kw, mut ks) = (boot(), boot());
+            let (mut w, mut s) = (Fuzz::new(ops.clone()), Fuzz::new(ops));
+            let waited_before = kw.machine.clock.disk_wait();
+            let (rw, rs) = (w.run_wrappers(&mut kw), s.run_scheduled(&mut ks));
+            let Ok(trace) = rs else {
+                // There are no open-file reference counts: I/O through a
+                // descriptor whose file was unlinked finds a free inode
+                // and panics. Both drivers must die of it at the same op.
+                pt_assert_eq!(rw.err(), rs.err());
+                pt_assert_eq!(w.rets, s.rets);
+                return Ok(());
+            };
+            pt_assert_eq!(rw, Ok(()));
+            let slept = kw.machine.clock.disk_wait() > waited_before || trace.idle_hops > 0;
+            if slept {
+                let untimed = |rets: &[Option<SyscallRet>]| -> Vec<Option<SyscallRet>> {
+                    rets.iter()
+                        .map(|r| match r {
+                            Some(SyscallRet::Stat(st)) => {
+                                Some(SyscallRet::Stat(crate::Stat { mtime: 0, ..*st }))
+                            }
+                            r => r.clone(),
+                        })
+                        .collect()
+                };
+                pt_assert_eq!(untimed(&w.rets), untimed(&s.rets));
+                pt_assert_eq!(kw.stats(), ks.stats());
+                pt_assert_eq!(kw.machine.disk.stats(), ks.machine.disk.stats());
+            } else {
+                timed += 1;
+                pt_assert_eq!(w.rets, s.rets);
+                same_machine(&kw, &ks)?;
+                pt_assert_eq!(kw.machine.clock.now(), ks.machine.clock.now());
+                pt_assert_eq!(kw.machine.clock.cpu_time(), ks.machine.clock.cpu_time());
+            }
+            Ok(())
+        });
+        assert!(timed * 2 > cases, "only {timed} of {cases} cases compared whole machines");
+    }
+
+    /// A fixed script over the twelve syscall kinds a memTest issues, long
+    /// enough to take `Fs` or `Ubc` ~60 times.
+    fn lock_heavy_script() -> Vec<SyscallOp> {
+        let mut ops = vec![SyscallOp::Mkdir("/d".into())];
+        for i in 0..6 {
+            let path = format!("/d/f{i}");
+            ops.extend([
+                SyscallOp::Create(path.clone()),
                 SyscallOp::Write {
-                    fd,
-                    data: payload.clone(),
+                    fd: LAST_FD,
+                    data: vec![i as u8; 4096 + 100 * i],
                 },
-                SyscallOp::Fsync(fd),
-                SyscallOp::Close(fd),
-                SyscallOp::Mkdir("/d".into()),
-                SyscallOp::Readdir("/".into()),
+                SyscallOp::Pwrite {
+                    fd: LAST_FD,
+                    offset: 10,
+                    data: vec![0xEE; 64],
+                },
+                SyscallOp::Fsync(LAST_FD),
+                SyscallOp::Close(LAST_FD),
+                SyscallOp::Open(path.clone()),
+                SyscallOp::Read {
+                    fd: LAST_FD,
+                    len: 512,
+                },
+                SyscallOp::Pread {
+                    fd: LAST_FD,
+                    offset: 4000,
+                    len: 300,
+                },
+                SyscallOp::Close(LAST_FD),
+                SyscallOp::Readdir("/d".into()),
             ]);
-            let mut clients: [&mut dyn PreemptClient; 1] = [&mut s2];
-            run_preemptive(&mut k, &mut clients, 0, true).unwrap();
-            let SyscallRet::Names(ref names) = s2.rets[4] else {
-                panic!("readdir returns names")
+            if i % 2 == 1 {
+                ops.push(SyscallOp::Unlink(path));
+            }
+        }
+        ops.extend([SyscallOp::Mkdir("/e".into()), SyscallOp::Rmdir("/e".into())]);
+        ops
+    }
+
+    #[test]
+    fn skipped_lock_ops_kill_wrappers_and_a_scheduled_client_alike() {
+        // §3.1's synchronization fault, on a fixed cadence: whichever way
+        // the script is driven, the same lock operation is the one
+        // skipped, so the kernel must die of the same assertion after the
+        // same number of syscalls. (With a second lock order in the
+        // wrappers — `Fs` dropped before the body — it did not.)
+        let mut crashes = 0;
+        for n in 2..=60 {
+            let run = |scheduled: bool| {
+                let mut k = kernel(Policy::rio(rio_core::RioMode::Protected));
+                k.readdir("/").unwrap();
+                k.machine.hooks.lock_skip = Some(crate::hooks::Cadence::every(n));
+                let mut script = Fuzz::new(lock_heavy_script());
+                let r = if scheduled {
+                    script.run_scheduled(&mut k).map(|_| ())
+                } else {
+                    script.run_wrappers(&mut k)
+                };
+                assert_eq!(r.is_err(), k.is_crashed(), "n={n}");
+                let message = k.crash_info().map(|info| info.reason.message());
+                (message, script.rets.len(), k.stats().syscalls)
             };
-            (k.file_contents("/a").unwrap(), names.clone())
-        };
-        assert_eq!(direct.0, preempted.0, "file contents diverge");
-        assert_eq!(direct.1, preempted.1, "directory listing diverges");
+            let (wrappers, scheduled) = (run(false), run(true));
+            assert_eq!(wrappers, scheduled, "lock op skipped every {n}");
+            crashes += usize::from(wrappers.0.is_some());
+        }
+        assert!(crashes > 50, "the sweep should mostly crash: {crashes} of 59");
+    }
+
+    #[test]
+    fn benign_errors_leave_every_lock_free() {
+        // The error unwind releases what the continuation held, through
+        // the wrappers too: no word left set, no owner recorded, and the
+        // kernel keeps serving.
+        let mut k = kernel(Policy::rio(rio_core::RioMode::Protected));
+        k.mkdir("/d").unwrap();
+        let fd = k.create("/d/f").unwrap();
+        let too_far = crate::ondisk::MAX_FILE_BLOCKS * rio_mem::PAGE_SIZE as u64;
+        let cases: [(&str, KernelError, SyscallOp); 12] = [
+            ("open missing", KernelError::NotFound, SyscallOp::Open("/nope".into())),
+            ("stat under missing", KernelError::NotFound, SyscallOp::Stat("/nope/x".into())),
+            (
+                "rename missing",
+                KernelError::NotFound,
+                SyscallOp::Rename {
+                    from: "/nope".into(),
+                    to: "/n2".into(),
+                },
+            ),
+            ("create existing", KernelError::Exists, SyscallOp::Create("/d/f".into())),
+            (
+                "rename onto existing",
+                KernelError::Exists,
+                SyscallOp::Rename {
+                    from: "/d/f".into(),
+                    to: "/d".into(),
+                },
+            ),
+            ("open a directory", KernelError::IsDir, SyscallOp::Open("/d".into())),
+            ("unlink a directory", KernelError::IsDir, SyscallOp::Unlink("/d".into())),
+            ("rmdir a file", KernelError::NotDir, SyscallOp::Rmdir("/d/f".into())),
+            ("walk through a file", KernelError::NotDir, SyscallOp::Mkdir("/d/f/x".into())),
+            ("rmdir non-empty", KernelError::NotEmpty, SyscallOp::Rmdir("/d".into())),
+            (
+                "write to a closed fd",
+                KernelError::BadFd,
+                SyscallOp::Write {
+                    fd: Fd(999),
+                    data: vec![1],
+                },
+            ),
+            (
+                "pwrite past the largest file",
+                KernelError::FileTooBig,
+                SyscallOp::Pwrite {
+                    fd,
+                    offset: too_far,
+                    data: vec![1],
+                },
+            ),
+        ];
+        for (what, expected, op) in cases {
+            assert_eq!(call_wrapper(&mut k, &op), Err(expected), "{what}");
+            for id in LockId::ALL {
+                assert!(!k.machine.locks.is_held(k.machine.bus.mem(), id), "{what}: {id:?} word");
+                assert_eq!(k.lock_owner(id), None, "{what}: {id:?} owner");
+            }
+            assert!(!k.is_crashed(), "{what}");
+            k.stat("/d/f").unwrap_or_else(|e| panic!("{what}: next syscall: {e:?}"));
+        }
+    }
+
+    #[test]
+    fn wrapper_meeting_a_parked_lock_holder_crashes_on_the_word() {
+        // A blocking syscall has nobody to queue behind: called between
+        // quanta while a parked client sleeps in namei holding `Fs`, it
+        // hits the held word and the kernel dies of `simple_lock`, the
+        // way a second CPU entering an unlocked kernel would.
+        let mut k = kernel(Policy::disk_write_through());
+        let mut a = Script::new(vec![SyscallOp::Create("/a".into())]);
+        let mut clients: [&mut dyn PreemptClient; 1] = [&mut a];
+        let mut sched = PreemptSched::new(1, 0, true);
+        assert_eq!(sched.step_once(&mut k, &mut clients), Ok(SchedStep::Ran(0)));
+        assert_eq!(sched.held_locks(0), [LockId::Fs], "cold namei parks holding Fs");
+        let err = k.create("/b").unwrap_err();
+        let reason = crate::PanicReason::Lock("simple_lock: fs lock already held".to_owned());
+        assert_eq!(err, KernelError::Panic(reason.clone()));
+        assert_eq!(k.crash_info().map(|info| &info.reason), Some(&reason));
     }
 
     #[test]

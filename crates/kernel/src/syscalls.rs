@@ -1,5 +1,13 @@
 //! The syscall surface: what workloads (and the warm-reboot replay) call.
 //!
+//! Every public syscall here is a typed wrapper over [`Kernel::syscall`]:
+//! it lends its arguments to a [`SyscallOp`], the continuation of
+//! [`crate::preempt`] runs it to completion, and the wrapper unwraps the
+//! one result shape that op can have. What a syscall locks, in which
+//! order, and where it may sleep is decided there and nowhere else; this
+//! file keeps the file-object plumbing and the per-op bodies the phases
+//! call.
+//!
 //! File descriptors are backed by in-kernel file objects allocated with
 //! `kmalloc` — so heap corruption and premature-free faults reach them, and
 //! a corrupted file object produces *indirect* corruption (I/O with wrong
@@ -7,7 +15,21 @@
 
 use crate::error::{KernelError, PanicReason};
 use crate::kernel::{Fd, Kernel};
-use crate::ondisk::{FileType, Inode, ROOT_INO};
+use crate::ondisk::{FileType, Inode};
+use crate::preempt::{SyscallOp, SyscallRet};
+
+/// Runs `$op` through [`Kernel::syscall`] and unwraps its result variant.
+macro_rules! sys {
+    ($k:ident, $op:expr => $variant:ident) => {
+        match $k.syscall($op)? {
+            SyscallRet::$variant(v) => Ok(v),
+            other => unreachable!("expected {}, got {other:?}", stringify!($variant)),
+        }
+    };
+    ($k:ident, $op:expr) => {
+        $k.syscall($op).map(|_| ())
+    };
+}
 
 /// Magic tag of an in-kernel file object.
 const FD_MAGIC: u64 = 0x5249_4F46_4445_5343; // "RIOFDESC"
@@ -65,9 +87,8 @@ impl Kernel {
         Ok(fd)
     }
 
-    /// `create` body after path resolution: allocate and link the inode.
-    /// Shared by the run-to-completion path and the preemptive
-    /// continuation (which runs it under a held `Fs` lock).
+    /// `create` body after path resolution, under `Fs`: allocate and link
+    /// the inode.
     pub(crate) fn create_body(
         &mut self,
         dir: u64,
@@ -98,10 +119,7 @@ impl Kernel {
     ///
     /// [`KernelError::Exists`] if the name is taken; path errors as usual.
     pub fn create(&mut self, path: &str) -> Result<Fd, KernelError> {
-        self.enter_syscall()?;
-        let (dir, leaf, existing) = self.namei(path)?;
-        let ino = self.create_body(dir, &leaf, existing)?;
-        self.make_fd(ino)
+        sys!(self, SyscallOp::Create(path) => Fd)
     }
 
     /// Opens an existing regular file.
@@ -110,10 +128,7 @@ impl Kernel {
     ///
     /// [`KernelError::NotFound`]; [`KernelError::IsDir`] for directories.
     pub fn open(&mut self, path: &str) -> Result<Fd, KernelError> {
-        self.enter_syscall()?;
-        let (_, _, existing) = self.namei(path)?;
-        let ino = self.open_body(existing)?;
-        self.make_fd(ino)
+        sys!(self, SyscallOp::Open(path) => Fd)
     }
 
     /// Closes a descriptor, applying the policy's close-time flush.
@@ -122,13 +137,7 @@ impl Kernel {
     ///
     /// [`KernelError::BadFd`] for unknown descriptors.
     pub fn close(&mut self, fd: Fd) -> Result<(), KernelError> {
-        self.enter_syscall()?;
-        let (addr, ino, _) = self.fd_read_state(fd)?;
-        if self.policy.fsync_on_close && self.policy.fsync_writes_disk {
-            self.fsync_ino(ino)?;
-        }
-        self.fds.remove(&fd.0);
-        self.kfree_traced(addr)
+        sys!(self, SyscallOp::Close(fd))
     }
 
     /// Sequential write at the descriptor's position.
@@ -140,11 +149,7 @@ impl Kernel {
     ///
     /// Propagates path/space errors; [`KernelError::Panic`] on a crash.
     pub fn write(&mut self, fd: Fd, data: &[u8]) -> Result<usize, KernelError> {
-        self.enter_syscall()?;
-        let (addr, ino, pos) = self.fd_read_state(fd)?;
-        self.do_write(ino, pos, data)?;
-        self.fd_write_pos(addr, pos + data.len() as u64);
-        Ok(data.len())
+        sys!(self, SyscallOp::Write { fd, data } => Size)
     }
 
     /// Positioned write (does not move the descriptor position).
@@ -153,10 +158,7 @@ impl Kernel {
     ///
     /// As [`Kernel::write`].
     pub fn pwrite(&mut self, fd: Fd, offset: u64, data: &[u8]) -> Result<usize, KernelError> {
-        self.enter_syscall()?;
-        let (_, ino, _) = self.fd_read_state(fd)?;
-        self.do_write(ino, offset, data)?;
-        Ok(data.len())
+        sys!(self, SyscallOp::Pwrite { fd, offset, data } => Size)
     }
 
     /// Sequential read at the descriptor's position.
@@ -165,11 +167,7 @@ impl Kernel {
     ///
     /// As [`Kernel::write`].
     pub fn read(&mut self, fd: Fd, len: usize) -> Result<Vec<u8>, KernelError> {
-        self.enter_syscall()?;
-        let (addr, ino, pos) = self.fd_read_state(fd)?;
-        let out = self.do_read(ino, pos, len)?;
-        self.fd_write_pos(addr, pos + out.len() as u64);
-        Ok(out)
+        sys!(self, SyscallOp::Read { fd, len } => Bytes)
     }
 
     /// Positioned read.
@@ -178,9 +176,7 @@ impl Kernel {
     ///
     /// As [`Kernel::write`].
     pub fn pread(&mut self, fd: Fd, offset: u64, len: usize) -> Result<Vec<u8>, KernelError> {
-        self.enter_syscall()?;
-        let (_, ino, _) = self.fd_read_state(fd)?;
-        self.do_read(ino, offset, len)
+        sys!(self, SyscallOp::Pread { fd, offset, len } => Bytes)
     }
 
     /// Makes a file's data and metadata permanent. Under Rio this returns
@@ -190,12 +186,7 @@ impl Kernel {
     ///
     /// As [`Kernel::write`].
     pub fn fsync(&mut self, fd: Fd) -> Result<(), KernelError> {
-        self.enter_syscall()?;
-        let (_, ino, _) = self.fd_read_state(fd)?;
-        if self.policy.fsync_writes_disk {
-            self.fsync_ino(ino)?;
-        }
-        Ok(())
+        sys!(self, SyscallOp::Fsync(fd))
     }
 
     /// System-wide sync. Under Rio: immediate return.
@@ -204,11 +195,7 @@ impl Kernel {
     ///
     /// As [`Kernel::write`].
     pub fn sync(&mut self) -> Result<(), KernelError> {
-        self.enter_syscall()?;
-        if self.policy.fsync_writes_disk {
-            self.flush_everything(true)?;
-        }
-        Ok(())
+        sys!(self, SyscallOp::Sync)
     }
 
     /// Creates a directory.
@@ -217,9 +204,7 @@ impl Kernel {
     ///
     /// [`KernelError::Exists`] and the usual path errors.
     pub fn mkdir(&mut self, path: &str) -> Result<(), KernelError> {
-        self.enter_syscall()?;
-        let (dir, leaf, existing) = self.namei(path)?;
-        self.mkdir_body(dir, &leaf, existing)
+        sys!(self, SyscallOp::Mkdir(path))
     }
 
     /// `mkdir` body after path resolution.
@@ -242,9 +227,7 @@ impl Kernel {
     ///
     /// [`KernelError::NotEmpty`] / [`KernelError::NotDir`] / path errors.
     pub fn rmdir(&mut self, path: &str) -> Result<(), KernelError> {
-        self.enter_syscall()?;
-        let (dir, leaf, existing) = self.namei(path)?;
-        self.rmdir_body(dir, &leaf, existing)
+        sys!(self, SyscallOp::Rmdir(path))
     }
 
     /// `rmdir` body after path resolution.
@@ -278,9 +261,7 @@ impl Kernel {
     ///
     /// [`KernelError::NotFound`] / [`KernelError::IsDir`] / path errors.
     pub fn unlink(&mut self, path: &str) -> Result<(), KernelError> {
-        self.enter_syscall()?;
-        let (dir, leaf, existing) = self.namei(path)?;
-        self.unlink_body(dir, &leaf, existing)
+        sys!(self, SyscallOp::Unlink(path))
     }
 
     /// `unlink` body after path resolution.
@@ -321,15 +302,25 @@ impl Kernel {
     /// [`KernelError::NotFound`] for the source; [`KernelError::Exists`]
     /// for the target.
     pub fn rename(&mut self, from: &str, to: &str) -> Result<(), KernelError> {
-        self.enter_syscall()?;
-        let (from_dir, from_leaf, existing) = self.namei(from)?;
+        sys!(self, SyscallOp::Rename { from, to })
+    }
+
+    /// `rename` body after resolving the source: resolves the target under
+    /// the same `Fs` hold, links it, unlinks the source.
+    pub(crate) fn rename_body(
+        &mut self,
+        from_dir: u64,
+        from_leaf: &str,
+        existing: Option<u64>,
+        to: &str,
+    ) -> Result<(), KernelError> {
         let ino = existing.ok_or(KernelError::NotFound)?;
-        let (to_dir, to_leaf, target) = self.namei(to)?;
+        let (to_dir, to_leaf, target) = self.namei_locked(to)?;
         if target.is_some() {
             return Err(KernelError::Exists);
         }
         self.dir_insert(to_dir, &to_leaf, ino)?;
-        self.dir_remove(from_dir, &from_leaf)?;
+        self.dir_remove(from_dir, from_leaf)?;
         Ok(())
     }
 
@@ -339,14 +330,7 @@ impl Kernel {
     ///
     /// [`KernelError::NotDir`] / path errors.
     pub fn readdir(&mut self, path: &str) -> Result<Vec<String>, KernelError> {
-        self.enter_syscall()?;
-        let ino = if path == "/" {
-            ROOT_INO
-        } else {
-            let (_, _, existing) = self.namei(path)?;
-            existing.ok_or(KernelError::NotFound)?
-        };
-        self.readdir_body(ino)
+        sys!(self, SyscallOp::Readdir(path) => Names)
     }
 
     /// `readdir` body after path resolution.
@@ -366,13 +350,11 @@ impl Kernel {
     ///
     /// [`KernelError::NotFound`] / path errors.
     pub fn stat(&mut self, path: &str) -> Result<Stat, KernelError> {
-        self.enter_syscall()?;
-        let ino = if path == "/" {
-            ROOT_INO
-        } else {
-            let (_, _, existing) = self.namei(path)?;
-            existing.ok_or(KernelError::NotFound)?
-        };
+        sys!(self, SyscallOp::Stat(path) => Stat)
+    }
+
+    /// `stat` body after path resolution.
+    pub(crate) fn stat_body(&mut self, ino: u64) -> Result<Stat, KernelError> {
         let inode = self.read_inode(ino)?;
         Ok(Stat {
             ino,
@@ -390,11 +372,7 @@ impl Kernel {
     ///
     /// [`KernelError::NotFound`] if the inode is free or not a file.
     pub fn pwrite_ino(&mut self, ino: u64, offset: u64, data: &[u8]) -> Result<(), KernelError> {
-        self.enter_syscall()?;
-        match self.read_inode_opt(ino)? {
-            Some(i) if i.itype == FileType::File => self.do_write(ino, offset, data),
-            _ => Err(KernelError::NotFound),
-        }
+        sys!(self, SyscallOp::PwriteIno { ino, offset, data })
     }
 
     /// Reads a whole file by path (verification helper for experiments).

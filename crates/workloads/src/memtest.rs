@@ -652,36 +652,56 @@ mod tests {
     #[test]
     fn preemptive_memtest_matches_run_to_completion() {
         // Same seed, same logical op count: the preemptive decomposition
-        // must land on the same model AND the same on-disk state as the
-        // classic MemTest::run.
-        let classic = {
-            let mut k = kernel();
-            let mut mt = MemTest::new(MemTestConfig::small(42));
-            mt.setup(&mut k).unwrap();
-            mt.run(&mut k, 60).unwrap();
-            let report = mt.model().verify(&mut k, None).unwrap();
+        // and the classic `MemTest::run` drive one syscall sequencer, so
+        // they must land on the same model and the same *machine* — the
+        // disk image, the kernel's and the disk's counters, and every
+        // page of memory outside the kernel stack (where one activation
+        // record differs by design: `file_contents` preads exactly the
+        // file's size, the client asks for 4 GB and lets the kernel clamp
+        // it) — at the same simulated instant. The instant needs a run
+        // that never sleeps on the disk (a deferred sleep overlaps the
+        // rest of its phase's CPU time, a blocking one does not): under
+        // Rio that is every op until the 65th inode opens the inode
+        // table's second block, so 50 ops, not more.
+        const OPS: u64 = 50;
+        let mut classic = kernel();
+        let mut mt = MemTest::new(MemTestConfig::small(42));
+        mt.setup(&mut classic).unwrap();
+        let slept = classic.machine.clock.disk_wait();
+        mt.run(&mut classic, OPS).unwrap();
+        assert_eq!(classic.machine.clock.disk_wait(), slept, "the blocking run slept");
+
+        let mut preempted = kernel();
+        let mut pm = PreemptMemTest::new(MemTestConfig::small(42), OPS);
+        pm.setup_skeleton(&mut preempted).unwrap();
+        MemTest::setup_static(&mut preempted, 42).unwrap();
+        let mut clients: [&mut dyn PreemptClient; 1] = [&mut pm];
+        let trace = rio_kernel::run_preemptive(&mut preempted, &mut clients, 0, true).unwrap();
+        assert_eq!(trace.idle_hops, 0, "the scheduled run slept");
+        assert!(!pm.failed(), "fault-free run must not fail");
+        assert_eq!(pm.ops_done(), OPS);
+
+        assert_eq!(mt.model().files, pm.memtest().model().files);
+        assert_eq!(mt.model().dirs, pm.memtest().model().dirs);
+        let (ma, mb) = (classic.machine.bus.mem(), preempted.machine.bus.mem());
+        let stack = ma.layout().stack;
+        for pn in (0..ma.len() / rio_mem::PAGE_SIZE as u64).map(rio_mem::PageNum) {
+            if !stack.contains(pn.base()) {
+                assert!(ma.page(pn) == mb.page(pn), "memory differs in page {pn:?}");
+            }
+        }
+        let (da, db) = (&classic.machine.disk, &preempted.machine.disk);
+        for block in 0..da.num_blocks() {
+            assert!(da.peek(block) == db.peek(block), "disk differs in block {block}");
+        }
+        assert_eq!(da.stats(), db.stats());
+        assert_eq!(classic.stats(), preempted.stats());
+        assert_eq!(classic.machine.clock.now(), preempted.machine.clock.now());
+
+        for (k, model) in [(&mut classic, mt.model()), (&mut preempted, pm.memtest().model())] {
+            let report = model.verify(k, None).unwrap();
             assert!(!report.is_corrupt(), "{report:?}");
-            (mt.model().clone(), k.readdir("/memtest/dir0").unwrap())
-        };
-        let preempted = {
-            let mut k = kernel();
-            let mut pm = PreemptMemTest::new(MemTestConfig::small(42), 60);
-            pm.setup_skeleton(&mut k).unwrap();
-            MemTest::setup_static(&mut k, 42).unwrap();
-            let mut clients: [&mut dyn PreemptClient; 1] = [&mut pm];
-            rio_kernel::run_preemptive(&mut k, &mut clients, 0, true).unwrap();
-            assert!(!pm.failed(), "fault-free run must not fail");
-            assert_eq!(pm.ops_done(), 60);
-            let report = pm.memtest().model().verify(&mut k, None).unwrap();
-            assert!(!report.is_corrupt(), "{report:?}");
-            (
-                pm.memtest().model().clone(),
-                k.readdir("/memtest/dir0").unwrap(),
-            )
-        };
-        assert_eq!(classic.0.files, preempted.0.files);
-        assert_eq!(classic.0.dirs, preempted.0.dirs);
-        assert_eq!(classic.1, preempted.1);
+        }
     }
 
     #[test]
