@@ -264,8 +264,9 @@ pub fn commit_restored(image: &mut PhysMem, registry: &Registry, slot: u64) {
 }
 
 /// Marks a file page as durably replayed ([`EntryFlags::REPLAYED`]). Call
-/// only *after* the replayed write has been flushed and the disk queue
-/// drained.
+/// only *after* a flush that covers the replayed write — and the metadata
+/// that reaches it — has drained the disk queue; one flush may stand
+/// behind any number of commits.
 pub fn commit_replayed(image: &mut PhysMem, registry: &Registry, slot: u64) {
     commit_flag(image, registry, slot, EntryFlags::REPLAYED);
 }

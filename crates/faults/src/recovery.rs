@@ -9,8 +9,10 @@
 //! * a **reference** run, uninterrupted, and
 //! * a **test** run interrupted by up to `depth` injected second crashes
 //!   at points sampled across the whole pipeline (post-scan,
-//!   mid-metadata-restore with torn blocks, post-fsck, mid-replay), each
-//!   followed by a resumed recovery on the surviving image + disk.
+//!   mid-metadata-restore with torn blocks, post-fsck, among the replay's
+//!   writes — nothing of it flushed or committed yet — and among the burst
+//!   of `REPLAYED` commits that follows its one flush), each followed by a
+//!   resumed recovery on the surviving image + disk.
 //!
 //! Both runs then park their disks (reliability writes on + `sync`) and
 //! every block is compared. A byte difference is an *undetected

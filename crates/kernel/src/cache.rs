@@ -247,6 +247,19 @@ impl<K: Eq + Hash + Copy> PageCache<K> {
         v.into_iter().map(|(_, k)| k).collect()
     }
 
+    /// All cached keys, least recently used first: the order `insert`
+    /// would evict them in.
+    #[cfg(test)]
+    pub(crate) fn lru_order(&self) -> Vec<K> {
+        let mut v: Vec<(u64, K)> = self
+            .slots
+            .iter()
+            .filter_map(|s| Some((s.stamp, s.key?)))
+            .collect();
+        v.sort_by_key(|&(stamp, _)| stamp);
+        v.into_iter().map(|(_, k)| k).collect()
+    }
+
     /// All cached keys, in slot order — the same order in every run, which
     /// the map's own iteration would not be.
     pub fn keys(&self) -> impl Iterator<Item = K> + '_ {

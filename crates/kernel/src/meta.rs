@@ -479,6 +479,46 @@ impl Kernel {
     /// [`KernelError::NoInodes`] when the table is full.
     pub(crate) fn alloc_inode(&mut self, itype: FileType) -> Result<u64, KernelError> {
         self.machine.clock.charge_page_op();
+        let g = self.geometry;
+        // One look-up per inode block, then a scan of its records.
+        let mut ino = 1;
+        while ino < g.num_inodes {
+            let (block, off) = g.inode_location(ino);
+            let page = self.bget(block, false)?;
+            let here = (((BLOCK_SIZE - off) / INODE_BYTES) as u64).min(g.num_inodes - ino);
+            let records = self
+                .machine
+                .bus
+                .mem()
+                .slice(page.base() + off as u64, here * INODE_BYTES as u64);
+            // A free record has a zero magic.
+            let free = records
+                .chunks_exact(INODE_BYTES)
+                .position(|rec| rec[..4] == [0; 4]);
+            if let Some(i) = free {
+                return self.claim_inode(ino + i as u64, itype);
+            }
+            ino += here;
+        }
+        Err(KernelError::NoInodes)
+    }
+
+    /// Writes a fresh inode of type `itype` into the free record `ino`.
+    fn claim_inode(&mut self, ino: u64, itype: FileType) -> Result<u64, KernelError> {
+        let mut inode = Inode::empty(itype);
+        inode.mtime = self.machine.clock.now().as_micros();
+        if itype == FileType::Dir {
+            inode.nlink = 2;
+        }
+        self.write_inode(ino, &inode)?;
+        Ok(ino)
+    }
+
+    /// [`Kernel::alloc_inode`] as first written — one `bget` per candidate
+    /// inode. The definition the block-at-a-time scan is tested against.
+    #[cfg(test)]
+    fn alloc_inode_reference(&mut self, itype: FileType) -> Result<u64, KernelError> {
+        self.machine.clock.charge_page_op();
         for ino in 1..self.geometry.num_inodes {
             let (block, off) = self.geometry.inode_location(ino);
             let page = self.bget(block, false)?;
@@ -488,13 +528,7 @@ impl Kernel {
                 .mem()
                 .slice(page.base() + off as u64, 4);
             if magic_bytes.iter().all(|&b| b == 0) {
-                let mut inode = Inode::empty(itype);
-                inode.mtime = self.machine.clock.now().as_micros();
-                if itype == FileType::Dir {
-                    inode.nlink = 2;
-                }
-                self.write_inode(ino, &inode)?;
-                return Ok(ino);
+                return self.claim_inode(ino, itype);
             }
         }
         Err(KernelError::NoInodes)
@@ -516,6 +550,30 @@ impl Kernel {
     ///
     /// [`KernelError::NoSpace`] when the disk is full.
     pub(crate) fn alloc_block(&mut self) -> Result<u64, KernelError> {
+        self.machine.clock.charge_page_op();
+        let g = self.geometry;
+        // One look-up per bitmap block, then a scan of its bytes; the last
+        // bitmap block tracks fewer blocks than it has bits.
+        let mut b = g.data_start;
+        while b < g.num_blocks {
+            let (bm_block, from) = g.bitmap_location(b);
+            let page = self.bget(bm_block, false)?;
+            let here = ((8 * BLOCK_SIZE - from) as u64).min(g.num_blocks - b);
+            let bitmap = self.machine.bus.mem().page(page);
+            if let Some(bit) = first_clear_bit(bitmap, from, from + here as usize) {
+                let new = bitmap[bit / 8] | (1 << (bit % 8));
+                self.meta_update_async(bm_block, bit / 8, &[new])?;
+                return Ok(b + (bit - from) as u64);
+            }
+            b += here;
+        }
+        Err(KernelError::NoSpace)
+    }
+
+    /// [`Kernel::alloc_block`] as first written — one `bget` per candidate
+    /// bit. The definition the block-at-a-time scan is tested against.
+    #[cfg(test)]
+    fn alloc_block_reference(&mut self) -> Result<u64, KernelError> {
         self.machine.clock.charge_page_op();
         let g = self.geometry;
         for b in g.data_start..g.num_blocks {
@@ -820,6 +878,23 @@ impl Kernel {
     }
 }
 
+/// The lowest clear bit of `bitmap` in `[from, to)`, least significant bit
+/// of each byte first. Full bytes cost one compare.
+fn first_clear_bit(bitmap: &[u8], from: usize, to: usize) -> Option<usize> {
+    // Bits of the first byte below `from` count as set.
+    let mut below = (1u8 << (from % 8)) - 1;
+    let bytes = &bitmap[..to.div_ceil(8)];
+    for (i, &byte) in bytes.iter().enumerate().skip(from / 8) {
+        let ones = (byte | below).trailing_ones() as usize;
+        if ones < 8 {
+            let bit = i * 8 + ones;
+            return (bit < to).then_some(bit);
+        }
+        below = 0;
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -937,6 +1012,97 @@ mod tests {
                 pt_assert!(entry.flags.contains(EntryFlags::DIRTY));
             }
             pt_assert_eq!(k.stats.shadow_commits, if exhausted { 0 } else { commits });
+            Ok(())
+        });
+    }
+
+    /// A bit string whose first zero is at a chosen place — the very first
+    /// bit, either side of a block boundary, nowhere, or anywhere — with
+    /// ones at a random density after it.
+    fn occupancy(g: &mut Gen, len: u64, boundary: u64) -> Vec<bool> {
+        let first_free = match g.in_range(0..5u32) {
+            0 => 0,
+            1 => boundary + g.in_range(0..3u64) - 1,
+            2 => len,
+            _ => g.in_range(0..len),
+        };
+        let density = g.in_range(0..4u32);
+        (0..len)
+            .map(|i| i < first_free || (i > first_free && g.in_range(0..3u32) < density))
+            .collect()
+    }
+
+    /// `alloc_block` / `alloc_inode` scan a block per look-up; the per-bit
+    /// scans they replaced are the definition. Over bitmaps and inode
+    /// tables with a full first block and a partial last one, with other
+    /// buffer-cache traffic in between, both must choose the same block or
+    /// inode (or `NoSpace` / `NoInodes`) and leave the same machine, the
+    /// same clock and the same buffer-cache eviction order.
+    #[test]
+    fn block_at_a_time_allocators_match_the_per_bit_scans() {
+        use crate::ondisk::{DiskGeometry, INODES_PER_BLOCK};
+        const BITS: u64 = 8 * BLOCK_SIZE as u64;
+        check("allocators == per-bit references", Config::with_cases(48), |g| {
+            // Two bitmap blocks and three inode blocks, the last of each
+            // partial: bits and records past the end read as free and must
+            // never be handed out.
+            let blocks = BITS + g.in_range(70..300u64);
+            let inodes = 2 * INODES_PER_BLOCK + g.in_range(1..INODES_PER_BLOCK);
+            let mut config = KernelConfig::small(Policy::rio(RioMode::Protected));
+            config.geometry = DiskGeometry::new(blocks, inodes, 0);
+            config.machine.disk_blocks = blocks;
+            let geo = config.geometry;
+            let mut machine = crate::machine::Machine::new(&config.machine);
+            Kernel::format(&mut machine.disk, &geo);
+
+            let taken = occupancy(g, blocks - geo.data_start, BITS - geo.data_start);
+            for bm in 0..2 {
+                let mut bitmap = machine.disk.peek(geo.bitmap_start + bm).to_vec();
+                for (b, _) in (geo.data_start..blocks).zip(&taken).filter(|(_, &t)| t) {
+                    let (block, bit) = geo.bitmap_location(b);
+                    if block == geo.bitmap_start + bm {
+                        bitmap[bit / 8] |= 1 << (bit % 8);
+                    }
+                }
+                machine.disk.poke(geo.bitmap_start + bm, &bitmap);
+            }
+            let live = occupancy(g, inodes - 1, INODES_PER_BLOCK - 1);
+            for ib in 0..geo.inode_len {
+                let mut table = machine.disk.peek(geo.inode_start + ib).to_vec();
+                // The root's record too: the scans start at inode 1.
+                for (ino, &l) in (1..inodes).zip(&live) {
+                    let (block, off) = geo.inode_location(ino);
+                    if block == geo.inode_start + ib {
+                        let rec = if l {
+                            Inode::empty(FileType::File).encode()
+                        } else {
+                            [0; INODE_BYTES]
+                        };
+                        table[off..off + INODE_BYTES].copy_from_slice(&rec);
+                    }
+                }
+                machine.disk.poke(geo.inode_start + ib, &table);
+            }
+
+            let mut new = Kernel::mount(machine, &config).expect("mount");
+            let mut old = new.clone();
+            for _ in 0..g.len_between(1, 24) {
+                match g.in_range(0..3u32) {
+                    0 => pt_assert_eq!(new.alloc_block(), old.alloc_block_reference()),
+                    1 => pt_assert_eq!(
+                        new.alloc_inode(FileType::File),
+                        old.alloc_inode_reference(FileType::File)
+                    ),
+                    // Unrelated metadata traffic: LRU stamps between scans.
+                    _ => {
+                        let block = g.in_range(geo.inode_start..geo.data_start + 40);
+                        pt_assert_eq!(new.bget(block, false), old.bget(block, false));
+                    }
+                }
+            }
+            crate::sched::tests::same_machine(&new, &old)?;
+            pt_assert_eq!(new.machine.clock.now(), old.machine.clock.now());
+            pt_assert_eq!(new.bufcache.lru_order(), old.bufcache.lru_order());
             Ok(())
         });
     }

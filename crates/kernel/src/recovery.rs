@@ -12,7 +12,15 @@
 //! The pipeline is *resumable*: its progress is committed back into the
 //! preserved image through per-entry registry flags
 //! ([`rio_core::EntryFlags::RESTORED`] / [`rio_core::EntryFlags::REPLAYED`]),
-//! each set only once the corresponding bytes are durably on disk. A crash
+//! each set only once the corresponding bytes are durably on disk. The
+//! restore commits block by block, as each write lands. The replay — "normal
+//! system calls such as open and write", none of them synchronous — has one
+//! commit point: every recovered page is written, one flush makes them and
+//! the metadata that reaches them durable, and only then are they marked
+//! `REPLAYED`, so the replay runs at the disk's bandwidth rather than at a
+//! seek per page. A second crash before that flush redoes the whole replay
+//! (the preserved image still owns every page); one inside the burst of
+//! commits leaves a prefix committed, all of it already on disk. A crash
 //! *during* recovery — modelled by a [`RecoveryControl`] that declines to
 //! continue at a [`RecoveryPoint`] — therefore loses no recoverable data:
 //! the next attempt rescans the same image, skips committed entries
@@ -56,14 +64,16 @@ pub enum RecoveryPoint {
     },
     /// fsck completed; about to mount.
     AfterFsck,
-    /// Replay write `index` issued but not yet flushed or committed — a
-    /// crash here loses only the recovery kernel's memory; the preserved
-    /// image still owns the page.
+    /// Replay write `index` issued; nothing of the replay is flushed or
+    /// committed yet — a crash here loses only the recovery kernel's
+    /// memory; the preserved image still owns every page.
     AfterReplayWrite {
         /// Position in the replay order.
         index: u64,
     },
-    /// Replay page `index` flushed, drained, and committed `REPLAYED`.
+    /// Replay page `index` committed `REPLAYED`, after the one flush that
+    /// made every replayed page durable — a crash here leaves pages up to
+    /// `index` committed and the rest to be replayed again.
     AfterReplayPage {
         /// Position in the replay order.
         index: u64,
@@ -277,10 +287,12 @@ impl Kernel {
         let mut kernel = Kernel::mount(machine, config).map_err(WarmBootError::Fatal)?;
 
         // Phase 4: user-level replay of recovered file pages through
-        // normal system calls. Replayed writes keep the recovered mtime so
-        // interrupted and uninterrupted recoveries produce identical disk
-        // bytes; each page is flushed (queue drained) before its REPLAYED
-        // commit, making the commit point exactly the durability point.
+        // normal system calls, with one commit point. Every page is
+        // written first, one synchronous flush makes all of them — and the
+        // inode, bitmap and indirect blocks that reach them — durable, and
+        // only then is each marked REPLAYED. Replayed writes keep the
+        // recovered mtime so interrupted and uninterrupted recoveries
+        // produce identical disk bytes.
         kernel.preserve_mtime_on_write = true;
         let mut report = BootReport {
             warm: Some(recovery.stats),
@@ -290,11 +302,11 @@ impl Kernel {
         };
         let mut pages = recovery.file_pages;
         pages.sort_by_key(|p| (p.ino, p.offset));
+        let mut written = Vec::new();
         for (i, p) in pages.iter().enumerate() {
             if p.already_replayed {
                 continue;
             }
-            let index = i as u64;
             match kernel.pwrite_ino(p.ino, p.offset, &p.data) {
                 Ok(()) => {}
                 Err(e @ (KernelError::Crashed | KernelError::Panic(_))) => {
@@ -309,14 +321,23 @@ impl Kernel {
                     continue;
                 }
             }
+            let index = i as u64;
+            written.push((index, p.slot));
             let point = RecoveryPoint::AfterReplayWrite { index };
             if !ctl.reached(point) {
                 return Err(second_crash(kernel, point));
             }
+        }
+        if !written.is_empty() {
             kernel
                 .flush_everything(true)
                 .map_err(WarmBootError::Fatal)?;
-            warm::commit_replayed(image, &registry, p.slot);
+        }
+        // Everything written above is on disk: the commits below only
+        // record that in the preserved image, so a crash among them leaves
+        // a committed prefix whose bytes are already durable.
+        for (index, slot) in written {
+            warm::commit_replayed(image, &registry, slot);
             report.pages_replayed += 1;
             let point = RecoveryPoint::AfterReplayPage { index };
             if !ctl.reached(point) {

@@ -463,7 +463,7 @@ pub fn run_preemptive(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::kernel::{Fd, KernelConfig};
     use crate::policy::Policy;
@@ -782,7 +782,7 @@ mod tests {
 
     /// What a crash would leave behind plus every counter: the memory
     /// image, the disk image and its statistics, the kernel's statistics.
-    fn same_machine(a: &Kernel, b: &Kernel) -> Result<(), String> {
+    pub(crate) fn same_machine(a: &Kernel, b: &Kernel) -> Result<(), String> {
         let (ma, mb) = (a.machine.bus.mem(), b.machine.bus.mem());
         pt_assert_eq!(ma.len(), mb.len());
         for pn in 0..ma.len() / rio_mem::PAGE_SIZE as u64 {

@@ -1,14 +1,18 @@
 //! Integration tests for the restartable recovery pipeline: crashing the
 //! warm reboot at *every* pipeline point and resuming must produce a disk
-//! byte-for-byte identical to a recovery that was never interrupted.
+//! byte-for-byte identical to a recovery that was never interrupted, and
+//! the replay has one commit point — every page written, one flush, then
+//! the `REPLAYED` commits.
 
-use rio_core::RioMode;
+use rio_core::{RecoveredFilePage, RioMode};
 use rio_det::proptest_lite::{check, Config, Gen};
 use rio_disk::SimDisk;
 use rio_kernel::{
-    Kernel, KernelConfig, PanicReason, Policy, RecoveryControl, RecoveryPoint, WarmBootError,
+    Kernel, KernelConfig, NoRecoveryFaults, PanicReason, Policy, RecoveryControl, RecoveryPoint,
+    WarmBootError,
 };
 use rio_mem::PhysMem;
+use std::collections::BTreeSet;
 
 /// Counts recovery points without interrupting.
 struct CountPoints {
@@ -35,6 +39,11 @@ impl RecoveryControl for CrashAt {
         self.remaining -= 1;
         true
     }
+}
+
+/// The files `crashed_workload` leaves behind (it unlinks `f4`).
+fn live_paths() -> Vec<String> {
+    [0, 1, 2, 3, 5].map(|i| format!("/a/b/f{i}")).to_vec()
 }
 
 /// A crashed kernel's artifacts plus the config that built it.
@@ -74,12 +83,57 @@ fn assert_disks_identical(a: &SimDisk, b: &SimDisk, label: &str) {
     }
 }
 
+/// The invariant the progress commits rest on, stated directly: every
+/// page `img` flags `REPLAYED` reads back byte-identical from a *cold*
+/// boot of `salvaged` — fsck and mount, no memory image — so its bytes and
+/// the metadata that reaches them were on disk before the commit.
+fn assert_committed_pages_are_durable(
+    config: &KernelConfig,
+    acknowledged: &[RecoveredFilePage],
+    img: &PhysMem,
+    salvaged: &SimDisk,
+    label: &str,
+) {
+    let scan = rio_core::scan_registry(img);
+    let committed: Vec<&RecoveredFilePage> = scan
+        .file_pages
+        .iter()
+        .filter(|p| p.already_replayed)
+        .map(|c| {
+            acknowledged
+                .iter()
+                .find(|p| p.slot == c.slot)
+                .unwrap_or_else(|| panic!("{label}: slot {} committed, never recovered", c.slot))
+        })
+        .collect();
+    if committed.is_empty() {
+        return;
+    }
+    let (mut cold, _) = Kernel::cold_boot(config, salvaged.clone())
+        .unwrap_or_else(|e| panic!("{label}: cold boot of the salvaged disk: {e}"));
+    for p in committed {
+        let path = live_paths()
+            .into_iter()
+            .find(|path| cold.stat(path).is_ok_and(|s| s.ino == p.ino))
+            .unwrap_or_else(|| panic!("{label}: no path reaches inode {}", p.ino));
+        let got = cold.file_contents(&path).expect("cold read");
+        let at = p.offset as usize;
+        assert_eq!(
+            got.get(at..at + p.data.len()),
+            Some(&p.data[..]),
+            "{label}: {path} @ {at} is flagged REPLAYED but is not on disk"
+        );
+    }
+}
+
 /// Satellite (d): crash the recovery at every single pipeline point in
-/// turn; resuming must converge to the uninterrupted recovery's disk.
+/// turn; resuming must converge to the uninterrupted recovery's disk, and
+/// at the interruption every `REPLAYED` commit must already be durable.
 #[test]
 fn resume_from_every_crash_point_matches_recover_once() {
     for mode in [RioMode::Unprotected, RioMode::Protected] {
         let (config, image, disk) = crashed_workload(mode);
+        let acknowledged = rio_core::scan_registry(&image).file_pages;
 
         // Reference: single-shot recovery.
         let (k_ref, ref_report) =
@@ -105,13 +159,94 @@ fn resume_from_every_crash_point_matches_recover_once() {
                     Err(WarmBootError::Interrupted(i)) => i.disk,
                     other => panic!("point {n} ({mode}): expected interruption, got {other:?}"),
                 };
+            let label = format!("point {n} ({mode})");
+            assert_committed_pages_are_durable(&config, &acknowledged, &img, &salvaged, &label);
             let (k2, report) = Kernel::warm_boot(&config, &img, salvaged)
                 .unwrap_or_else(|e| panic!("resume after point {n} ({mode}): {e}"));
             assert_eq!(report.pages_unreplayable, 0, "point {n} ({mode})");
             let resumed_disk = park(k2);
-            assert_disks_identical(&ref_disk, &resumed_disk, &format!("point {n} ({mode})"));
+            assert_disks_identical(&ref_disk, &resumed_disk, &label);
         }
     }
+}
+
+/// One replay, one commit point: a single-shot warm boot waits on the disk
+/// once, and writes each replayed page and each metadata block the replay
+/// dirtied exactly once — a flush per page would wait N times and rewrite
+/// the inode and bitmap blocks behind every page.
+#[test]
+fn replay_flushes_once_and_writes_each_block_once() {
+    let (config, image, disk) = crashed_workload(RioMode::Protected);
+    let pages = rio_core::scan_registry(&image).file_pages;
+    let writes_before = disk.stats().writes;
+    let (k, report) = Kernel::warm_boot(&config, &image, disk).expect("warm boot");
+    assert_eq!(report.pages_replayed, pages.len() as u64);
+    assert!(report.pages_replayed > 1, "more than one page to batch");
+    assert_eq!(k.stats().sync_waits, 1, "one flush for the whole replay");
+    // The metadata the replay dirties: the inode blocks of the replayed
+    // files and the small volume's one bitmap block.
+    let inode_blocks: BTreeSet<u64> = pages
+        .iter()
+        .map(|p| config.geometry.inode_location(p.ino).0)
+        .collect();
+    assert_eq!(
+        k.machine.disk.stats().writes - writes_before,
+        report.pages_replayed + inode_blocks.len() as u64 + 1
+    );
+}
+
+/// The replay holds every recovered page in the recovery kernel's cache
+/// until its one flush. A crash image with *every* UBC page dirty fills
+/// that cache exactly: nothing may turn unreplayable, every file reads back.
+#[test]
+fn replay_of_a_completely_dirty_cache_loses_nothing() {
+    let config = KernelConfig::small(Policy::rio(RioMode::Protected));
+    let mut k = Kernel::mkfs_and_mount(&config).expect("mkfs");
+    let cache_pages = k.machine.bus.layout().ubc.pages() as usize;
+    // 24-page files reach past the direct pointers into an indirect block.
+    let mut files = Vec::new();
+    let mut left = cache_pages;
+    while left > 0 {
+        let (i, n) = (files.len(), left.min(24));
+        let data: Vec<u8> = (0..n * rio_mem::PAGE_SIZE)
+            .map(|j| ((j * 31 + i) % 251) as u8)
+            .collect();
+        let path = format!("/f{i}");
+        let fd = k.create(&path).unwrap();
+        k.write(fd, &data).unwrap();
+        k.close(fd).unwrap();
+        files.push((path, data));
+        left -= n;
+    }
+    assert_eq!(k.stats().overflow_writebacks, 0, "the fill spilled");
+    k.crash_now(PanicReason::Watchdog);
+    let (image, disk) = k.into_crash_artifacts();
+
+    let (mut k, report) = Kernel::warm_boot(&config, &image, disk).expect("warm boot");
+    assert_eq!(report.pages_replayed, cache_pages as u64);
+    assert_eq!(report.pages_unreplayable, 0);
+    for (path, data) in &files {
+        let got = k.file_contents(path).expect("read back");
+        assert!(got == *data, "{path} differs");
+    }
+}
+
+/// A resumed run that finds every page already `REPLAYED` has nothing to
+/// make durable: no flush, no disk write.
+#[test]
+fn resume_with_every_page_committed_leaves_the_disk_alone() {
+    let (config, mut image, disk) = crashed_workload(RioMode::Protected);
+    let (k, first) = Kernel::warm_boot_resumable(&config, &mut image, disk, &mut NoRecoveryFaults)
+        .expect("first recovery");
+    assert!(first.pages_replayed > 0);
+    // A crash right after the last commit: the disk and the image survive.
+    let disk = k.machine.disk.clone();
+    let writes_before = disk.stats().writes;
+    let (k, second) = Kernel::warm_boot_resumable(&config, &mut image, disk, &mut NoRecoveryFaults)
+        .expect("resumed recovery");
+    assert_eq!((second.pages_replayed, second.pages_unreplayable), (0, 0));
+    assert_eq!(k.stats().sync_waits, 0);
+    assert_eq!(k.machine.disk.stats().writes, writes_before);
 }
 
 /// Nested interruptions: crash the recovery, then crash the *resumed*

@@ -106,14 +106,14 @@ grep -q '95% confidence intervals (Wilson)' "$t1_a"
 cat "$t1_a"
 rm -f "$t1_a" "$t1_b"
 
-echo "== smoke recovery re-crash campaign (RIO_TRIALS=1) =="
-rec_a="$(mktemp)"
-rec_b="$(mktemp)"
-RIO_TRIALS=1 RIO_THREADS=1 cargo run -q --release -p rio-bench --bin recovery > "$rec_a"
-RIO_TRIALS=1 RIO_THREADS=4 cargo run -q --release -p rio-bench --bin recovery > "$rec_b"
-cmp "$rec_a" "$rec_b"
-grep -q 'every interrupted recovery converged' "$rec_a"
-rm -f "$rec_a" "$rec_b"
+echo "== recovery re-crash campaign at RIO_THREADS 1 and 4, both against the committed exhibit (RIO_TRIALS=8) =="
+rec_out="$(mktemp)"
+for threads in 1 4; do
+    RIO_TRIALS=8 RIO_THREADS="$threads" cargo run -q --release -p rio-bench --bin recovery > "$rec_out"
+    cmp "$rec_out" results_recovery.txt
+done
+grep -q 'every interrupted recovery converged' "$rec_out"
+rm -f "$rec_out"
 
 echo "== explain forensics: two processes (RIO_THREADS=1 vs 8), one event stream, the committed one =="
 exp_a="$(mktemp)"
@@ -172,13 +172,13 @@ grep -q 'Rio p999 advantage' "$srv_a"
 grep -q 'histogram self-check: worst percentile error .* (bound 0.0625) OK' "$srv_a"
 rm -f "$srv_a" "$srv_b" "$srv_ja" "$srv_jb"
 
-echo "== committed exhibits regenerate byte for byte (server, overhead, recovery, table2, propagation) =="
+echo "== committed exhibits regenerate byte for byte (server, overhead, table2, propagation) =="
 # An exhibit compared only with itself at another thread count can drift
 # from the file EXPERIMENTS.md quotes without anyone noticing. These are
-# the full-size runs behind results_*.txt / BENCH_server.json (scale and
-# explain are compared above; table1 and table1_scale take minutes at
-# committed size, so a reduced run of each is pinned above and the
-# committed size is `--full`'s, below). A PR that means to move one
+# the full-size runs behind results_*.txt / BENCH_server.json (scale,
+# explain and recovery are compared above; table1 and table1_scale take
+# minutes at committed size, so a reduced run of each is pinned above and
+# the committed size is `--full`'s, below). A PR that means to move one
 # regenerates the file and says why in EXPERIMENTS.md.
 ex_out="$(mktemp)"
 ex_json="$(mktemp)"
@@ -187,8 +187,6 @@ cmp "$ex_out" results_server.txt
 cmp "$ex_json" BENCH_server.json
 cargo run -q --release -p rio-bench --bin overhead > "$ex_out"
 cmp "$ex_out" results_overhead.txt
-RIO_TRIALS=8 cargo run -q --release -p rio-bench --bin recovery > "$ex_out"
-cmp "$ex_out" results_recovery.txt
 cargo run -q --release -p rio-bench --bin table2 > "$ex_out"
 cmp "$ex_out" results_table2.txt
 RIO_TRIALS=10 cargo run -q --release -p rio-bench --bin propagation > "$ex_out"
