@@ -13,8 +13,9 @@
 //! Everything here is deterministic: the trial runs on the calling thread,
 //! events are timestamped from the simulated clock, and the rendered text
 //! is byte-identical across hosts and thread counts. `results_trace_example.txt`
-//! at the repository root is a pinned rendering, regression-checked by a
-//! golden-file test.
+//! and `BENCH_obs.json` at the repository root are the pinned rendering of
+//! one trial — the `explain` row of [`crate::exhibits`], regenerated and
+//! compared by `tests/exhibits.rs` and `exhibit --check`.
 
 use rio_det::DetRng;
 use rio_faults::campaign::trial_seed;
@@ -726,30 +727,6 @@ mod tests {
             .any(|e| e.category == EventCategory::FaultInjected));
         // The registry snapshot bridged kernel counters.
         assert!(a.trace.registry.get("kernel.syscalls") > 0);
-    }
-
-    #[test]
-    fn golden_trace_example_matches_repo_artifact() {
-        // The pinned rendering shipped at the repository root. A change
-        // here means the trace format or the simulation changed — either
-        // regenerate the artifact (see EXPERIMENTS.md) or fix the
-        // regression.
-        let golden = include_str!("../../../results_trace_example.txt");
-        let report = explain_trial(&pinned());
-        assert_eq!(render_timeline(&report), golden);
-    }
-
-    #[test]
-    fn rendering_is_identical_across_thread_env() {
-        // explain replays the trial on the calling thread; RIO_THREADS
-        // must not leak into the output. (The env var is what the table1
-        // bin uses for campaign parallelism.)
-        std::env::set_var("RIO_THREADS", "1");
-        let one = render_timeline(&explain_trial(&pinned()));
-        std::env::set_var("RIO_THREADS", "8");
-        let eight = render_timeline(&explain_trial(&pinned()));
-        std::env::remove_var("RIO_THREADS");
-        assert_eq!(one, eight);
     }
 
     #[test]

@@ -23,11 +23,15 @@
 //!   corrupted byte (or the protection trap that prevented one).
 //! * [`scale`] — the multi-client scale-out study: N scheduled clients ×
 //!   D striped devices, Rio vs write-through throughput.
-//! * [`ascii`] — plain-text table rendering shared by the report binaries.
+//! * [`exhibits`] — the manifest behind the `exhibit` binary (`cargo run
+//!   --release --bin exhibit -- <name>`): which function regenerates which
+//!   committed `results_*.txt` / `BENCH_*.json`, at which knobs.
+//! * [`ascii`] — plain-text table rendering shared by the reports.
 
 #![forbid(unsafe_code)]
 
 pub mod ascii;
+pub mod exhibits;
 pub mod explain;
 pub mod overhead;
 pub mod propagation;

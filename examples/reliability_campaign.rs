@@ -1,7 +1,7 @@
 //! A scaled-down Table 1 campaign: a few crashes per (fault × system) cell.
 //!
-//! The full 50-crashes-per-cell campaign lives in
-//! `cargo run --release -p rio-bench --bin table1`; this example runs a
+//! The committed campaign (`results_table1.txt`, 1000 crashes per cell) is
+//! `cargo run --release --bin exhibit -- table1`; this example runs a
 //! small grid quickly and prints the same table.
 //!
 //! ```text
