@@ -91,39 +91,6 @@ impl std::fmt::Display for SystemKind {
     }
 }
 
-/// How one trial ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TrialOutcome {
-    /// The system survived the watchdog budget: discarded, like the
-    /// paper's ~half of runs that did not crash within ten minutes.
-    NoCrash,
-    /// The fault wedged the workload without a kernel crash (an op failed
-    /// non-fatally); discarded.
-    Wedged,
-    /// The system crashed and was examined.
-    Crashed {
-        /// Whether any file data was corrupted or lost.
-        corrupted: bool,
-        /// Number of damaged files/directories.
-        damage: usize,
-        /// Whether the checksum mechanism (registry CRC at warm reboot)
-        /// detected damage.
-        checksum_detected: bool,
-        /// Whether Rio's protection trapped the wild store (the §3.3
-        /// "protection mechanism was invoked" events).
-        protection_trap: bool,
-        /// Stable crash message (for the unique-messages statistic).
-        message: String,
-        /// memTest ops completed before the crash.
-        ops_before_crash: u64,
-        /// Torn data blocks fsck saw at reboot.
-        torn_data_blocks: u64,
-        /// Registry entries the warm-reboot scan quarantined (bad magic /
-        /// inconsistent mapping / CRC mismatch).
-        quarantined: u64,
-    },
-}
-
 /// One cell of Table 1 after `trials` runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellResult {
@@ -251,56 +218,21 @@ pub fn trial_seed(campaign_seed: u64, fault: FaultType, system: SystemKind, atte
     derive_seed3(campaign_seed, fault as u64, system as u64, attempt)
 }
 
-/// Maps a driver observation onto the campaign's outcome enum.
-fn outcome_from(obs: TrialObservation) -> TrialOutcome {
-    match obs.verdict {
-        TrialVerdict::Wedged => TrialOutcome::Wedged,
-        TrialVerdict::NoCrash => TrialOutcome::NoCrash,
-        TrialVerdict::Crashed => TrialOutcome::Crashed {
-            corrupted: obs.damage > 0,
-            damage: obs.damage,
-            checksum_detected: obs.checksum_detected,
-            protection_trap: obs.protection_trap,
-            message: obs.message.unwrap_or_default(),
-            ops_before_crash: obs.ops_before_crash,
-            torn_data_blocks: obs.torn_data_blocks,
-            quarantined: obs.quarantined,
-        },
-    }
-}
-
-/// Runs one trial forked from a steady point — boot, warm up (both in
-/// `steady`), inject from `inject_seed`, run to crash, reboot, verify.
-///
-/// The trial owns its entire simulated machine (CPU, physical memory,
-/// disk); nothing is shared with other trials, which is what makes the
-/// campaign safely parallel. Byte-identical whether `steady` is shared by
-/// a whole cell or was prepared from scratch for this trial alone.
-pub fn run_trial_from(
-    steady: &PreparedTrial,
-    fault: FaultType,
-    inject_seed: u64,
-    watchdog_ops: u64,
-) -> TrialOutcome {
-    outcome_from(drive(steady.fork(), fault, inject_seed, watchdog_ops))
-}
-
 /// Records the verdict's provenance in any open trace session: 0 = no
 /// crash, 1 = wedged, 2 = crashed clean, 3 = crashed corrupted.
-fn emit_verdict(outcome: TrialOutcome) -> TrialOutcome {
+fn emit_verdict(obs: TrialObservation) -> TrialObservation {
     if rio_obs::is_enabled() {
-        let code = match &outcome {
-            TrialOutcome::NoCrash => 0,
-            TrialOutcome::Wedged => 1,
-            TrialOutcome::Crashed { corrupted: false, .. } => 2,
-            TrialOutcome::Crashed { corrupted: true, .. } => 3,
+        let code = match obs.verdict {
+            TrialVerdict::NoCrash => 0,
+            TrialVerdict::Wedged => 1,
+            TrialVerdict::Crashed => 2 + u64::from(obs.corrupted()),
         };
         rio_obs::emit(
             rio_obs::EventCategory::TrialVerdict,
             rio_obs::Payload::Count { value: code },
         );
     }
-    outcome
+    obs
 }
 
 /// Table 1 as a [`Campaign`]: a (fault, system) grid whose cells collect
@@ -312,7 +244,7 @@ impl Campaign for Table1<'_> {
     type Coord = (FaultType, SystemKind);
     type Key = u64;
     type Checkpoint = PreparedTrial;
-    type Outcome = TrialOutcome;
+    type Outcome = TrialObservation;
     type Cell = CellResult;
 
     /// Row-major (fault, system) order.
@@ -335,29 +267,22 @@ impl Campaign for Table1<'_> {
         )
     }
 
+    /// The trial owns its whole simulated machine (a fork of `steady`), so
+    /// nothing is shared with other trials.
     fn run(
         &self,
         steady: &PreparedTrial,
         (fault, system): Self::Coord,
         attempt: u64,
-    ) -> TrialOutcome {
+    ) -> TrialObservation {
         let inject_seed = trial_seed(self.0.seed, fault, system, attempt);
-        emit_verdict(run_trial_from(steady, fault, inject_seed, self.0.watchdog_ops))
+        emit_verdict(drive(steady.fork(), fault, inject_seed, self.0.watchdog_ops))
     }
 
     /// A harness panic counts as a corrupted crashed run, its text among
     /// the cell's crash messages.
-    fn on_panic(&self, _: Self::Coord, text: String) -> TrialOutcome {
-        emit_verdict(TrialOutcome::Crashed {
-            corrupted: true,
-            damage: usize::MAX,
-            checksum_detected: false,
-            protection_trap: false,
-            message: text,
-            ops_before_crash: 0,
-            torn_data_blocks: 0,
-            quarantined: 0,
-        })
+    fn on_panic(&self, _: Self::Coord, text: String) -> TrialObservation {
+        emit_verdict(TrialObservation::harness_panic(text))
     }
 
     fn empty(&self, (fault, system): Self::Coord) -> CellResult {
@@ -374,29 +299,17 @@ impl Campaign for Table1<'_> {
         }
     }
 
-    fn absorb(&self, cell: &mut CellResult, outcome: TrialOutcome) {
-        match outcome {
-            TrialOutcome::NoCrash | TrialOutcome::Wedged => cell.discarded += 1,
-            TrialOutcome::Crashed {
-                corrupted,
-                protection_trap,
-                message,
-                torn_data_blocks,
-                quarantined,
-                ..
-            } => {
-                cell.crashes += 1;
-                if corrupted {
-                    cell.corruptions += 1;
-                }
-                if protection_trap {
-                    cell.protection_traps += 1;
-                }
-                cell.torn_data_blocks += torn_data_blocks;
-                cell.quarantined += quarantined;
-                cell.messages.insert(message);
-            }
+    fn absorb(&self, cell: &mut CellResult, obs: TrialObservation) {
+        if obs.verdict != TrialVerdict::Crashed {
+            cell.discarded += 1;
+            return;
         }
+        cell.crashes += 1;
+        cell.corruptions += u64::from(obs.corrupted());
+        cell.protection_traps += u64::from(obs.protection_trap);
+        cell.torn_data_blocks += obs.torn_data_blocks;
+        cell.quarantined += obs.quarantined;
+        cell.messages.insert(obs.message.unwrap_or_default());
     }
 
     fn done(&self, cell: &CellResult, merged: u64) -> bool {
@@ -425,10 +338,10 @@ mod tests {
         attempts: u64,
         warmup_ops: u64,
         watchdog_ops: u64,
-    ) -> Vec<TrialOutcome> {
+    ) -> Vec<TrialObservation> {
         let steady = PreparedTrial::prepare(system, workload_seed(0, system), warmup_ops);
         (0..attempts)
-            .map(|a| run_trial_from(&steady, fault, trial_seed(0, fault, system, a), watchdog_ops))
+            .map(|a| drive(steady.fork(), fault, trial_seed(0, fault, system, a), watchdog_ops))
             .collect()
     }
 
@@ -447,7 +360,7 @@ mod tests {
         for system in SystemKind::ALL {
             let got_crash = cell_trials(system, FaultType::CopyOverrun, 6, 30, 400)
                 .iter()
-                .any(|o| matches!(o, TrialOutcome::Crashed { .. }));
+                .any(|o| o.verdict == TrialVerdict::Crashed);
             assert!(got_crash, "no crash for {system}");
         }
     }
@@ -464,11 +377,9 @@ mod tests {
             30,
             400,
         ) {
-            if let TrialOutcome::Crashed { corrupted, .. } = outcome {
+            if outcome.verdict == TrialVerdict::Crashed {
                 crashes += 1;
-                if corrupted {
-                    corruptions += 1;
-                }
+                corruptions += u32::from(outcome.corrupted());
             }
         }
         assert!(crashes >= 2, "lock skips should crash ({crashes})");
@@ -480,7 +391,7 @@ mod tests {
         // 64 KB of stack, 32 live bytes: most flips hit nothing.
         let discards = cell_trials(SystemKind::RioWithProtection, FaultType::KernelStack, 4, 20, 150)
             .iter()
-            .filter(|o| matches!(o, TrialOutcome::NoCrash | TrialOutcome::Wedged))
+            .filter(|o| o.verdict != TrialVerdict::Crashed)
             .count();
         assert!(discards >= 2, "stack flips rarely hit ({discards})");
     }
@@ -490,6 +401,21 @@ mod tests {
         let a = cell_trials(SystemKind::RioWithoutProtection, FaultType::KernelText, 2, 25, 200);
         let b = cell_trials(SystemKind::RioWithoutProtection, FaultType::KernelText, 2, 25, 200);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_harness_panic_is_a_corrupted_crash_with_its_text_as_the_message() {
+        let cfg = CampaignConfig::quick(0);
+        let (campaign, coord) = (Table1(&cfg), (FaultType::Pointer, SystemKind::DiskBased));
+        let mut cell = campaign.empty(coord);
+        campaign.absorb(&mut cell, campaign.on_panic(coord, "index out of bounds".to_owned()));
+        let expected = CellResult {
+            crashes: 1,
+            corruptions: 1,
+            messages: BTreeSet::from(["index out of bounds".to_owned()]),
+            ..campaign.empty(coord)
+        };
+        assert_eq!(cell, expected);
     }
 
     #[test]

@@ -1,18 +1,44 @@
-//! The shared trial driver: one boot→warmup→inject→watchdog→reboot
-//! skeleton for every single-client crash campaign.
+//! The §3.2 crash-trial protocol, stated once: boot → warm up → inject →
+//! run to crash → reboot → replay memTest to the crash point and compare.
 //!
-//! The Table 1 campaign ([`crate::campaign`]), the propagation tracer
-//! ([`crate::trace`]) and the repo benchmark all run this one protocol.
-//! The skeleton splits at the **steady point** — the instant after the
+//! Nothing else in the workspace (outside the frozen `benchmark/`) reboots
+//! a crashed machine, decides what "total loss" means or counts damage.
+//! The protocol splits at the **steady point** — the instant after the
 //! warmup workload, just before injection:
 //!
-//! * [`PreparedTrial::prepare`] runs the phases *before* the steady point
-//!   (mkfs, mount, memTest setup, warmup). Everything here is a pure
-//!   function of `(system, workload seed, warmup ops)` — no per-trial
-//!   randomness — which is what makes the result shareable between trials.
-//! * [`drive`] runs the phases *after* the steady point (inject, watchdog,
-//!   crash examination) from a consumed [`PreparedTrial`], drawing every
-//!   random decision from the per-trial **injection stream**.
+//! * [`PreparedTrial::prepare`] runs everything *before* it (mkfs, mount,
+//!   memTest setup, warmup): a pure function of `(system, workload seed,
+//!   warmup ops)`, which is what makes the result shareable between trials.
+//!   [`PreparedTrial::into_machine`] hands the warmed machine to a caller
+//!   that wants it for something other than a trial.
+//! * [`drive`] runs everything *after* it from a consumed
+//!   [`PreparedTrial`], and is composed of the phases below.
+//!
+//! # The phases
+//!
+//! 1. **run** — [`run_to_crash`]: seed the injection stream, [`inject`],
+//!    step memTest until crash, wedge or watchdog; records the
+//!    injection-time and crash-time facts of a [`TrialObservation`].
+//! 2. **reboot** — [`reboot`]: cold boot + fsck for the disk-based system,
+//!    warm reboot for Rio — the one `match` on [`SystemKind`] that picks.
+//! 3. **examine** — [`examine`]: [`MemTest::replay`] to the completed-op
+//!    count and `ModelFs::verify`, skipping the in-flight target;
+//!    [`static_damage`] checks the `/static` pairs. An unbootable volume
+//!    or a death during verification is a total loss
+//!    ([`TOTAL_LOSS_DAMAGE`], [`STATIC_HALVES`]).
+//!
+//! [`examine_crash`] is phases 2 and 3 on one single-client machine, folded
+//! into the observation. The consumers:
+//!
+//! * [`drive`] — Table 1 ([`crate::campaign`]), the propagation study
+//!   (`rio_harness::propagation`) and the repo benchmark: `run_to_crash`,
+//!   then `examine_crash`;
+//! * `rio_harness::explain` — the same two calls inside a trace session,
+//!   snapshotting each kernel's counters in between;
+//! * [`crate::scale_campaign`] — its own scheduler loop to the crash, then
+//!   `reboot` once and `examine` per client;
+//! * [`crate::recovery`] and `exhibit inspect` — `prepare` +
+//!   `into_machine` for a warmed machine to crash by hand.
 //!
 //! Because the simulated machine is copy-on-write ([`rio_disk::SimDisk`]
 //! blocks and the pages of a sealed [`rio_mem::PhysMem`] — `prepare` seals
@@ -42,7 +68,7 @@ use crate::inject::{inject, FaultType};
 use rio_det::{derive_seed3, DetRng};
 use rio_disk::SimTime;
 use rio_kernel::{Kernel, KernelConfig, KernelError};
-use rio_workloads::{MemTest, MemTestConfig};
+use rio_workloads::{MemTest, MemTestConfig, ModelFs, VerifyReport};
 
 /// Stream tag separating workload-seed derivation from every other use of
 /// the campaign seed (injection seeds tag with raw grid coordinates, which
@@ -108,6 +134,13 @@ impl PreparedTrial {
     pub fn fork(&self) -> PreparedTrial {
         self.clone()
     }
+
+    /// The warmed machine and its memTest cursor, for a caller that wants
+    /// the steady point itself rather than a trial from it; `None` when
+    /// the boot or warmup failed.
+    pub fn into_machine(self) -> Option<(Kernel, MemTest)> {
+        self.state
+    }
 }
 
 /// How a driven trial ended.
@@ -161,8 +194,19 @@ pub struct TrialObservation {
     pub quarantined: u64,
 }
 
+/// `damage` of a trial that lost everything: the volume would not mount,
+/// the rebooted system died during verification, or the harness itself
+/// panicked.
+pub const TOTAL_LOSS_DAMAGE: usize = usize::MAX;
+
+/// The `/static` comparison set is three pairs — six files — and all of
+/// them count as damaged when they cannot even be read back.
+pub const STATIC_HALVES: u64 = 6;
+
 impl TrialObservation {
-    fn wedged() -> TrialObservation {
+    /// A trial that observed nothing: the verdict when boot, setup or
+    /// warmup failed, and the defaults every other verdict starts from.
+    pub fn wedged() -> TrialObservation {
         TrialObservation {
             verdict: TrialVerdict::Wedged,
             hook_activations: 0,
@@ -181,45 +225,57 @@ impl TrialObservation {
             quarantined: 0,
         }
     }
+
+    /// What every campaign records when the harness panicked instead of
+    /// finishing a trial: a crash that lost everything, `text` as its
+    /// message, and nothing measured — no latency, no detector fired.
+    pub fn harness_panic(text: String) -> TrialObservation {
+        TrialObservation {
+            verdict: TrialVerdict::Crashed,
+            message: Some(text),
+            damage: TOTAL_LOSS_DAMAGE,
+            ..TrialObservation::wedged()
+        }
+    }
+
+    /// Whether the trial lost or corrupted file data — Table 1's
+    /// "corruptions" column and `explain`'s verdict.
+    pub fn corrupted(&self) -> bool {
+        self.damage > 0
+    }
+
+    /// The examination could not be completed: everything is lost, and it
+    /// is the memTest comparison (nothing to compare) that says so.
+    fn total_loss(&mut self) {
+        self.damage = TOTAL_LOSS_DAMAGE;
+        self.memtest_hit = true;
+    }
 }
 
-/// Runs the post-steady-point tail of one trial: inject faults from the
-/// injection stream, step the workload until crash or watchdog, then
-/// reboot and examine exactly as §3.2 prescribes (cold boot + fsck for
-/// the disk-based system, warm reboot for Rio; replay memTest to the
-/// crash point and compare).
+/// Phase 1: injects `fault` from the injection stream and steps memTest
+/// until the kernel crashes, an op fails benignly (wedged) or
+/// `watchdog_ops` have run. The machine is left as the run left it — dying
+/// or surviving — for the caller to look at or [`reboot`].
 ///
-/// The observation is a pure function of `(prepared state, fault,
-/// inject_seed, watchdog_ops)` — identical whether `prepared` came
-/// straight from [`PreparedTrial::prepare`] or is a
-/// [`PreparedTrial::fork`] of one, the equivalence
-/// `tests/checkpoint_equivalence.rs` and the engine's `Scratch` test check.
-pub fn drive(
-    prepared: PreparedTrial,
+/// The returned observation carries the verdict and the injection-time and
+/// crash-time facts; its reboot and examination fields hold their defaults
+/// until [`examine_crash`] fills them in.
+pub fn run_to_crash(
+    k: &mut Kernel,
+    mt: &mut MemTest,
     fault: FaultType,
     inject_seed: u64,
     watchdog_ops: u64,
 ) -> TrialObservation {
     let mut obs = TrialObservation::wedged();
-    let PreparedTrial {
-        system,
-        config,
-        mt_cfg,
-        state,
-    } = prepared;
-    let Some((mut k, mut mt)) = state else {
-        return obs;
-    };
-
     let mut rng = DetRng::seed_from_u64(inject_seed);
-    inject(&mut k, fault, &mut rng);
+    inject(k, fault, &mut rng);
     obs.injected_at_ops = mt.ops_done();
     obs.injected_at_time = k.machine.clock.now();
 
-    // Run until crash or watchdog.
     let mut crashed = false;
     for _ in 0..watchdog_ops {
-        match mt.step(&mut k) {
+        match mt.step(k) {
             Ok(()) => {}
             Err(KernelError::Panic(_)) | Err(KernelError::Crashed) => {
                 crashed = true;
@@ -243,50 +299,127 @@ pub fn drive(
     obs.ops_before_crash = ops;
     obs.crash_latency_ops = Some(ops - obs.injected_at_ops);
     obs.crash_latency_time = Some(info.at.saturating_sub(obs.injected_at_time));
+    obs
+}
 
-    // Reboot and examine.
-    let (image, disk) = k.into_crash_artifacts();
-    let mut k2 = match system {
-        SystemKind::DiskBased => match Kernel::cold_boot(&config, disk) {
-            Ok((k2, report)) => {
-                obs.torn_data_blocks = report.fsck.torn_data_blocks;
-                k2
-            }
-            Err(_) => {
-                // Unmountable: total loss.
-                obs.damage = usize::MAX;
-                obs.memtest_hit = true;
-                return obs;
-            }
-        },
-        _ => match Kernel::warm_boot(&config, &image, disk) {
-            Ok((k2, report)) => {
-                let warm = report.warm.expect("warm boot stats");
-                obs.checksum_detected = warm.dropped_bad_crc > 0;
-                obs.quarantined = warm.quarantined();
-                obs.torn_data_blocks = report.fsck.torn_data_blocks;
-                k2
-            }
-            Err(_) => {
-                obs.damage = usize::MAX;
-                obs.memtest_hit = true;
-                return obs;
-            }
-        },
+/// A crashed machine brought back up, and what its reboot reported.
+#[derive(Debug)]
+pub struct Rebooted {
+    /// The recovered kernel.
+    pub kernel: Kernel,
+    /// The warm-reboot CRC scan dropped a page (always `false` on a cold
+    /// boot).
+    pub checksum_detected: bool,
+    /// Registry entries the warm-reboot scan quarantined.
+    pub quarantined: u64,
+    /// Torn data blocks fsck saw.
+    pub torn_data_blocks: u64,
+}
+
+/// Phase 2: reboots a crashed machine as §3.2 prescribes — cold boot +
+/// fsck of the surviving disk for the disk-based system, warm reboot from
+/// the preserved memory image for Rio. `None`: the volume is unmountable.
+pub fn reboot(system: SystemKind, config: &KernelConfig, crashed: Kernel) -> Option<Rebooted> {
+    let (image, disk) = crashed.into_crash_artifacts();
+    let (kernel, report) = match system {
+        SystemKind::DiskBased => Kernel::cold_boot(config, disk),
+        _ => Kernel::warm_boot(config, &image, disk),
+    }
+    .ok()?;
+    let warm = report.warm.unwrap_or_default();
+    Some(Rebooted {
+        kernel,
+        checksum_detected: warm.dropped_bad_crc > 0,
+        quarantined: warm.quarantined(),
+        torn_data_blocks: report.fsck.torn_data_blocks,
+    })
+}
+
+/// Phase 3: replays one memTest client to its `ops` completed operations
+/// and compares the recovered file system with that model, skipping the
+/// target of the op in flight at the crash. `None`: the recovered system
+/// died during verification.
+pub fn examine(k: &mut Kernel, mt_cfg: &MemTestConfig, ops: u64) -> Option<(ModelFs, VerifyReport)> {
+    let (expected, next_target) = MemTest::replay(mt_cfg, ops);
+    let report = expected.verify(k, Some(next_target.as_str())).ok()?;
+    Some((expected, report))
+}
+
+/// Damaged files of the `/static` comparison pairs planted from `seed`;
+/// all [`STATIC_HALVES`] when they cannot be checked. Run after
+/// [`examine`].
+pub fn static_damage(k: &mut Kernel, seed: u64) -> u64 {
+    MemTest::check_static(k, seed).unwrap_or(STATIC_HALVES)
+}
+
+/// What [`examine_crash`] looked at, for a caller that wants more than the
+/// observation (`explain` names the first corrupted byte).
+#[derive(Debug)]
+pub struct Examination {
+    /// The recovered kernel after verification (crashed again if it died
+    /// verifying).
+    pub kernel: Kernel,
+    /// The replayed model and its comparison; `None` when the recovered
+    /// system died during verification.
+    pub verified: Option<(ModelFs, VerifyReport)>,
+}
+
+/// Phases 2 and 3 of a single-client trial whose [`run_to_crash`] ended
+/// `Crashed`: reboots `crashed`, examines it at `obs.ops_before_crash`,
+/// and fills in the observation's reboot and examination fields. `None`:
+/// unbootable.
+pub fn examine_crash(
+    system: SystemKind,
+    config: &KernelConfig,
+    mt_cfg: &MemTestConfig,
+    crashed: Kernel,
+    obs: &mut TrialObservation,
+) -> Option<Examination> {
+    let Some(up) = reboot(system, config, crashed) else {
+        obs.total_loss();
+        return None;
     };
-
-    let (expected, next_target) = MemTest::replay(&mt_cfg, ops);
-    match expected.verify(&mut k2, Some(next_target.as_str())) {
-        Ok(v) => {
+    obs.checksum_detected = up.checksum_detected;
+    obs.quarantined = up.quarantined;
+    obs.torn_data_blocks = up.torn_data_blocks;
+    let mut kernel = up.kernel;
+    let verified = examine(&mut kernel, mt_cfg, obs.ops_before_crash);
+    match &verified {
+        Some((_, v)) => {
             obs.memtest_hit = v.is_corrupt();
-            let static_bad = MemTest::check_static(&mut k2, mt_cfg.seed).unwrap_or(6);
-            obs.damage = v.damage_count() + static_bad as usize;
+            obs.damage = v.damage_count() + static_damage(&mut kernel, mt_cfg.seed) as usize;
         }
-        Err(_) => {
-            // The rebooted system crashed during verification: corrupt.
-            obs.damage = usize::MAX;
-            obs.memtest_hit = true;
-        }
+        None => obs.total_loss(),
+    }
+    Some(Examination { kernel, verified })
+}
+
+/// Runs the post-steady-point tail of one trial: [`run_to_crash`], then —
+/// if it crashed — [`examine_crash`].
+///
+/// The observation is a pure function of `(prepared state, fault,
+/// inject_seed, watchdog_ops)` — identical whether `prepared` came
+/// straight from [`PreparedTrial::prepare`] or is a
+/// [`PreparedTrial::fork`] of one, the equivalence
+/// `tests/checkpoint_equivalence.rs` and the engine's `Scratch` test check.
+pub fn drive(
+    prepared: PreparedTrial,
+    fault: FaultType,
+    inject_seed: u64,
+    watchdog_ops: u64,
+) -> TrialObservation {
+    let PreparedTrial {
+        system,
+        config,
+        mt_cfg,
+        state,
+    } = prepared;
+    let Some((mut k, mut mt)) = state else {
+        return TrialObservation::wedged();
+    };
+    let mut obs = run_to_crash(&mut k, &mut mt, fault, inject_seed, watchdog_ops);
+    if obs.verdict == TrialVerdict::Crashed {
+        examine_crash(system, &config, &mt_cfg, k, &mut obs);
     }
     obs
 }

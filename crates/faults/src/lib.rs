@@ -15,10 +15,11 @@
 //!   acquire/release that silently do nothing (\[Sullivan91b\], \[Lee93\]).
 //!
 //! [`inject()`](inject::inject) plants one fault type into a live kernel (20 instances per
-//! run, as in the paper); [`driver`] runs one trial from a warmed-up
-//! steady point; [`engine`] is the one worker pool every campaign runs
-//! on, and [`campaign`] / [`scale_campaign`] / [`recovery`] describe
-//! their grids to it.
+//! run, as in the paper); [`driver`] is the protocol — the one statement
+//! of §3.2's run → reboot → examine, which every crash trial in the
+//! workspace goes through; [`engine`] is the one worker pool every
+//! campaign runs on, and [`campaign`] / [`scale_campaign`] / [`recovery`]
+//! describe their grids to it.
 
 #![forbid(unsafe_code)]
 
@@ -30,11 +31,11 @@ pub mod recovery;
 pub mod scale_campaign;
 pub mod trace;
 
-pub use campaign::{
-    run_campaign, run_trial_from, CampaignConfig, CampaignResult, CellResult, SystemKind,
-    TrialOutcome,
+pub use campaign::{run_campaign, CampaignConfig, CampaignResult, CellResult, SystemKind};
+pub use driver::{
+    drive, examine, examine_crash, reboot, run_to_crash, static_damage, workload_seed,
+    Examination, PreparedTrial, Rebooted, TrialObservation, TrialVerdict,
 };
-pub use driver::{drive, workload_seed, PreparedTrial, TrialObservation, TrialVerdict};
 pub use engine::{map_grid, Campaign};
 pub use inject::{decay_image, inject, FaultType};
 pub use recovery::{
@@ -47,6 +48,4 @@ pub use scale_campaign::{
     scale_workload_seed, ScaleCampaignConfig, ScaleCampaignResult, ScaleCellResult,
     ScaleCheckpoint, ScaleCrash, ScaleTrialOutcome,
 };
-pub use trace::{
-    run_traced_trial_from, summarize, DetectionChannel, PropagationSummary, TrialTrace,
-};
+pub use trace::{summarize, DetectionChannel, PropagationSummary};

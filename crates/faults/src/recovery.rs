@@ -22,16 +22,16 @@
 //! blocks) is counted separately: losing data loudly is allowed, losing
 //! it silently is not.
 
+use crate::campaign::SystemKind;
+use crate::driver::PreparedTrial;
 use crate::engine::{self, Campaign};
-use rio_core::RioMode;
 use rio_det::{derive_seed3, DetRng};
 use rio_disk::{DiskFault, SimDisk};
 use rio_kernel::{
-    Kernel, KernelConfig, NoRecoveryFaults, PanicReason, Policy, RecoveryControl, RecoveryPoint,
+    Kernel, KernelConfig, NoRecoveryFaults, PanicReason, RecoveryControl, RecoveryPoint,
     WarmBootError,
 };
 use rio_mem::PhysMem;
-use rio_workloads::{MemTest, MemTestConfig};
 
 /// What (besides the second crashes) is wrong with the surviving state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -340,18 +340,17 @@ pub struct RecoveryCheckpoint {
 }
 
 impl RecoveryCheckpoint {
-    /// Boots, warms up, and crashes the kernel — the scratch path to the
-    /// first-crash artifacts. Pure function of its arguments.
+    /// Crashes the Rio-with-protection steady point
+    /// ([`PreparedTrial::prepare`]) — the scratch path to the first-crash
+    /// artifacts. Pure function of its arguments.
     pub fn capture(workload_seed: u64, warmup_ops: u64) -> RecoveryCheckpoint {
-        let config = KernelConfig::small(Policy::rio(RioMode::Protected));
-        let state = (|| {
-            let mut k = Kernel::mkfs_and_mount(&config).ok()?;
-            let mut mt = MemTest::new(MemTestConfig::small(workload_seed));
-            mt.setup(&mut k).ok()?;
-            mt.run(&mut k, warmup_ops).ok()?;
+        let warmed =
+            PreparedTrial::prepare(SystemKind::RioWithProtection, workload_seed, warmup_ops);
+        let config = warmed.config.clone();
+        let state = warmed.into_machine().map(|(mut k, _)| {
             k.crash_now(PanicReason::Watchdog);
-            Some(k.into_crash_artifacts())
-        })();
+            k.into_crash_artifacts()
+        });
         RecoveryCheckpoint { config, state }
     }
 

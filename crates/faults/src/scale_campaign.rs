@@ -17,6 +17,7 @@
 //! byte-identical results at any `RIO_THREADS`.
 
 use crate::campaign::SystemKind;
+use crate::driver::{examine, reboot, static_damage, STATIC_HALVES, TOTAL_LOSS_DAMAGE};
 use crate::engine::{self, Campaign};
 use crate::inject::{inject, FaultType};
 use rio_det::{derive_seed, derive_seed3, DetRng};
@@ -136,6 +137,29 @@ pub struct ScaleCrash {
     pub protection_trap: bool,
     /// Stable crash message.
     pub message: String,
+}
+
+impl ScaleCrash {
+    /// A crash that lost everything (unbootable, died during verification,
+    /// or a harness panic): every one of `nclients` clients and the static
+    /// set damaged, across client boundaries by definition, and nothing
+    /// else known about it but `message`.
+    fn total_loss(nclients: usize, message: String) -> ScaleCrash {
+        ScaleCrash {
+            corrupted: true,
+            damage: TOTAL_LOSS_DAMAGE,
+            damaged_clients: (0..nclients as u32).collect(),
+            crashing_client: None,
+            cross_client: true,
+            inflight_at_injection: 0,
+            locks_held_at_injection: 0,
+            locks_contended: 0,
+            static_bad: STATIC_HALVES,
+            checksum_detected: false,
+            protection_trap: false,
+            message,
+        }
+    }
 }
 
 /// How one scale trial ended.
@@ -420,62 +444,37 @@ pub fn run_scale_trial_from(
 
     let all_damaged = |checksum_detected: bool| {
         ScaleTrialOutcome::Crashed(ScaleCrash {
-            corrupted: true,
-            damage: usize::MAX,
-            damaged_clients: (0..nclients as u32).collect(),
             crashing_client,
-            cross_client: true,
             inflight_at_injection,
             locks_held_at_injection,
             locks_contended,
-            static_bad: 6,
             checksum_detected,
             protection_trap,
-            message: message.clone(),
+            ..ScaleCrash::total_loss(nclients, message.clone())
         })
     };
 
-    // Reboot per §3.2: cold boot + fsck for the disk-based system, warm
-    // reboot for Rio.
-    let (image, disk) = k.into_crash_artifacts();
-    let (mut k2, checksum_detected) = match system {
-        SystemKind::DiskBased => match Kernel::cold_boot(config, disk) {
-            Ok((k2, _report)) => (k2, false),
-            Err(_) => return all_damaged(false),
-        },
-        _ => match Kernel::warm_boot(config, &image, disk) {
-            Ok((k2, report)) => {
-                let warm = report.warm.expect("warm boot stats");
-                (k2, warm.dropped_bad_crc > 0)
-            }
-            Err(_) => return all_damaged(false),
-        },
+    let Some(up) = reboot(system, config, k) else {
+        return all_damaged(false);
     };
+    let (mut k2, checksum_detected) = (up.kernel, up.checksum_detected);
 
-    // Per-client replay and verification: reconstruct each client's
-    // expected state at its own completed-op count, skipping its
-    // in-flight target.
+    // Per-client examination: each client's expected state at its own
+    // completed-op count, skipping its in-flight target.
     let mut damage = 0usize;
     let mut damaged_clients = Vec::new();
     for (c, cfg) in cfgs.iter().enumerate() {
-        let (expected, next_target) = MemTest::replay(cfg, ops[c]);
-        match expected.verify(&mut k2, Some(next_target.as_str())) {
-            Ok(v) => {
-                let d = v.damage_count();
-                if d > 0 {
-                    damage += d;
-                    damaged_clients.push(c as u32);
-                }
-            }
-            Err(_) => {
-                // The rebooted system crashed while reading this
-                // client's files: total loss.
-                return all_damaged(checksum_detected);
-            }
+        let Some((_, v)) = examine(&mut k2, cfg, ops[c]) else {
+            // Died while reading this client's files: total loss.
+            return all_damaged(checksum_detected);
+        };
+        let d = v.damage_count();
+        if d > 0 {
+            damage += d;
+            damaged_clients.push(c as u32);
         }
     }
-    let static_bad =
-        MemTest::check_static(&mut k2, static_seed(checkpoint.workload_seed)).unwrap_or(6);
+    let static_bad = static_damage(&mut k2, static_seed(checkpoint.workload_seed));
     damage += static_bad as usize;
     let cross_client = static_bad > 0
         || damaged_clients
@@ -548,20 +547,7 @@ impl Campaign for ScaleTable1<'_> {
 
     /// A harness panic counts as a crash that damaged every client.
     fn on_panic(&self, (_, _, clients): Self::Coord, text: String) -> ScaleTrialOutcome {
-        ScaleTrialOutcome::Crashed(ScaleCrash {
-            corrupted: true,
-            damage: usize::MAX,
-            damaged_clients: (0..clients as u32).collect(),
-            crashing_client: None,
-            cross_client: true,
-            inflight_at_injection: 0,
-            locks_held_at_injection: 0,
-            locks_contended: 0,
-            static_bad: 0,
-            checksum_detected: false,
-            protection_trap: false,
-            message: text,
-        })
+        ScaleTrialOutcome::Crashed(ScaleCrash::total_loss(clients, text))
     }
 
     fn empty(&self, (fault, system, clients): Self::Coord) -> ScaleCellResult {
@@ -657,6 +643,23 @@ mod tests {
             let c = crash.unwrap_or_else(|| panic!("no crash for {system}"));
             assert!(!c.message.is_empty());
         }
+    }
+
+    #[test]
+    fn a_harness_panic_damages_every_client_across_client_boundaries() {
+        let cfg = ScaleCampaignConfig::quick(0);
+        let (campaign, coord) = (ScaleTable1(&cfg), (FaultType::Pointer, SystemKind::DiskBased, 4));
+        let mut cell = campaign.empty(coord);
+        campaign.absorb(&mut cell, campaign.on_panic(coord, "index out of bounds".to_owned()));
+        let expected = ScaleCellResult {
+            crashes: 1,
+            corruptions: 1,
+            cross_client_corruptions: 1,
+            damaged_clients_sum: 4,
+            messages: BTreeSet::from(["index out of bounds".to_owned()]),
+            ..campaign.empty(coord)
+        };
+        assert_eq!(cell, expected);
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! renders a causal timeline from fault injection to the first corrupted
 //! byte (or to the protection trap that stopped the wild store).
 //!
+//! "That exact trial" is literal: [`explain_trial`] calls the phases
+//! [`rio_faults::drive`] is composed of (`rio_faults::driver`), so its
+//! [`TrialObservation`] — and with it the verdict, "corrupted" meaning
+//! `damage > 0` exactly as in Table 1 — is the campaign's, field for field
+//! (`tests/explain_is_the_campaign_trial.rs` samples it).
+//!
 //! Everything here is deterministic: the trial runs on the calling thread,
 //! events are timestamped from the simulated clock, and the rendered text
 //! is byte-identical across hosts and thread counts. `results_trace_example.txt`
@@ -17,12 +23,14 @@
 //! one trial — the `explain` row of [`crate::exhibits`], regenerated and
 //! compared by `tests/exhibits.rs` and `exhibit --check`.
 
-use rio_det::DetRng;
 use rio_faults::campaign::trial_seed;
-use rio_faults::{inject, workload_seed, FaultType, SystemKind};
-use rio_kernel::{Kernel, KernelConfig, KernelError};
-use rio_obs::{Event, EventCategory, Payload, Trace};
-use rio_workloads::MemTest;
+use rio_faults::{
+    examine_crash, run_to_crash, workload_seed, Examination, FaultType, PreparedTrial, SystemKind,
+    TrialObservation, TrialVerdict,
+};
+use rio_kernel::Kernel;
+use rio_obs::{json_escape, Event, EventCategory, Payload, Trace};
+use rio_workloads::{ModelFs, VerifyReport};
 
 /// Coordinates and protocol parameters of the trial to replay.
 #[derive(Debug, Clone)]
@@ -95,49 +103,15 @@ pub fn first_diff(expected: &[u8], actual: &[u8]) -> Option<(usize, Option<u8>, 
     None
 }
 
-/// How the replayed trial ended.
-#[derive(Debug, Clone)]
-pub enum ExplainVerdict {
-    /// Survived the watchdog budget (the campaign discarded this attempt).
-    NoCrash,
-    /// Wedged without a kernel crash (also discarded).
-    Wedged,
-    /// Crashed and was examined.
-    Crashed(Box<CrashExam>),
-}
-
-/// Everything the post-crash examination produced.
+/// What the post-crash examination saw beyond the trial's observation.
 #[derive(Debug, Clone)]
 pub struct CrashExam {
-    /// Stable crash message.
-    pub message: String,
-    /// memTest ops completed at the crash.
-    pub ops_before_crash: u64,
-    /// Ops between injection and crash.
-    pub latency_ops: u64,
-    /// Whether Rio's protection trapped the wild store.
-    pub protection_trap: bool,
     /// `"cold boot + fsck"` or `"warm reboot"`.
     pub reboot: &'static str,
-    /// The reboot itself failed (total loss).
-    pub unbootable: bool,
-    /// Registry CRC caught a corrupted page at warm reboot.
-    pub checksum_detected: bool,
-    /// Registry entries quarantined by the warm-reboot scan.
-    pub quarantined: u64,
-    /// Torn data blocks fsck saw.
-    pub torn_data_blocks: u64,
-    /// Files that verified clean.
-    pub files_ok: u64,
-    /// Corrupted paths (deterministic model order).
-    pub corrupted: Vec<String>,
-    /// Missing paths.
-    pub missing: Vec<String>,
-    /// Missing directories.
-    pub dirs_missing: Vec<String>,
-    /// Objects skipped as the in-flight target.
-    pub skipped_in_flight: u64,
-    /// First corrupted byte, when a corrupted file exists.
+    /// The memTest comparison; `None` on a total loss (the reboot failed,
+    /// or the recovered system died during verification).
+    pub report: Option<VerifyReport>,
+    /// First corrupted byte, when a corrupted file could be read back.
     pub first_corruption: Option<FirstCorruption>,
 }
 
@@ -151,170 +125,89 @@ pub struct ExplainReport {
     /// Derived per-cell workload seed (shared by every trial in the cell;
     /// what the checkpoint engine warms up and freezes).
     pub workload_seed: u64,
-    /// Simulated time at injection (ns).
-    pub injected_at_ns: u64,
-    /// memTest ops completed at injection.
-    pub injected_at_ops: u64,
-    /// How it ended.
-    pub verdict: ExplainVerdict,
+    /// What the trial observed — equal to what [`rio_faults::drive`]
+    /// returns at this coordinate.
+    pub observation: TrialObservation,
+    /// The examination's detail; `Some` exactly when the trial crashed.
+    pub exam: Option<CrashExam>,
     /// Captured events, notes, and counters (run + recovery combined).
     pub trace: Trace,
 }
 
-/// Replays the trial at `cfg`'s coordinate with tracing enabled.
+/// Replays the trial at `cfg`'s coordinate with tracing enabled: the
+/// campaign's own steady point and phases, with each kernel's counters
+/// snapshotted before it is consumed.
 pub fn explain_trial(cfg: &ExplainConfig) -> ExplainReport {
     let inject_seed = trial_seed(cfg.campaign_seed, cfg.fault, cfg.system, cfg.attempt);
     let wl_seed = workload_seed(cfg.campaign_seed, cfg.system);
+    // Opened before the boot: the trace's counters include the warm-up.
     rio_obs::start(cfg.ring_capacity);
-    let (verdict, injected_at_ops, injected_at_ns) = run_forensic(cfg, wl_seed, inject_seed);
+    let prepared = PreparedTrial::prepare(cfg.system, wl_seed, cfg.warmup_ops);
+    let (kcfg, mt_cfg) = (prepared.config.clone(), prepared.mt_cfg.clone());
+    let mut observation = TrialObservation::wedged();
+    let mut exam = None;
+    if let Some((mut k, mut mt)) = prepared.into_machine() {
+        observation = run_to_crash(&mut k, &mut mt, cfg.fault, inject_seed, cfg.watchdog_ops);
+        // Snapshot the dying kernel's counters before its stats die with it.
+        rio_obs::with_registry(|r| k.observe_into(r));
+        if observation.verdict == TrialVerdict::Crashed {
+            let examined = examine_crash(cfg.system, &kcfg, &mt_cfg, k, &mut observation);
+            exam = Some(crash_exam(cfg.system, examined));
+        }
+    }
     let trace = rio_obs::finish().expect("trace session was opened above");
     ExplainReport {
         cfg: cfg.clone(),
         trial_seed: inject_seed,
         workload_seed: wl_seed,
-        injected_at_ns,
-        injected_at_ops,
-        verdict,
+        observation,
+        exam,
         trace,
     }
 }
 
-/// The campaign trial protocol ([`rio_faults::drive`]), instrumented.
-///
-/// The workload half (mkfs, memTest warmup) runs from the cell's shared
-/// `wl_seed`; the injection half runs from the per-trial `inject_seed` —
-/// exactly the split the campaign's checkpoint-fork engine uses, so the
-/// forensic replay reconstructs the same machine state the campaign forked.
-fn run_forensic(cfg: &ExplainConfig, wl_seed: u64, inject_seed: u64) -> (ExplainVerdict, u64, u64) {
-    let mut rng = DetRng::seed_from_u64(inject_seed);
-    let kcfg = KernelConfig::small(cfg.system.policy());
-    let Ok(mut k) = Kernel::mkfs_and_mount(&kcfg) else {
-        return (ExplainVerdict::Wedged, 0, 0);
-    };
-    let mt_cfg = cfg.system.memtest_config(wl_seed);
-    let mut mt = MemTest::new(mt_cfg.clone());
-    if mt.setup(&mut k).is_err() || mt.run(&mut k, cfg.warmup_ops).is_err() {
-        return (ExplainVerdict::Wedged, 0, 0);
-    }
-    let injected_at_ops = mt.ops_done();
-    let injected_at_ns = k.machine.clock.now().as_micros().saturating_mul(1_000);
-    inject(&mut k, cfg.fault, &mut rng);
-
-    let mut crashed = false;
-    for _ in 0..cfg.watchdog_ops {
-        match mt.step(&mut k) {
-            Ok(()) => {}
-            Err(KernelError::Panic(_)) | Err(KernelError::Crashed) => {
-                crashed = true;
-                break;
-            }
-            Err(_) => return (ExplainVerdict::Wedged, injected_at_ops, injected_at_ns),
-        }
-    }
-    // Snapshot the dying kernel's counters before its stats die with it.
-    rio_obs::with_registry(|r| k.observe_into(r));
-    if !crashed {
-        return (ExplainVerdict::NoCrash, injected_at_ops, injected_at_ns);
-    }
-
-    let info = k.crash_info().expect("crashed").clone();
-    let ops = mt.ops_done();
+/// Names the first corrupted byte and folds the recovery kernel's counters
+/// (boot + verification work) into the open session.
+fn crash_exam(system: SystemKind, examined: Option<Examination>) -> CrashExam {
     let mut exam = CrashExam {
-        message: info.reason.message(),
-        ops_before_crash: ops,
-        latency_ops: ops - injected_at_ops,
-        protection_trap: info.reason.is_protection_trap(),
-        reboot: match cfg.system {
+        reboot: match system {
             SystemKind::DiskBased => "cold boot + fsck",
             _ => "warm reboot",
         },
-        unbootable: false,
-        checksum_detected: false,
-        quarantined: 0,
-        torn_data_blocks: 0,
-        files_ok: 0,
-        corrupted: Vec::new(),
-        missing: Vec::new(),
-        dirs_missing: Vec::new(),
-        skipped_in_flight: 0,
+        report: None,
         first_corruption: None,
     };
-
-    let (image, disk) = k.into_crash_artifacts();
-    let mut k2 = match cfg.system {
-        SystemKind::DiskBased => match Kernel::cold_boot(&kcfg, disk) {
-            Ok((k2, report)) => {
-                exam.torn_data_blocks = report.fsck.torn_data_blocks;
-                k2
-            }
-            Err(_) => {
-                exam.unbootable = true;
-                return (
-                    ExplainVerdict::Crashed(Box::new(exam)),
-                    injected_at_ops,
-                    injected_at_ns,
-                );
-            }
-        },
-        _ => match Kernel::warm_boot(&kcfg, &image, disk) {
-            Ok((k2, report)) => {
-                if let Some(warm) = report.warm {
-                    exam.checksum_detected = warm.dropped_bad_crc > 0;
-                    exam.quarantined = warm.quarantined();
-                }
-                exam.torn_data_blocks = report.fsck.torn_data_blocks;
-                k2
-            }
-            Err(_) => {
-                exam.unbootable = true;
-                return (
-                    ExplainVerdict::Crashed(Box::new(exam)),
-                    injected_at_ops,
-                    injected_at_ns,
-                );
-            }
-        },
-    };
-
-    let (expected, next_target) = MemTest::replay(&mt_cfg, ops);
-    match expected.verify(&mut k2, Some(next_target.as_str())) {
-        Ok(v) => {
-            exam.files_ok = v.files_ok;
-            exam.skipped_in_flight = v.skipped_in_flight;
-            exam.missing = v.missing;
-            exam.dirs_missing = v.dirs_missing;
-            // `ModelFs::files` is a BTreeMap, so the first corrupted path
-            // is deterministic: the byte-level diff below names the same
-            // first corrupted byte on every run.
-            if let Some(path) = v.corrupted.first() {
-                let want = &expected.files[path];
-                if let Ok(got) = k2.file_contents(path) {
-                    if let Some((offset, e, a)) = first_diff(want, &got) {
-                        exam.first_corruption = Some(FirstCorruption {
-                            path: path.clone(),
-                            offset,
-                            expected: e,
-                            actual: a,
-                            expected_len: want.len(),
-                            actual_len: got.len(),
-                        });
-                    }
-                }
-            }
-            exam.corrupted = v.corrupted;
+    if let Some(Examination { mut kernel, verified }) = examined {
+        if let Some((expected, report)) = verified {
+            exam.first_corruption = first_corruption(&mut kernel, &expected, &report);
+            exam.report = Some(report);
         }
-        Err(_) => {
-            // The rebooted system crashed during verification.
-            exam.unbootable = true;
-        }
+        rio_obs::with_registry(|r| kernel.observe_into(r));
     }
-    // Fold in the recovery kernel's counters (boot + verification work).
-    rio_obs::with_registry(|r| k2.observe_into(r));
-    (
-        ExplainVerdict::Crashed(Box::new(exam)),
-        injected_at_ops,
-        injected_at_ns,
-    )
+    exam
+}
+
+/// `ModelFs::files` is a `BTreeMap`, so the first corrupted path is
+/// deterministic: the byte-level diff names the same first corrupted byte
+/// on every run. `None` when nothing is corrupted or the file cannot be
+/// read back.
+fn first_corruption(
+    k: &mut Kernel,
+    expected: &ModelFs,
+    report: &VerifyReport,
+) -> Option<FirstCorruption> {
+    let path = report.corrupted.first()?;
+    let want = &expected.files[path];
+    let got = k.file_contents(path).ok()?;
+    let (offset, e, a) = first_diff(want, &got)?;
+    Some(FirstCorruption {
+        path: path.clone(),
+        offset,
+        expected: e,
+        actual: a,
+        expected_len: want.len(),
+        actual_len: got.len(),
+    })
 }
 
 /// One event's payload, rendered with category-appropriate field names.
@@ -451,7 +344,7 @@ fn render_events(out: &mut String, events: &[Event]) {
 /// protection trap that prevented one, or the reason there was nothing to
 /// explain.
 pub fn render_timeline(report: &ExplainReport) -> String {
-    let cfg = &report.cfg;
+    let (cfg, obs) = (&report.cfg, &report.observation);
     let mut out = String::new();
     out.push_str("Rio crash forensics\n");
     out.push_str("===================\n");
@@ -471,8 +364,8 @@ pub fn render_timeline(report: &ExplainReport) -> String {
     ));
     out.push_str(&format!(
         "injection  : after op {} at t={} ns ({})\n\n",
-        report.injected_at_ops,
-        report.injected_at_ns,
+        obs.injected_at_ops,
+        obs.injected_at_time.as_micros().saturating_mul(1_000),
         cfg.fault.label(),
     ));
 
@@ -492,44 +385,46 @@ pub fn render_timeline(report: &ExplainReport) -> String {
     }
     out.push('\n');
 
-    match &report.verdict {
-        ExplainVerdict::NoCrash => {
+    match (&report.exam, obs.verdict) {
+        (None, TrialVerdict::NoCrash) => {
             out.push_str(&format!(
                 "verdict    : survived the {}-op watchdog — the campaign discarded this attempt\n",
                 cfg.watchdog_ops
             ));
         }
-        ExplainVerdict::Wedged => {
+        (None, _) => {
             out.push_str("verdict    : wedged without a kernel crash — discarded\n");
         }
-        ExplainVerdict::Crashed(exam) => {
+        (Some(exam), _) => {
             out.push_str(&format!(
                 "verdict    : crashed {} ops after injection: \"{}\"\n",
-                exam.latency_ops, exam.message
+                obs.crash_latency_ops.unwrap_or(0),
+                obs.message.as_deref().unwrap_or("")
             ));
-            if exam.unbootable {
-                out.push_str(&format!(
+            match &exam.report {
+                None => out.push_str(&format!(
                     "reboot     : {} FAILED — total loss\n",
                     exam.reboot
-                ));
-            } else {
-                out.push_str(&format!(
-                    "reboot     : {}; {} registry entries quarantined, {} torn data blocks, \
-                     checksum detected damage: {}\n",
-                    exam.reboot,
-                    exam.quarantined,
-                    exam.torn_data_blocks,
-                    if exam.checksum_detected { "yes" } else { "no" }
-                ));
-                out.push_str(&format!(
-                    "verify     : {} files ok, {} corrupted, {} missing, {} dirs missing, \
-                     {} skipped in-flight\n",
-                    exam.files_ok,
-                    exam.corrupted.len(),
-                    exam.missing.len(),
-                    exam.dirs_missing.len(),
-                    exam.skipped_in_flight
-                ));
+                )),
+                Some(v) => {
+                    out.push_str(&format!(
+                        "reboot     : {}; {} registry entries quarantined, {} torn data blocks, \
+                         checksum detected damage: {}\n",
+                        exam.reboot,
+                        obs.quarantined,
+                        obs.torn_data_blocks,
+                        if obs.checksum_detected { "yes" } else { "no" }
+                    ));
+                    out.push_str(&format!(
+                        "verify     : {} files ok, {} corrupted, {} missing, {} dirs missing, \
+                         {} skipped in-flight\n",
+                        v.files_ok,
+                        v.corrupted.len(),
+                        v.missing.len(),
+                        v.dirs_missing.len(),
+                        v.skipped_in_flight
+                    ));
+                }
             }
         }
     }
@@ -555,71 +450,65 @@ pub fn render_timeline(report: &ExplainReport) -> String {
     out.push('\n');
 
     // The causal endpoint.
-    match &report.verdict {
-        ExplainVerdict::Crashed(exam) => {
-            if let Some(fc) = &exam.first_corruption {
-                let byte = |b: Option<u8>| match b {
-                    Some(b) => format!("0x{b:02x}"),
-                    None => "<end>".to_owned(),
-                };
-                out.push_str(&format!(
-                    "first corrupted byte: {} @ offset {} — expected {}, found {} \
-                     (lengths {}/{})\n",
-                    fc.path,
-                    fc.offset,
-                    byte(fc.expected),
-                    byte(fc.actual),
-                    fc.expected_len,
-                    fc.actual_len
-                ));
-            } else if !exam.missing.is_empty() || !exam.dirs_missing.is_empty() {
-                let first = exam
-                    .missing
-                    .first()
-                    .or(exam.dirs_missing.first())
-                    .expect("one list is non-empty");
-                out.push_str(&format!(
-                    "damage     : {} lost entirely (no surviving bytes to diff)\n",
-                    first
-                ));
-            } else if exam.unbootable {
-                out.push_str("damage     : file system unrecoverable after the crash\n");
-            } else if exam.protection_trap {
-                let trap = report
-                    .trace
-                    .events
-                    .iter()
-                    .rev()
-                    .find(|e| e.category == EventCategory::ProtectionTrap);
-                match trap {
-                    Some(e) => out.push_str(&format!(
-                        "no corruption: protection trap at t={} ({}) stopped the wild store \
-                         before it reached the file cache\n",
-                        e.sim_ns,
-                        payload_str(e)
-                    )),
-                    None => out.push_str(
-                        "no corruption: the crash was a protection trap — the wild store \
-                         never reached the file cache\n",
-                    ),
-                }
-            } else {
-                out.push_str(
-                    "no corruption: every surviving file matched the memTest replay\n",
-                );
-            }
-        }
-        ExplainVerdict::NoCrash | ExplainVerdict::Wedged => {
+    match &report.exam {
+        Some(exam) => out.push_str(&causal_endpoint(obs, exam, &report.trace)),
+        None => {
             out.push_str("no crash to explain at this coordinate — try another attempt index\n");
         }
     }
     out
 }
 
-/// Minimal JSON string escaping (quotes and backslashes; messages and
-/// paths contain nothing wilder).
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// The last line of the report: where the damage is, or why there is none.
+/// It says "no corruption" exactly when Table 1 would not count the trial
+/// as one ([`TrialObservation::corrupted`]).
+fn causal_endpoint(obs: &TrialObservation, exam: &CrashExam, trace: &Trace) -> String {
+    let Some(v) = &exam.report else {
+        return "damage     : file system unrecoverable after the crash\n".to_owned();
+    };
+    if let Some(fc) = &exam.first_corruption {
+        let byte = |b: Option<u8>| match b {
+            Some(b) => format!("0x{b:02x}"),
+            None => "<end>".to_owned(),
+        };
+        format!(
+            "first corrupted byte: {} @ offset {} — expected {}, found {} (lengths {}/{})\n",
+            fc.path,
+            fc.offset,
+            byte(fc.expected),
+            byte(fc.actual),
+            fc.expected_len,
+            fc.actual_len
+        )
+    } else if let Some(first) = v.missing.first().or(v.dirs_missing.first()) {
+        format!("damage     : {first} lost entirely (no surviving bytes to diff)\n")
+    } else if let Some(first) = v.corrupted.first() {
+        format!("damage     : {first} corrupted, and unreadable after recovery (no bytes to diff)\n")
+    } else if obs.corrupted() {
+        format!(
+            "damage     : {} of the /static comparison files differ from what was planted\n",
+            obs.damage - v.damage_count()
+        )
+    } else if obs.protection_trap {
+        let trap = trace
+            .events
+            .iter()
+            .rev()
+            .find(|e| e.category == EventCategory::ProtectionTrap);
+        match trap {
+            Some(e) => format!(
+                "no corruption: protection trap at t={} ({}) stopped the wild store \
+                 before it reached the file cache\n",
+                e.sim_ns,
+                payload_str(e)
+            ),
+            None => "no corruption: the crash was a protection trap — the wild store \
+                     never reached the file cache\n"
+                .to_owned(),
+        }
+    } else {
+        "no corruption: every surviving file matched the memTest replay\n".to_owned()
+    }
 }
 
 /// Serializes the forensic report as JSON (hand-rolled, like the rest of
@@ -637,35 +526,25 @@ pub fn explain_json(report: &ExplainReport) -> String {
         report.workload_seed,
         report.trial_seed
     ));
-    let (verdict, message, first) = match &report.verdict {
-        ExplainVerdict::NoCrash => ("no_crash", None, None),
-        ExplainVerdict::Wedged => ("wedged", None, None),
-        ExplainVerdict::Crashed(exam) => (
-            if exam.first_corruption.is_some()
-                || !exam.missing.is_empty()
-                || !exam.dirs_missing.is_empty()
-                || exam.unbootable
-            {
-                "crashed_corrupted"
-            } else {
-                "crashed_clean"
-            },
-            Some(exam.message.clone()),
-            exam.first_corruption.clone(),
-        ),
+    let obs = &report.observation;
+    let verdict = match obs.verdict {
+        TrialVerdict::NoCrash => "no_crash",
+        TrialVerdict::Wedged => "wedged",
+        TrialVerdict::Crashed if obs.corrupted() => "crashed_corrupted",
+        TrialVerdict::Crashed => "crashed_clean",
     };
     out.push_str(&format!("  \"verdict\": \"{verdict}\",\n"));
-    match message {
-        Some(m) => out.push_str(&format!("  \"message\": \"{}\",\n", esc(&m))),
+    match &obs.message {
+        Some(m) => out.push_str(&format!("  \"message\": \"{}\",\n", json_escape(m))),
         None => out.push_str("  \"message\": null,\n"),
     }
-    match first {
+    match report.exam.as_ref().and_then(|e| e.first_corruption.as_ref()) {
         Some(fc) => {
             let opt = |b: Option<u8>| b.map(|v| v.to_string()).unwrap_or_else(|| "null".into());
             out.push_str(&format!(
                 "  \"first_corruption\": {{\"path\": \"{}\", \"offset\": {}, \
                  \"expected\": {}, \"actual\": {}}},\n",
-                esc(&fc.path),
+                json_escape(&fc.path),
                 fc.offset,
                 opt(fc.expected),
                 opt(fc.actual)
@@ -727,6 +606,65 @@ mod tests {
             .any(|e| e.category == EventCategory::FaultInjected));
         // The registry snapshot bridged kernel counters.
         assert!(a.trace.registry.get("kernel.syscalls") > 0);
+    }
+
+    /// A crashed trial whose examination found `damage` damaged objects,
+    /// `report` of them in the memTest set and no first byte to name.
+    fn examined(damage: usize, report: VerifyReport) -> ExplainReport {
+        ExplainReport {
+            cfg: pinned(),
+            trial_seed: 0,
+            workload_seed: 0,
+            observation: TrialObservation {
+                verdict: TrialVerdict::Crashed,
+                message: Some("panic: a \"quoted\"\nreason".to_owned()),
+                damage,
+                ..TrialObservation::wedged()
+            },
+            exam: Some(CrashExam {
+                reboot: "warm reboot",
+                report: Some(report),
+                first_corruption: None,
+            }),
+            trace: Trace {
+                events: Vec::new(),
+                dropped: 0,
+                notes: Vec::new(),
+                registry: rio_obs::Registry::new(),
+            },
+        }
+    }
+
+    #[test]
+    fn damage_with_no_first_byte_to_name_is_still_reported_as_damage() {
+        // Confined to the /static pairs: the memTest comparison is clean.
+        let static_only = examined(2, VerifyReport::default());
+        let text = render_timeline(&static_only);
+        assert!(text.ends_with(
+            "damage     : 2 of the /static comparison files differ from what was planted\n"
+        ));
+        assert!(explain_json(&static_only).contains("\"verdict\": \"crashed_corrupted\""));
+
+        // A corrupted file whose read-back fails: no bytes to diff.
+        let unreadable = examined(
+            1,
+            VerifyReport {
+                corrupted: vec!["/m/dir0/f3".to_owned()],
+                ..VerifyReport::default()
+            },
+        );
+        let text = render_timeline(&unreadable);
+        assert!(text.ends_with(
+            "damage     : /m/dir0/f3 corrupted, and unreadable after recovery (no bytes to diff)\n"
+        ));
+        let json = explain_json(&unreadable);
+        assert!(json.contains("\"verdict\": \"crashed_corrupted\""));
+        assert!(json.contains(r#""message": "panic: a \"quoted\"\nreason""#));
+
+        // And no damage is no damage.
+        let clean = examined(0, VerifyReport::default());
+        assert!(render_timeline(&clean).ends_with("matched the memTest replay\n"));
+        assert!(explain_json(&clean).contains("\"verdict\": \"crashed_clean\""));
     }
 
     #[test]

@@ -10,8 +10,8 @@ use crate::ascii;
 use rio_faults::campaign::trial_seed;
 use rio_faults::engine::{self, Campaign};
 use rio_faults::{
-    run_traced_trial_from, summarize, workload_seed, DetectionChannel, FaultType, PreparedTrial,
-    PropagationSummary, SystemKind, TrialTrace,
+    drive, summarize, workload_seed, FaultType, PreparedTrial, PropagationSummary, SystemKind,
+    TrialObservation,
 };
 
 /// memTest ops before injection.
@@ -29,8 +29,8 @@ pub struct PropagationRow {
 }
 
 /// The study as a [`Campaign`]: one cell per fault type, a fixed number of
-/// traced trials each, all forked from the system's one steady point and
-/// injected from the Table 1 stream ([`trial_seed`]).
+/// Table 1 trials ([`drive`]) each, all forked from the system's one steady
+/// point and injected from the Table 1 stream ([`trial_seed`]).
 struct Propagation {
     system: SystemKind,
     trials: u64,
@@ -41,8 +41,8 @@ impl Campaign for Propagation {
     type Coord = FaultType;
     type Key = ();
     type Checkpoint = PreparedTrial;
-    type Outcome = TrialTrace;
-    type Cell = Vec<TrialTrace>;
+    type Outcome = TrialObservation;
+    type Cell = Vec<TrialObservation>;
 
     fn grid(&self) -> Vec<FaultType> {
         FaultType::ALL.to_vec()
@@ -58,37 +58,26 @@ impl Campaign for Propagation {
         )
     }
 
-    fn run(&self, steady: &PreparedTrial, fault: FaultType, attempt: u64) -> TrialTrace {
+    fn run(&self, steady: &PreparedTrial, fault: FaultType, attempt: u64) -> TrialObservation {
         let inject_seed = trial_seed(self.seed, fault, self.system, attempt);
-        run_traced_trial_from(steady.fork(), fault, inject_seed, WATCHDOG_OPS)
+        drive(steady.fork(), fault, inject_seed, WATCHDOG_OPS)
     }
 
-    /// A harness panic is a corrupted crash with no latency to report.
-    fn on_panic(&self, fault: FaultType, text: String) -> TrialTrace {
-        TrialTrace {
-            fault,
-            system: self.system,
-            seed: self.seed,
-            crashed: true,
-            crash_latency_ops: None,
-            crash_latency_time: None,
-            hook_activations: 0,
-            protection_traps: 0,
-            corrupted: true,
-            detection: DetectionChannel::None,
-            message: Some(text),
-        }
+    /// A harness panic is a trial with no latency to report and no
+    /// detector to credit.
+    fn on_panic(&self, _: FaultType, text: String) -> TrialObservation {
+        TrialObservation::harness_panic(text)
     }
 
-    fn empty(&self, _: FaultType) -> Vec<TrialTrace> {
+    fn empty(&self, _: FaultType) -> Vec<TrialObservation> {
         Vec::new()
     }
 
-    fn absorb(&self, cell: &mut Vec<TrialTrace>, outcome: TrialTrace) {
+    fn absorb(&self, cell: &mut Vec<TrialObservation>, outcome: TrialObservation) {
         cell.push(outcome);
     }
 
-    fn done(&self, _: &Vec<TrialTrace>, merged: u64) -> bool {
+    fn done(&self, _: &Vec<TrialObservation>, merged: u64) -> bool {
         merged >= self.trials
     }
 }
@@ -109,9 +98,9 @@ pub fn run_propagation(
     FaultType::ALL
         .iter()
         .zip(engine::run(&campaign, threads))
-        .map(|(&fault, traces)| PropagationRow {
+        .map(|(&fault, trials)| PropagationRow {
             fault,
-            summary: summarize(&traces, 25),
+            summary: summarize(&trials, 25),
         })
         .collect()
 }
@@ -162,5 +151,20 @@ mod tests {
             assert!(text.contains(f.label()));
         }
         assert!(text.contains("quick-crash"));
+    }
+
+    #[test]
+    fn a_harness_panic_is_a_trial_but_neither_a_crash_nor_a_detection() {
+        let campaign = Propagation {
+            system: SystemKind::RioWithProtection,
+            trials: 1,
+            seed: 0,
+        };
+        let mut cell = campaign.empty(FaultType::Pointer);
+        let panicked = campaign.on_panic(FaultType::Pointer, "index out of bounds".to_owned());
+        campaign.absorb(&mut cell, panicked);
+        let s = summarize(&cell, 25);
+        assert_eq!((s.trials, s.crashed), (1, 0));
+        assert_eq!((s.checksum_detections, s.memtest_only_detections), (0, 0));
     }
 }

@@ -17,6 +17,7 @@ use crate::ascii;
 use rio_baselines::{rio_with_protection, ufs_write_write};
 use rio_disk::SimTime;
 use rio_kernel::{Kernel, KernelConfig, Policy};
+use rio_obs::json_escape;
 use rio_workloads::{Scale, ScaleConfig};
 
 /// Grid parameters for a scale run.
@@ -249,7 +250,7 @@ pub fn scale_json(report: &ScaleGridReport) -> String {
             "    {{\"system\": \"{}\", \"clients\": {}, \"devices\": {}, \
              \"sim_us\": {}, \"ops\": {}, \"commits\": {}, \"idle_hops\": {}, \
              \"ops_per_sec\": {:.3}}}{sep}\n",
-            c.system,
+            json_escape(c.system),
             c.clients,
             c.devices,
             c.total.as_micros(),

@@ -20,7 +20,7 @@ use crate::ascii;
 use rio_baselines::{memfs, rio_with_protection, rio_without_protection, ufs_default, ufs_write_write};
 use rio_disk::SimTime;
 use rio_kernel::Policy;
-use rio_obs::Histogram;
+use rio_obs::{json_escape, Histogram};
 use rio_workloads::{Server, ServerConfig};
 
 /// Grid parameters for a server run.
@@ -270,7 +270,7 @@ pub fn server_json(report: &ServerGridReport) -> String {
         out.push_str(&format!(
             "    {{\"system\": \"{}\", \"clients\": {}, \"sim_us\": {}, \"requests\": {}, \
              \"idle_hops\": {}, \"requests_per_sec\": {:.3}, {classes}}}{sep}\n",
-            c.system,
+            json_escape(c.system),
             c.clients,
             c.total.as_micros(),
             c.requests,

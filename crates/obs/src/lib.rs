@@ -388,15 +388,14 @@ impl Registry {
     }
 
     /// Serializes counters and histogram summaries as JSON (hand-rolled:
-    /// the workspace is offline and dependency-free). Names are plain
-    /// `[a-z0-9._]` identifiers, so no escaping is needed.
+    /// the workspace is offline and dependency-free).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n    \"counters\": {");
         for (i, (k, v)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n      \"{k}\": {v}"));
+            out.push_str(&format!("\n      \"{}\": {v}", json_escape(k)));
         }
         out.push_str("\n    },\n    \"histograms\": {");
         for (i, (k, h)) in self.histograms.iter().enumerate() {
@@ -404,7 +403,8 @@ impl Registry {
                 out.push(',');
             }
             out.push_str(&format!(
-                "\n      \"{k}\": {{\"count\": {}, \"sum\": {}, \"mean\": {}, \"max\": {}}}",
+                "\n      \"{}\": {{\"count\": {}, \"sum\": {}, \"mean\": {}, \"max\": {}}}",
+                json_escape(k),
                 h.count(),
                 h.sum(),
                 h.mean(),
@@ -414,6 +414,26 @@ impl Registry {
         out.push_str("\n    }\n  }");
         out
     }
+}
+
+/// Escapes `s` for the inside of a JSON string literal: `"` and `\` get a
+/// backslash, newline / tab / carriage return their two-character forms,
+/// every other control character `\u00XX`. The one escaper under every
+/// hand-rolled JSON writer in the workspace.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -864,6 +884,16 @@ mod tests {
         assert!(j.contains("\"kernel.syscalls\": 42"));
         assert!(j.contains("\"disk.queue_depth\""));
         assert!(j.contains("\"count\": 1"));
+    }
+
+    #[test]
+    fn json_escape_covers_quotes_backslashes_and_control_characters() {
+        assert_eq!(json_escape("a\"b\\c\n\t\u{1}"), "a\\\"b\\\\c\\n\\t\\u0001");
+        assert_eq!(json_escape("\r\u{1f}"), "\\r\\u001f");
+        assert_eq!(json_escape("kernel.syscalls /m0 é"), "kernel.syscalls /m0 é");
+        let mut r = Registry::new();
+        r.add("a\"b", 1);
+        assert!(r.to_json().contains("\"a\\\"b\": 1"));
     }
 
     #[test]

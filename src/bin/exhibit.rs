@@ -16,11 +16,10 @@
 
 #![forbid(unsafe_code)]
 
-use rio::core::{warm, RioMode};
-use rio::faults::{FaultType, SystemKind};
+use rio::core::warm;
+use rio::faults::{FaultType, PreparedTrial, SystemKind};
 use rio::harness::exhibits::{self, Exhibit, Knobs, EXHIBITS};
-use rio::kernel::{Kernel, KernelConfig, PanicReason, Policy};
-use rio::workloads::{MemTest, MemTestConfig};
+use rio::kernel::PanicReason;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
@@ -161,11 +160,9 @@ fn check(full: bool, threads: usize) {
 /// `exhibit inspect`: crash a demonstration machine after 120 memTest ops
 /// and dump what the warm-reboot scanner sees in its image (§2.2).
 fn inspect(seed: u64) {
-    let config = KernelConfig::small(Policy::rio(RioMode::Protected));
-    let mut k = Kernel::mkfs_and_mount(&config).expect("mkfs");
-    let mut mt = MemTest::new(MemTestConfig::small(seed));
-    mt.setup(&mut k).expect("setup");
-    mt.run(&mut k, 120).expect("workload");
+    let (mut k, mt) = PreparedTrial::prepare(SystemKind::RioWithProtection, seed, 120)
+        .into_machine()
+        .expect("a healthy machine boots and runs memTest");
     let (ops, writes) = (mt.ops_done(), k.machine.disk.stats().writes);
     let windows = k.rio_stats().map_or(0, |s| s.windows_opened);
     println!("ran {ops} memTest ops; {windows} protection windows opened; {writes} disk writes");
@@ -200,7 +197,6 @@ fn inspect(seed: u64) {
     }
 }
 
-#[cfg(test)]
 #[cfg(test)]
 mod tests {
     use super::parse_var;
