@@ -28,6 +28,13 @@
 //!   `SimDisk::sync` uses.
 //!
 //! The rule is a function of D and nothing else; no caller selects it.
+//! Arrival order at D = 1 is the model, not a placeholder for C-LOOK: the
+//! paper's machine has one spindle and its driver queues in order, and
+//! every single-device exhibit is calibrated on that. The heaviest
+//! sequential writer, the warm reboot's replay, would not gain from
+//! C-LOOK either: it allocates each file's blocks as it writes them
+//! behind, so its data arrives in ascending block order, which is the
+//! order a sweep would choose.
 //!
 //! # Positioning
 //!

@@ -10,8 +10,9 @@
 //! * a **test** run interrupted by up to `depth` injected second crashes
 //!   at points sampled across the whole pipeline (post-scan,
 //!   mid-metadata-restore with torn blocks, post-fsck, among the replay's
-//!   writes — nothing of it flushed or committed yet — and among the burst
-//!   of `REPLAYED` commits that follows its one flush), each followed by a
+//!   writes — nothing committed yet, its write-behind blocks unreachable
+//!   from on-disk metadata — and among the burst of `REPLAYED` commits
+//!   that follows its one flush), each followed by a
 //!   resumed recovery on the surviving image + disk.
 //!
 //! Both runs then park their disks (reliability writes on + `sync`) and

@@ -14,13 +14,18 @@
 //! ([`rio_core::EntryFlags::RESTORED`] / [`rio_core::EntryFlags::REPLAYED`]),
 //! each set only once the corresponding bytes are durably on disk. The
 //! restore commits block by block, as each write lands. The replay — "normal
-//! system calls such as open and write", none of them synchronous — has one
-//! commit point: every recovered page is written, one flush makes them and
-//! the metadata that reaches them durable, and only then are they marked
-//! `REPLAYED`, so the replay runs at the disk's bandwidth rather than at a
-//! seek per page. A second crash before that flush redoes the whole replay
-//! (the preserved image still owns every page); one inside the burst of
-//! commits leaves a prefix committed, all of it already on disk. A crash
+//! system calls such as open and write", none of them synchronous — writes
+//! each file's run of contiguous recovered pages (a bounded number at a
+//! time) with one `pwrite` and queues the run's blocks to the disk behind
+//! it, so the disk works while the replay moves on. It has one commit
+//! point: one flush drains that queue and makes the inode, bitmap and
+//! indirect blocks that reach the data durable, and only then are the
+//! pages marked `REPLAYED`. A second
+//! crash before that flush redoes the whole replay: replay data may already
+//! be on disk, but in blocks no on-disk metadata reaches yet (one of them
+//! possibly torn), and the resumed replay rewrites them — the preserved
+//! image still owns every page. One inside the burst of commits leaves a
+//! prefix committed, all of it already on disk. A crash
 //! *during* recovery — modelled by a [`RecoveryControl`] that declines to
 //! continue at a [`RecoveryPoint`] — therefore loses no recoverable data:
 //! the next attempt rescans the same image, skips committed entries
@@ -40,9 +45,9 @@ use crate::fsck::{self, FsckReport, IO_RETRY_LIMIT};
 use crate::kernel::{Kernel, KernelConfig};
 use crate::machine::Machine;
 use rio_core::warm::{self, WarmRebootStats};
-use rio_core::Registry;
+use rio_core::{RecoveredFilePage, Registry};
 use rio_disk::{DiskIoError, SimDisk};
-use rio_mem::PhysMem;
+use rio_mem::{PhysMem, PAGE_SIZE};
 
 /// A checkpoint in the warm-reboot pipeline where a second crash can land.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,9 +69,11 @@ pub enum RecoveryPoint {
     },
     /// fsck completed; about to mount.
     AfterFsck,
-    /// Replay write `index` issued; nothing of the replay is flushed or
-    /// committed yet — a crash here loses only the recovery kernel's
-    /// memory; the preserved image still owns every page.
+    /// Replay page `index` written, as part of its run, and queued to the
+    /// disk; reached once per page, in page order. Nothing of the replay is
+    /// committed yet: its data may already be on disk, in blocks no on-disk
+    /// metadata reaches until the final flush, and a resumed replay
+    /// rewrites them — the preserved image still owns every page.
     AfterReplayWrite {
         /// Position in the replay order.
         index: u64,
@@ -136,7 +143,8 @@ pub struct BootReport {
 #[derive(Debug)]
 pub struct BootInterrupted {
     /// The disk at the moment of the second crash (a restore interrupted
-    /// mid-write leaves its target block torn).
+    /// mid-write, or a replay write-behind in flight, leaves its target
+    /// block torn).
     pub disk: SimDisk,
     /// Where the recovery died.
     pub point: RecoveryPoint,
@@ -173,10 +181,43 @@ fn interrupted(disk: SimDisk, point: RecoveryPoint) -> WarmBootError {
 fn second_crash(mut kernel: Kernel, point: RecoveryPoint) -> WarmBootError {
     kernel.crash_now(PanicReason::SecondCrash);
     // The recovery kernel's own memory image is not preserved by this
-    // model: un-flushed replay writes die with it, which is safe because
-    // their pages were never committed REPLAYED in the original image.
+    // model: un-flushed replay writes die with it, and queued ones land,
+    // tear or are lost as the disk's crash model says — safe because their
+    // pages were never committed REPLAYED in the original image.
     let (_lost_image, disk) = kernel.into_crash_artifacts();
     interrupted(disk, point)
+}
+
+/// The recovery kernel itself died: nothing further can be replayed
+/// through it.
+fn fatal(e: &KernelError) -> bool {
+    matches!(e, KernelError::Crashed | KernelError::Panic(_))
+}
+
+/// Most pages one replay `pwrite` carries. The write stages its data in
+/// the kernel heap, and the smallest machine's heap is 256 KB, shared with
+/// buffer headers and the inode cache: a 64 KB run fits with room to
+/// spare, and a longer extent is written as several runs.
+const MAX_RUN_PAGES: usize = 8;
+
+/// End of the replay run that starts at `pages[start]` (sorted by inode and
+/// offset): the maximal stretch, up to [`MAX_RUN_PAGES`], of
+/// not-yet-replayed pages of one inode at contiguous offsets, every one but
+/// the last a full page — the extent a restorer writes with one `write`.
+fn run_end(pages: &[RecoveredFilePage], start: usize) -> usize {
+    let mut end = start + 1;
+    while let (Some(prev), Some(next)) = (pages.get(end - 1), pages.get(end)) {
+        if end - start == MAX_RUN_PAGES
+            || next.already_replayed
+            || next.ino != prev.ino
+            || prev.data.len() != PAGE_SIZE
+            || next.offset != prev.offset + PAGE_SIZE as u64
+        {
+            break;
+        }
+        end += 1;
+    }
+    end
 }
 
 impl Kernel {
@@ -287,12 +328,14 @@ impl Kernel {
         let mut kernel = Kernel::mount(machine, config).map_err(WarmBootError::Fatal)?;
 
         // Phase 4: user-level replay of recovered file pages through
-        // normal system calls, with one commit point. Every page is
-        // written first, one synchronous flush makes all of them — and the
-        // inode, bitmap and indirect blocks that reach them — durable, and
-        // only then is each marked REPLAYED. Replayed writes keep the
-        // recovered mtime so interrupted and uninterrupted recoveries
-        // produce identical disk bytes.
+        // normal system calls, with one commit point. Each file's run of
+        // contiguous recovered pages is written with one pwrite and queued
+        // to the disk behind it, so the disk works while the replay moves
+        // on; one synchronous flush then makes every page — and the inode,
+        // bitmap and indirect blocks that reach them — durable, and only
+        // then is each marked REPLAYED. Replayed writes keep the recovered
+        // mtime so interrupted and uninterrupted recoveries produce
+        // identical disk bytes.
         kernel.preserve_mtime_on_write = true;
         let mut report = BootReport {
             warm: Some(recovery.stats),
@@ -303,30 +346,46 @@ impl Kernel {
         let mut pages = recovery.file_pages;
         pages.sort_by_key(|p| (p.ino, p.offset));
         let mut written = Vec::new();
-        for (i, p) in pages.iter().enumerate() {
-            if p.already_replayed {
+        let mut start = 0;
+        while start < pages.len() {
+            if pages[start].already_replayed {
+                start += 1;
                 continue;
             }
-            match kernel.pwrite_ino(p.ino, p.offset, &p.data) {
-                Ok(()) => {}
-                Err(e @ (KernelError::Crashed | KernelError::Panic(_))) => {
-                    // The recovery kernel itself died: nothing further can
-                    // be replayed through it.
-                    return Err(WarmBootError::Fatal(e));
-                }
+            let end = run_end(&pages, start);
+            let run = &pages[start..end];
+            let ino = run[0].ino;
+            let first = written.len();
+            let data = run.iter().map(|p| &p.data[..]).collect::<Vec<_>>().concat();
+            match kernel.pwrite_ino(ino, run[0].offset, &data) {
+                Ok(()) => written.extend(run.iter().zip(start..).map(|(p, i)| (i as u64, p.slot))),
+                Err(e) if fatal(&e) => return Err(WarmBootError::Fatal(e)),
+                // Inode gone, volume full, file too big, …: replay the run
+                // page by page so exactly the pages that cannot be written
+                // are counted unreplayable; the boot goes on.
                 Err(_) => {
-                    // Inode gone, volume full, file too big, …: the page
-                    // is unreplayable, the boot goes on.
-                    report.pages_unreplayable += 1;
-                    continue;
+                    for (p, i) in run.iter().zip(start..) {
+                        match kernel.pwrite_ino(p.ino, p.offset, &p.data) {
+                            Ok(()) => written.push((i as u64, p.slot)),
+                            Err(e) if fatal(&e) => return Err(WarmBootError::Fatal(e)),
+                            Err(_) => report.pages_unreplayable += 1,
+                        }
+                    }
                 }
             }
-            let index = i as u64;
-            written.push((index, p.slot));
-            let point = RecoveryPoint::AfterReplayWrite { index };
-            if !ctl.reached(point) {
-                return Err(second_crash(kernel, point));
+            // Write behind: the run's blocks go to the disk now, but no
+            // on-disk metadata reaches them until the flush below, and
+            // nothing is committed before it.
+            kernel
+                .flush_file_pages(ino, false)
+                .map_err(WarmBootError::Fatal)?;
+            for &(index, _) in &written[first..] {
+                let point = RecoveryPoint::AfterReplayWrite { index };
+                if !ctl.reached(point) {
+                    return Err(second_crash(kernel, point));
+                }
             }
+            start = end;
         }
         if !written.is_empty() {
             kernel

@@ -1,8 +1,8 @@
 //! Integration tests for the restartable recovery pipeline: crashing the
 //! warm reboot at *every* pipeline point and resuming must produce a disk
 //! byte-for-byte identical to a recovery that was never interrupted, and
-//! the replay has one commit point — every page written, one flush, then
-//! the `REPLAYED` commits.
+//! the replay has one commit point — every run of pages written and queued
+//! to the disk, one flush, then the `REPLAYED` commits.
 
 use rio_core::{RecoveredFilePage, RioMode};
 use rio_det::proptest_lite::{check, Config, Gen};
@@ -41,13 +41,28 @@ impl RecoveryControl for CrashAt {
     }
 }
 
-/// The files `crashed_workload` leaves behind (it unlinks `f4`).
-fn live_paths() -> Vec<String> {
-    [0, 1, 2, 3, 5].map(|i| format!("/a/b/f{i}")).to_vec()
+/// A crash image: the config that built it, its memory and disk, and the
+/// paths of the files it leaves behind.
+struct Crashed {
+    config: KernelConfig,
+    image: PhysMem,
+    disk: SimDisk,
+    paths: Vec<String>,
 }
 
-/// A crashed kernel's artifacts plus the config that built it.
-fn crashed_workload(mode: RioMode) -> (KernelConfig, PhysMem, SimDisk) {
+fn crash(mut k: Kernel, config: KernelConfig, paths: Vec<String>) -> Crashed {
+    k.crash_now(PanicReason::Watchdog);
+    let (image, disk) = k.into_crash_artifacts();
+    Crashed {
+        config,
+        image,
+        disk,
+        paths,
+    }
+}
+
+/// Single-page files: every replay run is one page.
+fn crashed_workload(mode: RioMode) -> Crashed {
     let config = KernelConfig::small(Policy::rio(mode));
     let mut k = Kernel::mkfs_and_mount(&config).expect("mkfs");
     k.mkdir("/a").unwrap();
@@ -64,9 +79,35 @@ fn crashed_workload(mode: RioMode) -> (KernelConfig, PhysMem, SimDisk) {
     k.pwrite(fd, 100, b"rewritten-region").unwrap();
     k.close(fd).unwrap();
     k.unlink("/a/b/f4").unwrap();
-    k.crash_now(PanicReason::Watchdog);
-    let (image, disk) = k.into_crash_artifacts();
-    (config, image, disk)
+    let paths = [0, 1, 2, 3, 5].map(|i| format!("/a/b/f{i}")).to_vec();
+    crash(k, config, paths)
+}
+
+/// Multi-page files, created in this order so their inodes replay in it:
+/// a 3½-page file whose partial last page is followed by the next file's
+/// pages, a file with a two-page hole (it replays as two runs), and a
+/// 1½-page file.
+fn crashed_multipage_workload(mode: RioMode) -> Crashed {
+    let config = KernelConfig::small(Policy::rio(mode));
+    let mut k = Kernel::mkfs_and_mount(&config).expect("mkfs");
+    let page = rio_mem::PAGE_SIZE;
+    let bytes = |n: usize, salt: usize| -> Vec<u8> {
+        (0..n).map(|j| ((j * 41 + salt) % 251) as u8).collect()
+    };
+    let files: [(&str, &[(usize, usize)]); 3] = [
+        ("/long", &[(0, 3 * page + page / 2)]),
+        ("/holey", &[(0, page), (3 * page, page)]),
+        ("/next", &[(0, page + page / 2)]),
+    ];
+    for (salt, (path, extents)) in files.iter().enumerate() {
+        let fd = k.create(path).unwrap();
+        for &(at, len) in *extents {
+            k.pwrite(fd, at as u64, &bytes(len, salt + at)).unwrap();
+        }
+        k.close(fd).unwrap();
+    }
+    let paths = files.map(|(path, _)| path.to_string()).to_vec();
+    crash(k, config, paths)
 }
 
 /// Finalizes a recovered kernel so its disk holds the full state.
@@ -88,7 +129,7 @@ fn assert_disks_identical(a: &SimDisk, b: &SimDisk, label: &str) {
 /// boot of `salvaged` — fsck and mount, no memory image — so its bytes and
 /// the metadata that reaches them were on disk before the commit.
 fn assert_committed_pages_are_durable(
-    config: &KernelConfig,
+    c: &Crashed,
     acknowledged: &[RecoveredFilePage],
     img: &PhysMem,
     salvaged: &SimDisk,
@@ -99,24 +140,25 @@ fn assert_committed_pages_are_durable(
         .file_pages
         .iter()
         .filter(|p| p.already_replayed)
-        .map(|c| {
+        .map(|e| {
             acknowledged
                 .iter()
-                .find(|p| p.slot == c.slot)
-                .unwrap_or_else(|| panic!("{label}: slot {} committed, never recovered", c.slot))
+                .find(|p| p.slot == e.slot)
+                .unwrap_or_else(|| panic!("{label}: slot {} committed, never recovered", e.slot))
         })
         .collect();
     if committed.is_empty() {
         return;
     }
-    let (mut cold, _) = Kernel::cold_boot(config, salvaged.clone())
+    let (mut cold, _) = Kernel::cold_boot(&c.config, salvaged.clone())
         .unwrap_or_else(|e| panic!("{label}: cold boot of the salvaged disk: {e}"));
     for p in committed {
-        let path = live_paths()
-            .into_iter()
+        let path = c
+            .paths
+            .iter()
             .find(|path| cold.stat(path).is_ok_and(|s| s.ino == p.ino))
             .unwrap_or_else(|| panic!("{label}: no path reaches inode {}", p.ino));
-        let got = cold.file_contents(&path).expect("cold read");
+        let got = cold.file_contents(path).expect("cold read");
         let at = p.offset as usize;
         assert_eq!(
             got.get(at..at + p.data.len()),
@@ -126,73 +168,169 @@ fn assert_committed_pages_are_durable(
     }
 }
 
-/// Satellite (d): crash the recovery at every single pipeline point in
-/// turn; resuming must converge to the uninterrupted recovery's disk, and
-/// at the interruption every `REPLAYED` commit must already be durable.
+/// Crashes the recovery of `c` at every single pipeline point in turn;
+/// resuming must converge to the uninterrupted recovery's disk, and at the
+/// interruption every `REPLAYED` commit must already be durable. Returns
+/// how many interruptions of the replay's writes tore a block.
+fn resume_from_every_crash_point(c: &Crashed, mode: RioMode) -> u64 {
+    let acknowledged = rio_core::scan_registry(&c.image).file_pages;
+
+    // Reference: single-shot recovery.
+    let (k_ref, ref_report) =
+        Kernel::warm_boot(&c.config, &c.image, c.disk.clone()).expect("reference warm boot");
+    assert!(ref_report.pages_replayed > 0, "{mode}");
+    let ref_disk = park(k_ref);
+
+    // Size the crash-point space.
+    let mut counter = CountPoints { points: 0 };
+    let mut count_image = c.image.clone();
+    Kernel::warm_boot_resumable(&c.config, &mut count_image, c.disk.clone(), &mut counter)
+        .expect("counting run completes");
+    assert!(counter.points > 4, "pipeline exposes points ({mode})");
+
+    let mut tearing = 0;
+    for n in 0..counter.points {
+        // The image accumulates RESTORED/REPLAYED commits across the
+        // interrupted attempt and the resume — exactly like a real
+        // battery-backed image would.
+        let mut img = c.image.clone();
+        let mut ctl = CrashAt { remaining: n };
+        let (salvaged, point) =
+            match Kernel::warm_boot_resumable(&c.config, &mut img, c.disk.clone(), &mut ctl) {
+                Err(WarmBootError::Interrupted(i)) => (i.disk, i.point),
+                other => panic!("point {n} ({mode}): expected interruption, got {other:?}"),
+            };
+        let label = format!("point {n} ({mode})");
+        assert_committed_pages_are_durable(c, &acknowledged, &img, &salvaged, &label);
+        let torn: Vec<u64> = (0..salvaged.num_blocks())
+            .filter(|&b| salvaged.is_torn(b))
+            .collect();
+        if matches!(point, RecoveryPoint::AfterReplayWrite { .. }) {
+            tearing += u64::from(!torn.is_empty());
+        }
+        let (k2, report) = Kernel::warm_boot(&c.config, &img, salvaged)
+            .unwrap_or_else(|e| panic!("resume after point {n} ({mode}): {e}"));
+        assert_eq!(report.pages_unreplayable, 0, "{label}");
+        let resumed_disk = park(k2);
+        assert_disks_identical(&ref_disk, &resumed_disk, &label);
+        for b in torn {
+            assert!(!resumed_disk.is_torn(b), "{label}: torn block {b} never rewritten");
+        }
+    }
+    tearing
+}
+
 #[test]
 fn resume_from_every_crash_point_matches_recover_once() {
     for mode in [RioMode::Unprotected, RioMode::Protected] {
-        let (config, image, disk) = crashed_workload(mode);
-        let acknowledged = rio_core::scan_registry(&image).file_pages;
-
-        // Reference: single-shot recovery.
-        let (k_ref, ref_report) =
-            Kernel::warm_boot(&config, &image, disk.clone()).expect("reference warm boot");
-        assert!(ref_report.pages_replayed > 0, "{mode}");
-        let ref_disk = park(k_ref);
-
-        // Size the crash-point space.
-        let mut counter = CountPoints { points: 0 };
-        let mut count_image = image.clone();
-        Kernel::warm_boot_resumable(&config, &mut count_image, disk.clone(), &mut counter)
-            .expect("counting run completes");
-        assert!(counter.points > 4, "pipeline exposes points ({mode})");
-
-        for n in 0..counter.points {
-            // The image accumulates RESTORED/REPLAYED commits across the
-            // interrupted attempt and the resume — exactly like a real
-            // battery-backed image would.
-            let mut img = image.clone();
-            let mut ctl = CrashAt { remaining: n };
-            let salvaged =
-                match Kernel::warm_boot_resumable(&config, &mut img, disk.clone(), &mut ctl) {
-                    Err(WarmBootError::Interrupted(i)) => i.disk,
-                    other => panic!("point {n} ({mode}): expected interruption, got {other:?}"),
-                };
-            let label = format!("point {n} ({mode})");
-            assert_committed_pages_are_durable(&config, &acknowledged, &img, &salvaged, &label);
-            let (k2, report) = Kernel::warm_boot(&config, &img, salvaged)
-                .unwrap_or_else(|e| panic!("resume after point {n} ({mode}): {e}"));
-            assert_eq!(report.pages_unreplayable, 0, "point {n} ({mode})");
-            let resumed_disk = park(k2);
-            assert_disks_identical(&ref_disk, &resumed_disk, &label);
-        }
+        resume_from_every_crash_point(&crashed_workload(mode), mode);
     }
+}
+
+/// The same, where the replay writes multi-page runs and queues them to
+/// the disk as it goes: a second crash there tears an in-flight
+/// write-behind block that no on-disk metadata reaches yet, and the resume
+/// rewrites it.
+#[test]
+fn resume_from_every_crash_point_with_multipage_runs() {
+    for mode in [RioMode::Unprotected, RioMode::Protected] {
+        let c = crashed_multipage_workload(mode);
+        let tearing = resume_from_every_crash_point(&c, mode);
+        assert!(tearing > 0, "no crash point caught a write-behind in flight ({mode})");
+    }
+}
+
+/// Stops the recovery once fsck has run: metadata restored and committed,
+/// nothing replayed.
+struct StopAfterFsck;
+
+impl RecoveryControl for StopAfterFsck {
+    fn reached(&mut self, point: RecoveryPoint) -> bool {
+        point != RecoveryPoint::AfterFsck
+    }
+}
+
+/// A resume whose image holds an already-`REPLAYED` page in the middle of
+/// a file's run: the run breaks around it — one more `pwrite`, the
+/// committed page left alone — and the disk is the uninterrupted one.
+#[test]
+fn resume_after_a_committed_page_splits_the_run() {
+    let c = crashed_multipage_workload(RioMode::Protected);
+    let mut img = c.image.clone();
+    let restored =
+        match Kernel::warm_boot_resumable(&c.config, &mut img, c.disk.clone(), &mut StopAfterFsck)
+        {
+            Err(WarmBootError::Interrupted(i)) => i.disk,
+            other => panic!("expected a stop after fsck, got {other:?}"),
+        };
+    let (k_ref, full) = Kernel::warm_boot(&c.config, &img, restored).expect("reference");
+    let full_syscalls = k_ref.stats().syscalls;
+    let replayed = k_ref.machine.disk.clone();
+    let ref_disk = park(k_ref);
+
+    // Every page is durable on `replayed`; commit only the second page of
+    // `/long`, the lowest inode.
+    let pages = rio_core::scan_registry(&img).file_pages;
+    let long_ino = pages.iter().map(|p| p.ino).min().expect("pages");
+    let mut long: Vec<&RecoveredFilePage> = pages.iter().filter(|p| p.ino == long_ino).collect();
+    long.sort_by_key(|p| p.offset);
+    assert_eq!(long.len(), 4, "/long recovers four pages");
+    let registry = rio_core::Registry::new(*img.layout());
+    rio_core::warm::commit_replayed(&mut img, &registry, long[1].slot);
+
+    let (k, report) = Kernel::warm_boot(&c.config, &img, replayed).expect("resume");
+    assert_eq!(report.pages_replayed, full.pages_replayed - 1);
+    assert_eq!(k.stats().syscalls, full_syscalls + 1, "the committed page splits one run");
+    assert_disks_identical(&ref_disk, &park(k), "resume after a committed page");
+}
+
+/// A run whose `pwrite` fails is replayed page by page, so a failure is
+/// counted per page, as a per-page replay would count it. Decaying every
+/// preserved metadata page drops its registry entry: no restored inode
+/// reaches the recovered pages, and each run fails.
+#[test]
+fn failed_runs_count_every_page_unreplayable() {
+    let mut c = crashed_multipage_workload(RioMode::Unprotected);
+    let pages = rio_core::scan_registry(&c.image).file_pages.len() as u64;
+    assert_eq!(pages, 8, "eight pages in four runs");
+    let cache = c.image.layout().buffer_cache;
+    for page in (cache.start..cache.end).step_by(rio_mem::PAGE_SIZE) {
+        c.image.flip_bit(page, 0);
+    }
+    let scan = rio_core::scan_registry(&c.image);
+    assert_eq!(scan.metadata.len(), 0, "every metadata entry dropped");
+    let (_, report) = Kernel::warm_boot(&c.config, &c.image, c.disk).expect("warm boot");
+    assert_eq!((report.pages_replayed, report.pages_unreplayable), (0, pages));
 }
 
 /// One replay, one commit point: a single-shot warm boot waits on the disk
 /// once, and writes each replayed page and each metadata block the replay
 /// dirtied exactly once — a flush per page would wait N times and rewrite
-/// the inode and bitmap blocks behind every page.
+/// the inode and bitmap blocks behind every page, and the write-behind of a
+/// run must not write a block the final flush writes again.
 #[test]
 fn replay_flushes_once_and_writes_each_block_once() {
-    let (config, image, disk) = crashed_workload(RioMode::Protected);
-    let pages = rio_core::scan_registry(&image).file_pages;
-    let writes_before = disk.stats().writes;
-    let (k, report) = Kernel::warm_boot(&config, &image, disk).expect("warm boot");
-    assert_eq!(report.pages_replayed, pages.len() as u64);
-    assert!(report.pages_replayed > 1, "more than one page to batch");
-    assert_eq!(k.stats().sync_waits, 1, "one flush for the whole replay");
-    // The metadata the replay dirties: the inode blocks of the replayed
-    // files and the small volume's one bitmap block.
-    let inode_blocks: BTreeSet<u64> = pages
-        .iter()
-        .map(|p| config.geometry.inode_location(p.ino).0)
-        .collect();
-    assert_eq!(
-        k.machine.disk.stats().writes - writes_before,
-        report.pages_replayed + inode_blocks.len() as u64 + 1
-    );
+    for c in [
+        crashed_workload(RioMode::Protected),
+        crashed_multipage_workload(RioMode::Protected),
+    ] {
+        let pages = rio_core::scan_registry(&c.image).file_pages;
+        let writes_before = c.disk.stats().writes;
+        let (k, report) = Kernel::warm_boot(&c.config, &c.image, c.disk).expect("warm boot");
+        assert_eq!(report.pages_replayed, pages.len() as u64);
+        assert!(report.pages_replayed > 1, "more than one page to batch");
+        assert_eq!(k.stats().sync_waits, 1, "one flush for the whole replay");
+        // The metadata the replay dirties: the inode blocks of the
+        // replayed files and the small volume's one bitmap block.
+        let inode_blocks: BTreeSet<u64> = pages
+            .iter()
+            .map(|p| c.config.geometry.inode_location(p.ino).0)
+            .collect();
+        assert_eq!(
+            k.machine.disk.stats().writes - writes_before,
+            report.pages_replayed + inode_blocks.len() as u64 + 1
+        );
+    }
 }
 
 /// The replay holds every recovered page in the recovery kernel's cache
@@ -231,11 +369,48 @@ fn replay_of_a_completely_dirty_cache_loses_nothing() {
     }
 }
 
+/// A run is staged through the kernel heap, which on the small machine is
+/// far smaller than the cache: a file of many contiguous dirty pages,
+/// written 8 KB at a time, must still replay every page.
+#[test]
+fn replay_of_a_file_larger_than_the_heap_loses_nothing() {
+    let config = KernelConfig::small(Policy::rio(RioMode::Protected));
+    let mut k = Kernel::mkfs_and_mount(&config).expect("mkfs");
+    let page = rio_mem::PAGE_SIZE;
+    let pages = 48;
+    assert!(
+        (pages * page) as u64 > k.machine.bus.layout().heap.len(),
+        "the file outgrows the heap"
+    );
+    let data: Vec<u8> = (0..pages * page).map(|j| ((j * 29 + 7) % 251) as u8).collect();
+    let fd = k.create("/big").unwrap();
+    for chunk in data.chunks(page) {
+        k.write(fd, chunk).unwrap();
+    }
+    k.close(fd).unwrap();
+    assert_eq!(k.stats().overflow_writebacks, 0, "the fill spilled");
+    k.crash_now(PanicReason::Watchdog);
+    let (image, disk) = k.into_crash_artifacts();
+
+    let (mut k, report) = Kernel::warm_boot(&config, &image, disk).expect("warm boot");
+    assert_eq!((report.pages_replayed, report.pages_unreplayable), (pages as u64, 0));
+    let fd = k.open("/big").unwrap();
+    for (i, want) in data.chunks(page).enumerate() {
+        let got = k.pread(fd, (i * page) as u64, page).expect("read back");
+        assert!(got == want, "/big page {i} differs");
+    }
+}
+
 /// A resumed run that finds every page already `REPLAYED` has nothing to
 /// make durable: no flush, no disk write.
 #[test]
 fn resume_with_every_page_committed_leaves_the_disk_alone() {
-    let (config, mut image, disk) = crashed_workload(RioMode::Protected);
+    let Crashed {
+        config,
+        mut image,
+        disk,
+        ..
+    } = crashed_workload(RioMode::Protected);
     let (k, first) = Kernel::warm_boot_resumable(&config, &mut image, disk, &mut NoRecoveryFaults)
         .expect("first recovery");
     assert!(first.pages_replayed > 0);
@@ -253,7 +428,9 @@ fn resume_with_every_page_committed_leaves_the_disk_alone() {
 /// recovery too, before letting the third attempt finish.
 #[test]
 fn double_interruption_still_converges() {
-    let (config, image, disk) = crashed_workload(RioMode::Protected);
+    let Crashed {
+        config, image, disk, ..
+    } = crashed_workload(RioMode::Protected);
     let (k_ref, _) = Kernel::warm_boot(&config, &image, disk.clone()).expect("reference");
     let ref_disk = park(k_ref);
 
