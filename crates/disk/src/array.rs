@@ -32,18 +32,25 @@
 //! paper's machine has one spindle and its driver queues in order, and
 //! every single-device exhibit is calibrated on that. The heaviest
 //! sequential writer, the warm reboot's replay, would not gain from
-//! C-LOOK either: it allocates each file's blocks as it writes them
-//! behind, so its data arrives in ascending block order, which is the
-//! order a sweep would choose.
+//! C-LOOK either: it allocates each run of a file's pages as one extent
+//! and writes the run behind as one command, so its data arrives in
+//! ascending block order, which is the order a sweep would choose.
 //!
 //! # Positioning
 //!
-//! A request is charged [`Positioning::Sequential`] when forced or when
-//! it follows the device's previous request by one inner block,
-//! [`Positioning::SameBlock`] when it rewrites it, and
+//! Every request belongs to a disk command ([`DiskArray::command`]): a
+//! multi-block write submits each of its blocks under one command, every
+//! other request is a command of its own. A request is charged
+//! [`Positioning::Continued`] — its transfer only — when it follows the
+//! previous block of its own command, [`Positioning::Sequential`] when
+//! forced or when it follows the device's previous request by one inner
+//! block, [`Positioning::SameBlock`] when it rewrites it, and
 //! [`Positioning::Random`] otherwise — "previous" being the request
 //! ahead of it in dispatch order, or the last retired one when the queue
-//! is empty.
+//! is empty. The rule reads dispatch order, so it holds under both
+//! dispatch rules: a C-LOOK sweep that sorts another request between two
+//! blocks of a command breaks the stream there, and the next block pays
+//! a new command's overhead.
 //!
 //! # What a crash does
 //!
@@ -74,6 +81,14 @@ const DEV_QUEUE_DEPTH: [&str; MAX_DEVICES] = [
     "disk.queue_depth.dev7",
 ];
 
+/// Where a device's head is once a request is served: the request's inner
+/// block and the command it belonged to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HeadAt {
+    inner: u64,
+    cmd: u64,
+}
+
 /// One queued request on one device.
 #[derive(Debug, Clone)]
 struct Req {
@@ -81,6 +96,9 @@ struct Req {
     inner: u64,
     /// Global block number (what the caller addressed).
     global: u64,
+    /// The disk command this block belongs to: every block of one
+    /// multi-block write shares it, every other request has its own.
+    cmd: u64,
     /// Payload for writes; `None` marks a read occupying head time.
     data: Option<BlockBuf>,
     /// Submitted as part of a forced-sequential stream.
@@ -121,9 +139,9 @@ struct Device {
     seq: u64,
     /// Sweep origin of the schedule currently stored in `tail`.
     sweep_head: u64,
-    /// Inner block of the last *retired* request (head position when the
-    /// queue is empty).
-    retired_inner: Option<u64>,
+    /// The last *retired* request (head position when the queue is
+    /// empty).
+    retired: Option<HeadAt>,
     /// Completion time of the last retired request.
     retired_until: SimTime,
 }
@@ -136,6 +154,8 @@ pub type TornWrite = (u64, BlockBuf);
 #[derive(Debug, Clone)]
 pub struct DiskArray {
     devices: Vec<Device>,
+    /// Commands issued so far: the id source for [`DiskArray::command`].
+    commands: u64,
 }
 
 impl DiskArray {
@@ -151,7 +171,15 @@ impl DiskArray {
         );
         DiskArray {
             devices: (0..devices).map(|_| Device::default()).collect(),
+            commands: 0,
         }
+    }
+
+    /// A new disk command: the id every block of one multi-block write is
+    /// submitted under ([`DiskArray::submit_command_write`]).
+    pub fn command(&mut self) -> u64 {
+        self.commands += 1;
+        self.commands
     }
 
     /// Number of devices.
@@ -216,7 +244,7 @@ impl DiskArray {
                     break;
                 }
                 let r = dev.pinned.pop_front().expect("front exists");
-                dev.retired_inner = Some(r.inner);
+                dev.retired = Some(r.head_at());
                 dev.retired_until = r.end;
                 if let Some(data) = r.data {
                     durable(r.global, data);
@@ -225,9 +253,28 @@ impl DiskArray {
         }
     }
 
-    /// Submits a write of `block`; returns its scheduled completion time.
+    /// Submits a write of `block` as a command of its own; returns its
+    /// scheduled completion time.
     pub fn submit_write(
         &mut self,
+        block: u64,
+        data: BlockBuf,
+        now: SimTime,
+        force_sequential: bool,
+        model: &DiskModel,
+    ) -> SimTime {
+        let cmd = self.command();
+        self.submit_command_write(cmd, block, data, now, force_sequential, model)
+    }
+
+    /// Submits a write of `block` as part of command `cmd` (from
+    /// [`DiskArray::command`]); returns its scheduled completion time. The
+    /// block is its own request — it retires, tears or is lost on its own
+    /// — but when it is dispatched right behind the previous block of the
+    /// same command it is charged [`Positioning::Continued`].
+    pub fn submit_command_write(
+        &mut self,
+        cmd: u64,
         block: u64,
         data: BlockBuf,
         now: SimTime,
@@ -239,6 +286,7 @@ impl DiskArray {
         let req = Req {
             inner,
             global: block,
+            cmd,
             data: Some(data),
             force_sequential,
             start: SimTime::ZERO,
@@ -266,6 +314,7 @@ impl DiskArray {
     ) -> (Option<BlockBuf>, SimTime) {
         let dev = self.device_of(block);
         let inner = self.inner_of(block);
+        let cmd = self.command();
         let d = &mut self.devices[dev];
         // Read-after-write: the latest queued write to this block wins.
         // Tail entries dispatch after every pinned entry, and same-block
@@ -289,6 +338,7 @@ impl DiskArray {
         let read = Req {
             inner,
             global: block,
+            cmd,
             data: None,
             force_sequential,
             start: SimTime::ZERO,
@@ -348,14 +398,27 @@ impl DiskArray {
     }
 }
 
-/// Positioning class given the previous inner block on the device.
-fn positioning(prev: Option<u64>, inner: u64, force_sequential: bool) -> Positioning {
-    if force_sequential || prev == Some(inner.wrapping_sub(1)) {
+/// Positioning class of `req` given the request dispatched ahead of it on
+/// the device.
+fn positioning(prev: Option<HeadAt>, req: &Req) -> Positioning {
+    let prev_inner = prev.map(|p| p.inner);
+    if prev == Some(HeadAt { inner: req.inner.wrapping_sub(1), cmd: req.cmd }) {
+        Positioning::Continued
+    } else if req.force_sequential || prev_inner == Some(req.inner.wrapping_sub(1)) {
         Positioning::Sequential
-    } else if prev == Some(inner) {
+    } else if prev_inner == Some(req.inner) {
         Positioning::SameBlock
     } else {
         Positioning::Random
+    }
+}
+
+impl Req {
+    fn head_at(&self) -> HeadAt {
+        HeadAt {
+            inner: self.inner,
+            cmd: self.cmd,
+        }
     }
 }
 
@@ -367,13 +430,13 @@ impl Device {
             .unwrap_or(self.retired_until)
     }
 
-    /// Head state where the unstarted tail begins: `(inner block of the
-    /// last committed request, when the head frees up)`.
-    fn boundary(&self) -> (Option<u64>, SimTime) {
+    /// Head state where the unstarted tail begins: `(the last committed
+    /// request, when the head frees up)`.
+    fn boundary(&self) -> (Option<HeadAt>, SimTime) {
         if let Some(prev) = self.pinned.back() {
-            (Some(prev.inner), prev.end)
+            (Some(prev.head_at()), prev.end)
         } else {
-            (self.retired_inner, self.retired_until)
+            (self.retired, self.retired_until)
         }
     }
 
@@ -415,8 +478,8 @@ impl Device {
     /// schedules it there; returns its completion time, which no later
     /// arrival can move.
     fn push_pinned(&mut self, mut req: Req, now: SimTime, model: &DiskModel) -> SimTime {
-        let (prev_inner, free_at) = self.boundary();
-        let kind = positioning(prev_inner, req.inner, req.force_sequential);
+        let (prev, free_at) = self.boundary();
+        let kind = positioning(prev, &req);
         req.start = free_at.max(now);
         req.end = req.start + model.service_time_kind(BLOCK_SIZE as u64, kind);
         let end = req.end;
@@ -438,7 +501,8 @@ impl Device {
     /// Returns the new request's completion time.
     fn insert_clook(&mut self, mut req: Req, now: SimTime, model: &DiskModel) -> SimTime {
         self.pin_started(now);
-        let (boundary_inner, boundary_free) = self.boundary();
+        let (boundary, boundary_free) = self.boundary();
+        let boundary_inner = boundary.map(|b| b.inner);
         // C-LOOK sweep origin: one past the head's current position.
         let head = boundary_inner.map_or(0, |b| b.wrapping_add(1));
         let key = (req.inner, self.seq);
@@ -458,7 +522,7 @@ impl Device {
         req.end = SimTime::ZERO;
         self.tail.insert(key, req);
         if demoted {
-            self.replan_from(None, boundary_inner, boundary_free, now, model);
+            self.replan_from(None, boundary, boundary_free, now, model);
             return self.tail[&key].end;
         }
         // Fast path: requests ahead of the new one keep their schedule
@@ -476,26 +540,26 @@ impl Device {
                 .map(|(&k, _)| k)
                 .or_else(|| self.tail.range((head, 0)..).next_back().map(|(&k, _)| k))
         };
-        let (prev_inner, prev_free) = match pred {
+        let (prev, prev_free) = match pred {
             Some(k) => {
                 let r = &self.tail[&k];
-                (Some(r.inner), r.end)
+                (Some(r.head_at()), r.end)
             }
-            None => (boundary_inner, boundary_free),
+            None => (boundary, boundary_free),
         };
-        self.replan_from(Some((key, prev_inner, prev_free)), boundary_inner, boundary_free, now, model);
+        self.replan_from(Some((key, prev, prev_free)), boundary, boundary_free, now, model);
         self.tail[&key].end
     }
 
     /// Recomputes schedule times along the sweep. With `from = None`,
     /// re-plans the entire tail from the boundary; with
-    /// `from = Some((key, prev_inner, prev_free))`, re-plans `key` and
+    /// `from = Some((key, prev, prev_free))`, re-plans `key` and
     /// everything after it in sweep order, starting from its
     /// predecessor's state.
     fn replan_from(
         &mut self,
-        from: Option<((u64, u64), Option<u64>, SimTime)>,
-        boundary_inner: Option<u64>,
+        from: Option<((u64, u64), Option<HeadAt>, SimTime)>,
+        boundary: Option<HeadAt>,
         boundary_free: SimTime,
         now: SimTime,
         model: &DiskModel,
@@ -526,17 +590,17 @@ impl Device {
                 }
             }
         };
-        let (mut prev_inner, mut cursor) = match from {
-            None => (boundary_inner, boundary_free.max(now)),
-            Some((_, p_inner, p_free)) => (p_inner, p_free.max(now)),
+        let (mut prev, mut cursor) = match from {
+            None => (boundary, boundary_free.max(now)),
+            Some((_, p, p_free)) => (p, p_free.max(now)),
         };
         for k in keys {
             let r = self.tail.get_mut(&k).expect("collected key");
-            let kind = positioning(prev_inner, r.inner, r.force_sequential);
+            let kind = positioning(prev, r);
             r.start = cursor;
             r.end = cursor + model.service_time_kind(BLOCK_SIZE as u64, kind);
             cursor = r.end;
-            prev_inner = Some(r.inner);
+            prev = Some(r.head_at());
         }
     }
 }
@@ -683,7 +747,7 @@ mod tests {
     /// tested against: one dispatch-order `VecDeque` per device, full
     /// drain + stable sort + full re-plan on every insert.
     mod reference {
-        use super::super::{positioning, Req, TornWrite};
+        use super::super::{positioning, HeadAt, Req, TornWrite};
         use super::RetiredWrite;
         use crate::model::DiskModel;
         use crate::sim::BlockBuf;
@@ -694,20 +758,28 @@ mod tests {
         struct Device {
             queue: VecDeque<Req>,
             barrier: usize,
-            retired_inner: Option<u64>,
+            retired: Option<HeadAt>,
             retired_until: SimTime,
         }
 
         #[derive(Debug, Clone)]
         pub struct RefArray {
             devices: Vec<Device>,
+            commands: u64,
         }
 
         impl RefArray {
             pub fn new(devices: usize) -> Self {
                 RefArray {
                     devices: (0..devices).map(|_| Device::default()).collect(),
+                    commands: 0,
                 }
+            }
+
+            /// Every request is a command of its own.
+            fn command(&mut self) -> u64 {
+                self.commands += 1;
+                self.commands
             }
 
             fn device_of(&self, block: u64) -> usize {
@@ -742,7 +814,7 @@ mod tests {
                         }
                         let r = dev.queue.pop_front().expect("front exists");
                         dev.barrier = dev.barrier.saturating_sub(1);
-                        dev.retired_inner = Some(r.inner);
+                        dev.retired = Some(r.head_at());
                         dev.retired_until = r.end;
                         if let Some(data) = r.data {
                             out.push((r.global, data));
@@ -765,6 +837,7 @@ mod tests {
                 let req = Req {
                     inner,
                     global: block,
+                    cmd: self.command(),
                     data: Some(data),
                     force_sequential,
                     start: SimTime::ZERO,
@@ -789,21 +862,24 @@ mod tests {
                     .rev()
                     .find(|r| r.global == block && r.data.is_some())
                     .and_then(|r| r.data.clone());
+                let cmd = self.command();
                 let d = &mut self.devices[dev];
-                let (prev_inner, free_at) = d.tail_boundary(d.queue.len());
-                let start = free_at.max(now);
-                let kind = positioning(prev_inner, inner, force_sequential);
-                let end =
-                    start + model.service_time_kind(crate::sim::BLOCK_SIZE as u64, kind);
-                d.queue.push_back(Req {
+                let (prev, free_at) = d.tail_boundary(d.queue.len());
+                let mut read = Req {
                     inner,
                     global: block,
+                    cmd,
                     data: None,
                     force_sequential,
-                    start,
-                    end,
+                    start: free_at.max(now),
+                    end: SimTime::ZERO,
                     hardened: false,
-                });
+                };
+                let kind = positioning(prev, &read);
+                read.end = read.start
+                    + model.service_time_kind(crate::sim::BLOCK_SIZE as u64, kind);
+                let end = read.end;
+                d.queue.push_back(read);
                 d.barrier = d.queue.len();
                 (pending, end)
             }
@@ -853,12 +929,12 @@ mod tests {
                     .unwrap_or(self.retired_until)
             }
 
-            fn tail_boundary(&self, idx: usize) -> (Option<u64>, SimTime) {
+            fn tail_boundary(&self, idx: usize) -> (Option<HeadAt>, SimTime) {
                 if idx > 0 {
                     let prev = &self.queue[idx - 1];
-                    (Some(prev.inner), prev.end)
+                    (Some(prev.head_at()), prev.end)
                 } else {
-                    (self.retired_inner, self.retired_until)
+                    (self.retired, self.retired_until)
                 }
             }
 
@@ -876,21 +952,21 @@ mod tests {
             ) -> SimTime {
                 let pinned = self.pinned(now);
                 self.barrier = pinned;
-                let (boundary_inner, boundary_free) = self.tail_boundary(pinned);
-                let head = boundary_inner.map_or(0, |b| b.wrapping_add(1));
+                let (boundary, boundary_free) = self.tail_boundary(pinned);
+                let head = boundary.map_or(0, |b| b.inner.wrapping_add(1));
                 let mut tail: Vec<Req> = self.queue.drain(pinned..).collect();
                 tail.push(req);
                 tail.sort_by_key(|r| (r.inner < head, r.inner));
-                let mut prev_inner = boundary_inner;
+                let mut prev = boundary;
                 let mut cursor = boundary_free.max(now);
                 let mut submitted_end = SimTime::ZERO;
                 for r in &mut tail {
-                    let kind = positioning(prev_inner, r.inner, r.force_sequential);
+                    let kind = positioning(prev, r);
                     r.start = cursor;
                     r.end = cursor
                         + model.service_time_kind(crate::sim::BLOCK_SIZE as u64, kind);
                     cursor = r.end;
-                    prev_inner = Some(r.inner);
+                    prev = Some(r.head_at());
                     if r.global == global && r.data.is_some() {
                         submitted_end = r.end;
                     }

@@ -3,7 +3,8 @@
 //! A request's service time is `overhead + positioning + transfer`, where
 //! positioning (seek + half rotation) is skipped for sequential accesses —
 //! the fast path journaling file systems like AdvFS are built around
-//! (\[Hagmann87\], \[Rosenblum92\]).
+//! (\[Hagmann87\], \[Rosenblum92\]) — and a block that continues a
+//! multi-block command pays its transfer alone.
 
 use crate::time::SimTime;
 
@@ -17,6 +18,10 @@ pub enum Positioning {
     SameBlock,
     /// Anywhere else: average seek plus half a rotation.
     Random,
+    /// The next block of the command the previous request belonged to:
+    /// the drive streams it on without a new command, so it pays neither
+    /// the per-request overhead nor any positioning — its transfer only.
+    Continued,
 }
 
 /// Mechanical and interface parameters of the simulated drive.
@@ -69,11 +74,15 @@ impl DiskModel {
 
     /// Service time with an explicit positioning class.
     pub fn service_time_kind(&self, bytes: u64, kind: Positioning) -> SimTime {
-        let positioning = match kind {
-            Positioning::Sequential => 0,
+        let (overhead, positioning) = match kind {
+            Positioning::Continued => (0, 0),
+            Positioning::Sequential => (self.per_request_overhead_us, 0),
             // Full rotation, no seek: the head just passed this sector.
-            Positioning::SameBlock => 2 * self.half_rotation_us,
-            Positioning::Random => self.avg_seek_us + self.half_rotation_us,
+            Positioning::SameBlock => (self.per_request_overhead_us, 2 * self.half_rotation_us),
+            Positioning::Random => (
+                self.per_request_overhead_us,
+                self.avg_seek_us + self.half_rotation_us,
+            ),
         };
         let transfer = if self.transfer_bytes_per_sec == u64::MAX {
             0
@@ -81,7 +90,7 @@ impl DiskModel {
             // Round up: a partial microsecond still occupies the bus.
             (bytes * 1_000_000).div_ceil(self.transfer_bytes_per_sec)
         };
-        SimTime::from_micros(self.per_request_overhead_us + positioning + transfer)
+        SimTime::from_micros(overhead + positioning + transfer)
     }
 }
 
@@ -146,5 +155,14 @@ mod positioning_tests {
             "same-block = one full rotation"
         );
         assert!(seq < same && same < rnd);
+    }
+
+    #[test]
+    fn continued_block_pays_its_transfer_only() {
+        let m = DiskModel::paper_scsi();
+        let cont = m.service_time_kind(8192, Positioning::Continued);
+        let seq = m.service_time_kind(8192, Positioning::Sequential);
+        assert_eq!(seq.as_micros() - cont.as_micros(), m.per_request_overhead_us);
+        assert_eq!(cont.as_micros(), (8192 * 1_000_000u64).div_ceil(m.transfer_bytes_per_sec));
     }
 }

@@ -244,13 +244,57 @@ impl SimDisk {
         now: SimTime,
         force_sequential: bool,
     ) -> SimTime {
+        let cmd = self.plane.command();
+        self.submit_command_write(cmd, block, data, now, force_sequential)
+    }
+
+    /// Submits one write command covering the contiguous blocks `first`,
+    /// `first + 1`, … — one full block of `pages` each — and returns each
+    /// block's completion time.
+    ///
+    /// The drive streams a command's blocks back to back: a block
+    /// dispatched right behind the previous block of its command pays its
+    /// transfer only ([`crate::Positioning::Continued`]), so a run costs one
+    /// per-request overhead, not one per block. Each block is still its
+    /// own request to everything else: it counts as one write, and a crash
+    /// mid-run lands the prefix, tears the one block in flight and loses
+    /// the rest. On a striped disk the run splits per device, each share
+    /// streaming on its own spindle. A one-block run is
+    /// [`SimDisk::submit_write_from`].
+    ///
+    /// # Panics
+    ///
+    /// As [`SimDisk::submit_write`], for any block of the run.
+    pub fn submit_write_run(&mut self, first: u64, pages: &[&[u8]], now: SimTime) -> Vec<SimTime> {
+        let cmd = self.plane.command();
+        pages
+            .iter()
+            .zip(first..)
+            .map(|(data, block)| self.submit_command_write(cmd, block, data, now, false))
+            .collect()
+    }
+
+    /// One block of disk command `cmd`.
+    fn submit_command_write(
+        &mut self,
+        cmd: u64,
+        block: u64,
+        data: &[u8],
+        now: SimTime,
+        force_sequential: bool,
+    ) -> SimTime {
         assert_eq!(data.len(), BLOCK_SIZE, "write must be one full block");
         assert!(block < self.num_blocks(), "block {block} out of range");
         let data = buf_from(&mut self.free, data);
         self.retire(now);
-        let end = self
-            .plane
-            .submit_write(block, data, now, force_sequential, &self.model);
+        let end = self.plane.submit_command_write(
+            cmd,
+            block,
+            data,
+            now,
+            force_sequential,
+            &self.model,
+        );
         self.stats.writes += 1;
         self.stats.bytes_written += BLOCK_SIZE as u64;
         if rio_obs::is_enabled() {
@@ -830,5 +874,133 @@ mod same_block_tests {
             svc2,
             d.model().service_time_kind(BLOCK_SIZE as u64, crate::model::Positioning::SameBlock)
         );
+    }
+}
+
+#[cfg(test)]
+mod run_tests {
+    use super::*;
+    use crate::model::Positioning;
+
+    fn block_of(byte: u8) -> Vec<u8> {
+        vec![byte; BLOCK_SIZE]
+    }
+
+    fn svc(d: &SimDisk, kind: Positioning) -> SimTime {
+        d.model().service_time_kind(BLOCK_SIZE as u64, kind)
+    }
+
+    /// `n` distinct pages and the slices a run takes.
+    fn pages(n: u8) -> Vec<Vec<u8>> {
+        (1..=n).map(block_of).collect()
+    }
+
+    fn refs(pages: &[Vec<u8>]) -> Vec<&[u8]> {
+        pages.iter().map(Vec::as_slice).collect()
+    }
+
+    #[test]
+    fn a_run_pays_one_overhead_and_a_transfer_per_block() {
+        let mut d = SimDisk::new(32, DiskModel::paper_scsi());
+        let start = d.submit_write(9, block_of(0), SimTime::ZERO, false);
+        let data = pages(5);
+        let ends = d.submit_write_run(10, &refs(&data), SimTime::ZERO);
+        // Block 10 follows block 9 (sequential: an overhead, no seek);
+        // blocks 11–14 stream on behind it.
+        let transfer = svc(&d, Positioning::Continued);
+        let overhead = SimTime::from_micros(d.model().per_request_overhead_us);
+        assert_eq!(ends[0], start + overhead + transfer);
+        for pair in ends.windows(2) {
+            assert_eq!(pair[1], pair[0] + transfer);
+        }
+        assert_eq!(d.stats().writes, 6, "each block counts as a write");
+        // The next run is a command of its own, though its first block
+        // follows this run's last one: it pays an overhead again.
+        let next = d.submit_write_run(15, &refs(&data[..2]), SimTime::ZERO);
+        assert_eq!(next[0], ends[4] + overhead + transfer);
+        d.sync(SimTime::ZERO);
+        for (block, page) in (10..).zip(&data) {
+            assert_eq!(d.peek(block), &page[..]);
+        }
+    }
+
+    #[test]
+    fn a_crash_mid_run_lands_the_prefix_tears_one_block_and_loses_the_rest() {
+        let mut d = SimDisk::new(32, DiskModel::paper_scsi());
+        let data = pages(6);
+        let ends = d.submit_write_run(4, &refs(&data), SimTime::ZERO);
+        // Inside block 7's transfer (the run's fourth block).
+        d.crash(SimTime::from_micros((ends[2].as_micros() + ends[3].as_micros()) / 2));
+        for (block, page) in (4..7).zip(&data) {
+            assert_eq!(d.peek(block), &page[..], "block {block} of the prefix");
+            assert!(!d.is_torn(block));
+        }
+        assert!(d.is_torn(7));
+        assert_eq!(d.peek(7)[..BLOCK_SIZE / 2], data[3][..BLOCK_SIZE / 2]);
+        for block in 8..10 {
+            assert_eq!(d.peek(block), &block_of(0)[..], "block {block} was lost");
+        }
+        assert_eq!(d.stats().blocks_torn_at_crash, 1);
+        assert_eq!(d.stats().writes_lost_at_crash, 2);
+    }
+
+    /// At D > 1 the queue sorts: a rewrite of a run's block queued behind
+    /// it sits between that block and the run's next one, which then
+    /// starts a new command — a fresh overhead.
+    #[test]
+    fn a_rewrite_sorted_inside_a_run_breaks_the_continuation() {
+        let script = |rewrite: bool| {
+            let mut d = SimDisk::new_striped(64, DiskModel::paper_scsi(), 2);
+            // Busy device 0, so the run's share of it waits in the tail.
+            let busy = d.submit_write(0, block_of(9), SimTime::ZERO, false);
+            let data = pages(8);
+            // Global 20..28: device 0 holds inner 10..14.
+            d.submit_write_run(20, &refs(&data), SimTime::ZERO);
+            if rewrite {
+                d.submit_write(22, block_of(0xEE), SimTime::ZERO, false);
+            }
+            (busy, d.idle_at(SimTime::ZERO), d)
+        };
+        let (busy, plain, d) = script(false);
+        let (_, rewritten, _) = script(true);
+        let cont = svc(&d, Positioning::Continued);
+        // Device 0 alone, in sweep order: inner 10 after inner 0 (random),
+        // then 11–13 streamed.
+        assert_eq!(plain, busy + svc(&d, Positioning::Random) + cont + cont + cont);
+        // With the rewrite: 10 random, 11 streamed, the rewrite of 11 a
+        // full rotation, then 12 a new command (sequential), 13 streamed.
+        assert_eq!(
+            rewritten,
+            busy + svc(&d, Positioning::Random)
+                + cont
+                + svc(&d, Positioning::SameBlock)
+                + svc(&d, Positioning::Sequential)
+                + cont
+        );
+    }
+
+    /// A one-block run is `submit_write_from`: same completion times, same
+    /// bytes, tears and counters after a crash, at one device and at four.
+    #[test]
+    fn a_one_block_run_is_a_submit_write_from() {
+        for devices in [1, 4] {
+            let mut run = SimDisk::new_striped(64, DiskModel::paper_scsi(), devices);
+            let mut single = run.clone();
+            let mut now = SimTime::ZERO;
+            for (i, block) in [7u64, 8, 8, 30, 2, 3, 40, 41].into_iter().enumerate() {
+                let page = block_of(i as u8 + 1);
+                let a = run.submit_write_run(block, &[&page], now);
+                let b = single.submit_write_from(block, &page, now, false);
+                assert_eq!(a, [b], "block {block} at D = {devices}");
+                now += SimTime::from_micros(4_000);
+            }
+            run.crash(now);
+            single.crash(now);
+            assert_eq!(run.stats(), single.stats(), "D = {devices}");
+            for b in 0..64 {
+                assert_eq!(run.peek(b), single.peek(b), "block {b} at D = {devices}");
+                assert_eq!(run.is_torn(b), single.is_torn(b), "block {b} at D = {devices}");
+            }
+        }
     }
 }

@@ -168,8 +168,8 @@ impl Kernel {
         let block = match self.file_block(&inode, pidx)? {
             Some(b) => b,
             None => {
-                let b = self.alloc_block()?;
-                self.set_file_block(ino, &mut inode, pidx, b)?;
+                let b = self.alloc_blocks(1)?[0];
+                self.set_file_blocks(ino, &mut inode, pidx, &[b])?;
                 b
             }
         };
@@ -180,6 +180,19 @@ impl Kernel {
             now,
             false,
         );
+        self.ubc_page_queued(key, page, done, wait)
+    }
+
+    /// A dirty UBC page's write is queued, completing at `done`: wait for
+    /// it if `wait`, mark the page clean, and settle its registry DIRTY
+    /// bit — now if the write is durable, when it completes otherwise.
+    fn ubc_page_queued(
+        &mut self,
+        key: (u64, u64),
+        page: PageNum,
+        done: rio_disk::SimTime,
+        wait: bool,
+    ) -> Result<(), KernelError> {
         if wait {
             self.machine.clock.wait_until(done);
             self.stats.sync_waits += 1;
@@ -392,7 +405,7 @@ impl Kernel {
                 let due = entry.0 >= cluster_bytes || !sequential;
                 if due {
                     self.cluster_accum.insert(ino, (0, offset + len));
-                    self.flush_file_pages(ino, false)?;
+                    self.cluster_file_pages(ino)?;
                 }
                 Ok(())
             }
@@ -424,20 +437,134 @@ impl Kernel {
         Ok(())
     }
 
-    /// Flushes all dirty UBC pages of one file; `wait` makes it synchronous.
-    pub(crate) fn flush_file_pages(&mut self, ino: u64, wait: bool) -> Result<(), KernelError> {
-        let keys: Vec<(u64, u64)> = self
-            .ubc
+    /// The dirty UBC pages of one file, oldest first.
+    fn dirty_pages_of(&self, ino: u64) -> Vec<(u64, u64)> {
+        self.ubc
             .dirty_keys()
             .into_iter()
             .filter(|k| k.0 == ino)
-            .collect();
-        for key in keys {
+            .collect()
+    }
+
+    /// Flushes all dirty UBC pages of one file a page at a time, oldest
+    /// first, as `bwrite` / `bawrite` write one buffer each; `wait` makes
+    /// it synchronous (write-through) — `fsync` waits once at its end.
+    pub(crate) fn flush_file_pages(&mut self, ino: u64, wait: bool) -> Result<(), KernelError> {
+        for key in self.dirty_pages_of(ino) {
             let page = self
                 .ubc
                 .peek(key)
                 .expect("dirty key is resident");
             self.flush_one_ubc_page(key, page, wait)?;
+        }
+        Ok(())
+    }
+
+    /// Queues all dirty UBC pages of one file to the disk as one cluster:
+    /// the write path's asynchronous flush — the clustered data policy's
+    /// 64 KB flush and the warm reboot's write-behind — as FFS's
+    /// `cluster_write` is (McVoy & Kleiman 1991). The file's unbacked pages are
+    /// allocated as one extent and mapped with one metadata update per
+    /// stretch of consecutive pages, and each run of pages whose blocks
+    /// are contiguous goes to the disk as one command. The blocks, and so
+    /// the disk's bytes, are the ones [`Kernel::flush_file_pages`] would
+    /// give. A volume that fills part-way leaves the pages it could not
+    /// place dirty and returns [`KernelError::NoSpace`] once the placed
+    /// ones are queued.
+    pub(crate) fn cluster_file_pages(&mut self, ino: u64) -> Result<(), KernelError> {
+        let keys = self.dirty_pages_of(ino);
+        if keys.is_empty() {
+            return Ok(());
+        }
+        let mut inode = self.read_inode(ino)?;
+        let mut blocks = Vec::with_capacity(keys.len());
+        for &(_, pidx) in &keys {
+            blocks.push(self.file_block(&inode, pidx)?);
+        }
+        let backed = self.back_pages(ino, &mut inode, &keys, &mut blocks);
+        // Every page with a block goes out, those placed before the volume
+        // filled included.
+        let mut i = 0;
+        while i < keys.len() {
+            let Some(first) = blocks[i] else {
+                i += 1;
+                continue;
+            };
+            let end = (i + 1..keys.len())
+                .find(|&j| blocks[j] != Some(first + (j - i) as u64))
+                .unwrap_or(keys.len());
+            let pages: Vec<PageNum> = keys[i..end]
+                .iter()
+                .map(|&k| self.ubc.peek(k).expect("dirty key is resident"))
+                .collect();
+            let now = self.machine.clock.now();
+            let mem = self.machine.bus.mem();
+            let data: Vec<&[u8]> = pages.iter().map(|&p| mem.page(p)).collect();
+            let done = self.machine.disk.submit_write_run(first, &data, now);
+            for ((&key, page), done) in keys[i..end].iter().zip(pages).zip(done) {
+                self.ubc_page_queued(key, page, done, false)?;
+            }
+            i = end;
+        }
+        backed
+    }
+
+    /// Drops page `pidx` of `ino` from the cache, registry entry and all,
+    /// if it is still dirty — a page a cluster could not place. Returns
+    /// whether it did.
+    pub(crate) fn drop_dirty_page(&mut self, ino: u64, pidx: u64) -> Result<bool, KernelError> {
+        let key = (ino, pidx);
+        if !self.ubc.is_dirty(key) {
+            return Ok(false);
+        }
+        if let Some(page) = self.ubc.remove(key) {
+            self.rio_clear_entry(page)?;
+        }
+        Ok(true)
+    }
+
+    /// Gives every page of `keys` without a block (`blocks[i] == None`) one,
+    /// in order, allocating them as one extent. Per-page allocation would
+    /// take the indirect block right after the data block of the first
+    /// page that needs it, so the extent splits there and the indirect
+    /// block lands where it would. Stops at the first error, leaving the
+    /// pages it could not place without a block.
+    fn back_pages(
+        &mut self,
+        ino: u64,
+        inode: &mut Inode,
+        keys: &[(u64, u64)],
+        blocks: &mut [Option<u64>],
+    ) -> Result<(), KernelError> {
+        let unbacked: Vec<usize> = (0..keys.len()).filter(|&i| blocks[i].is_none()).collect();
+        let mut rest = &unbacked[..];
+        while !rest.is_empty() {
+            let take = match inode.indirect {
+                0 => rest
+                    .iter()
+                    .position(|&i| keys[i].1 >= crate::ondisk::NDIRECT as u64)
+                    .map_or(rest.len(), |p| p + 1),
+                _ => rest.len(),
+            };
+            let (extent, later) = rest.split_at(take);
+            let got = self.alloc_blocks(extent.len())?;
+            let placed = &extent[..got.len()];
+            // One mapping update per stretch of consecutive pages.
+            let mut s = 0;
+            while s < placed.len() {
+                let e = (s + 1..placed.len())
+                    .find(|&e| keys[placed[e]].1 != keys[placed[e - 1]].1 + 1)
+                    .unwrap_or(placed.len());
+                self.set_file_blocks(ino, inode, keys[placed[s]].1, &got[s..e])?;
+                for (&i, &b) in placed[s..e].iter().zip(&got[s..e]) {
+                    blocks[i] = Some(b);
+                }
+                s = e;
+            }
+            if got.len() < extent.len() {
+                return Err(KernelError::NoSpace);
+            }
+            rest = later;
         }
         Ok(())
     }

@@ -544,34 +544,58 @@ impl Kernel {
     // Block bitmap
     // ------------------------------------------------------------------
 
-    /// Allocates one data block.
+    /// Allocates up to `n` data blocks as one extent: the `n` lowest free
+    /// blocks in ascending order — exactly the blocks `n` first-fit
+    /// allocations in a row would choose — with one bitmap update per
+    /// bitmap block they fall in. When the disk runs out part-way, the
+    /// blocks it had are returned (and stay allocated); the caller sees
+    /// the shortfall.
     ///
     /// # Errors
     ///
-    /// [`KernelError::NoSpace`] when the disk is full.
-    pub(crate) fn alloc_block(&mut self) -> Result<u64, KernelError> {
+    /// [`KernelError::NoSpace`] when not one block is free.
+    pub(crate) fn alloc_blocks(&mut self, n: usize) -> Result<Vec<u64>, KernelError> {
+        debug_assert!(n > 0, "an extent of no blocks");
         self.machine.clock.charge_page_op();
         let g = self.geometry;
+        let mut got = Vec::with_capacity(n);
         // One look-up per bitmap block, then a scan of its bytes; the last
         // bitmap block tracks fewer blocks than it has bits.
         let mut b = g.data_start;
-        while b < g.num_blocks {
+        while b < g.num_blocks && got.len() < n {
             let (bm_block, from) = g.bitmap_location(b);
             let page = self.bget(bm_block, false)?;
             let here = ((8 * BLOCK_SIZE - from) as u64).min(g.num_blocks - b);
             let bitmap = self.machine.bus.mem().page(page);
-            if let Some(bit) = first_clear_bit(bitmap, from, from + here as usize) {
-                let new = bitmap[bit / 8] | (1 << (bit % 8));
-                self.meta_update_async(bm_block, bit / 8, &[new])?;
-                return Ok(b + (bit - from) as u64);
+            let mut bits = Vec::new();
+            let mut at = from;
+            while got.len() + bits.len() < n {
+                let Some(bit) = first_clear_bit(bitmap, at, from + here as usize) else {
+                    break;
+                };
+                bits.push(bit);
+                at = bit + 1;
+            }
+            if let (Some(&lo), Some(&hi)) = (bits.first(), bits.last()) {
+                let (lo, hi) = (lo / 8, hi / 8);
+                let mut bytes = bitmap[lo..=hi].to_vec();
+                for &bit in &bits {
+                    bytes[bit / 8 - lo] |= 1 << (bit % 8);
+                }
+                self.meta_update_async(bm_block, lo, &bytes)?;
+                got.extend(bits.iter().map(|&bit| b + (bit - from) as u64));
             }
             b += here;
         }
-        Err(KernelError::NoSpace)
+        if got.is_empty() {
+            return Err(KernelError::NoSpace);
+        }
+        Ok(got)
     }
 
-    /// [`Kernel::alloc_block`] as first written — one `bget` per candidate
-    /// bit. The definition the block-at-a-time scan is tested against.
+    /// One-block [`Kernel::alloc_blocks`] as first written — one `bget` per
+    /// candidate bit. The definition the block-at-a-time scan is tested
+    /// against.
     #[cfg(test)]
     fn alloc_block_reference(&mut self) -> Result<u64, KernelError> {
         self.machine.clock.charge_page_op();
@@ -657,34 +681,42 @@ impl Kernel {
         Ok(Some(raw))
     }
 
-    /// Records `block` as the backing store of file page `idx`, updating
-    /// the inode (and indirect block) through the metadata path. The caller
-    /// writes the inode afterwards for direct slots; indirect slots are
-    /// persisted here.
-    pub(crate) fn set_file_block(
+    /// Records `blocks` as the backing store of the file pages `first`,
+    /// `first + 1`, …, through the metadata path: one inode write when a
+    /// direct pointer changes or the indirect block is new, and one update
+    /// of the indirect block's slots when the run reaches past the direct
+    /// pointers. A run that first enters the indirect range allocates the
+    /// indirect block here, after the run's own blocks.
+    pub(crate) fn set_file_blocks(
         &mut self,
         ino: u64,
         inode: &mut Inode,
-        idx: u64,
-        block: u64,
+        first: u64,
+        blocks: &[u64],
     ) -> Result<(), KernelError> {
-        if idx >= MAX_FILE_BLOCKS {
+        let end = first + blocks.len() as u64;
+        if end > MAX_FILE_BLOCKS {
             return Err(KernelError::FileTooBig);
         }
-        if (idx as usize) < NDIRECT {
-            inode.direct[idx as usize] = block;
-            self.write_inode_async(ino, inode)?;
-            return Ok(());
+        let split = (NDIRECT as u64).clamp(first, end);
+        let (direct, indirect) = blocks.split_at((split - first) as usize);
+        if !direct.is_empty() {
+            inode.direct[first as usize..split as usize].copy_from_slice(direct);
+        }
+        if indirect.is_empty() {
+            return self.write_inode_async(ino, inode);
         }
         if inode.indirect == 0 {
-            let ib = self.alloc_block()?;
+            let ib = self.alloc_blocks(1)?[0];
             // Fresh indirect block: zero-filled.
             self.meta_update_fresh(ib, 0, &[0u8; 8])?;
             inode.indirect = ib;
             self.write_inode_async(ino, inode)?;
+        } else if !direct.is_empty() {
+            self.write_inode_async(ino, inode)?;
         }
-        let slot = (idx as usize - NDIRECT) * 8;
-        self.meta_update_async(inode.indirect, slot, &block.to_le_bytes())
+        let slots: Vec<u8> = indirect.iter().flat_map(|b| b.to_le_bytes()).collect();
+        self.meta_update_async(inode.indirect, (split as usize - NDIRECT) * 8, &slots)
     }
 
     /// All allocated blocks of a file (for unlink), including the indirect
@@ -800,8 +832,8 @@ impl Kernel {
             }
         }
         // Extend the directory with a new block.
-        let block = self.alloc_block()?;
-        self.set_file_block(dir_ino, &mut dir, nblocks, block)?;
+        let block = self.alloc_blocks(1)?[0];
+        self.set_file_blocks(dir_ino, &mut dir, nblocks, &[block])?;
         dir.size += BLOCK_SIZE as u64;
         dir.mtime = self.machine.clock.now().as_micros();
         self.write_inode(dir_ino, &dir)?;
@@ -1032,12 +1064,14 @@ mod tests {
             .collect()
     }
 
-    /// `alloc_block` / `alloc_inode` scan a block per look-up; the per-bit
+    /// `alloc_blocks` / `alloc_inode` scan a block per look-up; the per-bit
     /// scans they replaced are the definition. Over bitmaps and inode
     /// tables with a full first block and a partial last one, with other
     /// buffer-cache traffic in between, both must choose the same block or
     /// inode (or `NoSpace` / `NoInodes`) and leave the same machine, the
-    /// same clock and the same buffer-cache eviction order.
+    /// same clock and the same buffer-cache eviction order. Then an extent
+    /// of `n` blocks must be the blocks `n` first-fit allocations in a row
+    /// choose — as many as there are — and leave the same bitmap.
     #[test]
     fn block_at_a_time_allocators_match_the_per_bit_scans() {
         use crate::ondisk::{DiskGeometry, INODES_PER_BLOCK};
@@ -1088,7 +1122,10 @@ mod tests {
             let mut old = new.clone();
             for _ in 0..g.len_between(1, 24) {
                 match g.in_range(0..3u32) {
-                    0 => pt_assert_eq!(new.alloc_block(), old.alloc_block_reference()),
+                    0 => pt_assert_eq!(
+                        new.alloc_blocks(1).map(|b| b[0]),
+                        old.alloc_block_reference()
+                    ),
                     1 => pt_assert_eq!(
                         new.alloc_inode(FileType::File),
                         old.alloc_inode_reference(FileType::File)
@@ -1103,6 +1140,90 @@ mod tests {
             crate::sched::tests::same_machine(&new, &old)?;
             pt_assert_eq!(new.machine.clock.now(), old.machine.clock.now());
             pt_assert_eq!(new.bufcache.lru_order(), old.bufcache.lru_order());
+
+            let n = g.in_range(2..48usize);
+            let want: Vec<u64> = (0..n)
+                .map_while(|_| old.alloc_block_reference().ok())
+                .collect();
+            match new.alloc_blocks(n) {
+                Ok(got) => pt_assert_eq!(got, want),
+                Err(e) => {
+                    pt_assert_eq!(e, KernelError::NoSpace);
+                    pt_assert!(want.is_empty());
+                }
+            }
+            for bm in geo.bitmap_start..geo.bitmap_start + 2 {
+                let (p_new, p_old) = (new.bget(bm, false).unwrap(), old.bget(bm, false).unwrap());
+                pt_assert!(new.machine.bus.mem().page(p_new) == old.machine.bus.mem().page(p_old));
+            }
+            Ok(())
+        });
+    }
+
+    /// A cluster backs a file's pages where a page at a time would: the
+    /// same data blocks, the same indirect block, the same disk once the
+    /// metadata is out — whatever order the pages were dirtied in, with
+    /// some already backed, and with runs that first enter the indirect
+    /// range.
+    #[test]
+    fn a_cluster_backs_pages_where_a_page_at_a_time_would() {
+        check("cluster == page at a time", Config::with_cases(64), |g| {
+            let config = KernelConfig::small(Policy::rio(RioMode::Protected));
+            let mut k = Kernel::mkfs_and_mount(&config).expect("mkfs");
+            let fd = k.create("/f").expect("create");
+            let ino = k.stat("/f").expect("stat").ino;
+            let write = |k: &mut Kernel, g: &mut Gen, pidx: u64| {
+                let data = g.bytes(1, PAGE_SIZE);
+                k.pwrite(fd, pidx * PAGE_SIZE as u64, &data).expect("pwrite");
+            };
+            let nd = NDIRECT as u64;
+            // The shape the property must not miss: a run that reaches
+            // past the direct pointers of a file with no indirect block.
+            let crossing = g.in_range(0..3u32) == 0;
+            let dirty: Vec<u64> = if crossing {
+                (nd - 2..nd + 3).collect()
+            } else {
+                // Some pages already backed; another file's blocks between.
+                for _ in 0..g.in_range(0..4u32) {
+                    let pidx = g.in_range(0..nd + 12);
+                    write(&mut k, g, pidx);
+                    k.flush_file_pages(ino, false).expect("flush");
+                }
+                let other = k.create("/g").expect("create");
+                k.write(other, &g.bytes(1, 3 * PAGE_SIZE)).expect("write");
+                let other = k.stat("/g").expect("stat").ino;
+                k.flush_file_pages(other, false).expect("flush");
+                // Dirtied in any order.
+                let mut dirty: Vec<u64> = (0..nd + 12).filter(|_| g.bool()).collect();
+                for i in (1..dirty.len()).rev() {
+                    dirty.swap(i, g.in_range(0..=i));
+                }
+                dirty
+            };
+            for &pidx in &dirty {
+                write(&mut k, g, pidx);
+            }
+
+            let mut paged = k.clone();
+            paged.flush_file_pages(ino, false).expect("page at a time");
+            let commits = k.stats.shadow_commits;
+            k.cluster_file_pages(ino).expect("cluster");
+            pt_assert_eq!(k.read_inode(ino).unwrap(), paged.read_inode(ino).unwrap());
+            if crossing {
+                // Three bitmap updates (the extent to the first indirect
+                // page, the indirect block, the rest), the fresh indirect
+                // block, one inode write, one slot update per extent.
+                pt_assert_eq!(k.stats.shadow_commits - commits, 7);
+                let inode = k.read_inode(ino).unwrap();
+                let first_indirect = k.file_block(&inode, nd).unwrap().unwrap();
+                pt_assert_eq!(inode.indirect, first_indirect + 1);
+            }
+            for kernel in [&mut k, &mut paged] {
+                kernel.flush_everything(true).expect("sync");
+            }
+            for b in 0..k.machine.disk.num_blocks() {
+                pt_assert!(k.machine.disk.peek(b) == paged.machine.disk.peek(b), "block {b}");
+            }
             Ok(())
         });
     }

@@ -14,10 +14,13 @@
 //! ([`rio_core::EntryFlags::RESTORED`] / [`rio_core::EntryFlags::REPLAYED`]),
 //! each set only once the corresponding bytes are durably on disk. The
 //! restore commits block by block, as each write lands. The replay — "normal
-//! system calls such as open and write", none of them synchronous — writes
-//! each file's run of contiguous recovered pages (a bounded number at a
-//! time) with one `pwrite` and queues the run's blocks to the disk behind
-//! it, so the disk works while the replay moves on. It has one commit
+//! system calls such as open and write", none of them synchronous — first
+//! looks each file's inode up, so no inode-block read waits behind its
+//! writes at the disk. It then writes each file's run of contiguous
+//! recovered pages (a bounded number at a time) with one `pwrite` and
+//! queues the run behind it as one cluster — its blocks allocated as one
+//! extent, written as one disk command — so the disk works while the
+//! replay moves on. It has one commit
 //! point: one flush drains that queue and makes the inode, bitmap and
 //! indirect blocks that reach the data durable, and only then are the
 //! pages marked `REPLAYED`. A second
@@ -330,12 +333,12 @@ impl Kernel {
         // Phase 4: user-level replay of recovered file pages through
         // normal system calls, with one commit point. Each file's run of
         // contiguous recovered pages is written with one pwrite and queued
-        // to the disk behind it, so the disk works while the replay moves
-        // on; one synchronous flush then makes every page — and the inode,
-        // bitmap and indirect blocks that reach them — durable, and only
-        // then is each marked REPLAYED. Replayed writes keep the recovered
-        // mtime so interrupted and uninterrupted recoveries produce
-        // identical disk bytes.
+        // to the disk behind it as one cluster, so the disk works while the
+        // replay moves on; one synchronous flush then makes every page —
+        // and the inode, bitmap and indirect blocks that reach them —
+        // durable, and only then is each marked REPLAYED. Replayed writes
+        // keep the recovered mtime so interrupted and uninterrupted
+        // recoveries produce identical disk bytes.
         kernel.preserve_mtime_on_write = true;
         let mut report = BootReport {
             warm: Some(recovery.stats),
@@ -345,6 +348,20 @@ impl Kernel {
         };
         let mut pages = recovery.file_pages;
         pages.sort_by_key(|p| (p.ino, p.offset));
+        // Look each file's inode up once before any write is queued: the
+        // disk serves in arrival order, so an inode-block read issued
+        // mid-replay would wait behind the whole write-behind queue. The
+        // lookup is the one `pwrite_ino` makes; a free inode is left for
+        // the replay to count page by page.
+        let mut inos: Vec<u64> = pages
+            .iter()
+            .filter(|p| !p.already_replayed)
+            .map(|p| p.ino)
+            .collect();
+        inos.dedup();
+        for ino in inos {
+            kernel.read_inode_opt(ino).map_err(WarmBootError::Fatal)?;
+        }
         let mut written = Vec::new();
         let mut start = 0;
         while start < pages.len() {
@@ -376,9 +393,26 @@ impl Kernel {
             // Write behind: the run's blocks go to the disk now, but no
             // on-disk metadata reaches them until the flush below, and
             // nothing is committed before it.
-            kernel
-                .flush_file_pages(ino, false)
-                .map_err(WarmBootError::Fatal)?;
+            match kernel.cluster_file_pages(ino) {
+                Ok(()) => {}
+                Err(e) if fatal(&e) => return Err(WarmBootError::Fatal(e)),
+                // The volume filled part-way: the pages it could not place
+                // leave the cache and are counted unreplayable one by one;
+                // the image still holds them.
+                Err(_) => {
+                    for (index, slot) in written.split_off(first) {
+                        let p = &pages[index as usize];
+                        let dropped = kernel
+                            .drop_dirty_page(p.ino, p.offset / PAGE_SIZE as u64)
+                            .map_err(WarmBootError::Fatal)?;
+                        if dropped {
+                            report.pages_unreplayable += 1;
+                        } else {
+                            written.push((index, slot));
+                        }
+                    }
+                }
+            }
             for &(index, _) in &written[first..] {
                 let point = RecoveryPoint::AfterReplayWrite { index };
                 if !ctl.reached(point) {

@@ -8,10 +8,10 @@ use rio_core::{RecoveredFilePage, RioMode};
 use rio_det::proptest_lite::{check, Config, Gen};
 use rio_disk::SimDisk;
 use rio_kernel::{
-    Kernel, KernelConfig, NoRecoveryFaults, PanicReason, Policy, RecoveryControl, RecoveryPoint,
-    WarmBootError,
+    BootReport, DiskGeometry, Kernel, KernelConfig, NoRecoveryFaults, PanicReason, Policy,
+    RecoveryControl, RecoveryPoint, WarmBootError,
 };
-use rio_mem::PhysMem;
+use rio_mem::{PhysMem, PAGE_SIZE};
 use std::collections::BTreeSet;
 
 /// Counts recovery points without interrupting.
@@ -331,6 +331,119 @@ fn replay_flushes_once_and_writes_each_block_once() {
             report.pages_replayed + inode_blocks.len() as u64 + 1
         );
     }
+}
+
+/// A single-shot warm boot of `c`, with the metadata updates it commits
+/// counted by the block they land in: `[bitmap, inode table, other]` —
+/// the other being indirect blocks.
+fn boot_counting_metadata_updates(c: &Crashed) -> (BootReport, [u64; 3]) {
+    rio_obs::start(rio_obs::DEFAULT_CAPACITY);
+    let booted = Kernel::warm_boot(&c.config, &c.image, c.disk.clone());
+    let trace = rio_obs::finish().expect("session open");
+    let (_, report) = booted.expect("warm boot");
+    assert_eq!(trace.dropped, 0);
+    let g = c.config.geometry;
+    let mut updates = [0; 3];
+    for e in &trace.events {
+        let rio_obs::Payload::Block { block, .. } = e.payload else {
+            continue;
+        };
+        if e.category != rio_obs::EventCategory::ShadowCommit {
+            continue;
+        }
+        let kind = if (g.bitmap_start..g.bitmap_start + g.bitmap_len).contains(&block) {
+            0
+        } else if (g.inode_start..g.inode_start + g.inode_len).contains(&block) {
+            1
+        } else {
+            2
+        };
+        updates[kind] += 1;
+    }
+    (report, updates)
+}
+
+/// The write-behind of a replayed run is one cluster: one bitmap update,
+/// at most one inode update and at most one update of the indirect block,
+/// however many pages the run holds — a page at a time paid a bitmap and
+/// an inode update per page. The run's `pwrite` adds one inode update of
+/// its own (size and mtime).
+#[test]
+fn a_replayed_run_costs_one_update_per_metadata_block() {
+    // Four runs of one to four direct pages.
+    let c = crashed_multipage_workload(RioMode::Protected);
+    let (report, updates) = boot_counting_metadata_updates(&c);
+    assert_eq!(report.pages_replayed, 8);
+    assert_eq!(updates, [4, 4 + 4, 0]);
+
+    // One four-page run appended to a file whose indirect block is
+    // already on disk: no direct pointer changes, so the cluster writes
+    // the bitmap and the indirect block once each, and only the `pwrite`
+    // writes the inode.
+    let config = KernelConfig::small(Policy::rio(RioMode::Protected));
+    let mut k = Kernel::mkfs_and_mount(&config).expect("mkfs");
+    let fd = k.create("/big").unwrap();
+    for i in 0..20u8 {
+        k.write(fd, &[i; PAGE_SIZE]).unwrap();
+    }
+    k.set_reliability_writes(true);
+    k.sync().unwrap();
+    k.set_reliability_writes(false);
+    for i in 20..24u8 {
+        k.write(fd, &[i; PAGE_SIZE]).unwrap();
+    }
+    k.close(fd).unwrap();
+    let c = crash(k, config, vec!["/big".into()]);
+    let (report, updates) = boot_counting_metadata_updates(&c);
+    assert_eq!(report.pages_replayed, 4);
+    assert_eq!(updates, [1, 1, 1]);
+}
+
+/// Free data blocks on `disk`, by its bitmap.
+fn free_blocks(disk: &SimDisk, g: &DiskGeometry) -> u64 {
+    (g.data_start..g.num_blocks)
+        .filter(|&b| {
+            let (block, bit) = g.bitmap_location(b);
+            disk.peek(block)[bit / 8] & (1 << (bit % 8)) == 0
+        })
+        .count() as u64
+}
+
+/// A run whose write-behind fills the volume part-way places what fits:
+/// those pages replay, and only the pages it could not place are counted
+/// unreplayable — the boot goes on.
+#[test]
+fn a_run_that_fills_the_volume_counts_only_the_pages_it_could_not_place() {
+    const LEFT: u64 = 2;
+    let mut config = KernelConfig::small(Policy::rio(RioMode::Protected));
+    config.geometry = DiskGeometry::new(160, 64, 0);
+    config.machine.disk_blocks = 160;
+    let g = config.geometry;
+    let mut k = Kernel::mkfs_and_mount(&config).expect("mkfs");
+    // Fill the volume durably until exactly LEFT blocks are free; the
+    // first NDIRECT + 1 pages take the indirect block along.
+    k.set_reliability_writes(true);
+    let fill = k.create("/fill").unwrap();
+    for i in 0.. {
+        if i > 16 && free_blocks(&k.machine.disk, &g) == LEFT {
+            break;
+        }
+        k.write(fill, &[1; PAGE_SIZE]).unwrap();
+        k.sync().unwrap();
+    }
+    k.set_reliability_writes(false);
+    let data: Vec<u8> = (0..5 * PAGE_SIZE).map(|j| (j % 251) as u8).collect();
+    let fd = k.create("/tail").unwrap();
+    k.write(fd, &data).unwrap();
+    k.close(fd).unwrap();
+    let c = crash(k, config, vec!["/tail".into()]);
+
+    let (mut k, report) = Kernel::warm_boot(&c.config, &c.image, c.disk).expect("warm boot");
+    assert_eq!((report.pages_replayed, report.pages_unreplayable), (LEFT, 5 - LEFT));
+    assert_eq!(free_blocks(&k.machine.disk, &g), 0);
+    let got = k.file_contents("/tail").expect("read back");
+    let placed = LEFT as usize * PAGE_SIZE;
+    assert!(got[..placed] == data[..placed], "the placed pages read back");
 }
 
 /// The replay holds every recovered page in the recovery kernel's cache
