@@ -22,10 +22,9 @@ use crate::engine::{self, Campaign};
 use crate::inject::{inject, FaultType};
 use rio_det::{derive_seed, derive_seed3, DetRng};
 use rio_kernel::{
-    client_refs, DiskGeometry, Kernel, KernelConfig, KernelError, PreemptSched,
-    SchedStep,
+    client_refs, DiskGeometry, Kernel, KernelConfig, KernelError, PreemptSched, SchedStep,
 };
-use rio_workloads::{MemTest, MemTestConfig, PreemptMemTest};
+use rio_workloads::{MemTest, MemTestConfig};
 use std::collections::BTreeSet;
 
 /// Scale-campaign parameters.
@@ -293,7 +292,7 @@ pub struct ScaleCheckpoint {
 #[derive(Debug, Clone)]
 struct ScaleSteady {
     k: Kernel,
-    pms: Vec<PreemptMemTest>,
+    mts: Vec<MemTest>,
     sched: PreemptSched,
     inflight_at_injection: usize,
     locks_held_at_injection: usize,
@@ -325,16 +324,12 @@ impl ScaleCheckpoint {
         let Ok(mut k) = Kernel::mkfs_and_mount(&cp.config) else {
             return cp;
         };
-        let mut pms: Vec<PreemptMemTest> = cp
-            .cfgs
-            .iter()
-            .map(|c| PreemptMemTest::new(c.clone(), u64::MAX))
-            .collect();
+        let mut mts: Vec<MemTest> = cp.cfgs.iter().cloned().map(MemTest::new).collect();
         if MemTest::setup_static(&mut k, static_seed(workload_seed)).is_err() {
             return cp;
         }
-        for pm in &mut pms {
-            if pm.setup_skeleton(&mut k).is_err() {
+        for mt in &mut mts {
+            if mt.setup_skeleton(&mut k).is_err() {
                 return cp;
             }
         }
@@ -346,11 +341,11 @@ impl ScaleCheckpoint {
         // done. A crash or a benign failure here is not a trial.
         let warmup_cap = watchdog_quanta.saturating_mul(4).max(200_000);
         let mut warm_quanta = 0u64;
-        while pms.iter().any(|p| p.ops_done() < warmup_ops) {
-            if pms.iter().any(PreemptMemTest::failed) || warm_quanta >= warmup_cap {
+        while mts.iter().any(|mt| mt.ops_done() < warmup_ops) {
+            if mts.iter().any(MemTest::failed) || warm_quanta >= warmup_cap {
                 return cp;
             }
-            match sched.step_once(&mut k, &mut client_refs(&mut pms)) {
+            match sched.step_once(&mut k, &mut client_refs(&mut mts)) {
                 Ok(SchedStep::Done) => return cp,
                 Ok(_) => {}
                 Err(_) => return cp,
@@ -365,7 +360,7 @@ impl ScaleCheckpoint {
         k.machine.bus.mem_mut().seal();
         cp.state = Some(ScaleSteady {
             k,
-            pms,
+            mts,
             sched,
             inflight_at_injection,
             locks_held_at_injection,
@@ -399,7 +394,7 @@ pub fn run_scale_trial_from(
     };
     let ScaleSteady {
         mut k,
-        mut pms,
+        mut mts,
         mut sched,
         inflight_at_injection,
         locks_held_at_injection,
@@ -413,11 +408,11 @@ pub fn run_scale_trial_from(
     let mut crashed = false;
     let mut crashing_client = None;
     for _ in 0..watchdog_quanta {
-        if pms.iter().any(PreemptMemTest::failed) {
+        if mts.iter().any(MemTest::failed) {
             return ScaleTrialOutcome::Wedged;
         }
         let before = sched.trace.quanta.len();
-        match sched.step_once(&mut k, &mut client_refs(&mut pms)) {
+        match sched.step_once(&mut k, &mut client_refs(&mut mts)) {
             Ok(SchedStep::Done) => return ScaleTrialOutcome::Wedged,
             Ok(_) => {}
             Err(KernelError::Panic(_) | KernelError::Crashed) => {
@@ -440,7 +435,7 @@ pub fn run_scale_trial_from(
     let message = info.reason.message();
     let protection_trap = info.reason.is_protection_trap();
     let locks_contended = k.stats().locks_contended;
-    let ops: Vec<u64> = pms.iter().map(PreemptMemTest::ops_done).collect();
+    let ops: Vec<u64> = mts.iter().map(MemTest::ops_done).collect();
 
     let all_damaged = |checksum_detected: bool| {
         ScaleTrialOutcome::Crashed(ScaleCrash {

@@ -52,6 +52,13 @@ pub enum SysState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fd(pub u64);
 
+impl Fd {
+    /// Stands in, inside a [`crate::SyscallScript`], for the descriptor
+    /// the script's most recent `create` / `open` returned — not known
+    /// when the script is written. Never a real descriptor.
+    pub const LAST_OPENED: Fd = Fd(u64::MAX);
+}
+
 /// Kernel-wide counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {

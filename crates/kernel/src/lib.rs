@@ -66,5 +66,6 @@ pub use locks::LockId;
 pub use preempt::{LockQueues, OpRef, SyscallCont, SyscallOp, SyscallRet, Yield};
 pub use sched::{
     client_refs, run_preemptive, PreemptClient, PreemptSched, SchedStep, SchedTrace,
+    SyscallScript,
 };
 pub use syscalls::Stat;

@@ -134,6 +134,48 @@ pub enum SyscallOp<S = String, B = Vec<u8>> {
 /// blocking wrappers hand to [`Kernel::syscall`], copying nothing.
 pub type OpRef<'a> = SyscallOp<&'a str, &'a [u8]>;
 
+impl<S: AsRef<str>, B: AsRef<[u8]>> SyscallOp<S, B> {
+    /// The same op over borrowed arguments, for [`Kernel::syscall`].
+    pub fn as_op_ref(&self) -> OpRef<'_> {
+        match self {
+            SyscallOp::Create(p) => SyscallOp::Create(p.as_ref()),
+            SyscallOp::Open(p) => SyscallOp::Open(p.as_ref()),
+            SyscallOp::Close(fd) => SyscallOp::Close(*fd),
+            SyscallOp::Write { fd, data } => SyscallOp::Write {
+                fd: *fd,
+                data: data.as_ref(),
+            },
+            SyscallOp::Pwrite { fd, offset, data } => SyscallOp::Pwrite {
+                fd: *fd,
+                offset: *offset,
+                data: data.as_ref(),
+            },
+            SyscallOp::Read { fd, len } => SyscallOp::Read { fd: *fd, len: *len },
+            SyscallOp::Pread { fd, offset, len } => SyscallOp::Pread {
+                fd: *fd,
+                offset: *offset,
+                len: *len,
+            },
+            SyscallOp::Fsync(fd) => SyscallOp::Fsync(*fd),
+            SyscallOp::Sync => SyscallOp::Sync,
+            SyscallOp::Mkdir(p) => SyscallOp::Mkdir(p.as_ref()),
+            SyscallOp::Rmdir(p) => SyscallOp::Rmdir(p.as_ref()),
+            SyscallOp::Unlink(p) => SyscallOp::Unlink(p.as_ref()),
+            SyscallOp::Rename { from, to } => SyscallOp::Rename {
+                from: from.as_ref(),
+                to: to.as_ref(),
+            },
+            SyscallOp::Readdir(p) => SyscallOp::Readdir(p.as_ref()),
+            SyscallOp::Stat(p) => SyscallOp::Stat(p.as_ref()),
+            SyscallOp::PwriteIno { ino, offset, data } => SyscallOp::PwriteIno {
+                ino: *ino,
+                offset: *offset,
+                data: data.as_ref(),
+            },
+        }
+    }
+}
+
 impl<S: AsRef<str>, B> SyscallOp<S, B> {
     /// The path the namei phase resolves, for path-resolving ops.
     fn path(&self) -> Option<&str> {

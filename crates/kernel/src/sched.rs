@@ -10,7 +10,10 @@
 //! burst.
 //!
 //! A client ([`PreemptClient`]) is a script that emits one syscall at a
-//! time. [`PreemptSched`] runs each syscall as a resumable continuation
+//! time; a client that writes its syscalls ahead of time keeps them in a
+//! [`SyscallScript`], whose [`crate::Fd::LAST_OPENED`] placeholder is how
+//! an op names a descriptor not yet handed back. [`PreemptSched`] runs
+//! each syscall as a resumable continuation
 //! ([`crate::preempt::SyscallCont`]) that gives up the CPU at its actual
 //! block points — buffer-cache miss, registry I/O, dirty-throttle stall,
 //! fsync wait — with kernel state half-mutated and locks
@@ -39,11 +42,11 @@
 //!   at any `RIO_THREADS`.
 
 use crate::error::KernelError;
-use crate::kernel::Kernel;
+use crate::kernel::{Fd, Kernel};
 use crate::locks::LockId;
 use crate::preempt::{SyscallCont, SyscallOp, SyscallRet, Yield};
 use rio_disk::SimTime;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 /// What the scheduler did: the quantum order and per-client accounting.
 /// Drives the fairness and determinism tests.
@@ -94,6 +97,98 @@ pub trait PreemptClient {
     /// record `at − arrival` as the op's latency; the default does
     /// nothing.
     fn op_completed(&mut self, _ret: &SyscallRet, _at: SimTime) {}
+}
+
+/// A queue of syscalls written before they run — the one way a client
+/// binds a descriptor it has not been handed yet. An op that names
+/// [`Fd::LAST_OPENED`] gets, when it is taken ([`SyscallScript::pop`]),
+/// the descriptor the most recent `create` / `open` returned
+/// ([`SyscallScript::note`]); before any was returned the placeholder
+/// stays, and the op fails as a bad descriptor.
+///
+/// The same script runs as a scheduled client, one op per
+/// [`PreemptClient::next_op`], or op by op through [`Kernel::syscall`]
+/// on the blocking clock ([`SyscallOp::as_op_ref`]).
+#[derive(Debug, Clone, Default)]
+pub struct SyscallScript {
+    ops: VecDeque<SyscallOp>,
+    last_opened: Option<Fd>,
+}
+
+impl SyscallScript {
+    /// Queues `op` behind the ops already written.
+    pub fn push(&mut self, op: SyscallOp) {
+        self.ops.push_back(op);
+    }
+
+    /// Whether every written op has been taken.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty()
+    }
+
+    /// Drops the ops not yet taken.
+    pub fn clear(&mut self) {
+        self.ops.clear();
+    }
+
+    /// The descriptor [`Fd::LAST_OPENED`] binds to now, if any.
+    #[must_use]
+    pub fn last_opened(&self) -> Option<Fd> {
+        self.last_opened
+    }
+
+    /// Records a completed op's result: a returned descriptor is the one
+    /// later ops' [`Fd::LAST_OPENED`] means.
+    pub fn note(&mut self, ret: &SyscallRet) {
+        if let SyscallRet::Fd(fd) = ret {
+            self.last_opened = Some(*fd);
+        }
+    }
+
+    /// Takes the next op, its [`Fd::LAST_OPENED`] bound.
+    pub fn pop(&mut self) -> Option<SyscallOp> {
+        let mut op = self.ops.pop_front()?;
+        if let SyscallOp::Close(fd)
+        | SyscallOp::Fsync(fd)
+        | SyscallOp::Write { fd, .. }
+        | SyscallOp::Pwrite { fd, .. }
+        | SyscallOp::Read { fd, .. }
+        | SyscallOp::Pread { fd, .. } = &mut op
+        {
+            if *fd == Fd::LAST_OPENED {
+                *fd = self.last_opened.unwrap_or(Fd::LAST_OPENED);
+            }
+        }
+        Some(op)
+    }
+}
+
+/// A script on its own is a closed-loop client that issues its ops in
+/// order, whether or not the one before succeeded, and retires when none
+/// is left.
+impl PreemptClient for SyscallScript {
+    fn next_op(&mut self, prev: Option<&SyscallRet>) -> Option<SyscallOp> {
+        if let Some(ret) = prev {
+            self.note(ret);
+        }
+        self.pop()
+    }
+}
+
+impl Extend<SyscallOp> for SyscallScript {
+    fn extend<I: IntoIterator<Item = SyscallOp>>(&mut self, ops: I) {
+        self.ops.extend(ops);
+    }
+}
+
+impl FromIterator<SyscallOp> for SyscallScript {
+    fn from_iter<I: IntoIterator<Item = SyscallOp>>(ops: I) -> Self {
+        SyscallScript {
+            ops: ops.into_iter().collect(),
+            last_opened: None,
+        }
+    }
 }
 
 /// Why a client is not currently on the CPU.
@@ -474,19 +569,14 @@ pub(crate) mod tests {
         Kernel::mkfs_and_mount(&KernelConfig::small(policy)).expect("boot")
     }
 
-    /// Stands in a [`Script`] op for "the descriptor this script was last
-    /// handed", so one fixed op list can open a file and then use it.
-    const LAST_FD: Fd = Fd(u64::MAX);
-
     /// A scripted [`PreemptClient`]: runs a fixed op list, remembers
     /// results, requires every op to succeed. With `arrivals` it is
     /// open-loop: op `i` is not issued before `arrivals[i]`.
     struct Script {
-        ops: Vec<SyscallOp>,
+        script: SyscallScript,
         arrivals: Vec<SimTime>,
-        next: usize,
+        issued: usize,
         rets: Vec<SyscallRet>,
-        last_fd: Option<Fd>,
     }
 
     impl Script {
@@ -496,11 +586,10 @@ pub(crate) mod tests {
 
         fn open_loop(ops: Vec<SyscallOp>, arrivals: Vec<SimTime>) -> Self {
             Script {
-                ops,
+                script: ops.into_iter().collect(),
                 arrivals,
-                next: 0,
+                issued: 0,
                 rets: Vec::new(),
-                last_fd: None,
             }
         }
 
@@ -510,7 +599,7 @@ pub(crate) mod tests {
             ops.resize(
                 1 + writes,
                 SyscallOp::Write {
-                    fd: LAST_FD,
+                    fd: Fd::LAST_OPENED,
                     data: vec![id as u8 + 1; 512],
                 },
             );
@@ -520,24 +609,41 @@ pub(crate) mod tests {
 
     impl PreemptClient for Script {
         fn next_op(&mut self, prev: Option<&SyscallRet>) -> Option<SyscallOp> {
-            if self.next > 0 {
+            if self.issued > 0 {
                 let prev = prev.expect("scripted ops must succeed");
-                if let SyscallRet::Fd(fd) = prev {
-                    self.last_fd = Some(*fd);
-                }
+                self.script.note(prev);
                 self.rets.push(prev.clone());
             }
-            let mut op = self.ops.get(self.next).cloned()?;
-            self.next += 1;
-            // (Before any descriptor was handed out the placeholder stays,
-            // and fails the op as a bad descriptor.)
-            bind_fd(&mut op, self.last_fd.unwrap_or(LAST_FD));
+            let op = self.script.pop()?;
+            self.issued += 1;
             Some(op)
         }
 
         fn next_op_at(&mut self) -> Option<SimTime> {
-            self.arrivals.get(self.next).copied()
+            self.arrivals.get(self.issued).copied()
         }
+    }
+
+    #[test]
+    fn a_script_binds_the_last_opened_descriptor_when_an_op_is_taken() {
+        let write = |fd| SyscallOp::Write { fd, data: vec![7] };
+        let mut s: SyscallScript = [
+            SyscallOp::Close(Fd::LAST_OPENED),
+            write(Fd::LAST_OPENED),
+            write(Fd(5)),
+        ]
+        .into_iter()
+        .collect();
+        // Nothing opened yet: the placeholder stays (a bad descriptor).
+        assert_eq!(s.pop(), Some(SyscallOp::Close(Fd::LAST_OPENED)));
+        s.note(&SyscallRet::Unit);
+        s.note(&SyscallRet::Fd(Fd(9)));
+        assert_eq!(s.last_opened(), Some(Fd(9)));
+        assert_eq!(s.pop(), Some(write(Fd(9))));
+        // A named descriptor is left alone.
+        assert_eq!(s.pop(), Some(write(Fd(5))));
+        assert_eq!(s.pop(), None);
+        assert!(s.is_empty());
     }
 
     #[test]
@@ -584,7 +690,8 @@ pub(crate) mod tests {
         assert!(trace.quanta.len() > 3 + 15, "{}", trace.quanta.len());
         assert!(trace.idle_hops > 0, "write-through must leave the CPU idle");
         for s in &scripts {
-            assert_eq!(s.rets.len(), s.ops.len());
+            assert!(s.script.is_empty());
+            assert_eq!(s.rets.len(), s.issued);
         }
     }
 
@@ -659,37 +766,20 @@ pub(crate) mod tests {
         }
     }
 
-    /// Points an op written against [`LAST_FD`] at a real descriptor.
-    fn bind_fd(op: &mut SyscallOp, last: Fd) {
-        if let SyscallOp::Close(fd)
-        | SyscallOp::Fsync(fd)
-        | SyscallOp::Write { fd, .. }
-        | SyscallOp::Pwrite { fd, .. }
-        | SyscallOp::Read { fd, .. }
-        | SyscallOp::Pread { fd, .. } = op
-        {
-            if *fd == LAST_FD {
-                *fd = last;
-            }
-        }
-    }
-
     /// A script whose ops may fail: it keeps going, and records what each
     /// op returned (`None` for an error — all a client is ever told).
     struct Fuzz {
-        ops: Vec<SyscallOp>,
+        script: SyscallScript,
         started: bool,
         rets: Vec<Option<SyscallRet>>,
-        last_fd: Fd,
     }
 
     impl Fuzz {
         fn new(ops: Vec<SyscallOp>) -> Self {
             Fuzz {
-                ops,
+                script: ops.into_iter().collect(),
                 started: false,
                 rets: Vec::new(),
-                last_fd: Fd(0),
             }
         }
 
@@ -718,15 +808,10 @@ pub(crate) mod tests {
     impl PreemptClient for Fuzz {
         fn next_op(&mut self, prev: Option<&SyscallRet>) -> Option<SyscallOp> {
             if self.started {
-                if let Some(SyscallRet::Fd(fd)) = prev {
-                    self.last_fd = *fd;
-                }
                 self.rets.push(prev.cloned());
             }
             self.started = true;
-            let mut op = self.ops.get(self.rets.len()).cloned()?;
-            bind_fd(&mut op, self.last_fd);
-            Some(op)
+            self.script.next_op(prev)
         }
     }
 
@@ -735,7 +820,7 @@ pub(crate) mod tests {
     fn random_op(g: &mut Gen) -> SyscallOp {
         const PATHS: [&str; 8] = ["/", "/a", "/b", "/d", "/d/x", "/d/y", "/e", "/a/under-a-file"];
         let path = |g: &mut Gen| PATHS[g.in_range(0..PATHS.len())].to_owned();
-        let fd = LAST_FD;
+        let fd = Fd::LAST_OPENED;
         let offset = g.in_range(0..3 * 4096u64);
         match g.in_range(0..18u32) {
             0 | 1 => SyscallOp::Create(path(g)),
@@ -881,27 +966,27 @@ pub(crate) mod tests {
             ops.extend([
                 SyscallOp::Create(path.clone()),
                 SyscallOp::Write {
-                    fd: LAST_FD,
+                    fd: Fd::LAST_OPENED,
                     data: vec![i as u8; 4096 + 100 * i],
                 },
                 SyscallOp::Pwrite {
-                    fd: LAST_FD,
+                    fd: Fd::LAST_OPENED,
                     offset: 10,
                     data: vec![0xEE; 64],
                 },
-                SyscallOp::Fsync(LAST_FD),
-                SyscallOp::Close(LAST_FD),
+                SyscallOp::Fsync(Fd::LAST_OPENED),
+                SyscallOp::Close(Fd::LAST_OPENED),
                 SyscallOp::Open(path.clone()),
                 SyscallOp::Read {
-                    fd: LAST_FD,
+                    fd: Fd::LAST_OPENED,
                     len: 512,
                 },
                 SyscallOp::Pread {
-                    fd: LAST_FD,
+                    fd: Fd::LAST_OPENED,
                     offset: 4000,
                     len: 300,
                 },
-                SyscallOp::Close(LAST_FD),
+                SyscallOp::Close(Fd::LAST_OPENED),
                 SyscallOp::Readdir("/d".into()),
             ]);
             if i % 2 == 1 {
@@ -1127,11 +1212,11 @@ pub(crate) mod tests {
                     ops.extend([
                         SyscallOp::Open(format!("/k{}", (draw >> 32) % 32)),
                         SyscallOp::Pread {
-                            fd: LAST_FD,
+                            fd: Fd::LAST_OPENED,
                             offset: (draw >> 40) % 3840,
                             len: 256,
                         },
-                        SyscallOp::Close(LAST_FD),
+                        SyscallOp::Close(Fd::LAST_OPENED),
                     ]);
                     arrivals.extend([at; 3]);
                 }

@@ -9,7 +9,7 @@
 use rio_disk::SimTime;
 use rio_kernel::{
     client_refs, run_preemptive, DataPolicy, Fd, Kernel, KernelConfig, MetadataPolicy, Policy,
-    PreemptClient, SyscallOp, SyscallRet,
+    SyscallOp, SyscallScript,
 };
 
 /// Delayed writes with a tight dirty bound: two pages of slack, then the
@@ -30,41 +30,15 @@ fn throttled_policy() -> Policy {
     }
 }
 
-struct PageWriter {
-    fd: Option<Fd>,
-    name: String,
-    remaining: u32,
-    payload: u8,
-}
-
-impl PageWriter {
-    fn new(id: usize, pages: u32) -> Self {
-        PageWriter {
-            fd: None,
-            name: format!("/w{id}"),
-            remaining: pages,
-            payload: id as u8 + 1,
-        }
-    }
-}
-
-impl PreemptClient for PageWriter {
-    fn next_op(&mut self, prev: Option<&SyscallRet>) -> Option<SyscallOp> {
-        match prev {
-            None if self.fd.is_none() => return Some(SyscallOp::Create(self.name.clone())),
-            None => panic!("{}: a write failed", self.name),
-            Some(SyscallRet::Fd(fd)) => self.fd = Some(*fd),
-            Some(_) => {}
-        }
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        Some(SyscallOp::Write {
-            fd: self.fd.expect("created first"),
-            data: vec![self.payload; 8192],
-        })
-    }
+/// Creates `/w{id}`, then writes it a page at a time.
+fn page_writer(id: usize, pages: u32) -> SyscallScript {
+    let write = SyscallOp::Write {
+        fd: Fd::LAST_OPENED,
+        data: vec![id as u8 + 1; 8192],
+    };
+    std::iter::once(SyscallOp::Create(format!("/w{id}")))
+        .chain(std::iter::repeat_n(write, pages as usize))
+        .collect()
 }
 
 fn kernel(devices: usize) -> Kernel {
@@ -89,7 +63,7 @@ struct Run {
 
 fn run(clients: usize, pages: u32, devices: usize, seed: u64) -> Run {
     let mut k = kernel(devices);
-    let mut writers: Vec<PageWriter> = (0..clients).map(|i| PageWriter::new(i, pages)).collect();
+    let mut writers: Vec<SyscallScript> = (0..clients).map(|i| page_writer(i, pages)).collect();
     let trace = run_preemptive(&mut k, &mut client_refs(&mut writers), seed, true).unwrap();
     // Every byte written is verifiable afterwards.
     for (i, _) in (0..clients).enumerate() {

@@ -32,7 +32,7 @@ pub mod server;
 pub use andrew::{Andrew, AndrewConfig, AndrewReport};
 pub use cprm::{CpRm, CpRmConfig, CpRmReport};
 pub use debitcredit::{DebitCredit, DebitCreditConfig, DebitCreditReport};
-pub use memtest::{MemTest, MemTestConfig, PreemptMemTest};
+pub use memtest::{MemTest, MemTestConfig};
 pub use model::{ModelFs, VerifyReport};
 pub use scale::{Scale, ScaleConfig, ScaleReport};
 pub use sdet::{Sdet, SdetConfig, SdetReport};

@@ -9,10 +9,16 @@
 //!
 //! The op counter [`MemTest::ops_done`] is the "status file recorded across
 //! the network": it lives on the host, outside the crashing machine.
+//!
+//! Each op is written out once as a [`SyscallScript`] (`create` → `write`
+//! → `close`, `open` → `pread` → `close`, `unlink`, …). The same script
+//! runs on the blocking clock ([`MemTest::step`], the Table 1 campaign)
+//! or one syscall per scheduler pick ([`MemTest`] as a [`PreemptClient`],
+//! the multi-client campaign), so the two drive the kernel identically.
 
 use crate::datagen;
 use crate::model::ModelFs;
-use rio_kernel::{Kernel, KernelError, PreemptClient, SyscallOp, SyscallRet};
+use rio_kernel::{Fd, Kernel, KernelError, PreemptClient, SyscallOp, SyscallRet, SyscallScript};
 use std::sync::Arc;
 
 /// memTest parameters.
@@ -87,19 +93,32 @@ impl Op {
 ///
 /// `Clone` is the workload half of the crash campaign's checkpoint-fork
 /// engine: the full cursor (model file system, byte budget, `ops_done`,
-/// in-flight target) is plain owned data, so cloning a warmed `MemTest`
-/// alongside a cloned [`Kernel`] freezes the whole steady state. Each
-/// campaign trial then forks that pair and resumes stepping from the
-/// cursor — no re-warmup — and, because every op is a pure function of
-/// `(seed, op index, model state)`, the fork behaves byte-for-byte like a
-/// workload that ran from scratch to the same point.
+/// the op in flight and its unissued syscalls) is plain owned data, so
+/// cloning a warmed `MemTest` alongside a cloned [`Kernel`] freezes the
+/// whole steady state. Each campaign trial then forks that pair and
+/// resumes from the cursor — no re-warmup — and, because every op is a
+/// pure function of `(seed, op index, model state)`, the fork behaves
+/// byte-for-byte like a workload that ran from scratch to the same point.
+///
+/// The model is applied only when the *whole* op has completed, and
+/// [`MemTest::ops_done`] counts whole ops — so a crash that lands with
+/// the op's syscalls half issued (or one syscall half executed, under the
+/// scheduler) leaves [`MemTest::replay`] exact, and
+/// [`MemTest::in_flight`] names the interrupted op's target.
 #[derive(Debug, Clone)]
 pub struct MemTest {
     cfg: MemTestConfig,
     model: ModelFs,
     total_bytes: u64,
     ops_done: u64,
-    in_flight: Option<String>,
+    /// The op in flight, from decision to the return of its last syscall.
+    cur: Option<Op>,
+    /// The in-flight op's syscalls not yet issued.
+    script: SyscallScript,
+    /// As a scheduled client: retire once this many ops are done.
+    op_limit: u64,
+    /// As a scheduled client: a syscall failed benignly and retired it.
+    failed: bool,
 }
 
 impl MemTest {
@@ -110,7 +129,20 @@ impl MemTest {
             model: ModelFs::new(),
             total_bytes: 0,
             ops_done: 0,
-            in_flight: None,
+            cur: None,
+            script: SyscallScript::default(),
+            op_limit: u64::MAX,
+            failed: false,
+        }
+    }
+
+    /// The same memTest, retiring as a scheduled client once `ops` ops
+    /// are done ([`MemTest::step`] ignores the limit).
+    #[must_use]
+    pub fn with_op_limit(self, ops: u64) -> Self {
+        MemTest {
+            op_limit: ops,
+            ..self
         }
     }
 
@@ -125,9 +157,14 @@ impl MemTest {
     }
 
     /// Target of the operation that was executing when a crash interrupted
-    /// [`MemTest::step`], if any.
+    /// it, if any.
     pub fn in_flight(&self) -> Option<&str> {
-        self.in_flight.as_deref()
+        self.cur.as_ref().map(Op::target)
+    }
+
+    /// Whether a syscall failed benignly and retired the scheduled client.
+    pub fn failed(&self) -> bool {
+        self.failed
     }
 
     /// The current expected state.
@@ -268,16 +305,8 @@ impl MemTest {
         }
     }
 
-    /// Applies `op` to the model, generating its payload: the form replay
-    /// and the preemptive client use. [`MemTest::step`], which has already
-    /// built the payload for the kernel, hands it to
-    /// [`MemTest::apply_payload_to_model`] instead.
-    fn apply_to_model(cfg: &MemTestConfig, op: &Op, model: &mut ModelFs, total: &mut u64) {
-        Self::apply_payload_to_model(op, Self::payload(cfg, op), model, total);
-    }
-
     /// Applies `op`, whose [`MemTest::payload`] is `data`, to the model.
-    fn apply_payload_to_model(op: &Op, data: Vec<u8>, model: &mut ModelFs, total: &mut u64) {
+    fn apply_to_model(op: &Op, data: Vec<u8>, model: &mut ModelFs, total: &mut u64) {
         match op {
             Op::Create { path, .. } => {
                 *total += data.len() as u64;
@@ -308,37 +337,63 @@ impl MemTest {
         }
     }
 
-    /// Issues `op`'s syscalls; `data` is its [`MemTest::payload`].
-    fn apply_to_kernel(&self, k: &mut Kernel, op: &Op, data: &[u8]) -> Result<(), KernelError> {
-        match op {
-            Op::Create { path, .. } => {
-                let fd = k.create(path)?;
-                k.write(fd, data)?;
-                if self.cfg.fsync_every_write {
-                    k.fsync(fd)?;
-                }
-                k.close(fd)?;
+    /// Decides the next op and writes its syscalls, the payload moved into
+    /// its `write` / `pwrite` — whatever was left of an op that failed is
+    /// dropped. A file is read whole: the `pread` asks for exactly the
+    /// bytes the model holds.
+    fn begin(&mut self) {
+        let op = Self::decide(&self.cfg, self.ops_done, &self.model, self.total_bytes);
+        let data = Self::payload(&self.cfg, &op);
+        let fd = Fd::LAST_OPENED;
+        let (first, io) = match &op {
+            Op::Create { path, .. } => (
+                SyscallOp::Create(path.clone()),
+                Some(SyscallOp::Write { fd, data }),
+            ),
+            Op::Rewrite { path, .. } => (
+                SyscallOp::Open(path.clone()),
+                Some(SyscallOp::Pwrite {
+                    fd,
+                    offset: 0,
+                    data,
+                }),
+            ),
+            Op::Read { path } => (
+                SyscallOp::Open(path.clone()),
+                Some(SyscallOp::Pread {
+                    fd,
+                    offset: 0,
+                    len: self.model.files[path].len(),
+                }),
+            ),
+            Op::Delete { path } => (SyscallOp::Unlink(path.clone()), None),
+            Op::MkToggle { path } => (SyscallOp::Mkdir(path.clone()), None),
+            Op::RmToggle { path } => (SyscallOp::Rmdir(path.clone()), None),
+        };
+        let s = &mut self.script;
+        s.clear();
+        s.push(first);
+        if let Some(io) = io {
+            let writes = !matches!(io, SyscallOp::Pread { .. });
+            s.push(io);
+            if writes && self.cfg.fsync_every_write {
+                s.push(SyscallOp::Fsync(fd));
             }
-            Op::Rewrite { path, .. } => {
-                let fd = k.open(path)?;
-                k.pwrite(fd, 0, data)?;
-                if self.cfg.fsync_every_write {
-                    k.fsync(fd)?;
-                }
-                k.close(fd)?;
-            }
-            Op::Read { path } => {
-                let _ = k.file_contents(path)?;
-            }
-            Op::Delete { path } => k.unlink(path)?,
-            Op::MkToggle { path } => k.mkdir(path)?,
-            Op::RmToggle { path } => k.rmdir(path)?,
+            s.push(SyscallOp::Close(fd));
         }
-        Ok(())
+        self.cur = Some(op);
     }
 
-    /// Executes one operation against the kernel, updating the model on
-    /// success.
+    /// The in-flight op's last syscall returned: the op, whose payload is
+    /// `data`, completed.
+    fn complete(&mut self, data: Vec<u8>) {
+        let op = self.cur.take().expect("an op is in flight");
+        Self::apply_to_model(&op, data, &mut self.model, &mut self.total_bytes);
+        self.ops_done += 1;
+    }
+
+    /// Executes one operation against the kernel — its syscalls in order,
+    /// each to completion — updating the model on success.
     ///
     /// # Errors
     ///
@@ -346,14 +401,17 @@ impl MemTest {
     /// [`MemTest::in_flight`] naming the interrupted target, exactly like
     /// the status file surviving the real machine's crash.
     pub fn step(&mut self, k: &mut Kernel) -> Result<(), KernelError> {
-        let op = Self::decide(&self.cfg, self.ops_done, &self.model, self.total_bytes);
-        self.in_flight = Some(op.target().to_owned());
-        // Generated once: lent to the kernel, then moved into the model.
-        let data = Self::payload(&self.cfg, &op);
-        self.apply_to_kernel(k, &op, &data)?;
-        Self::apply_payload_to_model(&op, data, &mut self.model, &mut self.total_bytes);
-        self.ops_done += 1;
-        self.in_flight = None;
+        self.begin();
+        let mut data = Vec::new();
+        while let Some(op) = self.script.pop() {
+            let ret = k.syscall(op.as_op_ref())?;
+            self.script.note(&ret);
+            // Lent to the kernel, then moved into the model.
+            if let SyscallOp::Write { data: d, .. } | SyscallOp::Pwrite { data: d, .. } = op {
+                data = d;
+            }
+        }
+        self.complete(data);
         Ok(())
     }
 
@@ -382,7 +440,8 @@ impl MemTest {
         let mut total = 0u64;
         for i in 0..ops {
             let op = Self::decide(cfg, i, &model, total);
-            Self::apply_to_model(cfg, &op, &mut model, &mut total);
+            let data = Self::payload(cfg, &op);
+            Self::apply_to_model(&op, data, &mut model, &mut total);
         }
         let next = Self::decide(cfg, ops, &model, total);
         (model, next.target().to_owned())
@@ -392,170 +451,36 @@ impl MemTest {
 /// Tag base for the static comparison files.
 const STATIC_TAG: u64 = 0xABCD_0000;
 
-/// memTest as a [`PreemptClient`]: each logical memTest operation is
-/// decomposed into its constituent syscalls (`create`+`write`+`close`,
-/// `open`+`pread`+`close`, ...), each of which runs as a resumable
-/// continuation under the preemptive scheduler — so a crash can land
-/// with this client's syscall half-executed and its locks held.
-///
-/// The model is applied only when the *whole* logical op has completed,
-/// and [`MemTest::ops_done`] counts logical ops — so the §3.2 replay
-/// protocol ([`MemTest::replay`]) reconstructs the expected state
-/// exactly as in the run-to-completion harness, and the interrupted
-/// logical op's target is still named by [`MemTest::in_flight`].
-#[derive(Debug, Clone)]
-pub struct PreemptMemTest {
-    mt: MemTest,
-    target_ops: u64,
-    /// The logical op currently being executed, if any.
-    cur: Option<Op>,
-    /// Remaining micro-ops of the current logical op.
-    queue: std::collections::VecDeque<SyscallOp>,
-    /// The next result is the fd the rest of the micro-ops need.
-    await_fd: bool,
-    /// A micro-op failed benignly: the client retires (its logical op
-    /// never completed, so the model was never updated).
-    failed: bool,
-}
-
-impl PreemptMemTest {
-    /// A fresh preemptible memTest that retires after `target_ops`
-    /// logical operations (call [`PreemptMemTest::setup_skeleton`], and
-    /// [`MemTest::setup_static`] once globally, before scheduling).
-    pub fn new(cfg: MemTestConfig, target_ops: u64) -> Self {
-        PreemptMemTest {
-            mt: MemTest::new(cfg),
-            target_ops,
-            cur: None,
-            queue: std::collections::VecDeque::new(),
-            await_fd: false,
-            failed: false,
-        }
-    }
-
-    /// The underlying memTest (progress counter, model, config).
-    pub fn memtest(&self) -> &MemTest {
-        &self.mt
-    }
-
-    /// Completed *logical* operations.
-    pub fn ops_done(&self) -> u64 {
-        self.mt.ops_done
-    }
-
-    /// Whether a micro-op failed benignly and retired the client.
-    pub fn failed(&self) -> bool {
-        self.failed
-    }
-
-    /// Creates this client's directory skeleton.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors.
-    pub fn setup_skeleton(&mut self, k: &mut Kernel) -> Result<(), KernelError> {
-        self.mt.setup_skeleton(k)
-    }
-
-    /// Queues the fd-dependent tail of the current logical op.
-    fn enqueue_with_fd(&mut self, fd: rio_kernel::Fd) {
-        let cfg = &self.mt.cfg;
-        let op = self.cur.as_ref().expect("awaiting an fd implies an op");
-        let data = MemTest::payload(cfg, op);
-        match op {
-            Op::Create { .. } => {
-                self.queue.push_back(SyscallOp::Write { fd, data });
-                if cfg.fsync_every_write {
-                    self.queue.push_back(SyscallOp::Fsync(fd));
-                }
-                self.queue.push_back(SyscallOp::Close(fd));
-            }
-            Op::Rewrite { .. } => {
-                self.queue.push_back(SyscallOp::Pwrite {
-                    fd,
-                    offset: 0,
-                    data,
-                });
-                if cfg.fsync_every_write {
-                    self.queue.push_back(SyscallOp::Fsync(fd));
-                }
-                self.queue.push_back(SyscallOp::Close(fd));
-            }
-            Op::Read { .. } => {
-                // Whole-file read: the kernel clamps to the inode size.
-                self.queue.push_back(SyscallOp::Pread {
-                    fd,
-                    offset: 0,
-                    len: 1 << 32,
-                });
-                self.queue.push_back(SyscallOp::Close(fd));
-            }
-            Op::Delete { .. } | Op::MkToggle { .. } | Op::RmToggle { .. } => {
-                unreachable!("single-syscall ops never await an fd")
-            }
-        }
-    }
-}
-
-impl PreemptClient for PreemptMemTest {
+/// memTest as one client of the preemptive scheduler: the same scripts
+/// [`MemTest::step`] runs, issued one syscall per pick, so a crash can
+/// land with this client's syscall half executed and its locks held. A
+/// syscall that fails benignly retires the client ([`MemTest::failed`]);
+/// its op never completed, so the model was never updated. Give each
+/// client its own root, call [`MemTest::setup_skeleton`] per client and
+/// [`MemTest::setup_static`] once before scheduling.
+impl PreemptClient for MemTest {
     fn next_op(&mut self, prev: Option<&SyscallRet>) -> Option<SyscallOp> {
         if self.failed {
             return None;
         }
         if self.cur.is_some() {
             let Some(prev) = prev else {
-                // A micro-op failed benignly mid-logical-op. The kernel
-                // may hold a half-applied op now; the model does not.
                 self.failed = true;
                 return None;
             };
-            if self.await_fd {
-                let SyscallRet::Fd(fd) = prev else {
-                    self.failed = true;
-                    return None;
-                };
-                self.await_fd = false;
-                self.enqueue_with_fd(*fd);
-            }
-            if let Some(op) = self.queue.pop_front() {
+            self.script.note(prev);
+            if let Some(op) = self.script.pop() {
                 return Some(op);
             }
-            // All micro-ops done: the logical op completed.
-            let op = self.cur.take().expect("checked above");
-            MemTest::apply_to_model(
-                &self.mt.cfg,
-                &op,
-                &mut self.mt.model,
-                &mut self.mt.total_bytes,
-            );
-            self.mt.ops_done += 1;
-            self.mt.in_flight = None;
+            // The payload went to the scheduler with its syscall.
+            let data = Self::payload(&self.cfg, self.cur.as_ref().expect("checked above"));
+            self.complete(data);
         }
-        if self.mt.ops_done >= self.target_ops {
+        if self.ops_done >= self.op_limit {
             return None;
         }
-        let op = MemTest::decide(
-            &self.mt.cfg,
-            self.mt.ops_done,
-            &self.mt.model,
-            self.mt.total_bytes,
-        );
-        self.mt.in_flight = Some(op.target().to_owned());
-        let first = match &op {
-            Op::Create { path, .. } => {
-                self.await_fd = true;
-                SyscallOp::Create(path.clone())
-            }
-            Op::Rewrite { path, .. } | Op::Read { path } => {
-                self.await_fd = true;
-                SyscallOp::Open(path.clone())
-            }
-            Op::Delete { path } => SyscallOp::Unlink(path.clone()),
-            Op::MkToggle { path } => SyscallOp::Mkdir(path.clone()),
-            Op::RmToggle { path } => SyscallOp::Rmdir(path.clone()),
-        };
-        self.cur = Some(op);
-        Some(first)
+        self.begin();
+        self.script.pop()
     }
 }
 
@@ -643,59 +568,82 @@ mod tests {
         }
     }
 
+    /// The same memTest stepped on the blocking clock and run as the one
+    /// client of a scheduler, `ops` ops each, on two kernels from `boot`.
+    fn blocking_and_scheduled(
+        boot: impl Fn() -> Kernel,
+        cfg: &MemTestConfig,
+        ops: u64,
+    ) -> [(Kernel, MemTest); 2] {
+        let mut blocking = (boot(), MemTest::new(cfg.clone()));
+        blocking.1.setup(&mut blocking.0).unwrap();
+        blocking.1.run(&mut blocking.0, ops).unwrap();
+
+        let mut scheduled = (boot(), MemTest::new(cfg.clone()).with_op_limit(ops));
+        scheduled.1.setup(&mut scheduled.0).unwrap();
+        let mut clients: [&mut dyn PreemptClient; 1] = [&mut scheduled.1];
+        rio_kernel::run_preemptive(&mut scheduled.0, &mut clients, 0, true).unwrap();
+        assert!(!scheduled.1.failed(), "fault-free run must not fail");
+        assert_eq!(scheduled.1.ops_done(), ops);
+        [blocking, scheduled]
+    }
+
     #[test]
-    fn preemptive_memtest_matches_run_to_completion() {
-        // Same seed, same logical op count: the preemptive decomposition
-        // and the classic `MemTest::run` drive one syscall sequencer, so
-        // they must land on the same model and the same *machine* — the
-        // disk image, the kernel's and the disk's counters, and every
-        // page of memory outside the kernel stack (where one activation
-        // record differs by design: `file_contents` preads exactly the
-        // file's size, the client asks for 4 GB and lets the kernel clamp
-        // it) — at the same simulated instant. The instant needs a run
+    fn blocking_and_scheduled_memtest_leave_the_same_machine() {
+        // One client, one script: stepped on the blocking clock or issued
+        // one syscall per scheduler pick, memTest must land on the same
+        // model and the same *machine* — every page of memory, the kernel
+        // stack's activation records included, the disk image and every
+        // counter — at the same simulated instant. The instant needs a run
         // that never sleeps on the disk (a deferred sleep overlaps the
         // rest of its phase's CPU time, a blocking one does not): under
         // Rio that is every op until the 65th inode opens the inode
         // table's second block, so 50 ops, not more.
         const OPS: u64 = 50;
-        let mut classic = kernel();
-        let mut mt = MemTest::new(MemTestConfig::small(42));
-        mt.setup(&mut classic).unwrap();
-        let slept = classic.machine.clock.disk_wait();
-        mt.run(&mut classic, OPS).unwrap();
-        assert_eq!(classic.machine.clock.disk_wait(), slept, "the blocking run slept");
-
-        let mut preempted = kernel();
-        let mut pm = PreemptMemTest::new(MemTestConfig::small(42), OPS);
-        pm.setup_skeleton(&mut preempted).unwrap();
-        MemTest::setup_static(&mut preempted, 42).unwrap();
-        let mut clients: [&mut dyn PreemptClient; 1] = [&mut pm];
-        let trace = rio_kernel::run_preemptive(&mut preempted, &mut clients, 0, true).unwrap();
-        assert_eq!(trace.idle_hops, 0, "the scheduled run slept");
-        assert!(!pm.failed(), "fault-free run must not fail");
-        assert_eq!(pm.ops_done(), OPS);
-
-        assert_eq!(mt.model().files, pm.memtest().model().files);
-        assert_eq!(mt.model().dirs, pm.memtest().model().dirs);
-        let (ma, mb) = (classic.machine.bus.mem(), preempted.machine.bus.mem());
-        let stack = ma.layout().stack;
+        let cfg = MemTestConfig::small(42);
+        let slept = {
+            let mut k = kernel();
+            MemTest::new(cfg.clone()).setup(&mut k).unwrap();
+            k.machine.clock.disk_wait()
+        };
+        let [(mut bk, bm), (mut sk, sm)] = blocking_and_scheduled(kernel, &cfg, OPS);
+        assert_eq!(bk.machine.clock.disk_wait(), slept, "the blocking run slept");
+        assert_eq!(bm.model().files, sm.model().files);
+        assert_eq!(bm.model().dirs, sm.model().dirs);
+        let (ma, mb) = (bk.machine.bus.mem(), sk.machine.bus.mem());
         for pn in (0..ma.len() / rio_mem::PAGE_SIZE as u64).map(rio_mem::PageNum) {
-            if !stack.contains(pn.base()) {
-                assert!(ma.page(pn) == mb.page(pn), "memory differs in page {pn:?}");
-            }
+            assert!(ma.page(pn) == mb.page(pn), "memory differs in page {pn:?}");
         }
-        let (da, db) = (&classic.machine.disk, &preempted.machine.disk);
+        let (da, db) = (&bk.machine.disk, &sk.machine.disk);
         for block in 0..da.num_blocks() {
             assert!(da.peek(block) == db.peek(block), "disk differs in block {block}");
         }
         assert_eq!(da.stats(), db.stats());
-        assert_eq!(classic.stats(), preempted.stats());
-        assert_eq!(classic.machine.clock.now(), preempted.machine.clock.now());
+        assert_eq!(bk.stats(), sk.stats());
+        assert_eq!(bk.machine.bus.stats(), sk.machine.bus.stats());
+        assert_eq!(bk.machine.clock.now(), sk.machine.clock.now());
 
-        for (k, model) in [(&mut classic, mt.model()), (&mut preempted, pm.memtest().model())] {
+        for (k, model) in [(&mut bk, bm.model()), (&mut sk, sm.model())] {
             let report = model.verify(k, None).unwrap();
             assert!(!report.is_corrupt(), "{report:?}");
         }
+    }
+
+    #[test]
+    fn blocking_and_scheduled_memtest_issue_the_same_syscalls_past_the_first_sleep() {
+        // Past the first disk sleep the two clocks part (and with them the
+        // mtimes stamped from them), but the syscalls are the script's:
+        // same model, same counters, same disk traffic — and write-through
+        // sleeps on every fsync.
+        let wt = || {
+            Kernel::mkfs_and_mount(&KernelConfig::small(Policy::disk_write_through())).unwrap()
+        };
+        let [(bk, bm), (sk, sm)] =
+            blocking_and_scheduled(wt, &MemTestConfig::small_write_through(5), 120);
+        assert!(bk.stats().sync_waits > 0, "write-through must sleep");
+        assert_eq!(bm.model().files, sm.model().files);
+        assert_eq!(bk.stats(), sk.stats());
+        assert_eq!(bk.machine.disk.stats(), sk.machine.disk.stats());
     }
 
     #[test]
@@ -706,8 +654,8 @@ mod tests {
         // as running the same scripts one client at a time.
         let final_state = |interleaved: bool| {
             let mut k = kernel();
-            let mut pms: Vec<PreemptMemTest> =
-                (0..4).map(|c| PreemptMemTest::new(scale_cfg(c), 40)).collect();
+            let mut pms: Vec<MemTest> =
+                (0..4).map(|c| MemTest::new(scale_cfg(c)).with_op_limit(40)).collect();
             MemTest::setup_static(&mut k, 7).unwrap();
             for pm in &mut pms {
                 pm.setup_skeleton(&mut k).unwrap();
@@ -725,9 +673,9 @@ mod tests {
             for pm in &pms {
                 assert!(!pm.failed());
                 assert_eq!(pm.ops_done(), 40);
-                let report = pm.memtest().model().verify(&mut k, None).unwrap();
+                let report = pm.model().verify(&mut k, None).unwrap();
                 assert!(!report.is_corrupt(), "{report:?}");
-                for (path, data) in &pm.memtest().model().files {
+                for (path, data) in &pm.model().files {
                     contents.push((path.clone(), data.clone()));
                 }
             }

@@ -19,6 +19,7 @@ use crate::datagen;
 use rio_disk::SimTime;
 use rio_kernel::{
     client_refs, Fd, Kernel, KernelError, PreemptClient, SchedTrace, SyscallOp, SyscallRet,
+    SyscallScript,
 };
 use std::cmp::Ordering;
 use std::collections::VecDeque;
@@ -76,10 +77,6 @@ impl ScaleReport {
     }
 }
 
-/// Stands in a scripted op for the descriptor the client's most recent
-/// `create`/`open` handed back — not known when the script is written.
-const LAST_OPENED: Fd = Fd(u64::MAX);
-
 struct Client {
     seed: u64,
     uid: usize,
@@ -95,8 +92,7 @@ struct Client {
     appends: u64,
     commits: u64,
     /// Syscalls of the current operation not yet issued.
-    script: VecDeque<SyscallOp>,
-    last_opened: Option<Fd>,
+    script: SyscallScript,
     /// The log, open from the first append to retirement.
     log: Option<Fd>,
     /// A syscall has been issued, so `next_op`'s `prev` is its result.
@@ -109,7 +105,7 @@ impl Client {
         Client {
             seed: cfg.seed,
             uid,
-            script: VecDeque::from([SyscallOp::Mkdir(dir.clone())]),
+            script: [SyscallOp::Mkdir(dir.clone())].into_iter().collect(),
             dir,
             step: 0,
             ops: cfg.ops_per_client,
@@ -119,7 +115,6 @@ impl Client {
             next_file: 0,
             appends: 0,
             commits: 0,
-            last_opened: None,
             log: None,
             issued: false,
         }
@@ -138,8 +133,8 @@ impl Client {
                 let data = datagen::bytes(self.seed, tag, len);
                 self.script.extend([
                     SyscallOp::Create(name.clone()),
-                    SyscallOp::Write { fd: LAST_OPENED, data },
-                    SyscallOp::Close(LAST_OPENED),
+                    SyscallOp::Write { fd: Fd::LAST_OPENED, data },
+                    SyscallOp::Close(Fd::LAST_OPENED),
                 ]);
                 self.files.push_back((name, len));
             }
@@ -148,36 +143,36 @@ impl Client {
                 if let Some((name, len)) = self.files.back() {
                     self.script.extend([
                         SyscallOp::Open(name.clone()),
-                        SyscallOp::Pread { fd: LAST_OPENED, offset: 0, len: *len },
-                        SyscallOp::Close(LAST_OPENED),
+                        SyscallOp::Pread { fd: Fd::LAST_OPENED, offset: 0, len: *len },
+                        SyscallOp::Close(Fd::LAST_OPENED),
                     ]);
                 }
             }
             // Append to the log; periodically commit (debit-credit).
             55..=69 => {
                 if self.appends == 0 {
-                    self.script.push_back(SyscallOp::Create(format!("{}/log", self.dir)));
+                    self.script.push(SyscallOp::Create(format!("{}/log", self.dir)));
                 }
                 // Until its `create` has returned, the log is the
                 // descriptor opened last.
-                let fd = self.log.unwrap_or(LAST_OPENED);
+                let fd = self.log.unwrap_or(Fd::LAST_OPENED);
                 let len = datagen::length(self.seed, tag ^ 0x5A, 32, 512);
                 let data = datagen::bytes(self.seed, tag ^ 0x11, len);
-                self.script.push_back(SyscallOp::Write { fd, data });
+                self.script.push(SyscallOp::Write { fd, data });
                 self.appends += 1;
                 if self.appends.is_multiple_of(self.commit_every) {
-                    self.script.push_back(SyscallOp::Fsync(fd));
+                    self.script.push(SyscallOp::Fsync(fd));
                     self.commits += 1;
                 }
             }
             // Delete the oldest file.
             70..=84 => {
                 if let Some((name, _)) = self.files.pop_front() {
-                    self.script.push_back(SyscallOp::Unlink(name));
+                    self.script.push(SyscallOp::Unlink(name));
                 }
             }
             // Directory listing.
-            _ => self.script.push_back(SyscallOp::Readdir(self.dir.clone())),
+            _ => self.script.push(SyscallOp::Readdir(self.dir.clone())),
         }
     }
 }
@@ -187,12 +182,12 @@ impl PreemptClient for Client {
         // Every name is the client's own and every descriptor live.
         assert!(prev.is_some() || !self.issued, "{}: a syscall failed", self.dir);
         self.issued = true;
-        if let Some(SyscallRet::Fd(fd)) = prev {
-            self.last_opened = Some(*fd);
+        if let Some(ret) = prev {
+            self.script.note(ret);
             // The first append has been planned and its `create` is the
             // one that just returned.
-            if self.appends > 0 && self.log.is_none() {
-                self.log = Some(*fd);
+            if matches!(ret, SyscallRet::Fd(_)) && self.appends > 0 && self.log.is_none() {
+                self.log = self.script.last_opened();
             }
         }
         while self.script.is_empty() {
@@ -204,17 +199,7 @@ impl PreemptClient for Client {
             }
             self.step += 1;
         }
-        let mut op = self.script.pop_front()?;
-        if let SyscallOp::Write { fd, .. }
-        | SyscallOp::Pread { fd, .. }
-        | SyscallOp::Fsync(fd)
-        | SyscallOp::Close(fd) = &mut op
-        {
-            if *fd == LAST_OPENED {
-                *fd = self.last_opened.expect("scripts open before they use");
-            }
-        }
-        Some(op)
+        self.script.pop()
     }
 }
 

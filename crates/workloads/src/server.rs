@@ -23,7 +23,9 @@
 use crate::datagen;
 use rio_det::{derive_seed, derive_seed3, DetRng};
 use rio_disk::SimTime;
-use rio_kernel::{client_refs, Fd, Kernel, KernelError, PreemptClient, SyscallOp, SyscallRet};
+use rio_kernel::{
+    client_refs, Fd, Kernel, KernelError, PreemptClient, SyscallOp, SyscallRet, SyscallScript,
+};
 use rio_obs::Histogram;
 use std::sync::Arc;
 
@@ -127,22 +129,6 @@ enum ReqKind {
     Commit,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Step {
-    Open,
-    Io,
-    Fsync,
-    Close,
-}
-
-#[derive(Debug)]
-struct InFlight {
-    kind: ReqKind,
-    fd: Option<Fd>,
-    arrival: SimTime,
-    issued: Step,
-}
-
 struct ServerClient {
     uid: usize,
     seed: u64,
@@ -156,7 +142,10 @@ struct ServerClient {
     read_pct: u64,
     write_pct: u64,
     req: usize,
-    cur: Option<InFlight>,
+    /// The request in flight: its class and scheduled arrival.
+    cur: Option<(ReqKind, SimTime)>,
+    /// The in-flight request's syscalls not yet issued.
+    script: SyscallScript,
     read: Histogram,
     write: Histogram,
     commit: Histogram,
@@ -182,6 +171,7 @@ impl ServerClient {
             write_pct: cfg.write_pct,
             req: 0,
             cur: None,
+            script: SyscallScript::default(),
             read: Histogram::default(),
             write: Histogram::default(),
             commit: Histogram::default(),
@@ -215,65 +205,41 @@ impl ServerClient {
 
 impl PreemptClient for ServerClient {
     fn next_op(&mut self, prev: Option<&SyscallRet>) -> Option<SyscallOp> {
-        match &mut self.cur {
-            None => {
-                let arrival = *self.arrivals.get(self.req)?;
-                self.req += 1;
-                let kind = self.draw_kind();
-                let key = self.draw_key();
-                self.cur = Some(InFlight {
-                    kind,
-                    fd: None,
-                    arrival,
-                    issued: Step::Open,
-                });
-                Some(SyscallOp::Open(format!("{}/k{key}", self.root)))
-            }
-            Some(cur) => {
-                let prev = prev.expect("server request ops must not fail");
-                match cur.issued {
-                    Step::Open => {
-                        let SyscallRet::Fd(fd) = *prev else {
-                            panic!("open returned {prev:?}");
-                        };
-                        cur.fd = Some(fd);
-                        cur.issued = Step::Io;
-                        let span = (self.key_bytes - self.io_bytes) as u64;
-                        let offset = self.rng.gen_range(0..=span);
-                        match cur.kind {
-                            ReqKind::Read => Some(SyscallOp::Pread {
-                                fd,
-                                offset,
-                                len: self.io_bytes,
-                            }),
-                            ReqKind::Write | ReqKind::Commit => {
-                                let tag = ((self.uid as u64) << 24) | self.req as u64;
-                                Some(SyscallOp::Pwrite {
-                                    fd,
-                                    offset,
-                                    data: datagen::bytes(self.seed, tag, self.io_bytes),
-                                })
-                            }
-                        }
-                    }
-                    Step::Io => {
-                        let fd = cur.fd.expect("fd set after open");
-                        if cur.kind == ReqKind::Commit {
-                            cur.issued = Step::Fsync;
-                            Some(SyscallOp::Fsync(fd))
-                        } else {
-                            cur.issued = Step::Close;
-                            Some(SyscallOp::Close(fd))
-                        }
-                    }
-                    Step::Fsync => {
-                        cur.issued = Step::Close;
-                        Some(SyscallOp::Close(cur.fd.expect("fd set after open")))
-                    }
-                    Step::Close => unreachable!("request ended in op_completed"),
+        if self.cur.is_some() {
+            self.script
+                .note(prev.expect("server request ops must not fail"));
+            return Some(self.script.pop().expect("a request ends in op_completed"));
+        }
+        let arrival = *self.arrivals.get(self.req)?;
+        self.req += 1;
+        let kind = self.draw_kind();
+        let key = self.draw_key();
+        let span = (self.key_bytes - self.io_bytes) as u64;
+        let offset = self.rng.gen_range(0..=span);
+        let fd = Fd::LAST_OPENED;
+        self.script
+            .push(SyscallOp::Open(format!("{}/k{key}", self.root)));
+        self.script.push(match kind {
+            ReqKind::Read => SyscallOp::Pread {
+                fd,
+                offset,
+                len: self.io_bytes,
+            },
+            ReqKind::Write | ReqKind::Commit => {
+                let tag = ((self.uid as u64) << 24) | self.req as u64;
+                SyscallOp::Pwrite {
+                    fd,
+                    offset,
+                    data: datagen::bytes(self.seed, tag, self.io_bytes),
                 }
             }
+        });
+        if kind == ReqKind::Commit {
+            self.script.push(SyscallOp::Fsync(fd));
         }
+        self.script.push(SyscallOp::Close(fd));
+        self.cur = Some((kind, arrival));
+        self.script.pop()
     }
 
     fn next_op_at(&mut self) -> Option<SimTime> {
@@ -289,12 +255,11 @@ impl PreemptClient for ServerClient {
     }
 
     fn op_completed(&mut self, _ret: &SyscallRet, at: SimTime) {
-        let Some(cur) = &self.cur else { return };
-        if cur.issued == Step::Close {
-            let lat = at.saturating_sub(cur.arrival).as_micros();
-            let kind = cur.kind;
+        // The request ends with its last syscall.
+        if let (Some((kind, arrival)), true) = (self.cur, self.script.is_empty()) {
             self.cur = None;
-            self.hist_mut(kind).record(lat);
+            self.hist_mut(kind)
+                .record(at.saturating_sub(arrival).as_micros());
         }
     }
 }
