@@ -4,9 +4,9 @@
 //! times (§3.1–3.2: boot → warm up → inject → run to crash → reboot →
 //! compare). Every study in this repository that repeats a procedure over
 //! a grid — Table 1, Table 1 under load, the recovery re-crash table, the
-//! propagation study, the scale and server grids — describes *what* one
-//! cell does by implementing [`Campaign`]; [`run`] is the only code that
-//! decides *how* the cells get executed:
+//! propagation study, the server grid — describes *what* one cell does by
+//! implementing [`Campaign`]; [`run`] is the only code that decides *how*
+//! the cells get executed:
 //!
 //! * **Firewalled.** Every trial runs behind one `catch_unwind`. A trial
 //!   that panics (a harness bug, not a simulated crash) leaves a

@@ -10,10 +10,10 @@
 use crate::overhead::render_overhead;
 use crate::table2::Table2Scale;
 use crate::{
-    explain_json, explain_trial, render_propagation, render_recovery, render_scale, render_server,
-    render_table1, render_table1_scale, render_table2, render_timeline, run_overhead_study,
-    run_propagation, run_recovery, run_scale, run_server, run_table1, run_table1_scale, run_table2,
-    scale_json, server_json, ExplainConfig, ScaleGrid, ServerGrid,
+    explain_json, explain_trial, render_propagation, render_recovery, render_server, render_table1,
+    render_table1_scale, render_table2, render_timeline, run_overhead_study, run_propagation,
+    run_recovery, run_server, run_table1, run_table1_scale, run_table2, server_json, ExplainConfig,
+    ServerGrid,
 };
 use rio_faults::{CampaignConfig, RecoveryCampaignConfig, ScaleCampaignConfig};
 use rio_faults::{FaultType, SystemKind};
@@ -91,7 +91,7 @@ const fn knobs(trials: Option<u64>) -> Knobs {
 /// Every exhibit, in the order `--index` lists them. (Unformatted so that
 /// a row reads as a row.)
 #[rustfmt::skip]
-pub static EXHIBITS: [Exhibit; 9] = [
+pub static EXHIBITS: [Exhibit; 8] = [
     Exhibit { name: "table1", files: &["results_table1.txt"], committed: knobs(Some(1000)),
               cost: Cost::Full(knobs(Some(3)), "results_table1_quick.txt"), run: table1 },
     Exhibit { name: "table2", files: &["results_table2.txt"], committed: knobs(None),
@@ -105,8 +105,6 @@ pub static EXHIBITS: [Exhibit; 9] = [
     Exhibit { name: "explain", files: &["results_trace_example.txt", "BENCH_obs.json"],
               committed: Knobs { trial: Some((FaultType::CopyOverrun, SystemKind::RioWithProtection, 0)), ..knobs(None) },
               cost: Cost::Tier1, run: explain },
-    Exhibit { name: "scale", files: &["results_scale.txt", "BENCH_scale.json"], committed: knobs(None),
-              cost: Cost::Tier1, run: scale },
     Exhibit { name: "table1_scale", files: &["results_table1_scale.txt"],
               committed: Knobs { clients: &[1, 16, 64], ..knobs(Some(10)) },
               cost: Cost::Full(Knobs { clients: &[1, 4], ..knobs(Some(1)) }, "results_table1_scale_quick.txt"),
@@ -157,12 +155,6 @@ fn explain(k: &Knobs, _: usize) -> Vec<String> {
     vec![render_timeline(&report), explain_json(&report)]
 }
 
-fn scale(k: &Knobs, threads: usize) -> Vec<String> {
-    let report = run_scale(&ScaleGrid::small(k.seed), threads);
-    report.assert_rio_wins();
-    vec![render_scale(&report) + "\n", scale_json(&report)]
-}
-
 fn table1_scale(k: &Knobs, threads: usize) -> Vec<String> {
     let mut cfg = ScaleCampaignConfig::paper(k.seed);
     cfg.trials_per_cell = k.trials.expect("a trial count");
@@ -191,6 +183,7 @@ fn server(k: &Knobs, threads: usize) -> Vec<String> {
     }
     let report = run_server(&ServerGrid::small(k.seed), threads);
     report.assert_rio_tail_wins();
+    report.assert_rio_capacity_wins();
     let text = format!(
         "{}\nhistogram self-check: worst percentile error {worst:.4} (bound 0.0625) OK\n",
         render_server(&report)
@@ -310,8 +303,8 @@ mod tests {
             ("a\n", "a\nb\n"),
             ("", "\n"),
         ] {
-            let err = compare("scale", "BENCH_scale.json", recorded, got).unwrap_err();
-            assert!(err.contains("BENCH_scale.json"), "{err}");
+            let err = compare("server", "BENCH_server.json", recorded, got).unwrap_err();
+            assert!(err.contains("BENCH_server.json"), "{err}");
             assert!(
                 err.contains("<end of file>") || err.contains("\"\""),
                 "{err}"

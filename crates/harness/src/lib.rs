@@ -21,8 +21,9 @@
 //!   `(seed, fault, system, attempt)` coordinate with [`rio_obs`] tracing
 //!   enabled and render a causal timeline from injection to the first
 //!   corrupted byte (or the protection trap that prevented one).
-//! * [`scale`] — the multi-client scale-out study: N scheduled clients ×
-//!   D striped devices, Rio vs write-through throughput.
+//! * [`server`] — the multi-client study: open-loop tail latency over
+//!   five systems, plus a closed-loop capacity rung (Rio vs write-through
+//!   on 1 and 4 striped devices).
 //! * [`exhibits`] — the manifest behind the `exhibit` binary (`cargo run
 //!   --release --bin exhibit -- <name>`): which function regenerates which
 //!   committed `results_*.txt` / `BENCH_*.json`, at which knobs.
@@ -36,7 +37,6 @@ pub mod explain;
 pub mod overhead;
 pub mod propagation;
 pub mod recovery;
-pub mod scale;
 pub mod server;
 pub mod table1;
 pub mod table1_scale;
@@ -46,12 +46,9 @@ pub use explain::{explain_json, explain_trial, render_timeline, ExplainConfig, E
 pub use overhead::{run_overhead_study, OverheadReport};
 pub use propagation::{render_propagation, run_propagation, PropagationRow};
 pub use recovery::{render_recovery, run_recovery, RecoveryReport};
-pub use scale::{render_scale, run_scale, scale_json, ScaleCell, ScaleGrid, ScaleGridReport};
-pub use table1::{render_table1, run_table1, MttfEstimate, Table1Report};
-pub use table1_scale::{
-    render_table1_scale, run_table1_scale, ScaleBandCheck, Table1ScaleReport,
-};
 pub use server::{
     render_server, run_server, server_json, ServerCell, ServerGrid, ServerGridReport,
 };
+pub use table1::{render_table1, run_table1, MttfEstimate, Table1Report};
+pub use table1_scale::{render_table1_scale, run_table1_scale, ScaleBandCheck, Table1ScaleReport};
 pub use table2::{render_table2, run_table2, Table2Report, Table2Row};

@@ -1,13 +1,19 @@
-//! The open-loop tail-latency study behind `results_server.txt`.
+//! The multi-client study behind `results_server.txt`: the paper's Sdet
+//! argument (§4) — every reliability-induced synchronous write stalls a
+//! client — read off one workload twice.
 //!
-//! Runs the [`rio_workloads::server`] open-loop file server over a grid
-//! of client counts × storage systems and reports p50/p99/p999 simulated
-//! latency per op class (read / write / commit). Where the scale exhibit
-//! measured throughput under closed-loop load, this one asks the
-//! production question the ROADMAP's north-star poses: when requests
-//! arrive on their own clock — Poisson with bursty phases, Zipf key skew
-//! — does Rio hold the latency *tail* flat where write-through's
-//! synchronous commits make it collapse?
+//! * **Open loop, for latency.** The [`rio_workloads::server`] file
+//!   server over a grid of client counts × five storage systems, requests
+//!   arriving on their own clock (Poisson with bursty phases, Zipf key
+//!   skew), reported as p50/p99/p999 simulated latency per op class
+//!   (read / write / commit): does Rio hold the *tail* flat where
+//!   write-through's synchronous commits make it collapse?
+//! * **Closed loop, for capacity.** The same server with
+//!   `mean_interarrival_us: 0` — each connection issues its next request
+//!   when its last one completes — at the grid's smallest client count,
+//!   Rio vs write-through on 1 and 4 devices, reported as requests per
+//!   simulated second. Its latencies measure backlog from t ≈ 0 and are
+//!   not reported.
 //!
 //! Every cell runs on a freshly formatted machine (Table 2 discipline)
 //! and is deterministic in `(seed, cell)`; [`rio_faults::map_grid`]
@@ -17,9 +23,11 @@
 //! error at ≤ 1/16 — tight enough that a p999 headline means something.
 
 use crate::ascii;
-use rio_baselines::{memfs, rio_with_protection, rio_without_protection, ufs_default, ufs_write_write};
+use rio_baselines::{
+    memfs, rio_with_protection, rio_without_protection, ufs_default, ufs_write_write,
+};
 use rio_disk::SimTime;
-use rio_kernel::Policy;
+use rio_kernel::{Kernel, KernelConfig, Policy};
 use rio_obs::{json_escape, Histogram};
 use rio_workloads::{Server, ServerConfig};
 
@@ -30,13 +38,13 @@ pub struct ServerGrid {
     pub seed: u64,
     /// Client counts to sweep.
     pub clients: Vec<usize>,
-    /// Open-loop requests per client.
+    /// Requests per client, open-loop and on the capacity rung.
     pub requests_per_client: usize,
 }
 
 impl ServerGrid {
     /// The committed-artifact grid: clients {64, 256, 1024}, five
-    /// systems, 16 requests per client.
+    /// systems, 16 requests per client; the capacity rung at 64 clients.
     pub fn small(seed: u64) -> Self {
         ServerGrid {
             seed,
@@ -55,13 +63,16 @@ impl ServerGrid {
     }
 }
 
-/// One (system, clients) measurement: per-class latency histograms.
+/// One (system, clients, devices) measurement: per-class latency
+/// histograms (meaningless on the capacity rung).
 #[derive(Debug, Clone)]
 pub struct ServerCell {
     /// System name.
     pub system: &'static str,
     /// Concurrent client connections.
     pub clients: usize,
+    /// Striped devices.
+    pub devices: usize,
     /// Wall time from first arrival to last completion.
     pub total: SimTime,
     /// Requests completed.
@@ -86,19 +97,22 @@ impl ServerCell {
 /// The full grid report.
 #[derive(Debug, Clone)]
 pub struct ServerGridReport {
-    /// All cells, grid-ordered (clients-major, then system).
+    /// The open-loop cells, grid-ordered (clients-major, then system).
     pub cells: Vec<ServerCell>,
+    /// The closed-loop capacity rung (devices-major, then system).
+    pub capacity: Vec<ServerCell>,
     /// The grid that produced them.
     pub grid: ServerGrid,
 }
 
-const SYSTEMS: [&str; 5] = [
-    "memfs",
-    "Rio (protected)",
-    "Rio (no protection)",
-    "UFS write-through",
-    "UFS default",
-];
+const RIO: &str = "Rio (protected)";
+const WT: &str = "UFS write-through";
+const SYSTEMS: [&str; 5] = ["memfs", RIO, "Rio (no protection)", WT, "UFS default"];
+
+/// The open-loop grid's stripe.
+const OPEN_DEVICES: usize = 4;
+/// The capacity rung's device counts: one spindle and the open-loop stripe.
+const CAPACITY_DEVICES: [usize; 2] = [1, OPEN_DEVICES];
 
 fn policy_for(system: &str) -> Policy {
     match system {
@@ -123,12 +137,23 @@ impl ServerGridReport {
     /// headline number: how much longer the worst thousandth of commits
     /// waits when every commit is a synchronous disk write.
     pub fn p999_advantage(&self, clients: usize) -> f64 {
-        let rio = self.cell("Rio (protected)", clients).commit.percentile(0.999);
-        let wt = self
-            .cell("UFS write-through", clients)
-            .commit
-            .percentile(0.999);
+        let rio = self.cell(RIO, clients).commit.percentile(0.999);
+        let wt = self.cell(WT, clients).commit.percentile(0.999);
         wt as f64 / rio.max(1) as f64
+    }
+
+    /// The capacity rung's cell for one system and device count.
+    pub fn capacity_cell(&self, system: &str, devices: usize) -> &ServerCell {
+        self.capacity
+            .iter()
+            .find(|c| c.system == system && c.devices == devices)
+            .expect("capacity cell present")
+    }
+
+    /// Rio / write-through closed-loop requests per second on `devices`.
+    pub fn capacity_ratio(&self, devices: usize) -> f64 {
+        self.capacity_cell(RIO, devices).requests_per_sec()
+            / self.capacity_cell(WT, devices).requests_per_sec()
     }
 
     /// Panics unless Rio's commit p999 beats write-through's at the
@@ -141,31 +166,98 @@ impl ServerGridReport {
             "Rio commit p999 must beat write-through at {c} clients (got {adv:.2}x)"
         );
     }
+
+    /// Panics unless the capacity rung carries both throughput claims:
+    /// Rio serves more requests per second than write-through on every
+    /// device count, and striping cuts write-through's time.
+    pub fn assert_rio_capacity_wins(&self) {
+        for d in CAPACITY_DEVICES {
+            let r = self.capacity_ratio(d);
+            assert!(
+                r > 1.0,
+                "Rio must out-serve write-through on {d} devices (got {r:.2}x)"
+            );
+        }
+        let [one, many] = CAPACITY_DEVICES.map(|d| self.capacity_cell(WT, d).total);
+        assert!(
+            many < one,
+            "striping must cut write-through's time ({one:?} on 1 device, {many:?} on {OPEN_DEVICES})"
+        );
+    }
 }
 
-fn grid_points(grid: &ServerGrid) -> Vec<(&'static str, usize)> {
+/// The capacity rung runs at the grid's smallest client count.
+fn capacity_clients(grid: &ServerGrid) -> usize {
+    *grid.clients.iter().min().expect("non-empty")
+}
+
+/// One cell to run: a system at a client count on a device count, open
+/// loop or closed.
+#[derive(Debug, Clone, Copy)]
+struct Point {
+    system: &'static str,
+    clients: usize,
+    devices: usize,
+    closed: bool,
+}
+
+/// The open-loop cells, then the capacity rung.
+fn grid_points(grid: &ServerGrid) -> Vec<Point> {
     let mut points = Vec::new();
     for &clients in &grid.clients {
         for system in SYSTEMS {
-            points.push((system, clients));
+            points.push(Point {
+                system,
+                clients,
+                devices: OPEN_DEVICES,
+                closed: false,
+            });
+        }
+    }
+    let clients = capacity_clients(grid);
+    for devices in CAPACITY_DEVICES {
+        for system in [RIO, WT] {
+            points.push(Point {
+                system,
+                clients,
+                devices,
+                closed: true,
+            });
         }
     }
     points
 }
 
-fn run_cell(grid: &ServerGrid, system: &'static str, clients: usize) -> ServerCell {
-    let policy = policy_for(system);
-    // The scale exhibit's machine on a 4-device stripe, so the two
-    // studies compose.
-    let mut k = crate::scale::fresh_kernel(&policy, 4);
-    let cfg = ServerConfig {
-        requests_per_client: grid.requests_per_client,
-        ..ServerConfig::small(grid.seed, clients)
+/// A freshly formatted machine with Table 2's proportions (16 MB UBC,
+/// 64 MB disk) on `devices` striped devices.
+fn fresh_kernel(policy: &Policy, devices: usize) -> Kernel {
+    let mut config = KernelConfig::small(policy.clone());
+    config.machine.mem = rio_mem::MemConfig {
+        ubc_bytes: 16 * 1024 * 1024,
+        buffer_cache_bytes: 1024 * 1024,
+        registry_bytes: 128 * 1024,
+        ..rio_mem::MemConfig::small()
     };
+    config.geometry = rio_kernel::DiskGeometry::new(8192, 4096, 128);
+    config.machine.disk_blocks = 8192;
+    config.machine.disk_devices = devices;
+    Kernel::mkfs_and_mount(&config).expect("mkfs")
+}
+
+fn run_cell(grid: &ServerGrid, p: &Point) -> ServerCell {
+    let mut k = fresh_kernel(&policy_for(p.system), p.devices);
+    let mut cfg = ServerConfig {
+        requests_per_client: grid.requests_per_client,
+        ..ServerConfig::small(grid.seed, p.clients)
+    };
+    if p.closed {
+        cfg.mean_interarrival_us = 0;
+    }
     let report = Server::new(cfg).run(&mut k).expect("server workload");
     ServerCell {
-        system,
-        clients,
+        system: p.system,
+        clients: p.clients,
+        devices: p.devices,
         total: report.total,
         requests: report.requests,
         read: report.read,
@@ -178,11 +270,11 @@ fn run_cell(grid: &ServerGrid, system: &'static str, clients: usize) -> ServerCe
 /// Runs the grid's independent cells over `threads` workers; the report
 /// is identical at any thread count.
 pub fn run_server(grid: &ServerGrid, threads: usize) -> ServerGridReport {
-    let cells = rio_faults::map_grid(&grid_points(grid), threads, |&(system, clients)| {
-        run_cell(grid, system, clients)
-    });
+    let mut cells = rio_faults::map_grid(&grid_points(grid), threads, |p| run_cell(grid, p));
+    let capacity = cells.split_off(grid.clients.len() * SYSTEMS.len());
     ServerGridReport {
         cells,
+        capacity,
         grid: grid.clone(),
     }
 }
@@ -193,6 +285,18 @@ fn class_rows(cell: &ServerCell) -> [(&'static str, &Histogram); 3] {
         ("write", &cell.write),
         ("commit", &cell.commit),
     ]
+}
+
+/// A p99 / p999 cell, marked `*` when the class holds fewer than
+/// 1/(1 − q) samples: the quantile is then its largest or second-largest
+/// sample, not a tail estimate.
+fn quantile_cell(hist: &Histogram, q: f64) -> String {
+    let v = hist.percentile(q);
+    if (hist.count() as f64) < (1.0 / (1.0 - q)).round() {
+        format!("{v}*")
+    } else {
+        v.to_string()
+    }
 }
 
 /// Renders the report as the committed text artifact.
@@ -217,8 +321,8 @@ pub fn render_server(report: &ServerGridReport) -> String {
                     class.to_owned(),
                     hist.count().to_string(),
                     hist.percentile(0.50).to_string(),
-                    hist.percentile(0.99).to_string(),
-                    hist.percentile(0.999).to_string(),
+                    quantile_cell(hist, 0.99),
+                    quantile_cell(hist, 0.999),
                     format!("{:.1}", cell.requests_per_sec()),
                 ]);
             }
@@ -233,10 +337,13 @@ pub fn render_server(report: &ServerGridReport) -> String {
         report.grid.requests_per_client
     ));
     out.push_str(&ascii::render(&rows));
-    out.push('\n');
+    out.push_str(
+        "* fewer than 1/(1-q) samples in the class (100 for p99, 1000 for p999): \
+         the quantile is its largest or second-largest sample\n\n",
+    );
     let c_max = *report.grid.clients.iter().max().expect("non-empty");
-    let rio = report.cell("Rio (protected)", c_max);
-    let wt = report.cell("UFS write-through", c_max);
+    let rio = report.cell(RIO, c_max);
+    let wt = report.cell(WT, c_max);
     out.push_str(&format!(
         "Rio p999 advantage at {c_max} clients: commit {:.1}x (Rio {} us vs write-through {} us)\n",
         report.p999_advantage(c_max),
@@ -248,38 +355,97 @@ pub fn render_server(report: &ServerGridReport) -> String {
         rio.read.percentile(0.999),
         wt.read.percentile(0.999),
     ));
-    out
+    out + &render_capacity(report)
 }
 
-/// Machine-readable form of the report (committed as `BENCH_server.json`).
+/// The capacity rung: simulated seconds and requests per second only.
+fn render_capacity(report: &ServerGridReport) -> String {
+    let mut rows = vec![vec![
+        "Devices".to_owned(),
+        "Rio (s)".to_owned(),
+        "WT (s)".to_owned(),
+        "Rio req/s".to_owned(),
+        "WT req/s".to_owned(),
+        "Rio/WT".to_owned(),
+    ]];
+    for d in CAPACITY_DEVICES {
+        let (rio, wt) = (report.capacity_cell(RIO, d), report.capacity_cell(WT, d));
+        rows.push(vec![
+            d.to_string(),
+            format!("{:.2}", rio.total.as_secs_f64()),
+            format!("{:.2}", wt.total.as_secs_f64()),
+            format!("{:.1}", rio.requests_per_sec()),
+            format!("{:.1}", wt.requests_per_sec()),
+            format!("{:.1}x", report.capacity_ratio(d)),
+        ]);
+    }
+    let c = capacity_clients(&report.grid);
+    let [d_min, d_max] = CAPACITY_DEVICES;
+    let [wt_min, wt_max] =
+        CAPACITY_DEVICES.map(|d| report.capacity_cell(WT, d).total.as_secs_f64());
+    format!(
+        "\nClosed-loop capacity: {c} clients x {} requests, each issued when the client's last one \
+         completes (mean inter-arrival 0); latencies omitted, they measure backlog from t = 0\n\n\
+         {}\n\
+         Rio/WT capacity at {c} clients: {:.1}x on {d_min} device(s), {:.1}x on {d_max}\n\
+         Striping {d_min}->{d_max} devices cuts write-through time at {c} clients: \
+         {wt_min:.2}s -> {wt_max:.2}s\n",
+        report.grid.requests_per_client,
+        ascii::render(&rows),
+        report.capacity_ratio(d_min),
+        report.capacity_ratio(d_max),
+    )
+}
+
+/// Machine-readable form of the report (committed as `BENCH_server.json`):
+/// the open-loop cells with their per-class quantiles, then the capacity
+/// rung's cells without.
 pub fn server_json(report: &ServerGridReport) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"server\",\n  \"cells\": [\n");
-    for (i, c) in report.cells.iter().enumerate() {
-        let sep = if i + 1 == report.cells.len() { "" } else { "," };
-        let mut classes = String::new();
-        for (j, (class, hist)) in class_rows(c).iter().enumerate() {
-            let csep = if j == 2 { "" } else { ", " };
-            classes.push_str(&format!(
-                "\"{class}\": {{\"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}}}{csep}",
-                hist.count(),
-                hist.percentile(0.50),
-                hist.percentile(0.99),
-                hist.percentile(0.999),
-            ));
-        }
-        out.push_str(&format!(
-            "    {{\"system\": \"{}\", \"clients\": {}, \"sim_us\": {}, \"requests\": {}, \
-             \"idle_hops\": {}, \"requests_per_sec\": {:.3}, {classes}}}{sep}\n",
+    let open = report.cells.iter().map(|c| {
+        let classes: Vec<String> = class_rows(c)
+            .iter()
+            .map(|(class, hist)| {
+                format!(
+                    "\"{class}\": {{\"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}}}",
+                    hist.count(),
+                    hist.percentile(0.50),
+                    hist.percentile(0.99),
+                    hist.percentile(0.999),
+                )
+            })
+            .collect();
+        format!(
+            "    {{\"system\": \"{}\", \"clients\": {}, {}, {}}}",
             json_escape(c.system),
             c.clients,
-            c.total.as_micros(),
-            c.requests,
-            c.idle_hops,
-            c.requests_per_sec(),
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+            cell_totals_json(c),
+            classes.join(", "),
+        )
+    });
+    let capacity = report.capacity.iter().map(|c| {
+        format!(
+            "    {{\"system\": \"{}\", \"clients\": {}, \"devices\": {}, {}}}",
+            json_escape(c.system),
+            c.clients,
+            c.devices,
+            cell_totals_json(c),
+        )
+    });
+    format!(
+        "{{\n  \"benchmark\": \"server\",\n  \"cells\": [\n{}\n  ],\n  \"capacity\": [\n{}\n  ]\n}}\n",
+        open.collect::<Vec<_>>().join(",\n"),
+        capacity.collect::<Vec<_>>().join(",\n"),
+    )
+}
+
+fn cell_totals_json(c: &ServerCell) -> String {
+    format!(
+        "\"sim_us\": {}, \"requests\": {}, \"idle_hops\": {}, \"requests_per_sec\": {:.3}",
+        c.total.as_micros(),
+        c.requests,
+        c.idle_hops,
+        c.requests_per_sec(),
+    )
 }
 
 #[cfg(test)]
@@ -290,7 +456,8 @@ mod tests {
     fn tiny_grid_runs_and_rio_tail_wins() {
         let report = run_server(&ServerGrid::tiny(3), 1);
         assert_eq!(report.cells.len(), 2 * SYSTEMS.len());
-        for cell in &report.cells {
+        assert_eq!(report.capacity.len(), 2 * CAPACITY_DEVICES.len());
+        for cell in report.cells.iter().chain(&report.capacity) {
             assert_eq!(
                 cell.requests,
                 cell.clients as u64 * report.grid.requests_per_client as u64,
@@ -300,11 +467,14 @@ mod tests {
             );
         }
         report.assert_rio_tail_wins();
+        report.assert_rio_capacity_wins();
         let text = render_server(&report);
         assert!(text.contains("p999"));
+        assert!(text.contains("Rio/WT capacity at 8 clients"), "{text}");
         let json = server_json(&report);
         assert!(json.contains("\"benchmark\": \"server\""));
         assert!(json.contains("\"commit\""));
+        assert!(json.contains("\"capacity\": ["));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!   I/O-intensive column).
 //! * [`sdet`] — SPEC SDM's multi-user software-development workload,
 //!   modeled as interleaved per-user scripts.
-//! * [`scale`] — the N-client server workload (Sdet mix + debit-credit
-//!   commits) driven by the kernel's deterministic process scheduler.
+//! * [`server`] — the N-connection file server (Zipf keys, read / write
+//!   / commit requests) driven by the kernel's preemptive scheduler,
+//!   open-loop for latency or closed-loop for capacity.
 //!
 //! All workloads are seeded and deterministic: the same seed replays the
 //! same operations byte for byte, which is what makes post-crash
@@ -25,7 +26,6 @@ pub mod datagen;
 pub mod debitcredit;
 pub mod memtest;
 pub mod model;
-pub mod scale;
 pub mod sdet;
 pub mod server;
 
@@ -34,6 +34,5 @@ pub use cprm::{CpRm, CpRmConfig, CpRmReport};
 pub use debitcredit::{DebitCredit, DebitCreditConfig, DebitCreditReport};
 pub use memtest::{MemTest, MemTestConfig};
 pub use model::{ModelFs, VerifyReport};
-pub use scale::{Scale, ScaleConfig, ScaleReport};
 pub use sdet::{Sdet, SdetConfig, SdetReport};
 pub use server::{Server, ServerConfig, ServerReport};

@@ -1,17 +1,19 @@
-//! The open-loop file-server workload behind `results_server.txt`.
+//! The multi-connection file-server workload behind `results_server.txt`.
 //!
-//! The scale exhibit answered "how much work per second"; this one
-//! answers the production question: **what latency does a request see**,
-//! and especially the p99/p999 tail, when traffic arrives on its own
-//! clock instead of waiting for the previous request to finish. Each of
-//! N clients is an independent connection issuing requests at seeded
-//! open-loop arrival times — a Poisson process whose rate is modulated
-//! by deterministic bursty phases — against a shared population of key
-//! files with Zipf hot/cold skew. A request is a short syscall chain
-//! (`open` → `pread`/`pwrite` → optional `fsync` → `close`) driven
-//! through [`rio_kernel::PreemptSched`], so requests block mid-syscall,
-//! contend for real kernel locks, and overlap disk waits exactly as the
-//! preemptive kernel schedules them.
+//! It asks the paper's Sdet question (§4) of a server: what latency does
+//! a request see — the p99/p999 tail especially — and how many requests
+//! per second does the machine serve, when every reliability-induced
+//! synchronous write stalls a client? Each of N clients is an independent
+//! connection issuing requests at seeded arrival times — a Poisson
+//! process whose rate is modulated by deterministic bursty phases —
+//! against a shared population of key files with Zipf hot/cold skew. A
+//! request is a short syscall chain (`open` → `pread`/`pwrite` →
+//! optional `fsync` → `close`) driven through
+//! [`rio_kernel::PreemptSched`], so requests block mid-syscall, contend
+//! for real kernel locks, and overlap disk waits exactly as the
+//! preemptive kernel schedules them. With a mean inter-arrival time of
+//! zero the same fleet is closed-loop: each connection issues its next
+//! request when its last one completes, which measures capacity.
 //!
 //! Latency is measured from the request's *scheduled arrival* to the
 //! completion of its final syscall (including trailing fsync drain), so
@@ -47,6 +49,12 @@ pub struct ServerConfig {
     /// Zipf skew exponent for key popularity (1.0–1.3 is web-like).
     pub zipf_s: f64,
     /// Mean per-client inter-arrival time at rate multiplier 1, µs.
+    ///
+    /// Zero makes the fleet closed-loop: the arrivals are `base + 1, 2,
+    /// …, n µs`, so every arrival after the first has passed by the time
+    /// its predecessor completes, and the scheduler issues it then. A
+    /// request's latency then measures backlog since the run began, not
+    /// service; the run's wall time measures capacity.
     pub mean_interarrival_us: u64,
     /// Length of one burst phase, µs.
     pub burst_phase_us: u64,
@@ -65,15 +73,17 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// Bench-grid default: 16 requests/client against 128 × 8 KB keys,
-    /// 60/30/10 read/write/commit, 2 s mean think time per connection
-    /// with 8× bursts 30% of the time.
+    /// 60/30/10 read/write/commit, 4 s mean inter-arrival per connection,
+    /// 8× shorter for a draw made in a burst phase (30% of phases).
     ///
-    /// The think time is chosen against the simulated machine's measured
-    /// request-service capacity (~900 req/s CPU-bound, ~330 req/s for
-    /// write-through): at 1024 clients the offered load is ~512 req/s —
-    /// comfortably under memory-speed capacity, decisively *over*
-    /// write-through's, which is exactly the regime where an open-loop
-    /// tail separates the systems instead of everyone drowning alike.
+    /// The inter-arrival time is chosen against the machine's request-service
+    /// capacity, which `results_server.txt`'s closed-loop rung records at
+    /// 64 clients: Rio 879 req/s on one device or four, write-through 105
+    /// req/s on one and 290 on the 4-device stripe the open-loop grid
+    /// runs on. At 1024 clients the arrivals stay under Rio's capacity
+    /// while their bursts overrun write-through's, which is exactly the
+    /// regime where an open-loop tail separates the systems instead of
+    /// everyone drowning alike.
     pub fn small(seed: u64, clients: usize) -> Self {
         ServerConfig {
             seed,
@@ -417,6 +427,38 @@ mod tests {
         }
         // Different clients get different streams.
         assert_ne!(a, arrivals(&cfg, 1, SimTime::ZERO));
+    }
+
+    #[test]
+    fn zero_interarrival_is_closed_loop() {
+        let closed = ServerConfig {
+            mean_interarrival_us: 0,
+            ..tiny(5, 1)
+        };
+        let base = SimTime::from_micros(1_000);
+        let want: Vec<SimTime> = (1..=6).map(|i| base + SimTime::from_micros(i)).collect();
+        assert_eq!(arrivals(&closed, 0, base), want);
+        // The same requests, open-loop and spaced far apart: each one's
+        // latency is its service time alone.
+        let open = ServerConfig {
+            mean_interarrival_us: 1_000_000,
+            burst_mult: 1.0,
+            ..closed.clone()
+        };
+        let run = |cfg: ServerConfig| {
+            let mut k = kernel(Policy::rio(RioMode::Protected));
+            Server::new(cfg).run(&mut k).unwrap()
+        };
+        let (closed, open) = (run(closed), run(open));
+        let service: u64 = [open.read, open.write, open.commit]
+            .iter()
+            .map(Histogram::sum)
+            .sum();
+        // Rio never waits on the disk, so one client idles only to its
+        // first arrival, 1 µs in, and then runs its requests back to back.
+        assert_eq!(closed.idle_hops, 1);
+        assert_eq!(open.idle_hops, 6);
+        assert_eq!(closed.total.as_micros(), 1 + service);
     }
 
     #[test]

@@ -15,8 +15,9 @@ fn root() -> &'static Path {
 
 /// Every row cheap enough for a debug build regenerates at committed size
 /// and equals its committed bytes, JSON included (`table2`, `overhead`,
-/// `recovery`, `explain` + `BENCH_obs.json`, `scale`, `server`: 9 of the
-/// 12 committed files). The rest is `exhibit --check quick` / `full`.
+/// `recovery`, `explain` + `BENCH_obs.json`, `server` +
+/// `BENCH_server.json`: 7 of the 10 committed files). The rest is
+/// `exhibit --check quick` / `full`.
 #[test]
 fn tier1_exhibits_regenerate_their_committed_bytes() {
     let mut stale = Vec::new();
