@@ -37,10 +37,12 @@ pub struct RecoveredFilePage {
     pub offset: u64,
     /// Valid bytes.
     pub size: u32,
-    /// The recovered bytes (`size` of them); empty when
-    /// `already_replayed` — the durable copy is on disk and the image copy
-    /// is no longer trusted.
-    pub data: Vec<u8>,
+    /// The image page holding the recovered bytes, the first `size` of
+    /// it, checked against the entry's CRC where they lie: the replay
+    /// reads them from there, so the scan copies nothing. Not to be read
+    /// when `already_replayed` — the durable copy is on disk and the
+    /// image copy is no longer trusted.
+    pub page: PageNum,
     /// A previous recovery attempt already replayed and synced this page
     /// ([`EntryFlags::REPLAYED`]); the resumed replay skips it.
     pub already_replayed: bool,
@@ -180,7 +182,7 @@ pub fn scan_registry(image: &PhysMem) -> Recovery {
                 ino: entry.ino,
                 offset: entry.offset,
                 size: entry.size,
-                data: Vec::new(),
+                page: registry.page_for_slot(slot),
                 already_replayed: true,
             });
             continue;
@@ -232,7 +234,7 @@ pub fn scan_registry(image: &PhysMem) -> Recovery {
                 ino: entry.ino,
                 offset: entry.offset,
                 size: entry.size,
-                data: page[..size].to_vec(),
+                page: source_page,
                 already_replayed: false,
             });
         }
@@ -342,11 +344,13 @@ mod tests {
             0xCD,
             1000,
         );
-        let rec = scan_registry(&bus.into_image());
+        let image = bus.into_image();
+        let rec = scan_registry(&image);
         assert_eq!(rec.stats.file_pages_recovered, 1);
         let p = &rec.file_pages[0];
         assert_eq!((p.ino, p.size), (42, 1000));
-        assert_eq!(p.data, vec![0xCD; 1000]);
+        assert_eq!(p.page, registry.page_for_slot(ubc_slot));
+        assert_eq!(image.page(p.page)[..1000], [0xCD; 1000]);
         assert_eq!(rec.stats.total_dropped(), 0);
     }
 
@@ -536,7 +540,6 @@ mod tests {
         assert_eq!(rec.stats.dropped_bad_crc, 0);
         assert_eq!(rec.stats.file_pages_recovered, 0);
         assert!(rec.file_pages[0].already_replayed);
-        assert!(rec.file_pages[0].data.is_empty());
     }
 
     #[test]

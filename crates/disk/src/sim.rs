@@ -11,6 +11,7 @@
 use crate::array::DiskArray;
 use crate::model::DiskModel;
 use crate::time::SimTime;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -60,16 +61,30 @@ pub const BLOCK_SIZE: usize = 8192;
 /// through the free list exactly as the old owned buffers were.
 pub type BlockBuf = Arc<[u8; BLOCK_SIZE]>;
 
-/// Pops a free-list buffer that is safe to overwrite (uniquely owned), or
-/// allocates a fresh one. Shared buffers (a checkpoint still references
-/// them) are dropped, not reused.
+/// Most freed block buffers one thread keeps for reuse (32 MB).
+const BUF_POOL_CAP: usize = 4096;
+
+thread_local! {
+    /// Buffers a dropped disk owned alone: a later disk on this thread
+    /// writes into them instead of asking the allocator, which would have
+    /// handed the memory back to the OS and faulted it in again.
+    static FREE_BUFS: RefCell<Vec<BlockBuf>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Pops a free-list buffer that is safe to overwrite (uniquely owned), then
+/// one this thread recycled from a dropped disk, or allocates a fresh one.
+/// Shared buffers (a checkpoint still references them) are dropped, not
+/// reused. Every caller overwrites the whole buffer.
 fn writable_buf(free: &mut Vec<BlockBuf>) -> BlockBuf {
     while let Some(mut b) = free.pop() {
         if Arc::get_mut(&mut b).is_some() {
             return b;
         }
     }
-    Arc::new([0u8; BLOCK_SIZE])
+    match FREE_BUFS.try_with(|f| f.borrow_mut().pop()) {
+        Ok(Some(b)) => b,
+        _ => Arc::new([0u8; BLOCK_SIZE]),
+    }
 }
 
 /// A [`BlockBuf`] holding a copy of `data`, recycling from `free`.
@@ -500,6 +515,23 @@ impl SimDisk {
     }
 }
 
+impl Drop for SimDisk {
+    /// Returns the free list and every platter buffer this disk alone
+    /// holds to this thread's recycled buffers, for `writable_buf`.
+    fn drop(&mut self) {
+        let owned = self
+            .free
+            .drain(..)
+            .chain(self.blocks.drain(..))
+            .filter_map(|mut b| Arc::get_mut(&mut b).is_some().then_some(b));
+        let _ = FREE_BUFS.try_with(|f| {
+            let mut free = f.borrow_mut();
+            let room = BUF_POOL_CAP.saturating_sub(free.len());
+            free.extend(owned.into_iter().take(room));
+        });
+    }
+}
+
 #[cfg(test)]
 mod differential;
 
@@ -658,6 +690,45 @@ mod tests {
         let data = d.peek(7);
         assert!(data[..BLOCK_SIZE / 2].iter().all(|&b| b == 0x11));
         assert!(data[BLOCK_SIZE / 2..].iter().all(|&b| b == 0xEE));
+    }
+
+    /// A dropped disk's buffers come back to the next disk on this thread;
+    /// whichever path reuses one, every block reads exactly what the new
+    /// disk was given — after retirement and after a crash, where a torn
+    /// block keeps its old second half and a lost write leaves zeroes. A
+    /// buffer a clone still holds is not recycled.
+    #[test]
+    fn buffers_recycled_from_a_dropped_disk_hold_only_the_new_writes() {
+        let mut old = disk();
+        let mut end = SimTime::ZERO;
+        for b in 0..old.num_blocks() {
+            end = old.submit_write(b, block_of(0xA5), SimTime::ZERO, false);
+        }
+        old.sync(end);
+        let kept = old.clone();
+        old.poke(0, &block_of(0x5A)); // now held by `old` alone
+        drop(old);
+        let mut d = disk();
+        let t = d.submit_write(1, block_of(0x11), SimTime::ZERO, false);
+        d.poke(2, &block_of(0x22));
+        let t = d.sync(t);
+        let first_done = d.submit_write(4, block_of(0x44), t, false);
+        d.submit_write(1, block_of(0x33), t, false);
+        d.submit_write(3, block_of(0x55), t, false);
+        d.crash(first_done + SimTime::from_micros(1));
+        let mut torn = block_of(0x33);
+        torn[BLOCK_SIZE / 2..].fill(0x11);
+        for b in 0..d.num_blocks() {
+            let want = match b {
+                1 => torn.clone(),
+                2 => block_of(0x22),
+                4 => block_of(0x44),
+                _ => block_of(0),
+            };
+            assert_eq!(d.peek(b), &want[..], "block {b}");
+            assert_eq!(d.is_torn(b), b == 1, "block {b}");
+            assert_eq!(kept.peek(b), &block_of(0xA5)[..], "clone's block {b}");
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl Kernel {
                 self.flush_one_ubc_page(ev.key, ev.page, true)?;
             }
             self.wait_frame_flush(ev.page);
-            self.ubc_wb_pending.retain(|w| w.page != ev.page);
+            self.forget_ubc_writeback(ev.page);
             self.rio_clear_entry(ev.page)?;
         }
         let backing = self.file_block(inode, pidx)?;
@@ -213,7 +213,8 @@ impl Kernel {
                 // syscall entry). A crash inside the submit→completion
                 // window loses the queued write, so recovery must take the
                 // page from memory, not trust the stale disk copy.
-                self.ubc_wb_pending.retain(|w| w.page != page);
+                self.forget_ubc_writeback(page);
+                self.ubc_wb_pages.insert(page, ());
                 self.ubc_wb_pending
                     .push(crate::kernel::UbcWriteback { key, page, done });
             }
@@ -222,6 +223,13 @@ impl Kernel {
             self.note_frame_flush(page, done);
         }
         Ok(())
+    }
+
+    /// Drops `page`'s pending write-back retirement, if it has one.
+    fn forget_ubc_writeback(&mut self, page: PageNum) {
+        if self.ubc_wb_pages.remove(&page).is_some() {
+            self.ubc_wb_pending.retain(|w| w.page != page);
+        }
     }
 
     /// Write setup: activation record, inode read, staging copyin. The

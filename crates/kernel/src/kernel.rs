@@ -156,14 +156,19 @@ pub struct Kernel {
     /// each cache frame. Eviction sleeps on this (bwait) before reusing
     /// the frame: once the frame is reused, the queued write is the
     /// evicted block's only copy, and the disk's crash model loses
-    /// queued-but-unstarted writes entirely.
-    pub(crate) frame_flushes: Vec<(PageNum, SimTime)>,
+    /// queued-but-unstarted writes entirely. Keyed by frame, so a frame
+    /// with nothing in flight costs one lookup; never iterated.
+    pub(crate) frame_flushes: MixMap<PageNum, SimTime>,
     /// Asynchronous UBC write-backs still inside their submit→completion
     /// window. The page's registry entry keeps its DIRTY bit for the
     /// whole window — it clears at retirement, once the disk write has
     /// actually finished — so a crash inside the window recovers the
-    /// page from memory instead of trusting the stale disk copy.
+    /// page from memory instead of trusting the stale disk copy. At most
+    /// one per page, retired in the order they were queued.
     pub(crate) ubc_wb_pending: Vec<UbcWriteback>,
+    /// The pages with an entry in `ubc_wb_pending`, so that dropping a
+    /// page's entry scans the list only when it has one. Never iterated.
+    pub(crate) ubc_wb_pages: MixMap<PageNum, ()>,
     pub(crate) stats: KernelStats,
 }
 
@@ -286,8 +291,9 @@ impl Kernel {
             preserve_mtime_on_write: false,
             cur_client: None,
             lockq: crate::preempt::LockQueues::default(),
-            frame_flushes: Vec::new(),
+            frame_flushes: MixMap::default(),
             ubc_wb_pending: Vec::new(),
+            ubc_wb_pages: MixMap::default(),
             stats: KernelStats::default(),
         })
     }
@@ -408,11 +414,8 @@ impl Kernel {
     /// Records an asynchronous write-back sourced from a cache frame, so
     /// eviction can sleep on its completion before reusing the frame.
     pub(crate) fn note_frame_flush(&mut self, page: PageNum, done: SimTime) {
-        if let Some(e) = self.frame_flushes.iter_mut().find(|e| e.0 == page) {
-            e.1 = e.1.max(done);
-        } else {
-            self.frame_flushes.push((page, done));
-        }
+        let newest = self.frame_flushes.entry(page).or_insert(done);
+        *newest = (*newest).max(done);
     }
 
     /// bwait: blocks until any write-back still in flight from `page`
@@ -421,10 +424,9 @@ impl Kernel {
     /// remaining copy, and a crash would silently revert the block to its
     /// stale on-disk contents (the crash model loses queued writes).
     pub(crate) fn wait_frame_flush(&mut self, page: PageNum) {
-        let Some(pos) = self.frame_flushes.iter().position(|e| e.0 == page) else {
+        let Some(done) = self.frame_flushes.remove(&page) else {
             return;
         };
-        let (_, done) = self.frame_flushes.swap_remove(pos);
         let now = self.machine.clock.now();
         if done > now {
             self.machine.clock.wait_until(done);
@@ -445,17 +447,13 @@ impl Kernel {
     ///
     /// Propagates registry access faults (which panic the kernel).
     pub(crate) fn retire_ubc_writebacks(&mut self) -> Result<(), KernelError> {
-        if self.ubc_wb_pending.is_empty() {
-            return Ok(());
-        }
         let now = self.machine.clock.now();
-        let mut i = 0;
-        while i < self.ubc_wb_pending.len() {
-            if self.ubc_wb_pending[i].done > now {
-                i += 1;
-                continue;
-            }
-            let wb = self.ubc_wb_pending.remove(i);
+        let due: Vec<UbcWriteback> = self
+            .ubc_wb_pending
+            .extract_if(.., |wb| wb.done <= now)
+            .collect();
+        for wb in due {
+            self.ubc_wb_pages.remove(&wb.page);
             if self.ubc.peek(wb.key) != Some(wb.page) || self.ubc.is_dirty(wb.key) {
                 continue;
             }

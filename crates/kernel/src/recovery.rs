@@ -213,7 +213,7 @@ fn run_end(pages: &[RecoveredFilePage], start: usize) -> usize {
         if end - start == MAX_RUN_PAGES
             || next.already_replayed
             || next.ino != prev.ino
-            || prev.data.len() != PAGE_SIZE
+            || prev.size as usize != PAGE_SIZE
             || next.offset != prev.offset + PAGE_SIZE as u64
         {
             break;
@@ -363,6 +363,11 @@ impl Kernel {
             kernel.read_inode_opt(ino).map_err(WarmBootError::Fatal)?;
         }
         let mut written = Vec::new();
+        // The recovered bytes stay where the scan checked them, in the
+        // preserved image; each run is gathered from there into this one
+        // buffer, the only copy before the `pwrite` stages it.
+        let mut data = Vec::with_capacity(MAX_RUN_PAGES * PAGE_SIZE);
+        let image_bytes = |p: &RecoveredFilePage| &image.page(p.page)[..p.size as usize];
         let mut start = 0;
         while start < pages.len() {
             if pages[start].already_replayed {
@@ -373,7 +378,10 @@ impl Kernel {
             let run = &pages[start..end];
             let ino = run[0].ino;
             let first = written.len();
-            let data = run.iter().map(|p| &p.data[..]).collect::<Vec<_>>().concat();
+            data.clear();
+            for p in run {
+                data.extend_from_slice(image_bytes(p));
+            }
             match kernel.pwrite_ino(ino, run[0].offset, &data) {
                 Ok(()) => written.extend(run.iter().zip(start..).map(|(p, i)| (i as u64, p.slot))),
                 Err(e) if fatal(&e) => return Err(WarmBootError::Fatal(e)),
@@ -382,7 +390,7 @@ impl Kernel {
                 // are counted unreplayable; the boot goes on.
                 Err(_) => {
                     for (p, i) in run.iter().zip(start..) {
-                        match kernel.pwrite_ino(p.ino, p.offset, &p.data) {
+                        match kernel.pwrite_ino(p.ino, p.offset, image_bytes(p)) {
                             Ok(()) => written.push((i as u64, p.slot)),
                             Err(e) if fatal(&e) => return Err(WarmBootError::Fatal(e)),
                             Err(_) => report.pages_unreplayable += 1,

@@ -160,10 +160,24 @@ fn assert_committed_pages_are_durable(
             .unwrap_or_else(|| panic!("{label}: no path reaches inode {}", p.ino));
         let got = cold.file_contents(path).expect("cold read");
         let at = p.offset as usize;
+        let want = &c.image.page(p.page)[..p.size as usize];
         assert_eq!(
-            got.get(at..at + p.data.len()),
-            Some(&p.data[..]),
+            got.get(at..at + want.len()),
+            Some(want),
             "{label}: {path} @ {at} is flagged REPLAYED but is not on disk"
+        );
+    }
+}
+
+/// The replay reads every recovered page where the scan checked it, in
+/// the preserved image, and writes nothing there but the registry's
+/// progress flags: each file-cache page of `img` is still the crash's.
+fn assert_file_cache_untouched(c: &Crashed, img: &PhysMem, label: &str) {
+    let ubc = c.image.layout().ubc;
+    for at in (ubc.start..ubc.end).step_by(PAGE_SIZE) {
+        assert!(
+            img.slice(at, PAGE_SIZE as u64) == c.image.slice(at, PAGE_SIZE as u64),
+            "{label}: the recovery wrote to the image's file-cache page at {at:#x}"
         );
     }
 }
@@ -202,6 +216,7 @@ fn resume_from_every_crash_point(c: &Crashed, mode: RioMode) -> u64 {
             };
         let label = format!("point {n} ({mode})");
         assert_committed_pages_are_durable(c, &acknowledged, &img, &salvaged, &label);
+        assert_file_cache_untouched(c, &img, &label);
         let torn: Vec<u64> = (0..salvaged.num_blocks())
             .filter(|&b| salvaged.is_torn(b))
             .collect();
@@ -237,6 +252,25 @@ fn resume_from_every_crash_point_with_multipage_runs() {
         let c = crashed_multipage_workload(mode);
         let tearing = resume_from_every_crash_point(&c, mode);
         assert!(tearing > 0, "no crash point caught a write-behind in flight ({mode})");
+    }
+}
+
+/// A whole warm reboot commits every page `REPLAYED` in the image it
+/// replays from, yet leaves that image's file-cache pages byte-identical.
+#[test]
+fn a_warm_reboot_leaves_the_image_file_cache_pages_byte_identical() {
+    for c in [
+        crashed_workload(RioMode::Protected),
+        crashed_multipage_workload(RioMode::Protected),
+    ] {
+        let mut img = c.image.clone();
+        let (_, report) =
+            Kernel::warm_boot_resumable(&c.config, &mut img, c.disk.clone(), &mut NoRecoveryFaults)
+                .expect("warm boot");
+        assert!(report.pages_replayed > 0);
+        let scan = rio_core::scan_registry(&img);
+        assert!(scan.file_pages.iter().all(|p| p.already_replayed));
+        assert_file_cache_untouched(&c, &img, "uninterrupted");
     }
 }
 

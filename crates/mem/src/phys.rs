@@ -42,6 +42,24 @@
 //! boundary use the copying accessors [`PhysMem::copy_out`] /
 //! [`PhysMem::to_vec`] instead.
 //!
+//! # Frame recycling
+//!
+//! A private page's 8 KB frame is a heap allocation, and a warm reboot
+//! makes thousands of them: the booting machine writes every cache frame,
+//! and the crash image it replays from is dropped when the boot is done.
+//! Handed back to the allocator, those frames go back to the OS, and the
+//! next boot takes a page fault on every one of them again. So each thread
+//! keeps a free list of frames (at most `FRAME_POOL_CAP`): a dropped
+//! image returns its private frames to it, [`PhysMem::seal`] the frames it
+//! replaces, and every path that makes a page private — a first write to
+//! a shared page, a whole-page copy onto one, the clone of a private one —
+//! takes a frame from it before it allocates. A recycled frame is
+//! overwritten in full before anything reads it, so which frame a page
+//! gets is invisible to the simulated machine. A `fill` or `write_bytes`
+//! that covers a whole shared page takes a frame without copying the
+//! shared page into it first, as `copy_page` does: the store overwrites
+//! every byte anyway.
+//!
 //! # Written-sector log
 //!
 //! Beside the pages the image keeps one `u16` per page, a bit per 512-byte
@@ -66,10 +84,51 @@
 
 use crate::layout::{MemConfig, MemLayout};
 use crate::page::{sector_mask, PageNum, PAGE_SIZE};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// One page of simulated DRAM.
 type Page = [u8; PAGE_SIZE];
+
+/// Most freed frames one thread keeps for reuse (32 MB): more than the
+/// Table 2 machine has pages (~2,250), so a reboot after a reboot
+/// allocates nothing, while images dropped on a thread that does not boot
+/// machines cannot grow the list without bound.
+const FRAME_POOL_CAP: usize = 4096;
+
+thread_local! {
+    /// This thread's free frames (module docs, "Frame recycling").
+    static FREE_FRAMES: RefCell<Vec<Box<Page>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A recycled frame, if this thread has one; what it holds is stale.
+fn free_frame() -> Option<Box<Page>> {
+    FREE_FRAMES
+        .try_with(|f| f.borrow_mut().pop())
+        .ok()
+        .flatten()
+}
+
+/// A private frame holding a copy of `src`.
+fn frame_from(src: &Page) -> Box<Page> {
+    match free_frame() {
+        Some(mut frame) => {
+            *frame = *src;
+            frame
+        }
+        None => Box::new(*src),
+    }
+}
+
+/// Returns frames to this thread's free list, dropping what the cap (or a
+/// thread already tearing its locals down) leaves no room for.
+fn recycle(frames: impl IntoIterator<Item = Box<Page>>) {
+    let _ = FREE_FRAMES.try_with(|f| {
+        let mut free = f.borrow_mut();
+        let room = FRAME_POOL_CAP.saturating_sub(free.len());
+        free.extend(frames.into_iter().take(room));
+    });
+}
 
 /// How an image holds one page (see the module docs).
 #[derive(Debug)]
@@ -106,7 +165,7 @@ impl Slot {
     #[cold]
     #[inline(never)]
     fn privatise(&mut self) {
-        *self = Slot::Owned(Box::new(*self.page()));
+        *self = Slot::Owned(frame_from(self.page()));
     }
 }
 
@@ -114,7 +173,7 @@ impl Clone for Slot {
     fn clone(&self) -> Slot {
         match self {
             Slot::Shared(p) => Slot::Shared(Arc::clone(p)),
-            Slot::Owned(p) => Slot::Owned(p.clone()),
+            Slot::Owned(p) => Slot::Owned(frame_from(p)),
         }
     }
 }
@@ -163,6 +222,18 @@ impl PhysMem {
         &mut self.pages[pi].page_mut()[off..off + n]
     }
 
+    /// [`PhysMem::span_mut`] for a store that overwrites every byte of the
+    /// span: a whole shared page is swapped for a private frame without
+    /// copying what the store is about to replace.
+    #[inline]
+    fn span_overwritten(&mut self, pi: usize, off: usize, n: usize) -> &mut [u8] {
+        if n == PAGE_SIZE && matches!(self.pages[pi], Slot::Shared(_)) {
+            let frame = free_frame().unwrap_or_else(|| Box::new([0; PAGE_SIZE]));
+            self.pages[pi] = Slot::Owned(frame);
+        }
+        self.span_mut(pi, off, n)
+    }
+
     /// The sectors of page `pn` written since the log was last taken
     /// (bit `s` = sector `s`), without clearing them. A set bit means
     /// "may differ", a clear bit means "byte-identical".
@@ -188,12 +259,18 @@ impl PhysMem {
     /// are pointer-table copies until someone writes (see the module
     /// docs). Costs one page copy per private page; contents are unchanged.
     /// Call it once where a machine is frozen to be forked many times.
+    /// The private frames it replaces go to this thread's free list.
     pub fn seal(&mut self) {
+        let mut replaced = Vec::new();
         for slot in &mut self.pages {
             if let Slot::Owned(page) = slot {
-                *slot = Slot::Shared(Arc::new(**page));
+                let shared = Slot::Shared(Arc::new(**page));
+                if let Slot::Owned(frame) = std::mem::replace(slot, shared) {
+                    replaced.push(frame);
+                }
             }
         }
+        recycle(replaced);
     }
 
     /// How many pages this image holds privately — the pages a `clone()`
@@ -343,7 +420,7 @@ impl PhysMem {
         while done < data.len() {
             let (pi, off) = split(addr);
             let n = (PAGE_SIZE - off).min(data.len() - done);
-            self.span_mut(pi, off, n)
+            self.span_overwritten(pi, off, n)
                 .copy_from_slice(&data[done..done + n]);
             addr += n as u64;
             done += n;
@@ -377,7 +454,7 @@ impl PhysMem {
         match dst {
             Slot::Owned(page) => **page = *src.page(),
             // Overwritten whole: nothing of the shared page is worth copying.
-            Slot::Shared(_) => *dst = Slot::Owned(Box::new(*src.page())),
+            Slot::Shared(_) => *dst = Slot::Owned(frame_from(src.page())),
         }
     }
 
@@ -452,10 +529,21 @@ impl PhysMem {
         while left > 0 {
             let (pi, off) = split(addr);
             let n = (PAGE_SIZE - off).min(left);
-            self.span_mut(pi, off, n).fill(value);
+            self.span_overwritten(pi, off, n).fill(value);
             addr += n as u64;
             left -= n;
         }
+    }
+}
+
+impl Drop for PhysMem {
+    /// Returns the private frames to this thread's free list (module docs,
+    /// "Frame recycling").
+    fn drop(&mut self) {
+        recycle(self.pages.drain(..).filter_map(|slot| match slot {
+            Slot::Owned(frame) => Some(frame),
+            Slot::Shared(_) => None,
+        }));
     }
 }
 
@@ -554,6 +642,65 @@ mod tests {
         assert_eq!((a.owned_pages(), b.owned_pages()), (1, 1));
         assert_eq!(a.read_u64(8), 2);
         assert_eq!(b.read_u64(8), 1 | 3 << 8);
+    }
+
+    /// Frames freed by a scribbled image come back to later images on
+    /// this thread; whatever path reuses one, the page reads what the new
+    /// image wrote and zero everywhere else.
+    #[test]
+    fn recycled_frames_read_only_what_the_new_image_wrote() {
+        let scribbled = |m: &mut PhysMem| {
+            for pn in 0..m.len() / PAGE_SIZE as u64 {
+                m.page_mut(PageNum(pn)).fill(0xA5);
+            }
+        };
+        let mut old = mem();
+        scribbled(&mut old);
+        let pages = old.owned_pages();
+        drop(old);
+        let mut m = mem();
+        m.write_u8(3, 7); // first write to a shared zero page
+        m.fill(2 * PAGE_SIZE as u64 + 100, 10, 0x11);
+        m.copy_page(PageNum(5), PageNum(4)); // whole-page copy onto a shared page
+        let mut sealed = mem();
+        scribbled(&mut sealed);
+        sealed.seal(); // its replaced frames are freed too
+        drop(sealed);
+        m.write_u64(6 * PAGE_SIZE as u64 + 8, u64::MAX);
+        // Whole shared pages overwritten: taken without a copy.
+        m.fill(7 * PAGE_SIZE as u64, PAGE_SIZE as u64, 0x22);
+        m.write_bytes(8 * PAGE_SIZE as u64, &[0x33; PAGE_SIZE]);
+        let mut want = vec![0u8; m.len() as usize];
+        want[3] = 7;
+        want[2 * PAGE_SIZE + 100..][..10].fill(0x11);
+        want[6 * PAGE_SIZE + 8..][..8].fill(0xFF);
+        want[7 * PAGE_SIZE..][..PAGE_SIZE].fill(0x22);
+        want[8 * PAGE_SIZE..][..PAGE_SIZE].fill(0x33);
+        assert_eq!(m.to_vec(0, m.len()), want);
+        assert_eq!(m.owned_pages(), 6);
+        assert_eq!(m.written(PageNum(7)), u16::MAX);
+        assert!(pages > 6, "the test frees more frames than it reuses");
+    }
+
+    /// Cloning an image copies each private page into a (recycled) frame
+    /// that equals its source, and leaves the two independent.
+    #[test]
+    fn a_cloned_private_page_equals_its_source() {
+        let mut old = mem();
+        old.fill(0, old.len(), 0x5A);
+        drop(old);
+        let mut m = mem();
+        for (i, b) in m.page_mut(PageNum(1)).iter_mut().enumerate() {
+            *b = (i % 251) as u8;
+        }
+        m.write_u8(PageNum(2).base() + 17, 9);
+        let mut c = m.clone();
+        assert_eq!(c.owned_pages(), 2);
+        for pn in 0..m.len() / PAGE_SIZE as u64 {
+            assert_eq!(c.page(PageNum(pn)), m.page(PageNum(pn)), "page {pn}");
+        }
+        c.write_u8(PageNum(1).base(), 0xEE);
+        assert_eq!(m.read_u8(PageNum(1).base()), 0);
     }
 
     #[test]

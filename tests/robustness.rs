@@ -4,7 +4,7 @@
 //! (A real warm-reboot implementation has the same obligation: it parses
 //! memory a sick kernel scribbled over.)
 
-use rio::core::warm;
+use rio::core::{warm, Registry};
 use rio::det::proptest_lite::{check, Config, Gen};
 use rio::det::{pt_assert, pt_assert_eq};
 use rio::disk::{DiskModel, SimDisk, BLOCK_SIZE};
@@ -27,14 +27,19 @@ fn scanner_survives_random_registry_garbage() {
                 let addr = reg.start + (off as u64 % reg.len());
                 bus.mem_mut().write_u8(addr, byte);
             }
-            let recovery = warm::scan_registry(&bus.into_image());
-            // Whatever was recovered must at least be structurally sound.
+            let image = bus.into_image();
+            let recovery = warm::scan_registry(&image);
+            let registry = Registry::new(*image.layout());
+            // Whatever was recovered must at least be structurally sound:
+            // a file page names its own slot's page, which the replay can
+            // read its bytes from.
             for m in &recovery.metadata {
                 pt_assert_eq!(m.data.len(), BLOCK_SIZE);
             }
             for p in &recovery.file_pages {
                 pt_assert!(p.size as usize <= BLOCK_SIZE);
-                pt_assert_eq!(p.data.len(), p.size as usize);
+                pt_assert_eq!(p.page, registry.page_for_slot(p.slot));
+                pt_assert!(image.in_bounds(p.page.base(), BLOCK_SIZE as u64));
             }
             Ok(())
         },
