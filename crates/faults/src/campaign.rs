@@ -14,8 +14,14 @@
 //! as a [`Campaign`] and the engine ([`crate::engine`]) distributes
 //! *individual trials* over its worker pool, merging outcomes in attempt
 //! order — byte-identical output at any thread count.
+//!
+//! A trial is [`drive_attributed`] from a [`PreparedTrial`] fork; Table 1
+//! under load ([`crate::scale_campaign`]) runs the same protocol and folds
+//! it into the same [`CellResult`] and [`CampaignResult`].
 
-use crate::driver::{drive, workload_seed, PreparedTrial, TrialObservation, TrialVerdict};
+use crate::driver::{
+    drive_attributed, workload_seed, PreparedTrial, Provenance, TrialObservation, TrialVerdict,
+};
 use crate::engine::{self, Campaign};
 use crate::inject::FaultType;
 use rio_core::RioMode;
@@ -91,17 +97,22 @@ impl std::fmt::Display for SystemKind {
     }
 }
 
-/// One cell of Table 1 after `trials` runs.
+/// One cell of a Table 1 grid after its trials.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellResult {
     /// Fault type (row).
     pub fault: FaultType,
     /// System (column group).
     pub system: SystemKind,
+    /// Concurrent memTest clients (1 for Table 1 itself).
+    pub clients: usize,
     /// Runs that crashed (the paper's 50 per cell).
     pub crashes: u64,
     /// Crashed runs with corrupted/lost file data.
     pub corruptions: u64,
+    /// Corrupted runs whose damage crossed a client boundary
+    /// ([`Provenance::cross_client`]).
+    pub cross_client_corruptions: u64,
     /// Runs discarded (no crash within budget, or wedged).
     pub discarded: u64,
     /// Crashes where protection trapped the store.
@@ -111,56 +122,99 @@ pub struct CellResult {
     /// Registry entries quarantined by the warm-reboot scan across the
     /// cell's reboots.
     pub quarantined: u64,
+    /// Sum over crashed runs of in-flight syscalls at injection.
+    pub inflight_sum: u64,
+    /// Sum over crashed runs of locks held across yields at injection.
+    pub locks_held_sum: u64,
+    /// Sum over crashed runs of contended lock acquisitions.
+    pub contended_sum: u64,
+    /// Sum over crashed runs of damaged-client counts.
+    pub damaged_clients_sum: u64,
     /// Distinct crash messages seen.
     pub messages: BTreeSet<String>,
 }
 
-/// The full campaign result.
+impl CellResult {
+    /// A cell with nothing absorbed.
+    pub(crate) fn empty(fault: FaultType, system: SystemKind, clients: usize) -> CellResult {
+        CellResult {
+            fault,
+            system,
+            clients,
+            crashes: 0,
+            corruptions: 0,
+            cross_client_corruptions: 0,
+            discarded: 0,
+            protection_traps: 0,
+            torn_data_blocks: 0,
+            quarantined: 0,
+            inflight_sum: 0,
+            locks_held_sum: 0,
+            contended_sum: 0,
+            damaged_clients_sum: 0,
+            messages: BTreeSet::new(),
+        }
+    }
+
+    /// Folds one trial in: a crash is counted, anything else discarded.
+    pub(crate) fn absorb(&mut self, (obs, prov): (TrialObservation, Provenance)) {
+        if obs.verdict != TrialVerdict::Crashed {
+            self.discarded += 1;
+            return;
+        }
+        self.crashes += 1;
+        self.corruptions += u64::from(obs.corrupted());
+        self.cross_client_corruptions += u64::from(obs.corrupted() && prov.cross_client());
+        self.protection_traps += u64::from(obs.protection_trap);
+        self.torn_data_blocks += obs.torn_data_blocks;
+        self.quarantined += obs.quarantined;
+        self.inflight_sum += prov.inflight_at_injection as u64;
+        self.locks_held_sum += prov.locks_held_at_injection as u64;
+        self.contended_sum += prov.locks_contended;
+        self.damaged_clients_sum += prov.damaged_clients.len() as u64;
+        self.messages.insert(obs.message.unwrap_or_default());
+    }
+
+    /// The stopping rule: `trials_per_cell` crashes collected, or
+    /// `max_attempts_factor` times as many trials run.
+    pub(crate) fn done(&self, merged: u64, trials_per_cell: u64, max_attempts_factor: u64) -> bool {
+        self.crashes >= trials_per_cell || merged >= trials_per_cell * max_attempts_factor
+    }
+}
+
+/// A campaign's result: Table 1's grid at every client count swept.
 #[derive(Debug, Clone)]
 pub struct CampaignResult {
-    /// One cell per (fault, system).
+    /// One cell per (clients, fault, system), row-major in that order.
     pub cells: Vec<CellResult>,
     /// Target crashes per cell.
     pub trials_per_cell: u64,
+    /// The client counts swept (`[1]` for Table 1 itself).
+    pub client_counts: Vec<usize>,
 }
 
 impl CampaignResult {
-    /// Total crashes for a system across all fault types.
-    pub fn total_crashes(&self, system: SystemKind) -> u64 {
-        self.select(system).map(|c| c.crashes).sum()
-    }
-
-    /// Total corruptions for a system.
-    pub fn total_corruptions(&self, system: SystemKind) -> u64 {
-        self.select(system).map(|c| c.corruptions).sum()
-    }
-
-    /// Total protection-trap saves for a system.
-    pub fn total_protection_traps(&self, system: SystemKind) -> u64 {
-        self.select(system).map(|c| c.protection_traps).sum()
-    }
-
-    /// Total torn data blocks fsck saw for a system's reboots.
-    pub fn total_torn(&self, system: SystemKind) -> u64 {
-        self.select(system).map(|c| c.torn_data_blocks).sum()
-    }
-
-    /// Total registry entries quarantined by a system's warm-reboot scans.
-    pub fn total_quarantined(&self, system: SystemKind) -> u64 {
-        self.select(system).map(|c| c.quarantined).sum()
-    }
-
-    fn select(&self, system: SystemKind) -> impl Iterator<Item = &CellResult> {
-        self.cells.iter().filter(move |c| c.system == system)
+    /// `field` summed over a system's cells at `clients`, across fault
+    /// types.
+    pub fn total(
+        &self,
+        system: SystemKind,
+        clients: usize,
+        field: fn(&CellResult) -> u64,
+    ) -> u64 {
+        self.cells
+            .iter()
+            .filter(|c| c.system == system && c.clients == clients)
+            .map(field)
+            .sum()
     }
 
     /// Distinct crash messages across the whole campaign.
-    pub fn unique_messages(&self) -> BTreeSet<String> {
-        let mut all = BTreeSet::new();
-        for c in &self.cells {
-            all.extend(c.messages.iter().cloned());
-        }
-        all
+    pub fn unique_messages(&self) -> BTreeSet<&str> {
+        self.cells
+            .iter()
+            .flat_map(|c| c.messages.iter().map(String::as_str))
+            .collect()
     }
 }
 
@@ -202,10 +256,6 @@ impl CampaignConfig {
             max_attempts_factor: 8,
         }
     }
-
-    fn max_attempts(&self) -> u64 {
-        self.trials_per_cell * self.max_attempts_factor
-    }
 }
 
 /// The seed of one trial: a pure function of the campaign seed and the
@@ -220,7 +270,7 @@ pub fn trial_seed(campaign_seed: u64, fault: FaultType, system: SystemKind, atte
 
 /// Records the verdict's provenance in any open trace session: 0 = no
 /// crash, 1 = wedged, 2 = crashed clean, 3 = crashed corrupted.
-fn emit_verdict(obs: TrialObservation) -> TrialObservation {
+fn emit_verdict(obs: &TrialObservation) {
     if rio_obs::is_enabled() {
         let code = match obs.verdict {
             TrialVerdict::NoCrash => 0,
@@ -232,7 +282,6 @@ fn emit_verdict(obs: TrialObservation) -> TrialObservation {
             rio_obs::Payload::Count { value: code },
         );
     }
-    obs
 }
 
 /// Table 1 as a [`Campaign`]: a (fault, system) grid whose cells collect
@@ -244,7 +293,7 @@ impl Campaign for Table1<'_> {
     type Coord = (FaultType, SystemKind);
     type Key = u64;
     type Checkpoint = PreparedTrial;
-    type Outcome = TrialObservation;
+    type Outcome = (TrialObservation, Provenance);
     type Cell = CellResult;
 
     /// Row-major (fault, system) order.
@@ -274,46 +323,31 @@ impl Campaign for Table1<'_> {
         steady: &PreparedTrial,
         (fault, system): Self::Coord,
         attempt: u64,
-    ) -> TrialObservation {
+    ) -> Self::Outcome {
         let inject_seed = trial_seed(self.0.seed, fault, system, attempt);
-        emit_verdict(drive(steady.fork(), fault, inject_seed, self.0.watchdog_ops))
+        let outcome = drive_attributed(steady.fork(), fault, inject_seed, self.0.watchdog_ops);
+        emit_verdict(&outcome.0);
+        outcome
     }
 
-    /// A harness panic counts as a corrupted crashed run, its text among
-    /// the cell's crash messages.
-    fn on_panic(&self, _: Self::Coord, text: String) -> TrialObservation {
-        emit_verdict(TrialObservation::harness_panic(text))
+    /// A harness panic counts as a crash that lost everything, its text
+    /// among the cell's crash messages.
+    fn on_panic(&self, _: Self::Coord, text: String) -> Self::Outcome {
+        let obs = TrialObservation::harness_panic(text);
+        emit_verdict(&obs);
+        (obs, Provenance::total_loss(1))
     }
 
     fn empty(&self, (fault, system): Self::Coord) -> CellResult {
-        CellResult {
-            fault,
-            system,
-            crashes: 0,
-            corruptions: 0,
-            discarded: 0,
-            protection_traps: 0,
-            torn_data_blocks: 0,
-            quarantined: 0,
-            messages: BTreeSet::new(),
-        }
+        CellResult::empty(fault, system, 1)
     }
 
-    fn absorb(&self, cell: &mut CellResult, obs: TrialObservation) {
-        if obs.verdict != TrialVerdict::Crashed {
-            cell.discarded += 1;
-            return;
-        }
-        cell.crashes += 1;
-        cell.corruptions += u64::from(obs.corrupted());
-        cell.protection_traps += u64::from(obs.protection_trap);
-        cell.torn_data_blocks += obs.torn_data_blocks;
-        cell.quarantined += obs.quarantined;
-        cell.messages.insert(obs.message.unwrap_or_default());
+    fn absorb(&self, cell: &mut CellResult, outcome: Self::Outcome) {
+        cell.absorb(outcome);
     }
 
     fn done(&self, cell: &CellResult, merged: u64) -> bool {
-        cell.crashes >= self.0.trials_per_cell || merged >= self.0.max_attempts()
+        cell.done(merged, self.0.trials_per_cell, self.0.max_attempts_factor)
     }
 }
 
@@ -323,12 +357,14 @@ pub fn run_campaign(cfg: &CampaignConfig, threads: usize) -> CampaignResult {
     CampaignResult {
         cells: engine::run(&Table1(cfg), threads),
         trials_per_cell: cfg.trials_per_cell,
+        client_counts: vec![1],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::drive;
 
     /// `attempts` trials of one cell of campaign 0, forked from one
     /// steady point.
@@ -412,6 +448,8 @@ mod tests {
         let expected = CellResult {
             crashes: 1,
             corruptions: 1,
+            cross_client_corruptions: 1,
+            damaged_clients_sum: 1,
             messages: BTreeSet::from(["index out of bounds".to_owned()]),
             ..campaign.empty(coord)
         };
@@ -455,7 +493,7 @@ mod tests {
         // At least some crashes were collected somewhere.
         let total: u64 = SystemKind::ALL
             .iter()
-            .map(|&s| result.total_crashes(s))
+            .map(|&s| result.total(s, 1, |c| c.crashes))
             .sum();
         assert!(total > 0);
         assert!(!result.unique_messages().is_empty());

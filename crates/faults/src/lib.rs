@@ -17,9 +17,11 @@
 //! [`inject()`](inject::inject) plants one fault type into a live kernel (20 instances per
 //! run, as in the paper); [`driver`] is the protocol — the one statement
 //! of §3.2's run → reboot → examine, which every crash trial in the
-//! workspace goes through; [`engine`] is the one worker pool every
-//! campaign runs on, and [`campaign`] / [`scale_campaign`] / [`recovery`]
-//! describe their grids to it.
+//! workspace goes through, one memTest client or sixty-four; [`engine`] is
+//! the one worker pool every campaign runs on, and [`campaign`] /
+//! [`scale_campaign`] / [`recovery`] describe their grids to it —
+//! `campaign` and `scale_campaign` into one [`CellResult`] /
+//! [`CampaignResult`].
 
 #![forbid(unsafe_code)]
 
@@ -33,8 +35,9 @@ pub mod trace;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignResult, CellResult, SystemKind};
 pub use driver::{
-    drive, examine, examine_crash, reboot, run_to_crash, static_damage, workload_seed,
-    Examination, PreparedTrial, Rebooted, TrialObservation, TrialVerdict,
+    drive, drive_attributed, examine, examine_crash, reboot, run_to_crash, static_damage,
+    workload_seed, Examination, PreparedTrial, Provenance, Rebooted, TrialObservation,
+    TrialVerdict,
 };
 pub use engine::{map_grid, Campaign};
 pub use inject::{decay_image, inject, FaultType};
@@ -44,8 +47,7 @@ pub use recovery::{
     RecoveryScenario, RecoveryTrialOutcome,
 };
 pub use scale_campaign::{
-    run_scale_campaign, run_scale_trial_from, scale_kernel_config, scale_trial_seed,
-    scale_workload_seed, ScaleCampaignConfig, ScaleCampaignResult, ScaleCellResult,
-    ScaleCheckpoint, ScaleCrash, ScaleTrialOutcome,
+    run_scale_campaign, scale_checkpoint, scale_kernel_config, scale_trial_seed,
+    scale_workload_seed, ScaleCampaignConfig,
 };
 pub use trace::{summarize, DetectionChannel, PropagationSummary};

@@ -11,21 +11,23 @@
 //! examination attributes every damaged file to the client that owned it,
 //! so corruption that crosses client boundaries is visible as such.
 //!
-//! Every trial owns its whole simulated machine and every decision is a
-//! pure function of the trial seed, so the campaign is a
-//! [`Campaign`] run by the shared engine ([`crate::engine`]):
-//! byte-identical results at any `RIO_THREADS`.
+//! The trial is the protocol's ([`crate::driver`]): a
+//! [`PreparedTrial::prepare_scheduled`] steady point, forked and
+//! [`drive_attributed`], folded into Table 1's [`CellResult`]. What is this
+//! campaign's own is the grid, the machine and client sizing
+//! ([`scale_kernel_config`], `client_cfg`), its workload seed and the
+//! `/static` seed derived from it. Every trial owns its whole simulated
+//! machine and every decision is a pure function of the trial seed, so the
+//! engine ([`crate::engine`]) gives byte-identical results at any
+//! `RIO_THREADS`.
 
-use crate::campaign::SystemKind;
-use crate::driver::{examine, reboot, static_damage, STATIC_HALVES, TOTAL_LOSS_DAMAGE};
+use crate::campaign::{trial_seed, CampaignResult, CellResult, SystemKind};
+use crate::driver::{drive_attributed, PreparedTrial, Provenance, TrialObservation};
 use crate::engine::{self, Campaign};
-use crate::inject::{inject, FaultType};
-use rio_det::{derive_seed, derive_seed3, DetRng};
-use rio_kernel::{
-    client_refs, DiskGeometry, Kernel, KernelConfig, KernelError, PreemptSched, SchedStep,
-};
-use rio_workloads::{MemTest, MemTestConfig};
-use std::collections::BTreeSet;
+use crate::inject::FaultType;
+use rio_det::{derive_seed, derive_seed3};
+use rio_kernel::{DiskGeometry, KernelConfig};
+use rio_workloads::MemTestConfig;
 
 /// Scale-campaign parameters.
 #[derive(Debug, Clone)]
@@ -71,10 +73,6 @@ impl ScaleCampaignConfig {
             client_counts: vec![1, 16, 64],
         }
     }
-
-    fn max_attempts(&self) -> u64 {
-        self.trials_per_cell * self.max_attempts_factor
-    }
 }
 
 /// Kernel sizing for multi-client runs: the `small` machine with a
@@ -90,9 +88,9 @@ pub fn scale_kernel_config(system: SystemKind) -> KernelConfig {
 
 /// Per-client memTest configuration: disjoint roots, a file set small
 /// enough that 64 clients fit the disk together.
-fn client_cfg(system: SystemKind, trial_seed: u64, c: usize) -> MemTestConfig {
+fn client_cfg(system: SystemKind, workload_seed: u64, c: usize) -> MemTestConfig {
     MemTestConfig {
-        seed: derive_seed(trial_seed, 0xC11E_0000 + c as u64),
+        seed: derive_seed(workload_seed, 0xC11E_0000 + c as u64),
         root: format!("/m{c}"),
         max_set_bytes: 24 * 1024,
         max_file_bytes: 8 * 1024,
@@ -102,149 +100,8 @@ fn client_cfg(system: SystemKind, trial_seed: u64, c: usize) -> MemTestConfig {
     }
 }
 
-/// Seed for the shared static comparison files.
-fn static_seed(trial_seed: u64) -> u64 {
-    derive_seed(trial_seed, 0x57A7)
-}
-
-/// Provenance of one examined crash under multi-client load.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScaleCrash {
-    /// Whether any file data was corrupted or lost.
-    pub corrupted: bool,
-    /// Total damaged files/directories (all clients + static set).
-    pub damage: usize,
-    /// Clients whose file sets were damaged.
-    pub damaged_clients: Vec<u32>,
-    /// The client whose quantum crashed the kernel (`None` if the crash
-    /// fired in an idle-gap daemon).
-    pub crashing_client: Option<u32>,
-    /// Damage reached a client other than the crasher, or the shared
-    /// static set — corruption crossed a process boundary.
-    pub cross_client: bool,
-    /// In-flight (parked mid-syscall) clients at injection time.
-    pub inflight_at_injection: usize,
-    /// Locks held across yields at injection time.
-    pub locks_held_at_injection: usize,
-    /// Preemptive lock acquisitions that contended, over the whole run.
-    pub locks_contended: u64,
-    /// Damaged static comparison pairs.
-    pub static_bad: u64,
-    /// Whether the warm-reboot CRC scan detected damage.
-    pub checksum_detected: bool,
-    /// Whether Rio's protection trapped the wild store.
-    pub protection_trap: bool,
-    /// Stable crash message.
-    pub message: String,
-}
-
-impl ScaleCrash {
-    /// A crash that lost everything (unbootable, died during verification,
-    /// or a harness panic): every one of `nclients` clients and the static
-    /// set damaged, across client boundaries by definition, and nothing
-    /// else known about it but `message`.
-    fn total_loss(nclients: usize, message: String) -> ScaleCrash {
-        ScaleCrash {
-            corrupted: true,
-            damage: TOTAL_LOSS_DAMAGE,
-            damaged_clients: (0..nclients as u32).collect(),
-            crashing_client: None,
-            cross_client: true,
-            inflight_at_injection: 0,
-            locks_held_at_injection: 0,
-            locks_contended: 0,
-            static_bad: STATIC_HALVES,
-            checksum_detected: false,
-            protection_trap: false,
-            message,
-        }
-    }
-}
-
-/// How one scale trial ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScaleTrialOutcome {
-    /// Survived the watchdog budget: discarded.
-    NoCrash,
-    /// A client failed benignly (or setup/warm-up died): discarded.
-    Wedged,
-    /// Crashed and examined.
-    Crashed(ScaleCrash),
-}
-
-/// One cell of the scale grid after its trials.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScaleCellResult {
-    /// Fault type (row).
-    pub fault: FaultType,
-    /// System (column group).
-    pub system: SystemKind,
-    /// Concurrent clients.
-    pub clients: usize,
-    /// Runs that crashed.
-    pub crashes: u64,
-    /// Crashed runs with corrupted/lost file data.
-    pub corruptions: u64,
-    /// Corrupted runs where damage crossed a client boundary.
-    pub cross_client_corruptions: u64,
-    /// Runs discarded.
-    pub discarded: u64,
-    /// Crashes where protection trapped the store.
-    pub protection_traps: u64,
-    /// Sum over crashed runs of in-flight syscalls at injection.
-    pub inflight_sum: u64,
-    /// Sum over crashed runs of locks held across yields at injection.
-    pub locks_held_sum: u64,
-    /// Sum over crashed runs of contended lock acquisitions.
-    pub contended_sum: u64,
-    /// Sum over crashed runs of damaged-client counts.
-    pub damaged_clients_sum: u64,
-    /// Distinct crash messages seen.
-    pub messages: BTreeSet<String>,
-}
-
-/// The full scale-campaign result.
-#[derive(Debug, Clone)]
-pub struct ScaleCampaignResult {
-    /// One cell per (fault, system, clients), row-major in that order.
-    pub cells: Vec<ScaleCellResult>,
-    /// Target crashes per cell.
-    pub trials_per_cell: u64,
-    /// The swept client counts.
-    pub client_counts: Vec<usize>,
-}
-
-impl ScaleCampaignResult {
-    /// Total crashes for (system, clients) across fault types.
-    pub fn total_crashes(&self, system: SystemKind, clients: usize) -> u64 {
-        self.select(system, clients).map(|c| c.crashes).sum()
-    }
-
-    /// Total corruptions for (system, clients).
-    pub fn total_corruptions(&self, system: SystemKind, clients: usize) -> u64 {
-        self.select(system, clients).map(|c| c.corruptions).sum()
-    }
-
-    /// Total cross-client corruptions for (system, clients).
-    pub fn total_cross_client(&self, system: SystemKind, clients: usize) -> u64 {
-        self.select(system, clients)
-            .map(|c| c.cross_client_corruptions)
-            .sum()
-    }
-
-    fn select(
-        &self,
-        system: SystemKind,
-        clients: usize,
-    ) -> impl Iterator<Item = &ScaleCellResult> {
-        self.cells
-            .iter()
-            .filter(move |c| c.system == system && c.clients == clients)
-    }
-}
-
-/// The seed of one scale trial: a pure function of the campaign seed and
-/// the trial's grid coordinates (fault, system, clients, attempt).
+/// The seed of one scale trial: Table 1's [`trial_seed`] under a campaign
+/// seed derived per client count.
 pub fn scale_trial_seed(
     campaign_seed: u64,
     fault: FaultType,
@@ -252,12 +109,7 @@ pub fn scale_trial_seed(
     clients: usize,
     attempt: u64,
 ) -> u64 {
-    derive_seed3(
-        derive_seed(campaign_seed, clients as u64),
-        fault as u64,
-        system as u64,
-        attempt,
-    )
+    trial_seed(derive_seed(campaign_seed, clients as u64), fault, system, attempt)
 }
 
 /// The per-cell workload seed of the scale campaign: all trials of one
@@ -275,220 +127,25 @@ pub fn scale_workload_seed(campaign_seed: u64, system: SystemKind, clients: usiz
     )
 }
 
-/// A multi-client machine frozen at the injection point: booted, static
-/// files planted, N preemptive clients warmed up with syscalls genuinely
-/// parked mid-flight. Cloning is cheap (copy-on-write memory and disk),
-/// so one checkpoint serves every trial in a scale cell.
-#[derive(Debug, Clone)]
-pub struct ScaleCheckpoint {
+/// The steady point of a (system, clients) cell: booted, static files
+/// planted, `clients` preemptive clients warmed up with syscalls parked
+/// mid-flight. The warm-up may take up to four watchdogs' worth of
+/// scheduler decisions (at least 200,000).
+pub fn scale_checkpoint(
+    cfg: &ScaleCampaignConfig,
     system: SystemKind,
-    nclients: usize,
-    workload_seed: u64,
-    config: KernelConfig,
-    cfgs: Vec<MemTestConfig>,
-    state: Option<ScaleSteady>,
-}
-
-#[derive(Debug, Clone)]
-struct ScaleSteady {
-    k: Kernel,
-    mts: Vec<MemTest>,
-    sched: PreemptSched,
-    inflight_at_injection: usize,
-    locks_held_at_injection: usize,
-}
-
-impl ScaleCheckpoint {
-    /// Boots, plants, and warms up the multi-client machine — the scratch
-    /// path to the injection point. Pure function of its arguments.
-    /// (`watchdog_quanta` matters because the warmup cap derives from it.)
-    pub fn capture(
-        system: SystemKind,
-        nclients: usize,
-        workload_seed: u64,
-        warmup_ops: u64,
-        watchdog_quanta: u64,
-    ) -> ScaleCheckpoint {
-        let config = scale_kernel_config(system);
-        let cfgs: Vec<MemTestConfig> = (0..nclients)
-            .map(|c| client_cfg(system, workload_seed, c))
-            .collect();
-        let mut cp = ScaleCheckpoint {
-            system,
-            nclients,
-            workload_seed,
-            config,
-            cfgs,
-            state: None,
-        };
-        let Ok(mut k) = Kernel::mkfs_and_mount(&cp.config) else {
-            return cp;
-        };
-        let mut mts: Vec<MemTest> = cp.cfgs.iter().cloned().map(MemTest::new).collect();
-        if MemTest::setup_static(&mut k, static_seed(workload_seed)).is_err() {
-            return cp;
-        }
-        for mt in &mut mts {
-            if mt.setup_skeleton(&mut k).is_err() {
-                return cp;
-            }
-        }
-        // Invariant checks stay off: the injected faults legitimately
-        // desynchronize lock words from the owner table.
-        let mut sched = PreemptSched::new(nclients, workload_seed, false);
-
-        // Warm-up: run until every client has `warmup_ops` logical ops
-        // done. A crash or a benign failure here is not a trial.
-        let warmup_cap = watchdog_quanta.saturating_mul(4).max(200_000);
-        let mut warm_quanta = 0u64;
-        while mts.iter().any(|mt| mt.ops_done() < warmup_ops) {
-            if mts.iter().any(MemTest::failed) || warm_quanta >= warmup_cap {
-                return cp;
-            }
-            match sched.step_once(&mut k, &mut client_refs(&mut mts)) {
-                Ok(SchedStep::Done) => return cp,
-                Ok(_) => {}
-                Err(_) => return cp,
-            }
-            warm_quanta += 1;
-        }
-
-        let inflight_at_injection = sched.in_flight();
-        let locks_held_at_injection: usize =
-            (0..nclients).map(|c| sched.held_locks(c).len()).sum();
-        // Frozen here and forked per trial: share every page.
-        k.machine.bus.mem_mut().seal();
-        cp.state = Some(ScaleSteady {
-            k,
-            mts,
-            sched,
-            inflight_at_injection,
-            locks_held_at_injection,
-        });
-        cp
-    }
-
-    /// Whether the captured boot/warmup failed (every fork is then a
-    /// wedged trial, exactly as every scratch attempt would be).
-    pub fn wedged(&self) -> bool {
-        self.state.is_none()
-    }
-}
-
-/// Runs one scale trial forked from a warmed checkpoint: inject from
-/// `inject_seed` while syscalls are in flight, run to crash, reboot, and
-/// attribute every damaged file to its owning client. Byte-identical
-/// whether the checkpoint is shared by a cell or captured for this trial.
-pub fn run_scale_trial_from(
-    checkpoint: &ScaleCheckpoint,
-    fault: FaultType,
-    inject_seed: u64,
-    watchdog_quanta: u64,
-) -> ScaleTrialOutcome {
-    let system = checkpoint.system;
-    let nclients = checkpoint.nclients;
-    let config = &checkpoint.config;
-    let cfgs = &checkpoint.cfgs;
-    let Some(steady) = &checkpoint.state else {
-        return ScaleTrialOutcome::Wedged;
-    };
-    let ScaleSteady {
-        mut k,
-        mut mts,
-        mut sched,
-        inflight_at_injection,
-        locks_held_at_injection,
-    } = steady.clone();
-
-    // Inject with syscall state genuinely in flight.
-    let mut rng = DetRng::seed_from_u64(inject_seed);
-    inject(&mut k, fault, &mut rng);
-
-    // Run until crash or watchdog.
-    let mut crashed = false;
-    let mut crashing_client = None;
-    for _ in 0..watchdog_quanta {
-        if mts.iter().any(MemTest::failed) {
-            return ScaleTrialOutcome::Wedged;
-        }
-        let before = sched.trace.quanta.len();
-        match sched.step_once(&mut k, &mut client_refs(&mut mts)) {
-            Ok(SchedStep::Done) => return ScaleTrialOutcome::Wedged,
-            Ok(_) => {}
-            Err(KernelError::Panic(_) | KernelError::Crashed) => {
-                crashed = true;
-                // The quantum that crashed was recorded before the error
-                // propagated; if none was, the crash fired in an
-                // idle-gap daemon.
-                crashing_client = (sched.trace.quanta.len() > before)
-                    .then(|| sched.trace.quanta[before]);
-                break;
-            }
-            Err(_) => return ScaleTrialOutcome::Wedged,
-        }
-    }
-    if !crashed {
-        return ScaleTrialOutcome::NoCrash;
-    }
-
-    let info = k.crash_info().expect("crashed").clone();
-    let message = info.reason.message();
-    let protection_trap = info.reason.is_protection_trap();
-    let locks_contended = k.stats().locks_contended;
-    let ops: Vec<u64> = mts.iter().map(MemTest::ops_done).collect();
-
-    let all_damaged = |checksum_detected: bool| {
-        ScaleTrialOutcome::Crashed(ScaleCrash {
-            crashing_client,
-            inflight_at_injection,
-            locks_held_at_injection,
-            locks_contended,
-            checksum_detected,
-            protection_trap,
-            ..ScaleCrash::total_loss(nclients, message.clone())
-        })
-    };
-
-    let Some(up) = reboot(system, config, k) else {
-        return all_damaged(false);
-    };
-    let (mut k2, checksum_detected) = (up.kernel, up.checksum_detected);
-
-    // Per-client examination: each client's expected state at its own
-    // completed-op count, skipping its in-flight target.
-    let mut damage = 0usize;
-    let mut damaged_clients = Vec::new();
-    for (c, cfg) in cfgs.iter().enumerate() {
-        let Some((_, v)) = examine(&mut k2, cfg, ops[c]) else {
-            // Died while reading this client's files: total loss.
-            return all_damaged(checksum_detected);
-        };
-        let d = v.damage_count();
-        if d > 0 {
-            damage += d;
-            damaged_clients.push(c as u32);
-        }
-    }
-    let static_bad = static_damage(&mut k2, static_seed(checkpoint.workload_seed));
-    damage += static_bad as usize;
-    let cross_client = static_bad > 0
-        || damaged_clients
-            .iter()
-            .any(|&c| crashing_client != Some(c));
-    ScaleTrialOutcome::Crashed(ScaleCrash {
-        corrupted: damage > 0,
-        damage,
-        damaged_clients,
-        crashing_client,
-        cross_client,
-        inflight_at_injection,
-        locks_held_at_injection,
-        locks_contended,
-        static_bad,
-        checksum_detected,
-        protection_trap,
-        message,
-    })
+    clients: usize,
+) -> PreparedTrial {
+    let seed = scale_workload_seed(cfg.seed, system, clients);
+    PreparedTrial::prepare_scheduled(
+        system,
+        scale_kernel_config(system),
+        (0..clients).map(|c| client_cfg(system, seed, c)).collect(),
+        derive_seed(seed, 0x57A7),
+        seed,
+        cfg.warmup_ops,
+        cfg.watchdog_quanta.saturating_mul(4).max(200_000),
+    )
 }
 
 /// The scaled Table 1 as a [`Campaign`]: one full Table 1 grid per client
@@ -499,9 +156,9 @@ pub(crate) struct ScaleTable1<'a>(pub(crate) &'a ScaleCampaignConfig);
 impl Campaign for ScaleTable1<'_> {
     type Coord = (FaultType, SystemKind, usize);
     type Key = (u64, usize);
-    type Checkpoint = ScaleCheckpoint;
-    type Outcome = ScaleTrialOutcome;
-    type Cell = ScaleCellResult;
+    type Checkpoint = PreparedTrial;
+    type Outcome = (TrialObservation, Provenance);
+    type Cell = CellResult;
 
     /// Row-major in (clients, fault, system) order.
     fn grid(&self) -> Vec<Self::Coord> {
@@ -520,81 +177,42 @@ impl Campaign for ScaleTable1<'_> {
         (system as u64, clients)
     }
 
-    fn capture(&self, (_, system, clients): Self::Coord) -> ScaleCheckpoint {
-        ScaleCheckpoint::capture(
-            system,
-            clients,
-            scale_workload_seed(self.0.seed, system, clients),
-            self.0.warmup_ops,
-            self.0.watchdog_quanta,
-        )
+    fn capture(&self, (_, system, clients): Self::Coord) -> PreparedTrial {
+        scale_checkpoint(self.0, system, clients)
     }
 
     fn run(
         &self,
-        checkpoint: &ScaleCheckpoint,
+        checkpoint: &PreparedTrial,
         (fault, system, clients): Self::Coord,
         attempt: u64,
-    ) -> ScaleTrialOutcome {
+    ) -> Self::Outcome {
         let inject_seed = scale_trial_seed(self.0.seed, fault, system, clients, attempt);
-        run_scale_trial_from(checkpoint, fault, inject_seed, self.0.watchdog_quanta)
+        drive_attributed(checkpoint.fork(), fault, inject_seed, self.0.watchdog_quanta)
     }
 
     /// A harness panic counts as a crash that damaged every client.
-    fn on_panic(&self, (_, _, clients): Self::Coord, text: String) -> ScaleTrialOutcome {
-        ScaleTrialOutcome::Crashed(ScaleCrash::total_loss(clients, text))
+    fn on_panic(&self, (_, _, clients): Self::Coord, text: String) -> Self::Outcome {
+        (TrialObservation::harness_panic(text), Provenance::total_loss(clients))
     }
 
-    fn empty(&self, (fault, system, clients): Self::Coord) -> ScaleCellResult {
-        ScaleCellResult {
-            fault,
-            system,
-            clients,
-            crashes: 0,
-            corruptions: 0,
-            cross_client_corruptions: 0,
-            discarded: 0,
-            protection_traps: 0,
-            inflight_sum: 0,
-            locks_held_sum: 0,
-            contended_sum: 0,
-            damaged_clients_sum: 0,
-            messages: BTreeSet::new(),
-        }
+    fn empty(&self, (fault, system, clients): Self::Coord) -> CellResult {
+        CellResult::empty(fault, system, clients)
     }
 
-    fn absorb(&self, cell: &mut ScaleCellResult, outcome: ScaleTrialOutcome) {
-        match outcome {
-            ScaleTrialOutcome::NoCrash | ScaleTrialOutcome::Wedged => cell.discarded += 1,
-            ScaleTrialOutcome::Crashed(c) => {
-                cell.crashes += 1;
-                if c.corrupted {
-                    cell.corruptions += 1;
-                    if c.cross_client {
-                        cell.cross_client_corruptions += 1;
-                    }
-                }
-                if c.protection_trap {
-                    cell.protection_traps += 1;
-                }
-                cell.inflight_sum += c.inflight_at_injection as u64;
-                cell.locks_held_sum += c.locks_held_at_injection as u64;
-                cell.contended_sum += c.locks_contended;
-                cell.damaged_clients_sum += c.damaged_clients.len() as u64;
-                cell.messages.insert(c.message);
-            }
-        }
+    fn absorb(&self, cell: &mut CellResult, outcome: Self::Outcome) {
+        cell.absorb(outcome);
     }
 
-    fn done(&self, cell: &ScaleCellResult, merged: u64) -> bool {
-        cell.crashes >= self.0.trials_per_cell || merged >= self.0.max_attempts()
+    fn done(&self, cell: &CellResult, merged: u64) -> bool {
+        cell.done(merged, self.0.trials_per_cell, self.0.max_attempts_factor)
     }
 }
 
 /// Runs the scale campaign on `threads` workers through
 /// [`crate::engine::run`]: byte-identical results at any `threads`.
-pub fn run_scale_campaign(cfg: &ScaleCampaignConfig, threads: usize) -> ScaleCampaignResult {
-    ScaleCampaignResult {
+pub fn run_scale_campaign(cfg: &ScaleCampaignConfig, threads: usize) -> CampaignResult {
+    CampaignResult {
         cells: engine::run(&ScaleTable1(cfg), threads),
         trials_per_cell: cfg.trials_per_cell,
         client_counts: cfg.client_counts.clone(),
@@ -604,13 +222,16 @@ pub fn run_scale_campaign(cfg: &ScaleCampaignConfig, threads: usize) -> ScaleCam
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::TrialVerdict;
+    use std::collections::BTreeSet;
 
     #[test]
     fn scale_trial_seeds_depend_on_every_coordinate() {
         let s = scale_trial_seed(1996, FaultType::Pointer, SystemKind::DiskBased, 16, 3);
         assert_eq!(
             s,
-            scale_trial_seed(1996, FaultType::Pointer, SystemKind::DiskBased, 16, 3)
+            trial_seed(derive_seed(1996, 16), FaultType::Pointer, SystemKind::DiskBased, 3),
+            "Table 1's trial seed under a per-client-count campaign seed"
         );
         assert_ne!(
             s,
@@ -626,17 +247,20 @@ mod tests {
     fn copy_overrun_scale_trial_crashes_and_examines() {
         // The heaviest fault type must produce an examined multi-client
         // crash within a few attempts on each system.
+        let cfg = ScaleCampaignConfig {
+            warmup_ops: 5,
+            watchdog_quanta: 4_000,
+            ..ScaleCampaignConfig::quick(0)
+        };
         for system in SystemKind::ALL {
-            let cp = ScaleCheckpoint::capture(system, 4, scale_workload_seed(0, system, 4), 5, 4_000);
+            let cp = scale_checkpoint(&cfg, system, 4);
             let crash = (0..8).find_map(|attempt| {
                 let inj = scale_trial_seed(0, FaultType::CopyOverrun, system, 4, attempt);
-                match run_scale_trial_from(&cp, FaultType::CopyOverrun, inj, 4_000) {
-                    ScaleTrialOutcome::Crashed(c) => Some(c),
-                    _ => None,
-                }
+                let (obs, _) = drive_attributed(cp.fork(), FaultType::CopyOverrun, inj, 4_000);
+                (obs.verdict == TrialVerdict::Crashed).then_some(obs)
             });
-            let c = crash.unwrap_or_else(|| panic!("no crash for {system}"));
-            assert!(!c.message.is_empty());
+            let obs = crash.unwrap_or_else(|| panic!("no crash for {system}"));
+            assert!(!obs.message.expect("a crash message").is_empty());
         }
     }
 
@@ -646,7 +270,7 @@ mod tests {
         let (campaign, coord) = (ScaleTable1(&cfg), (FaultType::Pointer, SystemKind::DiskBased, 4));
         let mut cell = campaign.empty(coord);
         campaign.absorb(&mut cell, campaign.on_panic(coord, "index out of bounds".to_owned()));
-        let expected = ScaleCellResult {
+        let expected = CellResult {
             crashes: 1,
             corruptions: 1,
             cross_client_corruptions: 1,
@@ -655,23 +279,5 @@ mod tests {
             ..campaign.empty(coord)
         };
         assert_eq!(cell, expected);
-    }
-
-    #[test]
-    fn forked_scale_trials_match_scratch_exactly() {
-        let wl = scale_workload_seed(9, SystemKind::RioWithoutProtection, 3);
-        let cp = ScaleCheckpoint::capture(SystemKind::RioWithoutProtection, 3, wl, 4, 1_500);
-        assert!(!cp.wedged());
-        for inj in [1u64, 2, 3] {
-            let forked = run_scale_trial_from(&cp, FaultType::CopyOverrun, inj, 1_500);
-            let scratch = {
-                let fresh =
-                    ScaleCheckpoint::capture(SystemKind::RioWithoutProtection, 3, wl, 4, 1_500);
-                run_scale_trial_from(&fresh, FaultType::CopyOverrun, inj, 1_500)
-            };
-            assert_eq!(forked, scratch, "inj {inj}");
-            // And a second fork of the same checkpoint is the same trial.
-            assert_eq!(forked, run_scale_trial_from(&cp, FaultType::CopyOverrun, inj, 1_500));
-        }
     }
 }

@@ -25,8 +25,8 @@
 
 use rio_faults::campaign::trial_seed;
 use rio_faults::{
-    examine_crash, run_to_crash, workload_seed, Examination, FaultType, PreparedTrial, SystemKind,
-    TrialObservation, TrialVerdict,
+    examine_crash, run_to_crash, workload_seed, CampaignConfig, Examination, FaultType,
+    PreparedTrial, SystemKind, TrialObservation, TrialVerdict,
 };
 use rio_kernel::Kernel;
 use rio_obs::{json_escape, Event, EventCategory, Payload, Trace};
@@ -52,17 +52,18 @@ pub struct ExplainConfig {
 }
 
 impl ExplainConfig {
-    /// The paper-scale protocol ([`rio_faults::CampaignConfig::paper`]'s
+    /// The paper-scale protocol ([`CampaignConfig::paper`]'s
     /// warmup/watchdog), so a coordinate here names the same trial the
     /// shipped `results_table1.txt` measured.
     pub fn paper(campaign_seed: u64, fault: FaultType, system: SystemKind, attempt: u64) -> Self {
+        let protocol = CampaignConfig::paper(campaign_seed);
         ExplainConfig {
             campaign_seed,
             fault,
             system,
             attempt,
-            warmup_ops: 60,
-            watchdog_ops: 800,
+            warmup_ops: protocol.warmup_ops,
+            watchdog_ops: protocol.watchdog_ops,
             ring_capacity: rio_obs::DEFAULT_CAPACITY,
         }
     }
@@ -142,18 +143,17 @@ pub fn explain_trial(cfg: &ExplainConfig) -> ExplainReport {
     let wl_seed = workload_seed(cfg.campaign_seed, cfg.system);
     // Opened before the boot: the trace's counters include the warm-up.
     rio_obs::start(cfg.ring_capacity);
-    let prepared = PreparedTrial::prepare(cfg.system, wl_seed, cfg.warmup_ops);
-    let (kcfg, mt_cfg) = (prepared.config.clone(), prepared.mt_cfg.clone());
-    let mut observation = TrialObservation::wedged();
-    let mut exam = None;
-    if let Some((mut k, mut mt)) = prepared.into_machine() {
-        observation = run_to_crash(&mut k, &mut mt, cfg.fault, inject_seed, cfg.watchdog_ops);
-        // Snapshot the dying kernel's counters before its stats die with it.
+    let mut trial = PreparedTrial::prepare(cfg.system, wl_seed, cfg.warmup_ops);
+    let (mut observation, mut provenance) =
+        run_to_crash(&mut trial, cfg.fault, inject_seed, cfg.watchdog_ops);
+    // Snapshot the dying kernel's counters before its stats die with it.
+    if let Some(k) = trial.kernel() {
         rio_obs::with_registry(|r| k.observe_into(r));
-        if observation.verdict == TrialVerdict::Crashed {
-            let examined = examine_crash(cfg.system, &kcfg, &mt_cfg, k, &mut observation);
-            exam = Some(crash_exam(cfg.system, examined));
-        }
+    }
+    let mut exam = None;
+    if observation.verdict == TrialVerdict::Crashed {
+        let examined = examine_crash(trial, &mut observation, &mut provenance);
+        exam = Some(crash_exam(cfg.system, examined));
     }
     let trace = rio_obs::finish().expect("trace session was opened above");
     ExplainReport {
@@ -178,7 +178,8 @@ fn crash_exam(system: SystemKind, examined: Option<Examination>) -> CrashExam {
         first_corruption: None,
     };
     if let Some(Examination { mut kernel, verified }) = examined {
-        if let Some((expected, report)) = verified {
+        // One client: the first (only) comparison is the trial's.
+        if let Some((expected, report)) = verified.and_then(|v| v.into_iter().next()) {
             exam.first_corruption = first_corruption(&mut kernel, &expected, &report);
             exam.report = Some(report);
         }

@@ -8,7 +8,7 @@
 
 use crate::ascii;
 use rio_det::stats::{wilson_interval, Z_95};
-use rio_faults::{run_campaign, CampaignConfig, CampaignResult, FaultType, SystemKind};
+use rio_faults::{run_campaign, CampaignConfig, CampaignResult, CellResult, FaultType, SystemKind};
 
 /// The §3.3 MTTF illustration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,15 +58,14 @@ pub struct Table1Report {
 /// the report.
 pub fn run_table1(cfg: &CampaignConfig, threads: usize) -> Table1Report {
     let campaign = run_campaign(cfg, threads);
+    let total = |s, field| campaign.total(s, 1, field);
     let mttf = SystemKind::ALL
         .iter()
-        .map(|&s| {
-            MttfEstimate::from_counts(campaign.total_corruptions(s), campaign.total_crashes(s))
-        })
+        .map(|&s| MttfEstimate::from_counts(total(s, |c| c.corruptions), total(s, |c| c.crashes)))
         .collect();
     let protection_traps = SystemKind::ALL
         .iter()
-        .map(|&s| campaign.total_protection_traps(s))
+        .map(|&s| total(s, |c| c.protection_traps))
         .collect();
     let unique_messages = campaign.unique_messages().len();
     Table1Report {
@@ -77,9 +76,23 @@ pub fn run_table1(cfg: &CampaignConfig, threads: usize) -> Table1Report {
     }
 }
 
-/// Renders the report in the paper's layout.
-pub fn render_table1(report: &Table1Report) -> String {
-    let c = &report.campaign;
+/// Percentage of `num` in `den`; 0 when `den` is.
+fn pct(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        100.0 * num as f64 / den as f64
+    }
+}
+
+/// The fault × system grid of `c` at `clients` with its Total row, in the
+/// paper's layout: a cell without corruptions is blank, any other is
+/// `cell`'s string for it.
+pub(crate) fn render_grid(
+    c: &CampaignResult,
+    clients: usize,
+    cell: fn(&CellResult) -> String,
+) -> String {
     let mut rows = vec![vec![
         "Fault Type".to_owned(),
         "Disk-Based".to_owned(),
@@ -89,39 +102,36 @@ pub fn render_table1(report: &Table1Report) -> String {
     for &fault in &FaultType::ALL {
         let mut row = vec![fault.label().to_owned()];
         for &system in &SystemKind::ALL {
-            let cell = c
+            let x = c
                 .cells
                 .iter()
-                .find(|cell| cell.fault == fault && cell.system == system)
+                .find(|x| x.fault == fault && x.system == system && x.clients == clients)
                 .expect("full grid");
-            row.push(if cell.corruptions == 0 {
-                String::new() // the paper leaves zero cells blank
-            } else {
-                cell.corruptions.to_string()
-            });
+            row.push(if x.corruptions == 0 { String::new() } else { cell(x) });
         }
         rows.push(row);
     }
     let mut total_row = vec!["Total".to_owned()];
     for &system in &SystemKind::ALL {
-        let crashes = c.total_crashes(system);
-        let corr = c.total_corruptions(system);
-        let pct = if crashes > 0 {
-            100.0 * corr as f64 / crashes as f64
-        } else {
-            0.0
-        };
-        total_row.push(format!("{corr} of {crashes} ({pct:.1}%)"));
+        let crashes = c.total(system, clients, |x| x.crashes);
+        let corr = c.total(system, clients, |x| x.corruptions);
+        total_row.push(format!("{corr} of {crashes} ({:.1}%)", pct(corr, crashes)));
     }
     rows.push(total_row);
+    ascii::render(&rows)
+}
 
+/// Renders the report in the paper's layout.
+pub fn render_table1(report: &Table1Report) -> String {
+    let c = &report.campaign;
+    let total = |s, field| c.total(s, 1, field);
     let mut out = String::new();
     out.push_str("Table 1: Comparing Disk and Memory Reliability\n");
     out.push_str(&format!(
         "(corruptions among {} crashes per fault type per system)\n\n",
         c.trials_per_cell
     ));
-    out.push_str(&ascii::render(&rows));
+    out.push_str(&render_grid(c, 1, |x| x.corruptions.to_string()));
     out.push('\n');
 
     for (i, &system) in SystemKind::ALL.iter().enumerate() {
@@ -150,15 +160,15 @@ pub fn render_table1(report: &Table1Report) -> String {
     out.push_str(&format!(
         "Torn data blocks repaired by fsck at reboot: {} disk-based, \
          {} Rio without protection, {} Rio with protection\n",
-        c.total_torn(SystemKind::ALL[0]),
-        c.total_torn(SystemKind::ALL[1]),
-        c.total_torn(SystemKind::ALL[2]),
+        total(SystemKind::ALL[0], |x| x.torn_data_blocks),
+        total(SystemKind::ALL[1], |x| x.torn_data_blocks),
+        total(SystemKind::ALL[2], |x| x.torn_data_blocks),
     ));
     out.push_str(&format!(
         "Registry entries quarantined by the warm-reboot scan: \
          {} Rio without protection, {} Rio with protection\n",
-        c.total_quarantined(SystemKind::ALL[1]),
-        c.total_quarantined(SystemKind::ALL[2]),
+        total(SystemKind::ALL[1], |x| x.quarantined),
+        total(SystemKind::ALL[2], |x| x.quarantined),
     ));
 
     // §3.3 error bars: a Wilson 95% interval on each system's per-crash
@@ -174,18 +184,14 @@ pub fn render_table1(report: &Table1Report) -> String {
         }
     };
     for &system in &SystemKind::ALL {
-        let crashes = c.total_crashes(system);
-        let corr = c.total_corruptions(system);
+        let crashes = total(system, |x| x.crashes);
+        let corr = total(system, |x| x.corruptions);
         let (lo, hi) = wilson_interval(corr, crashes, Z_95);
         out.push_str(&format!(
             "  {:<22} : {:.2}% [{:.2}%, {:.2}%] over {} crashes; \
              MTTF {}..{} years\n",
             system.label(),
-            if crashes > 0 {
-                100.0 * corr as f64 / crashes as f64
-            } else {
-                0.0
-            },
+            pct(corr, crashes),
             100.0 * lo,
             100.0 * hi,
             crashes,

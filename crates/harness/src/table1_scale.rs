@@ -15,11 +15,8 @@
 //! mid-syscall crash state must not open a new corruption channel that
 //! protection fails to cover.
 
-use crate::ascii;
-use rio_faults::{
-    run_scale_campaign, FaultType, ScaleCampaignConfig, ScaleCampaignResult, SystemKind,
-};
-use std::collections::BTreeSet;
+use crate::table1::render_grid;
+use rio_faults::{run_scale_campaign, CampaignResult, ScaleCampaignConfig, SystemKind};
 
 /// Per-client-count summary derived from the campaign cells.
 #[derive(Debug, Clone)]
@@ -40,13 +37,13 @@ impl ScaleBandCheck {
     /// noise at low trial counts). The paper's measured rates were 1.1%
     /// disk (7 of 650) vs 0.6% protected Rio (4 of 650) — comfortably
     /// inside.
-    pub fn compute(campaign: &ScaleCampaignResult, clients: usize) -> ScaleBandCheck {
+    pub fn compute(campaign: &CampaignResult, clients: usize) -> ScaleBandCheck {
         let rate = |s: SystemKind| {
-            let crashes = campaign.total_crashes(s, clients);
+            let crashes = campaign.total(s, clients, |c| c.crashes);
             if crashes == 0 {
                 0.0
             } else {
-                campaign.total_corruptions(s, clients) as f64 / crashes as f64
+                campaign.total(s, clients, |c| c.corruptions) as f64 / crashes as f64
             }
         };
         let disk_rate = rate(SystemKind::DiskBased);
@@ -64,7 +61,7 @@ impl ScaleBandCheck {
 #[derive(Debug, Clone)]
 pub struct Table1ScaleReport {
     /// Raw campaign results.
-    pub campaign: ScaleCampaignResult,
+    pub campaign: CampaignResult,
     /// Band check per client count, in sweep order.
     pub band: Vec<ScaleBandCheck>,
     /// Distinct crash messages across the whole campaign.
@@ -79,24 +76,11 @@ pub fn run_table1_scale(cfg: &ScaleCampaignConfig, threads: usize) -> Table1Scal
         .iter()
         .map(|&n| ScaleBandCheck::compute(&campaign, n))
         .collect();
-    let unique_messages = campaign
-        .cells
-        .iter()
-        .flat_map(|c| c.messages.iter())
-        .collect::<BTreeSet<_>>()
-        .len();
+    let unique_messages = campaign.unique_messages().len();
     Table1ScaleReport {
         campaign,
         band,
         unique_messages,
-    }
-}
-
-fn pct(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        100.0 * num as f64 / den as f64
     }
 }
 
@@ -114,57 +98,18 @@ pub fn render_table1_scale(report: &Table1ScaleReport) -> String {
 
     for &clients in &c.client_counts {
         out.push_str(&format!("\n--- {clients} client(s) ---\n\n"));
-        let mut rows = vec![vec![
-            "Fault Type".to_owned(),
-            "Disk-Based".to_owned(),
-            "Rio without Protection".to_owned(),
-            "Rio with Protection".to_owned(),
-        ]];
-        for &fault in &FaultType::ALL {
-            let mut row = vec![fault.label().to_owned()];
-            for &system in &SystemKind::ALL {
-                let cell = c
-                    .cells
-                    .iter()
-                    .find(|x| x.fault == fault && x.system == system && x.clients == clients)
-                    .expect("full grid");
-                row.push(if cell.corruptions == 0 {
-                    String::new() // the paper leaves zero cells blank
-                } else if cell.cross_client_corruptions > 0 {
-                    format!("{} ({}x)", cell.corruptions, cell.cross_client_corruptions)
-                } else {
-                    cell.corruptions.to_string()
-                });
-            }
-            rows.push(row);
-        }
-        let mut total_row = vec!["Total".to_owned()];
-        for &system in &SystemKind::ALL {
-            let crashes = c.total_crashes(system, clients);
-            let corr = c.total_corruptions(system, clients);
-            total_row.push(format!(
-                "{corr} of {crashes} ({:.1}%)",
-                pct(corr, crashes)
-            ));
-        }
-        rows.push(total_row);
-        out.push_str(&ascii::render(&rows));
+        out.push_str(&render_grid(c, clients, |x| match x.cross_client_corruptions {
+            0 => x.corruptions.to_string(),
+            cross => format!("{} ({cross}x)", x.corruptions),
+        }));
         out.push_str("(n (kx) = n corrupted runs, k of which crossed a client boundary)\n");
 
         out.push_str("\nprovenance at injection and after reboot:\n");
         for &system in &SystemKind::ALL {
-            let cells: Vec<_> = c
-                .cells
-                .iter()
-                .filter(|x| x.system == system && x.clients == clients)
-                .collect();
-            let crashes: u64 = cells.iter().map(|x| x.crashes).sum();
-            let corr: u64 = cells.iter().map(|x| x.corruptions).sum();
-            let cross: u64 = cells.iter().map(|x| x.cross_client_corruptions).sum();
-            let inflight: u64 = cells.iter().map(|x| x.inflight_sum).sum();
-            let held: u64 = cells.iter().map(|x| x.locks_held_sum).sum();
-            let contended: u64 = cells.iter().map(|x| x.contended_sum).sum();
-            let damaged: u64 = cells.iter().map(|x| x.damaged_clients_sum).sum();
+            let total = |field| c.total(system, clients, field);
+            let crashes = total(|x| x.crashes);
+            let corr = total(|x| x.corruptions);
+            let cross = total(|x| x.cross_client_corruptions);
             let mean = |sum: u64| {
                 if crashes == 0 {
                     0.0
@@ -180,10 +125,10 @@ pub fn render_table1_scale(report: &Table1ScaleReport) -> String {
                 corr - cross,
                 cross,
                 corr,
-                mean(inflight),
-                mean(held),
-                mean(contended),
-                mean(damaged),
+                mean(total(|x| x.inflight_sum)),
+                mean(total(|x| x.locks_held_sum)),
+                mean(total(|x| x.contended_sum)),
+                mean(total(|x| x.damaged_clients_sum)),
             ));
         }
     }
@@ -208,6 +153,7 @@ pub fn render_table1_scale(report: &Table1ScaleReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rio_faults::FaultType;
 
     fn tiny_cfg() -> ScaleCampaignConfig {
         ScaleCampaignConfig {

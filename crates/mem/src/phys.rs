@@ -27,8 +27,8 @@
 //! ~2.5 ms for a full memcpy) when the image was sealed first:
 //! [`PhysMem::seal`] turns every private page into a shared one, at one
 //! page copy each. Whoever freezes a machine in order to fork it many
-//! times seals it once — the campaign checkpoints
-//! (`PreparedTrial::prepare`, `ScaleCheckpoint::capture`) and
+//! times seals it once — the campaign checkpoints (both
+//! `PreparedTrial` constructors) and
 //! `Kernel::into_crash_artifacts` (the DRAM a crash leaves is cloned by
 //! the warm reboot and by every recovery trial) — and each fork then pays
 //! only for the pages it dirties afterwards. A fresh image is born sealed:

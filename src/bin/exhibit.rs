@@ -160,10 +160,10 @@ fn check(full: bool, threads: usize) {
 /// `exhibit inspect`: crash a demonstration machine after 120 memTest ops
 /// and dump what the warm-reboot scanner sees in its image (§2.2).
 fn inspect(seed: u64) {
-    let (mut k, mt) = PreparedTrial::prepare(SystemKind::RioWithProtection, seed, 120)
+    let (mut k, clients) = PreparedTrial::prepare(SystemKind::RioWithProtection, seed, 120)
         .into_machine()
         .expect("a healthy machine boots and runs memTest");
-    let (ops, writes) = (mt.ops_done(), k.machine.disk.stats().writes);
+    let (ops, writes) = (clients[0].ops_done(), k.machine.disk.stats().writes);
     let windows = k.rio_stats().map_or(0, |s| s.windows_opened);
     println!("ran {ops} memTest ops; {windows} protection windows opened; {writes} disk writes");
 
