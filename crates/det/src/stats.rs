@@ -1,11 +1,12 @@
 //! The workspace's one percentile convention, plus the binomial
-//! confidence intervals behind Table 1's error bars.
+//! confidence intervals behind Table 1's error bars and its difference
+//! lines.
 //!
 //! Two summaries used to disagree: the bench runner picked
 //! `round((len-1)·frac)` while the campaign summary picked
 //! `floor((len-1)·frac)`, so a p95 over the same sample could differ by
-//! one rank between `BENCH_*.json` and `results_propagation.txt`. This
-//! module pins the single convention every reporter now shares:
+//! one rank between `BENCH_*.json` and Table 1's crash-latency columns.
+//! This module pins the single convention every reporter now shares:
 //!
 //! **floor on the inclusive index** — `sorted[floor((len-1)·frac)]`.
 //!
@@ -66,6 +67,26 @@ pub fn wilson_interval(successes: u64, n: u64, z: f64) -> (f64, f64) {
         ((center + spread) / denom).min(1.0)
     };
     (lo, hi)
+}
+
+/// Newcombe's hybrid score interval (his method 10) on the difference of
+/// two binomial proportions, `x1/n1 − x2/n2`, at normal quantile `z`.
+///
+/// Each proportion's [`wilson_interval`] supplies the distance from its
+/// point estimate to its bound; the difference's lower bound combines the
+/// first's lower and the second's upper distance in quadrature, and dually
+/// for the upper bound. Like Wilson, it stays sensible at 0 successes,
+/// where the Wald interval collapses to a point.
+///
+/// Returns `(lo, hi)` as differences of proportions in `[-1, 1]`.
+pub fn newcombe_difference(x1: u64, n1: u64, x2: u64, n2: u64, z: f64) -> (f64, f64) {
+    let p = |x: u64, n: u64| if n == 0 { 0.0 } else { x as f64 / n as f64 };
+    let (p1, p2) = (p(x1, n1), p(x2, n2));
+    let ((l1, u1), (l2, u2)) = (wilson_interval(x1, n1, z), wilson_interval(x2, n2, z));
+    let d = p1 - p2;
+    let below = ((p1 - l1).powi(2) + (u2 - p2).powi(2)).sqrt();
+    let above = ((u1 - p1).powi(2) + (p2 - l2).powi(2)).sqrt();
+    (d - below, d + above)
 }
 
 /// Clopper–Pearson "exact" interval for a binomial proportion at
@@ -323,6 +344,29 @@ mod tests {
         assert!(lo > 0.95 && lo < 1.0, "lo = {lo}");
         assert_eq!(hi, 1.0);
         assert_eq!(wilson_interval(0, 0, Z_95), (0.0, 1.0));
+    }
+
+    #[test]
+    fn newcombe_reference_value() {
+        // Newcombe (1998), Statistics in Medicine 17:873–890, Table II
+        // example (a): 56/70 − 48/80 → [0.0524, 0.3339] by method 10.
+        let (lo, hi) = newcombe_difference(56, 70, 48, 80, Z_95);
+        assert!(close(lo, 0.0524, 5e-5), "lo = {lo}");
+        assert!(close(hi, 0.3339, 5e-5), "hi = {hi}");
+    }
+
+    #[test]
+    fn newcombe_straddles_zero_where_the_sample_cannot_tell() {
+        // 6.5 % against 3.0 %: a gap of 3.5 points that ~100 crashes a
+        // side cannot resolve.
+        let (lo, hi) = newcombe_difference(7, 107, 3, 99, Z_95);
+        assert!(lo < 0.0 && hi > 0.0, "7/107 vs 3/99 is not separable");
+        // Zero successes on both sides: a point estimate of 0, an
+        // interval around it, never outside [-1, 1].
+        let (lo, hi) = newcombe_difference(0, 10, 0, 10, Z_95);
+        assert!(lo < 0.0 && hi > 0.0 && lo >= -1.0 && hi <= 1.0);
+        // No data constrains nothing.
+        assert_eq!(newcombe_difference(0, 0, 0, 0, Z_95), (-1.0, 1.0));
     }
 
     #[test]

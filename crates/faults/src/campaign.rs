@@ -132,11 +132,20 @@ pub struct CellResult {
     pub damaged_clients_sum: u64,
     /// Distinct crash messages seen.
     pub messages: BTreeSet<String>,
+    /// Ops from injection to crash of every crashed run that has one (a
+    /// harness panic has none), in attempt order: how long a fault took
+    /// to crash the system (the paper's §3.3 footnote 2).
+    pub latencies: Vec<u64>,
+    /// Crashed runs whose damage the warm-reboot checksum caught (alone
+    /// or with the memTest replay).
+    pub checksum_detections: u64,
+    /// Crashed runs whose damage only the memTest replay caught.
+    pub memtest_only_detections: u64,
 }
 
 impl CellResult {
     /// A cell with nothing absorbed.
-    pub(crate) fn empty(fault: FaultType, system: SystemKind, clients: usize) -> CellResult {
+    pub fn empty(fault: FaultType, system: SystemKind, clients: usize) -> CellResult {
         CellResult {
             fault,
             system,
@@ -153,7 +162,15 @@ impl CellResult {
             contended_sum: 0,
             damaged_clients_sum: 0,
             messages: BTreeSet::new(),
+            latencies: Vec::new(),
+            checksum_detections: 0,
+            memtest_only_detections: 0,
         }
+    }
+
+    /// Trials run: every one is either a crash or a discard.
+    pub fn attempts(&self) -> u64 {
+        self.crashes + self.discarded
     }
 
     /// Folds one trial in: a crash is counted, anything else discarded.
@@ -172,6 +189,9 @@ impl CellResult {
         self.locks_held_sum += prov.locks_held_at_injection as u64;
         self.contended_sum += prov.locks_contended;
         self.damaged_clients_sum += prov.damaged_clients.len() as u64;
+        self.latencies.extend(obs.crash_latency_ops);
+        self.checksum_detections += u64::from(obs.checksum_detected);
+        self.memtest_only_detections += u64::from(obs.memtest_hit && !obs.checksum_detected);
         self.messages.insert(obs.message.unwrap_or_default());
     }
 
@@ -189,6 +209,8 @@ pub struct CampaignResult {
     pub cells: Vec<CellResult>,
     /// Target crashes per cell.
     pub trials_per_cell: u64,
+    /// A cell also stops after `trials_per_cell` times this many attempts.
+    pub max_attempts_factor: u64,
     /// The client counts swept (`[1]` for Table 1 itself).
     pub client_counts: Vec<usize>,
 }
@@ -357,6 +379,7 @@ pub fn run_campaign(cfg: &CampaignConfig, threads: usize) -> CampaignResult {
     CampaignResult {
         cells: engine::run(&Table1(cfg), threads),
         trials_per_cell: cfg.trials_per_cell,
+        max_attempts_factor: cfg.max_attempts_factor,
         client_counts: vec![1],
     }
 }
@@ -392,12 +415,18 @@ mod tests {
     #[test]
     fn copy_overrun_trial_crashes_and_examines() {
         // Copy overrun fires reliably; at least one of a few attempts must
-        // produce a crashed, examined trial on each system.
+        // produce a crashed, examined trial on each system, and every
+        // crash records its latency and message.
         for system in SystemKind::ALL {
-            let got_crash = cell_trials(system, FaultType::CopyOverrun, 6, 30, 400)
-                .iter()
-                .any(|o| o.verdict == TrialVerdict::Crashed);
-            assert!(got_crash, "no crash for {system}");
+            let mut cell = CellResult::empty(FaultType::CopyOverrun, system, 1);
+            for o in cell_trials(system, FaultType::CopyOverrun, 6, 30, 400) {
+                let crashed = o.verdict == TrialVerdict::Crashed;
+                assert!(!crashed || (o.crash_latency_ops.is_some() && o.message.is_some()));
+                cell.absorb((o, Provenance::default()));
+            }
+            assert!(cell.crashes > 0, "no crash for {system}");
+            assert_eq!(cell.latencies.len() as u64, cell.crashes);
+            assert_eq!(cell.attempts(), 6);
         }
     }
 
@@ -454,6 +483,69 @@ mod tests {
             ..campaign.empty(coord)
         };
         assert_eq!(cell, expected);
+        // No latency to report and no detector to credit: with a real
+        // crash beside it, the latencies are the crashes less the panics.
+        let crashed = TrialObservation {
+            verdict: TrialVerdict::Crashed,
+            crash_latency_ops: Some(7),
+            ..TrialObservation::wedged()
+        };
+        campaign.absorb(&mut cell, (crashed, Provenance::default()));
+        assert_eq!(cell.crashes, 2);
+        assert_eq!(cell.latencies, [7]);
+        assert_eq!(
+            (cell.checksum_detections, cell.memtest_only_detections),
+            (0, 0)
+        );
+    }
+
+    #[test]
+    fn each_crash_counts_under_the_detectors_that_caught_it() {
+        let obs = |verdict, checksum_detected, memtest_hit| {
+            let obs = TrialObservation {
+                verdict,
+                checksum_detected,
+                memtest_hit,
+                crash_latency_ops: Some(1),
+                ..TrialObservation::wedged()
+            };
+            (obs, Provenance::default())
+        };
+        use TrialVerdict::{Crashed, NoCrash};
+        let detections = |outcomes: Vec<_>| {
+            let mut cell = CellResult::empty(FaultType::Pointer, SystemKind::DiskBased, 1);
+            outcomes.into_iter().for_each(|o| cell.absorb(o));
+            (cell.checksum_detections, cell.memtest_only_detections)
+        };
+        assert_eq!(detections(vec![obs(Crashed, false, false)]), (0, 0));
+        assert_eq!(detections(vec![obs(Crashed, true, false)]), (1, 0));
+        assert_eq!(detections(vec![obs(Crashed, false, true)]), (0, 1));
+        assert_eq!(detections(vec![obs(Crashed, true, true)]), (1, 0));
+        assert_eq!(detections(vec![obs(NoCrash, true, true)]), (0, 0));
+        let all = [(false, false), (true, false), (false, true), (true, true)];
+        assert_eq!(
+            detections(all.map(|(c, m)| obs(Crashed, c, m)).into()),
+            (2, 1)
+        );
+    }
+
+    #[test]
+    fn crashes_are_quick_after_injection() {
+        // The integrity probe catches broken data paths within an op or
+        // two — the simulator's version of "most crashes occurred within
+        // 15 seconds after the fault was injected".
+        let (system, fault) = (SystemKind::RioWithoutProtection, FaultType::DestinationReg);
+        let latencies: Vec<u64> = cell_trials(system, fault, 8, 20, 300)
+            .iter()
+            .filter_map(|t| t.crash_latency_ops)
+            .collect();
+        let quick = latencies.iter().filter(|&&l| l <= 10).count();
+        if latencies.len() >= 3 {
+            assert!(
+                2 * quick >= latencies.len(),
+                "expected mostly-quick crashes: {latencies:?}"
+            );
+        }
     }
 
     #[test]

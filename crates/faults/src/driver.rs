@@ -40,9 +40,8 @@
 //! attributed client by client in the provenance. The consumers:
 //!
 //! * [`drive`] / [`drive_attributed`] — Table 1 ([`crate::campaign`]),
-//!   Table 1 under load ([`crate::scale_campaign`]), the propagation study
-//!   (`rio_harness::propagation`) and the repo benchmark: `run_to_crash`,
-//!   then `examine_crash`;
+//!   Table 1 under load ([`crate::scale_campaign`]) and the repo
+//!   benchmark: `run_to_crash`, then `examine_crash`;
 //! * `rio_harness::explain` — the same two calls inside a trace session,
 //!   snapshotting each kernel's counters in between;
 //! * [`crate::recovery`] and `exhibit inspect` — `prepare` +
@@ -282,9 +281,9 @@ pub enum TrialVerdict {
     Crashed,
 }
 
-/// Everything a single trial observed — the union of what the Table 1
-/// campaigns and the propagation tracer each need. Crash-only fields hold
-/// their defaults for `Wedged`/`NoCrash` verdicts.
+/// Everything a single trial observed — Table 1's verdict and damage, and
+/// the crash latency and detectors its propagation tables read. Crash-only
+/// fields hold their defaults for `Wedged`/`NoCrash` verdicts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrialObservation {
     /// How the trial ended.

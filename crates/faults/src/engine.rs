@@ -4,7 +4,7 @@
 //! times (§3.1–3.2: boot → warm up → inject → run to crash → reboot →
 //! compare). Every study in this repository that repeats a procedure over
 //! a grid — Table 1, Table 1 under load, the recovery re-crash table, the
-//! propagation study, the server grid — describes *what* one cell does by
+//! server grid — describes *what* one cell does by
 //! implementing [`Campaign`]; [`run`] is the only code that decides *how*
 //! the cells get executed:
 //!

@@ -31,7 +31,6 @@ pub mod engine;
 pub mod inject;
 pub mod recovery;
 pub mod scale_campaign;
-pub mod trace;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignResult, CellResult, SystemKind};
 pub use driver::{
@@ -50,4 +49,3 @@ pub use scale_campaign::{
     run_scale_campaign, scale_checkpoint, scale_kernel_config, scale_trial_seed,
     scale_workload_seed, ScaleCampaignConfig,
 };
-pub use trace::{summarize, DetectionChannel, PropagationSummary};

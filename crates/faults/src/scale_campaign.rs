@@ -215,6 +215,7 @@ pub fn run_scale_campaign(cfg: &ScaleCampaignConfig, threads: usize) -> Campaign
     CampaignResult {
         cells: engine::run(&ScaleTable1(cfg), threads),
         trials_per_cell: cfg.trials_per_cell,
+        max_attempts_factor: cfg.max_attempts_factor,
         client_counts: cfg.client_counts.clone(),
     }
 }

@@ -10,13 +10,14 @@
 use crate::overhead::render_overhead;
 use crate::table2::Table2Scale;
 use crate::{
-    explain_json, explain_trial, render_propagation, render_recovery, render_server, render_table1,
-    render_table1_scale, render_table2, render_timeline, run_overhead_study, run_propagation,
-    run_recovery, run_server, run_table1, run_table1_scale, run_table2, server_json, ExplainConfig,
-    ServerGrid,
+    explain_json, explain_trial, render_recovery, render_server, render_table1,
+    render_table1_scale, render_table2, render_timeline, run_overhead_study, run_recovery,
+    run_server, run_table2, server_json, ExplainConfig, ServerGrid,
 };
-use rio_faults::{CampaignConfig, RecoveryCampaignConfig, ScaleCampaignConfig};
-use rio_faults::{FaultType, SystemKind};
+use rio_faults::{
+    run_campaign, run_scale_campaign, CampaignConfig, FaultType, RecoveryCampaignConfig,
+    ScaleCampaignConfig, SystemKind,
+};
 use std::path::Path;
 
 /// The size of one run. A knob a row does not have is `None` / empty at
@@ -57,8 +58,6 @@ pub enum Cost {
     /// Seconds in a debug build: `cargo test` regenerates the committed
     /// size (`tests/exhibits.rs`), and so do both `--check` levels.
     Tier1,
-    /// Seconds in a release build only: both `--check` levels do.
-    Quick,
     /// Minutes: `--check quick` runs these reduced knobs against this
     /// capture, a committed file of its own; `--check full` the committed size.
     Full(Knobs, &'static str),
@@ -91,15 +90,13 @@ const fn knobs(trials: Option<u64>) -> Knobs {
 /// Every exhibit, in the order `--index` lists them. (Unformatted so that
 /// a row reads as a row.)
 #[rustfmt::skip]
-pub static EXHIBITS: [Exhibit; 8] = [
+pub static EXHIBITS: [Exhibit; 7] = [
     Exhibit { name: "table1", files: &["results_table1.txt"], committed: knobs(Some(1000)),
               cost: Cost::Full(knobs(Some(3)), "results_table1_quick.txt"), run: table1 },
     Exhibit { name: "table2", files: &["results_table2.txt"], committed: knobs(None),
               cost: Cost::Tier1, run: table2 },
     Exhibit { name: "overhead", files: &["results_overhead.txt"], committed: knobs(None),
               cost: Cost::Tier1, run: overhead },
-    Exhibit { name: "propagation", files: &["results_propagation.txt"], committed: knobs(Some(10)),
-              cost: Cost::Quick, run: propagation },
     Exhibit { name: "recovery", files: &["results_recovery.txt"], committed: knobs(Some(8)),
               cost: Cost::Tier1, run: recovery },
     Exhibit { name: "explain", files: &["results_trace_example.txt", "BENCH_obs.json"],
@@ -116,7 +113,7 @@ pub static EXHIBITS: [Exhibit; 8] = [
 fn table1(k: &Knobs, threads: usize) -> Vec<String> {
     let mut cfg = CampaignConfig::paper(k.seed);
     cfg.trials_per_cell = k.trials.expect("a trial count");
-    vec![render_table1(&run_table1(&cfg, threads)) + "\n"]
+    vec![render_table1(&run_campaign(&cfg, threads)) + "\n"]
 }
 
 fn table2(k: &Knobs, _: usize) -> Vec<String> {
@@ -127,14 +124,6 @@ fn table2(k: &Knobs, _: usize) -> Vec<String> {
 /// the index's, not an input.
 fn overhead(_: &Knobs, _: usize) -> Vec<String> {
     vec![render_overhead(&run_overhead_study(16, 16)) + "\n"]
-}
-
-fn propagation(k: &Knobs, threads: usize) -> Vec<String> {
-    let table = |&system: &SystemKind| {
-        let rows = run_propagation(system, k.trials.expect("a trial count"), k.seed, threads);
-        render_propagation(system, &rows) + "\n"
-    };
-    vec![SystemKind::ALL.iter().map(table).collect()]
 }
 
 fn recovery(k: &Knobs, threads: usize) -> Vec<String> {
@@ -159,7 +148,7 @@ fn table1_scale(k: &Knobs, threads: usize) -> Vec<String> {
     let mut cfg = ScaleCampaignConfig::paper(k.seed);
     cfg.trials_per_cell = k.trials.expect("a trial count");
     cfg.client_counts = k.clients.to_vec();
-    vec![render_table1_scale(&run_table1_scale(&cfg, threads)) + "\n"]
+    vec![render_table1_scale(&run_scale_campaign(&cfg, threads)) + "\n"]
 }
 
 /// A tail-latency table is only as honest as its histogram: before any
@@ -268,7 +257,6 @@ pub fn index() -> String {
         let files: Vec<String> = e.files.iter().map(|f| format!("`{f}`")).collect();
         let quick = match &e.cost {
             Cost::Tier1 => "the committed size, and so does `cargo test`".to_string(),
-            Cost::Quick => "the committed size".to_string(),
             Cost::Full(reduced, capture) => format!("{reduced}, with `{capture}`"),
         };
         let (name, files, committed) = (e.name, files.join(", "), e.committed);

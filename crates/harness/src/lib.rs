@@ -2,8 +2,10 @@
 //! evaluation and the derived statistics around them.
 //!
 //! * [`table1`] — the reliability comparison (§3.3): 13 fault types × 3
-//!   systems, corruptions per 50 crashes, plus protection-trap saves, the
-//!   unique-crash-message count, and the MTTF illustration.
+//!   systems, corruptions per cell with each cell's n, plus
+//!   protection-trap saves, the unique-crash-message count, the MTTF
+//!   illustration, and every crash's latency and detector (§3.3
+//!   footnote 2).
 //! * [`table1_scale`] — Table 1 under multi-client load: the same grid
 //!   crashed at N ∈ {1, 16, 64} preemptive clients with syscalls in
 //!   flight, plus per-client corruption provenance (confined vs
@@ -35,7 +37,6 @@ pub mod ascii;
 pub mod exhibits;
 pub mod explain;
 pub mod overhead;
-pub mod propagation;
 pub mod recovery;
 pub mod server;
 pub mod table1;
@@ -44,11 +45,10 @@ pub mod table2;
 
 pub use explain::{explain_json, explain_trial, render_timeline, ExplainConfig, ExplainReport};
 pub use overhead::{run_overhead_study, OverheadReport};
-pub use propagation::{render_propagation, run_propagation, PropagationRow};
 pub use recovery::{render_recovery, run_recovery, RecoveryReport};
 pub use server::{
     render_server, run_server, server_json, ServerCell, ServerGrid, ServerGridReport,
 };
-pub use table1::{render_table1, run_table1, MttfEstimate, Table1Report};
-pub use table1_scale::{render_table1_scale, run_table1_scale, ScaleBandCheck, Table1ScaleReport};
+pub use table1::render_table1;
+pub use table1_scale::render_table1_scale;
 pub use table2::{render_table2, run_table2, Table2Report, Table2Row};

@@ -1,78 +1,27 @@
 //! Table 1: "Comparing Disk and Memory Reliability".
 //!
-//! Runs the §3 crash campaign and renders the paper's table — corruptions
-//! per N crashes for 13 fault types × {disk-based, Rio without protection,
-//! Rio with protection} — plus the derived §3.3 statistics: the MTTF
-//! illustration (one crash every two months → years between data-loss
-//! events), the protection-trap saves, and the unique-crash-message count.
+//! Renders the §3 crash campaign ([`rio_faults::run_campaign`]) as the
+//! paper's table — corruptions among each cell's crashes for 13 fault
+//! types × {disk-based, Rio without protection, Rio with protection} —
+//! plus the derived §3.3 statistics: the MTTF illustration (one crash
+//! every two months → years between data-loss events), the
+//! protection-trap saves, the unique-crash-message count, Wilson intervals
+//! and protection's difference from the disk. Then each cell's n (crashes
+//! of attempts) and, per system, §3.3 footnote 2's answer from the same
+//! crashes: how many ops a fault took to crash the system, and which
+//! detector caught the damage.
 
 use crate::ascii;
-use rio_det::stats::{wilson_interval, Z_95};
-use rio_faults::{run_campaign, CampaignConfig, CampaignResult, CellResult, FaultType, SystemKind};
+use rio_det::stats::{newcombe_difference, percentile, wilson_interval, Z_95};
+use rio_faults::{CampaignResult, CellResult, FaultType, SystemKind};
 
-/// The §3.3 MTTF illustration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MttfEstimate {
-    /// Corruption probability per crash.
-    pub corruption_rate: f64,
-    /// Years between corruptions, assuming one crash every two months.
-    pub mttf_years: f64,
-}
-
-impl MttfEstimate {
-    /// Computes the estimate from campaign totals.
-    pub fn from_counts(corruptions: u64, crashes: u64) -> MttfEstimate {
-        let rate = if crashes == 0 {
-            0.0
-        } else {
-            corruptions as f64 / crashes as f64
-        };
-        let mttf_years = if rate == 0.0 {
-            f64::INFINITY
-        } else {
-            // One crash per two months: 6 crashes/year.
-            1.0 / (rate * 6.0)
-        };
-        MttfEstimate {
-            corruption_rate: rate,
-            mttf_years,
-        }
-    }
-}
-
-/// The full Table 1 report.
-#[derive(Debug, Clone)]
-pub struct Table1Report {
-    /// Raw campaign results.
-    pub campaign: CampaignResult,
-    /// MTTF per system, in [`SystemKind::ALL`] order.
-    pub mttf: Vec<MttfEstimate>,
-    /// Protection-trap saves per system.
-    pub protection_traps: Vec<u64>,
-    /// Distinct crash messages seen across the campaign.
-    pub unique_messages: usize,
-}
-
-/// Runs the Table 1 campaign at the given configuration; `threads` is the
-/// engine's worker count ([`rio_faults::engine::run`]) and cannot change
-/// the report.
-pub fn run_table1(cfg: &CampaignConfig, threads: usize) -> Table1Report {
-    let campaign = run_campaign(cfg, threads);
-    let total = |s, field| campaign.total(s, 1, field);
-    let mttf = SystemKind::ALL
-        .iter()
-        .map(|&s| MttfEstimate::from_counts(total(s, |c| c.corruptions), total(s, |c| c.crashes)))
-        .collect();
-    let protection_traps = SystemKind::ALL
-        .iter()
-        .map(|&s| total(s, |c| c.protection_traps))
-        .collect();
-    let unique_messages = campaign.unique_messages().len();
-    Table1Report {
-        campaign,
-        mttf,
-        protection_traps,
-        unique_messages,
+/// Years between corruptions at `rate` corruptions per crash and one
+/// crash every two months (§3.3's MTTF illustration); `inf` at rate 0.
+fn mttf_years(rate: f64) -> String {
+    if rate == 0.0 {
+        "inf".to_owned()
+    } else {
+        format!("{:.0}", 1.0 / (rate * 6.0))
     }
 }
 
@@ -85,13 +34,15 @@ fn pct(num: u64, den: u64) -> f64 {
     }
 }
 
-/// The fault × system grid of `c` at `clients` with its Total row, in the
-/// paper's layout: a cell without corruptions is blank, any other is
-/// `cell`'s string for it.
+/// The fault × system grid of `c` at `clients` in the paper's layout,
+/// `cell`'s string in each cell, and a Total row of `num` of `den` summed
+/// over each system's cells.
 pub(crate) fn render_grid(
     c: &CampaignResult,
     clients: usize,
     cell: fn(&CellResult) -> String,
+    num: fn(&CellResult) -> u64,
+    den: fn(&CellResult) -> u64,
 ) -> String {
     let mut rows = vec![vec![
         "Fault Type".to_owned(),
@@ -102,60 +53,160 @@ pub(crate) fn render_grid(
     for &fault in &FaultType::ALL {
         let mut row = vec![fault.label().to_owned()];
         for &system in &SystemKind::ALL {
-            let x = c
-                .cells
-                .iter()
-                .find(|x| x.fault == fault && x.system == system && x.clients == clients)
-                .expect("full grid");
-            row.push(if x.corruptions == 0 { String::new() } else { cell(x) });
+            row.push(cell(find_cell(c, fault, system, clients)));
         }
         rows.push(row);
     }
     let mut total_row = vec!["Total".to_owned()];
     for &system in &SystemKind::ALL {
-        let crashes = c.total(system, clients, |x| x.crashes);
-        let corr = c.total(system, clients, |x| x.corruptions);
-        total_row.push(format!("{corr} of {crashes} ({:.1}%)", pct(corr, crashes)));
+        let (n, d) = (c.total(system, clients, num), c.total(system, clients, den));
+        total_row.push(format!("{n} of {d} ({:.1}%)", pct(n, d)));
     }
     rows.push(total_row);
     ascii::render(&rows)
 }
 
-/// Renders the report in the paper's layout.
-pub fn render_table1(report: &Table1Report) -> String {
-    let c = &report.campaign;
+/// The cell of `c` at these coordinates.
+fn find_cell(c: &CampaignResult, f: FaultType, s: SystemKind, clients: usize) -> &CellResult {
+    c.cells
+        .iter()
+        .find(|x| x.fault == f && x.system == s && x.clients == clients)
+        .expect("full grid")
+}
+
+/// The header's stopping rule, shared with Table 1 under load.
+pub(crate) fn stopping_rule(c: &CampaignResult) -> String {
+    format!(
+        "a cell stops at {} crashes or {} attempts; n below",
+        c.trials_per_cell,
+        c.trials_per_cell * c.max_attempts_factor
+    )
+}
+
+/// Every cell's sample, "crashes of attempts", with its Total row.
+pub(crate) fn render_n_grid(c: &CampaignResult, clients: usize) -> String {
+    let grid = render_grid(
+        c,
+        clients,
+        |x| format!("{} of {}", x.crashes, x.attempts()),
+        |x| x.crashes,
+        CellResult::attempts,
+    );
+    format!("n per cell (crashes of attempts):\n{grid}")
+}
+
+/// Whether protection's corruption rate is separable from the disk's at
+/// `clients`: the difference in points with its 95% Newcombe interval.
+pub(crate) fn difference_line(c: &CampaignResult, clients: usize) -> String {
+    let total = |s, field| c.total(s, clients, field);
+    let (rio, disk) = (SystemKind::RioWithProtection, SystemKind::DiskBased);
+    let (x1, n1) = (total(rio, |x| x.corruptions), total(rio, |x| x.crashes));
+    let (x2, n2) = (total(disk, |x| x.corruptions), total(disk, |x| x.crashes));
+    let (lo, hi) = newcombe_difference(x1, n1, x2, n2, Z_95);
+    format!(
+        "{} − {}: {:+.2} points [{:+.2}, {:+.2}] → {}\n",
+        rio.label(),
+        disk.label(),
+        pct(x1, n1) - pct(x2, n2),
+        100.0 * lo,
+        100.0 * hi,
+        if lo > 0.0 || hi < 0.0 {
+            "separable at this n"
+        } else {
+            "not separable at this n"
+        }
+    )
+}
+
+/// Crashes within this many ops of injection count as quick (the paper's
+/// "most crashes occurred within 15 seconds").
+const QUICK_OPS: u64 = 25;
+
+/// One system's crash latency and detection per fault type, from every
+/// crash Table 1 collected (§3.3 footnote 2). A cell with no recorded
+/// latency prints `-` for its latency columns.
+fn render_propagation(c: &CampaignResult, system: SystemKind) -> String {
+    let mut rows = vec![vec![
+        "Fault Type".to_owned(),
+        "median latency (ops)".to_owned(),
+        "p90 latency (ops)".to_owned(),
+        "quick-crash share".to_owned(),
+        "checksum hits".to_owned(),
+        "memTest-only hits".to_owned(),
+    ]];
+    for &fault in &FaultType::ALL {
+        let x = find_cell(c, fault, system, 1);
+        let mut sorted = x.latencies.clone();
+        sorted.sort_unstable();
+        let [median, p90, quick] = if sorted.is_empty() {
+            ["-".to_owned(), "-".to_owned(), "-".to_owned()]
+        } else {
+            let quick = sorted.iter().filter(|&&l| l <= QUICK_OPS).count() as u64;
+            [
+                percentile(&sorted, 0.5).to_string(),
+                percentile(&sorted, 0.9).to_string(),
+                format!("{:.0}%", pct(quick, sorted.len() as u64)),
+            ]
+        };
+        rows.push(vec![
+            fault.label().to_owned(),
+            median,
+            p90,
+            quick,
+            x.checksum_detections.to_string(),
+            x.memtest_only_detections.to_string(),
+        ]);
+    }
+    format!(
+        "Crash latency and detection on {} (ops from injection to crash; \
+         quick = within {QUICK_OPS} ops):\n{}",
+        system.label(),
+        ascii::render(&rows)
+    )
+}
+
+/// Renders a Table 1 campaign ([`rio_faults::run_campaign`]) in the
+/// paper's layout, followed by each cell's n and every crash's latency and
+/// detector.
+pub fn render_table1(c: &CampaignResult) -> String {
     let total = |s, field| c.total(s, 1, field);
     let mut out = String::new();
     out.push_str("Table 1: Comparing Disk and Memory Reliability\n");
     out.push_str(&format!(
-        "(corruptions among {} crashes per fault type per system)\n\n",
-        c.trials_per_cell
+        "(corruptions per fault type per system; {})\n\n",
+        stopping_rule(c)
     ));
-    out.push_str(&render_grid(c, 1, |x| x.corruptions.to_string()));
+    out.push_str(&render_grid(
+        c,
+        1,
+        corruptions,
+        |x| x.corruptions,
+        |x| x.crashes,
+    ));
     out.push('\n');
 
-    for (i, &system) in SystemKind::ALL.iter().enumerate() {
-        let m = report.mttf[i];
+    for &system in &SystemKind::ALL {
+        let crashes = total(system, |x| x.crashes);
+        let rate = match crashes {
+            0 => 0.0,
+            n => total(system, |x| x.corruptions) as f64 / n as f64,
+        };
         out.push_str(&format!(
             "{}: corruption rate {:.2}% per crash; at one crash every two months, \
              MTTF of file data = {} years\n",
             system.label(),
-            m.corruption_rate * 100.0,
-            if m.mttf_years.is_infinite() {
-                "inf".to_owned()
-            } else {
-                format!("{:.0}", m.mttf_years)
-            }
+            rate * 100.0,
+            mttf_years(rate)
         ));
     }
     out.push_str(&format!(
         "\nProtection-trap saves (wild store halted before corrupting the file cache): \
          {} on Rio with protection\n",
-        report.protection_traps[2]
+        total(SystemKind::RioWithProtection, |x| x.protection_traps)
     ));
     out.push_str(&format!(
         "Unique crash messages across the campaign: {}\n",
-        report.unique_messages
+        c.unique_messages().len()
     ));
     out.push_str(&format!(
         "Torn data blocks repaired by fsck at reboot: {} disk-based, \
@@ -176,13 +227,6 @@ pub fn render_table1(report: &Table1Report) -> String {
     // shortest MTTF). The interval is what the 1000-trial campaigns exist
     // to tighten; at the paper's 50-crash scale it spans a factor of ~4.
     out.push_str("\n95% confidence intervals (Wilson) on the per-crash corruption rate:\n");
-    let mttf_years = |rate: f64| -> String {
-        if rate == 0.0 {
-            "inf".to_owned()
-        } else {
-            format!("{:.0}", 1.0 / (rate * 6.0))
-        }
-    };
     for &system in &SystemKind::ALL {
         let crashes = total(system, |x| x.crashes);
         let corr = total(system, |x| x.corruptions);
@@ -199,23 +243,37 @@ pub fn render_table1(report: &Table1Report) -> String {
             mttf_years(lo),
         ));
     }
+    out.push('\n');
+    out.push_str(&difference_line(c, 1));
+    out.push('\n');
+    out.push_str(&render_n_grid(c, 1));
+    for &system in &SystemKind::ALL {
+        out.push('\n');
+        out.push_str(&render_propagation(c, system));
+    }
     out
+}
+
+/// A corruption cell: blank when the cell has none, as in the paper.
+fn corruptions(x: &CellResult) -> String {
+    match x.corruptions {
+        0 => String::new(),
+        n => n.to_string(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rio_faults::CampaignConfig;
 
     #[test]
     fn mttf_matches_paper_arithmetic() {
         // Paper: disk 7/650 = 1.1% → ~15 years; Rio-no-prot 10/650 = 1.5%
         // → ~11 years.
-        let disk = MttfEstimate::from_counts(7, 650);
-        assert!((disk.mttf_years - 15.476).abs() < 0.1, "{disk:?}");
-        let rio = MttfEstimate::from_counts(10, 650);
-        assert!((rio.mttf_years - 10.833).abs() < 0.1, "{rio:?}");
-        let perfect = MttfEstimate::from_counts(0, 650);
-        assert!(perfect.mttf_years.is_infinite());
+        assert_eq!(mttf_years(7.0 / 650.0), "15");
+        assert_eq!(mttf_years(10.0 / 650.0), "11");
+        assert_eq!(mttf_years(0.0), "inf");
     }
 
     #[test]
@@ -227,8 +285,7 @@ mod tests {
             watchdog_ops: 120,
             max_attempts_factor: 3,
         };
-        let report = run_table1(&cfg, 4);
-        let text = render_table1(&report);
+        let text = render_table1(&rio_faults::run_campaign(&cfg, 4));
         assert!(text.contains("Table 1"));
         for fault in FaultType::ALL {
             assert!(text.contains(fault.label()), "{text}");
@@ -236,5 +293,92 @@ mod tests {
         assert!(text.contains("Total"));
         assert!(text.contains("MTTF"));
         assert!(text.contains("95% confidence intervals (Wilson)"));
+        assert!(text.contains("a cell stops at 1 crashes or 3 attempts; n below"));
+        assert!(text.contains("Rio with Protection − Disk-Based: "));
+        assert!(text.contains("n per cell (crashes of attempts)"));
+        for system in SystemKind::ALL {
+            let title = format!("Crash latency and detection on {}", system.label());
+            let (_, table) = text
+                .split_once(&title)
+                .expect("a propagation table per system");
+            let table = table.split("\n\n").next().unwrap();
+            for fault in FaultType::ALL {
+                assert!(table.contains(fault.label()), "{table}");
+            }
+        }
+    }
+
+    /// A one-client grid whose every cell is `cell` at its coordinates.
+    fn grid(cell: impl Fn(FaultType, SystemKind) -> CellResult) -> CampaignResult {
+        let cells = FaultType::ALL
+            .iter()
+            .flat_map(|&f| SystemKind::ALL.iter().map(move |&s| (f, s)))
+            .map(|(f, s)| cell(f, s))
+            .collect();
+        CampaignResult {
+            cells,
+            trials_per_cell: 10,
+            max_attempts_factor: 8,
+            client_counts: vec![1],
+        }
+    }
+
+    #[test]
+    fn propagation_columns_read_the_cell_latencies() {
+        let campaign = grid(|fault, system| {
+            let mut cell = CellResult {
+                crashes: 10,
+                latencies: (0..10).map(|i| i * 10).rev().collect(),
+                checksum_detections: 2,
+                memtest_only_detections: 1,
+                ..CellResult::empty(fault, system, 1)
+            };
+            if fault == FaultType::KernelStack {
+                (cell.crashes, cell.discarded, cell.latencies) = (0, 80, Vec::new());
+            }
+            cell
+        });
+        let text = render_propagation(&campaign, SystemKind::DiskBased);
+        let row = |fault: FaultType| -> Vec<String> {
+            let line = text.lines().find(|l| l.contains(fault.label())).unwrap();
+            line.split('|')
+                .map(|c| c.trim().to_owned())
+                .filter(|c| !c.is_empty())
+                .collect()
+        };
+        assert_eq!(
+            row(FaultType::Pointer),
+            ["pointer", "40", "80", "30%", "2", "1"]
+        );
+        // No crash recorded: no latency, where 0 would read as an
+        // immediate crash.
+        assert_eq!(row(FaultType::KernelStack)[1..4], ["-", "-", "-"]);
+        let n = render_n_grid(&campaign, 1);
+        assert!(n.contains("| 0 of 80 "), "{n}");
+        assert!(n.contains("| 10 of 10 "), "{n}");
+    }
+
+    #[test]
+    fn the_difference_line_says_whether_this_n_separates_the_rates() {
+        let at = |prot: u64, disk: u64| {
+            difference_line(
+                &grid(|fault, system| CellResult {
+                    crashes: 10,
+                    corruptions: match system {
+                        SystemKind::RioWithProtection => prot,
+                        SystemKind::DiskBased => disk,
+                        SystemKind::RioWithoutProtection => 0,
+                    },
+                    ..CellResult::empty(fault, system, 1)
+                }),
+                1,
+            )
+        };
+        // 13 cells a system: 0 vs 26 corruptions of 130 crashes.
+        assert_eq!(
+            at(0, 2),
+            "Rio with Protection − Disk-Based: -20.00 points [-27.69, -13.38] → separable at this n\n"
+        );
+        assert!(at(1, 1).ends_with("→ not separable at this n\n"));
     }
 }

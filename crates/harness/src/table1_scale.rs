@@ -2,107 +2,54 @@
 //! while N preemptive clients hold in-flight syscall state.
 //!
 //! The single-client campaign ([`crate::table1`]) injects faults into a
-//! quiescent kernel. This harness replays the same 13 × 3 grid at each
-//! client count in the sweep (the committed artifact uses {1, 16, 64}),
-//! with every client parked mid-syscall under the preemptive scheduler —
-//! locks held across yields, staging buffers live in the heap — and adds
-//! the provenance the paper's table could not show: whether each
-//! corruption stayed confined to the crashing client's files or crossed
-//! a process boundary into another client's data.
+//! quiescent kernel. The scale campaign
+//! ([`rio_faults::run_scale_campaign`]), rendered here, replays the same
+//! 13 × 3 grid at each client count in the sweep (the committed artifact
+//! uses {1, 16, 64}), with every client parked mid-syscall under the
+//! preemptive scheduler — locks held across yields, staging buffers live
+//! in the heap — and adds the provenance the paper's table could not
+//! show: whether each corruption stayed confined to the crashing client's
+//! files or crossed a process boundary into another client's data.
 //!
-//! The headline check: Rio-with-protection's corruption rate must stay
-//! in the disk-like band at *every* client count, i.e. concurrency and
-//! mid-syscall crash state must not open a new corruption channel that
-//! protection fails to cover.
+//! The headline question: does Rio-with-protection's corruption rate
+//! stay with the disk's at *every* client count, i.e. do concurrency and
+//! mid-syscall crash state open a corruption channel that protection
+//! fails to cover? The report ends with the difference of the two rates
+//! at each client count and its 95% interval, which says whether this n
+//! can tell.
 
-use crate::table1::render_grid;
-use rio_faults::{run_scale_campaign, CampaignResult, ScaleCampaignConfig, SystemKind};
+use crate::table1::{difference_line, render_grid, render_n_grid, stopping_rule};
+use rio_faults::{CampaignResult, CellResult, SystemKind};
 
-/// Per-client-count summary derived from the campaign cells.
-#[derive(Debug, Clone)]
-pub struct ScaleBandCheck {
-    /// Client count.
-    pub clients: usize,
-    /// Disk-based corruption rate (fraction of crashes).
-    pub disk_rate: f64,
-    /// Rio-with-protection corruption rate.
-    pub rio_prot_rate: f64,
-    /// Whether the protected rate sits in the disk-like band.
-    pub within_band: bool,
-}
-
-impl ScaleBandCheck {
-    /// The disk-like band: protected Rio may corrupt at most twice the
-    /// disk-based rate plus two percentage points of slack (small-sample
-    /// noise at low trial counts). The paper's measured rates were 1.1%
-    /// disk (7 of 650) vs 0.6% protected Rio (4 of 650) — comfortably
-    /// inside.
-    pub fn compute(campaign: &CampaignResult, clients: usize) -> ScaleBandCheck {
-        let rate = |s: SystemKind| {
-            let crashes = campaign.total(s, clients, |c| c.crashes);
-            if crashes == 0 {
-                0.0
-            } else {
-                campaign.total(s, clients, |c| c.corruptions) as f64 / crashes as f64
-            }
-        };
-        let disk_rate = rate(SystemKind::DiskBased);
-        let rio_prot_rate = rate(SystemKind::RioWithProtection);
-        ScaleBandCheck {
-            clients,
-            disk_rate,
-            rio_prot_rate,
-            within_band: rio_prot_rate <= disk_rate * 2.0 + 0.02,
-        }
-    }
-}
-
-/// The full scaled-Table-1 report.
-#[derive(Debug, Clone)]
-pub struct Table1ScaleReport {
-    /// Raw campaign results.
-    pub campaign: CampaignResult,
-    /// Band check per client count, in sweep order.
-    pub band: Vec<ScaleBandCheck>,
-    /// Distinct crash messages across the whole campaign.
-    pub unique_messages: usize,
-}
-
-/// Runs the scaled campaign and derives the band checks.
-pub fn run_table1_scale(cfg: &ScaleCampaignConfig, threads: usize) -> Table1ScaleReport {
-    let campaign = run_scale_campaign(cfg, threads);
-    let band = campaign
-        .client_counts
-        .iter()
-        .map(|&n| ScaleBandCheck::compute(&campaign, n))
-        .collect();
-    let unique_messages = campaign.unique_messages().len();
-    Table1ScaleReport {
-        campaign,
-        band,
-        unique_messages,
-    }
-}
-
-/// Renders one Table 1 grid per client count plus the provenance block
-/// and the band verdicts.
-pub fn render_table1_scale(report: &Table1ScaleReport) -> String {
-    let c = &report.campaign;
+/// Renders one Table 1 grid per client count with its n grid and
+/// provenance block, then protection's difference from the disk at each
+/// client count.
+pub fn render_table1_scale(c: &CampaignResult) -> String {
     let mut out = String::new();
     out.push_str("Table 1 under multi-client load\n");
     out.push_str(&format!(
-        "(corruptions among {} crashes per fault type per system; faults injected \
+        "(corruptions per fault type per system; {}; faults injected \
          while N preemptive clients hold in-flight syscall state)\n",
-        c.trials_per_cell
+        stopping_rule(c)
     ));
 
     for &clients in &c.client_counts {
         out.push_str(&format!("\n--- {clients} client(s) ---\n\n"));
-        out.push_str(&render_grid(c, clients, |x| match x.cross_client_corruptions {
-            0 => x.corruptions.to_string(),
-            cross => format!("{} ({cross}x)", x.corruptions),
-        }));
+        let corruptions = |x: &CellResult| match (x.corruptions, x.cross_client_corruptions) {
+            (0, _) => String::new(),
+            (n, 0) => n.to_string(),
+            (n, cross) => format!("{n} ({cross}x)"),
+        };
+        out.push_str(&render_grid(
+            c,
+            clients,
+            corruptions,
+            |x| x.corruptions,
+            |x| x.crashes,
+        ));
         out.push_str("(n (kx) = n corrupted runs, k of which crossed a client boundary)\n");
+        out.push('\n');
+        out.push_str(&render_n_grid(c, clients));
 
         out.push_str("\nprovenance at injection and after reboot:\n");
         for &system in &SystemKind::ALL {
@@ -134,18 +81,15 @@ pub fn render_table1_scale(report: &Table1ScaleReport) -> String {
     }
 
     out.push('\n');
-    for b in &report.band {
+    for &clients in &c.client_counts {
         out.push_str(&format!(
-            "disk-like band at {:>2} client(s): rio_prot {:.1}% vs disk {:.1}% -> {}\n",
-            b.clients,
-            b.rio_prot_rate * 100.0,
-            b.disk_rate * 100.0,
-            if b.within_band { "ok" } else { "OUT OF BAND" }
+            "at {clients:>2} client(s): {}",
+            difference_line(c, clients)
         ));
     }
     out.push_str(&format!(
         "\nUnique crash messages across the scaled campaign: {}\n",
-        report.unique_messages
+        c.unique_messages().len()
     ));
     out
 }
@@ -153,7 +97,7 @@ pub fn render_table1_scale(report: &Table1ScaleReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rio_faults::FaultType;
+    use rio_faults::{run_scale_campaign, FaultType, ScaleCampaignConfig};
 
     fn tiny_cfg() -> ScaleCampaignConfig {
         ScaleCampaignConfig {
@@ -169,22 +113,22 @@ mod tests {
     #[test]
     fn scaled_grid_is_thread_count_invariant() {
         let cfg = tiny_cfg();
-        let a = render_table1_scale(&run_table1_scale(&cfg, 1));
-        let b = render_table1_scale(&run_table1_scale(&cfg, 8));
+        let a = render_table1_scale(&run_scale_campaign(&cfg, 1));
+        let b = render_table1_scale(&run_scale_campaign(&cfg, 8));
         assert_eq!(a, b, "grid must be byte-identical at any thread count");
     }
 
     #[test]
     fn scaled_grid_renders_every_fault_and_client_count() {
-        let report = run_table1_scale(&tiny_cfg(), 4);
-        let text = render_table1_scale(&report);
+        let text = render_table1_scale(&run_scale_campaign(&tiny_cfg(), 4));
         for fault in FaultType::ALL {
             assert!(text.contains(fault.label()), "{text}");
         }
         assert!(text.contains("--- 1 client(s) ---"));
         assert!(text.contains("--- 3 client(s) ---"));
-        assert!(text.contains("disk-like band at  1 client(s)"));
+        assert!(text.contains("at  1 client(s): Rio with Protection − Disk-Based"));
+        assert!(text.contains("at  3 client(s): Rio with Protection − Disk-Based"));
+        assert!(text.contains("n per cell (crashes of attempts)"));
         assert!(text.contains("mean in-flight syscalls"));
-        assert_eq!(report.band.len(), 2);
     }
 }

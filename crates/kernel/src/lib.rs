@@ -6,9 +6,14 @@
 //! ([`rio_mem`]): metadata blocks in the buffer-cache region, file data in
 //! the UBC region (addressed via KSEG, as on Digital Unix), bookkeeping in
 //! the heap and stack regions. Its hot data paths execute on the
-//! interpreted CPU ([`rio_cpu`]). Consequently every fault class of the
-//! paper's §3.1 has a realistic target and a realistic propagation path —
-//! through the MMU, where Rio's protection can intercept it.
+//! interpreted CPU ([`rio_cpu`]). Consequently the paper's §3.1 fault
+//! classes have realistic targets and realistic propagation paths —
+//! through the MMU, where Rio's protection can intercept them. Two
+//! exceptions: a fault injected between syscalls, as Table 1's campaign
+//! does, finds nothing live on the kernel stack (the activation record is
+//! rewritten at the next syscall entry before anything reads it) and
+//! little on the heap (no lock word is held and every staging buffer is
+//! freed by then), so those two rows almost never crash.
 //!
 //! # Quickstart
 //!

@@ -8,8 +8,8 @@
 //! cargo run --release --example reliability_campaign [trials-per-cell]
 //! ```
 
-use rio::faults::CampaignConfig;
-use rio::harness::{render_table1, run_table1};
+use rio::faults::{run_campaign, CampaignConfig};
+use rio::harness::render_table1;
 
 fn main() {
     let trials: u64 = std::env::args()
@@ -27,6 +27,5 @@ fn main() {
         "running {} fault types x 3 systems x {trials} crashes on {threads} threads...",
         13
     );
-    let report = run_table1(&cfg, threads);
-    println!("{}", render_table1(&report));
+    println!("{}", render_table1(&run_campaign(&cfg, threads)));
 }

@@ -4,8 +4,8 @@
 //! worker thread or eight. This is what makes `RIO_THREADS` a pure
 //! speed knob rather than an experiment parameter.
 
-use rio::faults::{CampaignConfig, RecoveryCampaignConfig};
-use rio::harness::{render_recovery, render_table1, run_recovery, run_table1};
+use rio::faults::{run_campaign, CampaignConfig, RecoveryCampaignConfig};
+use rio::harness::{render_recovery, render_table1, run_recovery};
 
 fn quick_config(seed: u64) -> CampaignConfig {
     CampaignConfig {
@@ -19,21 +19,18 @@ fn quick_config(seed: u64) -> CampaignConfig {
 
 #[test]
 fn table1_is_identical_across_thread_counts() {
-    let serial = run_table1(&quick_config(0xD57E_2026), 1);
-    let wide = run_table1(&quick_config(0xD57E_2026), 8);
+    let serial = run_campaign(&quick_config(0xD57E_2026), 1);
+    let wide = run_campaign(&quick_config(0xD57E_2026), 8);
 
-    assert_eq!(serial.campaign.cells.len(), wide.campaign.cells.len());
-    for (a, b) in serial.campaign.cells.iter().zip(wide.campaign.cells.iter()) {
-        assert_eq!(a.fault, b.fault, "cell order diverged");
-        assert_eq!(a.system, b.system, "cell order diverged");
+    // Every field of every cell, in the same order: counts, messages,
+    // and each crash's latency in attempt order.
+    assert_eq!(serial.cells.len(), wide.cells.len());
+    for (a, b) in serial.cells.iter().zip(wide.cells.iter()) {
         assert_eq!(
-            (a.crashes, a.corruptions, a.discarded, a.protection_traps),
-            (b.crashes, b.corruptions, b.discarded, b.protection_traps),
+            a, b,
             "cell {:?}/{:?} diverged between 1 and 8 threads",
-            a.fault,
-            a.system,
+            a.fault, a.system
         );
-        assert_eq!(a.messages, b.messages);
     }
 
     // The rendered table — what lands in results_table1.txt — must be
@@ -42,7 +39,7 @@ fn table1_is_identical_across_thread_counts() {
 
     // And the seed knob is live: a different campaign seed produces a
     // different table.
-    let other = run_table1(&quick_config(0xD57E_2027), 4);
+    let other = run_campaign(&quick_config(0xD57E_2027), 4);
     assert_ne!(
         render_table1(&serial),
         render_table1(&other),

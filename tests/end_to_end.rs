@@ -140,8 +140,8 @@ fn rendered_table1_is_byte_identical_at_1_and_8_threads() {
         watchdog_ops: 150,
         max_attempts_factor: 4,
     };
-    let one = rio::harness::render_table1(&rio::harness::run_table1(&cfg, 1));
-    let eight = rio::harness::render_table1(&rio::harness::run_table1(&cfg, 8));
+    let one = rio::harness::render_table1(&rio::faults::run_campaign(&cfg, 1));
+    let eight = rio::harness::render_table1(&rio::faults::run_campaign(&cfg, 8));
     assert_eq!(one, eight);
     assert!(one.contains("95% confidence intervals (Wilson)"));
 }

@@ -16,7 +16,7 @@ fn root() -> &'static Path {
 /// Every row cheap enough for a debug build regenerates at committed size
 /// and equals its committed bytes, JSON included (`table2`, `overhead`,
 /// `recovery`, `explain` + `BENCH_obs.json`, `server` +
-/// `BENCH_server.json`: 7 of the 10 committed files). The rest is
+/// `BENCH_server.json`: 7 of the 9 committed files). The rest is
 /// `exhibit --check quick` / `full`.
 #[test]
 fn tier1_exhibits_regenerate_their_committed_bytes() {
