@@ -788,10 +788,8 @@ impl Kernel {
                     })));
                 }
                 let rec = self.machine.bus.mem().slice(addr, DIRENT_BYTES as u64);
-                if let Some(e) = DirEntry::decode(rec) {
-                    if e.name == name {
-                        return Ok(Some((e.ino, block, slot * DIRENT_BYTES)));
-                    }
+                if let Some(ino) = DirEntry::ino_if_named(rec, name) {
+                    return Ok(Some((ino, block, slot * DIRENT_BYTES)));
                 }
             }
         }

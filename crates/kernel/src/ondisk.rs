@@ -322,11 +322,25 @@ impl DirEntry {
             name: name.to_owned(),
         })
     }
+
+    /// The inode a 64-byte slot names if its name is `name`: what
+    /// `decode(b).filter(|e| e.name == name).map(|e| e.ino)` returns,
+    /// read where the bytes lie. Equal to a `&str`, the name bytes are
+    /// valid UTF-8; `decode`'s other rules are checked as written.
+    pub fn ino_if_named(b: &[u8], name: &str) -> Option<u64> {
+        assert_eq!(b.len(), DIRENT_BYTES);
+        let ino = u32::from_le_bytes(b[0..4].try_into().ok()?) as u64;
+        let len = b[4] as usize;
+        let valid = ino != 0 && (1..=MAX_NAME).contains(&len);
+        (valid && &b[5..5 + len] == name.as_bytes()).then_some(ino)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rio_det::proptest_lite::{check, Config, Gen};
+    use rio_det::pt_assert_eq;
 
     #[test]
     fn geometry_areas_are_disjoint_and_ordered() {
@@ -435,6 +449,52 @@ mod tests {
         .encode();
         b[4] = 200; // impossible length
         assert_eq!(DirEntry::decode(&b), None);
+    }
+
+    /// A slot from `g`: a live entry, or one garbled the ways a scribbled
+    /// directory page can be — name bytes that are not UTF-8, a length of
+    /// 0 or past [`MAX_NAME`], inode 0, random bytes.
+    fn arbitrary_slot(g: &mut Gen, names: &[&str]) -> [u8; DIRENT_BYTES] {
+        let name = names[g.in_range(0..names.len())];
+        let mut b = DirEntry {
+            ino: g.in_range(1..1u64 << 32),
+            name: name.to_owned(),
+        }
+        .encode();
+        match g.in_range(0..6u32) {
+            0 => {}
+            1 if !name.is_empty() => b[5 + g.in_range(0..name.len())] = 0x80 | g.u8(),
+            1 => {}
+            2 => b[4] = [0, MAX_NAME as u8 + 1, u8::MAX][g.in_range(0..3)],
+            3 => b[0..4].fill(0),
+            4 => b[4] = g.in_range(1..=MAX_NAME as u8),
+            _ => b.iter_mut().for_each(|x| *x = g.u8()),
+        }
+        b
+    }
+
+    #[test]
+    fn ino_if_named_is_decode_filtered_on_the_name() {
+        // Names that differ only in length, a multi-byte one whose
+        // truncation is not UTF-8, and the empty name no live slot holds.
+        let long = "n".repeat(MAX_NAME);
+        let names = ["f1", "f10", "f100", "n", long.as_str(), "dé", "déa", ""];
+        check("ino_if_named", Config::with_cases(4096), |g| {
+            let slot = arbitrary_slot(g, &names);
+            let name = names[g.in_range(0..names.len())];
+            let decoded = DirEntry::decode(&slot).filter(|e| e.name == name).map(|e| e.ino);
+            pt_assert_eq!(DirEntry::ino_if_named(&slot, name), decoded);
+            Ok(())
+        });
+        let e = DirEntry {
+            ino: 7,
+            name: "f10".to_owned(),
+        }
+        .encode();
+        assert_eq!(DirEntry::ino_if_named(&e, "f10"), Some(7));
+        assert_eq!(DirEntry::ino_if_named(&e, "f1"), None);
+        assert_eq!(DirEntry::ino_if_named(&e, "f100"), None);
+        assert_eq!(DirEntry::ino_if_named(&[0u8; DIRENT_BYTES], ""), None);
     }
 
     #[test]

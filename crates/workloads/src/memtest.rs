@@ -18,8 +18,10 @@
 
 use crate::datagen;
 use crate::model::ModelFs;
-use rio_kernel::{Fd, Kernel, KernelError, PreemptClient, SyscallOp, SyscallRet, SyscallScript};
-use std::sync::Arc;
+use rio_kernel::{
+    Fd, Kernel, KernelError, OpRef, PreemptClient, SyscallOp, SyscallRet, SyscallScript,
+};
+use std::sync::{Arc, Mutex};
 
 /// memTest parameters.
 #[derive(Debug, Clone)]
@@ -89,16 +91,187 @@ impl Op {
     }
 }
 
+/// One op of a [`Plan`]: what [`Plan::decide`] chose, and for a `Create`
+/// / `Rewrite` the target file's contents once the op has completed.
+/// Its payload is those contents' first `len` bytes: a write of at least
+/// the file's length replaces it, a shorter one overwrites a prefix.
+#[derive(Debug)]
+struct PlannedOp {
+    op: Op,
+    contents: Option<Arc<Vec<u8>>>,
+}
+
+impl PlannedOp {
+    /// The bytes a `Create` / `Rewrite` writes; empty for every other op.
+    fn payload(&self) -> &[u8] {
+        match (&self.op, &self.contents) {
+            (Op::Create { len, .. } | Op::Rewrite { len, .. }, Some(c)) => &c[..*len],
+            _ => &[],
+        }
+    }
+
+    /// Applies the completed op to `model`, sharing its contents.
+    fn apply(&self, model: &mut ModelFs) {
+        match &self.op {
+            Op::Create { path, .. } => {
+                let contents = self.contents.clone().expect("a create has contents");
+                model.files.insert(path.clone(), contents);
+            }
+            Op::Rewrite { path, .. } => {
+                let contents = self.contents.clone().expect("a rewrite has contents");
+                *model.files.get_mut(path).expect("rewrite target exists") = contents;
+            }
+            Op::Read { .. } => {}
+            Op::Delete { path } => {
+                model.files.remove(path).expect("delete target exists");
+            }
+            Op::MkToggle { path } => {
+                model.dirs.insert(path.clone());
+            }
+            Op::RmToggle { path } => {
+                model.dirs.remove(path);
+            }
+        }
+    }
+
+    /// `op` with the payload bound: lent for [`Kernel::syscall`].
+    fn lend<'a>(&'a self, op: &'a SyscallOp) -> OpRef<'a> {
+        match op.as_op_ref() {
+            SyscallOp::Write { fd, .. } => SyscallOp::Write {
+                fd,
+                data: self.payload(),
+            },
+            SyscallOp::Pwrite { fd, offset, .. } => SyscallOp::Pwrite {
+                fd,
+                offset,
+                data: self.payload(),
+            },
+            op => op,
+        }
+    }
+}
+
+/// The decisions of one op stream, made once: the model after the last
+/// planned op, the byte budget it has used, and every op planned so far.
+#[derive(Debug)]
+struct Plan {
+    model: ModelFs,
+    total_bytes: u64,
+    ops: Vec<Arc<PlannedOp>>,
+}
+
+impl Plan {
+    /// Nothing planned yet: the model holds the directory skeleton.
+    fn new(cfg: &MemTestConfig) -> Plan {
+        let mut model = ModelFs::new();
+        model.dirs.insert(cfg.root.clone());
+        for d in 0..cfg.num_dirs {
+            model.dirs.insert(format!("{}/dir{d}", cfg.root));
+        }
+        Plan {
+            model,
+            total_bytes: 0,
+            ops: Vec::new(),
+        }
+    }
+
+    /// Decides op `index` against the model — shared by planning and
+    /// replay, which is what makes reconstruction exact.
+    fn decide(&self, cfg: &MemTestConfig, index: u64) -> Op {
+        let r = datagen::length(cfg.seed, index.wrapping_mul(3), 0, 99) as u64;
+        let files = &self.model.files;
+        let nth = |pick: usize| files.keys().nth(pick).expect("pick in range").clone();
+        let over_budget = self.total_bytes > cfg.max_set_bytes;
+
+        // Toggle-directory traffic: 6% of ops.
+        if (94..100).contains(&r) {
+            let t = datagen::length(cfg.seed, index.wrapping_mul(5) + 1, 0, cfg.num_toggle_dirs - 1);
+            let path = format!("{}/toggle{t}", cfg.root);
+            return if self.model.dirs.contains(&path) {
+                Op::RmToggle { path }
+            } else {
+                Op::MkToggle { path }
+            };
+        }
+        // Deletes: 15% normally; dominate when over budget.
+        let delete_band = if over_budget { 70 } else { 15 };
+        if r < delete_band && !files.is_empty() {
+            let pick = datagen::length(cfg.seed, index.wrapping_mul(7) + 2, 0, files.len() - 1);
+            return Op::Delete { path: nth(pick) };
+        }
+        // Reads: next 15%.
+        if r < delete_band + 15 && !files.is_empty() {
+            let pick = datagen::length(cfg.seed, index.wrapping_mul(11) + 3, 0, files.len() - 1);
+            return Op::Read { path: nth(pick) };
+        }
+        // Rewrites: next 30% (if anything exists).
+        if r < delete_band + 45 && !files.is_empty() {
+            let pick = datagen::length(cfg.seed, index.wrapping_mul(13) + 4, 0, files.len() - 1);
+            let len = datagen::length(cfg.seed, index.wrapping_mul(17) + 5, 1, cfg.max_file_bytes);
+            return Op::Rewrite {
+                path: nth(pick),
+                len,
+                tag: index + 1_000_000,
+            };
+        }
+        // Creates: the rest.
+        let d = datagen::length(cfg.seed, index.wrapping_mul(19) + 6, 0, cfg.num_dirs - 1);
+        let len = datagen::length(cfg.seed, index.wrapping_mul(23) + 7, 1, cfg.max_file_bytes);
+        Op::Create {
+            path: format!("{}/dir{d}/f{index}", cfg.root),
+            len,
+            tag: index,
+        }
+    }
+
+    /// Decides op `index`, generates its payload — one `datagen::bytes`,
+    /// whose `Arc` the model shares — and applies it to the model.
+    fn advance(&mut self, cfg: &MemTestConfig, index: u64) -> PlannedOp {
+        let op = self.decide(cfg, index);
+        let contents = match &op {
+            Op::Create { len, tag, .. } => {
+                self.total_bytes += *len as u64;
+                Some(Arc::new(datagen::bytes(cfg.seed, *tag, *len)))
+            }
+            Op::Rewrite { path, len, tag } => {
+                let data = datagen::bytes(cfg.seed, *tag, *len);
+                let old = self.model.files.get_mut(path).expect("rewrite target exists");
+                if data.len() >= old.len() {
+                    self.total_bytes += (data.len() - old.len()) as u64;
+                    Some(Arc::new(data))
+                } else {
+                    Arc::make_mut(old)[..data.len()].copy_from_slice(&data);
+                    Some(Arc::clone(old))
+                }
+            }
+            Op::Delete { path } => {
+                self.total_bytes -= self.model.files[path].len() as u64;
+                None
+            }
+            Op::Read { .. } | Op::MkToggle { .. } | Op::RmToggle { .. } => None,
+        };
+        let planned = PlannedOp { op, contents };
+        planned.apply(&mut self.model);
+        planned
+    }
+}
+
 /// The running workload.
 ///
 /// `Clone` is the workload half of the crash campaign's checkpoint-fork
-/// engine: the full cursor (model file system, byte budget, `ops_done`,
-/// the op in flight and its unissued syscalls) is plain owned data, so
-/// cloning a warmed `MemTest` alongside a cloned [`Kernel`] freezes the
-/// whole steady state. Each campaign trial then forks that pair and
-/// resumes from the cursor — no re-warmup — and, because every op is a
-/// pure function of `(seed, op index, model state)`, the fork behaves
+/// engine: the cursor (model file system, `ops_done`, the op in flight and
+/// its unissued syscalls) is owned data, so cloning a warmed `MemTest`
+/// alongside a cloned [`Kernel`] freezes the whole steady state. Each
+/// campaign trial then forks that pair and resumes from the cursor — no
+/// re-warmup. The op stream itself is a **plan** every clone shares: op
+/// `i`, its payload and its target's contents after it are decided once,
+/// by whichever clone reaches op `i` first, and never change once written.
+/// Because every op is a pure function of `(seed, op index, model state)`,
+/// whoever plans an op plans the same one, and a fork behaves
 /// byte-for-byte like a workload that ran from scratch to the same point.
+/// The plan lives as long as its last holder — a checkpoint and its forks
+/// — and keeps every op it planned: as many payloads as the furthest
+/// clone has run ops, which a crash trial bounds at warm-up plus watchdog.
 ///
 /// The model is applied only when the *whole* op has completed, and
 /// [`MemTest::ops_done`] counts whole ops — so a crash that lands with
@@ -108,12 +281,13 @@ impl Op {
 #[derive(Debug, Clone)]
 pub struct MemTest {
     cfg: MemTestConfig,
+    plan: Arc<Mutex<Plan>>,
     model: ModelFs,
-    total_bytes: u64,
     ops_done: u64,
     /// The op in flight, from decision to the return of its last syscall.
-    cur: Option<Op>,
-    /// The in-flight op's syscalls not yet issued.
+    cur: Option<Arc<PlannedOp>>,
+    /// The in-flight op's syscalls not yet issued. A `write` / `pwrite`
+    /// carries no bytes here: its payload is bound when it is taken.
     script: SyscallScript,
     /// As a scheduled client: retire once this many ops are done.
     op_limit: u64,
@@ -125,9 +299,9 @@ impl MemTest {
     /// A fresh memTest (call [`MemTest::setup`] before stepping).
     pub fn new(cfg: MemTestConfig) -> Self {
         MemTest {
+            plan: Arc::new(Mutex::new(Plan::new(&cfg))),
             cfg,
             model: ModelFs::new(),
-            total_bytes: 0,
             ops_done: 0,
             cur: None,
             script: SyscallScript::default(),
@@ -159,7 +333,7 @@ impl MemTest {
     /// Target of the operation that was executing when a crash interrupted
     /// it, if any.
     pub fn in_flight(&self) -> Option<&str> {
-        self.cur.as_ref().map(Op::target)
+        self.cur.as_ref().map(|p| p.op.target())
     }
 
     /// Whether a syscall failed benignly and retired the scheduled client.
@@ -242,120 +416,38 @@ impl MemTest {
         Ok(bad)
     }
 
-    /// Decides op `index` against `model` — shared by live stepping and
-    /// replay, which is what makes reconstruction exact.
-    fn decide(cfg: &MemTestConfig, index: u64, model: &ModelFs, total_bytes: u64) -> Op {
-        let r = datagen::length(cfg.seed, index.wrapping_mul(3), 0, 99) as u64;
-        let files: Vec<&String> = model.files.keys().collect();
-        let over_budget = total_bytes > cfg.max_set_bytes;
-
-        // Toggle-directory traffic: 6% of ops.
-        if (94..100).contains(&r) {
-            let t = datagen::length(cfg.seed, index.wrapping_mul(5) + 1, 0, cfg.num_toggle_dirs - 1);
-            let path = format!("{}/toggle{t}", cfg.root);
-            return if model.dirs.contains(&path) {
-                Op::RmToggle { path }
-            } else {
-                Op::MkToggle { path }
-            };
+    /// Op `index` of the shared plan, planning it (and any before it)
+    /// first if no clone has reached it yet.
+    fn planned(&self, index: u64) -> Arc<PlannedOp> {
+        let mut plan = self.plan.lock().expect("no planner panicked");
+        while plan.ops.len() as u64 <= index {
+            let next = plan.ops.len() as u64;
+            let planned = plan.advance(&self.cfg, next);
+            plan.ops.push(Arc::new(planned));
         }
-        // Deletes: 15% normally; dominate when over budget.
-        let delete_band = if over_budget { 70 } else { 15 };
-        if r < delete_band && !files.is_empty() {
-            let pick = datagen::length(cfg.seed, index.wrapping_mul(7) + 2, 0, files.len() - 1);
-            return Op::Delete {
-                path: files[pick].clone(),
-            };
-        }
-        // Reads: next 15%.
-        if r < delete_band + 15 && !files.is_empty() {
-            let pick = datagen::length(cfg.seed, index.wrapping_mul(11) + 3, 0, files.len() - 1);
-            return Op::Read {
-                path: files[pick].clone(),
-            };
-        }
-        // Rewrites: next 30% (if anything exists).
-        if r < delete_band + 45 && !files.is_empty() {
-            let pick = datagen::length(cfg.seed, index.wrapping_mul(13) + 4, 0, files.len() - 1);
-            let len = datagen::length(cfg.seed, index.wrapping_mul(17) + 5, 1, cfg.max_file_bytes);
-            return Op::Rewrite {
-                path: files[pick].clone(),
-                len,
-                tag: index + 1_000_000,
-            };
-        }
-        // Creates: the rest.
-        let d = datagen::length(cfg.seed, index.wrapping_mul(19) + 6, 0, cfg.num_dirs - 1);
-        let len = datagen::length(cfg.seed, index.wrapping_mul(23) + 7, 1, cfg.max_file_bytes);
-        Op::Create {
-            path: format!("{}/dir{d}/f{index}", cfg.root),
-            len,
-            tag: index,
-        }
+        Arc::clone(&plan.ops[index as usize])
     }
 
-    /// The bytes a `Create` / `Rewrite` writes — a pure function of the op
-    /// and the seed; empty (and unallocated) for every other op.
-    fn payload(cfg: &MemTestConfig, op: &Op) -> Vec<u8> {
-        match op {
-            Op::Create { len, tag, .. } | Op::Rewrite { len, tag, .. } => {
-                datagen::bytes(cfg.seed, *tag, *len)
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    /// Applies `op`, whose [`MemTest::payload`] is `data`, to the model.
-    fn apply_to_model(op: &Op, data: Vec<u8>, model: &mut ModelFs, total: &mut u64) {
-        match op {
-            Op::Create { path, .. } => {
-                *total += data.len() as u64;
-                model.files.insert(path.clone(), data.into());
-            }
-            Op::Rewrite { path, .. } => {
-                let entry =
-                    Arc::make_mut(model.files.get_mut(path).expect("rewrite target exists"));
-                let old_len = entry.len();
-                if data.len() >= old_len {
-                    *total += (data.len() - old_len) as u64;
-                    *entry = data;
-                } else {
-                    entry[..data.len()].copy_from_slice(&data);
-                }
-            }
-            Op::Read { .. } => {}
-            Op::Delete { path } => {
-                let data = model.files.remove(path).expect("delete target exists");
-                *total -= data.len() as u64;
-            }
-            Op::MkToggle { path } => {
-                model.dirs.insert(path.clone());
-            }
-            Op::RmToggle { path } => {
-                model.dirs.remove(path);
-            }
-        }
-    }
-
-    /// Decides the next op and writes its syscalls, the payload moved into
-    /// its `write` / `pwrite` — whatever was left of an op that failed is
-    /// dropped. A file is read whole: the `pread` asks for exactly the
-    /// bytes the model holds.
+    /// Takes the next op from the plan and writes its syscalls — whatever
+    /// was left of an op that failed is dropped. A file is read whole: the
+    /// `pread` asks for exactly the bytes the model holds.
     fn begin(&mut self) {
-        let op = Self::decide(&self.cfg, self.ops_done, &self.model, self.total_bytes);
-        let data = Self::payload(&self.cfg, &op);
+        let planned = self.planned(self.ops_done);
         let fd = Fd::LAST_OPENED;
-        let (first, io) = match &op {
+        let (first, io) = match &planned.op {
             Op::Create { path, .. } => (
                 SyscallOp::Create(path.clone()),
-                Some(SyscallOp::Write { fd, data }),
+                Some(SyscallOp::Write {
+                    fd,
+                    data: Vec::new(),
+                }),
             ),
             Op::Rewrite { path, .. } => (
                 SyscallOp::Open(path.clone()),
                 Some(SyscallOp::Pwrite {
                     fd,
                     offset: 0,
-                    data,
+                    data: Vec::new(),
                 }),
             ),
             Op::Read { path } => (
@@ -381,15 +473,25 @@ impl MemTest {
             }
             s.push(SyscallOp::Close(fd));
         }
-        self.cur = Some(op);
+        self.cur = Some(planned);
     }
 
-    /// The in-flight op's last syscall returned: the op, whose payload is
-    /// `data`, completed.
-    fn complete(&mut self, data: Vec<u8>) {
-        let op = self.cur.take().expect("an op is in flight");
-        Self::apply_to_model(&op, data, &mut self.model, &mut self.total_bytes);
+    /// The in-flight op's last syscall returned: the op completed.
+    fn complete(&mut self) {
+        let planned = self.cur.take().expect("an op is in flight");
+        planned.apply(&mut self.model);
         self.ops_done += 1;
+    }
+
+    /// The next syscall as the scheduler parks it: owning its arguments,
+    /// the payload copied from the plan.
+    fn take_owned(&mut self) -> Option<SyscallOp> {
+        let mut op = self.script.pop()?;
+        if let SyscallOp::Write { data, .. } | SyscallOp::Pwrite { data, .. } = &mut op {
+            let planned = self.cur.as_deref().expect("an op is in flight");
+            data.extend_from_slice(planned.payload());
+        }
+        Some(op)
     }
 
     /// Executes one operation against the kernel — its syscalls in order,
@@ -402,16 +504,13 @@ impl MemTest {
     /// the status file surviving the real machine's crash.
     pub fn step(&mut self, k: &mut Kernel) -> Result<(), KernelError> {
         self.begin();
-        let mut data = Vec::new();
+        let planned = self.cur.as_deref().expect("begun");
         while let Some(op) = self.script.pop() {
-            let ret = k.syscall(op.as_op_ref())?;
+            // The payload is lent from the plan.
+            let ret = k.syscall(planned.lend(&op))?;
             self.script.note(&ret);
-            // Lent to the kernel, then moved into the model.
-            if let SyscallOp::Write { data: d, .. } | SyscallOp::Pwrite { data: d, .. } = op {
-                data = d;
-            }
         }
-        self.complete(data);
+        self.complete();
         Ok(())
     }
 
@@ -432,19 +531,12 @@ impl MemTest {
     /// Reconstructs the expected state after `ops` completed operations,
     /// plus the target of the next (possibly interrupted) op.
     pub fn replay(cfg: &MemTestConfig, ops: u64) -> (ModelFs, String) {
-        let mut model = ModelFs::new();
-        model.dirs.insert(cfg.root.clone());
-        for d in 0..cfg.num_dirs {
-            model.dirs.insert(format!("{}/dir{d}", cfg.root));
-        }
-        let mut total = 0u64;
+        let mut plan = Plan::new(cfg);
         for i in 0..ops {
-            let op = Self::decide(cfg, i, &model, total);
-            let data = Self::payload(cfg, &op);
-            Self::apply_to_model(&op, data, &mut model, &mut total);
+            plan.advance(cfg, i);
         }
-        let next = Self::decide(cfg, ops, &model, total);
-        (model, next.target().to_owned())
+        let next = plan.decide(cfg, ops);
+        (plan.model, next.target().to_owned())
     }
 }
 
@@ -469,18 +561,16 @@ impl PreemptClient for MemTest {
                 return None;
             };
             self.script.note(prev);
-            if let Some(op) = self.script.pop() {
+            if let Some(op) = self.take_owned() {
                 return Some(op);
             }
-            // The payload went to the scheduler with its syscall.
-            let data = Self::payload(&self.cfg, self.cur.as_ref().expect("checked above"));
-            self.complete(data);
+            self.complete();
         }
         if self.ops_done >= self.op_limit {
             return None;
         }
         self.begin();
-        self.script.pop()
+        self.take_owned()
     }
 }
 
@@ -507,17 +597,148 @@ mod tests {
         assert_eq!(MemTest::check_static(&mut k, 42).unwrap(), 0);
     }
 
+    /// Table 1 under load's client shape: a set budget of three files,
+    /// so deletes dominate, on two directories.
+    fn scale_campaign_cfg() -> MemTestConfig {
+        MemTestConfig {
+            root: "/m0".to_owned(),
+            max_set_bytes: 24 * 1024,
+            max_file_bytes: 8 * 1024,
+            num_dirs: 2,
+            num_toggle_dirs: 2,
+            ..MemTestConfig::small(11)
+        }
+    }
+
     #[test]
     fn replay_matches_live_model_at_any_point() {
-        let mut k = kernel();
-        let cfg = MemTestConfig::small(7);
-        let mut mt = MemTest::new(cfg.clone());
-        mt.setup(&mut k).unwrap();
-        mt.run(&mut k, 75).unwrap();
-        let (replayed, _next) = MemTest::replay(&cfg, 75);
-        assert_eq!(replayed.files, mt.model().files);
-        // Live model also tracks toggle dirs.
-        assert_eq!(replayed.dirs, mt.model().dirs);
+        let cfgs = [
+            MemTestConfig::small(7),
+            MemTestConfig::small(1996),
+            MemTestConfig::small_write_through(2026),
+            scale_campaign_cfg(),
+        ];
+        for cfg in cfgs {
+            let mut k = kernel();
+            let mut mt = MemTest::new(cfg.clone());
+            mt.setup(&mut k).unwrap();
+            for n in 0..=300 {
+                if n > 0 {
+                    mt.step(&mut k).unwrap();
+                }
+                let (replayed, _next) = MemTest::replay(&cfg, n);
+                assert_eq!(replayed.files, mt.model().files, "seed {} at {n}", cfg.seed);
+                // Live model also tracks toggle dirs.
+                assert_eq!(replayed.dirs, mt.model().dirs, "seed {} at {n}", cfg.seed);
+            }
+        }
+    }
+
+    /// Takes `mt`'s next op and completes it without a kernel: the
+    /// syscalls it issues, payload bound as `step` lends it, owned.
+    fn issue(mt: &mut MemTest) -> Vec<SyscallOp> {
+        mt.begin();
+        let planned = Arc::clone(mt.cur.as_ref().unwrap());
+        let mut issued = Vec::new();
+        while let Some(op) = mt.script.pop() {
+            issued.push(match planned.lend(&op) {
+                SyscallOp::Write { fd, data } => SyscallOp::Write {
+                    fd,
+                    data: data.to_vec(),
+                },
+                SyscallOp::Pwrite { fd, offset, data } => SyscallOp::Pwrite {
+                    fd,
+                    offset,
+                    data: data.to_vec(),
+                },
+                _ => op,
+            });
+        }
+        mt.complete();
+        issued
+    }
+
+    /// The planned ops' decisions and contents, in order.
+    fn plan_of(mt: &MemTest) -> Vec<(Op, Option<Vec<u8>>)> {
+        let plan = mt.plan.lock().unwrap();
+        let ops = plan.ops.iter();
+        ops.map(|p| (p.op.clone(), p.contents.as_deref().cloned())).collect()
+    }
+
+    #[test]
+    fn a_fork_that_extends_a_shared_plan_issues_a_fresh_memtests_syscalls() {
+        const WARMUP: u64 = 200;
+        const RUN: u64 = 400;
+        for cfg in [MemTestConfig::small(1996), scale_campaign_cfg()] {
+            let mut checkpoint = MemTest::new(cfg.clone());
+            let mut fresh = MemTest::new(cfg.clone());
+            for _ in 0..WARMUP {
+                assert_eq!(issue(&mut checkpoint), issue(&mut fresh));
+            }
+            let expected: Vec<(Vec<SyscallOp>, ModelFs)> = (WARMUP..WARMUP + RUN)
+                .map(|index| {
+                    let issued = issue(&mut fresh);
+                    let op = fresh.plan.lock().unwrap().ops[index as usize].op.clone();
+                    if let Op::Create { len, tag, .. } | Op::Rewrite { len, tag, .. } = op {
+                        let payload = datagen::bytes(cfg.seed, tag, len);
+                        assert!(
+                            matches!(&issued[1], SyscallOp::Write { data, .. }
+                                | SyscallOp::Pwrite { data, .. } if *data == payload),
+                            "op {index}: {:?}",
+                            issued[1]
+                        );
+                    }
+                    (issued, fresh.model().clone())
+                })
+                .collect();
+            // `first` plans every op past the warm-up; `second`, forked
+            // from the same checkpoint, finds them planned.
+            let (mut first, mut second) = (checkpoint.clone(), checkpoint.clone());
+            for fork in [&mut first, &mut second] {
+                for (index, (issued, model)) in (WARMUP..).zip(&expected) {
+                    assert_eq!(issue(fork), *issued, "op {index}");
+                    assert_eq!(fork.model(), model, "op {index}");
+                }
+            }
+            assert!(Arc::ptr_eq(&first.plan, &second.plan));
+            assert!(!Arc::ptr_eq(&first.plan, &fresh.plan));
+            assert_eq!(plan_of(&second).len() as u64, WARMUP + RUN, "planned once");
+            assert_eq!(plan_of(&second), plan_of(&fresh));
+            assert_eq!(checkpoint.ops_done(), WARMUP, "the checkpoint never moved");
+        }
+    }
+
+    #[test]
+    fn two_threads_extending_one_plan_build_identical_plans() {
+        const OPS: usize = 300;
+        let cfg = MemTestConfig::small(2026);
+        let mut alone = MemTest::new(cfg.clone());
+        let expected: Vec<Vec<SyscallOp>> = (0..OPS).map(|_| issue(&mut alone)).collect();
+        for _ in 0..4 {
+            let shared = MemTest::new(cfg.clone());
+            // Both threads reach every op together: one plans it while
+            // the other waits on the plan's lock, then reads it.
+            let barrier = std::sync::Barrier::new(2);
+            let issued: Vec<Vec<Vec<SyscallOp>>> = std::thread::scope(|s| {
+                let threads: Vec<_> = (0..2)
+                    .map(|_| {
+                        let (mut fork, barrier) = (shared.clone(), &barrier);
+                        s.spawn(move || {
+                            let op = |_| {
+                                barrier.wait();
+                                issue(&mut fork)
+                            };
+                            (0..OPS).map(op).collect()
+                        })
+                    })
+                    .collect();
+                threads.into_iter().map(|t| t.join().unwrap()).collect()
+            });
+            for run in &issued {
+                assert!(*run == expected, "a thread issued another stream");
+            }
+            assert_eq!(plan_of(&shared), plan_of(&alone));
+        }
     }
 
     #[test]

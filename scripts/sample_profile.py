@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Flat sampling profile of a release binary, with nothing but ptrace.
 
-    scripts/sample_profile.py [--hz 1000] [--top 20] [--callers] -- <binary> [args...]
+    scripts/sample_profile.py [--hz 1000] [--top 20] [--callers] [--by-crate] -- <binary> [args...]
 
 The container has no perf and no gdb, so this is the profiler DESIGN.md
 §4.5 quotes: it starts the command, seizes it with ptrace, and `--hz`
@@ -21,6 +21,14 @@ return address" is the first stack word that points into the binary's
 executable mapping — a heuristic (a stale word can be hit), good enough to
 tell one hot caller from a dozen lukewarm ones.
 
+`--by-crate` adds one line per layer below the symbols: the samples of
+each `rio_*` crate (and of the binary's own crate), one line for libc and
+one for everything else. A symbol of no such crate — std's out-of-line
+generic code: `BTreeMap::insert`, `Vec::clone` — is charged to the crate
+of the first stack word that points into a crate's symbol, by the same
+heuristic as `--callers`; so the B-tree work of memTest's model counts
+as `rio_workloads`, and "other" is what no crate on the stack claims.
+
 The header also prints the child's user and system CPU seconds and its
 minor page faults (`os.wait4`'s rusage), because a sample cannot show
 what a page fault costs: the fault is taken inside whatever touched the
@@ -37,6 +45,7 @@ import bisect
 import collections
 import ctypes
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -98,18 +107,25 @@ def mapping(pid, addr):
     return "[unmapped]"
 
 
-def first_return_address(pid, rsp, text):
-    """The first word on the stack that points into `text`, or None."""
+def return_addresses(pid, rsp, text):
+    """The words on the stack that point into `text`, innermost first."""
     try:
         with open(f"/proc/{pid}/mem", "rb") as mem:
             mem.seek(rsp)
             stack = mem.read(STACK_SCAN)
     except OSError:
-        return None
+        return
     for (word,) in struct.iter_unpack("<Q", stack[: len(stack) // 8 * 8]):
         if text[0] <= word < text[1]:
-            return word
-    return None
+            yield word
+
+
+def crate_pattern(names):
+    """Matches the `rio_*` crate, or the binary's own (the one whose
+    `main` it is), that a symbol belongs to."""
+    own = [m.group(1) for m in map(re.compile(r"^(\w+)::main$").match, names) if m]
+    crates = "|".join([r"rio_\w+?"] + own)
+    return re.compile(rf"(?<![\w])({crates})::")
 
 
 def main():
@@ -120,6 +136,11 @@ def main():
         "--callers",
         action="store_true",
         help="charge a sample outside the binary to its first caller inside it",
+    )
+    parser.add_argument(
+        "--by-crate",
+        action="store_true",
+        help="also sum the samples per rio_* crate, libc and other",
     )
     parser.add_argument("command", nargs=argparse.REMAINDER, help="-- <binary> [args...]")
     args = parser.parse_args()
@@ -136,6 +157,22 @@ def main():
     base = None
     regs = (ctypes.c_ulonglong * 27)()
     hits = collections.Counter()
+    crates = collections.Counter()
+    crate_re = crate_pattern(names)
+
+    def crate_of(name):
+        m = crate_re.search(name)
+        return m.group(1) if m else None
+
+    def symbol_at(addr):
+        return names[bisect.bisect_right(addrs, addr - base) - 1]
+
+    def layer_of(name, inside, rsp):
+        if not inside:
+            return "libc" if name.endswith("[libc.so.6]") else "other"
+        callers = (crate_of(symbol_at(a)) for a in return_addresses(pid, rsp, text))
+        return crate_of(name) or next(filter(None, callers), "other")
+
     usage = None  # the child's rusage, once it has exited
     while True:
         time.sleep(1.0 / hz)
@@ -151,14 +188,17 @@ def main():
             base, text = binary_mappings(pid, command[0])
         ptrace(PTRACE_GETREGS, pid, ctypes.byref(regs))
         at = bisect.bisect_right(addrs, regs[RIP] - base) - 1
-        if base <= regs[RIP] < base + end and at >= 0:
+        inside = base <= regs[RIP] < base + end and at >= 0
+        if inside:
             name = names[at]
         else:
             name = mapping(pid, regs[RIP])
-            caller = first_return_address(pid, regs[RSP], text) if args.callers else None
+            caller = next(return_addresses(pid, regs[RSP], text), None) if args.callers else None
             if caller is not None:
-                name = f"{names[bisect.bisect_right(addrs, caller - base) - 1]} <- {name}"
+                name = f"{symbol_at(caller)} <- {name}"
         hits[name] += 1
+        if args.by_crate:
+            crates[layer_of(name, inside, regs[RSP])] += 1
         ptrace(PTRACE_CONT, pid)
     if usage is None:
         _, _, usage = os.wait4(pid, 0)
@@ -172,6 +212,11 @@ def main():
     )
     for name, n in hits.most_common(top):
         print(f"{100.0 * n / total:6.2f} %  {n:7d}  {name}")
+    if args.by_crate:
+        print("by crate:")
+        layers = [c for c, _ in crates.most_common() if c not in ("libc", "other")]
+        for crate in layers + ["libc", "other"]:
+            print(f"{100.0 * crates[crate] / total:6.2f} %  {crates[crate]:7d}  {crate}")
 
 
 if __name__ == "__main__":
