@@ -55,8 +55,6 @@ pub fn memfs() -> Policy {
         panic_flushes: false,
         rio: None,
         throttle_dirty_bytes: None,
-        idle_writeback_after: None,
-        checkpoint_interval: None,
     }
 }
 
@@ -74,8 +72,6 @@ pub fn ufs_delayed() -> Policy {
         panic_flushes: true,
         rio: None,
         throttle_dirty_bytes: Some(2 * 1024 * 1024),
-        idle_writeback_after: None,
-        checkpoint_interval: None,
     }
 }
 
@@ -91,8 +87,6 @@ pub fn advfs() -> Policy {
         panic_flushes: true,
         rio: None,
         throttle_dirty_bytes: Some(2 * 1024 * 1024),
-        idle_writeback_after: None,
-        checkpoint_interval: None,
     }
 }
 
@@ -112,8 +106,6 @@ pub fn ufs_default() -> Policy {
         panic_flushes: true,
         rio: None,
         throttle_dirty_bytes: Some(2 * 1024 * 1024),
-        idle_writeback_after: None,
-        checkpoint_interval: None,
     }
 }
 
@@ -131,8 +123,6 @@ pub fn ufs_write_close() -> Policy {
         panic_flushes: true,
         rio: None,
         throttle_dirty_bytes: Some(2 * 1024 * 1024),
-        idle_writeback_after: None,
-        checkpoint_interval: None,
     }
 }
 
@@ -160,14 +150,6 @@ pub fn rio_with_protection() -> Policy {
 /// Rio with the code-patching protection fallback (§2.1 ablation).
 pub fn rio_code_patched() -> Policy {
     Policy::rio(RioMode::CodePatched)
-}
-
-/// A Phoenix-like checkpointing configuration (\[Gait90\], compared in §6):
-/// memory-resident with warm reboot, but writes only become recoverable at
-/// periodic checkpoints (default: every 30 seconds, matching its
-/// checkpoint-oriented design).
-pub fn phoenix_checkpointed() -> Policy {
-    Policy::phoenix(RioMode::Protected, SimTime::from_secs(30))
 }
 
 /// The eight Table 2 rows, in the paper's order.

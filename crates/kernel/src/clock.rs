@@ -247,8 +247,8 @@ impl Clock {
     ///
     /// This is the raw *hardware* clock hop: no kernel daemon runs inside
     /// the skipped gap. Workload code should call `Kernel::idle_until`
-    /// instead, which steps the `update`/idle-writeback/checkpoint
-    /// daemons at their due instants across the gap.
+    /// instead, which runs the `update` daemon at its due instants across
+    /// the gap.
     pub fn idle_until(&mut self, t: SimTime) {
         if t > self.now {
             self.now = t;

@@ -343,16 +343,10 @@ impl Kernel {
                     in_page,
                     (in_page + effective as usize).min(PAGE_SIZE),
                 );
-                if self.policy.checkpoint_interval.is_some() {
-                    // Phoenix mode ([Gait90]): the page stays CHANGING —
-                    // unrecoverable — until the next checkpoint walks it.
-                    e.size = new_valid;
-                } else {
-                    // Rio: permanent the moment the copy lands.
-                    e.flags = e.flags.without(EntryFlags::CHANGING);
-                    e.size = new_valid;
-                    e.crc = self.page_crc_prefix(page, new_valid);
-                }
+                // Rio: permanent the moment the copy lands.
+                e.flags = e.flags.without(EntryFlags::CHANGING);
+                e.size = new_valid;
+                e.crc = self.page_crc_prefix(page, new_valid);
                 let e = *e;
                 self.rio_write_entry(page, &e)?;
             }

@@ -8,7 +8,7 @@
 //! crash.
 
 use crate::ondisk::{
-    DirEntry, DiskGeometry, FileType, Inode, Superblock, DIRENTS_PER_BLOCK, DIRENT_BYTES,
+    DirEntry, FileType, Inode, Superblock, DIRENTS_PER_BLOCK, DIRENT_BYTES,
     INODES_PER_BLOCK, INODE_BYTES, NDIRECT, NINDIRECT,
 };
 use rio_disk::{DiskIoError, SimDisk, BLOCK_SIZE};
@@ -273,15 +273,4 @@ pub fn repair(disk: &mut SimDisk) -> Result<FsckReport, FsckError> {
         }
     }
     Ok(report)
-}
-
-/// Convenience: run fsck and return the geometry alongside the report.
-///
-/// # Errors
-///
-/// As [`repair`].
-pub fn repair_with_geometry(disk: &mut SimDisk) -> Result<(DiskGeometry, FsckReport), FsckError> {
-    let sb = Superblock::decode(disk.peek(0)).ok_or(FsckError::BadSuperblock)?;
-    let report = repair(disk)?;
-    Ok((sb.geometry, report))
 }

@@ -7,7 +7,6 @@
 //! reboot, kernel data structures do not.
 
 use crate::cache::{MixMap, PageCache};
-use crate::clock::CostModel;
 use crate::error::{CrashInfo, KernelError, PanicReason};
 use crate::machine::{Machine, MachineConfig};
 use crate::ondisk::{DiskGeometry, Superblock, ROOT_INO};
@@ -105,12 +104,6 @@ impl KernelConfig {
             policy,
         }
     }
-
-    /// Override the cost model (harness calibration).
-    pub fn with_costs(mut self, costs: CostModel) -> Self {
-        self.machine.costs = costs;
-        self
-    }
 }
 
 /// The simulated operating system.
@@ -136,8 +129,6 @@ pub struct Kernel {
     /// end offset)` — drives UFS 64 KB clustering and its non-sequential
     /// flush rule.
     pub(crate) cluster_accum: MixMap<u64, (u64, u64)>,
-    /// Next Phoenix-style checkpoint instant, when the policy sets one.
-    pub(crate) next_checkpoint: Option<SimTime>,
     /// Sector checksum cache backing the O(dirty) write fast path.
     pub(crate) crc_cache: SectorCrcCache,
     /// Warm-reboot replay runs with this set: writes keep the inode's
@@ -283,10 +274,6 @@ impl Kernel {
             next_update,
             journal_head: 0,
             cluster_accum: MixMap::default(),
-            next_checkpoint: config
-                .policy
-                .checkpoint_interval
-                .map(|iv| SimTime::ZERO + iv),
             crc_cache: SectorCrcCache::new(),
             preserve_mtime_on_write: false,
             cur_client: None,
@@ -491,8 +478,6 @@ impl Kernel {
         }
         self.retire_ubc_writebacks()?;
         self.maybe_update()?;
-        self.maybe_idle_writeback()?;
-        self.maybe_checkpoint()?;
         Ok(())
     }
 
@@ -555,10 +540,5 @@ impl Kernel {
     /// Whether this kernel maintains Rio state.
     pub fn rio_enabled(&self) -> bool {
         self.rio.is_some()
-    }
-
-    /// The Rio protection mode in force, if any.
-    pub fn rio_mode(&self) -> Option<RioMode> {
-        self.policy.rio
     }
 }

@@ -71,18 +71,6 @@ pub struct Policy {
     /// bound dirty buffers this way; it is what makes a delayed-write
     /// system measurably slower than Rio, which never intends to write).
     pub throttle_dirty_bytes: Option<u64>,
-    /// §2.3's suggested future work: trickle dirty data to disk once the
-    /// disk has been idle this long. Costs nothing on a busy system and
-    /// shrinks the crash-loss window of delayed-write policies. Rio itself
-    /// can also use it as a belt-and-suspenders mode.
-    pub idle_writeback_after: Option<SimTime>,
-    /// Phoenix-style operation (\[Gait90\], compared in §6): file pages are
-    /// made recoverable only at periodic checkpoints instead of at every
-    /// write. Between checkpoints, modified pages are marked CHANGING in
-    /// the registry, so a crash loses everything written since the last
-    /// checkpoint — exactly the difference the paper draws: "Phoenix does
-    /// not ensure the reliability of every write".
-    pub checkpoint_interval: Option<SimTime>,
 }
 
 impl Policy {
@@ -103,8 +91,6 @@ impl Policy {
             panic_flushes: true,
             rio: None,
             throttle_dirty_bytes: Some(2 * 1024 * 1024),
-            idle_writeback_after: None,
-            checkpoint_interval: None,
         }
     }
 
@@ -125,27 +111,7 @@ impl Policy {
             panic_flushes: false,
             rio: Some(mode),
             throttle_dirty_bytes: None,
-            idle_writeback_after: None,
-            checkpoint_interval: None,
         }
-    }
-
-    /// A Phoenix-like configuration (\[Gait90\]): same memory-resident cache
-    /// and warm reboot as Rio, but file pages become recoverable only at
-    /// periodic checkpoints.
-    pub fn phoenix(mode: RioMode, interval: SimTime) -> Policy {
-        Policy {
-            name: format!("Phoenix-style ({}s checkpoints)", interval.as_secs_f64()),
-            checkpoint_interval: Some(interval),
-            ..Policy::rio(mode)
-        }
-    }
-
-    /// Returns this policy with idle-period write-back enabled (§2.3's
-    /// "writing to disk during idle periods" future-work experiment).
-    pub fn with_idle_writeback(mut self, after: SimTime) -> Policy {
-        self.idle_writeback_after = Some(after);
-        self
     }
 }
 

@@ -33,6 +33,13 @@ fn warm_reboot_recovers_all_written_data() {
     for mode in [RioMode::Unprotected, RioMode::Protected] {
         let (mut k, config) = rio_kernel(mode);
         let files = populate(&mut k);
+        // Idle gaps, stepped by the kernel and poked by syscalls, run no
+        // daemon that writes.
+        for _ in 0..5 {
+            let wake = k.machine.clock.now() + rio_disk::SimTime::from_secs(30);
+            k.idle_until(wake).unwrap();
+            k.stat("/proj/src").unwrap();
+        }
         // No reliability writes happened: the only disk traffic so far was
         // the mount-time superblock read.
         assert_eq!(k.machine.disk.stats().writes, 0, "mode {mode}");
@@ -70,6 +77,28 @@ fn cold_boot_loses_unflushed_data() {
     for (path, _) in &files {
         assert!(k2.open(path).is_err(), "{path} should be gone");
     }
+}
+
+#[test]
+fn admin_switch_drains_rio_to_disk_for_maintenance() {
+    // §2.3 footnote 1: before maintenance or an extended power outage, the
+    // administrator re-enables reliability writes and syncs.
+    let (mut k, config) = rio_kernel(RioMode::Protected);
+    let fd = k.create("/precious").unwrap();
+    k.write(fd, &vec![0x77; 20_000]).unwrap();
+    k.close(fd).unwrap();
+    assert_eq!(k.machine.disk.stats().writes, 0);
+
+    k.set_reliability_writes(true);
+    k.sync().unwrap();
+    assert!(k.machine.disk.stats().writes > 0);
+
+    // Power the machine fully off (memory gone): a COLD boot finds the
+    // data on disk.
+    k.crash_now(PanicReason::Watchdog);
+    let (_image, disk) = k.into_crash_artifacts();
+    let (mut k2, _) = Kernel::cold_boot(&config, disk).unwrap();
+    assert_eq!(k2.file_contents("/precious").unwrap(), vec![0x77; 20_000]);
 }
 
 #[test]

@@ -241,6 +241,29 @@ fn update_daemon_flushes_delayed_data() {
     assert!(k.stats().update_runs > 0);
 }
 
+#[test]
+fn kernel_idle_until_runs_update_daemon_on_schedule() {
+    // A 2-minute `Kernel::idle_until` gap with no syscalls at all must
+    // still run the 30 s update daemon inside it.
+    let mut k = Kernel::mkfs_and_mount(&KernelConfig::small(
+        rio_baselines_like_delayed(),
+    ))
+    .unwrap();
+    let fd = k.create("/upd").unwrap();
+    k.write(fd, &vec![0x5C; 8192]).unwrap();
+    k.close(fd).unwrap();
+    let writes_before = k.machine.disk.stats().writes;
+    let runs_before = k.stats().update_runs;
+    let wake = k.machine.clock.now() + rio_disk::SimTime::from_secs(120);
+    k.idle_until(wake).unwrap();
+    assert!(
+        k.machine.disk.stats().writes > writes_before,
+        "update daemon must have flushed inside the gap"
+    );
+    assert_eq!(k.stats().update_runs - runs_before, 4, "one run per 30 s");
+    assert!(k.machine.clock.now() >= wake, "clock reached the target");
+}
+
 fn rio_baselines_like_delayed() -> Policy {
     Policy {
         name: "delayed-for-test".to_owned(),
@@ -252,8 +275,6 @@ fn rio_baselines_like_delayed() -> Policy {
         panic_flushes: true,
         rio: None,
         throttle_dirty_bytes: Some(2 * 1024 * 1024),
-        idle_writeback_after: None,
-        checkpoint_interval: None,
     }
 }
 

@@ -25,8 +25,6 @@ fn throttled_policy() -> Policy {
         panic_flushes: false,
         rio: None,
         throttle_dirty_bytes: Some(2 * 8192),
-        idle_writeback_after: None,
-        checkpoint_interval: None,
     }
 }
 

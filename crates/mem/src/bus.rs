@@ -179,11 +179,6 @@ impl MemBus {
         self.stats
     }
 
-    /// Resets access counters (e.g. between measurement intervals).
-    pub fn reset_stats(&mut self) {
-        self.stats = AccessStats::default();
-    }
-
     #[inline]
     fn check_bounds(&self, addr: u64, len: u64) -> Result<(), MemFault> {
         if self.mem.in_bounds(addr, len) {
@@ -266,19 +261,6 @@ impl MemBus {
         self.stats.loads += 1;
         self.stats.bytes_moved += 8;
         Ok(self.mem.read_u64(addr))
-    }
-
-    /// Loads `buf.len()` bytes into `buf`.
-    ///
-    /// # Errors
-    ///
-    /// [`MemFault::BadAddress`] if the span is out of bounds.
-    pub fn load_bytes(&mut self, _kind: AddrKind, addr: u64, buf: &mut [u8]) -> Result<(), MemFault> {
-        self.check_bounds(addr, buf.len() as u64)?;
-        self.stats.loads += 1;
-        self.stats.bytes_moved += buf.len() as u64;
-        self.mem.copy_out(addr, buf);
-        Ok(())
     }
 
     /// Stores one byte.
@@ -446,29 +428,6 @@ impl MemBus {
     /// Convenience: CRC32 of a page's current contents.
     pub fn page_crc(&self, pn: PageNum) -> u32 {
         crate::checksum::crc32(self.mem.page(pn))
-    }
-
-    /// Convenience: CRC32 of an arbitrary span (bounds-checked).
-    ///
-    /// # Errors
-    ///
-    /// [`MemFault::BadAddress`] if the span is out of bounds.
-    pub fn span_crc(&self, addr: u64, len: u64) -> Result<u32, MemFault> {
-        if !self.mem.in_bounds(addr, len) {
-            return Err(MemFault::BadAddress { addr, len });
-        }
-        // Stream page-contained pieces: the span may straddle page
-        // boundaries, which a single borrow cannot.
-        let mut state = 0xFFFF_FFFFu32;
-        let (mut addr, mut left) = (addr, len);
-        while left > 0 {
-            let off = addr % PAGE_SIZE as u64;
-            let n = (PAGE_SIZE as u64 - off).min(left);
-            state = crate::checksum::crc32_update(state, self.mem.slice(addr, n));
-            addr += n;
-            left -= n;
-        }
-        Ok(state ^ 0xFFFF_FFFF)
     }
 }
 
@@ -954,14 +913,11 @@ mod tests {
     fn stats_count_loads_stores_bytes() {
         let mut b = bus();
         b.store_bytes(AddrKind::Virtual, 0, &[0u8; 100]).unwrap();
-        let mut buf = [0u8; 50];
-        b.load_bytes(AddrKind::Virtual, 0, &mut buf).unwrap();
+        b.load_u64(AddrKind::Virtual, 0).unwrap();
         let s = b.stats();
         assert_eq!(s.stores, 1);
         assert_eq!(s.loads, 1);
-        assert_eq!(s.bytes_moved, 150);
-        b.reset_stats();
-        assert_eq!(b.stats(), AccessStats::default());
+        assert_eq!(s.bytes_moved, 108);
     }
 
     #[test]
@@ -971,13 +927,6 @@ mod tests {
         let before = b.page_crc(pn);
         b.mem_mut().flip_bit(pn.base() + 123, 3);
         assert_ne!(b.page_crc(pn), before);
-    }
-
-    #[test]
-    fn span_crc_bounds_checked() {
-        let b = bus();
-        assert!(b.span_crc(b.mem().len(), 1).is_err());
-        assert!(b.span_crc(0, 16).is_ok());
     }
 
     #[test]

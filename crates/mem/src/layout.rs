@@ -33,11 +33,6 @@ impl Region {
         addr >= self.start && addr < self.end
     }
 
-    /// Whether the whole `[addr, addr + len)` span lies inside the region.
-    pub fn contains_span(&self, addr: u64, len: u64) -> bool {
-        addr >= self.start && addr.saturating_add(len) <= self.end
-    }
-
     /// Number of whole pages in the region.
     pub fn pages(&self) -> u64 {
         self.len() / PAGE_SIZE as u64
@@ -291,16 +286,6 @@ mod tests {
         assert!(l.is_file_cache_page(PageNum::containing(l.buffer_cache.start)));
         assert!(!l.is_file_cache_page(PageNum::containing(l.text.start)));
         assert!(!l.is_file_cache_page(PageNum::containing(l.registry.start)));
-    }
-
-    #[test]
-    fn region_span_checks() {
-        let l = MemLayout::new(MemConfig::small());
-        let r = l.ubc;
-        assert!(r.contains_span(r.start, r.len()));
-        assert!(!r.contains_span(r.start, r.len() + 1));
-        assert!(!r.contains_span(r.end - 1, 2));
-        assert!(r.contains_span(r.end - 1, 1));
     }
 
     #[test]
