@@ -50,9 +50,7 @@ pub fn memfs() -> Policy {
         data: DataPolicy::Never,
         metadata: MetadataPolicy::Never,
         fsync_on_close: false,
-        fsync_writes_disk: false,
         update_interval: None,
-        panic_flushes: false,
         rio: None,
         throttle_dirty_bytes: None,
     }
@@ -67,9 +65,7 @@ pub fn ufs_delayed() -> Policy {
         data: DataPolicy::Delayed,
         metadata: MetadataPolicy::Delayed,
         fsync_on_close: false,
-        fsync_writes_disk: true,
         update_interval: Some(UPDATE_INTERVAL),
-        panic_flushes: true,
         rio: None,
         throttle_dirty_bytes: Some(2 * 1024 * 1024),
     }
@@ -82,9 +78,7 @@ pub fn advfs() -> Policy {
         data: DataPolicy::Delayed,
         metadata: MetadataPolicy::Journal,
         fsync_on_close: false,
-        fsync_writes_disk: true,
         update_interval: Some(UPDATE_INTERVAL),
-        panic_flushes: true,
         rio: None,
         throttle_dirty_bytes: Some(2 * 1024 * 1024),
     }
@@ -101,9 +95,7 @@ pub fn ufs_default() -> Policy {
         },
         metadata: MetadataPolicy::Sync,
         fsync_on_close: false,
-        fsync_writes_disk: true,
         update_interval: Some(UPDATE_INTERVAL),
-        panic_flushes: true,
         rio: None,
         throttle_dirty_bytes: Some(2 * 1024 * 1024),
     }
@@ -118,9 +110,7 @@ pub fn ufs_write_close() -> Policy {
         },
         metadata: MetadataPolicy::Sync,
         fsync_on_close: true,
-        fsync_writes_disk: true,
         update_interval: Some(UPDATE_INTERVAL),
-        panic_flushes: true,
         rio: None,
         throttle_dirty_bytes: Some(2 * 1024 * 1024),
     }
@@ -239,6 +229,65 @@ mod tests {
         }
     }
 
+    /// Disk writes a panic submits with a freshly written file still in
+    /// the cache, after `prepare` has run on the mounted kernel.
+    fn panic_flush_writes(policy: &Policy, prepare: impl Fn(&mut Kernel)) -> u64 {
+        let mut k = Kernel::mkfs_and_mount(&KernelConfig::small(policy.clone())).unwrap();
+        prepare(&mut k);
+        let fd = k.create("/dirty").unwrap();
+        k.write(fd, &[7; 10_000]).unwrap();
+        let before = k.machine.disk.stats().writes;
+        k.crash_now(PanicReason::Watchdog);
+        k.machine.disk.stats().writes - before
+    }
+
+    /// Whether a file's data is on the disk once `fsync` returns: a cold
+    /// boot of the disk as it stands then (nothing still queued lands)
+    /// reads it back. A `sync` before the write puts the directory entry
+    /// there on the rows whose `sync` writes, since `fsync` need not.
+    fn fsync_reaches_disk(policy: &Policy, prepare: impl Fn(&mut Kernel)) -> bool {
+        let config = KernelConfig::small(policy.clone());
+        let mut k = Kernel::mkfs_and_mount(&config).unwrap();
+        prepare(&mut k);
+        let data = [9; 10_000];
+        let fd = k.create("/synced").unwrap();
+        k.sync().unwrap();
+        k.write(fd, &data).unwrap();
+        k.fsync(fd).unwrap();
+        let mut disk = k.machine.disk.clone();
+        disk.crash(k.machine.clock.now());
+        let (mut k2, _) = Kernel::cold_boot(&config, disk).unwrap();
+        k2.file_contents("/synced").ok().as_deref() == Some(&data[..])
+    }
+
+    #[test]
+    fn reliability_writes_follow_the_data_policy() {
+        // §2.3's rule, row by row: `fsync` reaches the disk exactly on the
+        // rows whose data is ever written for reliability, and only those
+        // rows flush dirty buffers at a panic — not MemFS, not either Rio
+        // row.
+        let mut rows = table2_policies();
+        rows.push(Policy::disk_write_through());
+        for policy in &rows {
+            let writes = policy.data != DataPolicy::Never;
+            assert_eq!(fsync_reaches_disk(policy, |_| {}), writes, "{}: fsync", policy.name);
+            let flushed = panic_flush_writes(policy, |_| {});
+            if !writes {
+                assert_eq!(flushed, 0, "{}: a panic flushed", policy.name);
+            }
+        }
+        for policy in [ufs_delayed(), advfs()] {
+            assert!(panic_flush_writes(&policy, |_| {}) > 0, "{}: no panic flush", policy.name);
+        }
+        // The administrator switch turns Rio's `fsync` back on; a Rio
+        // panic still flushes nothing.
+        let enable = |k: &mut Kernel| k.set_reliability_writes(true);
+        for policy in [rio_without_protection(), rio_with_protection()] {
+            assert!(fsync_reaches_disk(&policy, enable), "{}: switched fsync", policy.name);
+            assert_eq!(panic_flush_writes(&policy, enable), 0, "{}: switched panic", policy.name);
+        }
+    }
+
     #[test]
     fn delayed_ufs_loses_recent_data_on_crash() {
         let config = KernelConfig::small(ufs_delayed());
@@ -247,7 +296,7 @@ mod tests {
         k.write(fd, &vec![1u8; 4096]).unwrap();
         // Crash before the 30-second update fires.
         k.crash_now(PanicReason::Watchdog);
-        // Note: panic_flushes pushes dirty buffers — but queued writes that
+        // Note: the panic flush pushes dirty buffers — but queued writes that
         // never start are lost at the instant crash; simulate the harness
         // treating the panic flush as racing the crash by checking the
         // recovered state is *at most* partially present.

@@ -126,6 +126,7 @@ impl Assembler {
     }
 
     /// Loads a full 64-bit constant via `li` + `lih`.
+    #[cfg(test)]
     pub fn li64(&mut self, rd: Reg, value: u64) {
         self.li(rd, (value >> 32) as i32);
         self.push(Opcode::Lih, rd, Reg::ZERO, Reg::ZERO, value as u32 as i32);
@@ -177,6 +178,7 @@ impl Assembler {
     }
 
     /// `rd = rs1 * rs2` (wrapping).
+    #[cfg(test)]
     pub fn mul(&mut self, rd: Reg, rs1: Reg, rs2: Reg) {
         self.push(Opcode::Mul, rd, rs1, rs2, 0);
     }
@@ -216,11 +218,6 @@ impl Assembler {
         self.push_branch(Opcode::Bltu, rs1, rs2, Operand::Named(target.to_owned()));
     }
 
-    /// Branch if `rs1 >= rs2` (unsigned), to a named label.
-    pub fn bgeu(&mut self, rs1: Reg, rs2: Reg, target: &str) {
-        self.push_branch(Opcode::Bgeu, rs1, rs2, Operand::Named(target.to_owned()));
-    }
-
     /// Unconditional jump to a named label.
     pub fn jmp(&mut self, target: &str) {
         self.push_branch(Opcode::Jmp, Reg::ZERO, Reg::ZERO, Operand::Named(target.to_owned()));
@@ -231,12 +228,8 @@ impl Assembler {
         self.push_branch(Opcode::Jmp, Reg::ZERO, Reg::ZERO, Operand::Label(target));
     }
 
-    /// Branch if equal, to an allocated [`Label`].
-    pub fn beq_to(&mut self, rs1: Reg, rs2: Reg, target: Label) {
-        self.push_branch(Opcode::Beq, rs1, rs2, Operand::Label(target));
-    }
-
     /// Consistency check: panic with `code` if `rs1 != rs2`.
+    #[cfg(test)]
     pub fn chk(&mut self, rs1: Reg, rs2: Reg, code: i32) {
         self.push(Opcode::Chk, Reg::ZERO, rs1, rs2, code);
     }

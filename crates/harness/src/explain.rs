@@ -47,8 +47,6 @@ pub struct ExplainConfig {
     pub warmup_ops: u64,
     /// memTest ops allowed after injection.
     pub watchdog_ops: u64,
-    /// Event-ring capacity for the trace session.
-    pub ring_capacity: usize,
 }
 
 impl ExplainConfig {
@@ -64,7 +62,6 @@ impl ExplainConfig {
             attempt,
             warmup_ops: protocol.warmup_ops,
             watchdog_ops: protocol.watchdog_ops,
-            ring_capacity: rio_obs::DEFAULT_CAPACITY,
         }
     }
 }
@@ -142,7 +139,7 @@ pub fn explain_trial(cfg: &ExplainConfig) -> ExplainReport {
     let inject_seed = trial_seed(cfg.campaign_seed, cfg.fault, cfg.system, cfg.attempt);
     let wl_seed = workload_seed(cfg.campaign_seed, cfg.system);
     // Opened before the boot: the trace's counters include the warm-up.
-    rio_obs::start(cfg.ring_capacity);
+    rio_obs::start(rio_obs::DEFAULT_CAPACITY);
     let mut trial = PreparedTrial::prepare(cfg.system, wl_seed, cfg.warmup_ops);
     let (mut observation, mut provenance) =
         run_to_crash(&mut trial, cfg.fault, inject_seed, cfg.watchdog_ops);

@@ -18,12 +18,12 @@ pub const KMALLOC_MAGIC: u32 = 0x4B4D_414C;
 /// Magic tag of a freed block.
 pub const KFREE_MAGIC: u32 = 0x4B46_5245;
 
-/// Heap-region byte offsets reserved ahead of the kmalloc arena.
+/// Heap-region byte offsets reserved ahead of the kmalloc arena. Bytes
+/// 64–127 are unused: the syscall activation record lives at the stack
+/// region's base ([`crate::machine::act_record`]), not here.
 pub mod heap_map {
     /// Lock words (8 bytes each; see [`crate::locks`]).
     pub const LOCKS_OFFSET: u64 = 0;
-    /// Syscall activation record (see [`crate::machine::Machine`]).
-    pub const ACT_RECORD_OFFSET: u64 = 64;
     /// Integrity-probe canary pattern (see
     /// [`crate::machine::Machine::integrity_probe`]).
     pub const CANARY_OFFSET: u64 = 128;

@@ -5,72 +5,36 @@
 //! protection-window toggles, and disk service times (the disk computes its
 //! own; the clock just advances to completion for synchronous waits).
 //!
-//! The default constants are calibrated for a mid-1990s workstation (the
+//! The constants are calibrated for a mid-1990s workstation (the
 //! paper's DEC 3000/600, a 175 MHz Alpha): what matters for reproducing the
 //! *shape* of Table 2 is the ratio between CPU/memory costs and mechanical
 //! disk latency.
 
 use rio_disk::SimTime;
 
-/// Per-operation cost constants (nanosecond/microsecond granularity).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// Nanoseconds per interpreted instruction (data-path work; 8 KB copied
-    /// in 64-byte unrolled blocks of 21 instructions ≈ 107 µs/page at
-    /// 40 ns/step — the same ~75 MB/s kernel memcpy the pre-unrolled loop
-    /// modelled at 15 ns/step, so page-copy timings are unchanged).
-    pub cpu_ns_per_step: u64,
-    /// Fixed syscall entry/exit cost, microseconds.
-    pub syscall_overhead_us: u64,
-    /// Per-path-component lookup cost, microseconds.
-    pub namei_component_us: u64,
-    /// Per-page bookkeeping cost beyond the copy itself (page lookup, user
-    /// crossing, dirty tracking), microseconds.
-    pub page_op_cpu_us: u64,
-    /// Cost of opening+closing one protection window (in-kernel PTE flip;
-    /// no syscall needed — §6 explains why Rio beats the 7% of
-    /// \[Sullivan91a\]), microseconds.
-    pub protection_toggle_us: u64,
-    /// Extra per-store CPU cost multiplier in code-patching mode, applied
-    /// to interpreted steps (the 20–50% band of §2.1).
-    pub code_patch_step_penalty_pct: u64,
-}
-
-impl CostModel {
-    /// Calibrated 1996-workstation defaults (see `rio-harness::calibration`
-    /// for the Table 2 fit).
-    pub fn paper() -> Self {
-        CostModel {
-            cpu_ns_per_step: 40,
-            syscall_overhead_us: 120,
-            namei_component_us: 60,
-            page_op_cpu_us: 350,
-            protection_toggle_us: 2,
-            code_patch_step_penalty_pct: 35,
-        }
-    }
-
-    /// Zero-cost model: isolates disk time in unit tests.
-    pub fn free() -> Self {
-        CostModel {
-            cpu_ns_per_step: 0,
-            syscall_overhead_us: 0,
-            namei_component_us: 0,
-            page_op_cpu_us: 0,
-            protection_toggle_us: 0,
-            code_patch_step_penalty_pct: 0,
-        }
-    }
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel::paper()
-    }
-}
+/// Nanoseconds per interpreted instruction (data-path work; 8 KB copied
+/// in 64-byte unrolled blocks of 21 instructions ≈ 107 µs/page at
+/// 40 ns/step — the same ~75 MB/s kernel memcpy the pre-unrolled loop
+/// modelled at 15 ns/step, so page-copy timings are unchanged).
+const CPU_NS_PER_STEP: u64 = 40;
+/// Fixed syscall entry/exit cost, microseconds.
+const SYSCALL_OVERHEAD_US: u64 = 120;
+/// Per-path-component lookup cost, microseconds.
+const NAMEI_COMPONENT_US: u64 = 60;
+/// Per-page bookkeeping cost beyond the copy itself (page lookup, user
+/// crossing, dirty tracking), microseconds.
+const PAGE_OP_CPU_US: u64 = 350;
+/// Cost of opening+closing one protection window (in-kernel PTE flip;
+/// no syscall needed — §6 explains why Rio beats the 7% of
+/// \[Sullivan91a\]), microseconds.
+const PROTECTION_TOGGLE_US: u64 = 2;
+/// Extra kernel CPU cost in code-patching mode, percent: applied to
+/// interpreted steps and to the fixed per-syscall, per-component and
+/// per-page charges (inside the 20–50% band of §2.1).
+const CODE_PATCH_PENALTY_PCT: u64 = 35;
 
 /// The simulated wall clock plus cumulative accounting.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Clock {
     now: SimTime,
     /// Sub-microsecond CPU remainder (interpreter steps accumulate in ns).
@@ -92,32 +56,17 @@ pub struct Clock {
     /// Latest deferred wake-up time recorded since the last
     /// [`Clock::take_deferred`].
     deferred_until: Option<SimTime>,
-    costs: CostModel,
 }
 
 impl Clock {
-    /// A clock at time zero with the given cost model.
-    pub fn new(costs: CostModel) -> Self {
-        Clock {
-            now: SimTime::ZERO,
-            ns_residue: 0,
-            cpu_time: SimTime::ZERO,
-            disk_wait: SimTime::ZERO,
-            patched: false,
-            deferred: false,
-            deferred_until: None,
-            costs,
-        }
+    /// A clock at time zero.
+    pub fn new() -> Self {
+        Clock::default()
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The cost model in force.
-    pub fn costs(&self) -> &CostModel {
-        &self.costs
     }
 
     /// Total CPU time charged so far.
@@ -135,11 +84,11 @@ impl Clock {
         self.patched = patched;
     }
 
-    fn penalized_us(&self, us: u64) -> u64 {
+    fn penalized(&self, cost: u64) -> u64 {
         if self.patched {
-            us + us * self.costs.code_patch_step_penalty_pct / 100
+            cost + cost * CODE_PATCH_PENALTY_PCT / 100
         } else {
-            us
+            cost
         }
     }
 
@@ -159,14 +108,10 @@ impl Clock {
         }
     }
 
-    /// Charges `n` interpreted instructions, with the code-patching penalty
-    /// when `patched` is set.
-    pub fn charge_steps(&mut self, n: u64, patched: bool) {
-        let mut ns = n * self.costs.cpu_ns_per_step;
-        if patched {
-            ns += ns * self.costs.code_patch_step_penalty_pct / 100;
-        }
-        ns += self.ns_residue;
+    /// Charges `n` interpreted instructions (kernel CPU: pays the patch
+    /// penalty).
+    pub fn charge_steps(&mut self, n: u64) {
+        let ns = self.penalized(n * CPU_NS_PER_STEP) + self.ns_residue;
         self.ns_residue = ns % 1_000;
         self.charge(SimTime::from_micros(ns / 1_000));
     }
@@ -178,25 +123,25 @@ impl Clock {
 
     /// Charges one syscall entry (kernel CPU: pays the patch penalty).
     pub fn charge_syscall(&mut self) {
-        let us = self.penalized_us(self.costs.syscall_overhead_us);
+        let us = self.penalized(SYSCALL_OVERHEAD_US);
         self.charge_us(us);
     }
 
     /// Charges a path lookup of `components` components (kernel CPU).
     pub fn charge_namei(&mut self, components: u64) {
-        let us = self.penalized_us(self.costs.namei_component_us * components);
+        let us = self.penalized(NAMEI_COMPONENT_US * components);
         self.charge_us(us);
     }
 
     /// Charges per-page bookkeeping (kernel CPU).
     pub fn charge_page_op(&mut self) {
-        let us = self.penalized_us(self.costs.page_op_cpu_us);
+        let us = self.penalized(PAGE_OP_CPU_US);
         self.charge_us(us);
     }
 
     /// Charges one protection-window toggle.
     pub fn charge_window(&mut self) {
-        self.charge_us(self.costs.protection_toggle_us);
+        self.charge_us(PROTECTION_TOGGLE_US);
     }
 
     /// Blocks until `t` (synchronous disk wait); no-op if `t` has passed.
@@ -263,37 +208,37 @@ mod tests {
 
     #[test]
     fn steps_accumulate_with_residue() {
-        let mut c = Clock::new(CostModel {
-            cpu_ns_per_step: 15,
-            ..CostModel::free()
-        });
-        // 100 steps = 1500 ns = 1 µs + 500 ns residue.
-        c.charge_steps(100, false);
-        assert_eq!(c.now().as_micros(), 1);
-        // Another 100 steps: 1500 + 500 = 2000 ns → +2 µs.
-        c.charge_steps(100, false);
-        assert_eq!(c.now().as_micros(), 3);
-        assert_eq!(c.cpu_time().as_micros(), 3);
+        let mut c = Clock::new();
+        // Steps short of a microsecond charge nothing yet…
+        let n = 999 / CPU_NS_PER_STEP;
+        c.charge_steps(n);
+        assert_eq!(c.now(), SimTime::ZERO);
+        // …and their residue carries into the next charge.
+        c.charge_steps(n);
+        assert_eq!(c.now().as_micros(), 2 * n * CPU_NS_PER_STEP / 1_000);
+        assert_eq!(c.cpu_time(), c.now());
     }
 
     #[test]
     fn code_patch_penalty_applies() {
-        let costs = CostModel {
-            cpu_ns_per_step: 100,
-            code_patch_step_penalty_pct: 50,
-            ..CostModel::free()
-        };
-        let mut plain = Clock::new(costs);
-        let mut patched = Clock::new(costs);
-        plain.charge_steps(1000, false);
-        patched.charge_steps(1000, true);
-        assert_eq!(plain.now().as_micros(), 100);
-        assert_eq!(patched.now().as_micros(), 150);
+        let mut plain = Clock::new();
+        let mut patched = Clock::new();
+        patched.set_patched(true);
+        for c in [&mut plain, &mut patched] {
+            c.charge_steps(1_000);
+            c.charge_syscall();
+        }
+        let plain_us = CPU_NS_PER_STEP + SYSCALL_OVERHEAD_US;
+        assert_eq!(plain.now().as_micros(), plain_us);
+        assert_eq!(
+            patched.now().as_micros(),
+            plain_us * (100 + CODE_PATCH_PENALTY_PCT) / 100
+        );
     }
 
     #[test]
     fn wait_until_counts_disk_wait() {
-        let mut c = Clock::new(CostModel::free());
+        let mut c = Clock::new();
         c.charge_us(10);
         c.wait_until(SimTime::from_micros(50));
         assert_eq!(c.now().as_micros(), 50);
@@ -305,7 +250,7 @@ mod tests {
 
     #[test]
     fn deferred_waits_record_instead_of_advancing() {
-        let mut c = Clock::new(CostModel::free());
+        let mut c = Clock::new();
         c.set_deferred_waits(true);
         c.wait_until(SimTime::from_micros(50));
         c.wait_until(SimTime::from_micros(30)); // earlier: max wins
@@ -321,7 +266,7 @@ mod tests {
 
     #[test]
     fn idle_does_not_charge_cpu() {
-        let mut c = Clock::new(CostModel::paper());
+        let mut c = Clock::new();
         c.idle_until(SimTime::from_secs(5));
         assert_eq!(c.now(), SimTime::from_secs(5));
         assert_eq!(c.cpu_time(), SimTime::ZERO);
@@ -330,17 +275,14 @@ mod tests {
 
     #[test]
     fn named_charges_use_model_constants() {
-        let mut c = Clock::new(CostModel::paper());
+        let mut c = Clock::new();
         c.charge_syscall();
-        assert_eq!(
-            c.now().as_micros(),
-            CostModel::paper().syscall_overhead_us
-        );
+        assert_eq!(c.now().as_micros(), SYSCALL_OVERHEAD_US);
         let before = c.now();
         c.charge_namei(3);
         assert_eq!(
             c.now().saturating_sub(before).as_micros(),
-            3 * CostModel::paper().namei_component_us
+            3 * NAMEI_COMPONENT_US
         );
     }
 }

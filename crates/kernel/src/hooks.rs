@@ -132,6 +132,7 @@ impl FaultHooks {
     }
 
     /// Whether any hook is armed.
+    #[cfg(test)]
     pub fn any_armed(&self) -> bool {
         self.copy_overrun.is_some()
             || self.off_by_one.is_some()

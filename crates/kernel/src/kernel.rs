@@ -112,6 +112,10 @@ pub struct Kernel {
     /// The hardware.
     pub machine: Machine,
     pub(crate) policy: Policy,
+    /// Whether `fsync` / `sync` / write-through-on-close reach the disk:
+    /// the policy's [`Policy::writes_for_reliability`] at mount, then
+    /// §2.3's administrator switch ([`Kernel::set_reliability_writes`]).
+    pub(crate) reliability_writes: bool,
     pub(crate) geometry: DiskGeometry,
     pub(crate) state: SysState,
     /// Buffer cache: disk block → page.
@@ -264,6 +268,7 @@ impl Kernel {
         Ok(Kernel {
             machine,
             policy: config.policy.clone(),
+            reliability_writes: config.policy.writes_for_reliability(),
             geometry,
             state: SysState::Running,
             bufcache: PageCache::new(bc_pages),
@@ -325,7 +330,7 @@ impl Kernel {
         if self.is_crashed() {
             return KernelError::Crashed;
         }
-        if self.policy.panic_flushes {
+        if self.policy.writes_for_reliability() {
             // A sick kernel pushing dirty buffers out: this is the paper's
             // channel by which direct memory corruption reaches disk.
             self.panic_flush();
@@ -485,9 +490,10 @@ impl Kernel {
     /// to easily enable and disable reliability disk writes for machine
     /// maintenance or extended power outages."* With writes enabled,
     /// `sync`/`fsync` push to disk again; call [`Kernel::sync`] afterwards
-    /// to drain the cache before powering down.
+    /// to drain the cache before powering down. A panic still flushes only
+    /// under a policy that [writes for reliability](Policy::writes_for_reliability).
     pub fn set_reliability_writes(&mut self, enabled: bool) {
-        self.policy.fsync_writes_disk = enabled;
+        self.reliability_writes = enabled;
     }
 
     /// Snapshots every layer's counters into an observability registry.

@@ -55,7 +55,7 @@ pub mod sched;
 pub mod syncops;
 pub mod syscalls;
 
-pub use clock::{Clock, CostModel};
+pub use clock::Clock;
 pub use error::{CrashInfo, KernelError, PanicReason};
 pub use fsck::{FsckError, FsckReport};
 pub use hooks::{Cadence, FaultHooks, OffByOne, OverrunSpec};

@@ -8,13 +8,13 @@
 //! kernel-stack bit flips propagate into wrong-parameter I/O.
 
 use crate::alloc::{heap_map, KernelAlloc};
-use crate::clock::{Clock, CostModel};
+use crate::clock::Clock;
 use crate::error::PanicReason;
 use crate::hooks::FaultHooks;
 use crate::locks::LockSet;
 use rio_cpu::{Cpu, KernelRoutines, Outcome, Reg, RoutineStore};
 use rio_disk::{DiskModel, SimDisk};
-use rio_mem::{MemBus, MemConfig, ProtectionMode};
+use rio_mem::{MemBus, MemConfig};
 
 /// Machine construction parameters.
 #[derive(Debug, Clone)]
@@ -23,14 +23,10 @@ pub struct MachineConfig {
     pub mem: MemConfig,
     /// Disk size in blocks.
     pub disk_blocks: u64,
-    /// Disk service model.
-    pub disk_model: DiskModel,
     /// Number of devices the block space is striped across (the request
     /// plane, [`rio_disk::DiskArray`], serves one device in arrival order
     /// and sweeps more C-LOOK).
     pub disk_devices: usize,
-    /// Cost model.
-    pub costs: CostModel,
 }
 
 impl MachineConfig {
@@ -39,9 +35,7 @@ impl MachineConfig {
         MachineConfig {
             mem: MemConfig::small(),
             disk_blocks: 2048,
-            disk_model: DiskModel::paper_scsi(),
             disk_devices: 1,
-            costs: CostModel::paper(),
         }
     }
 }
@@ -99,7 +93,8 @@ pub mod act_record {
 
 impl Machine {
     /// Boots the hardware: zeroed memory, routines installed in kernel
-    /// text, empty disk, clock at zero, no faults armed.
+    /// text, an empty disk of the paper's SCSI class
+    /// ([`DiskModel::paper_scsi`]), clock at zero, no faults armed.
     pub fn new(config: &MachineConfig) -> Self {
         let mut bus = MemBus::new(config.mem);
         let mut store = RoutineStore::new(bus.layout().text);
@@ -132,8 +127,12 @@ impl Machine {
             cpu: Cpu::new(),
             store,
             routines,
-            disk: SimDisk::new_striped(config.disk_blocks, config.disk_model, config.disk_devices),
-            clock: Clock::new(config.costs),
+            disk: SimDisk::new_striped(
+                config.disk_blocks,
+                DiskModel::paper_scsi(),
+                config.disk_devices,
+            ),
+            clock: Clock::new(),
             hooks: FaultHooks::none(),
             alloc,
             locks,
@@ -184,12 +183,8 @@ impl Machine {
         }
     }
 
-    fn patched(&self) -> bool {
-        self.bus.protection().mode() == ProtectionMode::CodePatching
-    }
-
     fn finish(&mut self, outcome: Outcome, steps: u64) -> Result<(), PanicReason> {
-        self.clock.charge_steps(steps, self.patched());
+        self.clock.charge_steps(steps);
         match outcome {
             Outcome::Done => Ok(()),
             Outcome::Panic(cause) => Err(cause.into()),
@@ -373,7 +368,7 @@ mod tests {
             want.cpu.set_reg(Reg(r), v);
         }
         let run = want.cpu.run(&mut want.bus, &want.store, want.routines.bcopy, 600 * 8 + 1_000);
-        want.clock.charge_steps(run.steps, false);
+        want.clock.charge_steps(run.steps);
 
         let got = m.bcopy(src, dst, 600);
         assert_eq!(got.is_ok(), run.is_done(), "{got:?} vs {run:?}");

@@ -54,15 +54,8 @@ pub struct Policy {
     pub metadata: MetadataPolicy,
     /// `fsync` on `close` (UFS write-through-on-close).
     pub fsync_on_close: bool,
-    /// Whether `fsync`/`sync` actually push to disk. Rio turns this off
-    /// (§2.3: they return immediately — memory already is permanent).
-    pub fsync_writes_disk: bool,
     /// `update` daemon interval, if any (classic 30 s).
     pub update_interval: Option<SimTime>,
-    /// Whether `panic` tries to flush dirty buffers to disk. Stock kernels
-    /// do; Rio must not (§2.3: a sick kernel flushing is how corrupt memory
-    /// reaches disk).
-    pub panic_flushes: bool,
     /// Rio machinery: registry + warm-reboot support, and at which
     /// protection level. `None` disables Rio entirely (disk-based rows).
     pub rio: Option<RioMode>,
@@ -74,6 +67,15 @@ pub struct Policy {
 }
 
 impl Policy {
+    /// Whether this configuration writes to disk for reliability at all:
+    /// whether `fsync` / `sync` push to disk and `panic` tries to flush
+    /// dirty buffers. Stock kernels do; MemFS and Rio never write for
+    /// reliability (§2.3: for Rio memory already is permanent, and a sick
+    /// kernel flushing is how corrupt memory reaches disk).
+    pub fn writes_for_reliability(&self) -> bool {
+        self.data != DataPolicy::Never
+    }
+
     /// Whether this configuration maintains the Rio registry.
     pub fn rio_enabled(&self) -> bool {
         self.rio.is_some()
@@ -86,9 +88,7 @@ impl Policy {
             data: DataPolicy::WriteThrough,
             metadata: MetadataPolicy::Sync,
             fsync_on_close: true,
-            fsync_writes_disk: true,
             update_interval: Some(SimTime::from_secs(30)),
-            panic_flushes: true,
             rio: None,
             throttle_dirty_bytes: Some(2 * 1024 * 1024),
         }
@@ -106,9 +106,7 @@ impl Policy {
             data: DataPolicy::Never,
             metadata: MetadataPolicy::Never,
             fsync_on_close: false,
-            fsync_writes_disk: false,
             update_interval: None,
-            panic_flushes: false,
             rio: Some(mode),
             throttle_dirty_bytes: None,
         }
@@ -124,8 +122,7 @@ mod tests {
         let p = Policy::rio(RioMode::Protected);
         assert_eq!(p.data, DataPolicy::Never);
         assert_eq!(p.metadata, MetadataPolicy::Never);
-        assert!(!p.fsync_writes_disk);
-        assert!(!p.panic_flushes);
+        assert!(!p.writes_for_reliability());
         assert!(p.rio_enabled());
     }
 
@@ -134,8 +131,7 @@ mod tests {
         let p = Policy::disk_write_through();
         assert_eq!(p.data, DataPolicy::WriteThrough);
         assert_eq!(p.metadata, MetadataPolicy::Sync);
-        assert!(p.fsync_writes_disk);
-        assert!(p.panic_flushes);
+        assert!(p.writes_for_reliability());
         assert!(!p.rio_enabled());
     }
 }

@@ -629,7 +629,7 @@ impl<S: AsRef<str>, B: AsRef<[u8]>> SyscallCont<S, B> {
                 match self.op {
                     SyscallOp::Close(fd) => {
                         let (addr, ino, _) = k.fd_read_state(fd)?;
-                        if k.policy.fsync_on_close && k.policy.fsync_writes_disk {
+                        if k.policy.fsync_on_close && k.reliability_writes {
                             k.fsync_ino(ino)?;
                         }
                         k.fds.remove(&fd.0);
@@ -637,12 +637,12 @@ impl<S: AsRef<str>, B: AsRef<[u8]>> SyscallCont<S, B> {
                     }
                     SyscallOp::Fsync(fd) => {
                         let (_, ino, _) = k.fd_read_state(fd)?;
-                        if k.policy.fsync_writes_disk {
+                        if k.reliability_writes {
                             k.fsync_ino(ino)?;
                         }
                     }
                     SyscallOp::Sync => {
-                        if k.policy.fsync_writes_disk {
+                        if k.reliability_writes {
                             k.flush_everything(true)?;
                         }
                     }

@@ -298,12 +298,6 @@ impl PreemptSched {
         self.conts[c].as_ref().map_or(&[], |cont| cont.held_locks())
     }
 
-    /// Whether client `c` has retired.
-    #[must_use]
-    pub fn is_finished(&self, c: usize) -> bool {
-        matches!(self.run[c], Run::Finished)
-    }
-
     /// Whether every client has retired.
     #[must_use]
     pub fn all_finished(&self) -> bool {

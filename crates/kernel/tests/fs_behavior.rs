@@ -270,9 +270,7 @@ fn rio_baselines_like_delayed() -> Policy {
         data: rio_kernel::DataPolicy::Delayed,
         metadata: rio_kernel::MetadataPolicy::Delayed,
         fsync_on_close: false,
-        fsync_writes_disk: true,
         update_interval: Some(rio_disk::SimTime::from_secs(30)),
-        panic_flushes: true,
         rio: None,
         throttle_dirty_bytes: Some(2 * 1024 * 1024),
     }

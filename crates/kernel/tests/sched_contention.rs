@@ -20,9 +20,7 @@ fn throttled_policy() -> Policy {
         data: DataPolicy::Delayed,
         metadata: MetadataPolicy::Delayed,
         fsync_on_close: false,
-        fsync_writes_disk: true,
         update_interval: Some(SimTime::from_secs(300)),
-        panic_flushes: false,
         rio: None,
         throttle_dirty_bytes: Some(2 * 8192),
     }

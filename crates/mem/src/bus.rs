@@ -130,16 +130,6 @@ impl MemBus {
         }
     }
 
-    /// Re-attaches a bus to a preserved memory image (used after a warm
-    /// reboot to inspect the crashed machine's DRAM).
-    pub fn from_image(mem: PhysMem, prot: ProtectionTable) -> Self {
-        MemBus {
-            mem,
-            prot,
-            stats: AccessStats::default(),
-        }
-    }
-
     /// The region layout.
     pub fn layout(&self) -> &MemLayout {
         self.mem.layout()

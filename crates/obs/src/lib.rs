@@ -596,20 +596,6 @@ pub fn note(category: EventCategory, text: String) {
     });
 }
 
-/// Adds to a named counter in the open session's registry. No-op when
-/// tracing is off.
-#[inline]
-pub fn counter_add(name: &str, delta: u64) {
-    if !is_enabled() {
-        return;
-    }
-    SESSION.with(|s| {
-        if let Some(session) = s.borrow_mut().as_mut() {
-            session.registry.add(name, delta);
-        }
-    });
-}
-
 /// Records a sample into a named histogram in the open session's
 /// registry. No-op when tracing is off.
 #[inline]
@@ -654,7 +640,6 @@ mod tests {
     fn disabled_emits_are_no_ops() {
         assert!(!is_enabled());
         emit(EventCategory::Syscall, Payload::None);
-        counter_add("x", 1);
         histogram_record("h", 5);
         note(EventCategory::TrialPanic, "nope".to_owned());
         assert!(finish().is_none());
@@ -666,15 +651,12 @@ mod tests {
         set_sim_ns(40);
         emit(EventCategory::ProtectionTrap, Payload::Addr { addr: 0x2000, aux: 1 });
         emit_at(80, EventCategory::ShadowCommit, Payload::Count { value: 7 });
-        counter_add("kernel.syscalls", 3);
-        counter_add("kernel.syscalls", 2);
         histogram_record("disk.queue_depth", 4);
         note(EventCategory::TrialPanic, "boom".to_owned());
         let t = finish().expect("session open");
         assert_eq!(t.events.len(), 2);
         assert_eq!(t.events[0].sim_ns, 40);
         assert_eq!(t.events[1].category, EventCategory::ShadowCommit);
-        assert_eq!(t.registry.get("kernel.syscalls"), 5);
         assert_eq!(t.registry.histogram("disk.queue_depth").unwrap().count(), 1);
         assert_eq!(t.notes[0].text, "boom");
         assert_eq!(t.dropped, 0);

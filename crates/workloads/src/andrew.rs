@@ -10,6 +10,14 @@ use crate::datagen;
 use rio_disk::SimTime;
 use rio_kernel::{Kernel, KernelError};
 
+/// Smallest source file, bytes.
+const MIN_FILE_BYTES: usize = 2 * 1024;
+/// Largest source file, bytes.
+const MAX_FILE_BYTES: usize = 14 * 1024;
+/// CPU time to "compile" one source file, microseconds (the dominant
+/// cost; the paper's compile phase is pure CPU plus object writes).
+const COMPILE_CPU_US_PER_FILE: u64 = 25_000;
+
 /// Andrew parameters.
 #[derive(Debug, Clone)]
 pub struct AndrewConfig {
@@ -21,13 +29,6 @@ pub struct AndrewConfig {
     pub dirs: usize,
     /// Files per subdirectory.
     pub files_per_dir: usize,
-    /// Source file size bounds.
-    pub min_file_bytes: usize,
-    /// Source file size bounds.
-    pub max_file_bytes: usize,
-    /// CPU time to "compile" one source file, microseconds (the dominant
-    /// cost; the paper's compile phase is pure CPU plus object writes).
-    pub compile_cpu_us_per_file: u64,
 }
 
 impl AndrewConfig {
@@ -38,9 +39,6 @@ impl AndrewConfig {
             root: "/andrew".to_owned(),
             dirs: 4,
             files_per_dir: 12,
-            min_file_bytes: 2 * 1024,
-            max_file_bytes: 14 * 1024,
-            compile_cpu_us_per_file: 25_000,
         }
     }
 }
@@ -82,8 +80,8 @@ impl Andrew {
         datagen::length(
             self.cfg.seed,
             (d * 1000 + f) as u64,
-            self.cfg.min_file_bytes,
-            self.cfg.max_file_bytes,
+            MIN_FILE_BYTES,
+            MAX_FILE_BYTES,
         )
     }
 
@@ -134,9 +132,7 @@ impl Andrew {
         for d in 0..self.cfg.dirs {
             for f in 0..self.cfg.files_per_dir {
                 let src = k.file_contents(&self.file_path(d, f))?;
-                k.machine
-                    .clock
-                    .charge_us(self.cfg.compile_cpu_us_per_file);
+                k.machine.clock.charge_us(COMPILE_CPU_US_PER_FILE);
                 let obj = datagen::bytes(
                     self.cfg.seed ^ 0xB0B0,
                     (d * 1000 + f) as u64,

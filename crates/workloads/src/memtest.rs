@@ -289,8 +289,6 @@ pub struct MemTest {
     /// The in-flight op's syscalls not yet issued. A `write` / `pwrite`
     /// carries no bytes here: its payload is bound when it is taken.
     script: SyscallScript,
-    /// As a scheduled client: retire once this many ops are done.
-    op_limit: u64,
     /// As a scheduled client: a syscall failed benignly and retired it.
     failed: bool,
 }
@@ -305,18 +303,7 @@ impl MemTest {
             ops_done: 0,
             cur: None,
             script: SyscallScript::default(),
-            op_limit: u64::MAX,
             failed: false,
-        }
-    }
-
-    /// The same memTest, retiring as a scheduled client once `ops` ops
-    /// are done ([`MemTest::step`] ignores the limit).
-    #[must_use]
-    pub fn with_op_limit(self, ops: u64) -> Self {
-        MemTest {
-            op_limit: ops,
-            ..self
         }
     }
 
@@ -566,9 +553,6 @@ impl PreemptClient for MemTest {
             }
             self.complete();
         }
-        if self.ops_done >= self.op_limit {
-            return None;
-        }
         self.begin();
         self.take_owned()
     }
@@ -789,6 +773,17 @@ mod tests {
         }
     }
 
+    /// memTest as a scheduled client that retires once `.1` ops are done:
+    /// the op it would begin past that is never issued.
+    struct Limited<'a>(&'a mut MemTest, u64);
+
+    impl PreemptClient for Limited<'_> {
+        fn next_op(&mut self, prev: Option<&SyscallRet>) -> Option<SyscallOp> {
+            let op = self.0.next_op(prev);
+            op.filter(|_| self.0.ops_done() < self.1)
+        }
+    }
+
     /// The same memTest stepped on the blocking clock and run as the one
     /// client of a scheduler, `ops` ops each, on two kernels from `boot`.
     fn blocking_and_scheduled(
@@ -800,9 +795,9 @@ mod tests {
         blocking.1.setup(&mut blocking.0).unwrap();
         blocking.1.run(&mut blocking.0, ops).unwrap();
 
-        let mut scheduled = (boot(), MemTest::new(cfg.clone()).with_op_limit(ops));
+        let mut scheduled = (boot(), MemTest::new(cfg.clone()));
         scheduled.1.setup(&mut scheduled.0).unwrap();
-        let mut clients: [&mut dyn PreemptClient; 1] = [&mut scheduled.1];
+        let mut clients: [&mut dyn PreemptClient; 1] = [&mut Limited(&mut scheduled.1, ops)];
         rio_kernel::run_preemptive(&mut scheduled.0, &mut clients, 0, true).unwrap();
         assert!(!scheduled.1.failed(), "fault-free run must not fail");
         assert_eq!(scheduled.1.ops_done(), ops);
@@ -875,18 +870,18 @@ mod tests {
         // as running the same scripts one client at a time.
         let final_state = |interleaved: bool| {
             let mut k = kernel();
-            let mut pms: Vec<MemTest> =
-                (0..4).map(|c| MemTest::new(scale_cfg(c)).with_op_limit(40)).collect();
+            let mut pms: Vec<MemTest> = (0..4).map(|c| MemTest::new(scale_cfg(c))).collect();
             MemTest::setup_static(&mut k, 7).unwrap();
             for pm in &mut pms {
                 pm.setup_skeleton(&mut k).unwrap();
             }
+            let mut fleet: Vec<Limited> = pms.iter_mut().map(|pm| Limited(pm, 40)).collect();
             if interleaved {
-                rio_kernel::run_preemptive(&mut k, &mut rio_kernel::client_refs(&mut pms), 11, true)
-                    .unwrap();
+                let mut clients = rio_kernel::client_refs(&mut fleet);
+                rio_kernel::run_preemptive(&mut k, &mut clients, 11, true).unwrap();
             } else {
-                for pm in &mut pms {
-                    let mut clients: [&mut dyn PreemptClient; 1] = [pm];
+                for client in &mut fleet {
+                    let mut clients: [&mut dyn PreemptClient; 1] = [client];
                     rio_kernel::run_preemptive(&mut k, &mut clients, 11, true).unwrap();
                 }
             }

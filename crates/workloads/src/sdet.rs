@@ -11,6 +11,11 @@ use rio_disk::SimTime;
 use rio_kernel::{Fd, Kernel, KernelError};
 use std::collections::VecDeque;
 
+/// Concurrent user scripts (the paper's 5).
+const SCRIPTS: usize = 5;
+/// Maximum bytes per file.
+const MAX_FILE_BYTES: usize = 12 * 1024;
+
 /// Sdet parameters.
 #[derive(Debug, Clone)]
 pub struct SdetConfig {
@@ -18,12 +23,8 @@ pub struct SdetConfig {
     pub seed: u64,
     /// Root directory.
     pub root: String,
-    /// Concurrent user scripts (the paper's 5).
-    pub scripts: usize,
     /// Operations per script.
     pub ops_per_script: usize,
-    /// Maximum bytes per file.
-    pub max_file_bytes: usize,
 }
 
 impl SdetConfig {
@@ -32,9 +33,7 @@ impl SdetConfig {
         SdetConfig {
             seed,
             root: "/sdet".to_owned(),
-            scripts: 5,
             ops_per_script: 120,
-            max_file_bytes: 12 * 1024,
         }
     }
 }
@@ -75,7 +74,7 @@ impl Sdet {
             next_file: u64,
             open: Option<(Fd, String)>,
         }
-        let mut users: Vec<User> = (0..self.cfg.scripts)
+        let mut users: Vec<User> = (0..SCRIPTS)
             .map(|u| User {
                 dir: format!("{}/user{u}", self.cfg.root),
                 files: VecDeque::new(),
@@ -97,8 +96,7 @@ impl Sdet {
                     0..=34 => {
                         let name = format!("{}/s{}", user.dir, user.next_file);
                         user.next_file += 1;
-                        let len =
-                            datagen::length(self.cfg.seed, tag ^ 0xA5, 64, self.cfg.max_file_bytes);
+                        let len = datagen::length(self.cfg.seed, tag ^ 0xA5, 64, MAX_FILE_BYTES);
                         let fd = k.create(&name)?;
                         k.write(fd, &datagen::bytes(self.cfg.seed, tag, len))?;
                         k.close(fd)?;
@@ -167,10 +165,10 @@ mod tests {
             ..SdetConfig::small(4)
         };
         let report = Sdet::new(cfg.clone()).run(&mut k).unwrap();
-        assert_eq!(report.ops, (cfg.scripts * cfg.ops_per_script) as u64);
+        assert_eq!(report.ops, (SCRIPTS * cfg.ops_per_script) as u64);
         assert!(report.total > SimTime::ZERO);
         // Each user directory exists.
-        assert_eq!(k.readdir("/sdet").unwrap().len(), cfg.scripts);
+        assert_eq!(k.readdir("/sdet").unwrap().len(), SCRIPTS);
     }
 
     #[test]

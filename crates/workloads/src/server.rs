@@ -31,6 +31,19 @@ use rio_kernel::{
 use rio_obs::Histogram;
 use std::sync::Arc;
 
+/// Zipf skew exponent for key popularity (1.0–1.3 is web-like).
+const ZIPF_S: f64 = 1.1;
+/// Length of one burst phase, µs.
+const BURST_PHASE_US: u64 = 500_000;
+/// Percentage of phases that are bursts.
+const BURST_DUTY_PCT: u64 = 30;
+/// Percentage of requests that are reads.
+const READ_PCT: u64 = 60;
+/// Percentage of requests that are plain writes (the remainder are
+/// commits: write + `fsync`).
+const WRITE_PCT: u64 = 30;
+const _: () = assert!(READ_PCT + WRITE_PCT <= 100, "op mix exceeds 100%");
+
 /// Server-workload parameters.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -46,8 +59,6 @@ pub struct ServerConfig {
     pub keys: usize,
     /// Bytes per key file (requests read/write within this).
     pub key_bytes: usize,
-    /// Zipf skew exponent for key popularity (1.0–1.3 is web-like).
-    pub zipf_s: f64,
     /// Mean per-client inter-arrival time at rate multiplier 1, µs.
     ///
     /// Zero makes the fleet closed-loop: the arrivals are `base + 1, 2,
@@ -56,17 +67,8 @@ pub struct ServerConfig {
     /// request's latency then measures backlog since the run began, not
     /// service; the run's wall time measures capacity.
     pub mean_interarrival_us: u64,
-    /// Length of one burst phase, µs.
-    pub burst_phase_us: u64,
     /// Arrival-rate multiplier inside a burst phase.
     pub burst_mult: f64,
-    /// Percentage of phases that are bursts.
-    pub burst_duty_pct: u64,
-    /// Percentage of requests that are reads.
-    pub read_pct: u64,
-    /// Percentage of requests that are plain writes (the remainder are
-    /// commits: write + `fsync`).
-    pub write_pct: u64,
     /// Bytes transferred per request.
     pub io_bytes: usize,
 }
@@ -92,13 +94,8 @@ impl ServerConfig {
             requests_per_client: 16,
             keys: 128,
             key_bytes: 8 * 1024,
-            zipf_s: 1.1,
             mean_interarrival_us: 4_000_000,
-            burst_phase_us: 500_000,
             burst_mult: 8.0,
-            burst_duty_pct: 30,
-            read_pct: 60,
-            write_pct: 30,
             io_bytes: 1024,
         }
     }
@@ -149,8 +146,6 @@ struct ServerClient {
     zipf_cdf: Arc<Vec<f64>>,
     key_bytes: usize,
     io_bytes: usize,
-    read_pct: u64,
-    write_pct: u64,
     req: usize,
     /// The request in flight: its class and scheduled arrival.
     cur: Option<(ReqKind, SimTime)>,
@@ -177,8 +172,6 @@ impl ServerClient {
             zipf_cdf,
             key_bytes: cfg.key_bytes,
             io_bytes: cfg.io_bytes,
-            read_pct: cfg.read_pct,
-            write_pct: cfg.write_pct,
             req: 0,
             cur: None,
             script: SyscallScript::default(),
@@ -190,9 +183,9 @@ impl ServerClient {
 
     fn draw_kind(&mut self) -> ReqKind {
         let r = self.rng.gen_range(0..100u64);
-        if r < self.read_pct {
+        if r < READ_PCT {
             ReqKind::Read
-        } else if r < self.read_pct + self.write_pct {
+        } else if r < READ_PCT + WRITE_PCT {
             ReqKind::Write
         } else {
             ReqKind::Commit
@@ -275,7 +268,7 @@ impl PreemptClient for ServerClient {
 }
 
 /// Precomputed Poisson arrivals with bursty phase modulation: phase `p`
-/// (a `burst_phase_us` window) is a burst iff a pure function of
+/// (a [`BURST_PHASE_US`] window) is a burst iff a pure function of
 /// `(seed, p)` says so, and inter-arrival draws are exponential with the
 /// phase's rate. Every client sees the same phase schedule but its own
 /// arrival stream.
@@ -284,9 +277,9 @@ fn arrivals(cfg: &ServerConfig, uid: usize, base: SimTime) -> Vec<SimTime> {
     let mut t_us = 0.0f64;
     (0..cfg.requests_per_client)
         .map(|_| {
-            let phase = t_us as u64 / cfg.burst_phase_us.max(1);
+            let phase = t_us as u64 / BURST_PHASE_US;
             let burst =
-                derive_seed(derive_seed(cfg.seed, STREAM_BURST), phase) % 100 < cfg.burst_duty_pct;
+                derive_seed(derive_seed(cfg.seed, STREAM_BURST), phase) % 100 < BURST_DUTY_PCT;
             let mult = if burst { cfg.burst_mult } else { 1.0 };
             let u = rng.gen_f64();
             let dt = -(1.0 - u).ln() * cfg.mean_interarrival_us as f64 / mult;
@@ -296,9 +289,9 @@ fn arrivals(cfg: &ServerConfig, uid: usize, base: SimTime) -> Vec<SimTime> {
         .collect()
 }
 
-/// Normalized Zipf CDF over `keys` ranks with exponent `s`.
-fn zipf_cdf(keys: usize, s: f64) -> Vec<f64> {
-    let mut weights: Vec<f64> = (0..keys).map(|i| 1.0 / ((i + 1) as f64).powf(s)).collect();
+/// Normalized Zipf CDF over `keys` ranks with exponent [`ZIPF_S`].
+fn zipf_cdf(keys: usize) -> Vec<f64> {
+    let mut weights: Vec<f64> = (0..keys).map(|i| 1.0 / ((i + 1) as f64).powf(ZIPF_S)).collect();
     let total: f64 = weights.iter().sum();
     let mut acc = 0.0;
     for w in &mut weights {
@@ -323,10 +316,9 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if `io_bytes > key_bytes` or the op mix exceeds 100%.
+    /// Panics if `io_bytes > key_bytes`, or with no keys or no clients.
     pub fn new(cfg: ServerConfig) -> Self {
         assert!(cfg.io_bytes <= cfg.key_bytes, "io_bytes exceeds key size");
-        assert!(cfg.read_pct + cfg.write_pct <= 100, "op mix exceeds 100%");
         assert!(cfg.keys > 0 && cfg.clients > 0);
         Server { cfg }
     }
@@ -350,7 +342,7 @@ impl Server {
             k.close(fd)?;
         }
         let base = k.machine.clock.now();
-        let cdf = Arc::new(zipf_cdf(cfg.keys, cfg.zipf_s));
+        let cdf = Arc::new(zipf_cdf(cfg.keys));
         let mut clients: Vec<ServerClient> = (0..cfg.clients)
             .map(|uid| ServerClient::new(cfg, uid, base, Arc::clone(&cdf)))
             .collect();
@@ -463,7 +455,7 @@ mod tests {
 
     #[test]
     fn zipf_cdf_is_monotone_and_skewed() {
-        let cdf = zipf_cdf(64, 1.1);
+        let cdf = zipf_cdf(64);
         assert_eq!(cdf.len(), 64);
         assert!(cdf.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(*cdf.last().unwrap(), 1.0);

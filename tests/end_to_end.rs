@@ -186,7 +186,7 @@ fn memory_board_transplant_recovers_on_a_different_machine() {
     // The replacement machine: same geometry, brand-new disk.
     let mut fresh_disk = rio::disk::SimDisk::new(
         config.machine.disk_blocks,
-        config.machine.disk_model,
+        rio::disk::DiskModel::paper_scsi(),
     );
     Kernel::format(&mut fresh_disk, &config.geometry);
     let (mut k2, report) = Kernel::warm_boot(&config, &image, fresh_disk).unwrap();
