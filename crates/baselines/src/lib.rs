@@ -12,15 +12,18 @@
 //! | [`rio_without_protection`] | Rio without protection | write, sync |
 //! | [`rio_with_protection`] | Rio with protection | write, sync |
 //!
+//! [`table2_rows`] pairs each policy with its row label and permanence
+//! column; the kernel never sees either.
+//!
 //! # Example
 //!
 //! ```
-//! use rio_baselines::{table2_policies, rio_with_protection};
+//! use rio_baselines::table2_rows;
 //! use rio_kernel::{Kernel, KernelConfig};
 //!
 //! # fn main() -> Result<(), rio_kernel::KernelError> {
 //! // Spin up the full Table 2 fleet.
-//! for policy in table2_policies() {
+//! for (_label, _permanence, policy) in table2_rows() {
 //!     let mut k = Kernel::mkfs_and_mount(&KernelConfig::small(policy))?;
 //!     let fd = k.create("/probe")?;
 //!     k.write(fd, b"hello")?;
@@ -46,7 +49,6 @@ pub const UFS_CLUSTER_BYTES: u64 = 64 * 1024;
 /// no crash survival. Table 2's optimal-performance yardstick.
 pub fn memfs() -> Policy {
     Policy {
-        name: "Memory File System".to_owned(),
         data: DataPolicy::Never,
         metadata: MetadataPolicy::Never,
         fsync_on_close: false,
@@ -61,7 +63,6 @@ pub fn memfs() -> Policy {
 /// *everything*.
 pub fn ufs_delayed() -> Policy {
     Policy {
-        name: "UFS, delayed data and metadata".to_owned(),
         data: DataPolicy::Delayed,
         metadata: MetadataPolicy::Delayed,
         fsync_on_close: false,
@@ -74,7 +75,6 @@ pub fn ufs_delayed() -> Policy {
 /// AdvFS: journaled metadata (sequential log writes), async data.
 pub fn advfs() -> Policy {
     Policy {
-        name: "AdvFS (log metadata updates)".to_owned(),
         data: DataPolicy::Delayed,
         metadata: MetadataPolicy::Journal,
         fsync_on_close: false,
@@ -89,7 +89,6 @@ pub fn advfs() -> Policy {
 /// ordering \[Ganger94\].
 pub fn ufs_default() -> Policy {
     Policy {
-        name: "UFS".to_owned(),
         data: DataPolicy::AsyncClustered {
             cluster_bytes: UFS_CLUSTER_BYTES,
         },
@@ -104,7 +103,6 @@ pub fn ufs_default() -> Policy {
 /// UFS with write-through on close: `fsync` on every file close.
 pub fn ufs_write_close() -> Policy {
     Policy {
-        name: "UFS write-through on close".to_owned(),
         data: DataPolicy::AsyncClustered {
             cluster_bytes: UFS_CLUSTER_BYTES,
         },
@@ -120,10 +118,7 @@ pub fn ufs_write_close() -> Policy {
 /// mount plus fsync on close). The only non-Rio row with Rio's reliability
 /// guarantee, and the Table 1 disk-based system.
 pub fn ufs_write_write() -> Policy {
-    Policy {
-        name: "UFS write-through on write".to_owned(),
-        ..Policy::disk_write_through()
-    }
+    Policy::disk_write_through()
 }
 
 /// Rio without protection: registry + warm reboot only (Table 1 middle
@@ -137,37 +132,26 @@ pub fn rio_with_protection() -> Policy {
     Policy::rio(RioMode::Protected)
 }
 
-/// Rio with the code-patching protection fallback (§2.1 ablation).
-pub fn rio_code_patched() -> Policy {
-    Policy::rio(RioMode::CodePatched)
-}
-
-/// The eight Table 2 rows, in the paper's order.
-pub fn table2_policies() -> Vec<Policy> {
+/// The eight Table 2 rows, in the paper's order: each row's label, its
+/// "Data Permanent" column and its policy.
+pub fn table2_rows() -> Vec<(&'static str, &'static str, Policy)> {
     vec![
-        memfs(),
-        ufs_delayed(),
-        advfs(),
-        ufs_default(),
-        ufs_write_close(),
-        ufs_write_write(),
-        rio_without_protection(),
-        rio_with_protection(),
-    ]
-}
-
-/// The "Data Permanent" column of Table 2, aligned with
-/// [`table2_policies`].
-pub fn table2_permanence_labels() -> Vec<&'static str> {
-    vec![
-        "never",
-        "after 0-30 seconds, asynchronous",
-        "after 0-30 seconds, asynchronous",
-        "data after 64 KB, async; metadata sync",
-        "after close, synchronous",
-        "after write, synchronous",
-        "after write, synchronous",
-        "after write, synchronous",
+        ("Memory File System", "never", memfs()),
+        (
+            "UFS, delayed data and metadata",
+            "after 0-30 seconds, asynchronous",
+            ufs_delayed(),
+        ),
+        (
+            "AdvFS (log metadata updates)",
+            "after 0-30 seconds, asynchronous",
+            advfs(),
+        ),
+        ("UFS", "data after 64 KB, async; metadata sync", ufs_default()),
+        ("UFS write-through on close", "after close, synchronous", ufs_write_close()),
+        ("UFS write-through on write", "after write, synchronous", ufs_write_write()),
+        ("Rio without protection", "after write, synchronous", rio_without_protection()),
+        ("Rio with protection", "after write, synchronous", rio_with_protection()),
     ]
 }
 
@@ -177,28 +161,24 @@ mod tests {
     use rio_kernel::{Kernel, KernelConfig, PanicReason};
 
     #[test]
-    fn eight_rows_with_unique_names() {
-        let ps = table2_policies();
-        assert_eq!(ps.len(), 8);
-        let mut names: Vec<_> = ps.iter().map(|p| p.name.clone()).collect();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), 8);
-        assert_eq!(table2_permanence_labels().len(), 8);
+    fn eight_rows_with_unique_labels() {
+        let rows = table2_rows();
+        assert_eq!(rows.len(), 8);
+        let mut labels: Vec<_> = rows.iter().map(|(label, _, _)| *label).collect();
+        labels.sort();
+        labels.dedup();
+        assert_eq!(labels.len(), 8);
     }
 
     #[test]
     fn table2_write_through_row_is_the_table1_disk_based_system() {
-        let table1 = Policy::disk_write_through();
-        let table2 = ufs_write_write();
-        assert_ne!(table1.name, table2.name, "each table keeps its own row label");
-        assert_eq!(Policy { name: table1.name.clone(), ..table2 }, table1);
+        assert_eq!(ufs_write_write(), Policy::disk_write_through());
     }
 
     #[test]
     fn only_rio_rows_enable_rio() {
-        for (i, p) in table2_policies().iter().enumerate() {
-            assert_eq!(p.rio_enabled(), i >= 6, "{}", p.name);
+        for (i, (label, _, p)) in table2_rows().iter().enumerate() {
+            assert_eq!(p.rio_enabled(), i >= 6, "{label}");
         }
     }
 
@@ -207,7 +187,10 @@ mod tests {
         // Rows claiming "after write, synchronous" must actually make a
         // completed write durable across a crash (with their native
         // recovery path).
-        for policy in [ufs_write_write(), rio_with_protection()] {
+        for (label, policy) in [
+            ("write-through", ufs_write_write()),
+            ("Rio", rio_with_protection()),
+        ] {
             let config = KernelConfig::small(policy.clone());
             let mut k = Kernel::mkfs_and_mount(&config).unwrap();
             let fd = k.create("/d.bin").unwrap();
@@ -223,8 +206,7 @@ mod tests {
             assert_eq!(
                 k2.file_contents("/d.bin").unwrap(),
                 data,
-                "{} must not lose a completed write",
-                policy.name
+                "{label} must not lose a completed write"
             );
         }
     }
@@ -266,45 +248,53 @@ mod tests {
         // rows whose data is ever written for reliability, and only those
         // rows flush dirty buffers at a panic — not MemFS, not either Rio
         // row.
-        let mut rows = table2_policies();
-        rows.push(Policy::disk_write_through());
-        for policy in &rows {
+        let rows = table2_rows();
+        for (label, _, policy) in &rows {
             let writes = policy.data != DataPolicy::Never;
-            assert_eq!(fsync_reaches_disk(policy, |_| {}), writes, "{}: fsync", policy.name);
+            assert_eq!(fsync_reaches_disk(policy, |_| {}), writes, "{label}: fsync");
             let flushed = panic_flush_writes(policy, |_| {});
             if !writes {
-                assert_eq!(flushed, 0, "{}: a panic flushed", policy.name);
+                assert_eq!(flushed, 0, "{label}: a panic flushed");
             }
         }
-        for policy in [ufs_delayed(), advfs()] {
-            assert!(panic_flush_writes(&policy, |_| {}) > 0, "{}: no panic flush", policy.name);
+        for (label, policy) in [("delayed UFS", ufs_delayed()), ("AdvFS", advfs())] {
+            assert!(panic_flush_writes(&policy, |_| {}) > 0, "{label}: no panic flush");
         }
         // The administrator switch turns Rio's `fsync` back on; a Rio
         // panic still flushes nothing.
         let enable = |k: &mut Kernel| k.set_reliability_writes(true);
-        for policy in [rio_without_protection(), rio_with_protection()] {
-            assert!(fsync_reaches_disk(&policy, enable), "{}: switched fsync", policy.name);
-            assert_eq!(panic_flush_writes(&policy, enable), 0, "{}: switched panic", policy.name);
+        for (label, _, policy) in rows.iter().filter(|(_, _, p)| p.rio_enabled()) {
+            assert!(fsync_reaches_disk(policy, enable), "{label}: switched fsync");
+            assert_eq!(panic_flush_writes(policy, enable), 0, "{label}: switched panic");
         }
     }
 
     #[test]
     fn delayed_ufs_loses_recent_data_on_crash() {
+        // What `sync` wrote survives a crash; a write since, with the
+        // 30-second `update` not yet run, does not.
         let config = KernelConfig::small(ufs_delayed());
         let mut k = Kernel::mkfs_and_mount(&config).unwrap();
+        let old = vec![1u8; 4096];
+        let fd = k.create("/old.bin").unwrap();
+        k.write(fd, &old).unwrap();
+        k.close(fd).unwrap();
+        k.sync().unwrap();
+        let recent = vec![2u8; 4096];
         let fd = k.create("/recent.bin").unwrap();
-        k.write(fd, &vec![1u8; 4096]).unwrap();
-        // Crash before the 30-second update fires.
+        k.write(fd, &recent).unwrap();
+        k.close(fd).unwrap();
+        assert!(k.machine.clock.now() < UPDATE_INTERVAL, "update must not have run");
         k.crash_now(PanicReason::Watchdog);
-        // Note: the panic flush pushes dirty buffers — but queued writes that
-        // never start are lost at the instant crash; simulate the harness
-        // treating the panic flush as racing the crash by checking the
-        // recovered state is *at most* partially present.
         let (_image, disk) = k.into_crash_artifacts();
         let (mut k2, _) = Kernel::cold_boot(&config, disk).unwrap();
-        // The file may or may not have made it out (panic flush), but the
-        // system must mount cleanly either way.
-        let _ = k2.readdir("/").unwrap();
+        assert_eq!(k2.file_contents("/old.bin").unwrap(), old);
+        // The panic flush writes the directory entry and the inode, but a
+        // delayed page gets its disk block only when it is flushed, so its
+        // bytes cannot follow: the name survives, the contents are a hole.
+        let names = k2.readdir("/").unwrap();
+        assert!(names.iter().any(|n| n == "recent.bin"), "{names:?}");
+        assert_eq!(k2.file_contents("/recent.bin").unwrap(), vec![0u8; recent.len()]);
     }
 
     #[test]

@@ -7,11 +7,13 @@
 //! restores file data through normal `open`/`write` system calls.
 //!
 //! This module is the analysis half: [`scan_registry`] walks the preserved
-//! image's registry and classifies every entry, and [`restore_metadata`]
-//! writes recovered metadata blocks back to the disk. The syscall-replay
-//! half lives in the kernel crate (`rio_kernel`), which is the layer that
-//! owns syscalls — mirroring the paper's split between the boot-time dump
-//! and the user-level restore process.
+//! image's registry and classifies every entry, and [`commit_restored`] /
+//! [`commit_replayed`] mark recovery progress in the image. The restore
+//! itself — metadata blocks back to their disk addresses, then the
+//! syscall replay of file data — lives in the kernel crate (`rio_kernel`,
+//! `Kernel::warm_boot_resumable`), which owns the disk and the syscalls,
+//! mirroring the paper's split between the boot-time dump and the
+//! user-level restore process.
 //!
 //! Entries are *dropped* (not restored) when they cannot be trusted:
 //! marked `CHANGING` at the crash (mid-write, unidentifiable per §3.2),
@@ -21,7 +23,6 @@
 //! even though a warm reboot ran.
 
 use crate::registry::{EntryFlags, Registry, RegistryEntry, RegistryError};
-use rio_disk::SimDisk;
 use rio_mem::{crc32, PageNum, PhysMem, PAGE_SIZE};
 
 /// A dirty file-data page recovered from the image.
@@ -273,18 +274,6 @@ pub fn commit_replayed(image: &mut PhysMem, registry: &Registry, slot: u64) {
     commit_flag(image, registry, slot, EntryFlags::REPLAYED);
 }
 
-/// Restores recovered metadata blocks to the disk (the pre-fsck step of
-/// §2.2, "using the disk address stored in the registry").
-///
-/// Runs on a healthy booting system, so writes are not timed.
-pub fn restore_metadata(recovery: &Recovery, disk: &mut SimDisk) {
-    for m in &recovery.metadata {
-        if !m.already_restored && m.block < disk.num_blocks() {
-            disk.poke(m.block, &m.data);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,7 +422,7 @@ mod tests {
     }
 
     #[test]
-    fn metadata_restores_to_disk() {
+    fn dirty_metadata_recovers_its_block_and_contents() {
         let (mut bus, registry, mut prot) = bus_with_registry();
         write_page_and_entry(
             &mut bus,
@@ -447,9 +436,10 @@ mod tests {
         );
         let rec = scan_registry(&bus.into_image());
         assert_eq!(rec.stats.metadata_recovered, 1);
-        let mut disk = SimDisk::new(16, rio_disk::DiskModel::instant());
-        restore_metadata(&rec, &mut disk);
-        assert!(disk.peek(6).iter().all(|&b| b == 0xB7));
+        let m = &rec.metadata[0];
+        assert_eq!((m.slot, m.block), (1, 6));
+        assert!(!m.already_restored && !m.from_shadow);
+        assert_eq!(m.data, vec![0xB7; PAGE_SIZE]);
     }
 
     #[test]
@@ -560,12 +550,12 @@ mod tests {
         let rec = scan_registry(&image);
         assert_eq!(rec.stats.committed_restored, 1);
         assert_eq!(rec.stats.metadata_recovered, 0);
-        // restore_metadata must leave the (say, fsck-repaired) disk block
-        // alone.
-        let mut disk = SimDisk::new(16, rio_disk::DiskModel::instant());
-        disk.poke(6, &[0x11u8; PAGE_SIZE]);
-        restore_metadata(&rec, &mut disk);
-        assert!(disk.peek(6).iter().all(|&b| b == 0x11));
+        // The restore must leave the (say, fsck-repaired) disk block
+        // alone: the entry is flagged, and carries no bytes to poke.
+        let m = &rec.metadata[0];
+        assert_eq!(m.block, 6);
+        assert!(m.already_restored);
+        assert!(m.data.is_empty());
     }
 
     #[test]

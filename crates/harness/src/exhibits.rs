@@ -172,6 +172,8 @@ fn server(k: &Knobs, threads: usize) -> Vec<String> {
     }
     let report = run_server(&ServerGrid::small(k.seed), threads);
     report.assert_rio_tail_wins();
+    report.assert_rio_commits_an_order_faster();
+    report.assert_protection_beats_sullivan();
     report.assert_rio_capacity_wins();
     let text = format!(
         "{}\nhistogram self-check: worst percentile error {worst:.4} (bound 0.0625) OK\n",

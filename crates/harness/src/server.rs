@@ -106,8 +106,9 @@ pub struct ServerGridReport {
 }
 
 const RIO: &str = "Rio (protected)";
+const UNPROT: &str = "Rio (no protection)";
 const WT: &str = "UFS write-through";
-const SYSTEMS: [&str; 5] = ["memfs", RIO, "Rio (no protection)", WT, "UFS default"];
+const SYSTEMS: [&str; 5] = ["memfs", RIO, UNPROT, WT, "UFS default"];
 
 /// The open-loop grid's stripe.
 const OPEN_DEVICES: usize = 4;
@@ -117,9 +118,9 @@ const CAPACITY_DEVICES: [usize; 2] = [1, OPEN_DEVICES];
 fn policy_for(system: &str) -> Policy {
     match system {
         "memfs" => memfs(),
-        "Rio (protected)" => rio_with_protection(),
-        "Rio (no protection)" => rio_without_protection(),
-        "UFS write-through" => ufs_write_write(),
+        RIO => rio_with_protection(),
+        UNPROT => rio_without_protection(),
+        WT => ufs_write_write(),
         "UFS default" => ufs_default(),
         other => panic!("unknown system {other}"),
     }
@@ -165,6 +166,43 @@ impl ServerGridReport {
             adv > 1.0,
             "Rio commit p999 must beat write-through at {c} clients (got {adv:.2}x)"
         );
+    }
+
+    /// A cell's exact mean commit latency in µs (the histogram's sum over
+    /// its count, not a bucketed percentile).
+    fn commit_mean(&self, system: &str, clients: usize) -> f64 {
+        let commit = &self.cell(system, clients).commit;
+        commit.sum() as f64 / commit.count().max(1) as f64
+    }
+
+    /// Panics unless synchronous commits get "an order of magnitude"
+    /// faster under Rio (§1, the conclusions): at every client count,
+    /// write-through's mean commit is at least 8× Rio's.
+    pub fn assert_rio_commits_an_order_faster(&self) {
+        for &c in &self.grid.clients {
+            let (wt, rio) = (self.commit_mean(WT, c), self.commit_mean(RIO, c));
+            assert!(
+                wt >= 8.0 * rio,
+                "write-through's mean commit must be >= 8x Rio's at {c} clients \
+                 (got {:.2}x: {wt:.1} us vs {rio:.1} us)",
+                wt / rio
+            );
+        }
+    }
+
+    /// Panics unless Rio's protection costs less than the 7 % that
+    /// \[Sullivan91a\] measured on debit/credit (§6): at every client
+    /// count, Rio's mean commit is under 1.07× Rio without protection's.
+    pub fn assert_protection_beats_sullivan(&self) {
+        for &c in &self.grid.clients {
+            let (prot, unprot) = (self.commit_mean(RIO, c), self.commit_mean(UNPROT, c));
+            assert!(
+                prot < 1.07 * unprot,
+                "Rio's mean commit must be < 1.07x Rio without protection's at {c} clients \
+                 (got {:.4}x: {prot:.1} us vs {unprot:.1} us)",
+                prot / unprot
+            );
+        }
     }
 
     /// Panics unless the capacity rung carries both throughput claims:
@@ -467,6 +505,8 @@ mod tests {
             );
         }
         report.assert_rio_tail_wins();
+        report.assert_rio_commits_an_order_faster();
+        report.assert_protection_beats_sullivan();
         report.assert_rio_capacity_wins();
         let text = render_server(&report);
         assert!(text.contains("p999"));

@@ -7,7 +7,7 @@
 //! delayed UFS / MemFS).
 
 use crate::ascii;
-use rio_baselines::{table2_permanence_labels, table2_policies};
+use rio_baselines::table2_rows;
 use rio_disk::SimTime;
 use rio_kernel::{Kernel, KernelConfig, Policy};
 use rio_workloads::{Andrew, AndrewConfig, CpRm, CpRmConfig, Sdet, SdetConfig};
@@ -58,7 +58,7 @@ impl Table2Scale {
 #[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Configuration name.
-    pub name: String,
+    pub name: &'static str,
     /// "Data Permanent" column.
     pub permanence: &'static str,
     /// cp+rm total / copy / rm.
@@ -126,10 +126,7 @@ fn fresh_kernel(policy: &Policy) -> Kernel {
 /// paper reruns each benchmark per configuration.
 pub fn run_table2(scale: &Table2Scale) -> Table2Report {
     let mut rows = Vec::new();
-    for (policy, permanence) in table2_policies()
-        .into_iter()
-        .zip(table2_permanence_labels())
-    {
+    for (name, permanence, policy) in table2_rows() {
         // cp+rm.
         let mut k = fresh_kernel(&policy);
         let cprm = CpRm::new(scale.cprm.clone());
@@ -145,7 +142,7 @@ pub fn run_table2(scale: &Table2Scale) -> Table2Report {
         let andrew_report = Andrew::new(scale.andrew.clone()).run(&mut k).expect("andrew");
 
         rows.push(Table2Row {
-            name: policy.name.clone(),
+            name,
             permanence,
             cprm_total: cprm_report.total,
             cprm_copy: cprm_report.copy,
@@ -172,7 +169,7 @@ pub fn render_table2(report: &Table2Report) -> String {
     ]];
     for r in &report.rows {
         rows.push(vec![
-            r.name.clone(),
+            r.name.to_owned(),
             r.permanence.to_owned(),
             format!(
                 "{} ({}+{})",

@@ -73,15 +73,8 @@ impl Kernel {
                 self.fc_store(page, page.base(), &data)?;
             }
             None => {
-                if let Some(rio) = self.rio.as_mut() {
-                    rio.prot.window_open(&mut self.machine.bus, page);
-                    self.machine.clock.charge_window();
-                }
-                let res = self.machine.bzero(page.base(), PAGE_SIZE as u64);
-                if let Some(rio) = self.rio.as_mut() {
-                    rio.prot.window_close(&mut self.machine.bus, page);
-                }
-                res.map_err(|e| self.die(e))?;
+                self.with_fc_window(page, |m| m.bzero(page.base(), PAGE_SIZE as u64))
+                    .map_err(|e| self.die(e))?;
             }
         }
         let valid = Self::valid_bytes(inode.size, pidx);
@@ -309,19 +302,15 @@ impl Kernel {
             // The copy itself: interpreted bcopy to a KSEG address, behind
             // a one-page window. Copy-overrun and off-by-one faults extend
             // it; protection traps what escapes the window.
-            if let Some(rio) = self.rio.as_mut() {
-                rio.prot.window_open(&mut self.machine.bus, page);
-                self.machine.clock.charge_window();
-            }
-            let res = self.machine.bcopy(
-                staging + done as u64,
-                kseg_addr(page.base() + in_page as u64),
-                n as u64,
-            );
-            if let Some(rio) = self.rio.as_mut() {
-                rio.prot.window_close(&mut self.machine.bus, page);
-            }
-            let effective = res.map_err(|e| self.die(e))?;
+            let effective = self
+                .with_fc_window(page, |m| {
+                    m.bcopy(
+                        staging + done as u64,
+                        kseg_addr(page.base() + in_page as u64),
+                        n as u64,
+                    )
+                })
+                .map_err(|e| self.die(e))?;
             self.machine.clock.charge_page_op();
 
             // Registry: record the new contents, clear CHANGING.

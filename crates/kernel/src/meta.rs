@@ -8,6 +8,7 @@
 
 use crate::error::{KernelError, PanicReason};
 use crate::kernel::Kernel;
+use crate::machine::Machine;
 use crate::ondisk::{
     DirEntry, FileType, Inode, DIRENTS_PER_BLOCK, DIRENT_BYTES, INODE_BYTES, MAX_FILE_BLOCKS,
     NDIRECT, NINDIRECT,
@@ -54,23 +55,33 @@ impl Kernel {
         Ok(())
     }
 
-    /// Stores bytes into a file-cache page through the protected path:
-    /// opens a window when Rio protection is on, charges the toggle.
+    /// Runs `f` on the machine behind a one-page write window on a
+    /// file-cache page. The window opens, and its toggle is charged, only
+    /// when Rio enforces protection; otherwise `f` just runs.
+    pub(crate) fn with_fc_window<R>(
+        &mut self,
+        page: PageNum,
+        f: impl FnOnce(&mut Machine) -> R,
+    ) -> R {
+        let Some(rio) = self.rio.as_mut().filter(|rio| rio.prot.mode().enforces()) else {
+            return f(&mut self.machine);
+        };
+        rio.prot.window_open(&mut self.machine.bus, page);
+        self.machine.clock.charge_window();
+        let out = f(&mut self.machine);
+        rio.prot.window_close(&mut self.machine.bus, page);
+        out
+    }
+
+    /// Stores bytes into a file-cache page through the protected path.
     pub(crate) fn fc_store(
         &mut self,
         page: PageNum,
         addr: u64,
         bytes: &[u8],
     ) -> Result<(), KernelError> {
-        if let Some(rio) = self.rio.as_mut() {
-            rio.prot.window_open(&mut self.machine.bus, page);
-        }
-        let res = self.machine.bus.store_bytes(AddrKind::Virtual, addr, bytes);
-        if let Some(rio) = self.rio.as_mut() {
-            rio.prot.window_close(&mut self.machine.bus, page);
-            self.machine.clock.charge_window();
-        }
-        res.map_err(|f| self.die(PanicReason::Mem(f)))
+        self.with_fc_window(page, |m| m.bus.store_bytes(AddrKind::Virtual, addr, bytes))
+            .map_err(|f| self.die(PanicReason::Mem(f)))
     }
 
     /// Writes a page's registry entry (no-op when Rio is off).
@@ -103,7 +114,9 @@ impl Kernel {
                 rio.entry_cache.insert(page, *entry);
             }
         }
-        self.machine.clock.charge_window();
+        if rio.prot.mode().enforces() {
+            self.machine.clock.charge_window();
+        }
         res.map_err(|f| self.die(PanicReason::Mem(f)))
     }
 
@@ -193,15 +206,8 @@ impl Kernel {
             self.rio_clear_entry(ev.page)?;
         }
         if zero_fill {
-            if let Some(rio) = self.rio.as_mut() {
-                rio.prot.window_open(&mut self.machine.bus, page);
-                self.machine.clock.charge_window();
-            }
-            let res = self.machine.bzero(page.base(), PAGE_SIZE as u64);
-            if let Some(rio) = self.rio.as_mut() {
-                rio.prot.window_close(&mut self.machine.bus, page);
-            }
-            res.map_err(|e| self.die(e))?;
+            self.with_fc_window(page, |m| m.bzero(page.base(), PAGE_SIZE as u64))
+                .map_err(|e| self.die(e))?;
         } else {
             let now = self.machine.clock.now();
             let (data, done) = self.machine.disk.read(block, now, false);

@@ -46,8 +46,6 @@ pub enum MetadataPolicy {
 /// A complete file-system configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Policy {
-    /// Display name (Table 2 row label).
-    pub name: String,
     /// Data write policy.
     pub data: DataPolicy,
     /// Metadata write policy.
@@ -84,7 +82,6 @@ impl Policy {
     /// The Table 1 "disk-based" system: write-through everything, no Rio.
     pub fn disk_write_through() -> Policy {
         Policy {
-            name: "UFS write-through-on-write".to_owned(),
             data: DataPolicy::WriteThrough,
             metadata: MetadataPolicy::Sync,
             fsync_on_close: true,
@@ -97,12 +94,6 @@ impl Policy {
     /// Rio at the given protection level: no reliability writes at all.
     pub fn rio(mode: RioMode) -> Policy {
         Policy {
-            name: match mode {
-                RioMode::Unprotected => "Rio without protection",
-                RioMode::Protected => "Rio with protection",
-                RioMode::CodePatched => "Rio (code patching)",
-            }
-            .to_owned(),
             data: DataPolicy::Never,
             metadata: MetadataPolicy::Never,
             fsync_on_close: false,

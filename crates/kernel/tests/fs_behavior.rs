@@ -266,7 +266,6 @@ fn kernel_idle_until_runs_update_daemon_on_schedule() {
 
 fn rio_baselines_like_delayed() -> Policy {
     Policy {
-        name: "delayed-for-test".to_owned(),
         data: rio_kernel::DataPolicy::Delayed,
         metadata: rio_kernel::MetadataPolicy::Delayed,
         fsync_on_close: false,

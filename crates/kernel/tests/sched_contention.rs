@@ -16,7 +16,6 @@ use rio_kernel::{
 /// writer stalls behind a full flush — the classic self-throttling UFS.
 fn throttled_policy() -> Policy {
     Policy {
-        name: "delayed, tight throttle".to_owned(),
         data: DataPolicy::Delayed,
         metadata: MetadataPolicy::Delayed,
         fsync_on_close: false,

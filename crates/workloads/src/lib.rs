@@ -23,7 +23,6 @@
 pub mod andrew;
 pub mod cprm;
 pub mod datagen;
-pub mod debitcredit;
 pub mod memtest;
 pub mod model;
 pub mod sdet;
@@ -31,7 +30,6 @@ pub mod server;
 
 pub use andrew::{Andrew, AndrewConfig, AndrewReport};
 pub use cprm::{CpRm, CpRmConfig, CpRmReport};
-pub use debitcredit::{DebitCredit, DebitCreditConfig, DebitCreditReport};
 pub use memtest::{MemTest, MemTestConfig};
 pub use model::{ModelFs, VerifyReport};
 pub use sdet::{Sdet, SdetConfig, SdetReport};

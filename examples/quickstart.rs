@@ -15,9 +15,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Boot a simulated machine running the Rio kernel with protection:
     //    file-cache pages write-protected, KSEG forced through the TLB,
     //    registry armed, and no reliability-induced disk writes at all.
-    let config = KernelConfig::small(Policy::rio(RioMode::Protected));
+    let mode = RioMode::Protected;
+    let config = KernelConfig::small(Policy::rio(mode));
     let mut kernel = Kernel::mkfs_and_mount(&config)?;
-    println!("booted: {}", kernel.policy().name);
+    println!("booted: {mode}");
 
     // 2. Write some files. Under Rio every write is synchronously
     //    permanent the moment the syscall returns — no fsync needed.

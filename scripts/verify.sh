@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# Tier-1 verification: build, the repo benchmark's exactness check, the
-# pinned campaign digests, lint, test, docs, then every exhibit against
-# its recorded bytes (`exhibit --check quick`: the manifest in
+# Tier-1 verification: build, one run of each example, the repo benchmark's
+# exactness check, the pinned campaign digests, lint, test, docs, then every
+# exhibit against its recorded bytes (`exhibit --check quick`: the manifest in
 # crates/harness/src/exhibits.rs, each row at 1 and at 8 threads). The
 # recorded bytes were written by another process, so equality with them
 # at both thread counts is also the cross-process determinism check.
@@ -21,8 +21,19 @@ case "${1:-}" in
     *) echo "usage: $0 [--full]" >&2; exit 2 ;;
 esac
 
-echo "== cargo build --release =="
+echo "== cargo build --release (and the examples) =="
 cargo build --release
+cargo build --release --examples
+
+echo "== examples: each runs once, at its smallest size (under a second in all) =="
+# The README's entry points must run, not only build: quickstart and
+# file_server assert that a crash loses nothing, and any example exits
+# non-zero on a kernel error or a panic.
+examples="${CARGO_TARGET_DIR:-target}/release/examples"
+"$examples/quickstart" > /dev/null
+"$examples/crash_survival" > /dev/null
+"$examples/reliability_campaign" 1 > /dev/null
+"$examples/file_server" 1 > /dev/null
 
 echo "== repo benchmark: builds against the frozen API surface, and its exactness check =="
 # benchmark/ is a package of its own that calls drive / PreparedTrial /

@@ -13,8 +13,8 @@ use rio::workloads::{Andrew, AndrewConfig, CpRm, CpRmConfig, MemTest, MemTestCon
 
 #[test]
 fn all_eight_policies_run_all_three_workloads() {
-    for policy in baselines::table2_policies() {
-        let mut config = KernelConfig::small(policy.clone());
+    for (_, _, policy) in baselines::table2_rows() {
+        let mut config = KernelConfig::small(policy);
         config.geometry = rio::kernel::DiskGeometry::new(4096, 2048, 64);
         config.machine.disk_blocks = 4096;
         let mut k = Kernel::mkfs_and_mount(&config).unwrap();
@@ -148,7 +148,7 @@ fn rendered_table1_is_byte_identical_at_1_and_8_threads() {
 
 #[test]
 fn code_patched_rio_also_survives_crashes() {
-    let config = KernelConfig::small(baselines::rio_code_patched());
+    let config = KernelConfig::small(Policy::rio(RioMode::CodePatched));
     let mut k = Kernel::mkfs_and_mount(&config).unwrap();
     let fd = k.create("/patched").unwrap();
     k.write(fd, &vec![0x42; 12_000]).unwrap();
