@@ -1,19 +1,22 @@
 //! The eight file-system configurations of Table 2 (and the three systems
 //! of Table 1), expressed as [`Policy`] values over the shared kernel.
 //!
-//! | constructor | Table 2 row | data permanent |
-//! |---|---|---|
-//! | [`memfs`] | Memory File System | never |
-//! | [`ufs_delayed`] | UFS, delayed data + metadata | 0–30 s, async |
-//! | [`advfs`] | AdvFS (journaled metadata) | 0–30 s, async |
-//! | [`ufs_default`] | UFS | data 64 KB async; metadata sync |
-//! | [`ufs_write_close`] | UFS write-through on close | close, sync |
-//! | [`ufs_write_write`] | UFS write-through on write | write, sync |
-//! | [`rio_without_protection`] | Rio without protection | write, sync |
-//! | [`rio_with_protection`] | Rio with protection | write, sync |
+//! | constructor | Table 2 row |
+//! |---|---|
+//! | [`memfs`] | Memory File System |
+//! | [`ufs_delayed`] | UFS, delayed data + metadata |
+//! | [`advfs`] | AdvFS (journaled metadata) |
+//! | [`ufs_default`] | UFS |
+//! | [`ufs_write_close`] | UFS write-through on close |
+//! | [`ufs_write_write`] | UFS write-through on write |
+//! | [`rio_without_protection`] | Rio without protection |
+//! | [`rio_with_protection`] | Rio with protection |
 //!
-//! [`table2_rows`] pairs each policy with its row label and permanence
-//! column; the kernel never sees either.
+//! [`table2_rows`] pairs each policy with its row label; the kernel never
+//! sees it. A row's "Data Permanent" column is not typed here: it is
+//! [`Policy::permanence`], derived from the same fields the kernel obeys,
+//! and the root package's `tests/permanence.rs` crashes every row to check
+//! that each loses no more than it promises.
 //!
 //! # Example
 //!
@@ -23,7 +26,7 @@
 //!
 //! # fn main() -> Result<(), rio_kernel::KernelError> {
 //! // Spin up the full Table 2 fleet.
-//! for (_label, _permanence, policy) in table2_rows() {
+//! for (_label, policy) in table2_rows() {
 //!     let mut k = Kernel::mkfs_and_mount(&KernelConfig::small(policy))?;
 //!     let fd = k.create("/probe")?;
 //!     k.write(fd, b"hello")?;
@@ -132,26 +135,18 @@ pub fn rio_with_protection() -> Policy {
     Policy::rio(RioMode::Protected)
 }
 
-/// The eight Table 2 rows, in the paper's order: each row's label, its
-/// "Data Permanent" column and its policy.
-pub fn table2_rows() -> Vec<(&'static str, &'static str, Policy)> {
+/// The eight Table 2 rows, in the paper's order: each row's label and its
+/// policy.
+pub fn table2_rows() -> Vec<(&'static str, Policy)> {
     vec![
-        ("Memory File System", "never", memfs()),
-        (
-            "UFS, delayed data and metadata",
-            "after 0-30 seconds, asynchronous",
-            ufs_delayed(),
-        ),
-        (
-            "AdvFS (log metadata updates)",
-            "after 0-30 seconds, asynchronous",
-            advfs(),
-        ),
-        ("UFS", "data after 64 KB, async; metadata sync", ufs_default()),
-        ("UFS write-through on close", "after close, synchronous", ufs_write_close()),
-        ("UFS write-through on write", "after write, synchronous", ufs_write_write()),
-        ("Rio without protection", "after write, synchronous", rio_without_protection()),
-        ("Rio with protection", "after write, synchronous", rio_with_protection()),
+        ("Memory File System", memfs()),
+        ("UFS, delayed data and metadata", ufs_delayed()),
+        ("AdvFS (log metadata updates)", advfs()),
+        ("UFS", ufs_default()),
+        ("UFS write-through on close", ufs_write_close()),
+        ("UFS write-through on write", ufs_write_write()),
+        ("Rio without protection", rio_without_protection()),
+        ("Rio with protection", rio_with_protection()),
     ]
 }
 
@@ -164,7 +159,7 @@ mod tests {
     fn eight_rows_with_unique_labels() {
         let rows = table2_rows();
         assert_eq!(rows.len(), 8);
-        let mut labels: Vec<_> = rows.iter().map(|(label, _, _)| *label).collect();
+        let mut labels: Vec<_> = rows.iter().map(|(label, _)| *label).collect();
         labels.sort();
         labels.dedup();
         assert_eq!(labels.len(), 8);
@@ -177,37 +172,8 @@ mod tests {
 
     #[test]
     fn only_rio_rows_enable_rio() {
-        for (i, (label, _, p)) in table2_rows().iter().enumerate() {
+        for (i, (label, p)) in table2_rows().iter().enumerate() {
             assert_eq!(p.rio_enabled(), i >= 6, "{label}");
-        }
-    }
-
-    #[test]
-    fn synchronous_reliability_rows_match() {
-        // Rows claiming "after write, synchronous" must actually make a
-        // completed write durable across a crash (with their native
-        // recovery path).
-        for (label, policy) in [
-            ("write-through", ufs_write_write()),
-            ("Rio", rio_with_protection()),
-        ] {
-            let config = KernelConfig::small(policy.clone());
-            let mut k = Kernel::mkfs_and_mount(&config).unwrap();
-            let fd = k.create("/d.bin").unwrap();
-            let data = [0xABu8; 10_000];
-            k.write(fd, &data).unwrap();
-            k.crash_now(PanicReason::Watchdog);
-            let (image, disk) = k.into_crash_artifacts();
-            let mut k2 = if policy.rio_enabled() {
-                Kernel::warm_boot(&config, &image, disk).unwrap().0
-            } else {
-                Kernel::cold_boot(&config, disk).unwrap().0
-            };
-            assert_eq!(
-                k2.file_contents("/d.bin").unwrap(),
-                data,
-                "{label} must not lose a completed write"
-            );
         }
     }
 
@@ -249,7 +215,7 @@ mod tests {
         // rows flush dirty buffers at a panic — not MemFS, not either Rio
         // row.
         let rows = table2_rows();
-        for (label, _, policy) in &rows {
+        for (label, policy) in &rows {
             let writes = policy.data != DataPolicy::Never;
             assert_eq!(fsync_reaches_disk(policy, |_| {}), writes, "{label}: fsync");
             let flushed = panic_flush_writes(policy, |_| {});
@@ -263,38 +229,10 @@ mod tests {
         // The administrator switch turns Rio's `fsync` back on; a Rio
         // panic still flushes nothing.
         let enable = |k: &mut Kernel| k.set_reliability_writes(true);
-        for (label, _, policy) in rows.iter().filter(|(_, _, p)| p.rio_enabled()) {
+        for (label, policy) in rows.iter().filter(|(_, p)| p.rio_enabled()) {
             assert!(fsync_reaches_disk(policy, enable), "{label}: switched fsync");
             assert_eq!(panic_flush_writes(policy, enable), 0, "{label}: switched panic");
         }
-    }
-
-    #[test]
-    fn delayed_ufs_loses_recent_data_on_crash() {
-        // What `sync` wrote survives a crash; a write since, with the
-        // 30-second `update` not yet run, does not.
-        let config = KernelConfig::small(ufs_delayed());
-        let mut k = Kernel::mkfs_and_mount(&config).unwrap();
-        let old = vec![1u8; 4096];
-        let fd = k.create("/old.bin").unwrap();
-        k.write(fd, &old).unwrap();
-        k.close(fd).unwrap();
-        k.sync().unwrap();
-        let recent = vec![2u8; 4096];
-        let fd = k.create("/recent.bin").unwrap();
-        k.write(fd, &recent).unwrap();
-        k.close(fd).unwrap();
-        assert!(k.machine.clock.now() < UPDATE_INTERVAL, "update must not have run");
-        k.crash_now(PanicReason::Watchdog);
-        let (_image, disk) = k.into_crash_artifacts();
-        let (mut k2, _) = Kernel::cold_boot(&config, disk).unwrap();
-        assert_eq!(k2.file_contents("/old.bin").unwrap(), old);
-        // The panic flush writes the directory entry and the inode, but a
-        // delayed page gets its disk block only when it is flushed, so its
-        // bytes cannot follow: the name survives, the contents are a hole.
-        let names = k2.readdir("/").unwrap();
-        assert!(names.iter().any(|n| n == "recent.bin"), "{names:?}");
-        assert_eq!(k2.file_contents("/recent.bin").unwrap(), vec![0u8; recent.len()]);
     }
 
     #[test]

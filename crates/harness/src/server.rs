@@ -23,11 +23,12 @@
 //! error at ≤ 1/16 — tight enough that a p999 headline means something.
 
 use crate::ascii;
+use crate::table2::fresh_kernel;
 use rio_baselines::{
     memfs, rio_with_protection, rio_without_protection, ufs_default, ufs_write_write,
 };
 use rio_disk::SimTime;
-use rio_kernel::{Kernel, KernelConfig, Policy};
+use rio_kernel::Policy;
 use rio_obs::{json_escape, Histogram};
 use rio_workloads::{Server, ServerConfig};
 
@@ -105,26 +106,44 @@ pub struct ServerGridReport {
     pub grid: ServerGrid,
 }
 
-const RIO: &str = "Rio (protected)";
-const UNPROT: &str = "Rio (no protection)";
-const WT: &str = "UFS write-through";
-const SYSTEMS: [&str; 5] = ["memfs", RIO, UNPROT, WT, "UFS default"];
+/// A storage system of the study: its label in the artifacts and the
+/// constructor of its policy.
+#[derive(Debug, Clone, Copy)]
+struct System {
+    label: &'static str,
+    policy: fn() -> Policy,
+}
+
+const RIO: System = System {
+    label: "Rio (protected)",
+    policy: rio_with_protection,
+};
+const UNPROT: System = System {
+    label: "Rio (no protection)",
+    policy: rio_without_protection,
+};
+const WT: System = System {
+    label: "UFS write-through",
+    policy: ufs_write_write,
+};
+const SYSTEMS: [System; 5] = [
+    System {
+        label: "memfs",
+        policy: memfs,
+    },
+    RIO,
+    UNPROT,
+    WT,
+    System {
+        label: "UFS default",
+        policy: ufs_default,
+    },
+];
 
 /// The open-loop grid's stripe.
 const OPEN_DEVICES: usize = 4;
 /// The capacity rung's device counts: one spindle and the open-loop stripe.
 const CAPACITY_DEVICES: [usize; 2] = [1, OPEN_DEVICES];
-
-fn policy_for(system: &str) -> Policy {
-    match system {
-        "memfs" => memfs(),
-        RIO => rio_with_protection(),
-        UNPROT => rio_without_protection(),
-        WT => ufs_write_write(),
-        "UFS default" => ufs_default(),
-        other => panic!("unknown system {other}"),
-    }
-}
 
 impl ServerGridReport {
     fn cell(&self, system: &str, clients: usize) -> &ServerCell {
@@ -138,8 +157,8 @@ impl ServerGridReport {
     /// headline number: how much longer the worst thousandth of commits
     /// waits when every commit is a synchronous disk write.
     pub fn p999_advantage(&self, clients: usize) -> f64 {
-        let rio = self.cell(RIO, clients).commit.percentile(0.999);
-        let wt = self.cell(WT, clients).commit.percentile(0.999);
+        let rio = self.cell(RIO.label, clients).commit.percentile(0.999);
+        let wt = self.cell(WT.label, clients).commit.percentile(0.999);
         wt as f64 / rio.max(1) as f64
     }
 
@@ -153,8 +172,8 @@ impl ServerGridReport {
 
     /// Rio / write-through closed-loop requests per second on `devices`.
     pub fn capacity_ratio(&self, devices: usize) -> f64 {
-        self.capacity_cell(RIO, devices).requests_per_sec()
-            / self.capacity_cell(WT, devices).requests_per_sec()
+        self.capacity_cell(RIO.label, devices).requests_per_sec()
+            / self.capacity_cell(WT.label, devices).requests_per_sec()
     }
 
     /// Panics unless Rio's commit p999 beats write-through's at the
@@ -180,7 +199,10 @@ impl ServerGridReport {
     /// write-through's mean commit is at least 8× Rio's.
     pub fn assert_rio_commits_an_order_faster(&self) {
         for &c in &self.grid.clients {
-            let (wt, rio) = (self.commit_mean(WT, c), self.commit_mean(RIO, c));
+            let (wt, rio) = (
+                self.commit_mean(WT.label, c),
+                self.commit_mean(RIO.label, c),
+            );
             assert!(
                 wt >= 8.0 * rio,
                 "write-through's mean commit must be >= 8x Rio's at {c} clients \
@@ -195,7 +217,10 @@ impl ServerGridReport {
     /// count, Rio's mean commit is under 1.07× Rio without protection's.
     pub fn assert_protection_beats_sullivan(&self) {
         for &c in &self.grid.clients {
-            let (prot, unprot) = (self.commit_mean(RIO, c), self.commit_mean(UNPROT, c));
+            let (prot, unprot) = (
+                self.commit_mean(RIO.label, c),
+                self.commit_mean(UNPROT.label, c),
+            );
             assert!(
                 prot < 1.07 * unprot,
                 "Rio's mean commit must be < 1.07x Rio without protection's at {c} clients \
@@ -216,7 +241,7 @@ impl ServerGridReport {
                 "Rio must out-serve write-through on {d} devices (got {r:.2}x)"
             );
         }
-        let [one, many] = CAPACITY_DEVICES.map(|d| self.capacity_cell(WT, d).total);
+        let [one, many] = CAPACITY_DEVICES.map(|d| self.capacity_cell(WT.label, d).total);
         assert!(
             many < one,
             "striping must cut write-through's time ({one:?} on 1 device, {many:?} on {OPEN_DEVICES})"
@@ -233,7 +258,7 @@ fn capacity_clients(grid: &ServerGrid) -> usize {
 /// loop or closed.
 #[derive(Debug, Clone, Copy)]
 struct Point {
-    system: &'static str,
+    system: System,
     clients: usize,
     devices: usize,
     closed: bool,
@@ -266,24 +291,8 @@ fn grid_points(grid: &ServerGrid) -> Vec<Point> {
     points
 }
 
-/// A freshly formatted machine with Table 2's proportions (16 MB UBC,
-/// 64 MB disk) on `devices` striped devices.
-fn fresh_kernel(policy: &Policy, devices: usize) -> Kernel {
-    let mut config = KernelConfig::small(policy.clone());
-    config.machine.mem = rio_mem::MemConfig {
-        ubc_bytes: 16 * 1024 * 1024,
-        buffer_cache_bytes: 1024 * 1024,
-        registry_bytes: 128 * 1024,
-        ..rio_mem::MemConfig::small()
-    };
-    config.geometry = rio_kernel::DiskGeometry::new(8192, 4096, 128);
-    config.machine.disk_blocks = 8192;
-    config.machine.disk_devices = devices;
-    Kernel::mkfs_and_mount(&config).expect("mkfs")
-}
-
 fn run_cell(grid: &ServerGrid, p: &Point) -> ServerCell {
-    let mut k = fresh_kernel(&policy_for(p.system), p.devices);
+    let mut k = fresh_kernel(&(p.system.policy)(), p.devices);
     let mut cfg = ServerConfig {
         requests_per_client: grid.requests_per_client,
         ..ServerConfig::small(grid.seed, p.clients)
@@ -293,7 +302,7 @@ fn run_cell(grid: &ServerGrid, p: &Point) -> ServerCell {
     }
     let report = Server::new(cfg).run(&mut k).expect("server workload");
     ServerCell {
-        system: p.system,
+        system: p.system.label,
         clients: p.clients,
         devices: p.devices,
         total: report.total,
@@ -351,11 +360,11 @@ pub fn render_server(report: &ServerGridReport) -> String {
     ]];
     for &clients in &report.grid.clients {
         for system in SYSTEMS {
-            let cell = report.cell(system, clients);
+            let cell = report.cell(system.label, clients);
             for (class, hist) in class_rows(cell) {
                 rows.push(vec![
                     clients.to_string(),
-                    system.to_owned(),
+                    system.label.to_owned(),
                     class.to_owned(),
                     hist.count().to_string(),
                     hist.percentile(0.50).to_string(),
@@ -380,8 +389,8 @@ pub fn render_server(report: &ServerGridReport) -> String {
          the quantile is its largest or second-largest sample\n\n",
     );
     let c_max = *report.grid.clients.iter().max().expect("non-empty");
-    let rio = report.cell(RIO, c_max);
-    let wt = report.cell(WT, c_max);
+    let rio = report.cell(RIO.label, c_max);
+    let wt = report.cell(WT.label, c_max);
     out.push_str(&format!(
         "Rio p999 advantage at {c_max} clients: commit {:.1}x (Rio {} us vs write-through {} us)\n",
         report.p999_advantage(c_max),
@@ -407,7 +416,10 @@ fn render_capacity(report: &ServerGridReport) -> String {
         "Rio/WT".to_owned(),
     ]];
     for d in CAPACITY_DEVICES {
-        let (rio, wt) = (report.capacity_cell(RIO, d), report.capacity_cell(WT, d));
+        let (rio, wt) = (
+            report.capacity_cell(RIO.label, d),
+            report.capacity_cell(WT.label, d),
+        );
         rows.push(vec![
             d.to_string(),
             format!("{:.2}", rio.total.as_secs_f64()),
@@ -420,7 +432,7 @@ fn render_capacity(report: &ServerGridReport) -> String {
     let c = capacity_clients(&report.grid);
     let [d_min, d_max] = CAPACITY_DEVICES;
     let [wt_min, wt_max] =
-        CAPACITY_DEVICES.map(|d| report.capacity_cell(WT, d).total.as_secs_f64());
+        CAPACITY_DEVICES.map(|d| report.capacity_cell(WT.label, d).total.as_secs_f64());
     format!(
         "\nClosed-loop capacity: {c} clients x {} requests, each issued when the client's last one \
          completes (mean inter-arrival 0); latencies omitted, they measure backlog from t = 0\n\n\

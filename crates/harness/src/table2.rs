@@ -9,7 +9,7 @@
 use crate::ascii;
 use rio_baselines::table2_rows;
 use rio_disk::SimTime;
-use rio_kernel::{Kernel, KernelConfig, Policy};
+use rio_kernel::{Kernel, KernelConfig, Permanence, Policy};
 use rio_workloads::{Andrew, AndrewConfig, CpRm, CpRmConfig, Sdet, SdetConfig};
 
 /// Workload sizing for a Table 2 run.
@@ -59,8 +59,8 @@ impl Table2Scale {
 pub struct Table2Row {
     /// Configuration name.
     pub name: &'static str,
-    /// "Data Permanent" column.
-    pub permanence: &'static str,
+    /// "Data Permanent" column: the policy's [`Policy::permanence`].
+    pub permanence: Permanence,
     /// cp+rm total / copy / rm.
     pub cprm_total: SimTime,
     /// Copy half.
@@ -82,15 +82,14 @@ pub struct Table2Report {
 
 impl Table2Report {
     fn row(&self, name: &str) -> &Table2Row {
-        // Exact name first ("UFS" must not match "UFS, delayed ...").
         self.rows
             .iter()
             .find(|r| r.name == name)
-            .or_else(|| self.rows.iter().find(|r| r.name.contains(name)))
-            .expect("row present")
+            .unwrap_or_else(|| panic!("no Table 2 row is labelled {name:?}"))
     }
 
-    /// Ratio of one row's time to another's for a workload selector.
+    /// Ratio of one row's time to another's for a workload selector, the
+    /// rows named by their full labels.
     pub fn ratio(
         &self,
         slow: &str,
@@ -103,11 +102,12 @@ impl Table2Report {
     }
 }
 
-fn fresh_kernel(policy: &Policy) -> Kernel {
-    // Table 2 machines keep the paper's proportions: the file cache is
-    // roughly twice the cp+rm tree (80 MB UBC vs a 40 MB tree on the DEC
-    // 3000/600), so the measured run never thrashes the cache. Scaled:
-    // 16 MB UBC vs the ~4 MB tree, 64 MB disk, 4096 inodes.
+/// A freshly formatted machine with Table 2's proportions on `devices`
+/// striped devices. The file cache is roughly twice the cp+rm tree (80 MB
+/// UBC vs a 40 MB tree on the DEC 3000/600), so the measured run never
+/// thrashes the cache. Scaled: 16 MB UBC vs the ~4 MB tree, 64 MB disk,
+/// 4096 inodes. The server study runs on the same machine.
+pub(crate) fn fresh_kernel(policy: &Policy, devices: usize) -> Kernel {
     let mut config = KernelConfig::small(policy.clone());
     config.machine.mem = rio_mem::MemConfig {
         ubc_bytes: 16 * 1024 * 1024,
@@ -117,6 +117,7 @@ fn fresh_kernel(policy: &Policy) -> Kernel {
     };
     config.geometry = rio_kernel::DiskGeometry::new(8192, 4096, 128);
     config.machine.disk_blocks = 8192;
+    config.machine.disk_devices = devices;
     Kernel::mkfs_and_mount(&config).expect("mkfs")
 }
 
@@ -126,24 +127,24 @@ fn fresh_kernel(policy: &Policy) -> Kernel {
 /// paper reruns each benchmark per configuration.
 pub fn run_table2(scale: &Table2Scale) -> Table2Report {
     let mut rows = Vec::new();
-    for (name, permanence, policy) in table2_rows() {
+    for (name, policy) in table2_rows() {
         // cp+rm.
-        let mut k = fresh_kernel(&policy);
+        let mut k = fresh_kernel(&policy, 1);
         let cprm = CpRm::new(scale.cprm.clone());
         cprm.setup(&mut k).expect("setup");
         let cprm_report = cprm.run(&mut k).expect("cp+rm");
 
         // Sdet.
-        let mut k = fresh_kernel(&policy);
+        let mut k = fresh_kernel(&policy, 1);
         let sdet_report = Sdet::new(scale.sdet.clone()).run(&mut k).expect("sdet");
 
         // Andrew.
-        let mut k = fresh_kernel(&policy);
+        let mut k = fresh_kernel(&policy, 1);
         let andrew_report = Andrew::new(scale.andrew.clone()).run(&mut k).expect("andrew");
 
         rows.push(Table2Row {
             name,
-            permanence,
+            permanence: policy.permanence(),
             cprm_total: cprm_report.total,
             cprm_copy: cprm_report.copy,
             cprm_rm: cprm_report.rm,
@@ -170,7 +171,7 @@ pub fn render_table2(report: &Table2Report) -> String {
     for r in &report.rows {
         rows.push(vec![
             r.name.to_owned(),
-            r.permanence.to_owned(),
+            r.permanence.to_string(),
             format!(
                 "{} ({}+{})",
                 secs(r.cprm_total),
@@ -195,9 +196,9 @@ pub fn render_table2(report: &Table2Report) -> String {
     ];
     out.push_str("Headline ratios (vs Rio with protection):\n");
     for (wname, sel) in workloads {
-        let wt = report.ratio("write-through on write", "Rio with protection", sel);
+        let wt = report.ratio("UFS write-through on write", "Rio with protection", sel);
         let ufs = report.ratio("UFS", "Rio with protection", sel);
-        let delayed = report.ratio("delayed", "Rio with protection", sel);
+        let delayed = report.ratio("UFS, delayed data and metadata", "Rio with protection", sel);
         let memfs = report.ratio("Rio with protection", "Memory File System", sel);
         out.push_str(&format!(
             "  {wname:8} write-through/Rio = {wt:5.1}x   UFS/Rio = {ufs:5.1}x   \
@@ -233,7 +234,7 @@ mod tests {
         });
         assert!(rio_vs_memfs < 2.0, "Rio/MemFS = {rio_vs_memfs}");
         // 2. Write-through ≫ Rio on cp+rm (paper: 22x).
-        let wt = report.ratio("write-through on write", "Rio with protection", |r| {
+        let wt = report.ratio("UFS write-through on write", "Rio with protection", |r| {
             r.cprm_total
         });
         assert!(wt > 4.0, "write-through/Rio = {wt}");
@@ -246,7 +247,7 @@ mod tests {
         });
         assert!(prot < 1.10, "protection overhead ratio = {prot}");
         // 5. Ordering: write-through slowest of the UFS family.
-        let close = report.ratio("write-through on close", "Rio with protection", |r| {
+        let close = report.ratio("UFS write-through on close", "Rio with protection", |r| {
             r.cprm_total
         });
         assert!(wt >= close, "on-write {wt} should cost at least on-close {close}");

@@ -62,7 +62,7 @@ pub use hooks::{Cadence, FaultHooks, OffByOne, OverrunSpec};
 pub use kernel::{Fd, Kernel, KernelConfig, KernelStats, RioState, SysState};
 pub use machine::{Machine, MachineConfig};
 pub use ondisk::{DiskGeometry, FileType};
-pub use policy::{DataPolicy, MetadataPolicy, Policy};
+pub use policy::{DataPolicy, MetadataPolicy, Permanence, Policy};
 pub use recovery::{
     BootInterrupted, BootReport, NoRecoveryFaults, RecoveryControl, RecoveryIoStats,
     RecoveryPoint, WarmBootError,

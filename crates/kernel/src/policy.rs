@@ -3,7 +3,9 @@
 //! Table 2 compares eight file-system configurations that differ *only* in
 //! when they push bytes to disk. The kernel implements all of the mechanics
 //! and this module expresses each configuration as data; the constructors
-//! for the paper's eight rows live in `rio-baselines`.
+//! for the paper's eight rows live in `rio-baselines`. What a configuration
+//! promises — Table 2's "Data Permanent" column — is
+//! [`Policy::permanence`], read off the same fields the mechanics obey.
 
 use rio_core::RioMode;
 use rio_disk::SimTime;
@@ -43,6 +45,47 @@ pub enum MetadataPolicy {
     Never,
 }
 
+/// When a completed `write` becomes permanent: Table 2's "Data Permanent"
+/// column. `Display` renders the column's text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Permanence {
+    /// As the `write` returns: on disk, or in Rio's file cache.
+    AtWrite,
+    /// When the file is closed.
+    AtClose,
+    /// Once `bytes` of a file have accumulated, or at the next `update`
+    /// (`None`: no daemon runs). Table 2's clustered rows (UFS) write
+    /// metadata synchronously, and the column says so.
+    AfterBytes {
+        /// The clustering threshold, a whole number of KB.
+        bytes: u64,
+        /// The `update` interval.
+        update: Option<SimTime>,
+    },
+    /// At the next `update`, at most this long after the write.
+    AtUpdate(SimTime),
+    /// Never: no scheduled write ever carries the data to disk.
+    Never,
+}
+
+impl std::fmt::Display for Permanence {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Permanence::AtWrite => f.write_str("after write, synchronous"),
+            Permanence::AtClose => f.write_str("after close, synchronous"),
+            Permanence::AfterBytes { bytes, .. } => {
+                write!(f, "data after {} KB, async; metadata sync", bytes / 1024)
+            }
+            Permanence::AtUpdate(interval) => write!(
+                f,
+                "after 0-{} seconds, asynchronous",
+                interval.as_secs_f64()
+            ),
+            Permanence::Never => f.write_str("never"),
+        }
+    }
+}
+
 /// A complete file-system configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Policy {
@@ -72,6 +115,26 @@ impl Policy {
     /// kernel flushing is how corrupt memory reaches disk).
     pub fn writes_for_reliability(&self) -> bool {
         self.data != DataPolicy::Never
+    }
+
+    /// When a completed `write` becomes permanent under this configuration.
+    /// Rio's file cache is permanent, so every Rio row is
+    /// [`Permanence::AtWrite`] whatever its data policy says.
+    pub fn permanence(&self) -> Permanence {
+        if self.rio.is_some() || self.data == DataPolicy::WriteThrough {
+            return Permanence::AtWrite;
+        }
+        if self.fsync_on_close {
+            return Permanence::AtClose;
+        }
+        match (self.data, self.update_interval) {
+            (DataPolicy::AsyncClustered { cluster_bytes }, update) => Permanence::AfterBytes {
+                bytes: cluster_bytes,
+                update,
+            },
+            (DataPolicy::Delayed, Some(interval)) => Permanence::AtUpdate(interval),
+            _ => Permanence::Never,
+        }
     }
 
     /// Whether this configuration maintains the Rio registry.
@@ -115,6 +178,7 @@ mod tests {
         assert_eq!(p.metadata, MetadataPolicy::Never);
         assert!(!p.writes_for_reliability());
         assert!(p.rio_enabled());
+        assert_eq!(p.permanence(), Permanence::AtWrite);
     }
 
     #[test]
@@ -124,5 +188,6 @@ mod tests {
         assert_eq!(p.metadata, MetadataPolicy::Sync);
         assert!(p.writes_for_reliability());
         assert!(!p.rio_enabled());
+        assert_eq!(p.permanence(), Permanence::AtWrite);
     }
 }

@@ -246,11 +246,15 @@ impl Kernel {
             return Err(KernelError::NotEmpty);
         }
         self.dir_remove(dir, leaf)?;
-        let (blocks, indirect) = self.collect_file_blocks(&inode)?;
-        let mut all = blocks;
-        all.extend(indirect);
-        if !all.is_empty() {
-            self.free_blocks(&all)?;
+        self.release_file(ino, &inode)
+    }
+
+    /// Frees an unlinked file's data and indirect blocks, then its inode.
+    fn release_file(&mut self, ino: u64, inode: &Inode) -> Result<(), KernelError> {
+        let (mut blocks, indirect) = self.collect_file_blocks(inode)?;
+        blocks.extend(indirect);
+        if !blocks.is_empty() {
+            self.free_blocks(&blocks)?;
         }
         self.free_inode(ino)
     }
@@ -284,13 +288,7 @@ impl Kernel {
                 self.rio_clear_entry(page)?;
             }
         }
-        let (blocks, indirect) = self.collect_file_blocks(&inode)?;
-        let mut all = blocks;
-        all.extend(indirect);
-        if !all.is_empty() {
-            self.free_blocks(&all)?;
-        }
-        self.free_inode(ino)?;
+        self.release_file(ino, &inode)?;
         self.cluster_accum.remove(&ino);
         Ok(())
     }

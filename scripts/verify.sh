@@ -58,9 +58,11 @@ echo "== campaign outcomes pinned: the simulated result of 13 trials, seeds 1996
 # so a `synchronization` trial skips a different lock op and dies of a
 # different assertion; 2026 has no such trial in its 13 and did not move.
 perf="${CARGO_TARGET_DIR:-benchmark/target}/release/perf"
+# The run's output is captured before it is searched: `grep -q` would
+# close the pipe at its first match and `perf` would die of a broken pipe.
 for pin in 1996:cecfd100b46e3c8c 2026:1f14cefe948de1a4; do
-    "$perf" run --workload campaign --seed "${pin%%:*}" --quick \
-        | grep -q "outcome_digest ${pin##*:}" \
+    out="$("$perf" run --workload campaign --seed "${pin%%:*}" --quick)"
+    printf '%s\n' "$out" | grep -q "outcome_digest ${pin##*:}" \
         || { echo "campaign --quick --seed ${pin%%:*}: outcome_digest is not ${pin##*:}" >&2; exit 1; }
 done
 

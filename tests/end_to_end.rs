@@ -13,7 +13,7 @@ use rio::workloads::{Andrew, AndrewConfig, CpRm, CpRmConfig, MemTest, MemTestCon
 
 #[test]
 fn all_eight_policies_run_all_three_workloads() {
-    for (_, _, policy) in baselines::table2_rows() {
+    for (_, policy) in baselines::table2_rows() {
         let mut config = KernelConfig::small(policy);
         config.geometry = rio::kernel::DiskGeometry::new(4096, 2048, 64);
         config.machine.disk_blocks = 4096;
