@@ -224,14 +224,24 @@ mod tests {
             }
         }
         for (label, policy) in [("delayed UFS", ufs_delayed()), ("AdvFS", advfs())] {
-            assert!(panic_flush_writes(&policy, |_| {}) > 0, "{label}: no panic flush");
+            assert!(
+                panic_flush_writes(&policy, |_| {}) > 0,
+                "{label}: no panic flush"
+            );
         }
         // The administrator switch turns Rio's `fsync` back on; a Rio
         // panic still flushes nothing.
         let enable = |k: &mut Kernel| k.set_reliability_writes(true);
         for (label, policy) in rows.iter().filter(|(_, p)| p.rio_enabled()) {
-            assert!(fsync_reaches_disk(policy, enable), "{label}: switched fsync");
-            assert_eq!(panic_flush_writes(policy, enable), 0, "{label}: switched panic");
+            assert!(
+                fsync_reaches_disk(policy, enable),
+                "{label}: switched fsync"
+            );
+            assert_eq!(
+                panic_flush_writes(policy, enable),
+                0,
+                "{label}: switched panic"
+            );
         }
     }
 

@@ -63,6 +63,6 @@ pub use protection::{ProtectionManager, ProtectionStats, RioMode};
 pub use registry::{EntryFlags, Registry, RegistryEntry, RegistryError, ENTRY_BYTES, REG_MAGIC};
 pub use shadow::ShadowPool;
 pub use warm::{
-    commit_replayed, commit_restored, scan_registry, Recovery, RecoveredFilePage,
-    RecoveredMetadata, WarmRebootStats,
+    commit_replayed, commit_restored, scan_registry, RecoveredFilePage, RecoveredMetadata,
+    Recovery, WarmRebootStats,
 };

@@ -180,9 +180,7 @@ mod tests {
         ProtectionManager::new(RioMode::Protected).install(&mut bus);
         let l = *bus.layout();
         for region in [l.buffer_cache, l.ubc, l.registry] {
-            assert!(bus
-                .store_u8(AddrKind::Virtual, region.start, 1)
-                .is_err());
+            assert!(bus.store_u8(AddrKind::Virtual, region.start, 1).is_err());
             assert!(bus.store_u8(AddrKind::Kseg, region.start, 1).is_err());
         }
         // Heap/stack/text remain writable.

@@ -425,9 +425,7 @@ mod tests {
         assert_eq!(r.read_entry(bus.mem(), 3).unwrap(), Some(e));
         // Registry page is protected again after the window closed.
         let addr = r.entry_addr(3);
-        assert!(bus
-            .store_u8(rio_mem::AddrKind::Virtual, addr, 0)
-            .is_err());
+        assert!(bus.store_u8(rio_mem::AddrKind::Virtual, addr, 0).is_err());
         r.clear_entry(&mut bus, &mut prot, 3).unwrap();
         assert_eq!(r.read_entry(bus.mem(), 3).unwrap(), None);
     }

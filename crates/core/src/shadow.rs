@@ -127,7 +127,12 @@ mod tests {
         let prot = ProtectionManager::new(RioMode::Protected);
         prot.install(&mut bus);
         let pool = ShadowPool::new(bus.layout(), 4);
-        (bus, registry, ProtectionManager::new(RioMode::Protected), pool)
+        (
+            bus,
+            registry,
+            ProtectionManager::new(RioMode::Protected),
+            pool,
+        )
     }
 
     fn metadata_entry(registry: &Registry, slot: u64, crc: u32) -> RegistryEntry {
@@ -164,7 +169,9 @@ mod tests {
         .unwrap();
         let crc = crc32(bus.mem().page(orig));
         let mut entry = metadata_entry(&registry, slot, crc);
-        registry.write_entry(&mut bus, &mut prot, slot, &entry).unwrap();
+        registry
+            .write_entry(&mut bus, &mut prot, slot, &entry)
+            .unwrap();
 
         // Begin: registry points at the shadow with old contents.
         let shadow = pool

@@ -160,8 +160,7 @@ pub fn scan_registry(image: &PhysMem) -> Recovery {
         // window since it was applied). Record the entry so the resumed
         // pipeline keeps its ordering, but carry no data and skip the
         // content checks.
-        if entry.flags.contains(EntryFlags::METADATA)
-            && entry.flags.contains(EntryFlags::RESTORED)
+        if entry.flags.contains(EntryFlags::METADATA) && entry.flags.contains(EntryFlags::RESTORED)
         {
             out.stats.committed_restored += 1;
             out.metadata.push(RecoveredMetadata {
@@ -173,8 +172,7 @@ pub fn scan_registry(image: &PhysMem) -> Recovery {
             });
             continue;
         }
-        if !entry.flags.contains(EntryFlags::METADATA)
-            && entry.flags.contains(EntryFlags::REPLAYED)
+        if !entry.flags.contains(EntryFlags::METADATA) && entry.flags.contains(EntryFlags::REPLAYED)
         {
             out.stats.committed_replayed += 1;
             out.file_pages.push(RecoveredFilePage {
@@ -467,7 +465,9 @@ mod tests {
             size: PAGE_SIZE as u32,
             crc: 0,
         };
-        registry.update_crc(&mut bus, &mut prot, slot, &mut e).unwrap();
+        registry
+            .update_crc(&mut bus, &mut prot, slot, &mut e)
+            .unwrap();
         pool.begin_atomic(&mut bus, &mut prot, &registry, slot, &mut e)
             .unwrap()
             .unwrap();

@@ -103,14 +103,26 @@ impl Assembler {
 
     fn push(&mut self, op: Opcode, rd: Reg, rs1: Reg, rs2: Reg, imm: i32) {
         self.instrs.push(Pending {
-            instr: Instr { op, rd, rs1, rs2, imm },
+            instr: Instr {
+                op,
+                rd,
+                rs1,
+                rs2,
+                imm,
+            },
             imm: Operand::Resolved(imm),
         });
     }
 
     fn push_branch(&mut self, op: Opcode, rs1: Reg, rs2: Reg, target: Operand) {
         self.instrs.push(Pending {
-            instr: Instr { op, rd: Reg::ZERO, rs1, rs2, imm: 0 },
+            instr: Instr {
+                op,
+                rd: Reg::ZERO,
+                rs1,
+                rs2,
+                imm: 0,
+            },
             imm: target,
         });
     }
@@ -220,7 +232,12 @@ impl Assembler {
 
     /// Unconditional jump to a named label.
     pub fn jmp(&mut self, target: &str) {
-        self.push_branch(Opcode::Jmp, Reg::ZERO, Reg::ZERO, Operand::Named(target.to_owned()));
+        self.push_branch(
+            Opcode::Jmp,
+            Reg::ZERO,
+            Reg::ZERO,
+            Operand::Named(target.to_owned()),
+        );
     }
 
     /// Unconditional jump to an allocated [`Label`].
@@ -256,8 +273,9 @@ impl Assembler {
                     out.push(instr);
                     continue;
                 }
-                Operand::Label(l) => self.labels[l.0]
-                    .ok_or_else(|| AsmError::UnboundLabel(format!("#{}", l.0)))?,
+                Operand::Label(l) => {
+                    self.labels[l.0].ok_or_else(|| AsmError::UnboundLabel(format!("#{}", l.0)))?
+                }
                 Operand::Named(n) => *self
                     .named
                     .get(n)

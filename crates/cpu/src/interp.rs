@@ -224,12 +224,11 @@ impl Cpu {
     #[cold]
     fn decode_miss(&mut self, index: u64, raw: u64) -> Result<Instr, PanicCause> {
         self.decode_misses += 1;
-        let instr = Instr::decode(raw.to_le_bytes()).map_err(|e| {
-            PanicCause::IllegalInstruction {
+        let instr =
+            Instr::decode(raw.to_le_bytes()).map_err(|e| PanicCause::IllegalInstruction {
                 index,
                 reason: e.to_string(),
-            }
-        })?;
+            })?;
         let index = index as usize;
         if index >= self.decoded.len() {
             self.decoded.resize(index + 1, (0, Instr::nop()));
@@ -438,9 +437,11 @@ mod tests {
         let (mut bus, mut store) = setup();
         let h = store.install(&mut bus, "t", asm).unwrap();
         let target = bus.layout().ubc.start;
-        bus.protection_mut().set_mode(rio_mem::ProtectionMode::Hardware);
+        bus.protection_mut()
+            .set_mode(rio_mem::ProtectionMode::Hardware);
         bus.protection_mut().set_kseg_through_tlb(true);
-        bus.protection_mut().protect(rio_mem::PageNum::containing(target));
+        bus.protection_mut()
+            .protect(rio_mem::PageNum::containing(target));
         let mut cpu = Cpu::new();
         cpu.set_reg(Reg(1), crate::isa::kseg_addr(target));
         let res = cpu.run(&mut bus, &store, h, 100);
@@ -498,7 +499,10 @@ mod tests {
         store.patch_instr(bus.mem_mut(), h.first_index, bad);
         let mut cpu = Cpu::new();
         let res = cpu.run(&mut bus, &store, h, 100);
-        assert!(matches!(res.outcome, Outcome::Panic(PanicCause::IllegalPc(_))));
+        assert!(matches!(
+            res.outcome,
+            Outcome::Panic(PanicCause::IllegalPc(_))
+        ));
     }
 
     #[test]

@@ -164,7 +164,10 @@ impl Opcode {
 
     /// Whether this opcode is a memory access.
     pub fn is_mem(self) -> bool {
-        matches!(self, Opcode::Ld8 | Opcode::Ld64 | Opcode::St8 | Opcode::St64)
+        matches!(
+            self,
+            Opcode::Ld8 | Opcode::Ld64 | Opcode::St8 | Opcode::St64
+        )
     }
 }
 

@@ -57,7 +57,5 @@ pub mod routines;
 
 pub use asm::Assembler;
 pub use interp::{Cpu, Outcome, RunResult};
-pub use isa::{
-    decompose_addr, kseg_addr, DecodeError, Instr, Opcode, Reg, INSTR_BYTES, KSEG_BIT,
-};
+pub use isa::{decompose_addr, kseg_addr, DecodeError, Instr, Opcode, Reg, INSTR_BYTES, KSEG_BIT};
 pub use routines::{KernelRoutines, RoutineHandle, RoutineStore};

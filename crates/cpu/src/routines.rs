@@ -165,10 +165,7 @@ impl RoutineStore {
 
     /// Looks up an installed routine by name.
     pub fn find(&self, name: &str) -> Option<RoutineHandle> {
-        self.names
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, h)| *h)
+        self.names.iter().find(|(n, _)| n == name).map(|(_, h)| *h)
     }
 
     /// Installed routines in installation order.
@@ -185,7 +182,8 @@ impl RoutineStore {
             return false;
         }
         let start = routine.first_index * INSTR_BYTES;
-        let mut installed = &self.encoding[start as usize..][..(routine.len * INSTR_BYTES) as usize];
+        let mut installed =
+            &self.encoding[start as usize..][..(routine.len * INSTR_BYTES) as usize];
         // A borrow of simulated memory cannot span two pages.
         let mut addr = self.text.start + start;
         while !installed.is_empty() {
@@ -265,8 +263,7 @@ impl KernelRoutines {
     /// 7 per byte; each of those three 1 to leave; `halt` 1.
     fn asm_bcopy() -> Assembler {
         let (src, dst, len) = (Reg(1), Reg(2), Reg(3));
-        let (data, rem, c8, c64, seven, t) =
-            (Reg(11), Reg(12), Reg(13), Reg(14), Reg(10), Reg(15));
+        let (data, rem, c8, c64, seven, t) = (Reg(11), Reg(12), Reg(13), Reg(14), Reg(10), Reg(15));
         let mut a = Assembler::new();
         // Initialization prologue (the "initialization" fault deletes these).
         a.mov(rem, len);
@@ -443,9 +440,21 @@ struct LoopSteps {
 }
 
 /// See `asm_bcopy`.
-const BCOPY_STEPS: LoopSteps = LoopSteps { prologue: 4, head: 9, bulk: 21, wide: 7, tail: 7 };
+const BCOPY_STEPS: LoopSteps = LoopSteps {
+    prologue: 4,
+    head: 9,
+    bulk: 21,
+    wide: 7,
+    tail: 7,
+};
 /// See `asm_bzero`.
-const BZERO_STEPS: LoopSteps = LoopSteps { prologue: 3, head: 7, bulk: 12, wide: 5, tail: 5 };
+const BZERO_STEPS: LoopSteps = LoopSteps {
+    prologue: 3,
+    head: 7,
+    bulk: 12,
+    wide: 5,
+    tail: 5,
+};
 
 /// `bcmp`'s steps, see `asm_bcmp`: its prologue; one iteration of `wide` or
 /// `tail` over a pair that is equal; over the pair that differs (test, two
@@ -475,7 +484,12 @@ impl Walk {
     /// arithmetic from overflowing).
     fn of(k: &LoopSteps, dst: u64, len: u64) -> Walk {
         let (mut dst, mut rem) = (dst, len);
-        let mut w = Walk { steps: k.prologue, accesses: 0, and: None, last_width: 0 };
+        let mut w = Walk {
+            steps: k.prologue,
+            accesses: 0,
+            and: None,
+            last_width: 0,
+        };
         // `align`: a byte at a time until `dst` is 8-aligned, ≤ 7 times.
         while rem >= 8 && dst & 7 != 0 {
             w.and = Some(dst & 7);
@@ -548,7 +562,10 @@ fn bcopy_summary(cpu: &mut Cpu, bus: &mut MemBus, step_limit: u64) -> Option<u64
     cpu.set_reg(Reg(2), dst.wrapping_add(len));
     if walk.last_width > 0 {
         // `data` holds the last load, which ended at the span's last byte.
-        cpu.set_reg(Reg(11), loaded(bus, src_phys + len - walk.last_width, walk.last_width));
+        cpu.set_reg(
+            Reg(11),
+            loaded(bus, src_phys + len - walk.last_width, walk.last_width),
+        );
     }
     cpu.set_reg(Reg(12), 0);
     walk.leave_scratch(cpu);
@@ -597,7 +614,11 @@ fn bcmp_summary(cpu: &mut Cpu, bus: &mut MemBus, step_limit: u64) -> Option<u64>
                 + u64::from(tail_pairs > 0)
                 + BCMP_DIFFERING_PAIR
                 + BCMP_DIFF_AND_HALT,
-            if tail_pairs > 0 { 8 * cmp.words + cmp.bytes - 1 } else { 8 * (cmp.words - 1) },
+            if tail_pairs > 0 {
+                8 * cmp.words + cmp.bytes - 1
+            } else {
+                8 * (cmp.words - 1)
+            },
         ),
     };
     cpu.set_reg(Reg(1), a.wrapping_add(advanced));
@@ -634,7 +655,10 @@ impl KernelRoutines {
         }
         let steps = summary(cpu, bus, step_limit)?;
         cpu.count_steps(steps);
-        Some(RunResult { outcome: Outcome::Done, steps })
+        Some(RunResult {
+            outcome: Outcome::Done,
+            steps,
+        })
     }
 
     /// One dispatched call: the summary when it applies, [`Cpu::run`] —
@@ -768,7 +792,14 @@ mod tests {
                     bus.mem_mut()
                         .write_bytes(src0 + s, &pattern[..len as usize]);
                     let res = run_bcopy(
-                        &mut cpu, &mut bus, &store, &r, src0 + s, dst0 + d, len, 100_000,
+                        &mut cpu,
+                        &mut bus,
+                        &store,
+                        &r,
+                        src0 + s,
+                        dst0 + d,
+                        len,
+                        100_000,
                     );
                     assert!(res.is_done(), "s={s} d={d} len={len}");
                     assert_eq!(
@@ -961,7 +992,10 @@ mod tests {
                 );
             }
         }
-        assert_eq!(store.installed_instrs(), hs.iter().map(|h| h.len).sum::<u64>());
+        assert_eq!(
+            store.installed_instrs(),
+            hs.iter().map(|h| h.len).sum::<u64>()
+        );
     }
 
     #[test]

@@ -81,7 +81,10 @@ impl Call {
 
     /// Both addresses with their route tags.
     fn addrs(&self) -> (u64, u64) {
-        (Self::tagged(self.src, self.src_kseg), Self::tagged(self.dst, self.dst_kseg))
+        (
+            Self::tagged(self.src, self.src_kseg),
+            Self::tagged(self.dst, self.dst_kseg),
+        )
     }
 
     /// Sets the argument registers, as the entry points do.
@@ -96,7 +99,13 @@ impl Call {
         }
     }
 
-    fn via_entry(&self, m: &mut Machine, store: &RoutineStore, r: &KernelRoutines, limit: u64) -> RunResult {
+    fn via_entry(
+        &self,
+        m: &mut Machine,
+        store: &RoutineStore,
+        r: &KernelRoutines,
+        limit: u64,
+    ) -> RunResult {
         let (src, dst) = self.addrs();
         match self.routine {
             Routine::Bcopy => r.bcopy(&mut m.cpu, &mut m.bus, store, src, dst, self.len, limit),
@@ -105,20 +114,40 @@ impl Call {
         }
     }
 
-    fn interpreted(&self, m: &mut Machine, store: &RoutineStore, r: &KernelRoutines, limit: u64) -> RunResult {
+    fn interpreted(
+        &self,
+        m: &mut Machine,
+        store: &RoutineStore,
+        r: &KernelRoutines,
+        limit: u64,
+    ) -> RunResult {
         self.set_args(&mut m.cpu);
         m.cpu.run(&mut m.bus, store, self.handle(r), limit)
     }
 
     /// Whether the summary alone accepts the call.
-    fn summarised(&self, m: &mut Machine, store: &RoutineStore, r: &KernelRoutines, limit: u64) -> bool {
+    fn summarised(
+        &self,
+        m: &mut Machine,
+        store: &RoutineStore,
+        r: &KernelRoutines,
+        limit: u64,
+    ) -> bool {
         self.set_args(&mut m.cpu);
         let summary: Summary = match self.routine {
             Routine::Bcopy => bcopy_summary,
             Routine::Bzero => bzero_summary,
             Routine::Bcmp => bcmp_summary,
         };
-        KernelRoutines::summarise(&mut m.cpu, &mut m.bus, store, self.handle(r), summary, limit).is_some()
+        KernelRoutines::summarise(
+            &mut m.cpu,
+            &mut m.bus,
+            store,
+            self.handle(r),
+            summary,
+            limit,
+        )
+        .is_some()
     }
 
     fn stores(&self) -> bool {
@@ -132,7 +161,8 @@ impl Call {
     /// (b): every byte of the spans — for an empty span, its address — in
     /// bounds.
     fn in_bounds(&self, bus: &MemBus) -> bool {
-        bus.mem().in_bounds(self.dst, self.len) && (!self.loads_src() || bus.mem().in_bounds(self.src, self.len))
+        bus.mem().in_bounds(self.dst, self.len)
+            && (!self.loads_src() || bus.mem().in_bounds(self.src, self.len))
     }
 
     /// (c): no page of the destination span traps a store by this route.
@@ -140,15 +170,20 @@ impl Call {
     fn unprotected(&self, bus: &MemBus) -> bool {
         !self.stores()
             || self.len == 0
-            || (self.dst / P..=(self.dst + self.len - 1) / P)
-                .all(|pn| !bus.protection().store_would_trap(PageNum(pn), self.dst_kseg))
+            || (self.dst / P..=(self.dst + self.len - 1) / P).all(|pn| {
+                !bus.protection()
+                    .store_would_trap(PageNum(pn), self.dst_kseg)
+            })
     }
 
     /// (d): the destination span touches neither text nor the source span.
     fn disjoint(&self, bus: &MemBus) -> bool {
-        let apart = |start: u64, end: u64| self.len == 0 || self.dst + self.len <= start || end <= self.dst;
+        let apart =
+            |start: u64, end: u64| self.len == 0 || self.dst + self.len <= start || end <= self.dst;
         let text = bus.layout().text;
-        !self.stores() || (apart(text.start, text.end) && (!self.loads_src() || apart(self.src, self.src + self.len)))
+        !self.stores()
+            || (apart(text.start, text.end)
+                && (!self.loads_src() || apart(self.src, self.src + self.len)))
     }
 }
 
@@ -159,7 +194,10 @@ fn any_call(g: &mut Gen, bus: &MemBus) -> Call {
     let len = match g.in_range(0..4u32) {
         0 => g.in_range(0..20u64),
         1 => g.in_range(0..300u64),
-        2 => [8, 64, 512, P, 2 * P][g.in_range(0..5usize)] + g.in_range(0..10u64) - g.in_range(0..2u64),
+        2 => {
+            [8, 64, 512, P, 2 * P][g.in_range(0..5usize)] + g.in_range(0..10u64)
+                - g.in_range(0..2u64)
+        }
         _ => g.in_range(0..=MAX_LEN),
     }
     .min(MAX_LEN);
@@ -230,7 +268,9 @@ fn summary_case(base: &(MemBus, RoutineStore, KernelRoutines), g: &mut Gen) -> P
             m.bus.mem_mut().write_bytes(call.dst, &bytes);
         }
         if call.len > 0 && g.bool() {
-            m.bus.mem_mut().flip_bit(call.dst + g.in_range(0..call.len), g.in_range(0..8u8));
+            m.bus
+                .mem_mut()
+                .flip_bit(call.dst + g.in_range(0..call.len), g.in_range(0..8u8));
         }
     }
 
@@ -262,7 +302,8 @@ fn summary_case(base: &(MemBus, RoutineStore, KernelRoutines), g: &mut Gen) -> P
     // (a)–(d) as this case sees them; (e) needs the run's length, which the
     // interpreter supplies — over zeroed spans for bcmp, whose (e) is about
     // the walk over equal ones.
-    let preconditions = pristine && call.in_bounds(&m.bus) && call.unprotected(&m.bus) && call.disjoint(&m.bus);
+    let preconditions =
+        pristine && call.in_bounds(&m.bus) && call.unprotected(&m.bus) && call.disjoint(&m.bus);
     let natural = call.interpreted(&mut m.clone(), store, r, RUN_CAP).steps;
     let longest = if preconditions && call.routine == Routine::Bcmp {
         let mut zeroed = m.clone();
@@ -290,7 +331,10 @@ fn summary_case(base: &(MemBus, RoutineStore, KernelRoutines), g: &mut Gen) -> P
     let want_result = call.interpreted(&mut want, store, r, limit);
     pt_assert_eq!(got_result, want_result);
     if took {
-        pt_assert!(want_result.is_done(), "summarised a run that ends in {want_result:?}");
+        pt_assert!(
+            want_result.is_done(),
+            "summarised a run that ends in {want_result:?}"
+        );
     }
     for reg in 0..NUM_REGS as u8 {
         pt_assert!(
@@ -328,9 +372,11 @@ fn base() -> (MemBus, RoutineStore, KernelRoutines) {
 #[test]
 fn summaries_match_the_interpreter() {
     let base = base();
-    check("summaries_match_the_interpreter", Config::with_cases(2500), |g| {
-        summary_case(&base, g)
-    });
+    check(
+        "summaries_match_the_interpreter",
+        Config::with_cases(2500),
+        |g| summary_case(&base, g),
+    );
 }
 
 /// The property above is only as good as its draw: every routine must have
@@ -340,34 +386,46 @@ fn summaries_match_the_interpreter() {
 fn the_draw_reaches_both_sides_of_every_precondition() {
     let (bus, store, r) = base();
     let mut seen = std::collections::BTreeSet::new();
-    check("the_draw_reaches_both_sides", Config::with_cases(2500), |g| {
-        let mut m = Machine {
-            cpu: Cpu::new(),
-            bus: bus.clone(),
-        };
-        m.bus.protection_mut().set_mode(ProtectionMode::Hardware);
-        let call = any_call(g, &m.bus);
-        if g.bool() && call.len > 0 && call.in_bounds(&m.bus) {
-            m.bus.protection_mut().protect(PageNum::containing(call.dst + call.len - 1));
-        }
-        let verdict = match () {
-            _ if !call.in_bounds(&m.bus) => "out of bounds",
-            _ if !call.unprotected(&m.bus) => "protected",
-            _ if !call.disjoint(&m.bus) => "overlapping",
-            _ => "clear",
-        };
-        let took = call.summarised(&mut m, &store, &r, RUN_CAP);
-        pt_assert_eq!(took, verdict == "clear");
-        seen.insert((format!("{:?}", call.routine), verdict));
-        Ok(())
-    });
+    check(
+        "the_draw_reaches_both_sides",
+        Config::with_cases(2500),
+        |g| {
+            let mut m = Machine {
+                cpu: Cpu::new(),
+                bus: bus.clone(),
+            };
+            m.bus.protection_mut().set_mode(ProtectionMode::Hardware);
+            let call = any_call(g, &m.bus);
+            if g.bool() && call.len > 0 && call.in_bounds(&m.bus) {
+                m.bus
+                    .protection_mut()
+                    .protect(PageNum::containing(call.dst + call.len - 1));
+            }
+            let verdict = match () {
+                _ if !call.in_bounds(&m.bus) => "out of bounds",
+                _ if !call.unprotected(&m.bus) => "protected",
+                _ if !call.disjoint(&m.bus) => "overlapping",
+                _ => "clear",
+            };
+            let took = call.summarised(&mut m, &store, &r, RUN_CAP);
+            pt_assert_eq!(took, verdict == "clear");
+            seen.insert((format!("{:?}", call.routine), verdict));
+            Ok(())
+        },
+    );
     for routine in ["Bcopy", "Bzero"] {
         for verdict in ["out of bounds", "protected", "overlapping", "clear"] {
-            assert!(seen.contains(&(routine.to_owned(), verdict)), "{routine} never drew {verdict}");
+            assert!(
+                seen.contains(&(routine.to_owned(), verdict)),
+                "{routine} never drew {verdict}"
+            );
         }
     }
     for verdict in ["out of bounds", "clear"] {
-        assert!(seen.contains(&("Bcmp".to_owned(), verdict)), "Bcmp never drew {verdict}");
+        assert!(
+            seen.contains(&("Bcmp".to_owned(), verdict)),
+            "Bcmp never drew {verdict}"
+        );
     }
 }
 
@@ -385,21 +443,44 @@ fn an_aligned_page_walks_in_the_counted_steps() {
         m.cpu.set_reg(Reg(reg), 0xAAAA);
     }
     let misses = m.cpu.decode_misses();
-    assert_eq!(r.bcopy(&mut m.cpu, &mut m.bus, &store, src, dst, P, 2699).steps, 2699);
+    assert_eq!(
+        r.bcopy(&mut m.cpu, &mut m.bus, &store, src, dst, P, 2699)
+            .steps,
+        2699
+    );
     assert_eq!(m.cpu.reg(Reg(15)), 0, "the one `and` ran on an aligned dst");
     assert_eq!(m.cpu.reg(Reg(11)), m.bus.mem().read_u64(src + P - 8));
-    assert_eq!(r.bzero(&mut m.cpu, &mut m.bus, &store, dst, P, 1546).steps, 1546);
-    assert_eq!(r.bcmp(&mut m.cpu, &mut m.bus, &store, dst, dst + P, P, 8197).steps, 8);
+    assert_eq!(
+        r.bzero(&mut m.cpu, &mut m.bus, &store, dst, P, 1546).steps,
+        1546
+    );
+    assert_eq!(
+        r.bcmp(&mut m.cpu, &mut m.bus, &store, dst, dst + P, P, 8197)
+            .steps,
+        8
+    );
     m.bus.mem_mut().fill(dst + P, P, 0);
-    assert_eq!(r.bcmp(&mut m.cpu, &mut m.bus, &store, dst, dst + P, P, 8197).steps, 8197);
+    assert_eq!(
+        r.bcmp(&mut m.cpu, &mut m.bus, &store, dst, dst + P, P, 8197)
+            .steps,
+        8197
+    );
     assert_eq!(m.cpu.steps(), 2699 + 1546 + 8 + 8197);
-    assert_eq!(m.cpu.decode_misses(), misses, "a summarised call decodes nothing");
+    assert_eq!(
+        m.cpu.decode_misses(),
+        misses,
+        "a summarised call decodes nothing"
+    );
 
     // Under 8 bytes `bltu` leaves `align` before the `and`: r15 keeps its
     // pollution, and with no byte at all so does r11.
     m.cpu.set_reg(Reg(15), 0xBBBB);
     m.cpu.set_reg(Reg(11), 0xCCCC);
-    assert_eq!(r.bcopy(&mut m.cpu, &mut m.bus, &store, src, dst + 1, 0, 100).steps, 4 + 1 + 1 + 1);
+    assert_eq!(
+        r.bcopy(&mut m.cpu, &mut m.bus, &store, src, dst + 1, 0, 100)
+            .steps,
+        4 + 1 + 1 + 1
+    );
     assert_eq!((m.cpu.reg(Reg(15)), m.cpu.reg(Reg(11))), (0xBBBB, 0xCCCC));
     // One step short of the walk, the interpreter runs and reports it.
     let run = r.bcopy(&mut m.cpu, &mut m.bus, &store, src, dst, P, 2698);

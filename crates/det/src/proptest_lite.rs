@@ -205,7 +205,10 @@ pub fn check<F>(name: &str, cfg: Config, mut prop: F)
 where
     F: FnMut(&mut Gen) -> PropResult,
 {
-    let cases = env_u64("RIO_PT_CASES").map(|c| c as u32).unwrap_or(cfg.cases).max(1);
+    let cases = env_u64("RIO_PT_CASES")
+        .map(|c| c as u32)
+        .unwrap_or(cfg.cases)
+        .max(1);
     let seed = env_u64("RIO_PT_SEED").unwrap_or(cfg.seed);
     for case in 0..cases {
         let case_seed = derive_seed(seed, case as u64);

@@ -402,7 +402,12 @@ impl DiskArray {
 /// the device.
 fn positioning(prev: Option<HeadAt>, req: &Req) -> Positioning {
     let prev_inner = prev.map(|p| p.inner);
-    if prev == Some(HeadAt { inner: req.inner.wrapping_sub(1), cmd: req.cmd }) {
+    if prev
+        == Some(HeadAt {
+            inner: req.inner.wrapping_sub(1),
+            cmd: req.cmd,
+        })
+    {
         Positioning::Continued
     } else if req.force_sequential || prev_inner == Some(req.inner.wrapping_sub(1)) {
         Positioning::Sequential
@@ -514,9 +519,8 @@ impl Device {
         // Otherwise the sweep order of existing requests is unchanged
         // and only the new request's successors move.
         let demoted = head != self.sweep_head
-            && boundary_inner.is_some_and(|b| {
-                self.tail.range((b, 0)..=(b, u64::MAX)).next().is_some()
-            });
+            && boundary_inner
+                .is_some_and(|b| self.tail.range((b, 0)..=(b, u64::MAX)).next().is_some());
         self.sweep_head = head;
         req.start = SimTime::ZERO;
         req.end = SimTime::ZERO;
@@ -547,7 +551,13 @@ impl Device {
             }
             None => (boundary, boundary_free),
         };
-        self.replan_from(Some((key, prev, prev_free)), boundary, boundary_free, now, model);
+        self.replan_from(
+            Some((key, prev, prev_free)),
+            boundary,
+            boundary_free,
+            now,
+            model,
+        );
         self.tail[&key].end
     }
 
@@ -581,11 +591,7 @@ impl Device {
                         .collect()
                 } else {
                     std::iter::once(key)
-                        .chain(
-                            self.tail
-                                .range(after..(head, 0))
-                                .map(|(&k, _)| k),
-                        )
+                        .chain(self.tail.range(after..(head, 0)).map(|(&k, _)| k))
                         .collect()
                 }
             }
@@ -690,12 +696,18 @@ mod tests {
         let e_far = a.submit_write(40, block_of(1), SimTime::ZERO, false, &model());
         let e_mid = a.submit_write(80, block_of(2), SimTime::ZERO, false, &model());
         let e_near = a.submit_write(60, block_of(3), SimTime::ZERO, false, &model());
-        assert!(e_far < e_mid && e_mid < e_near, "{e_far:?} {e_mid:?} {e_near:?}");
+        assert!(
+            e_far < e_mid && e_mid < e_near,
+            "{e_far:?} {e_mid:?} {e_near:?}"
+        );
         assert_eq!(a.drain_time(SimTime::ZERO), e_near);
         let order: Vec<u64> = retire(&mut a, e_near).iter().map(|w| w.0).collect();
         assert_eq!(order, [40, 80, 60]);
         assert_eq!(a.queue_depth_histogram(0), "disk.queue_depth");
-        assert_eq!(DiskArray::new(2).queue_depth_histogram(1), "disk.queue_depth.dev1");
+        assert_eq!(
+            DiskArray::new(2).queue_depth_histogram(1),
+            "disk.queue_depth.dev1"
+        );
     }
 
     #[test]
@@ -716,11 +728,15 @@ mod tests {
         let first = a.submit_write(0, block_of(1), SimTime::ZERO, false, &model());
         a.submit_write(2, block_of(2), SimTime::ZERO, false, &model());
         a.submit_write(1, block_of(3), SimTime::ZERO, false, &model()); // device 1
-        // Crash mid-way through device 0's second request; device 1's
-        // single request (same duration as device 0's first) is durable.
+                                                                        // Crash mid-way through device 0's second request; device 1's
+                                                                        // single request (same duration as device 0's first) is durable.
         let (durable, torn, lost) = crash(&mut a, first + SimTime::from_micros(1));
         let durable: Vec<u64> = durable.iter().map(|w| w.0).collect();
-        assert_eq!(durable, [0, 1], "both first requests completed; nothing was waited on");
+        assert_eq!(
+            durable,
+            [0, 1],
+            "both first requests completed; nothing was waited on"
+        );
         assert_eq!(torn.len(), 1, "device 0's in-flight write tears");
         assert_eq!(torn[0].0, 2);
         assert_eq!(lost, 0);
@@ -876,8 +892,8 @@ mod tests {
                     hardened: false,
                 };
                 let kind = positioning(prev, &read);
-                read.end = read.start
-                    + model.service_time_kind(crate::sim::BLOCK_SIZE as u64, kind);
+                read.end =
+                    read.start + model.service_time_kind(crate::sim::BLOCK_SIZE as u64, kind);
                 let end = read.end;
                 d.queue.push_back(read);
                 d.barrier = d.queue.len();
@@ -896,10 +912,7 @@ mod tests {
                 }
             }
 
-            pub fn crash(
-                &mut self,
-                now: SimTime,
-            ) -> (Vec<RetiredWrite>, Vec<TornWrite>, u64) {
+            pub fn crash(&mut self, now: SimTime) -> (Vec<RetiredWrite>, Vec<TornWrite>, u64) {
                 let _ = self.retire(now);
                 let mut hardened = Vec::new();
                 let mut torn = Vec::new();
@@ -963,8 +976,7 @@ mod tests {
                 for r in &mut tail {
                     let kind = positioning(prev, r);
                     r.start = cursor;
-                    r.end = cursor
-                        + model.service_time_kind(crate::sim::BLOCK_SIZE as u64, kind);
+                    r.end = cursor + model.service_time_kind(crate::sim::BLOCK_SIZE as u64, kind);
                     cursor = r.end;
                     prev = Some(r.head_at());
                     if r.global == global && r.data.is_some() {
@@ -1004,10 +1016,8 @@ mod tests {
                     for _ in 0..=(rng() as usize % burst) {
                         let block = rng() % 512;
                         payload = payload.wrapping_add(1);
-                        let e_new =
-                            new.submit_write(block, block_of(payload), now, false, &m);
-                        let e_old =
-                            old.submit_write(block, block_of(payload), now, false, &m);
+                        let e_new = new.submit_write(block, block_of(payload), now, false, &m);
+                        let e_old = old.submit_write(block, block_of(payload), now, false, &m);
                         assert_eq!(e_new, e_old, "write end diverged at op {op}");
                     }
                 }

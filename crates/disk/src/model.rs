@@ -162,7 +162,13 @@ mod positioning_tests {
         let m = DiskModel::paper_scsi();
         let cont = m.service_time_kind(8192, Positioning::Continued);
         let seq = m.service_time_kind(8192, Positioning::Sequential);
-        assert_eq!(seq.as_micros() - cont.as_micros(), m.per_request_overhead_us);
-        assert_eq!(cont.as_micros(), (8192 * 1_000_000u64).div_ceil(m.transfer_bytes_per_sec));
+        assert_eq!(
+            seq.as_micros() - cont.as_micros(),
+            m.per_request_overhead_us
+        );
+        assert_eq!(
+            cont.as_micros(),
+            (8192 * 1_000_000u64).div_ceil(m.transfer_bytes_per_sec)
+        );
     }
 }

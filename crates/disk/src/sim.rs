@@ -220,7 +220,13 @@ impl SimDisk {
     /// Lands every queued write whose completion time has passed.
     fn retire(&mut self, now: SimTime) {
         self.plane.retire(now, |block, data| {
-            land(&mut self.blocks, &mut self.torn, &mut self.free, block, data)
+            land(
+                &mut self.blocks,
+                &mut self.torn,
+                &mut self.free,
+                block,
+                data,
+            )
         });
     }
 
@@ -302,14 +308,9 @@ impl SimDisk {
         assert!(block < self.num_blocks(), "block {block} out of range");
         let data = buf_from(&mut self.free, data);
         self.retire(now);
-        let end = self.plane.submit_command_write(
-            cmd,
-            block,
-            data,
-            now,
-            force_sequential,
-            &self.model,
-        );
+        let end =
+            self.plane
+                .submit_command_write(cmd, block, data, now, force_sequential, &self.model);
         self.stats.writes += 1;
         self.stats.bytes_written += BLOCK_SIZE as u64;
         if rio_obs::is_enabled() {
@@ -384,7 +385,13 @@ impl SimDisk {
     /// * Queued writes that never started are lost.
     pub fn crash(&mut self, now: SimTime) {
         let (in_flight, lost) = self.plane.crash(now, |block, data| {
-            land(&mut self.blocks, &mut self.torn, &mut self.free, block, data)
+            land(
+                &mut self.blocks,
+                &mut self.torn,
+                &mut self.free,
+                block,
+                data,
+            )
         });
         for (block, data) in in_flight {
             self.poke_torn(block, &data[..]);
@@ -459,10 +466,7 @@ impl SimDisk {
     }
 
     /// Consumes one access against a fault table entry.
-    fn consume_fault(
-        faults: &mut BTreeMap<u64, DiskFault>,
-        block: u64,
-    ) -> Result<(), DiskIoError> {
+    fn consume_fault(faults: &mut BTreeMap<u64, DiskFault>, block: u64) -> Result<(), DiskIoError> {
         match faults.get_mut(&block) {
             None => Ok(()),
             Some(DiskFault::Permanent) => {
@@ -909,7 +913,8 @@ mod striped_tests {
         // instant, the second wave never starts.
         let mut first_wave_end = SimTime::ZERO;
         for b in 0..4 {
-            first_wave_end = first_wave_end.max(d.submit_write(b, block_of(1), SimTime::ZERO, false));
+            first_wave_end =
+                first_wave_end.max(d.submit_write(b, block_of(1), SimTime::ZERO, false));
         }
         for b in 4..8 {
             d.submit_write(b, block_of(2), SimTime::ZERO, false);
@@ -943,7 +948,8 @@ mod same_block_tests {
         let svc2 = t2.saturating_sub(t1);
         assert_eq!(
             svc2,
-            d.model().service_time_kind(BLOCK_SIZE as u64, crate::model::Positioning::SameBlock)
+            d.model()
+                .service_time_kind(BLOCK_SIZE as u64, crate::model::Positioning::SameBlock)
         );
     }
 }
@@ -1001,7 +1007,9 @@ mod run_tests {
         let data = pages(6);
         let ends = d.submit_write_run(4, &refs(&data), SimTime::ZERO);
         // Inside block 7's transfer (the run's fourth block).
-        d.crash(SimTime::from_micros((ends[2].as_micros() + ends[3].as_micros()) / 2));
+        d.crash(SimTime::from_micros(
+            (ends[2].as_micros() + ends[3].as_micros()) / 2,
+        ));
         for (block, page) in (4..7).zip(&data) {
             assert_eq!(d.peek(block), &page[..], "block {block} of the prefix");
             assert!(!d.is_torn(block));
@@ -1037,7 +1045,10 @@ mod run_tests {
         let cont = svc(&d, Positioning::Continued);
         // Device 0 alone, in sweep order: inner 10 after inner 0 (random),
         // then 11–13 streamed.
-        assert_eq!(plain, busy + svc(&d, Positioning::Random) + cont + cont + cont);
+        assert_eq!(
+            plain,
+            busy + svc(&d, Positioning::Random) + cont + cont + cont
+        );
         // With the rewrite: 10 random, 11 streamed, the rewrite of 11 a
         // full rotation, then 12 a new command (sequential), 13 streamed.
         assert_eq!(
@@ -1070,7 +1081,11 @@ mod run_tests {
             assert_eq!(run.stats(), single.stats(), "D = {devices}");
             for b in 0..64 {
                 assert_eq!(run.peek(b), single.peek(b), "block {b} at D = {devices}");
-                assert_eq!(run.is_torn(b), single.is_torn(b), "block {b} at D = {devices}");
+                assert_eq!(
+                    run.is_torn(b),
+                    single.is_torn(b),
+                    "block {b} at D = {devices}"
+                );
             }
         }
     }

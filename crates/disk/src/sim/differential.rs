@@ -160,7 +160,10 @@ fn same_state(new: &SimDisk, old: &FifoDisk, now: SimTime) -> Result<(), String>
     pt_assert_eq!(new.idle_at(now), old.idle_at(now));
     pt_assert_eq!(new.queue_depth_at(now), old.queue_depth_at(now));
     for b in 0..BLOCKS {
-        pt_assert!(new.peek(b) == &old.blocks[b as usize][..], "block {b} differs");
+        pt_assert!(
+            new.peek(b) == &old.blocks[b as usize][..],
+            "block {b} differs"
+        );
         pt_assert_eq!(new.is_torn(b), old.torn[b as usize]);
     }
     Ok(())
@@ -265,7 +268,11 @@ fn crashes_over_a_full_queue_match_the_reference() {
         let s = new.stats();
         assert_eq!(new.peek(4), &[2u8; BLOCK_SIZE][..], "second write whole");
         if waited {
-            assert_eq!(new.peek(3), &[1u8; BLOCK_SIZE][..], "in flight, but waited on");
+            assert_eq!(
+                new.peek(3),
+                &[1u8; BLOCK_SIZE][..],
+                "in flight, but waited on"
+            );
             assert_eq!((s.blocks_torn_at_crash, s.writes_lost_at_crash), (0, 2));
         } else {
             assert!(new.is_torn(3), "the third write was in flight");

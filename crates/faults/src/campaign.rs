@@ -218,12 +218,7 @@ pub struct CampaignResult {
 impl CampaignResult {
     /// `field` summed over a system's cells at `clients`, across fault
     /// types.
-    pub fn total(
-        &self,
-        system: SystemKind,
-        clients: usize,
-        field: fn(&CellResult) -> u64,
-    ) -> u64 {
+    pub fn total(&self, system: SystemKind, clients: usize, field: fn(&CellResult) -> u64) -> u64 {
         self.cells
             .iter()
             .filter(|c| c.system == system && c.clients == clients)
@@ -400,7 +395,14 @@ mod tests {
     ) -> Vec<TrialObservation> {
         let steady = PreparedTrial::prepare(system, workload_seed(0, system), warmup_ops);
         (0..attempts)
-            .map(|a| drive(steady.fork(), fault, trial_seed(0, fault, system, a), watchdog_ops))
+            .map(|a| {
+                drive(
+                    steady.fork(),
+                    fault,
+                    trial_seed(0, fault, system, a),
+                    watchdog_ops,
+                )
+            })
             .collect()
     }
 
@@ -454,17 +456,35 @@ mod tests {
     #[test]
     fn stack_flips_mostly_discard() {
         // 64 KB of stack, 32 live bytes: most flips hit nothing.
-        let discards = cell_trials(SystemKind::RioWithProtection, FaultType::KernelStack, 4, 20, 150)
-            .iter()
-            .filter(|o| o.verdict != TrialVerdict::Crashed)
-            .count();
+        let discards = cell_trials(
+            SystemKind::RioWithProtection,
+            FaultType::KernelStack,
+            4,
+            20,
+            150,
+        )
+        .iter()
+        .filter(|o| o.verdict != TrialVerdict::Crashed)
+        .count();
         assert!(discards >= 2, "stack flips rarely hit ({discards})");
     }
 
     #[test]
     fn trials_are_deterministic() {
-        let a = cell_trials(SystemKind::RioWithoutProtection, FaultType::KernelText, 2, 25, 200);
-        let b = cell_trials(SystemKind::RioWithoutProtection, FaultType::KernelText, 2, 25, 200);
+        let a = cell_trials(
+            SystemKind::RioWithoutProtection,
+            FaultType::KernelText,
+            2,
+            25,
+            200,
+        );
+        let b = cell_trials(
+            SystemKind::RioWithoutProtection,
+            FaultType::KernelText,
+            2,
+            25,
+            200,
+        );
         assert_eq!(a, b);
     }
 
@@ -473,7 +493,10 @@ mod tests {
         let cfg = CampaignConfig::quick(0);
         let (campaign, coord) = (Table1(&cfg), (FaultType::Pointer, SystemKind::DiskBased));
         let mut cell = campaign.empty(coord);
-        campaign.absorb(&mut cell, campaign.on_panic(coord, "index out of bounds".to_owned()));
+        campaign.absorb(
+            &mut cell,
+            campaign.on_panic(coord, "index out of bounds".to_owned()),
+        );
         let expected = CellResult {
             crashes: 1,
             corruptions: 1,

@@ -447,7 +447,9 @@ pub fn run_to_crash(
     };
     if let Some(sched) = &m.sched {
         prov.inflight_at_injection = sched.in_flight();
-        prov.locks_held_at_injection = (0..m.clients.len()).map(|c| sched.held_locks(c).len()).sum();
+        prov.locks_held_at_injection = (0..m.clients.len())
+            .map(|c| sched.held_locks(c).len())
+            .sum();
     }
     let mut rng = DetRng::seed_from_u64(inject_seed);
     inject(&mut m.kernel, fault, &mut rng);
@@ -523,7 +525,11 @@ pub fn reboot(system: SystemKind, config: &KernelConfig, crashed: Kernel) -> Opt
 /// and compares the recovered file system with that model, skipping the
 /// target of the op in flight at the crash. `None`: the recovered system
 /// died during verification.
-pub fn examine(k: &mut Kernel, mt_cfg: &MemTestConfig, ops: u64) -> Option<(ModelFs, VerifyReport)> {
+pub fn examine(
+    k: &mut Kernel,
+    mt_cfg: &MemTestConfig,
+    ops: u64,
+) -> Option<(ModelFs, VerifyReport)> {
     let (expected, next_target) = MemTest::replay(mt_cfg, ops);
     let report = expected.verify(k, Some(next_target.as_str())).ok()?;
     Some((expected, report))
@@ -669,7 +675,13 @@ mod tests {
     #[test]
     fn a_fork_shares_every_page_of_the_sealed_checkpoint_until_it_writes() {
         fn owned_pages(trial: &PreparedTrial) -> usize {
-            trial.kernel().expect("booted").machine.bus.mem().owned_pages()
+            trial
+                .kernel()
+                .expect("booted")
+                .machine
+                .bus
+                .mem()
+                .owned_pages()
         }
         let system = SystemKind::RioWithProtection;
         let cp = PreparedTrial::prepare(system, workload_seed(7, system), 25);
@@ -680,7 +692,9 @@ mod tests {
         // The watchdog run of `drive`, on a machine we can still look at.
         let (mut k, mut clients) = fork.into_machine().expect("booted");
         for _ in 0..40 {
-            clients[0].step(&mut k).expect("a healthy machine runs memTest");
+            clients[0]
+                .step(&mut k)
+                .expect("a healthy machine runs memTest");
         }
         let mem = k.machine.bus.mem();
         let (dirtied, total) = (mem.owned_pages(), mem.len() as usize / rio_mem::PAGE_SIZE);
@@ -712,14 +726,21 @@ mod tests {
                 };
                 let mut mt = MemTest::new(cfg);
                 mt.setup_skeleton(&mut kernel).expect("skeleton");
-                mt.run(&mut kernel, 12).expect("a healthy machine runs memTest");
+                mt.run(&mut kernel, 12)
+                    .expect("a healthy machine runs memTest");
                 mt
             })
             .collect();
         // Client 1's oldest file that its next op does not touch.
         let owner = &clients[1];
         let (_, next) = MemTest::replay(owner.config(), owner.ops_done());
-        let victim = owner.model().files.keys().find(|&p| *p != next).expect("a file").clone();
+        let victim = owner
+            .model()
+            .files
+            .keys()
+            .find(|&p| *p != next)
+            .expect("a file")
+            .clone();
         let steady = Steady {
             kernel,
             clients,
@@ -743,16 +764,29 @@ mod tests {
                 ..Provenance::default()
             };
             examine_crash(trial, &mut obs, &mut prov).expect("reboots");
-            assert!(obs.corrupted() && obs.damage != TOTAL_LOSS_DAMAGE, "{obs:?}");
+            assert!(
+                obs.corrupted() && obs.damage != TOTAL_LOSS_DAMAGE,
+                "{obs:?}"
+            );
             prov
         };
         for crasher in [Some(0), Some(1), Some(2), None] {
             let prov = crash_after_overwriting(&victim, crasher);
-            assert_eq!((prov.damaged_clients.as_slice(), prov.static_bad), (&[1][..], 0));
-            assert_eq!(prov.cross_client(), crasher != Some(1), "crasher {crasher:?}");
+            assert_eq!(
+                (prov.damaged_clients.as_slice(), prov.static_bad),
+                (&[1][..], 0)
+            );
+            assert_eq!(
+                prov.cross_client(),
+                crasher != Some(1),
+                "crasher {crasher:?}"
+            );
         }
         let prov = crash_after_overwriting("/static/a0", Some(1));
-        assert_eq!((prov.damaged_clients.as_slice(), prov.static_bad), (&[][..], 1));
+        assert_eq!(
+            (prov.damaged_clients.as_slice(), prov.static_bad),
+            (&[][..], 1)
+        );
         assert!(prov.cross_client());
     }
 }

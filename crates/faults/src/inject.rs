@@ -1,7 +1,7 @@
 //! The thirteen fault models.
 
-use rio_det::DetRng;
 use rio_cpu::{Instr, Opcode, Reg, INSTR_BYTES};
+use rio_det::DetRng;
 use rio_kernel::{Cadence, Kernel, OffByOne, OverrunSpec};
 
 /// The paper's thirteen fault types, in Table 1 row order.

@@ -383,8 +383,7 @@ pub fn run_recovery_trial_from(
     // Reference: one uninterrupted recovery, counting crashable points.
     let mut ref_image = image.clone();
     let mut counter = CountingControl { points: 0 };
-    let reference =
-        Kernel::warm_boot_resumable(config, &mut ref_image, disk.clone(), &mut counter);
+    let reference = Kernel::warm_boot_resumable(config, &mut ref_image, disk.clone(), &mut counter);
     let points = counter.points;
     let ref_disk = match reference {
         Ok((kernel, _)) => park(kernel),
@@ -575,9 +574,19 @@ mod tests {
     use super::*;
 
     /// One trial at `(scenario, depth)` from a machine warmed with `seed`.
-    fn trial(scenario: RecoveryScenario, depth: u64, seed: u64, warmup_ops: u64) -> RecoveryTrialOutcome {
+    fn trial(
+        scenario: RecoveryScenario,
+        depth: u64,
+        seed: u64,
+        warmup_ops: u64,
+    ) -> RecoveryTrialOutcome {
         let cp = RecoveryCheckpoint::capture(recovery_workload_seed(seed), warmup_ops);
-        run_recovery_trial_from(&cp, scenario, depth, recovery_trial_seed(seed, scenario, depth, 0))
+        run_recovery_trial_from(
+            &cp,
+            scenario,
+            depth,
+            recovery_trial_seed(seed, scenario, depth, 0),
+        )
     }
 
     #[test]
@@ -622,7 +631,10 @@ mod tests {
             assert!(o.converged(), "seed {seed}: {o:?}");
             degraded += o.degraded_blocks;
         }
-        assert!(degraded > 0, "a dead block should land on a block recovery touches");
+        assert!(
+            degraded > 0,
+            "a dead block should land on a block recovery touches"
+        );
     }
 
     #[test]

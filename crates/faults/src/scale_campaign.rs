@@ -109,7 +109,12 @@ pub fn scale_trial_seed(
     clients: usize,
     attempt: u64,
 ) -> u64 {
-    trial_seed(derive_seed(campaign_seed, clients as u64), fault, system, attempt)
+    trial_seed(
+        derive_seed(campaign_seed, clients as u64),
+        fault,
+        system,
+        attempt,
+    )
 }
 
 /// The per-cell workload seed of the scale campaign: all trials of one
@@ -166,9 +171,9 @@ impl Campaign for ScaleTable1<'_> {
             .client_counts
             .iter()
             .flat_map(|&n| {
-                FaultType::ALL.iter().flat_map(move |&f| {
-                    SystemKind::ALL.iter().map(move |&s| (f, s, n))
-                })
+                FaultType::ALL
+                    .iter()
+                    .flat_map(move |&f| SystemKind::ALL.iter().map(move |&s| (f, s, n)))
             })
             .collect()
     }
@@ -188,12 +193,20 @@ impl Campaign for ScaleTable1<'_> {
         attempt: u64,
     ) -> Self::Outcome {
         let inject_seed = scale_trial_seed(self.0.seed, fault, system, clients, attempt);
-        drive_attributed(checkpoint.fork(), fault, inject_seed, self.0.watchdog_quanta)
+        drive_attributed(
+            checkpoint.fork(),
+            fault,
+            inject_seed,
+            self.0.watchdog_quanta,
+        )
     }
 
     /// A harness panic counts as a crash that damaged every client.
     fn on_panic(&self, (_, _, clients): Self::Coord, text: String) -> Self::Outcome {
-        (TrialObservation::harness_panic(text), Provenance::total_loss(clients))
+        (
+            TrialObservation::harness_panic(text),
+            Provenance::total_loss(clients),
+        )
     }
 
     fn empty(&self, (fault, system, clients): Self::Coord) -> CellResult {
@@ -231,7 +244,12 @@ mod tests {
         let s = scale_trial_seed(1996, FaultType::Pointer, SystemKind::DiskBased, 16, 3);
         assert_eq!(
             s,
-            trial_seed(derive_seed(1996, 16), FaultType::Pointer, SystemKind::DiskBased, 3),
+            trial_seed(
+                derive_seed(1996, 16),
+                FaultType::Pointer,
+                SystemKind::DiskBased,
+                3
+            ),
             "Table 1's trial seed under a per-client-count campaign seed"
         );
         assert_ne!(
@@ -268,9 +286,15 @@ mod tests {
     #[test]
     fn a_harness_panic_damages_every_client_across_client_boundaries() {
         let cfg = ScaleCampaignConfig::quick(0);
-        let (campaign, coord) = (ScaleTable1(&cfg), (FaultType::Pointer, SystemKind::DiskBased, 4));
+        let (campaign, coord) = (
+            ScaleTable1(&cfg),
+            (FaultType::Pointer, SystemKind::DiskBased, 4),
+        );
         let mut cell = campaign.empty(coord);
-        campaign.absorb(&mut cell, campaign.on_panic(coord, "index out of bounds".to_owned()));
+        campaign.absorb(
+            &mut cell,
+            campaign.on_panic(coord, "index out of bounds".to_owned()),
+        );
         let expected = CellResult {
             crashes: 1,
             corruptions: 1,

@@ -12,8 +12,8 @@
 use rio_det::proptest_lite::{check, Config, Gen};
 use rio_faults::campaign::trial_seed;
 use rio_faults::{
-    drive_attributed, scale_checkpoint, scale_trial_seed, workload_seed, FaultType,
-    PreparedTrial, ScaleCampaignConfig, SystemKind,
+    drive_attributed, scale_checkpoint, scale_trial_seed, workload_seed, FaultType, PreparedTrial,
+    ScaleCampaignConfig, SystemKind,
 };
 
 #[test]

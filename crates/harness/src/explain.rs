@@ -174,7 +174,11 @@ fn crash_exam(system: SystemKind, examined: Option<Examination>) -> CrashExam {
         report: None,
         first_corruption: None,
     };
-    if let Some(Examination { mut kernel, verified }) = examined {
+    if let Some(Examination {
+        mut kernel,
+        verified,
+    }) = examined
+    {
         // One client: the first (only) comparison is the trial's.
         if let Some((expected, report)) = verified.and_then(|v| v.into_iter().next()) {
             exam.first_corruption = first_corruption(&mut kernel, &expected, &report);
@@ -238,7 +242,10 @@ fn payload_str(e: &Event) -> String {
             format!("block={block}")
         }
         (EventCategory::FsckRetry, Payload::Block { block, aux }) => {
-            format!("block={block} op={}", if aux == 0 { "read" } else { "write" })
+            format!(
+                "block={block} op={}",
+                if aux == 0 { "read" } else { "write" }
+            )
         }
         (EventCategory::DiskRetry, Payload::Block { block, aux }) => {
             format!("block={block} remaining={aux}")
@@ -270,7 +277,12 @@ fn push_event(out: &mut String, e: &Event) {
     if p.is_empty() {
         out.push_str(&format!("  t={:<12} {}\n", e.sim_ns, e.category.name()));
     } else {
-        out.push_str(&format!("  t={:<12} {:<17} {}\n", e.sim_ns, e.category.name(), p));
+        out.push_str(&format!(
+            "  t={:<12} {:<17} {}\n",
+            e.sim_ns,
+            e.category.name(),
+            p
+        ));
     }
 }
 
@@ -378,7 +390,12 @@ pub fn render_timeline(report: &ExplainReport) -> String {
     if !report.trace.notes.is_empty() {
         out.push_str("notes:\n");
         for n in &report.trace.notes {
-            out.push_str(&format!("  t={:<12} {}: {}\n", n.sim_ns, n.category.name(), n.text));
+            out.push_str(&format!(
+                "  t={:<12} {}: {}\n",
+                n.sim_ns,
+                n.category.name(),
+                n.text
+            ));
         }
     }
     out.push('\n');
@@ -481,7 +498,9 @@ fn causal_endpoint(obs: &TrialObservation, exam: &CrashExam, trace: &Trace) -> S
     } else if let Some(first) = v.missing.first().or(v.dirs_missing.first()) {
         format!("damage     : {first} lost entirely (no surviving bytes to diff)\n")
     } else if let Some(first) = v.corrupted.first() {
-        format!("damage     : {first} corrupted, and unreadable after recovery (no bytes to diff)\n")
+        format!(
+            "damage     : {first} corrupted, and unreadable after recovery (no bytes to diff)\n"
+        )
     } else if obs.corrupted() {
         format!(
             "damage     : {} of the /static comparison files differ from what was planted\n",
@@ -536,7 +555,11 @@ pub fn explain_json(report: &ExplainReport) -> String {
         Some(m) => out.push_str(&format!("  \"message\": \"{}\",\n", json_escape(m))),
         None => out.push_str("  \"message\": null,\n"),
     }
-    match report.exam.as_ref().and_then(|e| e.first_corruption.as_ref()) {
+    match report
+        .exam
+        .as_ref()
+        .and_then(|e| e.first_corruption.as_ref())
+    {
         Some(fc) => {
             let opt = |b: Option<u8>| b.map(|v| v.to_string()).unwrap_or_else(|| "null".into());
             out.push_str(&format!(
@@ -579,13 +602,21 @@ mod tests {
     use super::*;
 
     fn pinned() -> ExplainConfig {
-        ExplainConfig::paper(1996, FaultType::CopyOverrun, SystemKind::RioWithProtection, 0)
+        ExplainConfig::paper(
+            1996,
+            FaultType::CopyOverrun,
+            SystemKind::RioWithProtection,
+            0,
+        )
     }
 
     #[test]
     fn first_diff_locates_byte_and_length_mismatches() {
         assert_eq!(first_diff(b"abc", b"abc"), None);
-        assert_eq!(first_diff(b"abc", b"axc"), Some((1, Some(b'b'), Some(b'x'))));
+        assert_eq!(
+            first_diff(b"abc", b"axc"),
+            Some((1, Some(b'b'), Some(b'x')))
+        );
         assert_eq!(first_diff(b"abc", b"ab"), Some((2, Some(b'c'), None)));
         assert_eq!(first_diff(b"ab", b"abc"), Some((2, None, Some(b'c'))));
     }

@@ -90,12 +90,7 @@ impl Table2Report {
 
     /// Ratio of one row's time to another's for a workload selector, the
     /// rows named by their full labels.
-    pub fn ratio(
-        &self,
-        slow: &str,
-        fast: &str,
-        select: impl Fn(&Table2Row) -> SimTime,
-    ) -> f64 {
+    pub fn ratio(&self, slow: &str, fast: &str, select: impl Fn(&Table2Row) -> SimTime) -> f64 {
         let s = select(self.row(slow)).as_micros() as f64;
         let f = select(self.row(fast)).as_micros().max(1) as f64;
         s / f
@@ -140,7 +135,9 @@ pub fn run_table2(scale: &Table2Scale) -> Table2Report {
 
         // Andrew.
         let mut k = fresh_kernel(&policy, 1);
-        let andrew_report = Andrew::new(scale.andrew.clone()).run(&mut k).expect("andrew");
+        let andrew_report = Andrew::new(scale.andrew.clone())
+            .run(&mut k)
+            .expect("andrew");
 
         rows.push(Table2Row {
             name,
@@ -250,6 +247,9 @@ mod tests {
         let close = report.ratio("UFS write-through on close", "Rio with protection", |r| {
             r.cprm_total
         });
-        assert!(wt >= close, "on-write {wt} should cost at least on-close {close}");
+        assert!(
+            wt >= close,
+            "on-write {wt} should cost at least on-close {close}"
+        );
     }
 }

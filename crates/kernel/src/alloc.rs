@@ -156,7 +156,9 @@ impl KernelAlloc {
             return Err(PanicReason::Consistency("kfree: double free".to_owned()));
         }
         if magic != KMALLOC_MAGIC || hdr_addr + HDR_BYTES + size > self.arena_end {
-            return Err(PanicReason::Consistency("kfree: bad block magic".to_owned()));
+            return Err(PanicReason::Consistency(
+                "kfree: bad block magic".to_owned(),
+            ));
         }
         mem.write_u64(hdr_addr, (KFREE_MAGIC as u64) | (size << 32));
         self.insert_free(hdr_addr, size + HDR_BYTES);

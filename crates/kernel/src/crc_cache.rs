@@ -59,7 +59,10 @@ struct PageSectors {
 
 impl PageSectors {
     fn empty() -> Self {
-        PageSectors { crcs: [0; SECTORS_PER_PAGE], valid_mask: 0 }
+        PageSectors {
+            crcs: [0; SECTORS_PER_PAGE],
+            valid_mask: 0,
+        }
     }
 }
 
@@ -135,8 +138,7 @@ impl SectorCrcCache {
         // Partial tail: append directly to the finalized prefix CRC — for
         // under one sector of bytes that is cheaper than a matrix build.
         if !valid.is_multiple_of(SECTOR_BYTES) {
-            crc = crc32_update(crc ^ 0xFFFF_FFFF, &bytes[full * SECTOR_BYTES..valid])
-                ^ 0xFFFF_FFFF;
+            crc = crc32_update(crc ^ 0xFFFF_FFFF, &bytes[full * SECTOR_BYTES..valid]) ^ 0xFFFF_FFFF;
         }
         crc
     }
@@ -166,7 +168,11 @@ mod tests {
             bus.mem_mut().fill(page.base(), valid as u64, fill);
             cache.invalidate_page(page);
             let direct = crc32(&bus.mem().page(page)[..valid as usize]);
-            assert_eq!(cache.prefix_crc(bus.mem(), page, valid), direct, "valid {valid}");
+            assert_eq!(
+                cache.prefix_crc(bus.mem(), page, valid),
+                direct,
+                "valid {valid}"
+            );
         }
     }
 
@@ -180,9 +186,17 @@ mod tests {
         let mut cache = SectorCrcCache::new();
         for valid in (0..=PAGE_SIZE as u32).step_by(37).chain([PAGE_SIZE as u32]) {
             let direct = rio_mem::crc32_bytewise(&bus.mem().page(page)[..valid as usize]);
-            assert_eq!(cache.prefix_crc(bus.mem(), page, valid), direct, "valid {valid}");
+            assert_eq!(
+                cache.prefix_crc(bus.mem(), page, valid),
+                direct,
+                "valid {valid}"
+            );
             cache.invalidate_page(page);
-            assert_eq!(cache.prefix_crc(bus.mem(), page, valid), direct, "valid {valid}, cold");
+            assert_eq!(
+                cache.prefix_crc(bus.mem(), page, valid),
+                direct,
+                "valid {valid}, cold"
+            );
         }
     }
 
@@ -306,8 +320,8 @@ mod tests {
         let mut cache = SectorCrcCache::new();
         let legit = cache.prefix_crc(bus.mem(), page, PAGE_SIZE as u32);
         bus.mem_mut().flip_bit(page.base() + 2000, 3); // wild store
-        // A later write to a *different* sector still derives the old CRC
-        // for the corrupted sector — mismatching the corrupt memory.
+                                                       // A later write to a *different* sector still derives the old CRC
+                                                       // for the corrupted sector — mismatching the corrupt memory.
         cache.note_write(page, 7000, 7100);
         let derived = cache.prefix_crc(bus.mem(), page, PAGE_SIZE as u32);
         assert_ne!(derived, crc32(bus.mem().page(page)));
@@ -323,7 +337,8 @@ mod tests {
         for (i, grow) in [100u32, 412, 512, 1000, 3000, 3168].iter().enumerate() {
             let start = valid as usize;
             valid += grow;
-            bus.mem_mut().fill(page.base() + start as u64, *grow as u64, 0x30 + i as u8);
+            bus.mem_mut()
+                .fill(page.base() + start as u64, *grow as u64, 0x30 + i as u8);
             cache.note_write(page, start, valid as usize);
             assert_eq!(
                 cache.prefix_crc(bus.mem(), page, valid),

@@ -36,8 +36,7 @@ impl PanicReason {
     pub fn is_protection_trap(&self) -> bool {
         matches!(
             self,
-            PanicReason::Mem(MemFault::ProtectionViolation { .. })
-                | PanicReason::Cpu(_)
+            PanicReason::Mem(MemFault::ProtectionViolation { .. }) | PanicReason::Cpu(_)
         ) && match self {
             PanicReason::Mem(MemFault::ProtectionViolation { .. }) => true,
             PanicReason::Cpu(s) => s.contains("write-protection violation"),
@@ -49,9 +48,7 @@ impl PanicReason {
     /// (addresses stripped, categories kept).
     pub fn message(&self) -> String {
         match self {
-            PanicReason::Mem(MemFault::BadAddress { .. }) => {
-                "trap: illegal address".to_owned()
-            }
+            PanicReason::Mem(MemFault::BadAddress { .. }) => "trap: illegal address".to_owned(),
             PanicReason::Mem(MemFault::ProtectionViolation { kseg, .. }) => {
                 format!(
                     "trap: write to protected file cache ({} route)",
@@ -167,25 +164,38 @@ mod tests {
 
     #[test]
     fn messages_are_address_free() {
-        let a = PanicReason::Mem(MemFault::BadAddress { addr: 0x1234, len: 8 });
-        let b = PanicReason::Mem(MemFault::BadAddress { addr: 0x9999, len: 1 });
+        let a = PanicReason::Mem(MemFault::BadAddress {
+            addr: 0x1234,
+            len: 8,
+        });
+        let b = PanicReason::Mem(MemFault::BadAddress {
+            addr: 0x9999,
+            len: 1,
+        });
         assert_eq!(a.message(), b.message());
     }
 
     #[test]
     fn cpu_causes_convert_and_group() {
-        let c1: PanicReason =
-            PanicCause::IllegalInstruction { index: 5, reason: "illegal opcode 0xfe".into() }
-                .into();
-        let c2: PanicReason =
-            PanicCause::IllegalInstruction { index: 9, reason: "illegal opcode 0xee".into() }
-                .into();
+        let c1: PanicReason = PanicCause::IllegalInstruction {
+            index: 5,
+            reason: "illegal opcode 0xfe".into(),
+        }
+        .into();
+        let c2: PanicReason = PanicCause::IllegalInstruction {
+            index: 9,
+            reason: "illegal opcode 0xee".into(),
+        }
+        .into();
         // Same kind, different indices/opcodes → digits stripped, but hex
         // letters may differ; messages still mention machine check.
         assert!(c1.message().starts_with("machine check"));
         assert!(c2.message().starts_with("machine check"));
         let mf: PanicReason = PanicCause::MemFault(MemFault::BadAddress { addr: 1, len: 2 }).into();
-        assert_eq!(mf, PanicReason::Mem(MemFault::BadAddress { addr: 1, len: 2 }));
+        assert_eq!(
+            mf,
+            PanicReason::Mem(MemFault::BadAddress { addr: 1, len: 2 })
+        );
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! crash.
 
 use crate::ondisk::{
-    DirEntry, FileType, Inode, Superblock, DIRENTS_PER_BLOCK, DIRENT_BYTES,
-    INODES_PER_BLOCK, INODE_BYTES, NDIRECT, NINDIRECT,
+    DirEntry, FileType, Inode, Superblock, DIRENTS_PER_BLOCK, DIRENT_BYTES, INODES_PER_BLOCK,
+    INODE_BYTES, NDIRECT, NINDIRECT,
 };
 use rio_disk::{DiskIoError, SimDisk, BLOCK_SIZE};
 

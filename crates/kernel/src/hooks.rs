@@ -56,7 +56,11 @@ impl OverrunSpec {
     /// Panics if `lengths` is empty.
     pub fn new(cadence: Cadence, lengths: Vec<u64>) -> Self {
         assert!(!lengths.is_empty(), "need at least one overrun length");
-        OverrunSpec { cadence, lengths, next: 0 }
+        OverrunSpec {
+            cadence,
+            lengths,
+            next: 0,
+        }
     }
 
     /// Ticks the cadence; when it fires, returns the extra byte count.

@@ -210,9 +210,15 @@ impl Machine {
         let effective = self.hooks.bcopy_len(len);
         let limit = effective * 8 + 1_000;
         self.pollute_scratch();
-        let run = self
-            .routines
-            .bcopy(&mut self.cpu, &mut self.bus, &self.store, src, dst, effective, limit);
+        let run = self.routines.bcopy(
+            &mut self.cpu,
+            &mut self.bus,
+            &self.store,
+            src,
+            dst,
+            effective,
+            limit,
+        );
         self.finish(run.outcome, run.steps)?;
         Ok(effective)
     }
@@ -342,8 +348,17 @@ mod tests {
                 kseg: true
             })
         );
-        assert!(m.bus.mem().slice(second.base() - 50, 50).iter().all(|&b| b == 0x77));
-        assert_eq!(m.bus.stats().stores - stores, 2 + 6 + 1, "2 to align, 6 words, the trapped one");
+        assert!(m
+            .bus
+            .mem()
+            .slice(second.base() - 50, 50)
+            .iter()
+            .all(|&b| b == 0x77));
+        assert_eq!(
+            m.bus.stats().stores - stores,
+            2 + 6 + 1,
+            "2 to align, 6 words, the trapped one"
+        );
         // The protected page is untouched.
         assert_eq!(m.bus.mem().read_u8(second.base()), 0);
     }
@@ -360,14 +375,22 @@ mod tests {
 
         // `addi rem, rem, -64` in `bulk` becomes `-63`: still decodes, still
         // halts, copies more than it was asked to. (Immediate: bytes 4..8.)
-        let at = m.store.instr_addr(m.routines.bcopy.first_index + 4 + 9 + 1 + 16 + 2) + 4;
+        let at = m
+            .store
+            .instr_addr(m.routines.bcopy.first_index + 4 + 9 + 1 + 16 + 2)
+            + 4;
         m.bus.mem_mut().flip_bit(at, 0);
         let mut want = m.clone();
         want.pollute_scratch();
         for (r, v) in [(1, src), (2, dst), (3, 600)] {
             want.cpu.set_reg(Reg(r), v);
         }
-        let run = want.cpu.run(&mut want.bus, &want.store, want.routines.bcopy, 600 * 8 + 1_000);
+        let run = want.cpu.run(
+            &mut want.bus,
+            &want.store,
+            want.routines.bcopy,
+            600 * 8 + 1_000,
+        );
         want.clock.charge_steps(run.steps);
 
         let got = m.bcopy(src, dst, 600);

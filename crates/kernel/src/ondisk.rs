@@ -227,7 +227,11 @@ impl Inode {
     /// Encodes into a 256-byte record.
     pub fn encode(&self) -> [u8; INODE_BYTES] {
         let mut b = [0u8; INODE_BYTES];
-        let magic = if self.itype == FileType::Free { 0 } else { INODE_MAGIC };
+        let magic = if self.itype == FileType::Free {
+            0
+        } else {
+            INODE_MAGIC
+        };
         b[0..4].copy_from_slice(&magic.to_le_bytes());
         b[4..8].copy_from_slice(&self.itype.to_u32().to_le_bytes());
         b[8..12].copy_from_slice(&self.nlink.to_le_bytes());
@@ -245,7 +249,7 @@ impl Inode {
     /// Returns `Ok(None)` for a free (zero-magic) record and `Err(())` for
     /// a corrupt one — the kernel panics on the latter ("bad inode magic").
     #[allow(clippy::result_unit_err)] // the only failure is "corrupt": the
-    // caller's response is always a kernel panic, so no error payload helps
+                                      // caller's response is always a kernel panic, so no error payload helps
     pub fn decode(b: &[u8]) -> Result<Option<Inode>, ()> {
         assert_eq!(b.len(), INODE_BYTES);
         let magic = u32::from_le_bytes(b[0..4].try_into().expect("4 bytes"));
@@ -482,7 +486,9 @@ mod tests {
         check("ino_if_named", Config::with_cases(4096), |g| {
             let slot = arbitrary_slot(g, &names);
             let name = names[g.in_range(0..names.len())];
-            let decoded = DirEntry::decode(&slot).filter(|e| e.name == name).map(|e| e.ino);
+            let decoded = DirEntry::decode(&slot)
+                .filter(|e| e.name == name)
+                .map(|e| e.ino);
             pt_assert_eq!(DirEntry::ino_if_named(&slot, name), decoded);
             Ok(())
         });

@@ -321,8 +321,8 @@ impl Kernel {
         }
 
         // Phase 3: fsck + mount on a fresh machine.
-        let fsck_report =
-            fsck::repair(&mut disk).map_err(|_| WarmBootError::Fatal(KernelError::BadSuperblock))?;
+        let fsck_report = fsck::repair(&mut disk)
+            .map_err(|_| WarmBootError::Fatal(KernelError::BadSuperblock))?;
         if !ctl.reached(RecoveryPoint::AfterFsck) {
             return Err(interrupted(disk, RecoveryPoint::AfterFsck));
         }

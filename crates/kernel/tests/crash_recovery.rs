@@ -19,7 +19,9 @@ fn populate(k: &mut Kernel) -> Vec<(String, Vec<u8>)> {
     k.mkdir("/proj/src").unwrap();
     for i in 0..8 {
         let path = format!("/proj/src/file{i}.dat");
-        let data: Vec<u8> = (0..3000 + i * 517).map(|j| ((j * 31 + i) % 251) as u8).collect();
+        let data: Vec<u8> = (0..3000 + i * 517)
+            .map(|j| ((j * 31 + i) % 251) as u8)
+            .collect();
         let fd = k.create(&path).unwrap();
         k.write(fd, &data).unwrap();
         k.close(fd).unwrap();

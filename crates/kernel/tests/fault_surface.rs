@@ -129,8 +129,7 @@ fn corrupted_registry_entry_panics_on_next_write() {
             Ok(_) => {}
             Err(KernelError::Panic(reason)) => {
                 assert!(
-                    reason.message().contains("registry")
-                        || reason.message().contains("protected"),
+                    reason.message().contains("registry") || reason.message().contains("protected"),
                     "{reason:?}"
                 );
                 crashed = true;

@@ -131,13 +131,13 @@ fn rename_moves_across_directories() {
     k.rename("/from/file", "/to/renamed").unwrap();
     assert_eq!(k.open("/from/file"), Err(KernelError::NotFound));
     assert_eq!(k.file_contents("/to/renamed").unwrap(), b"payload");
-    assert_eq!(
-        k.rename("/nope", "/to/x"),
-        Err(KernelError::NotFound)
-    );
+    assert_eq!(k.rename("/nope", "/to/x"), Err(KernelError::NotFound));
     let fd = k.create("/to/block").unwrap();
     k.close(fd).unwrap();
-    assert_eq!(k.rename("/to/renamed", "/to/block"), Err(KernelError::Exists));
+    assert_eq!(
+        k.rename("/to/renamed", "/to/block"),
+        Err(KernelError::Exists)
+    );
 }
 
 #[test]
@@ -222,10 +222,7 @@ fn stat_reports_metadata() {
 
 #[test]
 fn update_daemon_flushes_delayed_data() {
-    let mut k = Kernel::mkfs_and_mount(&KernelConfig::small(
-        rio_baselines_like_delayed(),
-    ))
-    .unwrap();
+    let mut k = Kernel::mkfs_and_mount(&KernelConfig::small(rio_baselines_like_delayed())).unwrap();
     let fd = k.create("/delayed").unwrap();
     k.write(fd, &vec![7u8; 8192]).unwrap();
     k.close(fd).unwrap();
@@ -245,10 +242,7 @@ fn update_daemon_flushes_delayed_data() {
 fn kernel_idle_until_runs_update_daemon_on_schedule() {
     // A 2-minute `Kernel::idle_until` gap with no syscalls at all must
     // still run the 30 s update daemon inside it.
-    let mut k = Kernel::mkfs_and_mount(&KernelConfig::small(
-        rio_baselines_like_delayed(),
-    ))
-    .unwrap();
+    let mut k = Kernel::mkfs_and_mount(&KernelConfig::small(rio_baselines_like_delayed())).unwrap();
     let fd = k.create("/upd").unwrap();
     k.write(fd, &vec![0x5C; 8192]).unwrap();
     k.close(fd).unwrap();
@@ -284,8 +278,8 @@ fn fsync_makes_data_durable_mid_stream() {
     k.write(fd, b" might not").unwrap();
     k.crash_now(rio_kernel::PanicReason::Watchdog);
     let (_image, disk) = k.into_crash_artifacts();
-    let (mut k2, _) = Kernel::cold_boot(&KernelConfig::small(rio_baselines_like_delayed()), disk)
-        .unwrap();
+    let (mut k2, _) =
+        Kernel::cold_boot(&KernelConfig::small(rio_baselines_like_delayed()), disk).unwrap();
     let got = k2.file_contents("/careful").unwrap_or_default();
     assert!(
         got.starts_with(b"must survive"),

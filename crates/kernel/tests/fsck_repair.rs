@@ -102,10 +102,7 @@ fn wild_block_pointers_are_cleared() {
 fn destroyed_superblock_is_fatal() {
     let (mut disk, _) = populated_disk();
     disk.poke(0, &vec![0xEE; rio_disk::BLOCK_SIZE]);
-    assert_eq!(
-        fsck::repair(&mut disk),
-        Err(fsck::FsckError::BadSuperblock)
-    );
+    assert_eq!(fsck::repair(&mut disk), Err(fsck::FsckError::BadSuperblock));
 }
 
 #[test]
@@ -122,7 +119,10 @@ fn bitmap_is_rebuilt_from_reachable_blocks() {
     let fd = k.create("/new-after-fsck").unwrap();
     k.write(fd, &vec![0xAB; 20_000]).unwrap();
     k.close(fd).unwrap();
-    assert_eq!(k.file_contents("/new-after-fsck").unwrap(), vec![0xAB; 20_000]);
+    assert_eq!(
+        k.file_contents("/new-after-fsck").unwrap(),
+        vec![0xAB; 20_000]
+    );
 }
 
 #[test]

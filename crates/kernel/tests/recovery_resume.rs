@@ -69,7 +69,9 @@ fn crashed_workload(mode: RioMode) -> Crashed {
     k.mkdir("/a/b").unwrap();
     for i in 0..6 {
         let path = format!("/a/b/f{i}");
-        let data: Vec<u8> = (0..2200 + i * 613).map(|j| ((j * 37 + i) % 253) as u8).collect();
+        let data: Vec<u8> = (0..2200 + i * 613)
+            .map(|j| ((j * 37 + i) % 253) as u8)
+            .collect();
         let fd = k.create(&path).unwrap();
         k.write(fd, &data).unwrap();
         k.close(fd).unwrap();
@@ -120,7 +122,11 @@ fn park(mut k: Kernel) -> SimDisk {
 fn assert_disks_identical(a: &SimDisk, b: &SimDisk, label: &str) {
     assert_eq!(a.num_blocks(), b.num_blocks(), "{label}");
     for block in 0..a.num_blocks() {
-        assert_eq!(a.peek(block), b.peek(block), "{label}: block {block} differs");
+        assert_eq!(
+            a.peek(block),
+            b.peek(block),
+            "{label}: block {block} differs"
+        );
     }
 }
 
@@ -229,7 +235,10 @@ fn resume_from_every_crash_point(c: &Crashed, mode: RioMode) -> u64 {
         let resumed_disk = park(k2);
         assert_disks_identical(&ref_disk, &resumed_disk, &label);
         for b in torn {
-            assert!(!resumed_disk.is_torn(b), "{label}: torn block {b} never rewritten");
+            assert!(
+                !resumed_disk.is_torn(b),
+                "{label}: torn block {b} never rewritten"
+            );
         }
     }
     tearing
@@ -251,7 +260,10 @@ fn resume_from_every_crash_point_with_multipage_runs() {
     for mode in [RioMode::Unprotected, RioMode::Protected] {
         let c = crashed_multipage_workload(mode);
         let tearing = resume_from_every_crash_point(&c, mode);
-        assert!(tearing > 0, "no crash point caught a write-behind in flight ({mode})");
+        assert!(
+            tearing > 0,
+            "no crash point caught a write-behind in flight ({mode})"
+        );
     }
 }
 
@@ -291,12 +303,15 @@ impl RecoveryControl for StopAfterFsck {
 fn resume_after_a_committed_page_splits_the_run() {
     let c = crashed_multipage_workload(RioMode::Protected);
     let mut img = c.image.clone();
-    let restored =
-        match Kernel::warm_boot_resumable(&c.config, &mut img, c.disk.clone(), &mut StopAfterFsck)
-        {
-            Err(WarmBootError::Interrupted(i)) => i.disk,
-            other => panic!("expected a stop after fsck, got {other:?}"),
-        };
+    let restored = match Kernel::warm_boot_resumable(
+        &c.config,
+        &mut img,
+        c.disk.clone(),
+        &mut StopAfterFsck,
+    ) {
+        Err(WarmBootError::Interrupted(i)) => i.disk,
+        other => panic!("expected a stop after fsck, got {other:?}"),
+    };
     let (k_ref, full) = Kernel::warm_boot(&c.config, &img, restored).expect("reference");
     let full_syscalls = k_ref.stats().syscalls;
     let replayed = k_ref.machine.disk.clone();
@@ -314,7 +329,11 @@ fn resume_after_a_committed_page_splits_the_run() {
 
     let (k, report) = Kernel::warm_boot(&c.config, &img, replayed).expect("resume");
     assert_eq!(report.pages_replayed, full.pages_replayed - 1);
-    assert_eq!(k.stats().syscalls, full_syscalls + 1, "the committed page splits one run");
+    assert_eq!(
+        k.stats().syscalls,
+        full_syscalls + 1,
+        "the committed page splits one run"
+    );
     assert_disks_identical(&ref_disk, &park(k), "resume after a committed page");
 }
 
@@ -334,7 +353,10 @@ fn failed_runs_count_every_page_unreplayable() {
     let scan = rio_core::scan_registry(&c.image);
     assert_eq!(scan.metadata.len(), 0, "every metadata entry dropped");
     let (_, report) = Kernel::warm_boot(&c.config, &c.image, c.disk).expect("warm boot");
-    assert_eq!((report.pages_replayed, report.pages_unreplayable), (0, pages));
+    assert_eq!(
+        (report.pages_replayed, report.pages_unreplayable),
+        (0, pages)
+    );
 }
 
 /// One replay, one commit point: a single-shot warm boot waits on the disk
@@ -473,11 +495,17 @@ fn a_run_that_fills_the_volume_counts_only_the_pages_it_could_not_place() {
     let c = crash(k, config, vec!["/tail".into()]);
 
     let (mut k, report) = Kernel::warm_boot(&c.config, &c.image, c.disk).expect("warm boot");
-    assert_eq!((report.pages_replayed, report.pages_unreplayable), (LEFT, 5 - LEFT));
+    assert_eq!(
+        (report.pages_replayed, report.pages_unreplayable),
+        (LEFT, 5 - LEFT)
+    );
     assert_eq!(free_blocks(&k.machine.disk, &g), 0);
     let got = k.file_contents("/tail").expect("read back");
     let placed = LEFT as usize * PAGE_SIZE;
-    assert!(got[..placed] == data[..placed], "the placed pages read back");
+    assert!(
+        got[..placed] == data[..placed],
+        "the placed pages read back"
+    );
 }
 
 /// The replay holds every recovered page in the recovery kernel's cache
@@ -529,7 +557,9 @@ fn replay_of_a_file_larger_than_the_heap_loses_nothing() {
         (pages * page) as u64 > k.machine.bus.layout().heap.len(),
         "the file outgrows the heap"
     );
-    let data: Vec<u8> = (0..pages * page).map(|j| ((j * 29 + 7) % 251) as u8).collect();
+    let data: Vec<u8> = (0..pages * page)
+        .map(|j| ((j * 29 + 7) % 251) as u8)
+        .collect();
     let fd = k.create("/big").unwrap();
     for chunk in data.chunks(page) {
         k.write(fd, chunk).unwrap();
@@ -540,7 +570,10 @@ fn replay_of_a_file_larger_than_the_heap_loses_nothing() {
     let (image, disk) = k.into_crash_artifacts();
 
     let (mut k, report) = Kernel::warm_boot(&config, &image, disk).expect("warm boot");
-    assert_eq!((report.pages_replayed, report.pages_unreplayable), (pages as u64, 0));
+    assert_eq!(
+        (report.pages_replayed, report.pages_unreplayable),
+        (pages as u64, 0)
+    );
     let fd = k.open("/big").unwrap();
     for (i, want) in data.chunks(page).enumerate() {
         let got = k.pread(fd, (i * page) as u64, page).expect("read back");
@@ -576,7 +609,10 @@ fn resume_with_every_page_committed_leaves_the_disk_alone() {
 #[test]
 fn double_interruption_still_converges() {
     let Crashed {
-        config, image, disk, ..
+        config,
+        image,
+        disk,
+        ..
     } = crashed_workload(RioMode::Protected);
     let (k_ref, _) = Kernel::warm_boot(&config, &image, disk.clone()).expect("reference");
     let ref_disk = park(k_ref);
@@ -615,7 +651,11 @@ fn double_interruption_still_converges() {
         };
         let (k3, _) = Kernel::warm_boot(&config, &img, d2).expect("third attempt");
         let got = park(k3);
-        assert_disks_identical(&ref_disk, &got, &format!("crashes at {first} then {second}"));
+        assert_disks_identical(
+            &ref_disk,
+            &got,
+            &format!("crashes at {first} then {second}"),
+        );
     }
 }
 
@@ -624,31 +664,35 @@ fn double_interruption_still_converges() {
 /// even over images damaged by outage-window decay.
 #[test]
 fn scan_registry_twice_is_identical() {
-    check("scan_registry is idempotent", Config::with_cases(24), |g: &mut Gen| {
-        let config = KernelConfig::small(Policy::rio(RioMode::Unprotected));
-        let mut k = Kernel::mkfs_and_mount(&config).expect("mkfs");
-        let files: u64 = g.in_range(1u64..=5);
-        for i in 0..files {
-            let fd = k.create(&format!("/f{i}")).expect("create");
-            let data = g.bytes(16, 4096);
-            k.write(fd, &data).expect("write");
-            k.close(fd).expect("close");
-        }
-        k.crash_now(PanicReason::Watchdog);
-        let (mut image, _disk) = k.into_crash_artifacts();
+    check(
+        "scan_registry is idempotent",
+        Config::with_cases(24),
+        |g: &mut Gen| {
+            let config = KernelConfig::small(Policy::rio(RioMode::Unprotected));
+            let mut k = Kernel::mkfs_and_mount(&config).expect("mkfs");
+            let files: u64 = g.in_range(1u64..=5);
+            for i in 0..files {
+                let fd = k.create(&format!("/f{i}")).expect("create");
+                let data = g.bytes(16, 4096);
+                k.write(fd, &data).expect("write");
+                k.close(fd).expect("close");
+            }
+            k.crash_now(PanicReason::Watchdog);
+            let (mut image, _disk) = k.into_crash_artifacts();
 
-        // Decay: flip a few random bits across the preserved file-cache
-        // and registry regions.
-        let layout = *image.layout();
-        let flips: u64 = g.in_range(0u64..=12);
-        for _ in 0..flips {
-            let addr: u64 = g.in_range(layout.buffer_cache.start..layout.registry.end);
-            image.flip_bit(addr, g.in_range(0u64..8) as u8);
-        }
+            // Decay: flip a few random bits across the preserved file-cache
+            // and registry regions.
+            let layout = *image.layout();
+            let flips: u64 = g.in_range(0u64..=12);
+            for _ in 0..flips {
+                let addr: u64 = g.in_range(layout.buffer_cache.start..layout.registry.end);
+                image.flip_bit(addr, g.in_range(0u64..8) as u8);
+            }
 
-        let first = rio_core::scan_registry(&image);
-        let second = rio_core::scan_registry(&image);
-        rio_det::pt_assert_eq!(first, second);
-        Ok(())
-    });
+            let first = rio_core::scan_registry(&image);
+            let second = rio_core::scan_registry(&image);
+            rio_det::pt_assert_eq!(first, second);
+            Ok(())
+        },
+    );
 }

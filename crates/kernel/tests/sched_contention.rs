@@ -84,8 +84,14 @@ fn contended_throttle_is_deterministic() {
         assert_eq!(a.sync_waits, b.sync_waits);
         // The device was actually saturated: writers stalled, and at some
         // point everyone was blocked at once.
-        assert!(a.sync_waits > 0, "{devices} device(s): the throttle must have engaged");
-        assert!(a.idle_hops > 0, "{devices} device(s): all clients blocked together at least once");
+        assert!(
+            a.sync_waits > 0,
+            "{devices} device(s): the throttle must have engaged"
+        );
+        assert!(
+            a.idle_hops > 0,
+            "{devices} device(s): all clients blocked together at least once"
+        );
     }
 }
 

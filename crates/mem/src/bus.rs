@@ -197,7 +197,9 @@ impl MemBus {
         let trapped = if first == last {
             self.prot.is_protected(first).then_some(first)
         } else {
-            (first.0..=last.0).map(PageNum).find(|&pn| self.prot.is_protected(pn))
+            (first.0..=last.0)
+                .map(PageNum)
+                .find(|&pn| self.prot.is_protected(pn))
         };
         match trapped {
             None => Ok(()),
@@ -336,7 +338,14 @@ impl MemBus {
     /// can change what a later fetch or load of the same loop reads). If
     /// so, charges those stores exactly as [`MemBus::store_u64`] /
     /// [`MemBus::store_u8`] would one by one.
-    fn admit_span_stores(&mut self, kind: AddrKind, dst: u64, len: u64, src: Option<u64>, stores: u64) -> bool {
+    fn admit_span_stores(
+        &mut self,
+        kind: AddrKind,
+        dst: u64,
+        len: u64,
+        src: Option<u64>,
+        stores: u64,
+    ) -> bool {
         let disjoint = |start: u64, end: u64| len == 0 || dst + len <= start || end <= dst;
         let text = self.layout().text;
         if !self.mem.in_bounds(dst, len)
@@ -373,7 +382,14 @@ impl MemBus {
     /// route, the destination disjoint from the source and from kernel
     /// text. Otherwise moves the bytes and charges every counter what the
     /// single accesses would have ([`AccessStats`]), in one step.
-    pub fn copy_span(&mut self, kind: AddrKind, src: u64, dst: u64, len: u64, accesses: u64) -> bool {
+    pub fn copy_span(
+        &mut self,
+        kind: AddrKind,
+        src: u64,
+        dst: u64,
+        len: u64,
+        accesses: u64,
+    ) -> bool {
         if !self.admit_span_stores(kind, dst, len, Some(src), accesses) {
             return false;
         }
@@ -386,7 +402,14 @@ impl MemBus {
     /// A whole fill loop at once: `stores` stores of `value` bytes by route
     /// `kind`, covering `[dst, dst+len)`; the store-only half of
     /// [`MemBus::copy_span`], with the same conditions on the destination.
-    pub fn fill_span(&mut self, kind: AddrKind, dst: u64, len: u64, value: u8, stores: u64) -> bool {
+    pub fn fill_span(
+        &mut self,
+        kind: AddrKind,
+        dst: u64,
+        len: u64,
+        value: u8,
+        stores: u64,
+    ) -> bool {
         if !self.admit_span_stores(kind, dst, len, None, stores) {
             return false;
         }
@@ -406,9 +429,21 @@ impl MemBus {
             return None;
         }
         let cmp = match self.mem.first_difference(a, b, len) {
-            Some(at) if at < len & !7 => SpanCompare { words: at / 8 + 1, bytes: 0, differ: true },
-            Some(at) => SpanCompare { words: len / 8, bytes: at % 8 + 1, differ: true },
-            None => SpanCompare { words: len / 8, bytes: len % 8, differ: false },
+            Some(at) if at < len & !7 => SpanCompare {
+                words: at / 8 + 1,
+                bytes: 0,
+                differ: true,
+            },
+            Some(at) => SpanCompare {
+                words: len / 8,
+                bytes: at % 8 + 1,
+                differ: true,
+            },
+            None => SpanCompare {
+                words: len / 8,
+                bytes: len % 8,
+                differ: false,
+            },
         };
         self.stats.loads += 2 * (cmp.words + cmp.bytes);
         self.stats.bytes_moved += 2 * (8 * cmp.words + cmp.bytes);
@@ -447,7 +482,10 @@ mod tests {
         );
         assert_eq!(
             b.store_u64(AddrKind::Virtual, end - 4, 1),
-            Err(MemFault::BadAddress { addr: end - 4, len: 8 })
+            Err(MemFault::BadAddress {
+                addr: end - 4,
+                len: 8
+            })
         );
     }
 
@@ -459,7 +497,9 @@ mod tests {
         b.protection_mut().set_mode(ProtectionMode::Hardware);
         b.protection_mut().protect(pn);
         let err = b.store_u8(AddrKind::Virtual, addr, 1).unwrap_err();
-        assert!(matches!(err, MemFault::ProtectionViolation { page, kseg: false, .. } if page == pn));
+        assert!(
+            matches!(err, MemFault::ProtectionViolation { page, kseg: false, .. } if page == pn)
+        );
         assert_eq!(b.stats().protection_traps, 1);
         // Memory unchanged.
         assert_eq!(b.mem().read_u8(addr), 0);
@@ -570,7 +610,8 @@ mod tests {
         );
         // With neither protected the straddling store lands whole.
         b.protection_mut().unprotect(PageNum(second.0 - 1));
-        b.store_u64(AddrKind::Virtual, addr, 0x0807_0605_0403_0201).unwrap();
+        b.store_u64(AddrKind::Virtual, addr, 0x0807_0605_0403_0201)
+            .unwrap();
         assert_eq!(b.mem().to_vec(addr, 8), vec![1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(b.stats().bytes_moved, 8);
     }
@@ -612,7 +653,8 @@ mod tests {
         b.protection_mut().set_mode(ProtectionMode::CodePatching);
         b.store_u8(AddrKind::Virtual, addr, 1).unwrap();
         b.store_u64(AddrKind::Kseg, addr, 1).unwrap();
-        b.store_bytes(AddrKind::Virtual, addr, &[0; 3 * PAGE_SIZE]).unwrap();
+        b.store_bytes(AddrKind::Virtual, addr, &[0; 3 * PAGE_SIZE])
+            .unwrap();
         b.store_bytes(AddrKind::Virtual, addr, &[]).unwrap(); // zero-length: still checked
         assert_eq!(b.stats().patch_checks, 4);
         // The bounds check comes first: an illegal address is a machine
@@ -637,11 +679,17 @@ mod tests {
         let events = traced(|| {
             assert_eq!(
                 b.store_u64(AddrKind::Kseg, end - 4, 1),
-                Err(MemFault::BadAddress { addr: end - 4, len: 8 })
+                Err(MemFault::BadAddress {
+                    addr: end - 4,
+                    len: 8
+                })
             );
             assert_eq!(
                 b.store_u8(AddrKind::Virtual, u64::MAX, 1),
-                Err(MemFault::BadAddress { addr: u64::MAX, len: 1 })
+                Err(MemFault::BadAddress {
+                    addr: u64::MAX,
+                    len: 1
+                })
             );
         });
         assert!(events.is_empty());
@@ -665,95 +713,116 @@ mod tests {
         use rio_det::proptest_lite::{check, Config};
         use rio_det::pt_assert_eq;
 
-        check("stores_match_the_page_by_page_rule", Config::with_cases(128), |g| {
-            let mut b = bus();
-            let mode = [ProtectionMode::Off, ProtectionMode::Hardware, ProtectionMode::CodePatching]
-                [g.in_range(0..3usize)];
-            b.protection_mut().set_mode(mode);
-            b.protection_mut().set_kseg_through_tlb(g.bool());
-            let pages = b.mem().len() / PAGE_SIZE as u64;
-            for pn in 0..pages {
-                if g.in_range(0..3u32) == 0 {
-                    b.protection_mut().protect(PageNum(pn));
-                }
-            }
-            let mut want = AccessStats::default();
-            for _ in 0..g.len_between(1, 60) {
-                let kind = if g.bool() { AddrKind::Kseg } else { AddrKind::Virtual };
-                // Mostly near a page boundary, sometimes the end of memory.
-                let boundary = PAGE_SIZE as u64 * g.in_range(1..=pages);
-                let addr = boundary - g.in_range(0..12u64);
-                let data = g.bytes(0, 20);
-                let len = match g.in_range(0..3u32) {
-                    0 => 1,
-                    1 => 8,
-                    _ => data.len() as u64,
-                };
-
-                // The rule, as the bus applied it before the fast path.
-                want.stores += 1;
-                let prot = b.protection().clone();
-                let kseg = kind == AddrKind::Kseg;
-                let verdict = if !b.mem().in_bounds(addr, len) {
-                    Err(MemFault::BadAddress { addr, len })
-                } else {
-                    if mode == ProtectionMode::CodePatching {
-                        want.patch_checks += 1;
+        check(
+            "stores_match_the_page_by_page_rule",
+            Config::with_cases(128),
+            |g| {
+                let mut b = bus();
+                let mode = [
+                    ProtectionMode::Off,
+                    ProtectionMode::Hardware,
+                    ProtectionMode::CodePatching,
+                ][g.in_range(0..3usize)];
+                b.protection_mut().set_mode(mode);
+                b.protection_mut().set_kseg_through_tlb(g.bool());
+                let pages = b.mem().len() / PAGE_SIZE as u64;
+                for pn in 0..pages {
+                    if g.in_range(0..3u32) == 0 {
+                        b.protection_mut().protect(PageNum(pn));
                     }
-                    let forced = match mode {
-                        ProtectionMode::Off => false,
-                        ProtectionMode::Hardware => prot.kseg_through_tlb(),
-                        ProtectionMode::CodePatching => true,
+                }
+                let mut want = AccessStats::default();
+                for _ in 0..g.len_between(1, 60) {
+                    let kind = if g.bool() {
+                        AddrKind::Kseg
+                    } else {
+                        AddrKind::Virtual
                     };
-                    if len > 0 && kseg && forced {
-                        want.kseg_forced += 1;
-                    }
-                    let span = PageNum::containing(addr).0..=PageNum::containing(addr + len.max(1) - 1).0;
-                    match span.map(PageNum).find(|&pn| len > 0 && prot.store_would_trap(pn, kseg)) {
-                        Some(page) => {
-                            want.protection_traps += 1;
-                            Err(MemFault::ProtectionViolation {
-                                addr: addr.max(page.base()),
-                                page,
-                                kseg,
-                            })
-                        }
-                        None => {
-                            want.bytes_moved += len;
-                            Ok(())
-                        }
-                    }
-                };
-                let before = if b.mem().in_bounds(addr, len) {
-                    b.mem().to_vec(addr, len)
-                } else {
-                    Vec::new()
-                };
+                    // Mostly near a page boundary, sometimes the end of memory.
+                    let boundary = PAGE_SIZE as u64 * g.in_range(1..=pages);
+                    let addr = boundary - g.in_range(0..12u64);
+                    let data = g.bytes(0, 20);
+                    let len = match g.in_range(0..3u32) {
+                        0 => 1,
+                        1 => 8,
+                        _ => data.len() as u64,
+                    };
 
-                let mut got = Ok(());
-                let events = traced(|| {
-                    got = match len {
-                        1 if data.len() != 1 => b.store_u8(kind, addr, 0xA5),
-                        8 if data.len() != 8 => b.store_u64(kind, addr, 0xA5A5_A5A5_A5A5_A5A5),
-                        _ => b.store_bytes(kind, addr, &data),
+                    // The rule, as the bus applied it before the fast path.
+                    want.stores += 1;
+                    let prot = b.protection().clone();
+                    let kseg = kind == AddrKind::Kseg;
+                    let verdict = if !b.mem().in_bounds(addr, len) {
+                        Err(MemFault::BadAddress { addr, len })
+                    } else {
+                        if mode == ProtectionMode::CodePatching {
+                            want.patch_checks += 1;
+                        }
+                        let forced = match mode {
+                            ProtectionMode::Off => false,
+                            ProtectionMode::Hardware => prot.kseg_through_tlb(),
+                            ProtectionMode::CodePatching => true,
+                        };
+                        if len > 0 && kseg && forced {
+                            want.kseg_forced += 1;
+                        }
+                        let span = PageNum::containing(addr).0
+                            ..=PageNum::containing(addr + len.max(1) - 1).0;
+                        match span
+                            .map(PageNum)
+                            .find(|&pn| len > 0 && prot.store_would_trap(pn, kseg))
+                        {
+                            Some(page) => {
+                                want.protection_traps += 1;
+                                Err(MemFault::ProtectionViolation {
+                                    addr: addr.max(page.base()),
+                                    page,
+                                    kseg,
+                                })
+                            }
+                            None => {
+                                want.bytes_moved += len;
+                                Ok(())
+                            }
+                        }
+                    };
+                    let before = if b.mem().in_bounds(addr, len) {
+                        b.mem().to_vec(addr, len)
+                    } else {
+                        Vec::new()
+                    };
+
+                    let mut got = Ok(());
+                    let events = traced(|| {
+                        got = match len {
+                            1 if data.len() != 1 => b.store_u8(kind, addr, 0xA5),
+                            8 if data.len() != 8 => b.store_u64(kind, addr, 0xA5A5_A5A5_A5A5_A5A5),
+                            _ => b.store_bytes(kind, addr, &data),
+                        }
+                    });
+                    pt_assert_eq!(got, verdict);
+                    pt_assert_eq!(b.stats(), want);
+                    match verdict {
+                        Err(MemFault::ProtectionViolation { addr, page, .. }) => {
+                            pt_assert_eq!(events.len(), 1);
+                            pt_assert_eq!(
+                                events[0].category,
+                                rio_obs::EventCategory::ProtectionTrap
+                            );
+                            pt_assert_eq!(
+                                events[0].payload,
+                                rio_obs::Payload::Addr { addr, aux: page.0 }
+                            );
+                        }
+                        _ => pt_assert_eq!(events.len(), 0),
                     }
-                });
-                pt_assert_eq!(got, verdict);
-                pt_assert_eq!(b.stats(), want);
-                match verdict {
-                    Err(MemFault::ProtectionViolation { addr, page, .. }) => {
-                        pt_assert_eq!(events.len(), 1);
-                        pt_assert_eq!(events[0].category, rio_obs::EventCategory::ProtectionTrap);
-                        pt_assert_eq!(events[0].payload, rio_obs::Payload::Addr { addr, aux: page.0 });
+                    if verdict.is_err() && !before.is_empty() {
+                        pt_assert_eq!(b.mem().to_vec(addr, len), before);
                     }
-                    _ => pt_assert_eq!(events.len(), 0),
                 }
-                if verdict.is_err() && !before.is_empty() {
-                    pt_assert_eq!(b.mem().to_vec(addr, len), before);
-                }
-            }
-            Ok(())
-        });
+                Ok(())
+            },
+        );
     }
 
     /// The span entry points against the single accesses they stand for: a
@@ -766,112 +835,136 @@ mod tests {
         use rio_det::{pt_assert, pt_assert_eq};
 
         let same_image = |a: &MemBus, b: &MemBus| {
-            (0..a.mem().len() / PAGE_SIZE as u64).all(|pn| a.mem().page(PageNum(pn)) == b.mem().page(PageNum(pn)))
+            (0..a.mem().len() / PAGE_SIZE as u64)
+                .all(|pn| a.mem().page(PageNum(pn)) == b.mem().page(PageNum(pn)))
         };
-        check("span_calls_match_single_accesses", Config::with_cases(256), |g| {
-            let mut b = bus();
-            let mode = [ProtectionMode::Off, ProtectionMode::Hardware, ProtectionMode::CodePatching]
-                [g.in_range(0..3usize)];
-            b.protection_mut().set_mode(mode);
-            b.protection_mut().set_kseg_through_tlb(g.bool());
-            let (end, text) = (b.mem().len(), b.layout().text);
-            for _ in 0..4 {
-                b.protection_mut().protect(PageNum(g.in_range(0..end / PAGE_SIZE as u64)));
-            }
-            let len = g.in_range(0..3 * PAGE_SIZE as u64);
-            let place = |g: &mut rio_det::proptest_lite::Gen| match g.in_range(0..4u32) {
-                0 => end - len + g.in_range(0..3u64),
-                1 => text.end - g.in_range(0..=len.min(text.end)),
-                _ => g.in_range(0..end - len),
-            };
-            let (src, dst) = (place(g), place(g));
-            let noise = g.bytes(PAGE_SIZE, PAGE_SIZE);
-            b.mem_mut().write_bytes(src.min(end - noise.len() as u64), &noise);
-            let kind = if g.bool() { AddrKind::Kseg } else { AddrKind::Virtual };
-            let before = b.clone();
+        check(
+            "span_calls_match_single_accesses",
+            Config::with_cases(256),
+            |g| {
+                let mut b = bus();
+                let mode = [
+                    ProtectionMode::Off,
+                    ProtectionMode::Hardware,
+                    ProtectionMode::CodePatching,
+                ][g.in_range(0..3usize)];
+                b.protection_mut().set_mode(mode);
+                b.protection_mut().set_kseg_through_tlb(g.bool());
+                let (end, text) = (b.mem().len(), b.layout().text);
+                for _ in 0..4 {
+                    b.protection_mut()
+                        .protect(PageNum(g.in_range(0..end / PAGE_SIZE as u64)));
+                }
+                let len = g.in_range(0..3 * PAGE_SIZE as u64);
+                let place = |g: &mut rio_det::proptest_lite::Gen| match g.in_range(0..4u32) {
+                    0 => end - len + g.in_range(0..3u64),
+                    1 => text.end - g.in_range(0..=len.min(text.end)),
+                    _ => g.in_range(0..end - len),
+                };
+                let (src, dst) = (place(g), place(g));
+                let noise = g.bytes(PAGE_SIZE, PAGE_SIZE);
+                b.mem_mut()
+                    .write_bytes(src.min(end - noise.len() as u64), &noise);
+                let kind = if g.bool() {
+                    AddrKind::Kseg
+                } else {
+                    AddrKind::Virtual
+                };
+                let before = b.clone();
 
-            // Byte by byte, as a copy loop (or, with no source, a fill loop).
-            let single = |fill: Option<u8>| {
+                // Byte by byte, as a copy loop (or, with no source, a fill loop).
+                let single = |fill: Option<u8>| {
+                    let mut one = before.clone();
+                    let ok = (0..len).all(|i| {
+                        let v = match fill {
+                            Some(v) => Ok(v),
+                            None => one.load_u8(AddrKind::Virtual, src + i),
+                        };
+                        v.and_then(|v| one.store_u8(kind, dst + i, v)).is_ok()
+                    });
+                    (one, ok)
+                };
+                let apart = |a: u64, a_end: u64| len == 0 || dst + len <= a || a_end <= dst;
+
+                let mut span = before.clone();
+                let (one, ok) = single(None);
+                if span.copy_span(kind, src, dst, len, len) {
+                    pt_assert!(ok && apart(text.start, text.end) && apart(src, src + len));
+                    pt_assert_eq!(span.stats(), one.stats());
+                    pt_assert!(same_image(&span, &one));
+                } else {
+                    pt_assert!(
+                        !ok || !apart(text.start, text.end) || !apart(src, src + len) || len == 0
+                    );
+                    pt_assert_eq!(span.stats(), before.stats());
+                    pt_assert!(same_image(&span, &before));
+                }
+
+                let mut span = before.clone();
+                let (one, ok) = single(Some(0xE7));
+                if span.fill_span(kind, dst, len, 0xE7, len) {
+                    pt_assert!(ok && apart(text.start, text.end));
+                    pt_assert_eq!(span.stats(), one.stats());
+                    pt_assert!(same_image(&span, &one));
+                } else {
+                    pt_assert!(!ok || !apart(text.start, text.end) || len == 0);
+                    pt_assert_eq!(span.stats(), before.stats());
+                    pt_assert!(same_image(&span, &before));
+                }
+
+                // Word pairs, then byte pairs, up to the first that differs.
+                let mut span = before.clone();
                 let mut one = before.clone();
-                let ok = (0..len).all(|i| {
-                    let v = match fill {
-                        Some(v) => Ok(v),
-                        None => one.load_u8(AddrKind::Virtual, src + i),
-                    };
-                    v.and_then(|v| one.store_u8(kind, dst + i, v)).is_ok()
-                });
-                (one, ok)
-            };
-            let apart = |a: u64, a_end: u64| len == 0 || dst + len <= a || a_end <= dst;
-
-            let mut span = before.clone();
-            let (one, ok) = single(None);
-            if span.copy_span(kind, src, dst, len, len) {
-                pt_assert!(ok && apart(text.start, text.end) && apart(src, src + len));
-                pt_assert_eq!(span.stats(), one.stats());
-                pt_assert!(same_image(&span, &one));
-            } else {
-                pt_assert!(!ok || !apart(text.start, text.end) || !apart(src, src + len) || len == 0);
-                pt_assert_eq!(span.stats(), before.stats());
-                pt_assert!(same_image(&span, &before));
-            }
-
-            let mut span = before.clone();
-            let (one, ok) = single(Some(0xE7));
-            if span.fill_span(kind, dst, len, 0xE7, len) {
-                pt_assert!(ok && apart(text.start, text.end));
-                pt_assert_eq!(span.stats(), one.stats());
-                pt_assert!(same_image(&span, &one));
-            } else {
-                pt_assert!(!ok || !apart(text.start, text.end) || len == 0);
-                pt_assert_eq!(span.stats(), before.stats());
-                pt_assert!(same_image(&span, &before));
-            }
-
-            // Word pairs, then byte pairs, up to the first that differs.
-            let mut span = before.clone();
-            let mut one = before.clone();
-            if g.bool() && before.mem().in_bounds(src, len) && before.mem().in_bounds(dst, len) {
-                let bytes = before.mem().to_vec(src, len);
-                let flip = len > 0 && g.bool();
-                for bus in [&mut span, &mut one] {
-                    bus.mem_mut().write_bytes(dst, &bytes);
-                    if flip {
-                        bus.mem_mut().flip_bit(dst + len / 2, 0);
+                if g.bool() && before.mem().in_bounds(src, len) && before.mem().in_bounds(dst, len)
+                {
+                    let bytes = before.mem().to_vec(src, len);
+                    let flip = len > 0 && g.bool();
+                    for bus in [&mut span, &mut one] {
+                        bus.mem_mut().write_bytes(dst, &bytes);
+                        if flip {
+                            bus.mem_mut().flip_bit(dst + len / 2, 0);
+                        }
                     }
                 }
-            }
-            let mut want = SpanCompare { words: 0, bytes: 0, differ: false };
-            let mut at = 0;
-            let mut faulted = false;
-            while at < len && !want.differ && !faulted {
-                let pair = if len - at >= 8 {
-                    want.words += 1;
-                    one.load_u64(kind, src + at).and_then(|x| Ok((x, one.load_u64(kind, dst + at)?)))
-                } else {
-                    want.bytes += 1;
-                    one.load_u8(kind, src + at)
-                        .and_then(|x| Ok((x as u64, one.load_u8(kind, dst + at)? as u64)))
+                let mut want = SpanCompare {
+                    words: 0,
+                    bytes: 0,
+                    differ: false,
                 };
-                at += if len - at >= 8 { 8 } else { 1 };
-                match pair {
-                    Ok((x, y)) => want.differ = x != y,
-                    Err(_) => faulted = true,
+                let mut at = 0;
+                let mut faulted = false;
+                while at < len && !want.differ && !faulted {
+                    let pair = if len - at >= 8 {
+                        want.words += 1;
+                        one.load_u64(kind, src + at)
+                            .and_then(|x| Ok((x, one.load_u64(kind, dst + at)?)))
+                    } else {
+                        want.bytes += 1;
+                        one.load_u8(kind, src + at)
+                            .and_then(|x| Ok((x as u64, one.load_u8(kind, dst + at)? as u64)))
+                    };
+                    at += if len - at >= 8 { 8 } else { 1 };
+                    match pair {
+                        Ok((x, y)) => want.differ = x != y,
+                        Err(_) => faulted = true,
+                    }
                 }
-            }
-            match span.compare_spans(src, dst, len) {
-                Some(got) => {
-                    pt_assert!(!faulted);
-                    pt_assert_eq!(got, want);
-                    pt_assert_eq!(span.stats(), one.stats());
+                match span.compare_spans(src, dst, len) {
+                    Some(got) => {
+                        pt_assert!(!faulted);
+                        pt_assert_eq!(got, want);
+                        pt_assert_eq!(span.stats(), one.stats());
+                    }
+                    None => {
+                        pt_assert!(
+                            !before.mem().in_bounds(src, len) || !before.mem().in_bounds(dst, len)
+                        );
+                        pt_assert_eq!(span.stats(), before.stats());
+                    }
                 }
-                None => {
-                    pt_assert!(!before.mem().in_bounds(src, len) || !before.mem().in_bounds(dst, len));
-                    pt_assert_eq!(span.stats(), before.stats());
-                }
-            }
-            Ok(())
-        });
+                Ok(())
+            },
+        );
     }
 
     #[test]

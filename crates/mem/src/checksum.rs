@@ -255,7 +255,7 @@ impl CrcShift {
         gf2_matrix_square(&mut even, &odd); // 2 bits
         gf2_matrix_square(&mut odd, &even); // 4 bits
         gf2_matrix_square(&mut even, &odd); // 8 bits = 1 byte
-        // `even` now advances by one zero byte. Exponentiate to `len`.
+                                            // `even` now advances by one zero byte. Exponentiate to `len`.
         let mut result = identity_matrix();
         let mut base = even;
         let mut n = len;
@@ -309,7 +309,10 @@ mod tests {
     fn known_vectors() {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 
     #[test]
@@ -334,9 +337,15 @@ mod tests {
     #[test]
     fn slice_by_8_matches_bytewise() {
         // All lengths through a few words, so every remainder path runs.
-        let data: Vec<u8> = (0..100u32).map(|i| (i.wrapping_mul(97) >> 2) as u8).collect();
+        let data: Vec<u8> = (0..100u32)
+            .map(|i| (i.wrapping_mul(97) >> 2) as u8)
+            .collect();
         for len in 0..data.len() {
-            assert_eq!(crc32(&data[..len]), crc32_bytewise(&data[..len]), "len {len}");
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_bytewise(&data[..len]),
+                "len {len}"
+            );
         }
         let page: Vec<u8> = (0..8192u32).map(|i| (i ^ (i >> 5)) as u8).collect();
         assert_eq!(crc32(&page), crc32_bytewise(&page));
@@ -411,10 +420,7 @@ mod tests {
         let mut joined = a.clone();
         joined.extend_from_slice(&b);
         assert_eq!(shift.apply(crc32(&a)) ^ crc32(&b), crc32(&joined));
-        assert_eq!(
-            crc32_combine(crc32(&a), crc32(&b), 512),
-            crc32(&joined)
-        );
+        assert_eq!(crc32_combine(crc32(&a), crc32(&b), 512), crc32(&joined));
     }
 
     #[test]
@@ -450,7 +456,9 @@ mod tests {
     fn sector_fold_reconstructs_page_crc() {
         // Fold 16 sector CRCs with one fixed shift operator — the kernel's
         // sector-cache derivation — and compare with the direct page CRC.
-        let page: Vec<u8> = (0..8192u32).map(|i| (i.wrapping_mul(31) >> 3) as u8).collect();
+        let page: Vec<u8> = (0..8192u32)
+            .map(|i| (i.wrapping_mul(31) >> 3) as u8)
+            .collect();
         let shift = CrcShift::for_len(512);
         let mut folded = 0u32; // crc32 of the empty prefix
         for sector in page.chunks(512) {

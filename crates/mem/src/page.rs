@@ -108,10 +108,7 @@ mod tests {
         assert_eq!(round_up_to_page(0), 0);
         assert_eq!(round_up_to_page(1), PAGE_SIZE as u64);
         assert_eq!(round_up_to_page(PAGE_SIZE as u64), PAGE_SIZE as u64);
-        assert_eq!(
-            round_up_to_page(PAGE_SIZE as u64 + 1),
-            2 * PAGE_SIZE as u64
-        );
+        assert_eq!(round_up_to_page(PAGE_SIZE as u64 + 1), 2 * PAGE_SIZE as u64);
     }
 
     #[test]

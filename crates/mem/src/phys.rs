@@ -497,8 +497,13 @@ impl PhysMem {
         let mut at = 0u64;
         while at < len {
             let ((ap, ao), (bp, bo)) = (split(a + at), split(b + at));
-            let n = (PAGE_SIZE - ao).min(PAGE_SIZE - bo).min((len - at) as usize);
-            let (x, y) = (&self.pages[ap].page()[ao..ao + n], &self.pages[bp].page()[bo..bo + n]);
+            let n = (PAGE_SIZE - ao)
+                .min(PAGE_SIZE - bo)
+                .min((len - at) as usize);
+            let (x, y) = (
+                &self.pages[ap].page()[ao..ao + n],
+                &self.pages[bp].page()[bo..bo + n],
+            );
             if x != y {
                 let i = x.iter().zip(y).position(|(p, q)| p != q);
                 return Some(at + i.expect("unequal slices differ somewhere") as u64);
@@ -636,7 +641,11 @@ mod tests {
         assert_eq!(a.owned_pages(), 0);
         assert_eq!(a.read_u64(8), 1);
         let mut b = a.clone();
-        assert_eq!(b.owned_pages(), 0, "a clone of a sealed image copies nothing");
+        assert_eq!(
+            b.owned_pages(),
+            0,
+            "a clone of a sealed image copies nothing"
+        );
         a.write_u64(8, 2); // write after seal copies the page first
         b.write_u8(9, 3);
         assert_eq!((a.owned_pages(), b.owned_pages()), (1, 1));

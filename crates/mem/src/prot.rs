@@ -246,64 +246,74 @@ mod tests {
             })
         }
 
-        check("bitmap_matches_a_hash_set_model", Config::with_cases(128), |g| {
-            let mode = [ProtectionMode::Off, ProtectionMode::Hardware, ProtectionMode::CodePatching]
-                [g.in_range(0..3usize)];
-            let through_tlb = g.bool();
-            let mut table = ProtectionTable::new(mode, through_tlb);
-            let mut model: HashSet<PageNum> = HashSet::new();
-            for _ in 0..g.len_between(1, 200) {
-                let pn = any_page(g);
-                match g.in_range(0..5u32) {
-                    0 | 1 => {
-                        table.protect(pn);
-                        model.insert(pn);
-                    }
-                    2 => {
-                        let words = table.protected.len();
-                        table.unprotect(pn);
-                        model.remove(&pn);
-                        pt_assert_eq!(table.protected.len(), words);
-                    }
-                    3 => {
-                        // A clone is a snapshot: changing it leaves the
-                        // original alone, and the reverse.
-                        let mut fork = table.clone();
-                        fork.protect(pn);
-                        fork.unprotect(PageNum(pn.0 + 1 + g.in_range(0..70u64)));
-                        pt_assert_eq!(table.is_protected(pn), model.contains(&pn));
-                        table.unprotect(pn);
-                        model.remove(&pn);
-                        pt_assert!(fork.is_protected(pn));
-                    }
-                    _ => {
-                        // Idempotence, both ways.
-                        let before = (table.is_protected(pn), table.protected_count());
-                        if before.0 {
+        check(
+            "bitmap_matches_a_hash_set_model",
+            Config::with_cases(128),
+            |g| {
+                let mode = [
+                    ProtectionMode::Off,
+                    ProtectionMode::Hardware,
+                    ProtectionMode::CodePatching,
+                ][g.in_range(0..3usize)];
+                let through_tlb = g.bool();
+                let mut table = ProtectionTable::new(mode, through_tlb);
+                let mut model: HashSet<PageNum> = HashSet::new();
+                for _ in 0..g.len_between(1, 200) {
+                    let pn = any_page(g);
+                    match g.in_range(0..5u32) {
+                        0 | 1 => {
                             table.protect(pn);
-                        } else {
-                            table.unprotect(pn);
+                            model.insert(pn);
                         }
-                        pt_assert_eq!((table.is_protected(pn), table.protected_count()), before);
+                        2 => {
+                            let words = table.protected.len();
+                            table.unprotect(pn);
+                            model.remove(&pn);
+                            pt_assert_eq!(table.protected.len(), words);
+                        }
+                        3 => {
+                            // A clone is a snapshot: changing it leaves the
+                            // original alone, and the reverse.
+                            let mut fork = table.clone();
+                            fork.protect(pn);
+                            fork.unprotect(PageNum(pn.0 + 1 + g.in_range(0..70u64)));
+                            pt_assert_eq!(table.is_protected(pn), model.contains(&pn));
+                            table.unprotect(pn);
+                            model.remove(&pn);
+                            pt_assert!(fork.is_protected(pn));
+                        }
+                        _ => {
+                            // Idempotence, both ways.
+                            let before = (table.is_protected(pn), table.protected_count());
+                            if before.0 {
+                                table.protect(pn);
+                            } else {
+                                table.unprotect(pn);
+                            }
+                            pt_assert_eq!(
+                                (table.is_protected(pn), table.protected_count()),
+                                before
+                            );
+                        }
+                    }
+                    pt_assert_eq!(table.protected_count(), model.len());
+                    let probe = any_page(g);
+                    for pn in [pn, probe] {
+                        let protected = model.contains(&pn);
+                        pt_assert_eq!(table.is_protected(pn), protected);
+                        for kseg in [false, true] {
+                            let checked = match mode {
+                                ProtectionMode::Off => false,
+                                ProtectionMode::Hardware => !kseg || through_tlb,
+                                ProtectionMode::CodePatching => true,
+                            };
+                            pt_assert_eq!(table.store_would_trap(pn, kseg), checked && protected);
+                        }
                     }
                 }
-                pt_assert_eq!(table.protected_count(), model.len());
-                let probe = any_page(g);
-                for pn in [pn, probe] {
-                    let protected = model.contains(&pn);
-                    pt_assert_eq!(table.is_protected(pn), protected);
-                    for kseg in [false, true] {
-                        let checked = match mode {
-                            ProtectionMode::Off => false,
-                            ProtectionMode::Hardware => !kseg || through_tlb,
-                            ProtectionMode::CodePatching => true,
-                        };
-                        pt_assert_eq!(table.store_would_trap(pn, kseg), checked && protected);
-                    }
-                }
-            }
-            Ok(())
-        });
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -356,7 +356,10 @@ impl Registry {
 
     /// Records one sample into the named histogram.
     pub fn record(&mut self, name: &str, value: u64) {
-        self.histograms.entry(name.to_owned()).or_default().record(value);
+        self.histograms
+            .entry(name.to_owned())
+            .or_default()
+            .record(value);
     }
 
     /// The named histogram, if any samples were recorded.
@@ -524,7 +527,9 @@ pub fn start(capacity: usize) {
 /// Returns `None` if no session was open.
 pub fn finish() -> Option<Trace> {
     ENABLED.with(|e| e.set(false));
-    SESSION.with(|s| s.borrow_mut().take()).map(Session::into_trace)
+    SESSION
+        .with(|s| s.borrow_mut().take())
+        .map(Session::into_trace)
 }
 
 /// Whether a trace session is open on this thread. This is the guard
@@ -649,7 +654,13 @@ mod tests {
     fn session_captures_events_counters_notes() {
         start(16);
         set_sim_ns(40);
-        emit(EventCategory::ProtectionTrap, Payload::Addr { addr: 0x2000, aux: 1 });
+        emit(
+            EventCategory::ProtectionTrap,
+            Payload::Addr {
+                addr: 0x2000,
+                aux: 1,
+            },
+        );
         emit_at(80, EventCategory::ShadowCommit, Payload::Count { value: 7 });
         histogram_record("disk.queue_depth", 4);
         note(EventCategory::TrialPanic, "boom".to_owned());
@@ -771,7 +782,13 @@ mod tests {
         for v in 1..=1000u64 {
             h.record(v);
         }
-        for (frac, exact) in [(0.0, 1u64), (0.5, 500), (0.99, 990), (0.999, 999), (1.0, 1000)] {
+        for (frac, exact) in [
+            (0.0, 1u64),
+            (0.5, 500),
+            (0.99, 990),
+            (0.999, 999),
+            (1.0, 1000),
+        ] {
             let p = h.percentile(frac);
             assert!(p <= exact, "p{frac}: {p} > exact {exact}");
             assert!(
@@ -872,7 +889,10 @@ mod tests {
     fn json_escape_covers_quotes_backslashes_and_control_characters() {
         assert_eq!(json_escape("a\"b\\c\n\t\u{1}"), "a\\\"b\\\\c\\n\\t\\u0001");
         assert_eq!(json_escape("\r\u{1f}"), "\\r\\u001f");
-        assert_eq!(json_escape("kernel.syscalls /m0 é"), "kernel.syscalls /m0 é");
+        assert_eq!(
+            json_escape("kernel.syscalls /m0 é"),
+            "kernel.syscalls /m0 é"
+        );
         let mut r = Registry::new();
         r.add("a\"b", 1);
         assert!(r.to_json().contains("\"a\\\"b\": 1"));

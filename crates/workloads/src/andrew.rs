@@ -103,7 +103,8 @@ impl Andrew {
         // Phase 2: Copy.
         for d in 0..self.cfg.dirs {
             for f in 0..self.cfg.files_per_dir {
-                let data = datagen::bytes(self.cfg.seed, (d * 1000 + f) as u64, self.file_len(d, f));
+                let data =
+                    datagen::bytes(self.cfg.seed, (d * 1000 + f) as u64, self.file_len(d, f));
                 let fd = k.create(&self.file_path(d, f))?;
                 k.write(fd, &data)?;
                 k.close(fd)?;
@@ -189,10 +190,16 @@ mod tests {
         assert!(report.total > SimTime::ZERO);
         assert_eq!(
             report.total.as_micros(),
-            [report.mkdir, report.copy, report.stat, report.read, report.compile]
-                .iter()
-                .map(|t| t.as_micros())
-                .sum::<u64>()
+            [
+                report.mkdir,
+                report.copy,
+                report.stat,
+                report.read,
+                report.compile
+            ]
+            .iter()
+            .map(|t| t.as_micros())
+            .sum::<u64>()
         );
         // Compile dominates (CPU-bound benchmark).
         assert!(report.compile > report.stat);

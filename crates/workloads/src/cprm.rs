@@ -92,8 +92,7 @@ impl CpRm {
         for d in 0..self.cfg.dirs {
             k.mkdir(&format!("{}/d{d}", self.cfg.src_root))?;
             for f in 0..self.cfg.files_per_dir {
-                let data =
-                    datagen::bytes(self.cfg.seed, (d * 4096 + f) as u64, self.len_of(d, f));
+                let data = datagen::bytes(self.cfg.seed, (d * 4096 + f) as u64, self.len_of(d, f));
                 let fd = k.create(&format!("{}/d{d}/f{f}", self.cfg.src_root))?;
                 k.write(fd, &data)?;
                 k.close(fd)?;

@@ -185,7 +185,12 @@ impl Plan {
 
         // Toggle-directory traffic: 6% of ops.
         if (94..100).contains(&r) {
-            let t = datagen::length(cfg.seed, index.wrapping_mul(5) + 1, 0, cfg.num_toggle_dirs - 1);
+            let t = datagen::length(
+                cfg.seed,
+                index.wrapping_mul(5) + 1,
+                0,
+                cfg.num_toggle_dirs - 1,
+            );
             let path = format!("{}/toggle{t}", cfg.root);
             return if self.model.dirs.contains(&path) {
                 Op::RmToggle { path }
@@ -235,7 +240,11 @@ impl Plan {
             }
             Op::Rewrite { path, len, tag } => {
                 let data = datagen::bytes(cfg.seed, *tag, *len);
-                let old = self.model.files.get_mut(path).expect("rewrite target exists");
+                let old = self
+                    .model
+                    .files
+                    .get_mut(path)
+                    .expect("rewrite target exists");
                 if data.len() >= old.len() {
                     self.total_bytes += (data.len() - old.len()) as u64;
                     Some(Arc::new(data))
@@ -576,7 +585,10 @@ mod tests {
         assert_eq!(mt.run(&mut k, 100).unwrap(), 100);
         assert_eq!(mt.ops_done(), 100);
         let report = mt.model().verify(&mut k, None).unwrap();
-        assert!(!report.is_corrupt(), "live system matches model: {report:?}");
+        assert!(
+            !report.is_corrupt(),
+            "live system matches model: {report:?}"
+        );
         assert!(report.files_ok > 0);
         assert_eq!(MemTest::check_static(&mut k, 42).unwrap(), 0);
     }
@@ -646,7 +658,8 @@ mod tests {
     fn plan_of(mt: &MemTest) -> Vec<(Op, Option<Vec<u8>>)> {
         let plan = mt.plan.lock().unwrap();
         let ops = plan.ops.iter();
-        ops.map(|p| (p.op.clone(), p.contents.as_deref().cloned())).collect()
+        ops.map(|p| (p.op.clone(), p.contents.as_deref().cloned()))
+            .collect()
     }
 
     #[test]
@@ -823,7 +836,11 @@ mod tests {
             k.machine.clock.disk_wait()
         };
         let [(mut bk, bm), (mut sk, sm)] = blocking_and_scheduled(kernel, &cfg, OPS);
-        assert_eq!(bk.machine.clock.disk_wait(), slept, "the blocking run slept");
+        assert_eq!(
+            bk.machine.clock.disk_wait(),
+            slept,
+            "the blocking run slept"
+        );
         assert_eq!(bm.model().files, sm.model().files);
         assert_eq!(bm.model().dirs, sm.model().dirs);
         let (ma, mb) = (bk.machine.bus.mem(), sk.machine.bus.mem());
@@ -832,7 +849,10 @@ mod tests {
         }
         let (da, db) = (&bk.machine.disk, &sk.machine.disk);
         for block in 0..da.num_blocks() {
-            assert!(da.peek(block) == db.peek(block), "disk differs in block {block}");
+            assert!(
+                da.peek(block) == db.peek(block),
+                "disk differs in block {block}"
+            );
         }
         assert_eq!(da.stats(), db.stats());
         assert_eq!(bk.stats(), sk.stats());
@@ -851,9 +871,8 @@ mod tests {
         // mtimes stamped from them), but the syscalls are the script's:
         // same model, same counters, same disk traffic — and write-through
         // sleeps on every fsync.
-        let wt = || {
-            Kernel::mkfs_and_mount(&KernelConfig::small(Policy::disk_write_through())).unwrap()
-        };
+        let wt =
+            || Kernel::mkfs_and_mount(&KernelConfig::small(Policy::disk_write_through())).unwrap();
         let [(bk, bm), (sk, sm)] =
             blocking_and_scheduled(wt, &MemTestConfig::small_write_through(5), 120);
         assert!(bk.stats().sync_waits > 0, "write-through must sleep");

@@ -152,7 +152,8 @@ mod tests {
     fn in_flight_target_is_skipped() {
         let mut k = kernel();
         let mut m = ModelFs::new();
-        m.files.insert("/pending".to_owned(), b"half".to_vec().into());
+        m.files
+            .insert("/pending".to_owned(), b"half".to_vec().into());
         let r = m.verify(&mut k, Some("/pending")).unwrap();
         assert!(!r.is_corrupt());
         assert_eq!(r.skipped_in_flight, 1);

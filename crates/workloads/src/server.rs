@@ -291,7 +291,9 @@ fn arrivals(cfg: &ServerConfig, uid: usize, base: SimTime) -> Vec<SimTime> {
 
 /// Normalized Zipf CDF over `keys` ranks with exponent [`ZIPF_S`].
 fn zipf_cdf(keys: usize) -> Vec<f64> {
-    let mut weights: Vec<f64> = (0..keys).map(|i| 1.0 / ((i + 1) as f64).powf(ZIPF_S)).collect();
+    let mut weights: Vec<f64> = (0..keys)
+        .map(|i| 1.0 / ((i + 1) as f64).powf(ZIPF_S))
+        .collect();
     let total: f64 = weights.iter().sum();
     let mut acc = 0.0;
     for w in &mut weights {

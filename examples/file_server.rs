@@ -53,10 +53,7 @@ impl Server {
     fn crash_and_warm_reboot(&mut self) -> Result<(), KernelError> {
         self.kernel.crash_now(PanicReason::Watchdog);
         // Move the kernel out, leaving a placeholder we immediately replace.
-        let dead = std::mem::replace(
-            &mut self.kernel,
-            Kernel::mkfs_and_mount(&self.config)?,
-        );
+        let dead = std::mem::replace(&mut self.kernel, Kernel::mkfs_and_mount(&self.config)?);
         let (image, disk) = dead.into_crash_artifacts();
         let (kernel, _report) = Kernel::warm_boot(&self.config, &image, disk)?;
         self.kernel = kernel;

@@ -25,7 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     kernel.mkdir("/mail")?;
     let fd = kernel.create("/mail/inbox")?;
     kernel.write(fd, b"Subject: the file cache survives OS crashes\n\n")?;
-    kernel.write(fd, b"Memory with write-through reliability at write-back speed.\n")?;
+    kernel.write(
+        fd,
+        b"Memory with write-through reliability at write-back speed.\n",
+    )?;
     kernel.close(fd)?;
 
     let disk_writes = kernel.machine.disk.stats().writes;
@@ -35,7 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Crash the operating system. Kernel data structures die; physical
     //    memory and the disk survive.
     kernel.crash_now(PanicReason::Watchdog);
-    println!("crash: {}", kernel.crash_info().expect("crashed").reason.message());
+    println!(
+        "crash: {}",
+        kernel.crash_info().expect("crashed").reason.message()
+    );
     let (memory_image, disk) = kernel.into_crash_artifacts();
 
     // 4. Warm reboot (§2.2): scan the registry in the preserved memory

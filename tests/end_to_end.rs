@@ -9,7 +9,9 @@ use rio::faults::{
 };
 use rio::harness::table2::{run_table2, Table2Scale};
 use rio::kernel::{Kernel, KernelConfig, PanicReason, Policy};
-use rio::workloads::{Andrew, AndrewConfig, CpRm, CpRmConfig, MemTest, MemTestConfig, Sdet, SdetConfig};
+use rio::workloads::{
+    Andrew, AndrewConfig, CpRm, CpRmConfig, MemTest, MemTestConfig, Sdet, SdetConfig,
+};
 
 #[test]
 fn all_eight_policies_run_all_three_workloads() {
@@ -50,7 +52,12 @@ fn rio_survives_every_fault_type_or_crashes_cleanly() {
     assert!(!steady.wedged());
     for fault in FaultType::ALL {
         for attempt in 0..2 {
-            let obs = drive(steady.fork(), fault, trial_seed(0, fault, system, attempt), 150);
+            let obs = drive(
+                steady.fork(),
+                fault,
+                trial_seed(0, fault, system, attempt),
+                150,
+            );
             match obs.verdict {
                 TrialVerdict::NoCrash | TrialVerdict::Wedged | TrialVerdict::Crashed => {}
             }

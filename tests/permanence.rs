@@ -112,7 +112,8 @@ fn audit_row(label: &str, policy: &Policy) -> Tally {
     let mut closed: Vec<Closed> = Vec::new();
     let mut tally = Tally::default();
     for i in 0..FILES {
-        k.idle_until(SimTime::from_secs(SPACING_S * i as u64)).expect("idle");
+        k.idle_until(SimTime::from_secs(SPACING_S * i as u64))
+            .expect("idle");
         let name = format!("/f{i:02}");
         let data = vec![0x40 + i as u8; FILE_BYTES];
         let fd = k.create(&name).expect("create");
@@ -193,7 +194,10 @@ fn every_row_loses_only_what_its_permanence_admits() {
         // A window the script never reaches would make the audit vacuous.
         let promise = policy.permanence();
         if !matches!(promise, Permanence::AtWrite | Permanence::AtClose) {
-            assert!(t.intact < checks, "{label} ({promise}): the script lost nothing");
+            assert!(
+                t.intact < checks,
+                "{label} ({promise}): the script lost nothing"
+            );
         }
         rows.push(vec![
             label.to_owned(),
@@ -202,7 +206,8 @@ fn every_row_loses_only_what_its_permanence_admits() {
             t.holes.to_string(),
             t.missing.to_string(),
             t.forced_lost.to_string(),
-            t.oldest_loss.map_or("-".to_owned(), |a| format!("{:.0} s", a.as_secs_f64())),
+            t.oldest_loss
+                .map_or("-".to_owned(), |a| format!("{:.0} s", a.as_secs_f64())),
             format!("{} of {FILES}", t.intact_at_write),
         ]);
     }

@@ -12,166 +12,188 @@ use rio::mem::{crc32, PageNum};
 /// Registry entries survive the 40-byte wire format for any field values.
 #[test]
 fn registry_entry_round_trips() {
-    check("registry_entry_round_trips", Config::default(), |g: &mut Gen| {
-        let e = RegistryEntry {
-            flags: EntryFlags(g.in_range(0u32..32)),
-            phys_page: g.u32(),
-            dev: g.u32(),
-            ino: g.u64(),
-            offset: g.u64(),
-            size: g.u32(),
-            crc: g.u32(),
-        };
-        let decoded = RegistryEntry::decode(&e.encode()).unwrap().unwrap();
-        pt_assert_eq!(decoded, e);
-        Ok(())
-    });
+    check(
+        "registry_entry_round_trips",
+        Config::default(),
+        |g: &mut Gen| {
+            let e = RegistryEntry {
+                flags: EntryFlags(g.in_range(0u32..32)),
+                phys_page: g.u32(),
+                dev: g.u32(),
+                ino: g.u64(),
+                offset: g.u64(),
+                size: g.u32(),
+                crc: g.u32(),
+            };
+            let decoded = RegistryEntry::decode(&e.encode()).unwrap().unwrap();
+            pt_assert_eq!(decoded, e);
+            Ok(())
+        },
+    );
 }
 
 /// CRC32 detects every single-bit flip (guaranteed by the polynomial;
 /// this is the §3.2 checksum's job).
 #[test]
 fn crc32_detects_any_single_bit_flip() {
-    check("crc32_detects_any_single_bit_flip", Config::default(), |g: &mut Gen| {
-        let mut data = g.bytes(1, 2048);
-        let bit = g.in_range(0u8..8);
-        let pos = g.in_range(0..data.len());
-        let before = crc32(&data);
-        data[pos] ^= 1 << bit;
-        pt_assert_ne!(crc32(&data), before);
-        Ok(())
-    });
+    check(
+        "crc32_detects_any_single_bit_flip",
+        Config::default(),
+        |g: &mut Gen| {
+            let mut data = g.bytes(1, 2048);
+            let bit = g.in_range(0u8..8);
+            let pos = g.in_range(0..data.len());
+            let before = crc32(&data);
+            data[pos] ^= 1 << bit;
+            pt_assert_ne!(crc32(&data), before);
+            Ok(())
+        },
+    );
 }
 
 /// The disk never loses a write that completed before a crash, for any
 /// schedule of writes and any crash time.
 #[test]
 fn disk_preserves_completed_writes() {
-    check("disk_preserves_completed_writes", Config::default(), |g: &mut Gen| {
-        let writes: Vec<(u64, u8)> =
-            g.vec(1, 24, |g| (g.in_range(0u64..16), g.u8()));
-        let crash_frac = g.f64() * 1.5;
-        let mut disk = SimDisk::new(16, DiskModel::paper_scsi());
-        let mut completions = Vec::new();
-        for &(block, fill) in &writes {
-            let done = disk.submit_write(block, vec![fill; BLOCK_SIZE], SimTime::ZERO, false);
-            completions.push((block, fill, done));
-        }
-        let last = completions.last().expect("non-empty").2;
-        let crash_at = SimTime::from_micros((last.as_micros() as f64 * crash_frac) as u64);
-        disk.crash(crash_at);
-        // For each block, the latest write completed strictly before the
-        // crash must be visible unless a later (possibly torn/lost) write
-        // to the same block overwrote it.
-        for (i, &(block, fill, done)) in completions.iter().enumerate() {
-            let later_write_same_block =
-                completions[i + 1..].iter().any(|&(b, _, _)| b == block);
-            if done <= crash_at && !later_write_same_block {
-                pt_assert!(!disk.is_torn(block), "block {block} torn");
-                pt_assert!(
-                    disk.peek(block).iter().all(|&b| b == fill),
-                    "block {block} lost fill {fill}"
-                );
+    check(
+        "disk_preserves_completed_writes",
+        Config::default(),
+        |g: &mut Gen| {
+            let writes: Vec<(u64, u8)> = g.vec(1, 24, |g| (g.in_range(0u64..16), g.u8()));
+            let crash_frac = g.f64() * 1.5;
+            let mut disk = SimDisk::new(16, DiskModel::paper_scsi());
+            let mut completions = Vec::new();
+            for &(block, fill) in &writes {
+                let done = disk.submit_write(block, vec![fill; BLOCK_SIZE], SimTime::ZERO, false);
+                completions.push((block, fill, done));
             }
-        }
-        Ok(())
-    });
+            let last = completions.last().expect("non-empty").2;
+            let crash_at = SimTime::from_micros((last.as_micros() as f64 * crash_frac) as u64);
+            disk.crash(crash_at);
+            // For each block, the latest write completed strictly before the
+            // crash must be visible unless a later (possibly torn/lost) write
+            // to the same block overwrote it.
+            for (i, &(block, fill, done)) in completions.iter().enumerate() {
+                let later_write_same_block =
+                    completions[i + 1..].iter().any(|&(b, _, _)| b == block);
+                if done <= crash_at && !later_write_same_block {
+                    pt_assert!(!disk.is_torn(block), "block {block} torn");
+                    pt_assert!(
+                        disk.peek(block).iter().all(|&b| b == fill),
+                        "block {block} lost fill {fill}"
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
 }
 
 /// The page-cache dirty counter always equals the number of dirty keys,
 /// across arbitrary operation sequences.
 #[test]
 fn page_cache_dirty_count_is_exact() {
-    check("page_cache_dirty_count_is_exact", Config::default(), |g: &mut Gen| {
-        let ops: Vec<(u8, u64)> =
-            g.vec(1, 200, |g| (g.in_range(0u8..5), g.in_range(0u64..12)));
-        let mut cache: PageCache<u64> = PageCache::new((0..4).map(PageNum).collect());
-        for (op, key) in ops {
-            match op {
-                0 => {
-                    if cache.lookup(key).is_none() {
-                        cache.insert(key);
+    check(
+        "page_cache_dirty_count_is_exact",
+        Config::default(),
+        |g: &mut Gen| {
+            let ops: Vec<(u8, u64)> = g.vec(1, 200, |g| (g.in_range(0u8..5), g.in_range(0u64..12)));
+            let mut cache: PageCache<u64> = PageCache::new((0..4).map(PageNum).collect());
+            for (op, key) in ops {
+                match op {
+                    0 => {
+                        if cache.lookup(key).is_none() {
+                            cache.insert(key);
+                        }
+                    }
+                    1 => {
+                        if cache.lookup(key).is_some() {
+                            cache.mark_dirty(key);
+                        }
+                    }
+                    2 => cache.mark_clean(key),
+                    3 => {
+                        cache.remove(key);
+                    }
+                    _ => {
+                        cache.lookup(key);
                     }
                 }
-                1 => {
-                    if cache.lookup(key).is_some() {
-                        cache.mark_dirty(key);
-                    }
-                }
-                2 => cache.mark_clean(key),
-                3 => {
-                    cache.remove(key);
-                }
-                _ => {
-                    cache.lookup(key);
-                }
+                pt_assert_eq!(cache.dirty_count(), cache.dirty_keys().len());
+                pt_assert!(cache.len() <= cache.capacity());
             }
-            pt_assert_eq!(cache.dirty_count(), cache.dirty_keys().len());
-            pt_assert!(cache.len() <= cache.capacity());
-        }
-        Ok(())
-    });
+            Ok(())
+        },
+    );
 }
 
 /// kmalloc never hands out overlapping blocks and kfree returns them,
 /// for arbitrary alloc/free interleavings.
 #[test]
 fn allocator_blocks_never_overlap() {
-    check("allocator_blocks_never_overlap", Config::default(), |g: &mut Gen| {
-        use rio::kernel::alloc::{heap_map, KernelAlloc, HDR_BYTES};
-        let ops: Vec<(bool, u64)> = g.vec(1, 100, |g| (g.bool(), g.in_range(1u64..512)));
-        let mut mem = rio::mem::PhysMem::new(rio::mem::MemConfig::small());
-        let heap = mem.layout().heap;
-        let mut alloc = KernelAlloc::new(heap.start + heap_map::ARENA_OFFSET, heap.end);
-        let mut live: Vec<(u64, u64)> = Vec::new();
-        for (do_alloc, size) in ops {
-            if do_alloc || live.is_empty() {
-                let addr = alloc.kmalloc(&mut mem, size).unwrap();
-                // No overlap with any live block (headers included).
-                for &(a, s) in &live {
-                    let lo = a - HDR_BYTES;
-                    let hi = a + s;
-                    let nlo = addr - HDR_BYTES;
-                    let nhi = addr + size;
-                    pt_assert!(
-                        nhi <= lo || nlo >= hi,
-                        "overlap: new [{nlo},{nhi}) vs live [{lo},{hi})"
-                    );
+    check(
+        "allocator_blocks_never_overlap",
+        Config::default(),
+        |g: &mut Gen| {
+            use rio::kernel::alloc::{heap_map, KernelAlloc, HDR_BYTES};
+            let ops: Vec<(bool, u64)> = g.vec(1, 100, |g| (g.bool(), g.in_range(1u64..512)));
+            let mut mem = rio::mem::PhysMem::new(rio::mem::MemConfig::small());
+            let heap = mem.layout().heap;
+            let mut alloc = KernelAlloc::new(heap.start + heap_map::ARENA_OFFSET, heap.end);
+            let mut live: Vec<(u64, u64)> = Vec::new();
+            for (do_alloc, size) in ops {
+                if do_alloc || live.is_empty() {
+                    let addr = alloc.kmalloc(&mut mem, size).unwrap();
+                    // No overlap with any live block (headers included).
+                    for &(a, s) in &live {
+                        let lo = a - HDR_BYTES;
+                        let hi = a + s;
+                        let nlo = addr - HDR_BYTES;
+                        let nhi = addr + size;
+                        pt_assert!(
+                            nhi <= lo || nlo >= hi,
+                            "overlap: new [{nlo},{nhi}) vs live [{lo},{hi})"
+                        );
+                    }
+                    live.push((addr, size));
+                } else {
+                    let (addr, _) = live.swap_remove(0);
+                    alloc.kfree(&mut mem, addr).unwrap();
                 }
-                live.push((addr, size));
-            } else {
-                let (addr, _) = live.swap_remove(0);
-                alloc.kfree(&mut mem, addr).unwrap();
             }
-        }
-        Ok(())
-    });
+            Ok(())
+        },
+    );
 }
 
 /// memTest replay reconstructs exactly the state the live run produced,
 /// for arbitrary seeds and op counts.
 #[test]
 fn memtest_replay_is_exact() {
-    check("memtest_replay_is_exact", Config::with_cases(24), |g: &mut Gen| {
-        use rio::core::RioMode;
-        use rio::kernel::{Kernel, KernelConfig, Policy};
-        use rio::workloads::{MemTest, MemTestConfig};
-        let seed = g.in_range(0u64..500);
-        let ops = g.len_between(1, 60) as u64;
-        let config = KernelConfig::small(Policy::rio(RioMode::Unprotected));
-        let mut k = Kernel::mkfs_and_mount(&config).unwrap();
-        let cfg = MemTestConfig::small(seed);
-        let mut mt = MemTest::new(cfg.clone());
-        mt.setup(&mut k).unwrap();
-        mt.run(&mut k, ops).unwrap();
-        let (replayed, _) = MemTest::replay(&cfg, ops);
-        pt_assert_eq!(&replayed.files, &mt.model().files);
-        pt_assert_eq!(&replayed.dirs, &mt.model().dirs);
-        // And the kernel state matches the model.
-        let verdict = mt.model().verify(&mut k, None).unwrap();
-        pt_assert!(!verdict.is_corrupt(), "live kernel diverged: {verdict:?}");
-        Ok(())
-    });
+    check(
+        "memtest_replay_is_exact",
+        Config::with_cases(24),
+        |g: &mut Gen| {
+            use rio::core::RioMode;
+            use rio::kernel::{Kernel, KernelConfig, Policy};
+            use rio::workloads::{MemTest, MemTestConfig};
+            let seed = g.in_range(0u64..500);
+            let ops = g.len_between(1, 60) as u64;
+            let config = KernelConfig::small(Policy::rio(RioMode::Unprotected));
+            let mut k = Kernel::mkfs_and_mount(&config).unwrap();
+            let cfg = MemTestConfig::small(seed);
+            let mut mt = MemTest::new(cfg.clone());
+            mt.setup(&mut k).unwrap();
+            mt.run(&mut k, ops).unwrap();
+            let (replayed, _) = MemTest::replay(&cfg, ops);
+            pt_assert_eq!(&replayed.files, &mt.model().files);
+            pt_assert_eq!(&replayed.dirs, &mt.model().dirs);
+            // And the kernel state matches the model.
+            let verdict = mt.model().verify(&mut k, None).unwrap();
+            pt_assert!(!verdict.is_corrupt(), "live kernel diverged: {verdict:?}");
+            Ok(())
+        },
+    );
 }
 
 /// Warm reboot recovers every file for arbitrary file shapes, with no
@@ -211,34 +233,41 @@ fn warm_reboot_recovers_arbitrary_files() {
 /// point produces the same value as the one-shot call.
 #[test]
 fn slice_by_8_crc_matches_bytewise() {
-    check("slice_by_8_crc_matches_bytewise", Config::default(), |g: &mut Gen| {
-        use rio::mem::{crc32_bytewise, crc32_update};
-        let data = g.bytes(0, 4096);
-        let fast = crc32(&data);
-        pt_assert_eq!(fast, crc32_bytewise(&data));
-        let split = g.in_range(0..data.len() + 1);
-        let streamed =
-            crc32_update(crc32_update(0xFFFF_FFFF, &data[..split]), &data[split..])
+    check(
+        "slice_by_8_crc_matches_bytewise",
+        Config::default(),
+        |g: &mut Gen| {
+            use rio::mem::{crc32_bytewise, crc32_update};
+            let data = g.bytes(0, 4096);
+            let fast = crc32(&data);
+            pt_assert_eq!(fast, crc32_bytewise(&data));
+            let split = g.in_range(0..data.len() + 1);
+            let streamed = crc32_update(crc32_update(0xFFFF_FFFF, &data[..split]), &data[split..])
                 ^ 0xFFFF_FFFF;
-        pt_assert_eq!(streamed, fast);
-        Ok(())
-    });
+            pt_assert_eq!(streamed, fast);
+            Ok(())
+        },
+    );
 }
 
 /// `crc32_combine` splices two independent checksums into the checksum of
 /// the concatenation, for arbitrary part lengths (including empty parts).
 #[test]
 fn crc32_combine_matches_concatenation() {
-    check("crc32_combine_matches_concatenation", Config::default(), |g: &mut Gen| {
-        use rio::mem::crc32_combine;
-        let a = g.bytes(0, 2048);
-        let b = g.bytes(0, 2048);
-        let mut joined = a.clone();
-        joined.extend_from_slice(&b);
-        let combined = crc32_combine(crc32(&a), crc32(&b), b.len() as u64);
-        pt_assert_eq!(combined, crc32(&joined));
-        Ok(())
-    });
+    check(
+        "crc32_combine_matches_concatenation",
+        Config::default(),
+        |g: &mut Gen| {
+            use rio::mem::crc32_combine;
+            let a = g.bytes(0, 2048);
+            let b = g.bytes(0, 2048);
+            let mut joined = a.clone();
+            joined.extend_from_slice(&b);
+            let combined = crc32_combine(crc32(&a), crc32(&b), b.len() as u64);
+            pt_assert_eq!(combined, crc32(&joined));
+            Ok(())
+        },
+    );
 }
 
 /// The sector checksum cache derives exactly the CRC a direct scan over
@@ -246,24 +275,28 @@ fn crc32_combine_matches_concatenation() {
 /// reported via `note_write`) and growing/shrinking valid lengths.
 #[test]
 fn sector_crc_cache_matches_direct_crc() {
-    check("sector_crc_cache_matches_direct_crc", Config::default(), |g: &mut Gen| {
-        use rio::kernel::crc_cache::SectorCrcCache;
-        use rio::mem::{MemConfig, PhysMem, PAGE_SIZE};
-        let mut mem = PhysMem::new(MemConfig::small());
-        let page = PageNum::containing(mem.layout().ubc.start);
-        let mut cache = SectorCrcCache::new();
-        let writes: Vec<(usize, usize, u8)> = g.vec(1, 12, |g| {
-            let start = g.in_range(0..PAGE_SIZE);
-            let len = g.in_range(1..=PAGE_SIZE - start);
-            (start, len, g.u8())
-        });
-        for &(start, len, fill) in &writes {
-            mem.fill(page.base() + start as u64, len as u64, fill);
-            cache.note_write(page, start, start + len);
-            let valid = g.in_range(1..=PAGE_SIZE) as u32;
-            let direct = crc32(&mem.page(page)[..valid as usize]);
-            pt_assert_eq!(cache.prefix_crc(&mem, page, valid), direct);
-        }
-        Ok(())
-    });
+    check(
+        "sector_crc_cache_matches_direct_crc",
+        Config::default(),
+        |g: &mut Gen| {
+            use rio::kernel::crc_cache::SectorCrcCache;
+            use rio::mem::{MemConfig, PhysMem, PAGE_SIZE};
+            let mut mem = PhysMem::new(MemConfig::small());
+            let page = PageNum::containing(mem.layout().ubc.start);
+            let mut cache = SectorCrcCache::new();
+            let writes: Vec<(usize, usize, u8)> = g.vec(1, 12, |g| {
+                let start = g.in_range(0..PAGE_SIZE);
+                let len = g.in_range(1..=PAGE_SIZE - start);
+                (start, len, g.u8())
+            });
+            for &(start, len, fill) in &writes {
+                mem.fill(page.base() + start as u64, len as u64, fill);
+                cache.note_write(page, start, start + len);
+                let valid = g.in_range(1..=PAGE_SIZE) as u32;
+                let direct = crc32(&mem.page(page)[..valid as usize]);
+                pt_assert_eq!(cache.prefix_crc(&mem, page, valid), direct);
+            }
+            Ok(())
+        },
+    );
 }

@@ -167,18 +167,18 @@ fn wide_bcopy_overrun_traps_on_the_protected_page_base() {
 
     // Next bcopy copies 64 extra bytes: a 128-byte write ending exactly at
     // the page boundary overruns into the next (protected) physical page.
-    k.machine.hooks.copy_overrun =
-        Some(OverrunSpec::new(Cadence::every(1), vec![64]));
+    k.machine.hooks.copy_overrun = Some(OverrunSpec::new(Cadence::every(1), vec![64]));
     let err = k.pwrite(fd, 8192 - 128, &[0x5Cu8; 128]).unwrap_err();
-    assert!(matches!(err, rio::kernel::KernelError::Panic(_)), "got {err:?}");
+    assert!(
+        matches!(err, rio::kernel::KernelError::Panic(_)),
+        "got {err:?}"
+    );
 
     let info = k.crash_info().expect("kernel recorded the crash").clone();
     let (addr, page) = match info.reason {
-        rio::kernel::PanicReason::Mem(MemFault::ProtectionViolation {
-            addr,
-            page,
-            ..
-        }) => (addr, page),
+        rio::kernel::PanicReason::Mem(MemFault::ProtectionViolation { addr, page, .. }) => {
+            (addr, page)
+        }
         other => panic!("expected a protection trap, got {other:?}"),
     };
     // Exact-boundary parity: the fault lands on the protected page's first
@@ -218,7 +218,10 @@ fn stale_sector_corruption_is_caught_at_warm_reboot() {
 
     // Wild store: flip one bit in sector 2, bypassing every kernel path —
     // the checksum cache never hears about it.
-    k.machine.bus.mem_mut().flip_bit(page.base() + 2 * 512 + 77, 3);
+    k.machine
+        .bus
+        .mem_mut()
+        .flip_bit(page.base() + 2 * 512 + 77, 3);
 
     // A legitimate write to a different sector re-derives the registry CRC
     // from cached sector state; sector 2's entry is stale (legitimate
