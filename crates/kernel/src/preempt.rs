@@ -18,7 +18,7 @@
 //! - Locks are legitimately held **across** yields: `namei` sleeps on a
 //!   directory-block read holding `Fs`; a multi-page write holds `Ubc`
 //!   from first page to last. A second client hitting a held lock joins
-//!   a FIFO wait queue ([`LockQueues`]) and blocks; releases hand the
+//!   a FIFO wait queue (`LockQueues`) and blocks; releases hand the
 //!   lock to the queue head by *reservation*, so the wake-up order is a
 //!   pure function of simulated state — deterministic at any
 //!   `RIO_THREADS`.
@@ -231,51 +231,29 @@ pub enum Yield {
 /// it — dies at a crash; the crash-surviving truth stays in the lock
 /// *words* in simulated memory ([`crate::locks::LockSet`]).
 #[derive(Debug, Clone, Default)]
-pub struct LockQueues {
+pub(crate) struct LockQueues {
     /// Which client's continuation holds each lock (set only by a
     /// scheduled [`Kernel::lock_acquire_preempt`]; the within-phase
     /// `Buf` / `Alloc` pairs and a blocking [`Kernel::syscall`] never
     /// register here).
     owner: [Option<u32>; 4],
     /// FIFO of `(client, wait-start time)` per lock.
-    waiters: [VecDeque<(u32, SimTime)>; 4],
+    pub(crate) waiters: [VecDeque<(u32, SimTime)>; 4],
     /// Hand-off reservation: the released lock is earmarked for this
     /// client (the FIFO head at release time) until it takes the word.
     reserved: [Option<u32>; 4],
-}
-
-impl LockQueues {
-    /// Which client holds the lock, if a scheduled quantum acquired it.
-    pub fn owner(&self, id: LockId) -> Option<u32> {
-        self.owner[id.index()]
-    }
-
-    /// The client the lock is currently reserved for, if any.
-    pub fn reserved_for(&self, id: LockId) -> Option<u32> {
-        self.reserved[id.index()]
-    }
-
-    /// How many clients are queued waiting for the lock.
-    pub fn waiter_count(&self, id: LockId) -> usize {
-        self.waiters[id.index()].len()
-    }
 }
 
 impl Kernel {
     /// Which client's continuation holds `id` (preemptive scheduling
     /// introspection; crash forensics records held locks at injection).
     pub fn lock_owner(&self, id: LockId) -> Option<u32> {
-        self.lockq.owner(id)
-    }
-
-    /// Clients queued waiting for `id`.
-    pub fn lock_waiters(&self, id: LockId) -> usize {
-        self.lockq.waiter_count(id)
+        self.lockq.owner[id.index()]
     }
 
     /// The client `id` is reserved for after a FIFO hand-off.
     pub fn lock_reserved_for(&self, id: LockId) -> Option<u32> {
-        self.lockq.reserved_for(id)
+        self.lockq.reserved[id.index()]
     }
 
     /// Runs one syscall to completion: the same continuation the

@@ -10,30 +10,9 @@ impl Kernel {
     pub(crate) fn fsync_ino(&mut self, ino: u64) -> Result<(), KernelError> {
         self.flush_file_pages(ino, false)?;
         // Inode block (and any dirty metadata it shares a block with).
-        let (block, _) = self.geometry.inode_location(ino);
-        if self.bufcache.is_dirty(block) {
-            if let Some(page) = self.bufcache.peek(block) {
-                let now = self.machine.clock.now();
-                let done = self.machine.disk.submit_write_from(
-                    block,
-                    self.machine.bus.mem().page(page),
-                    now,
-                    false,
-                );
-                self.bufcache.mark_clean(block);
-                self.note_frame_flush(page, done);
-            }
-        }
+        self.bawrite_block(self.geometry.inode_location(ino).0);
         // Wait for everything queued to settle — fsync's contract.
-        let now = self.machine.clock.now();
-        let done = self.machine.disk.idle_at(now);
-        self.machine.disk.sync(now);
-        self.machine.clock.wait_until(done);
-        self.stats.sync_waits += 1;
-        // Everything submitted above is durable now: retire the registry
-        // DIRTY bits the async page flushes left pending.
-        self.retire_ubc_writebacks()?;
-        Ok(())
+        self.drain()
     }
 
     /// Flushes all dirty metadata and data. `wait` makes it synchronous
@@ -49,26 +28,11 @@ impl Kernel {
                 self.flush_one_ubc_page(key, page, false)?;
             }
         }
-        let now = self.machine.clock.now();
         for block in self.bufcache.dirty_keys() {
-            if let Some(page) = self.bufcache.peek(block) {
-                let done = self.machine.disk.submit_write_from(
-                    block,
-                    self.machine.bus.mem().page(page),
-                    now,
-                    false,
-                );
-                self.bufcache.mark_clean(block);
-                self.note_frame_flush(page, done);
-            }
+            self.bawrite_block(block);
         }
         if wait {
-            let now = self.machine.clock.now();
-            let done = self.machine.disk.idle_at(now);
-            self.machine.disk.sync(now);
-            self.machine.clock.wait_until(done);
-            self.stats.sync_waits += 1;
-            self.retire_ubc_writebacks()?;
+            self.drain()?;
         }
         Ok(())
     }

@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
-# Tier-1 verification: build, one run of each example, the repo benchmark's
-# exactness check, the pinned campaign digests, lint, test, docs, then every
-# exhibit against its recorded bytes (`exhibit --check quick`: the manifest in
-# crates/harness/src/exhibits.rs, each row at 1 and at 8 threads). The
-# recorded bytes were written by another process, so equality with them
-# at both thread counts is also the cross-process determinism check.
+# Tier-1 verification: formatting, build, one run of each example, the repo
+# benchmark's exactness check, the pinned campaign digests, lint, test, docs,
+# then every exhibit against its recorded bytes (`exhibit --check quick`:
+# the manifest in crates/harness/src/exhibits.rs, each row at 1 and at 8
+# threads). The recorded bytes were written by another process, so equality
+# with them at both thread counts is also the cross-process determinism
+# check.
 # Everything runs offline — the workspace has no crates.io dependencies.
 #
 # `verify.sh --full` then runs `exhibit --check full`: every row at
@@ -20,6 +21,11 @@ case "${1:-}" in
     --full) full=1 ;;
     *) echo "usage: $0 [--full]" >&2; exit 2 ;;
 esac
+
+echo "== cargo fmt --all -- --check =="
+# The workspace is rustfmt-clean, so an edit's diff carries no formatting
+# churn; `cargo fmt --all` fixes what this reports.
+cargo fmt --all -- --check
 
 echo "== cargo build --release (and the examples) =="
 cargo build --release
