@@ -66,6 +66,9 @@ pub struct PageCache<K> {
     map: MixMap<K, usize>,
     tick: u64,
     dirty_count: usize,
+    /// Every slot below this one is occupied: where `insert` starts its
+    /// search for a free slot.
+    free_hint: usize,
 }
 
 impl<K: Eq + Hash + Copy> PageCache<K> {
@@ -91,6 +94,7 @@ impl<K: Eq + Hash + Copy> PageCache<K> {
             map: HashMap::default(),
             tick: 0,
             dirty_count: 0,
+            free_hint: 0,
         }
     }
 
@@ -134,37 +138,52 @@ impl<K: Eq + Hash + Copy> PageCache<K> {
     ///
     /// Panics if the key is already present (callers `lookup` first).
     pub fn insert(&mut self, key: K) -> (PageNum, Option<Evicted<K>>) {
+        let hint = self.free_hint;
+        let free = self.slots[hint..]
+            .iter()
+            .position(|s| s.key.is_none())
+            .map(|i| hint + i);
+        let placed = self.place(key, free);
+        self.free_hint = free.map_or(self.slots.len(), |idx| idx + 1);
+        placed
+    }
+
+    /// [`PageCache::insert`] as first written — a scan from slot 0 for the
+    /// lowest free slot. The definition the hinted search is tested against.
+    #[cfg(test)]
+    fn insert_reference(&mut self, key: K) -> (PageNum, Option<Evicted<K>>) {
+        let free = self.slots.iter().position(|s| s.key.is_none());
+        self.place(key, free)
+    }
+
+    /// Gives `key` the free slot `free`, or the least-recently-used slot
+    /// when there is none.
+    fn place(&mut self, key: K, free: Option<usize>) -> (PageNum, Option<Evicted<K>>) {
         assert!(!self.map.contains_key(&key), "key already cached");
         self.tick += 1;
-        // Free slot?
-        if let Some(idx) = self.slots.iter().position(|s| s.key.is_none()) {
-            self.slots[idx] = Slot {
-                key: Some(key),
-                dirty: false,
-                stamp: self.tick,
-                valid: 0,
-            };
-            self.map.insert(key, idx);
-            return (self.pages[idx], None);
-        }
-        // Evict LRU.
-        let idx = self
-            .slots
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.stamp)
-            .map(|(i, _)| i)
-            .expect("non-empty slots");
-        let old = self.slots[idx].key.expect("occupied slot");
-        let evicted = Evicted {
-            key: old,
-            dirty: self.slots[idx].dirty,
-            page: self.pages[idx],
+        let (idx, evicted) = match free {
+            Some(idx) => (idx, None),
+            None => {
+                let idx = self
+                    .slots
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, s)| s.stamp)
+                    .map(|(i, _)| i)
+                    .expect("non-empty slots");
+                let old = self.slots[idx].key.expect("occupied slot");
+                if self.slots[idx].dirty {
+                    self.dirty_count -= 1;
+                }
+                self.map.remove(&old);
+                let evicted = Evicted {
+                    key: old,
+                    dirty: self.slots[idx].dirty,
+                    page: self.pages[idx],
+                };
+                (idx, Some(evicted))
+            }
         };
-        if self.slots[idx].dirty {
-            self.dirty_count -= 1;
-        }
-        self.map.remove(&old);
         self.slots[idx] = Slot {
             key: Some(key),
             dirty: false,
@@ -172,7 +191,7 @@ impl<K: Eq + Hash + Copy> PageCache<K> {
             valid: 0,
         };
         self.map.insert(key, idx);
-        (self.pages[idx], Some(evicted))
+        (self.pages[idx], evicted)
     }
 
     /// Marks a cached key dirty.
@@ -229,6 +248,7 @@ impl<K: Eq + Hash + Copy> PageCache<K> {
             stamp: 0,
             valid: 0,
         };
+        self.free_hint = self.free_hint.min(slot);
         Some(self.pages[slot])
     }
 
@@ -270,6 +290,8 @@ impl<K: Eq + Hash + Copy> PageCache<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rio_det::proptest_lite::{check, Config};
+    use rio_det::pt_assert_eq;
 
     fn cache(n: u64) -> PageCache<u64> {
         PageCache::new((0..n).map(PageNum).collect())
@@ -390,6 +412,33 @@ mod tests {
         }
         assert_eq!(ubc.keys().collect::<Vec<_>>(), keys);
         assert!(keys.iter().all(|&k| ubc.peek(k).is_some()));
+    }
+
+    #[test]
+    fn hinted_insert_matches_the_scan_from_slot_zero() {
+        check("hinted insert == reference", Config::with_cases(64), |g| {
+            let (mut new, mut old) = (cache(8), cache(8));
+            for _ in 0..g.len_between(1, 200) {
+                let key = g.in_range(0..16u64);
+                let cached = new.peek(key).is_some();
+                match g.in_range(0..4u32) {
+                    0 if !cached => pt_assert_eq!(new.insert(key), old.insert_reference(key)),
+                    0 | 1 => pt_assert_eq!(new.lookup(key), old.lookup(key)),
+                    2 => pt_assert_eq!(new.remove(key), old.remove(key)),
+                    _ if cached => {
+                        new.mark_dirty(key);
+                        old.mark_dirty(key);
+                    }
+                    _ => {}
+                }
+                pt_assert_eq!(
+                    new.keys().collect::<Vec<_>>(),
+                    old.keys().collect::<Vec<_>>()
+                );
+                pt_assert_eq!(new.dirty_keys(), old.dirty_keys());
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //! Latency is measured from the request's *scheduled arrival* to the
 //! completion of its final syscall (including trailing fsync drain), so
 //! a client that falls behind accumulates queueing delay — the open-loop
-//! property that exposes tail collapse. Per-class latencies go into
-//! [`rio_obs::Histogram`]s (log-linear buckets, ≤ 1/16 relative error —
-//! see the obs crate docs), merged across clients in client order.
+//! property that exposes tail collapse. Each connection logs its
+//! completed requests' class and latency; when the fleet is done the run
+//! records every logged latency once into one [`rio_obs::Histogram`] per
+//! class (log-linear buckets, ≤ 1/16 relative error — see the obs crate
+//! docs), so a run holds three histograms however many connections it has.
 
 use crate::datagen;
 use rio_det::{derive_seed, derive_seed3, DetRng};
@@ -129,21 +131,29 @@ impl ServerReport {
     }
 }
 
+/// A request's class; its discriminant indexes the run's histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReqKind {
-    Read,
-    Write,
-    Commit,
+    Read = 0,
+    Write = 1,
+    Commit = 2,
+}
+
+/// The key population every connection draws from, built once per run.
+struct Keys {
+    /// `{root}/k{i}` for key `i`.
+    paths: Vec<String>,
+    /// Zipf CDF over the keys' popularity ranks.
+    cdf: Vec<f64>,
 }
 
 struct ServerClient {
     uid: usize,
     seed: u64,
-    root: String,
     rng: DetRng,
     /// Precomputed absolute arrival times, one per request.
     arrivals: Vec<SimTime>,
-    zipf_cdf: Arc<Vec<f64>>,
+    keys: Arc<Keys>,
     key_bytes: usize,
     io_bytes: usize,
     req: usize,
@@ -151,9 +161,8 @@ struct ServerClient {
     cur: Option<(ReqKind, SimTime)>,
     /// The in-flight request's syscalls not yet issued.
     script: SyscallScript,
-    read: Histogram,
-    write: Histogram,
-    commit: Histogram,
+    /// Each completed request's class and latency (µs), in completion order.
+    done: Vec<(ReqKind, u64)>,
 }
 
 /// Stream tags for seed derivation (arbitrary distinct constants).
@@ -162,22 +171,19 @@ const STREAM_OPMIX: u64 = 0x5253_5256_4F50_4D58; // "RSRVOPMX"
 const STREAM_BURST: u64 = 0x5253_5256_4255_5253; // "RSRVBURS"
 
 impl ServerClient {
-    fn new(cfg: &ServerConfig, uid: usize, base: SimTime, zipf_cdf: Arc<Vec<f64>>) -> Self {
+    fn new(cfg: &ServerConfig, uid: usize, base: SimTime, keys: Arc<Keys>) -> Self {
         ServerClient {
             uid,
             seed: cfg.seed,
-            root: cfg.root.clone(),
             rng: DetRng::seed_from_u64(derive_seed3(cfg.seed, STREAM_OPMIX, uid as u64, 0)),
             arrivals: arrivals(cfg, uid, base),
-            zipf_cdf,
+            keys,
             key_bytes: cfg.key_bytes,
             io_bytes: cfg.io_bytes,
             req: 0,
             cur: None,
             script: SyscallScript::default(),
-            read: Histogram::default(),
-            write: Histogram::default(),
-            commit: Histogram::default(),
+            done: Vec::with_capacity(cfg.requests_per_client),
         }
     }
 
@@ -194,15 +200,7 @@ impl ServerClient {
 
     fn draw_key(&mut self) -> usize {
         let u = self.rng.gen_f64();
-        self.zipf_cdf.partition_point(|&c| c < u)
-    }
-
-    fn hist_mut(&mut self, kind: ReqKind) -> &mut Histogram {
-        match kind {
-            ReqKind::Read => &mut self.read,
-            ReqKind::Write => &mut self.write,
-            ReqKind::Commit => &mut self.commit,
-        }
+        self.keys.cdf.partition_point(|&c| c < u)
     }
 }
 
@@ -221,7 +219,7 @@ impl PreemptClient for ServerClient {
         let offset = self.rng.gen_range(0..=span);
         let fd = Fd::LAST_OPENED;
         self.script
-            .push(SyscallOp::Open(format!("{}/k{key}", self.root)));
+            .push(SyscallOp::Open(self.keys.paths[key].clone()));
         self.script.push(match kind {
             ReqKind::Read => SyscallOp::Pread {
                 fd,
@@ -261,8 +259,8 @@ impl PreemptClient for ServerClient {
         // The request ends with its last syscall.
         if let (Some((kind, arrival)), true) = (self.cur, self.script.is_empty()) {
             self.cur = None;
-            self.hist_mut(kind)
-                .record(at.saturating_sub(arrival).as_micros());
+            self.done
+                .push((kind, at.saturating_sub(arrival).as_micros()));
         }
     }
 }
@@ -335,28 +333,30 @@ impl Server {
         let cfg = &self.cfg;
         // Key population: pre-created and fsynced so every policy starts
         // from a drained queue and no request ever creates a file.
+        let keys = Arc::new(Keys {
+            paths: (0..cfg.keys)
+                .map(|i| format!("{}/k{i}", cfg.root))
+                .collect(),
+            cdf: zipf_cdf(cfg.keys),
+        });
         k.mkdir(&cfg.root)?;
-        for i in 0..cfg.keys {
-            let fd = k.create(&format!("{}/k{i}", cfg.root))?;
+        for (i, path) in keys.paths.iter().enumerate() {
+            let fd = k.create(path)?;
             let tag = 0x4B45_5900 | i as u64; // "KEY"
             k.write(fd, &datagen::bytes(cfg.seed, tag, cfg.key_bytes))?;
             k.fsync(fd)?;
             k.close(fd)?;
         }
         let base = k.machine.clock.now();
-        let cdf = Arc::new(zipf_cdf(cfg.keys));
         let mut clients: Vec<ServerClient> = (0..cfg.clients)
-            .map(|uid| ServerClient::new(cfg, uid, base, Arc::clone(&cdf)))
+            .map(|uid| ServerClient::new(cfg, uid, base, Arc::clone(&keys)))
             .collect();
         let trace = rio_kernel::run_preemptive(k, &mut client_refs(&mut clients), cfg.seed, true)?;
-        let mut read = Histogram::default();
-        let mut write = Histogram::default();
-        let mut commit = Histogram::default();
-        for c in &clients {
-            read.merge_from(&c.read);
-            write.merge_from(&c.write);
-            commit.merge_from(&c.commit);
+        let mut hists: [Histogram; 3] = Default::default();
+        for &(kind, us) in clients.iter().flat_map(|c| &c.done) {
+            hists[kind as usize].record(us);
         }
+        let [read, write, commit] = hists;
         Ok(ServerReport {
             total: k.machine.clock.now().saturating_sub(base),
             requests: read.count() + write.count() + commit.count(),
@@ -395,12 +395,13 @@ mod tests {
         let run = || {
             let mut k = kernel(Policy::rio(RioMode::Protected));
             let r = Server::new(tiny(3, 8)).run(&mut k).unwrap();
+            let class = |h: &Histogram| (h.count(), h.sum(), h.max());
             (
                 r.total,
                 r.requests,
-                r.read.count(),
-                r.write.count(),
-                r.commit.count(),
+                class(&r.read),
+                class(&r.write),
+                class(&r.commit),
                 r.read.percentile(0.99),
                 r.commit.percentile(0.999),
             )
@@ -408,7 +409,11 @@ mod tests {
         let first = run();
         assert_eq!(first, run(), "same seed, same tail");
         assert_eq!(first.1, 8 * 6, "every request completes");
-        assert!(first.2 > 0, "read class populated");
+        // Each class's count, sum and max (µs): a request recorded twice,
+        // in the wrong class or from the wrong start moves one of them.
+        assert_eq!(first.2, (31, 811_619, 50_011), "read");
+        assert_eq!(first.3, (14, 392_006, 45_369), "write");
+        assert_eq!(first.4, (3, 99_336, 47_533), "commit");
     }
 
     #[test]

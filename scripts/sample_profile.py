@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Flat sampling profile of a release binary, with nothing but ptrace.
 
-    scripts/sample_profile.py [--hz 1000] [--top 20] [--callers] [--by-crate] -- <binary> [args...]
+    scripts/sample_profile.py [--hz 1000] [--top 20] [--callers] [--by-crate]
+                              [--frames [--only SYM] [--focus SYM]] -- <binary> [args...]
 
 The container has no perf and no gdb, so this is the profiler DESIGN.md
 §4.5 quotes: it starts the command, seizes it with ptrace, and `--hz`
@@ -29,6 +30,21 @@ of the first stack word that points into a crate's symbol, by the same
 heuristic as `--callers`; so the B-tree work of memTest's model counts
 as `rio_workloads`, and "other" is what no crate on the stack claims.
 
+`--frames` walks the saved-`rbp` chain at every sample and prints each
+symbol's inclusive share (samples with the symbol anywhere on the stack,
+each symbol counted once per sample) beside its self share, sorted by
+inclusive. A sample outside the binary takes its caller from the
+`--callers` heuristic and walks the chain from there. The walk needs frame
+pointers, which release builds omit, so profile a build of its own:
+
+    CARGO_TARGET_DIR=target-fp RUSTFLAGS="-C force-frame-pointers=yes" \
+        cargo build --release --manifest-path benchmark/Cargo.toml
+
+`--only SYM` keeps only the samples with a symbol containing `SYM` on the
+stack (`--only perf::run::set_up` profiles the benchmark's set-up alone),
+and `--focus SYM` adds `SYM`'s callees: the frame just below it on each
+such stack, inclusive, with `(self)` for the samples it was running.
+
 The header also prints the child's user and system CPU seconds and its
 minor page faults (`os.wait4`'s rusage), because a sample cannot show
 what a page fault costs: the fault is taken inside whatever touched the
@@ -52,8 +68,10 @@ import sys
 import time
 
 PTRACE_CONT, PTRACE_GETREGS, PTRACE_SEIZE, PTRACE_INTERRUPT = 7, 12, 0x4206, 0x4207
-RIP, RSP = 16, 19  # indices of rip and rsp in x86-64 user_regs_struct
+RBP, RIP, RSP = 4, 16, 19  # indices of rbp, rip and rsp in x86-64 user_regs_struct
 STACK_SCAN = 4096  # bytes of stack searched for a return address
+FRAME_STACK = 1 << 20  # bytes of stack read for the frame-pointer walk
+MAX_FRAMES = 512
 
 libc = ctypes.CDLL(None, use_errno=True)
 libc.ptrace.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
@@ -120,6 +138,34 @@ def return_addresses(pid, rsp, text):
             yield word
 
 
+def frame_chain(pid, rbp, rsp, text):
+    """Return addresses on the saved-`rbp` chain from `rbp`, innermost
+    first, for as long as each frame lies on the stack above the last one
+    and returns into `text`."""
+    if not rsp <= rbp < rsp + FRAME_STACK:
+        return []
+    try:
+        # One read, which stops short at the end of the stack mapping (a
+        # buffered read would go on past it and fail).
+        fd = os.open(f"/proc/{pid}/mem", os.O_RDONLY)
+        try:
+            stack = os.pread(fd, FRAME_STACK, rsp)
+        finally:
+            os.close(fd)
+    except OSError:
+        return []
+    chain = []
+    while len(chain) < MAX_FRAMES and rsp <= rbp and rbp - rsp + 16 <= len(stack):
+        saved, ret = struct.unpack_from("<QQ", stack, rbp - rsp)
+        if not text[0] <= ret < text[1]:
+            break
+        chain.append(ret)
+        if saved <= rbp:
+            break
+        rbp = saved
+    return chain
+
+
 def crate_pattern(names):
     """Matches the `rio_*` crate, or the binary's own (the one whose
     `main` it is), that a symbol belongs to."""
@@ -142,12 +188,23 @@ def main():
         action="store_true",
         help="also sum the samples per rio_* crate, libc and other",
     )
+    parser.add_argument(
+        "--frames",
+        action="store_true",
+        help="walk the frame-pointer chain and print inclusive %% beside self %%",
+    )
+    parser.add_argument(
+        "--only", metavar="SYM", help="with --frames: keep only samples with SYM on the stack"
+    )
+    parser.add_argument("--focus", metavar="SYM", help="with --frames: also print SYM's callees")
     parser.add_argument("command", nargs=argparse.REMAINDER, help="-- <binary> [args...]")
     args = parser.parse_args()
     hz, top = args.hz, args.top
     command = args.command[1:] if args.command[:1] == ["--"] else args.command
     if not command:
         parser.error("no command to profile")
+    if (args.only or args.focus) and not args.frames:
+        parser.error("--only and --focus need --frames")
 
     addrs, names = symbols(command[0])
     end = os.path.getsize(command[0])  # no mapped address lies past the file
@@ -158,6 +215,8 @@ def main():
     regs = (ctypes.c_ulonglong * 27)()
     hits = collections.Counter()
     crates = collections.Counter()
+    inclusive = collections.Counter()
+    callees = collections.Counter()
     crate_re = crate_pattern(names)
 
     def crate_of(name):
@@ -189,13 +248,30 @@ def main():
         ptrace(PTRACE_GETREGS, pid, ctypes.byref(regs))
         at = bisect.bisect_right(addrs, regs[RIP] - base) - 1
         inside = base <= regs[RIP] < base + end and at >= 0
+        caller = None
         if inside:
             name = names[at]
         else:
             name = mapping(pid, regs[RIP])
-            caller = next(return_addresses(pid, regs[RSP], text), None) if args.callers else None
-            if caller is not None:
+            if args.callers or args.frames:
+                caller = next(return_addresses(pid, regs[RSP], text), None)
+            if caller is not None and args.callers:
                 name = f"{symbol_at(caller)} <- {name}"
+        if args.frames:
+            # The stack, innermost first: the sampled symbol, the libc
+            # sample's heuristic caller, then the frame-pointer chain.
+            stack = [name]
+            if caller is not None:
+                stack.append(symbol_at(caller))
+            stack += [symbol_at(a) for a in frame_chain(pid, regs[RBP], regs[RSP], text)]
+            if args.only and not any(args.only in s for s in stack):
+                ptrace(PTRACE_CONT, pid)
+                continue
+            inclusive.update(set(stack))
+            if args.focus:
+                hit = next((i for i, s in enumerate(stack) if args.focus in s), None)
+                if hit is not None:
+                    callees[stack[hit - 1] if hit > 0 else "(self)"] += 1
         hits[name] += 1
         if args.by_crate:
             crates[layer_of(name, inside, regs[RSP])] += 1
@@ -204,14 +280,24 @@ def main():
         _, _, usage = os.wait4(pid, 0)
     child.wait()
 
-    total = sum(hits.values())
-    print(f"{total} samples at {hz} Hz: {' '.join(command)}")
+    total = max(sum(hits.values()), 1)
+    kept = f" with {args.only} on the stack" if args.only else ""
+    print(f"{sum(hits.values())} samples{kept} at {hz} Hz: {' '.join(command)}")
     print(
         f"user {usage.ru_utime:.2f} s, system {usage.ru_stime:.2f} s, "
         f"{usage.ru_minflt} minor faults"
     )
-    for name, n in hits.most_common(top):
-        print(f"{100.0 * n / total:6.2f} %  {n:7d}  {name}")
+    if args.frames:
+        print("  self %    incl %  symbol")
+        for name, n in inclusive.most_common(top):
+            print(f"{100.0 * hits[name] / total:6.2f} %  {100.0 * n / total:6.2f} %  {name}")
+    else:
+        for name, n in hits.most_common(top):
+            print(f"{100.0 * n / total:6.2f} %  {n:7d}  {name}")
+    if args.focus:
+        print(f"callees of {args.focus} (inclusive):")
+        for name, n in callees.most_common(top):
+            print(f"{100.0 * n / total:6.2f} %  {n:7d}  {name}")
     if args.by_crate:
         print("by crate:")
         layers = [c for c, _ in crates.most_common() if c not in ("libc", "other")]
