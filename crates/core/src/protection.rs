@@ -8,41 +8,12 @@
 //! entire overhead of Rio-with-protection, measured "essentially zero" in
 //! Table 2 because windows amortize over 8 KB block writes).
 
-use rio_mem::{MemBus, PageNum, ProtectionMode};
+use rio_mem::{MemBus, PageNum};
 
-/// Which Rio reliability configuration is running (the three columns of
-/// Table 1 map to `Unprotected`/`Protected`; a disk-based system uses
-/// `Unprotected` with Rio's registry machinery simply absent).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RioMode {
-    /// Warm reboot only — permission bits ignored ("Rio without
-    /// protection", middle column of Table 1).
-    Unprotected,
-    /// Full protection: pages write-protected, KSEG forced through the TLB
-    /// ("Rio with protection", right column of Table 1).
-    Protected,
-    /// Software fault isolation fallback (§2.1 code patching): same safety
-    /// as `Protected` but every store pays a check; 20–50% slower.
-    CodePatched,
-}
-
-impl RioMode {
-    /// Whether this mode enforces write protection.
-    pub fn enforces(&self) -> bool {
-        !matches!(self, RioMode::Unprotected)
-    }
-}
-
-impl std::fmt::Display for RioMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            RioMode::Unprotected => "rio-unprotected",
-            RioMode::Protected => "rio-protected",
-            RioMode::CodePatched => "rio-code-patched",
-        };
-        f.write_str(s)
-    }
-}
+// The protection setting is defined beside the table the bus consults
+// (`rio_mem::ProtectionTable`) and re-exported here, where the kernel's
+// policy names it.
+pub use rio_mem::RioMode;
 
 /// Window-toggle counters (feed the cost model and Table 2's overhead rows).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -78,26 +49,13 @@ impl ProtectionManager {
         self.stats
     }
 
-    /// Applies the mode to a machine at boot: sets the bus protection mode,
-    /// the KSEG-through-TLB (ABOX) bit, and write-protects every file-cache
-    /// and registry page.
+    /// Applies the mode to a machine at boot: sets the bus's protection
+    /// mode (which, when it enforces, forces KSEG through the TLB) and
+    /// write-protects every file-cache and registry page.
     pub fn install(&self, bus: &mut MemBus) {
         let layout = *bus.layout();
         let prot = bus.protection_mut();
-        match self.mode {
-            RioMode::Unprotected => {
-                prot.set_mode(ProtectionMode::Off);
-                prot.set_kseg_through_tlb(false);
-            }
-            RioMode::Protected => {
-                prot.set_mode(ProtectionMode::Hardware);
-                prot.set_kseg_through_tlb(true);
-            }
-            RioMode::CodePatched => {
-                prot.set_mode(ProtectionMode::CodePatching);
-                prot.set_kseg_through_tlb(false);
-            }
-        }
+        prot.set_mode(self.mode);
         if self.mode.enforces() {
             for region in [layout.buffer_cache, layout.ubc, layout.registry] {
                 for pn in region.page_numbers() {
@@ -267,21 +225,10 @@ mod tests {
     fn code_patched_installs_patching_mode() {
         let mut bus = MemBus::new(MemConfig::small());
         ProtectionManager::new(RioMode::CodePatched).install(&mut bus);
-        assert_eq!(
-            bus.protection().mode(),
-            rio_mem::ProtectionMode::CodePatching
-        );
+        assert_eq!(bus.protection().mode(), RioMode::CodePatched);
         // Stores to unprotected pages succeed but are counted as checks.
         bus.store_u8(AddrKind::Virtual, bus.layout().heap.start, 1)
             .unwrap();
         assert_eq!(bus.stats().patch_checks, 1);
-    }
-
-    #[test]
-    fn mode_display_and_enforces() {
-        assert!(RioMode::Protected.enforces());
-        assert!(RioMode::CodePatched.enforces());
-        assert!(!RioMode::Unprotected.enforces());
-        assert_eq!(RioMode::Protected.to_string(), "rio-protected");
     }
 }

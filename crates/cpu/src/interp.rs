@@ -257,13 +257,13 @@ impl Cpu {
             Opcode::Shri => self.set(i.rd, self.get(i.rs1) >> (i.imm as u32 & 63)),
             Opcode::Mul => self.set(i.rd, self.get(i.rs1).wrapping_mul(self.get(i.rs2))),
             Opcode::Ld8 => {
-                let (kind, phys) = self.effective(i);
-                let v = bus.load_u8(kind, phys).map_err(mem_fault)?;
+                let (_, phys) = self.effective(i);
+                let v = bus.load_u8(phys).map_err(mem_fault)?;
                 self.set(i.rd, v as u64);
             }
             Opcode::Ld64 => {
-                let (kind, phys) = self.effective(i);
-                let v = bus.load_u64(kind, phys).map_err(mem_fault)?;
+                let (_, phys) = self.effective(i);
+                let v = bus.load_u64(phys).map_err(mem_fault)?;
                 self.set(i.rd, v);
             }
             Opcode::St8 => {
@@ -437,9 +437,7 @@ mod tests {
         let (mut bus, mut store) = setup();
         let h = store.install(&mut bus, "t", asm).unwrap();
         let target = bus.layout().ubc.start;
-        bus.protection_mut()
-            .set_mode(rio_mem::ProtectionMode::Hardware);
-        bus.protection_mut().set_kseg_through_tlb(true);
+        bus.protection_mut().set_mode(rio_mem::RioMode::Protected);
         bus.protection_mut()
             .protect(rio_mem::PageNum::containing(target));
         let mut cpu = Cpu::new();

@@ -14,7 +14,7 @@ use super::*;
 use crate::asm::Assembler;
 use rio_det::proptest_lite::{check, Config, Gen, PropResult};
 use rio_det::{pt_assert, pt_assert_eq};
-use rio_mem::{MemConfig, PageNum, ProtectionMode, Region};
+use rio_mem::{MemConfig, PageNum, Region, RioMode};
 
 enum StepResult {
     Continue,
@@ -116,15 +116,15 @@ impl Cpu {
                 self.set_reg(i.rd, self.ref_reg(i.rs1).wrapping_mul(self.ref_reg(i.rs2)))
             }
             Opcode::Ld8 => {
-                let (kind, phys) = decompose_addr(self.ref_reg(i.rs1).wrapping_add(imm64));
-                match bus.load_u8(kind, phys) {
+                let (_, phys) = decompose_addr(self.ref_reg(i.rs1).wrapping_add(imm64));
+                match bus.load_u8(phys) {
                     Ok(v) => self.set_reg(i.rd, v as u64),
                     Err(f) => return StepResult::Panic(PanicCause::MemFault(f)),
                 }
             }
             Opcode::Ld64 => {
-                let (kind, phys) = decompose_addr(self.ref_reg(i.rs1).wrapping_add(imm64));
-                match bus.load_u64(kind, phys) {
+                let (_, phys) = decompose_addr(self.ref_reg(i.rs1).wrapping_add(imm64));
+                match bus.load_u64(phys) {
                     Ok(v) => self.set_reg(i.rd, v),
                     Err(f) => return StepResult::Panic(PanicCause::MemFault(f)),
                 }
@@ -391,12 +391,11 @@ fn differential_case(g: &mut Gen) -> PropResult {
     let mut bus = MemBus::new(tiny());
     let layout = *bus.layout();
     let mode = [
-        ProtectionMode::Off,
-        ProtectionMode::Hardware,
-        ProtectionMode::CodePatching,
+        RioMode::Unprotected,
+        RioMode::Protected,
+        RioMode::CodePatched,
     ][g.in_range(0..3usize)];
     bus.protection_mut().set_mode(mode);
-    bus.protection_mut().set_kseg_through_tlb(g.bool());
     for pn in 0..bus.mem().len() / rio_mem::PAGE_SIZE as u64 {
         let pn = PageNum(pn);
         if pn != PageNum::containing(layout.text.start) {

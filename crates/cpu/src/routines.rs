@@ -24,8 +24,8 @@
 //!   ([`RoutineStore::reads_as_installed`]; pristine text also keeps control
 //!   inside the routine);
 //! * **(b)** every byte of the source and destination spans is in bounds;
-//! * **(c)** no page of the destination span is write-protected on the
-//!   route the destination address selects (virtual or KSEG);
+//! * **(c)** no page of the destination span traps a store (write-protected
+//!   while the mode enforces protection, by either route);
 //! * **(d)** the destination span is disjoint from kernel text and from the
 //!   source span, so no store changes what a later fetch or load reads;
 //! * **(e)** the walk's step count is within the caller's step limit (for
@@ -822,9 +822,7 @@ mod tests {
         // faults at the page base, and leaves the protected page untouched —
         // byte-identical to what the bytewise loop would do.
         let (mut bus, store, r, mut cpu) = machine();
-        bus.protection_mut()
-            .set_mode(rio_mem::ProtectionMode::Hardware);
-        bus.protection_mut().set_kseg_through_tlb(true);
+        bus.protection_mut().set_mode(rio_mem::RioMode::Protected);
         let second = rio_mem::PageNum::containing(bus.layout().ubc.start + 8192);
         bus.protection_mut().protect(second);
         let src = bus.layout().heap.start + 4096;

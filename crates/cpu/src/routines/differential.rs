@@ -17,7 +17,7 @@ use super::*;
 use crate::isa::{kseg_addr, NUM_REGS};
 use rio_det::proptest_lite::{check, Config, Gen, PropResult};
 use rio_det::{pt_assert, pt_assert_eq, DetRng};
-use rio_mem::{MemConfig, PageNum, ProtectionMode};
+use rio_mem::{MemConfig, PageNum, RioMode};
 
 const P: u64 = PAGE_SIZE as u64;
 const MAX_LEN: u64 = 2 * P + 9;
@@ -165,15 +165,13 @@ impl Call {
             && (!self.loads_src() || bus.mem().in_bounds(self.src, self.len))
     }
 
-    /// (c): no page of the destination span traps a store by this route.
-    /// Only asked of spans in bounds.
+    /// (c): no page of the destination span traps a store. Only asked of
+    /// spans in bounds.
     fn unprotected(&self, bus: &MemBus) -> bool {
         !self.stores()
             || self.len == 0
-            || (self.dst / P..=(self.dst + self.len - 1) / P).all(|pn| {
-                !bus.protection()
-                    .store_would_trap(PageNum(pn), self.dst_kseg)
-            })
+            || (self.dst / P..=(self.dst + self.len - 1) / P)
+                .all(|pn| !bus.protection().store_would_trap(PageNum(pn)))
     }
 
     /// (d): the destination span touches neither text nor the source span.
@@ -232,6 +230,21 @@ fn any_call(g: &mut Gen, bus: &MemBus) -> Call {
     }
 }
 
+/// Makes `[src, src+len)` read as `[dst, dst+len)` does, writing only the
+/// source span: the destination may reach into kernel text, the source
+/// never does (`any_call` keeps it at or above the heap). Byte by byte,
+/// away from the destination, so that overlapping spans end equal too.
+fn make_src_equal_to_dst(bus: &mut MemBus, call: Call) {
+    debug_assert!(call.src >= bus.layout().text.end);
+    let mem = bus.mem_mut();
+    let copy = |i: u64| mem.write_u8(call.src + i, mem.read_u8(call.dst + i));
+    if call.src > call.dst {
+        (0..call.len).for_each(copy);
+    } else {
+        (0..call.len).rev().for_each(copy);
+    }
+}
+
 fn summary_case(base: &(MemBus, RoutineStore, KernelRoutines), g: &mut Gen) -> PropResult {
     let (bus, store, r) = base;
     let mut m = Machine {
@@ -239,12 +252,11 @@ fn summary_case(base: &(MemBus, RoutineStore, KernelRoutines), g: &mut Gen) -> P
         bus: bus.clone(),
     };
     let mode = [
-        ProtectionMode::Off,
-        ProtectionMode::Hardware,
-        ProtectionMode::CodePatching,
+        RioMode::Unprotected,
+        RioMode::Protected,
+        RioMode::CodePatched,
     ][g.in_range(0..3usize)];
     m.bus.protection_mut().set_mode(mode);
-    m.bus.protection_mut().set_kseg_through_tlb(g.bool());
     let call = any_call(g, &m.bus);
     let pages = m.bus.mem().len() / P;
 
@@ -276,12 +288,11 @@ fn summary_case(base: &(MemBus, RoutineStore, KernelRoutines), g: &mut Gen) -> P
 
     // One flipped bit of text: in the routine called, or in one that is not.
     let live = call.handle(r);
-    let mut pristine = true;
+    let live_text = (store.instr_addr(live.first_index), live.len * INSTR_BYTES);
     match g.in_range(0..8u32) {
         0 | 1 => {
-            let at = store.instr_addr(live.first_index) + g.in_range(0..live.len * INSTR_BYTES);
+            let at = live_text.0 + g.in_range(0..live_text.1);
             m.bus.mem_mut().flip_bit(at, g.in_range(0..8u8));
-            pristine = false;
         }
         2 => {
             let other = [r.bcopy, r.bzero, r.bcmp, r.fill_pattern]
@@ -300,16 +311,19 @@ fn summary_case(base: &(MemBus, RoutineStore, KernelRoutines), g: &mut Gen) -> P
     }
 
     // (a)–(d) as this case sees them; (e) needs the run's length, which the
-    // interpreter supplies — over zeroed spans for bcmp, whose (e) is about
-    // the walk over equal ones.
+    // interpreter supplies — over equal spans for bcmp, whose (e) is about
+    // the walk over equal ones. (a) is read from memory, not from the draw:
+    // a bcmp span may reach into the routine itself, so the set-up above
+    // can have changed it too.
+    let routine_bytes = |bus: &MemBus| bus.mem().to_vec(live_text.0, live_text.1);
+    let pristine = routine_bytes(&m.bus) == routine_bytes(bus);
     let preconditions =
         pristine && call.in_bounds(&m.bus) && call.unprotected(&m.bus) && call.disjoint(&m.bus);
     let natural = call.interpreted(&mut m.clone(), store, r, RUN_CAP).steps;
     let longest = if preconditions && call.routine == Routine::Bcmp {
-        let mut zeroed = m.clone();
-        zeroed.bus.mem_mut().fill(call.src, call.len, 0);
-        zeroed.bus.mem_mut().fill(call.dst, call.len, 0);
-        call.interpreted(&mut zeroed, store, r, RUN_CAP).steps
+        let mut equal = m.clone();
+        make_src_equal_to_dst(&mut equal.bus, call);
+        call.interpreted(&mut equal, store, r, RUN_CAP).steps
     } else {
         natural
     };
@@ -394,7 +408,7 @@ fn the_draw_reaches_both_sides_of_every_precondition() {
                 cpu: Cpu::new(),
                 bus: bus.clone(),
             };
-            m.bus.protection_mut().set_mode(ProtectionMode::Hardware);
+            m.bus.protection_mut().set_mode(RioMode::Protected);
             let call = any_call(g, &m.bus);
             if g.bool() && call.len > 0 && call.in_bounds(&m.bus) {
                 m.bus

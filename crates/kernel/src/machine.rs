@@ -326,10 +326,7 @@ mod tests {
         let mut m = machine();
         // Protect everything in the UBC except the first page (the write
         // window), then overrun past the page boundary.
-        m.bus
-            .protection_mut()
-            .set_mode(rio_mem::ProtectionMode::Hardware);
-        m.bus.protection_mut().set_kseg_through_tlb(true);
+        m.bus.protection_mut().set_mode(rio_mem::RioMode::Protected);
         let second = PageNum::containing(m.bus.layout().ubc.start + 8192);
         m.bus.protection_mut().protect(second);
         m.hooks.copy_overrun = Some(OverrunSpec::new(Cadence::every(1), vec![100]));

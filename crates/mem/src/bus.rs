@@ -4,22 +4,23 @@
 //! Every store carries an [`AddrKind`] describing its route — a normal
 //! virtual address translated by the TLB, or a KSEG physical address that
 //! (on a stock Alpha) bypasses translation. The bus consults the
-//! [`ProtectionTable`] and refuses stores that hit a write-protected page
-//! through a checked route, returning [`MemFault::ProtectionViolation`]; the
-//! simulated kernel turns that into a panic, which is how Rio-with-protection
-//! halts a wild store before it corrupts the file cache (§3.3 records eight
-//! such saves).
+//! [`ProtectionTable`] and, whenever its [`RioMode`] enforces protection,
+//! refuses stores that hit a write-protected page by either route — Rio
+//! forces KSEG through the TLB — returning
+//! [`MemFault::ProtectionViolation`]; the simulated kernel turns that into a
+//! panic, which is how Rio-with-protection halts a wild store before it
+//! corrupts the file cache (§3.3 records eight such saves).
 //!
-//! Loads never trap on protection (read permission is always granted), but
-//! both loads and stores are bounds-checked: an out-of-range address is a
-//! [`MemFault::BadAddress`], the simulator's analogue of the illegal-address
-//! machine checks that, per the paper, catch most wild accesses on a 64-bit
-//! machine.
+//! Loads never trap on protection (read permission is always granted), so
+//! they carry no route; but both loads and stores are bounds-checked: an
+//! out-of-range address is a [`MemFault::BadAddress`], the simulator's
+//! analogue of the illegal-address machine checks that, per the paper, catch
+//! most wild accesses on a 64-bit machine.
 
 use crate::layout::MemLayout;
 use crate::page::{PageNum, PAGE_SIZE};
 use crate::phys::PhysMem;
-use crate::prot::{ProtectionMode, ProtectionTable};
+use crate::prot::{ProtectionTable, RioMode};
 use crate::MemConfig;
 
 /// The route by which an access reaches memory (§2.1).
@@ -29,7 +30,8 @@ pub enum AddrKind {
     /// write-permission bits.
     Virtual,
     /// KSEG physical address. On a stock Alpha this bypasses the TLB and so
-    /// bypasses protection — unless the machine forces KSEG through the TLB.
+    /// bypasses protection; every mode that enforces protection forces it
+    /// through the TLB (or checks it in software), so it obeys the bits too.
     Kseg,
 }
 
@@ -51,7 +53,7 @@ pub enum MemFault {
         /// Span length of the access.
         len: u64,
     },
-    /// A store hit a write-protected page through a checked route.
+    /// A store hit a write-protected page while protection was enforced.
     ProtectionViolation {
         /// Faulting byte address.
         addr: u64,
@@ -95,7 +97,8 @@ pub struct AccessStats {
     pub patch_checks: u64,
     /// KSEG (physical-address) stores that were forced through the TLB's
     /// permission bits — the §2.1 ABOX trick actually doing its job (zero
-    /// on a stock kernel, where KSEG bypasses translation entirely).
+    /// under [`RioMode::Unprotected`], where KSEG bypasses translation
+    /// entirely).
     pub kseg_forced: u64,
 }
 
@@ -181,10 +184,11 @@ impl MemBus {
     #[inline]
     fn check_store(&mut self, addr: u64, len: u64, kind: AddrKind) -> Result<(), MemFault> {
         self.check_bounds(addr, len)?;
-        if self.prot.mode() == ProtectionMode::CodePatching {
+        let mode = self.prot.mode();
+        if mode == RioMode::CodePatched {
             self.stats.patch_checks += 1;
         }
-        if len == 0 || !self.prot.route_is_checked(kind.is_kseg()) {
+        if len == 0 || !mode.enforces() {
             return Ok(());
         }
         if kind.is_kseg() {
@@ -235,7 +239,7 @@ impl MemBus {
     ///
     /// [`MemFault::BadAddress`] if out of bounds.
     #[inline]
-    pub fn load_u8(&mut self, _kind: AddrKind, addr: u64) -> Result<u8, MemFault> {
+    pub fn load_u8(&mut self, addr: u64) -> Result<u8, MemFault> {
         self.check_bounds(addr, 1)?;
         self.stats.loads += 1;
         self.stats.bytes_moved += 1;
@@ -248,7 +252,7 @@ impl MemBus {
     ///
     /// [`MemFault::BadAddress`] if any byte of the span is out of bounds.
     #[inline]
-    pub fn load_u64(&mut self, _kind: AddrKind, addr: u64) -> Result<u64, MemFault> {
+    pub fn load_u64(&mut self, addr: u64) -> Result<u64, MemFault> {
         self.check_bounds(addr, 8)?;
         self.stats.loads += 1;
         self.stats.bytes_moved += 8;
@@ -260,8 +264,8 @@ impl MemBus {
     /// # Errors
     ///
     /// [`MemFault::BadAddress`] if out of bounds;
-    /// [`MemFault::ProtectionViolation`] if the page is write-protected via
-    /// a checked route.
+    /// [`MemFault::ProtectionViolation`] if the page is write-protected and
+    /// the mode enforces protection.
     #[inline]
     pub fn store_u8(&mut self, kind: AddrKind, addr: u64, value: u8) -> Result<(), MemFault> {
         self.stats.stores += 1;
@@ -333,9 +337,9 @@ impl MemBus {
 
     /// Whether `stores` word or byte stores by route `kind`, together
     /// covering exactly `[dst, dst+len)`, would all land: the span is in
-    /// bounds, none of its pages is write-protected on that route, and it
-    /// touches neither kernel text nor `[src, src+len)` (so that no store
-    /// can change what a later fetch or load of the same loop reads). If
+    /// bounds, none of its pages traps a store, and it touches neither
+    /// kernel text nor `[src, src+len)` (so that no store can change what a
+    /// later fetch or load of the same loop reads). If
     /// so, charges those stores exactly as [`MemBus::store_u64`] /
     /// [`MemBus::store_u8`] would one by one.
     fn admit_span_stores(
@@ -354,8 +358,8 @@ impl MemBus {
         {
             return false;
         }
-        let checked = self.prot.route_is_checked(kind.is_kseg());
-        if checked && len > 0 {
+        let mode = self.prot.mode();
+        if mode.enforces() && len > 0 {
             let pages = PageNum::containing(dst).0..=PageNum::containing(dst + len - 1).0;
             if pages.map(PageNum).any(|pn| self.prot.is_protected(pn)) {
                 return false;
@@ -363,10 +367,10 @@ impl MemBus {
         }
         self.stats.stores += stores;
         self.stats.bytes_moved += len;
-        if self.prot.mode() == ProtectionMode::CodePatching {
+        if mode == RioMode::CodePatched {
             self.stats.patch_checks += stores;
         }
-        if checked && kind.is_kseg() {
+        if mode.enforces() && kind.is_kseg() {
             self.stats.kseg_forced += stores;
         }
         true
@@ -378,10 +382,10 @@ impl MemBus {
     ///
     /// Returns `false`, having changed nothing, unless every one of those
     /// accesses would succeed and none could change what a later one reads:
-    /// both spans in bounds, no destination page write-protected on that
-    /// route, the destination disjoint from the source and from kernel
-    /// text. Otherwise moves the bytes and charges every counter what the
-    /// single accesses would have ([`AccessStats`]), in one step.
+    /// both spans in bounds, no destination page trapping a store, the
+    /// destination disjoint from the source and from kernel text. Otherwise
+    /// moves the bytes and charges every counter what the single accesses
+    /// would have ([`AccessStats`]), in one step.
     pub fn copy_span(
         &mut self,
         kind: AddrKind,
@@ -459,7 +463,6 @@ impl MemBus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prot::ProtectionMode;
 
     fn bus() -> MemBus {
         MemBus::new(MemConfig::small())
@@ -469,7 +472,7 @@ mod tests {
     fn store_load_round_trip() {
         let mut b = bus();
         b.store_u64(AddrKind::Virtual, 64, 0xDEAD_BEEF).unwrap();
-        assert_eq!(b.load_u64(AddrKind::Virtual, 64).unwrap(), 0xDEAD_BEEF);
+        assert_eq!(b.load_u64(64).unwrap(), 0xDEAD_BEEF);
     }
 
     #[test]
@@ -477,7 +480,7 @@ mod tests {
         let mut b = bus();
         let end = b.mem().len();
         assert_eq!(
-            b.load_u8(AddrKind::Virtual, end),
+            b.load_u8(end),
             Err(MemFault::BadAddress { addr: end, len: 1 })
         );
         assert_eq!(
@@ -494,7 +497,7 @@ mod tests {
         let mut b = bus();
         let addr = b.layout().ubc.start;
         let pn = PageNum::containing(addr);
-        b.protection_mut().set_mode(ProtectionMode::Hardware);
+        b.protection_mut().set_mode(RioMode::Protected);
         b.protection_mut().protect(pn);
         let err = b.store_u8(AddrKind::Virtual, addr, 1).unwrap_err();
         assert!(
@@ -506,19 +509,21 @@ mod tests {
     }
 
     #[test]
-    fn kseg_store_bypasses_protection_without_abox_bit() {
+    fn kseg_store_is_checked_exactly_when_protection_enforces() {
         let mut b = bus();
         let addr = b.layout().ubc.start;
         let pn = PageNum::containing(addr);
-        b.protection_mut().set_mode(ProtectionMode::Hardware);
-        b.protection_mut().set_kseg_through_tlb(false);
         b.protection_mut().protect(pn);
-        // The hole Rio closes: a KSEG store lands despite protection.
+        // The stock machine: a KSEG store lands on a page whose bit denies
+        // writes.
         b.store_u8(AddrKind::Kseg, addr, 0x55).unwrap();
         assert_eq!(b.mem().read_u8(addr), 0x55);
-        // Close the hole.
-        b.protection_mut().set_kseg_through_tlb(true);
-        assert!(b.store_u8(AddrKind::Kseg, addr, 0x66).is_err());
+        // Rio's protection forces KSEG through the TLB: the hole is closed.
+        b.protection_mut().set_mode(RioMode::Protected);
+        assert!(matches!(
+            b.store_u8(AddrKind::Kseg, addr, 0x66),
+            Err(MemFault::ProtectionViolation { kseg: true, .. })
+        ));
         assert_eq!(b.mem().read_u8(addr), 0x55);
     }
 
@@ -526,7 +531,7 @@ mod tests {
     fn multi_page_store_checks_every_page() {
         let mut b = bus();
         let ubc = b.layout().ubc;
-        b.protection_mut().set_mode(ProtectionMode::Hardware);
+        b.protection_mut().set_mode(RioMode::Protected);
         // Protect the second UBC page; write a span straddling pages 1-2.
         let second = PageNum::containing(ubc.start + PAGE_SIZE as u64);
         b.protection_mut().protect(second);
@@ -544,7 +549,7 @@ mod tests {
         let mut b = bus();
         let addr = b.layout().buffer_cache.start;
         let pn = PageNum::containing(addr);
-        b.protection_mut().set_mode(ProtectionMode::CodePatching);
+        b.protection_mut().set_mode(RioMode::CodePatched);
         b.protection_mut().protect(pn);
         assert!(b.store_u8(AddrKind::Kseg, addr, 1).is_err());
         b.protection_mut().unprotect(pn);
@@ -562,7 +567,7 @@ mod tests {
     #[test]
     fn straddling_store_traps_on_the_second_page_base() {
         let mut b = bus();
-        b.protection_mut().set_mode(ProtectionMode::Hardware);
+        b.protection_mut().set_mode(RioMode::Protected);
         let second = PageNum::containing(b.layout().ubc.start + PAGE_SIZE as u64);
         b.protection_mut().protect(second);
         let addr = second.base() - 3; // 3 bytes in the open page, 5 in the protected one
@@ -620,28 +625,24 @@ mod tests {
     fn kseg_forced_counts_only_stores_the_tlb_actually_checks() {
         let mut b = bus();
         let addr = b.layout().ubc.start;
-        // Stock machine: nothing is forced, in either mode that has a bit
-        // to ignore.
+        // Stock machine: nothing is forced.
         b.store_u64(AddrKind::Kseg, addr, 1).unwrap();
-        b.protection_mut().set_mode(ProtectionMode::Hardware);
-        b.store_u64(AddrKind::Kseg, addr, 2).unwrap();
         assert_eq!(b.stats().kseg_forced, 0);
-        // The ABOX bit: every KSEG store is forced, trapped or not;
-        // virtual stores never count.
-        b.protection_mut().set_kseg_through_tlb(true);
-        b.store_u64(AddrKind::Kseg, addr, 3).unwrap();
-        b.store_u8(AddrKind::Virtual, addr, 4).unwrap();
+        // Protected: every KSEG store is forced, trapped or not; virtual
+        // stores never count.
+        b.protection_mut().set_mode(RioMode::Protected);
+        b.store_u64(AddrKind::Kseg, addr, 2).unwrap();
+        b.store_u8(AddrKind::Virtual, addr, 3).unwrap();
         b.protection_mut().protect(PageNum::containing(addr));
-        assert!(b.store_u8(AddrKind::Kseg, addr, 5).is_err());
+        assert!(b.store_u8(AddrKind::Kseg, addr, 4).is_err());
         let s = b.stats();
-        assert_eq!((s.kseg_forced, s.protection_traps, s.stores), (2, 1, 5));
+        assert_eq!((s.kseg_forced, s.protection_traps, s.stores), (2, 1, 4));
         // A zero-length KSEG store is checked for bounds only.
         b.store_bytes(AddrKind::Kseg, addr, &[]).unwrap();
         assert_eq!(b.stats().kseg_forced, 2);
-        // Code patching forces KSEG stores whatever the ABOX bit says.
-        b.protection_mut().set_mode(ProtectionMode::CodePatching);
-        b.protection_mut().set_kseg_through_tlb(false);
-        assert!(b.store_u8(AddrKind::Kseg, addr, 6).is_err());
+        // Code patching checks KSEG stores in software, and counts them too.
+        b.protection_mut().set_mode(RioMode::CodePatched);
+        assert!(b.store_u8(AddrKind::Kseg, addr, 5).is_err());
         assert_eq!(b.stats().kseg_forced, 3);
     }
 
@@ -650,7 +651,7 @@ mod tests {
         let mut b = bus();
         let addr = b.layout().heap.start;
         let end = b.mem().len();
-        b.protection_mut().set_mode(ProtectionMode::CodePatching);
+        b.protection_mut().set_mode(RioMode::CodePatched);
         b.store_u8(AddrKind::Virtual, addr, 1).unwrap();
         b.store_u64(AddrKind::Kseg, addr, 1).unwrap();
         b.store_bytes(AddrKind::Virtual, addr, &[0; 3 * PAGE_SIZE])
@@ -662,10 +663,10 @@ mod tests {
         assert!(b.store_u8(AddrKind::Virtual, end, 1).is_err());
         assert_eq!(b.stats().patch_checks, 4);
         // Loads are never patched.
-        b.load_u64(AddrKind::Virtual, addr).unwrap();
+        b.load_u64(addr).unwrap();
         assert_eq!(b.stats().patch_checks, 4);
         // Other modes charge nothing.
-        b.protection_mut().set_mode(ProtectionMode::Hardware);
+        b.protection_mut().set_mode(RioMode::Protected);
         b.store_u8(AddrKind::Virtual, addr, 1).unwrap();
         assert_eq!(b.stats().patch_checks, 4);
     }
@@ -673,8 +674,7 @@ mod tests {
     #[test]
     fn out_of_bounds_store_counts_the_attempt_and_nothing_else() {
         let mut b = bus();
-        b.protection_mut().set_mode(ProtectionMode::Hardware);
-        b.protection_mut().set_kseg_through_tlb(true);
+        b.protection_mut().set_mode(RioMode::Protected);
         let end = b.mem().len();
         let events = traced(|| {
             assert_eq!(
@@ -702,7 +702,7 @@ mod tests {
         );
         assert_eq!(b.mem().to_vec(end - 4, 4), vec![0u8; 4]);
         // A faulting load counts nothing at all.
-        assert!(b.load_u64(AddrKind::Virtual, end - 4).is_err());
+        assert!(b.load_u64(end - 4).is_err());
         assert_eq!(b.stats().loads, 0);
     }
 
@@ -719,12 +719,11 @@ mod tests {
             |g| {
                 let mut b = bus();
                 let mode = [
-                    ProtectionMode::Off,
-                    ProtectionMode::Hardware,
-                    ProtectionMode::CodePatching,
+                    RioMode::Unprotected,
+                    RioMode::Protected,
+                    RioMode::CodePatched,
                 ][g.in_range(0..3usize)];
                 b.protection_mut().set_mode(mode);
-                b.protection_mut().set_kseg_through_tlb(g.bool());
                 let pages = b.mem().len() / PAGE_SIZE as u64;
                 for pn in 0..pages {
                     if g.in_range(0..3u32) == 0 {
@@ -755,22 +754,17 @@ mod tests {
                     let verdict = if !b.mem().in_bounds(addr, len) {
                         Err(MemFault::BadAddress { addr, len })
                     } else {
-                        if mode == ProtectionMode::CodePatching {
+                        if mode == RioMode::CodePatched {
                             want.patch_checks += 1;
                         }
-                        let forced = match mode {
-                            ProtectionMode::Off => false,
-                            ProtectionMode::Hardware => prot.kseg_through_tlb(),
-                            ProtectionMode::CodePatching => true,
-                        };
-                        if len > 0 && kseg && forced {
+                        if len > 0 && kseg && mode != RioMode::Unprotected {
                             want.kseg_forced += 1;
                         }
                         let span = PageNum::containing(addr).0
                             ..=PageNum::containing(addr + len.max(1) - 1).0;
                         match span
                             .map(PageNum)
-                            .find(|&pn| len > 0 && prot.store_would_trap(pn, kseg))
+                            .find(|&pn| len > 0 && prot.store_would_trap(pn))
                         {
                             Some(page) => {
                                 want.protection_traps += 1;
@@ -844,12 +838,11 @@ mod tests {
             |g| {
                 let mut b = bus();
                 let mode = [
-                    ProtectionMode::Off,
-                    ProtectionMode::Hardware,
-                    ProtectionMode::CodePatching,
+                    RioMode::Unprotected,
+                    RioMode::Protected,
+                    RioMode::CodePatched,
                 ][g.in_range(0..3usize)];
                 b.protection_mut().set_mode(mode);
-                b.protection_mut().set_kseg_through_tlb(g.bool());
                 let (end, text) = (b.mem().len(), b.layout().text);
                 for _ in 0..4 {
                     b.protection_mut()
@@ -878,7 +871,7 @@ mod tests {
                     let ok = (0..len).all(|i| {
                         let v = match fill {
                             Some(v) => Ok(v),
-                            None => one.load_u8(AddrKind::Virtual, src + i),
+                            None => one.load_u8(src + i),
                         };
                         v.and_then(|v| one.store_u8(kind, dst + i, v)).is_ok()
                     });
@@ -936,12 +929,12 @@ mod tests {
                 while at < len && !want.differ && !faulted {
                     let pair = if len - at >= 8 {
                         want.words += 1;
-                        one.load_u64(kind, src + at)
-                            .and_then(|x| Ok((x, one.load_u64(kind, dst + at)?)))
+                        one.load_u64(src + at)
+                            .and_then(|x| Ok((x, one.load_u64(dst + at)?)))
                     } else {
                         want.bytes += 1;
-                        one.load_u8(kind, src + at)
-                            .and_then(|x| Ok((x as u64, one.load_u8(kind, dst + at)? as u64)))
+                        one.load_u8(src + at)
+                            .and_then(|x| Ok((x as u64, one.load_u8(dst + at)? as u64)))
                     };
                     at += if len - at >= 8 { 8 } else { 1 };
                     match pair {
@@ -974,7 +967,7 @@ mod tests {
         let src = PageNum::containing(ubc.start);
         let dst = PageNum(src.0 + 1);
         staged.mem_mut().page_mut(src).fill(0x3C);
-        staged.protection_mut().set_mode(ProtectionMode::Hardware);
+        staged.protection_mut().set_mode(RioMode::Protected);
         let mut direct = staged.clone();
         for protect_dst in [false, true] {
             for b in [&mut staged, &mut direct] {
@@ -996,7 +989,7 @@ mod tests {
     fn stats_count_loads_stores_bytes() {
         let mut b = bus();
         b.store_bytes(AddrKind::Virtual, 0, &[0u8; 100]).unwrap();
-        b.load_u64(AddrKind::Virtual, 0).unwrap();
+        b.load_u64(0).unwrap();
         let s = b.stats();
         assert_eq!(s.stores, 1);
         assert_eq!(s.loads, 1);

@@ -236,13 +236,6 @@ impl MemLayout {
             RegionKind::Registry => self.registry,
         }
     }
-
-    /// Whether a page belongs to the file cache proper (UBC or buffer
-    /// cache) — the pages Rio protects.
-    pub fn is_file_cache_page(&self, pn: PageNum) -> bool {
-        let addr = pn.base();
-        self.ubc.contains(addr) || self.buffer_cache.contains(addr)
-    }
 }
 
 #[cfg(test)]
@@ -277,15 +270,6 @@ mod tests {
         assert_eq!(l.region_of(l.ubc.start), Some(RegionKind::Ubc));
         assert_eq!(l.region_of(l.registry.start), Some(RegionKind::Registry));
         assert_eq!(l.region_of(l.total_bytes()), None);
-    }
-
-    #[test]
-    fn file_cache_pages_are_ubc_and_buffer_cache_only() {
-        let l = MemLayout::new(MemConfig::small());
-        assert!(l.is_file_cache_page(PageNum::containing(l.ubc.start)));
-        assert!(l.is_file_cache_page(PageNum::containing(l.buffer_cache.start)));
-        assert!(!l.is_file_cache_page(PageNum::containing(l.text.start)));
-        assert!(!l.is_file_cache_page(PageNum::containing(l.registry.start)));
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! * [`PhysMem`] — a byte-addressable physical memory image, divided into
 //!   the regions the simulated kernel uses (text, heap, stack, buffer cache,
 //!   UBC, registry). The image is what survives a crash.
-//! * [`ProtectionTable`] — per-page write-permission bits plus the global
-//!   `kseg_through_tlb` switch (the Alpha ABOX-register trick from §2.1 of
-//!   the paper) and a code-patching mode used for the ablation study.
+//! * [`ProtectionTable`] — per-page write-permission bits plus the one
+//!   [`RioMode`] that decides how stores are checked: not at all, by the
+//!   TLB with KSEG forced through it (the Alpha ABOX-register trick from
+//!   §2.1 of the paper), or by code patching (the ablation study).
 //! * [`MemBus`] — the only path by which simulated *kernel code* touches
 //!   memory. Stores carry an [`AddrKind`] (virtual vs. KSEG) and fail with
-//!   [`MemFault::ProtectionViolation`] when they hit a protected page through
-//!   a translated route.
+//!   [`MemFault::ProtectionViolation`] when they hit a protected page while
+//!   protection is enforced, by either route.
 //! * [`crc32`] — the checksum used to detect direct corruption of file-cache
 //!   pages (§3.2 of the paper).
 //!
@@ -35,7 +36,7 @@
 //!
 //! // Enable protection, protect the page, and the same store traps.
 //! let pn = bus.layout().page_of(page);
-//! bus.protection_mut().set_mode(rio_mem::ProtectionMode::Hardware);
+//! bus.protection_mut().set_mode(rio_mem::RioMode::Protected);
 //! bus.protection_mut().protect(pn);
 //! assert!(matches!(
 //!     bus.store_u8(AddrKind::Virtual, page, 0xCD),
@@ -61,4 +62,4 @@ pub use checksum::{
 pub use layout::{MemConfig, MemLayout, Region};
 pub use page::{sector_mask, PageNum, PAGE_SIZE, SECTOR_BYTES};
 pub use phys::PhysMem;
-pub use prot::{ProtectionMode, ProtectionTable};
+pub use prot::{ProtectionTable, RioMode};

@@ -1,18 +1,21 @@
-//! Per-page write protection and the TLB-bypass controls of §2.1.
+//! Per-page write protection and the protection setting of §2.1.
 //!
 //! The protection table models the subset of the page table / TLB state that
-//! matters to Rio: one write-permission bit per physical page, plus two
-//! machine-wide switches:
+//! matters to Rio: one write-permission bit per physical page, plus the one
+//! machine-wide [`RioMode`] that decides whether those bits are consulted.
 //!
-//! * `kseg_through_tlb` — the Alpha 21064 ABOX-register bit that forces
-//!   physical (KSEG) addresses through the TLB, so they obey the permission
-//!   bits. Off by default (stock Digital Unix), on when Rio protection is
-//!   enabled.
-//! * [`ProtectionMode::CodePatching`] — the software fallback for CPUs that
-//!   cannot map physical addresses through the TLB: every kernel store is
-//!   preceded by an inserted check. Functionally equivalent, 20–50% slower;
-//!   the bus charges a per-store check cost in this mode so the ablation
-//!   bench can reproduce that band.
+//! * [`RioMode::Unprotected`] — the stock kernel: permission bits are
+//!   ignored, and KSEG (physical) stores bypass the TLB as they do on a
+//!   stock Alpha.
+//! * [`RioMode::Protected`] — the bits are enforced, and the Alpha 21064's
+//!   ABOX-register bit forces KSEG addresses through the TLB, so no route
+//!   side-steps them. Rio's protection always sets that bit: the only
+//!   protected configuration is one with KSEG forced.
+//! * [`RioMode::CodePatched`] — the software fallback for CPUs that cannot
+//!   map physical addresses through the TLB: every kernel store is preceded
+//!   by an inserted check, whatever its route. Functionally equivalent,
+//!   20–50% slower; the bus charges a per-store check cost in this mode so
+//!   the ablation bench can reproduce that band.
 //!
 //! The permission bits are a bitmap — one bit per physical page number, in
 //! `u64` words, grown when a page beyond its end is first protected — because
@@ -22,50 +25,62 @@
 
 use crate::page::PageNum;
 
-/// How stores are checked against file-cache protection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ProtectionMode {
-    /// No protection at all: permission bits are ignored (stock kernel, and
-    /// the "Rio without protection" configuration).
-    #[default]
-    Off,
-    /// Hardware protection: virtual stores honour permission bits; KSEG
-    /// stores honour them only if `kseg_through_tlb` is also set.
-    Hardware,
-    /// Software fault isolation: like `Hardware` with `kseg_through_tlb`,
-    /// but every store pays an extra check cost (code patching, \[Wahbe93\]).
-    CodePatching,
+/// Which Rio reliability configuration is running, and so how the bus
+/// checks stores against file-cache protection (the three columns of
+/// Table 1 map to `Unprotected`/`Protected`; a disk-based system uses
+/// `Unprotected` with Rio's registry machinery simply absent).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RioMode {
+    /// Warm reboot only — permission bits ignored ("Rio without
+    /// protection", middle column of Table 1; also the stock kernel).
+    Unprotected,
+    /// Full protection: pages write-protected, KSEG forced through the TLB
+    /// ("Rio with protection", right column of Table 1).
+    Protected,
+    /// Software fault isolation fallback (§2.1 code patching, \[Wahbe93\]):
+    /// same safety as `Protected` but every store pays a check; 20–50%
+    /// slower.
+    CodePatched,
 }
 
-impl std::fmt::Display for ProtectionMode {
+impl RioMode {
+    /// Whether this mode enforces write protection — on every route, KSEG
+    /// included.
+    #[inline]
+    pub fn enforces(&self) -> bool {
+        !matches!(self, RioMode::Unprotected)
+    }
+}
+
+impl std::fmt::Display for RioMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
-            ProtectionMode::Off => "off",
-            ProtectionMode::Hardware => "hardware",
-            ProtectionMode::CodePatching => "code-patching",
+            RioMode::Unprotected => "rio-unprotected",
+            RioMode::Protected => "rio-protected",
+            RioMode::CodePatched => "rio-code-patched",
         };
         f.write_str(s)
     }
 }
 
-/// The machine's protection state: permission bits plus bypass switches.
+/// The machine's protection state: permission bits plus the mode that
+/// decides whether they are consulted.
 ///
 /// # Example
 ///
 /// ```
-/// use rio_mem::{ProtectionTable, ProtectionMode, PageNum};
+/// use rio_mem::{ProtectionTable, RioMode, PageNum};
 ///
-/// let mut prot = ProtectionTable::new(ProtectionMode::Hardware, true);
+/// let mut prot = ProtectionTable::new(RioMode::Protected);
 /// let pn = PageNum(9);
 /// prot.protect(pn);
-/// assert!(prot.store_would_trap(pn, /*kseg=*/ false));
+/// assert!(prot.store_would_trap(pn));
 /// prot.unprotect(pn);
-/// assert!(!prot.store_would_trap(pn, false));
+/// assert!(!prot.store_would_trap(pn));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProtectionTable {
-    mode: ProtectionMode,
-    kseg_through_tlb: bool,
+    mode: RioMode,
     /// Bit `pn % 64` of word `pn / 64` is set while page `pn` is protected.
     protected: Vec<u64>,
 }
@@ -77,40 +92,27 @@ fn bit(pn: PageNum) -> (usize, u64) {
 }
 
 impl ProtectionTable {
-    /// Creates a table with the given mode and KSEG policy and no pages
-    /// protected yet.
-    pub fn new(mode: ProtectionMode, kseg_through_tlb: bool) -> Self {
+    /// Creates a table with the given mode and no pages protected yet.
+    pub fn new(mode: RioMode) -> Self {
         ProtectionTable {
             mode,
-            kseg_through_tlb,
             protected: Vec::new(),
         }
     }
 
     /// A table that never traps (stock kernel).
     pub fn disabled() -> Self {
-        ProtectionTable::new(ProtectionMode::Off, false)
+        ProtectionTable::new(RioMode::Unprotected)
     }
 
     /// Current protection mode.
     #[inline]
-    pub fn mode(&self) -> ProtectionMode {
+    pub fn mode(&self) -> RioMode {
         self.mode
     }
 
-    /// Whether KSEG (physical) addresses are forced through the TLB.
-    #[inline]
-    pub fn kseg_through_tlb(&self) -> bool {
-        self.kseg_through_tlb
-    }
-
-    /// Sets the KSEG-through-TLB bit (the ABOX trick).
-    pub fn set_kseg_through_tlb(&mut self, on: bool) {
-        self.kseg_through_tlb = on;
-    }
-
     /// Changes the protection mode.
-    pub fn set_mode(&mut self, mode: ProtectionMode) {
+    pub fn set_mode(&mut self, mode: RioMode) {
         self.mode = mode;
     }
 
@@ -143,29 +145,15 @@ impl ProtectionTable {
         self.protected.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Decides whether a store to `pn` via the given route traps.
+    /// Decides whether a store to `pn` traps.
     ///
-    /// This is the heart of §2.1: a KSEG store bypasses the permission bits
-    /// unless the machine maps KSEG through the TLB (hardware mode with the
-    /// ABOX bit, or code patching which checks every store in software).
+    /// This is the heart of §2.1: every mode that enforces protection
+    /// checks every store, whatever its route — Rio forces KSEG through the
+    /// TLB (or checks it in software), so a physical address is no way
+    /// round the permission bits.
     #[inline]
-    pub fn store_would_trap(&self, pn: PageNum, kseg: bool) -> bool {
-        self.route_is_checked(kseg) && self.is_protected(pn)
-    }
-
-    /// Whether a store issued by the given route is subject to the
-    /// permission bits at all — the page-independent half of
-    /// [`ProtectionTable::store_would_trap`], which the bus evaluates once
-    /// per store.
-    #[inline]
-    pub(crate) fn route_is_checked(&self, kseg: bool) -> bool {
-        match self.mode {
-            ProtectionMode::Off => false,
-            ProtectionMode::Hardware => !kseg || self.kseg_through_tlb,
-            // Code patching checks every store in software regardless of the
-            // address route.
-            ProtectionMode::CodePatching => true,
-        }
+    pub fn store_would_trap(&self, pn: PageNum) -> bool {
+        self.mode.enforces() && self.is_protected(pn)
     }
 }
 
@@ -180,43 +168,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn off_mode_never_traps() {
+    fn unprotected_mode_never_traps() {
         let mut p = ProtectionTable::disabled();
         p.protect(PageNum(1));
-        assert!(!p.store_would_trap(PageNum(1), false));
-        assert!(!p.store_would_trap(PageNum(1), true));
+        assert!(!p.store_would_trap(PageNum(1)));
     }
 
     #[test]
-    fn hardware_mode_traps_virtual_stores() {
-        let mut p = ProtectionTable::new(ProtectionMode::Hardware, false);
-        p.protect(PageNum(1));
-        assert!(p.store_would_trap(PageNum(1), false));
-        assert!(!p.store_would_trap(PageNum(2), false));
-    }
-
-    #[test]
-    fn kseg_bypasses_unless_mapped_through_tlb() {
-        let mut p = ProtectionTable::new(ProtectionMode::Hardware, false);
-        p.protect(PageNum(1));
-        // Without the ABOX bit, physical addresses slip past protection —
-        // the vulnerability Rio closes.
-        assert!(!p.store_would_trap(PageNum(1), true));
-        p.set_kseg_through_tlb(true);
-        assert!(p.store_would_trap(PageNum(1), true));
-    }
-
-    #[test]
-    fn code_patching_checks_all_routes() {
-        let mut p = ProtectionTable::new(ProtectionMode::CodePatching, false);
-        p.protect(PageNum(1));
-        assert!(p.store_would_trap(PageNum(1), false));
-        assert!(p.store_would_trap(PageNum(1), true));
+    fn enforcing_modes_trap_only_protected_pages() {
+        for mode in [RioMode::Protected, RioMode::CodePatched] {
+            let mut p = ProtectionTable::new(mode);
+            p.protect(PageNum(1));
+            assert!(p.store_would_trap(PageNum(1)));
+            assert!(!p.store_would_trap(PageNum(2)));
+        }
     }
 
     #[test]
     fn protect_unprotect_round_trip() {
-        let mut p = ProtectionTable::new(ProtectionMode::Hardware, true);
+        let mut p = ProtectionTable::new(RioMode::Protected);
         assert_eq!(p.protected_count(), 0);
         p.protect(PageNum(5));
         p.protect(PageNum(5)); // idempotent
@@ -251,12 +221,11 @@ mod tests {
             Config::with_cases(128),
             |g| {
                 let mode = [
-                    ProtectionMode::Off,
-                    ProtectionMode::Hardware,
-                    ProtectionMode::CodePatching,
+                    RioMode::Unprotected,
+                    RioMode::Protected,
+                    RioMode::CodePatched,
                 ][g.in_range(0..3usize)];
-                let through_tlb = g.bool();
-                let mut table = ProtectionTable::new(mode, through_tlb);
+                let mut table = ProtectionTable::new(mode);
                 let mut model: HashSet<PageNum> = HashSet::new();
                 for _ in 0..g.len_between(1, 200) {
                     let pn = any_page(g);
@@ -301,14 +270,10 @@ mod tests {
                     for pn in [pn, probe] {
                         let protected = model.contains(&pn);
                         pt_assert_eq!(table.is_protected(pn), protected);
-                        for kseg in [false, true] {
-                            let checked = match mode {
-                                ProtectionMode::Off => false,
-                                ProtectionMode::Hardware => !kseg || through_tlb,
-                                ProtectionMode::CodePatching => true,
-                            };
-                            pt_assert_eq!(table.store_would_trap(pn, kseg), checked && protected);
-                        }
+                        pt_assert_eq!(
+                            table.store_would_trap(pn),
+                            mode != RioMode::Unprotected && protected
+                        );
                     }
                 }
                 Ok(())
@@ -317,9 +282,12 @@ mod tests {
     }
 
     #[test]
-    fn display_modes() {
-        assert_eq!(ProtectionMode::Off.to_string(), "off");
-        assert_eq!(ProtectionMode::Hardware.to_string(), "hardware");
-        assert_eq!(ProtectionMode::CodePatching.to_string(), "code-patching");
+    fn mode_display_and_enforces() {
+        assert!(RioMode::Protected.enforces());
+        assert!(RioMode::CodePatched.enforces());
+        assert!(!RioMode::Unprotected.enforces());
+        assert_eq!(RioMode::Unprotected.to_string(), "rio-unprotected");
+        assert_eq!(RioMode::Protected.to_string(), "rio-protected");
+        assert_eq!(RioMode::CodePatched.to_string(), "rio-code-patched");
     }
 }

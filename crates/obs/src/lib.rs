@@ -51,8 +51,8 @@ use std::collections::BTreeMap;
 /// paper sections each mirrors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventCategory {
-    /// A wild store hit a write-protected page through a checked route
-    /// (§2.1; Table 1's "protection trap" saves).
+    /// A wild store hit a write-protected page while protection was
+    /// enforced (§2.1; Table 1's "protection trap" saves).
     ProtectionTrap,
     /// Syscall entry (the kernel's `enter_syscall` guard).
     Syscall,
