@@ -16,7 +16,8 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 /// numbers, descriptors and `(inode, page)` pairs the kernel itself hands
 /// out, so there is nothing to defend against and SipHash's cost per
 /// lookup buys nothing. Fixed, not seeded — and nothing depends on a map's
-/// iteration order ([`PageCache::keys`] walks the slots).
+/// iteration order (a file's pages are found by walking its record's list
+/// of slots, and handed out sorted).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct MixHasher(u64);
 
@@ -38,6 +39,55 @@ impl Hasher for MixHasher {
 /// A host-side kernel table keyed by numbers the kernel hands out.
 pub(crate) type MixMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
 
+/// A key the cache can index. A key that names a page of a file — the
+/// UBC's `(inode, page)` — files its slot under that file's record; a
+/// buffer-cache block number belongs to no file.
+pub trait CacheKey: Eq + Hash + Copy {
+    /// The file whose page this key names, if any.
+    fn file(self) -> Option<u64>;
+}
+
+impl CacheKey for u64 {
+    fn file(self) -> Option<u64> {
+        None
+    }
+}
+
+impl CacheKey for (u64, u64) {
+    fn file(self) -> Option<u64> {
+        Some(self.0)
+    }
+}
+
+/// A file's UFS write-clustering run (McVoy & Kleiman 1991): the bytes
+/// written since its last clustered flush, and where its last write ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ClusterRun {
+    pub(crate) pending: u64,
+    pub(crate) end: u64,
+}
+
+/// End of a file's list of slots.
+const NIL: u32 = u32::MAX;
+
+/// The cache's in-core record of one file: the first of its resident
+/// pages' slots, which link the rest (in no order), and its clustering
+/// run. It lives while either does, so the run outlives the eviction of
+/// every page of the file; only [`PageCache::forget_file`] (unlink) ends
+/// it.
+#[derive(Debug, Clone, Copy)]
+struct FileRecord {
+    head: u32,
+    run: Option<ClusterRun>,
+}
+
+impl FileRecord {
+    const EMPTY: Self = FileRecord {
+        head: NIL,
+        run: None,
+    };
+}
+
 /// What [`PageCache::insert`] displaced, if anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted<K> {
@@ -49,13 +99,27 @@ pub struct Evicted<K> {
     pub page: PageNum,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Slot<K> {
     key: Option<K>,
     dirty: bool,
     stamp: u64,
     /// Valid bytes in the page (UBC partial pages; full for metadata).
     valid: u32,
+    /// The neighbouring slots on the key's file's list (`NIL` at the ends).
+    prev: u32,
+    next: u32,
+}
+
+impl<K> Slot<K> {
+    const FREE: Self = Slot {
+        key: None,
+        dirty: false,
+        stamp: 0,
+        valid: 0,
+        prev: NIL,
+        next: NIL,
+    };
 }
 
 /// An LRU index over a fixed set of pages.
@@ -64,6 +128,8 @@ pub struct PageCache<K> {
     pages: Vec<PageNum>,
     slots: Vec<Slot<K>>,
     map: MixMap<K, usize>,
+    /// Per-file records, for keys that name a file's page.
+    files: MixMap<u64, FileRecord>,
     tick: u64,
     dirty_count: usize,
     /// Every slot below this one is occupied: where `insert` starts its
@@ -71,27 +137,21 @@ pub struct PageCache<K> {
     free_hint: usize,
 }
 
-impl<K: Eq + Hash + Copy> PageCache<K> {
+impl<K: CacheKey> PageCache<K> {
     /// A cache over the given pages.
     ///
     /// # Panics
     ///
-    /// Panics if `pages` is empty.
+    /// Panics if `pages` is empty or holds 2³² − 1 pages or more.
     pub fn new(pages: Vec<PageNum>) -> Self {
         assert!(!pages.is_empty(), "cache needs at least one page");
-        let slots = pages
-            .iter()
-            .map(|_| Slot {
-                key: None,
-                dirty: false,
-                stamp: 0,
-                valid: 0,
-            })
-            .collect();
+        assert!(pages.len() < NIL as usize, "slot numbers fit a u32");
+        let slots = vec![Slot::FREE; pages.len()];
         PageCache {
             pages,
             slots,
             map: HashMap::default(),
+            files: MixMap::default(),
             tick: 0,
             dirty_count: 0,
             free_hint: 0,
@@ -176,6 +236,7 @@ impl<K: Eq + Hash + Copy> PageCache<K> {
                     self.dirty_count -= 1;
                 }
                 self.map.remove(&old);
+                self.unlink(idx, old);
                 let evicted = Evicted {
                     key: old,
                     dirty: self.slots[idx].dirty,
@@ -186,12 +247,60 @@ impl<K: Eq + Hash + Copy> PageCache<K> {
         };
         self.slots[idx] = Slot {
             key: Some(key),
-            dirty: false,
             stamp: self.tick,
-            valid: 0,
+            ..Slot::FREE
         };
         self.map.insert(key, idx);
+        self.link(idx, key);
         (self.pages[idx], evicted)
+    }
+
+    /// Puts slot `idx`, just given `key`, at the head of its file's list.
+    fn link(&mut self, idx: usize, key: K) {
+        let Some(file) = key.file() else {
+            return;
+        };
+        let rec = self.files.entry(file).or_insert(FileRecord::EMPTY);
+        let next = rec.head;
+        rec.head = idx as u32;
+        self.slots[idx].next = next;
+        if next != NIL {
+            self.slots[next as usize].prev = idx as u32;
+        }
+    }
+
+    /// Takes slot `idx`, about to lose `key`, off its file's list, and
+    /// drops the file's record if nothing is left in it.
+    fn unlink(&mut self, idx: usize, key: K) {
+        let Some(file) = key.file() else {
+            return;
+        };
+        let Slot { prev, next, .. } = self.slots[idx];
+        if next != NIL {
+            self.slots[next as usize].prev = prev;
+        }
+        if prev != NIL {
+            self.slots[prev as usize].next = next;
+            return;
+        }
+        let rec = self
+            .files
+            .get_mut(&file)
+            .expect("a cached page's file has a record");
+        rec.head = next;
+        if next == NIL && rec.run.is_none() {
+            self.files.remove(&file);
+        }
+    }
+
+    /// The slots of `file`'s resident pages, in list order.
+    fn file_slots(&self, file: u64) -> impl Iterator<Item = usize> + '_ {
+        let mut at = self.files.get(&file).map_or(NIL, |rec| rec.head);
+        std::iter::from_fn(move || {
+            let idx = (at != NIL).then_some(at as usize)?;
+            at = self.slots[idx].next;
+            Some(idx)
+        })
     }
 
     /// Marks a cached key dirty.
@@ -242,12 +351,8 @@ impl<K: Eq + Hash + Copy> PageCache<K> {
         if self.slots[slot].dirty {
             self.dirty_count -= 1;
         }
-        self.slots[slot] = Slot {
-            key: None,
-            dirty: false,
-            stamp: 0,
-            valid: 0,
-        };
+        self.unlink(slot, key);
+        self.slots[slot] = Slot::FREE;
         self.free_hint = self.free_hint.min(slot);
         Some(self.pages[slot])
     }
@@ -280,10 +385,75 @@ impl<K: Eq + Hash + Copy> PageCache<K> {
         v.into_iter().map(|(_, k)| k).collect()
     }
 
-    /// All cached keys, in slot order — the same order in every run, which
-    /// the map's own iteration would not be.
-    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
+    /// All cached keys, in slot order.
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> impl Iterator<Item = K> + '_ {
         self.slots.iter().filter_map(|s| s.key)
+    }
+
+    /// The keys of `file`'s resident pages, in slot order — the same order
+    /// in every run, which the record's list would not give.
+    pub(crate) fn file_keys(&self, file: u64) -> Vec<K> {
+        let mut slots: Vec<usize> = self.file_slots(file).collect();
+        slots.sort_unstable();
+        slots
+            .into_iter()
+            .map(|idx| self.slots[idx].key.expect("listed slot occupied"))
+            .collect()
+    }
+
+    /// [`PageCache::file_keys`] as a walk over every slot: the definition
+    /// the record is tested against.
+    #[cfg(test)]
+    fn file_keys_reference(&self, file: u64) -> Vec<K> {
+        self.keys().filter(|k| k.file() == Some(file)).collect()
+    }
+
+    /// `file`'s dirty keys, oldest first: [`PageCache::dirty_keys`]'
+    /// write-back order, for one file.
+    pub(crate) fn file_dirty_keys(&self, file: u64) -> Vec<K> {
+        let mut v: Vec<(u64, K)> = self
+            .file_slots(file)
+            .map(|idx| &self.slots[idx])
+            .filter(|s| s.dirty)
+            .map(|s| (s.stamp, s.key.expect("listed slot occupied")))
+            .collect();
+        // No two occupied slots share a stamp, so the order is total.
+        v.sort_unstable_by_key(|&(stamp, _)| stamp);
+        v.into_iter().map(|(_, k)| k).collect()
+    }
+
+    /// [`PageCache::file_dirty_keys`] as a filter of the whole dirty list:
+    /// the definition the record is tested against.
+    #[cfg(test)]
+    fn file_dirty_keys_reference(&self, file: u64) -> Vec<K> {
+        let mut keys = self.dirty_keys();
+        keys.retain(|k| k.file() == Some(file));
+        keys
+    }
+
+    /// `file`'s clustering run, if it has one.
+    pub(crate) fn cluster_run(&self, file: u64) -> Option<ClusterRun> {
+        self.files.get(&file)?.run
+    }
+
+    /// Sets `file`'s clustering run; it lasts until [`PageCache::forget_file`].
+    pub(crate) fn set_cluster_run(&mut self, file: u64, run: ClusterRun) {
+        self.files.entry(file).or_insert(FileRecord::EMPTY).run = Some(run);
+    }
+
+    /// Drops `file`'s record, clustering run and all: the file is gone
+    /// (unlink), and a new file may reuse its number.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a page of `file` is still cached.
+    pub(crate) fn forget_file(&mut self, file: u64) {
+        let rec = self.files.remove(&file);
+        assert!(
+            rec.is_none_or(|rec| rec.head == NIL),
+            "file {file} forgotten with pages cached"
+        );
     }
 }
 
@@ -436,6 +606,56 @@ mod tests {
                     old.keys().collect::<Vec<_>>()
                 );
                 pt_assert_eq!(new.dirty_keys(), old.dirty_keys());
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn file_records_match_the_scans_of_every_slot() {
+        check("file record == slot scan", Config::with_cases(64), |g| {
+            let mut c: PageCache<(u64, u64)> = PageCache::new((0..6).map(PageNum).collect());
+            // What each file's clustering run should be: set by a write,
+            // kept through eviction, ended by unlink alone.
+            let mut runs = [None; 3];
+            for step in 0..g.len_between(1, 200) {
+                let ino = g.in_range(0..3u64);
+                let key = (ino, g.in_range(0..6u64));
+                let cached = c.peek(key).is_some();
+                match g.in_range(0..7u32) {
+                    0 if !cached => {
+                        c.insert(key);
+                    }
+                    0 | 1 => {
+                        c.lookup(key);
+                    }
+                    2 => {
+                        c.remove(key);
+                    }
+                    3 if cached => c.mark_dirty(key),
+                    3 => {}
+                    4 => c.mark_clean(key),
+                    5 => {
+                        let run = ClusterRun {
+                            pending: step as u64,
+                            end: key.1,
+                        };
+                        c.set_cluster_run(ino, run);
+                        runs[ino as usize] = Some(run);
+                    }
+                    _ => {
+                        for key in c.file_keys(ino) {
+                            c.remove(key);
+                        }
+                        c.forget_file(ino);
+                        runs[ino as usize] = None;
+                    }
+                }
+                for file in 0..3 {
+                    pt_assert_eq!(c.file_keys(file), c.file_keys_reference(file));
+                    pt_assert_eq!(c.file_dirty_keys(file), c.file_dirty_keys_reference(file));
+                    pt_assert_eq!(c.cluster_run(file), runs[file as usize]);
+                }
             }
             Ok(())
         });

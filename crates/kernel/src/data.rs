@@ -8,6 +8,7 @@
 //! interpreted `bcopy` → UBC page behind a protection window, with the
 //! registry's CHANGING/DIRTY discipline around the copy.
 
+use crate::cache::ClusterRun;
 use crate::error::{KernelError, PanicReason};
 use crate::kernel::Kernel;
 use crate::ondisk::{FileType, Inode};
@@ -317,13 +318,18 @@ impl Kernel {
                 Ok(())
             }
             DataPolicy::AsyncClustered { cluster_bytes } => {
-                let entry = self.cluster_accum.entry(ino).or_insert((0, offset));
-                let sequential = entry.1 == offset;
-                entry.0 += len;
-                entry.1 = offset + len;
-                let due = entry.0 >= cluster_bytes || !sequential;
+                // A non-sequential write ends the run, and so does a full
+                // cluster's worth of bytes.
+                let run = self.ubc.cluster_run(ino).unwrap_or(ClusterRun {
+                    pending: 0,
+                    end: offset,
+                });
+                let pending = run.pending + len;
+                let due = pending >= cluster_bytes || run.end != offset;
+                let pending = if due { 0 } else { pending };
+                let end = offset + len;
+                self.ubc.set_cluster_run(ino, ClusterRun { pending, end });
                 if due {
-                    self.cluster_accum.insert(ino, (0, offset + len));
                     self.cluster_file_pages(ino)?;
                 }
                 Ok(())
@@ -353,20 +359,11 @@ impl Kernel {
         Ok(())
     }
 
-    /// The dirty UBC pages of one file, oldest first.
-    fn dirty_pages_of(&self, ino: u64) -> Vec<(u64, u64)> {
-        self.ubc
-            .dirty_keys()
-            .into_iter()
-            .filter(|k| k.0 == ino)
-            .collect()
-    }
-
     /// Flushes all dirty UBC pages of one file a page at a time, oldest
     /// first, as `bwrite` / `bawrite` write one buffer each; `wait` makes
     /// it synchronous (write-through) — `fsync` waits once at its end.
     pub(crate) fn flush_file_pages(&mut self, ino: u64, wait: bool) -> Result<(), KernelError> {
-        for key in self.dirty_pages_of(ino) {
+        for key in self.ubc.file_dirty_keys(ino) {
             let page = self.ubc.peek(key).expect("dirty key is resident");
             self.flush_one_ubc_page(key, page, wait)?;
         }
@@ -385,7 +382,7 @@ impl Kernel {
     /// place dirty and returns [`KernelError::NoSpace`] once the placed
     /// ones are queued.
     pub(crate) fn cluster_file_pages(&mut self, ino: u64) -> Result<(), KernelError> {
-        let keys = self.dirty_pages_of(ino);
+        let keys = self.ubc.file_dirty_keys(ino);
         if keys.is_empty() {
             return Ok(());
         }

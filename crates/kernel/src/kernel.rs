@@ -120,7 +120,8 @@ pub struct Kernel {
     pub(crate) state: SysState,
     /// Buffer cache: disk block → page.
     pub(crate) bufcache: PageCache<u64>,
-    /// UBC: (ino, file page index) → page.
+    /// UBC: (ino, file page index) → page, with one record per file: its
+    /// resident pages and its UFS clustering run.
     pub(crate) ubc: PageCache<(u64, u64)>,
     pub(crate) rio: Option<RioState>,
     /// fd → heap address of the in-kernel file object.
@@ -129,10 +130,6 @@ pub struct Kernel {
     pub(crate) next_update: Option<SimTime>,
     /// Journal head (next journal slot), for the AdvFS policy.
     pub(crate) journal_head: u64,
-    /// Per-inode `(bytes accumulated since last async flush, last write
-    /// end offset)` — drives UFS 64 KB clustering and its non-sequential
-    /// flush rule.
-    pub(crate) cluster_accum: MixMap<u64, (u64, u64)>,
     /// Sector checksum cache backing the O(dirty) write fast path.
     pub(crate) crc_cache: SectorCrcCache,
     /// Warm-reboot replay runs with this set: writes keep the inode's
@@ -255,7 +252,6 @@ impl Kernel {
             next_fd: 3, // 0-2 reserved, as tradition demands
             next_update,
             journal_head: 0,
-            cluster_accum: MixMap::default(),
             crc_cache: SectorCrcCache::new(),
             preserve_mtime_on_write: false,
             cur_client: None,

@@ -943,27 +943,33 @@ pub(crate) mod tests {
                 let (mut w, mut s) = (Fuzz::new(ops.clone()), Fuzz::new(ops));
                 let waited_before = kw.machine.clock.disk_wait();
                 let (rw, rs) = (w.run_wrappers(&mut kw), s.run_scheduled(&mut ks));
+                let untimed = |rets: &[Option<SyscallRet>]| -> Vec<Option<SyscallRet>> {
+                    rets.iter()
+                        .map(|r| match r {
+                            Some(SyscallRet::Stat(st)) => {
+                                Some(SyscallRet::Stat(crate::Stat { mtime: 0, ..*st }))
+                            }
+                            r => r.clone(),
+                        })
+                        .collect()
+                };
+                let wrapper_slept = kw.machine.clock.disk_wait() > waited_before;
                 let Ok(trace) = rs else {
                     // There are no open-file reference counts: I/O through a
                     // descriptor whose file was unlinked finds a free inode
-                    // and panics. Both drivers must die of it at the same op.
+                    // and panics. Both drivers must die of it at the same op,
+                    // having returned the same values on the way — up to the
+                    // mtimes, if the blocking run slept on the disk.
                     pt_assert_eq!(rw.err(), rs.err());
-                    pt_assert_eq!(w.rets, s.rets);
+                    if wrapper_slept {
+                        pt_assert_eq!(untimed(&w.rets), untimed(&s.rets));
+                    } else {
+                        pt_assert_eq!(w.rets, s.rets);
+                    }
                     return Ok(());
                 };
                 pt_assert_eq!(rw, Ok(()));
-                let slept = kw.machine.clock.disk_wait() > waited_before || trace.idle_hops > 0;
-                if slept {
-                    let untimed = |rets: &[Option<SyscallRet>]| -> Vec<Option<SyscallRet>> {
-                        rets.iter()
-                            .map(|r| match r {
-                                Some(SyscallRet::Stat(st)) => {
-                                    Some(SyscallRet::Stat(crate::Stat { mtime: 0, ..*st }))
-                                }
-                                r => r.clone(),
-                            })
-                            .collect()
-                    };
+                if wrapper_slept || trace.idle_hops > 0 {
                     pt_assert_eq!(untimed(&w.rets), untimed(&s.rets));
                     pt_assert_eq!(kw.stats(), ks.stats());
                     pt_assert_eq!(kw.machine.disk.stats(), ks.machine.disk.stats());

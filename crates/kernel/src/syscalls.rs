@@ -282,14 +282,13 @@ impl Kernel {
         }
         self.dir_remove(dir, leaf)?;
         // Drop cached pages (and their registry entries).
-        let keys: Vec<(u64, u64)> = self.ubc.keys().filter(|k| k.0 == ino).collect();
-        for key in keys {
+        for key in self.ubc.file_keys(ino) {
             if let Some(page) = self.ubc.remove(key) {
                 self.rio_clear_entry(page)?;
             }
         }
         self.release_file(ino, &inode)?;
-        self.cluster_accum.remove(&ino);
+        self.ubc.forget_file(ino);
         Ok(())
     }
 

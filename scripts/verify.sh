@@ -10,7 +10,8 @@
 #
 # `verify.sh --full` then runs `exhibit --check full`: every row at
 # committed size, `table1` (1000 crashes per cell, ~20 min at 2 threads)
-# and `table1_scale` (~2 min) included.
+# and `table1_scale` (~2 min) included; then the whole test suite at six
+# more property seeds (scripts/seed_sweep.sh, ~1.5 min a seed).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -113,6 +114,8 @@ exhibit="${CARGO_TARGET_DIR:-target}/release/exhibit"
 if [ "$full" = 1 ]; then
     echo "== --full: every row at committed size =="
     "$exhibit" --check full
+    echo "== --full: every test at RIO_PT_SEED 1, 3, 7, 42, 99 and 31337 =="
+    scripts/seed_sweep.sh 1 3 7 42 99 31337
 fi
 
 echo "verify: OK"

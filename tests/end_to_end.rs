@@ -9,6 +9,7 @@ use rio::faults::{
 };
 use rio::harness::table2::{run_table2, Table2Scale};
 use rio::kernel::{Kernel, KernelConfig, PanicReason, Policy};
+use rio::mem::PAGE_SIZE;
 use rio::workloads::{
     Andrew, AndrewConfig, CpRm, CpRmConfig, MemTest, MemTestConfig, Sdet, SdetConfig,
 };
@@ -201,4 +202,62 @@ fn memory_board_transplant_recovers_on_a_different_machine() {
     for (path, data) in &files {
         assert_eq!(&k2.file_contents(path).unwrap(), data, "{path}");
     }
+}
+
+/// A UFS kernel whose file cache holds `ubc_pages` pages.
+fn ufs_kernel(ubc_pages: u64) -> Kernel {
+    let mut config = KernelConfig::small(baselines::ufs_default());
+    config.machine.mem.ubc_bytes = ubc_pages * PAGE_SIZE as u64;
+    Kernel::mkfs_and_mount(&config).unwrap()
+}
+
+#[test]
+fn unlink_ends_the_files_clustering_run() {
+    // /a's run ends at 24 KB. /b takes /a's inode number (the lowest free
+    // one), and its first write, at offset 0, is sequential for a new file
+    // — but not for a run /a left behind, which would flush it at once.
+    let mut k = ufs_kernel(64);
+    let a = k.create("/a").unwrap();
+    for _ in 0..3 {
+        k.write(a, &[1; PAGE_SIZE]).unwrap();
+    }
+    k.close(a).unwrap();
+    let ino = k.stat("/a").unwrap().ino;
+    k.unlink("/a").unwrap();
+    let b = k.create("/b").unwrap();
+    assert_eq!(k.stat("/b").unwrap().ino, ino, "/b reuses /a's inode");
+    let writes = k.machine.disk.stats().writes;
+    k.write(b, &[2; PAGE_SIZE]).unwrap();
+    assert_eq!(k.machine.disk.stats().writes, writes);
+}
+
+#[test]
+fn a_clustering_run_outlives_the_eviction_of_its_files_pages() {
+    // /f is written a page at a time; in a 2-page cache, reading all of
+    // /g (2 pages) between two writes forces every page of /f out.
+    // The 64 KB cluster must still go out at the write that completes it,
+    // as it does when the cache holds both files.
+    let first_write_to_disk = |ubc_pages: u64| {
+        let mut k = ufs_kernel(ubc_pages);
+        let g = k.create("/g").unwrap();
+        k.write(g, &vec![7; 2 * PAGE_SIZE]).unwrap();
+        k.sync().unwrap();
+        let f = k.create("/f").unwrap();
+        let mut first = None;
+        for i in 0..12 {
+            let writes = k.machine.disk.stats().writes;
+            k.write(f, &[i as u8; PAGE_SIZE]).unwrap();
+            if first.is_none() && k.machine.disk.stats().writes > writes {
+                first = Some(i);
+            }
+            k.pread(g, 0, 2 * PAGE_SIZE).unwrap();
+        }
+        (first, k.stats().overflow_writebacks)
+    };
+    let (small, evicted) = first_write_to_disk(2);
+    assert!(evicted > 0, "/f's pages were forced out dirty");
+    let (big, _) = first_write_to_disk(64);
+    let cluster = (baselines::UFS_CLUSTER_BYTES as usize / PAGE_SIZE) - 1;
+    assert_eq!(big, Some(cluster));
+    assert_eq!(small, big);
 }
