@@ -39,11 +39,10 @@
 #![forbid(unsafe_code)]
 
 use rio_core::RioMode;
-use rio_disk::SimTime;
+use rio_kernel::policy::THROTTLE_DIRTY_BYTES;
 use rio_kernel::{DataPolicy, MetadataPolicy, Policy};
 
-/// The 30-second `update` interval classic Unix kernels use.
-pub const UPDATE_INTERVAL: SimTime = SimTime(30_000_000);
+pub use rio_kernel::policy::UPDATE_INTERVAL;
 
 /// UFS's asynchronous write-clustering threshold (64 KB).
 pub const UFS_CLUSTER_BYTES: u64 = 64 * 1024;
@@ -71,7 +70,7 @@ pub fn ufs_delayed() -> Policy {
         fsync_on_close: false,
         update_interval: Some(UPDATE_INTERVAL),
         rio: None,
-        throttle_dirty_bytes: Some(2 * 1024 * 1024),
+        throttle_dirty_bytes: Some(THROTTLE_DIRTY_BYTES),
     }
 }
 
@@ -83,7 +82,7 @@ pub fn advfs() -> Policy {
         fsync_on_close: false,
         update_interval: Some(UPDATE_INTERVAL),
         rio: None,
-        throttle_dirty_bytes: Some(2 * 1024 * 1024),
+        throttle_dirty_bytes: Some(THROTTLE_DIRTY_BYTES),
     }
 }
 
@@ -99,7 +98,7 @@ pub fn ufs_default() -> Policy {
         fsync_on_close: false,
         update_interval: Some(UPDATE_INTERVAL),
         rio: None,
-        throttle_dirty_bytes: Some(2 * 1024 * 1024),
+        throttle_dirty_bytes: Some(THROTTLE_DIRTY_BYTES),
     }
 }
 
@@ -113,7 +112,7 @@ pub fn ufs_write_close() -> Policy {
         fsync_on_close: true,
         update_interval: Some(UPDATE_INTERVAL),
         rio: None,
-        throttle_dirty_bytes: Some(2 * 1024 * 1024),
+        throttle_dirty_bytes: Some(THROTTLE_DIRTY_BYTES),
     }
 }
 
@@ -153,6 +152,7 @@ pub fn table2_rows() -> Vec<(&'static str, Policy)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rio_disk::SimTime;
     use rio_kernel::{Kernel, KernelConfig, PanicReason};
 
     #[test]

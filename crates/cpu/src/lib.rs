@@ -53,9 +53,11 @@
 pub mod asm;
 pub mod interp;
 pub mod isa;
+pub mod patch;
 pub mod routines;
 
 pub use asm::Assembler;
 pub use interp::{Cpu, Outcome, RunResult};
 pub use isa::{decompose_addr, kseg_addr, DecodeError, Instr, Opcode, Reg, INSTR_BYTES, KSEG_BIT};
+pub use patch::STORE_CHECK_STEPS;
 pub use routines::{KernelRoutines, RoutineHandle, RoutineStore};

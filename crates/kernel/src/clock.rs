@@ -2,8 +2,10 @@
 //!
 //! Every kernel operation charges simulated time: interpreter steps for the
 //! data paths, fixed CPU costs for syscall entry and per-page processing,
-//! protection-window toggles, and disk service times (the disk computes its
-//! own; the clock just advances to completion for synchronous waits).
+//! protection (window toggles and code-patched store checks, counted where
+//! they happen and charged at syscall return), and disk service times (the
+//! disk computes its own; the clock just advances to completion for
+//! synchronous waits).
 //!
 //! The constants are calibrated for a mid-1990s workstation (the
 //! paper's DEC 3000/600, a 175 MHz Alpha): what matters for reproducing the
@@ -28,10 +30,6 @@ const PAGE_OP_CPU_US: u64 = 350;
 /// no syscall needed — §6 explains why Rio beats the 7% of
 /// \[Sullivan91a\]), microseconds.
 const PROTECTION_TOGGLE_US: u64 = 2;
-/// Extra kernel CPU cost in code-patching mode, percent: applied to
-/// interpreted steps and to the fixed per-syscall, per-component and
-/// per-page charges (inside the 20–50% band of §2.1).
-const CODE_PATCH_PENALTY_PCT: u64 = 35;
 
 /// The simulated wall clock plus cumulative accounting.
 #[derive(Debug, Clone, Default)]
@@ -43,10 +41,8 @@ pub struct Clock {
     cpu_time: SimTime,
     /// Total time spent waiting for the disk.
     disk_wait: SimTime,
-    /// Code-patching mode: every kernel CPU charge pays the per-store
-    /// check penalty (§2.1 — patched checks pervade kernel code, not just
-    /// the copy loops).
-    patched: bool,
+    /// Protection time charged so far, nanoseconds.
+    protection_ns: u64,
     /// Deferred-wait mode (multi-client scheduling): synchronous disk
     /// waits are *recorded* instead of advancing the clock, so the
     /// scheduler can overlap one client's disk wait with another
@@ -79,17 +75,17 @@ impl Clock {
         self.disk_wait
     }
 
-    /// Enables or disables the code-patching CPU penalty.
-    pub fn set_patched(&mut self, patched: bool) {
-        self.patched = patched;
+    /// Protection time charged so far, nanoseconds (see
+    /// [`Clock::charge_protection`]).
+    pub fn protection_ns(&self) -> u64 {
+        self.protection_ns
     }
 
-    fn penalized(&self, cost: u64) -> u64 {
-        if self.patched {
-            cost + cost * CODE_PATCH_PENALTY_PCT / 100
-        } else {
-            cost
-        }
+    /// Simulated time in nanoseconds: [`Clock::now`] plus the CPU
+    /// remainder not yet a whole microsecond. Exact, so two runs'
+    /// difference in charged CPU can be read to the nanosecond.
+    pub fn now_ns(&self) -> u64 {
+        self.now.as_micros() * 1_000 + self.ns_residue
     }
 
     fn charge(&mut self, t: SimTime) {
@@ -108,12 +104,15 @@ impl Clock {
         }
     }
 
-    /// Charges `n` interpreted instructions (kernel CPU: pays the patch
-    /// penalty).
-    pub fn charge_steps(&mut self, n: u64) {
-        let ns = self.penalized(n * CPU_NS_PER_STEP) + self.ns_residue;
+    fn charge_ns(&mut self, ns: u64) {
+        let ns = ns + self.ns_residue;
         self.ns_residue = ns % 1_000;
         self.charge(SimTime::from_micros(ns / 1_000));
+    }
+
+    /// Charges `n` interpreted instructions.
+    pub fn charge_steps(&mut self, n: u64) {
+        self.charge_ns(n * CPU_NS_PER_STEP);
     }
 
     /// Charges a fixed number of microseconds of CPU time.
@@ -121,27 +120,33 @@ impl Clock {
         self.charge(SimTime::from_micros(us));
     }
 
-    /// Charges one syscall entry (kernel CPU: pays the patch penalty).
+    /// Charges one syscall entry.
     pub fn charge_syscall(&mut self) {
-        let us = self.penalized(SYSCALL_OVERHEAD_US);
-        self.charge_us(us);
+        self.charge_us(SYSCALL_OVERHEAD_US);
     }
 
-    /// Charges a path lookup of `components` components (kernel CPU).
+    /// Charges a path lookup of `components` components.
     pub fn charge_namei(&mut self, components: u64) {
-        let us = self.penalized(NAMEI_COMPONENT_US * components);
-        self.charge_us(us);
+        self.charge_us(NAMEI_COMPONENT_US * components);
     }
 
-    /// Charges per-page bookkeeping (kernel CPU).
+    /// Charges per-page bookkeeping.
     pub fn charge_page_op(&mut self) {
-        let us = self.penalized(PAGE_OP_CPU_US);
-        self.charge_us(us);
+        self.charge_us(PAGE_OP_CPU_US);
     }
 
-    /// Charges one protection-window toggle.
-    pub fn charge_window(&mut self) {
-        self.charge_us(PROTECTION_TOGGLE_US);
+    /// Charges protection work: `windows` protection windows at
+    /// `PROTECTION_TOGGLE_US` each and `checks` stores checked by a
+    /// code-patched kernel at [`rio_cpu::STORE_CHECK_STEPS`] interpreted
+    /// steps each (the length of the check sequence, §2.1). The kernel's
+    /// one caller is `Kernel::charge_protection`, at every syscall return.
+    pub fn charge_protection(&mut self, windows: u64, checks: u64) {
+        let ns = windows * PROTECTION_TOGGLE_US * 1_000
+            + checks * rio_cpu::STORE_CHECK_STEPS * CPU_NS_PER_STEP;
+        if ns > 0 {
+            self.protection_ns += ns;
+            self.charge_ns(ns);
+        }
     }
 
     /// Blocks until `t` (synchronous disk wait); no-op if `t` has passed.
@@ -220,20 +225,17 @@ mod tests {
     }
 
     #[test]
-    fn code_patch_penalty_applies() {
-        let mut plain = Clock::new();
-        let mut patched = Clock::new();
-        patched.set_patched(true);
-        for c in [&mut plain, &mut patched] {
-            c.charge_steps(1_000);
-            c.charge_syscall();
-        }
-        let plain_us = CPU_NS_PER_STEP + SYSCALL_OVERHEAD_US;
-        assert_eq!(plain.now().as_micros(), plain_us);
-        assert_eq!(
-            patched.now().as_micros(),
-            plain_us * (100 + CODE_PATCH_PENALTY_PCT) / 100
-        );
+    fn protection_charges_windows_and_checks_to_the_nanosecond() {
+        let mut c = Clock::new();
+        c.charge_steps(1);
+        c.charge_protection(3, 10);
+        // 3 windows × 2 µs + 10 checks × k × 40 ns, on top of one step.
+        let charged = 3 * 2_000 + 10 * rio_cpu::STORE_CHECK_STEPS * 40;
+        assert_eq!(c.protection_ns(), charged);
+        assert_eq!(c.now_ns(), CPU_NS_PER_STEP + charged);
+        assert_eq!(c.cpu_time(), c.now());
+        c.charge_protection(0, 0);
+        assert_eq!(c.now_ns(), CPU_NS_PER_STEP + charged);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::error::{CrashInfo, KernelError, PanicReason};
 use crate::machine::{Machine, MachineConfig};
 use crate::ondisk::{DiskGeometry, Superblock, ROOT_INO};
 use crate::policy::Policy;
-use rio_core::{ProtectionManager, Registry, RegistryEntry, RioMode, ShadowPool};
+use rio_core::{ProtectionManager, Registry, RegistryEntry, ShadowPool};
 use rio_disk::{SimDisk, SimTime};
 use rio_mem::{PageNum, PhysMem};
 
@@ -36,6 +36,9 @@ pub struct RioState {
     /// `Kernel::rio_clear_entry` (invalidate). Dies with the kernel at a
     /// crash, like every other host-side structure.
     pub(crate) entry_cache: MixMap<PageNum, RegistryEntry>,
+    /// `(protection windows opened, stores checked)` as of the last
+    /// [`Kernel::charge_protection`]: what the clock has been charged for.
+    pub(crate) charged: (u64, u64),
 }
 
 /// Is the system up?
@@ -218,9 +221,10 @@ impl Kernel {
             prot.install(&mut machine.bus);
             RioState {
                 registry: Registry::new(layout),
-                prot: ProtectionManager::new(mode),
+                prot,
                 shadows: ShadowPool::new(&layout, NUM_SHADOWS),
                 entry_cache: MixMap::default(),
+                charged: (0, machine.bus.stats().patch_checks),
             }
         });
         // Buffer-cache pages: all but the reserved shadow tail.
@@ -232,9 +236,6 @@ impl Kernel {
             .collect();
         let ubc_pages: Vec<PageNum> = layout.ubc.page_numbers().collect();
 
-        machine
-            .clock
-            .set_patched(config.policy.rio == Some(RioMode::CodePatched));
         let next_update = config
             .policy
             .update_interval
@@ -424,6 +425,27 @@ impl Kernel {
         reg.add("disk.bytes_written", d.bytes_written);
         reg.add("disk.writes_lost_at_crash", d.writes_lost_at_crash);
         reg.add("disk.blocks_torn_at_crash", d.blocks_torn_at_crash);
+    }
+
+    /// The one place protection's simulated cost is charged: every window
+    /// the protection manager counted and every store the bus checked for
+    /// a code-patched kernel since the last call
+    /// ([`crate::Clock::charge_protection`]). Called at every return of a
+    /// live kernel's syscall, so no window or check goes uncharged however
+    /// deep in `rio-core` it was opened; work done outside a syscall
+    /// (mount, the warm reboot's commits) is charged at the next return.
+    pub(crate) fn charge_protection(&mut self) {
+        let Some(rio) = &mut self.rio else {
+            return;
+        };
+        let counted = (
+            rio.prot.stats().windows_opened,
+            self.machine.bus.stats().patch_checks,
+        );
+        let (windows, checks) = std::mem::replace(&mut rio.charged, counted);
+        self.machine
+            .clock
+            .charge_protection(counted.0 - windows, counted.1 - checks);
     }
 
     /// Whether this kernel maintains Rio state.

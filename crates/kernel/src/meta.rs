@@ -56,8 +56,8 @@ impl Kernel {
     }
 
     /// Runs `f` on the machine behind a one-page write window on a
-    /// file-cache page. The window opens, and its toggle is charged, only
-    /// when Rio enforces protection; otherwise `f` just runs.
+    /// file-cache page. The window opens only when Rio enforces
+    /// protection; otherwise `f` just runs.
     pub(crate) fn with_fc_window<R>(
         &mut self,
         page: PageNum,
@@ -67,7 +67,6 @@ impl Kernel {
             return f(&mut self.machine);
         };
         rio.prot.window_open(&mut self.machine.bus, page);
-        self.machine.clock.charge_window();
         let out = f(&mut self.machine);
         rio.prot.window_close(&mut self.machine.bus, page);
         out
@@ -113,9 +112,6 @@ impl Kernel {
             } else {
                 rio.entry_cache.insert(page, *entry);
             }
-        }
-        if rio.prot.mode().enforces() {
-            self.machine.clock.charge_window();
         }
         res.map_err(|f| self.die(PanicReason::Mem(f)))
     }

@@ -10,6 +10,13 @@
 use rio_core::RioMode;
 use rio_disk::SimTime;
 
+/// The 30-second `update` interval classic Unix kernels use.
+pub const UPDATE_INTERVAL: SimTime = SimTime(30_000_000);
+
+/// The dirty-data throttle of every disk-based row that has one: 2 MB of
+/// dirty UBC data before writers block on the disk queue.
+pub const THROTTLE_DIRTY_BYTES: u64 = 2 * 1024 * 1024;
+
 /// When file *data* writes reach the disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataPolicy {
@@ -148,9 +155,9 @@ impl Policy {
             data: DataPolicy::WriteThrough,
             metadata: MetadataPolicy::Sync,
             fsync_on_close: true,
-            update_interval: Some(SimTime::from_secs(30)),
+            update_interval: Some(UPDATE_INTERVAL),
             rio: None,
-            throttle_dirty_bytes: Some(2 * 1024 * 1024),
+            throttle_dirty_bytes: Some(THROTTLE_DIRTY_BYTES),
         }
     }
 

@@ -470,11 +470,17 @@ impl<S: AsRef<str>, B: AsRef<[u8]>> SyscallCont<S, B> {
     /// is the outcome: the caller must not read a dead kernel's last
     /// error as benign.
     pub(crate) fn resume(&mut self, k: &mut Kernel) -> Result<Yield, KernelError> {
-        let r = self.drive(k);
+        let mut r = self.drive(k);
         if r.is_err() {
             if let Some(id) = self.held.take() {
-                return k.unlock_preempt(id).and(r);
+                r = k.unlock_preempt(id).and(r);
             }
+        }
+        // The syscall returns (done or failed): protection's cost is
+        // charged here and nowhere else. A crashed kernel's clock stops
+        // at its panic.
+        if !matches!(r, Ok(Yield::Disk | Yield::Lock(_))) && !k.is_crashed() {
+            k.charge_protection();
         }
         r
     }

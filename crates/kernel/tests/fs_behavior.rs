@@ -263,9 +263,9 @@ fn rio_baselines_like_delayed() -> Policy {
         data: rio_kernel::DataPolicy::Delayed,
         metadata: rio_kernel::MetadataPolicy::Delayed,
         fsync_on_close: false,
-        update_interval: Some(rio_disk::SimTime::from_secs(30)),
+        update_interval: Some(rio_kernel::policy::UPDATE_INTERVAL),
         rio: None,
-        throttle_dirty_bytes: Some(2 * 1024 * 1024),
+        throttle_dirty_bytes: Some(rio_kernel::policy::THROTTLE_DIRTY_BYTES),
     }
 }
 

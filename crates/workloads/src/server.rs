@@ -411,9 +411,9 @@ mod tests {
         assert_eq!(first.1, 8 * 6, "every request completes");
         // Each class's count, sum and max (µs): a request recorded twice,
         // in the wrong class or from the wrong start moves one of them.
-        assert_eq!(first.2, (31, 811_619, 50_011), "read");
-        assert_eq!(first.3, (14, 392_006, 45_369), "write");
-        assert_eq!(first.4, (3, 99_336, 47_533), "commit");
+        assert_eq!(first.2, (31, 813_227, 50_113), "read");
+        assert_eq!(first.3, (14, 392_822, 45_471), "write");
+        assert_eq!(first.4, (3, 99_540, 47_635), "commit");
     }
 
     #[test]

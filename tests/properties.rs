@@ -196,6 +196,52 @@ fn memtest_replay_is_exact() {
     );
 }
 
+/// Protection's cost is what was counted: after every syscall of a random
+/// memTest script, under hardware protection and under code patching, the
+/// clock has charged exactly windows × 2 µs + checks × k × 40 ns, where
+/// the windows are every one `rio-core` opened too (registry clears,
+/// shadow commits) and k is the length of the store-check sequence.
+#[test]
+fn protection_charged_is_protection_counted_at_every_syscall() {
+    check(
+        "protection_charged_is_protection_counted_at_every_syscall",
+        Config::default(),
+        |g: &mut Gen| {
+            use rio::core::RioMode;
+            use rio::cpu::STORE_CHECK_STEPS;
+            use rio::kernel::{Kernel, KernelConfig, Policy, PreemptClient};
+            use rio::workloads::{MemTest, MemTestConfig};
+            let mode = if g.bool() {
+                RioMode::Protected
+            } else {
+                RioMode::CodePatched
+            };
+            let ops = g.len_between(1, 60) as u64;
+            let mut k = Kernel::mkfs_and_mount(&KernelConfig::small(Policy::rio(mode))).unwrap();
+            let mut mt = MemTest::new(MemTestConfig::small(g.in_range(0u64..500)));
+            let counted = |k: &Kernel| {
+                let windows = k.rio_stats().unwrap().windows_opened;
+                windows * 2_000 + k.machine.bus.stats().patch_checks * STORE_CHECK_STEPS * 40
+            };
+            mt.setup(&mut k).unwrap();
+            pt_assert_eq!(k.machine.clock.protection_ns(), counted(&k));
+            let mut prev = None;
+            while mt.ops_done() < ops {
+                let op = mt.next_op(prev.as_ref()).expect("memTest never stops");
+                let ret = k.syscall(op.as_op_ref()).unwrap();
+                let (charged, counted) = (k.machine.clock.protection_ns(), counted(&k));
+                pt_assert!(
+                    charged == counted,
+                    "{mode} after {op:?}: charged {charged} ns, counted {counted} ns"
+                );
+                prev = Some(ret);
+            }
+            pt_assert!(k.stats().shadow_commits > 0);
+            Ok(())
+        },
+    );
+}
+
 /// Warm reboot recovers every file for arbitrary file shapes, with no
 /// disk writes before the crash.
 #[test]
