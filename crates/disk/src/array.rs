@@ -9,22 +9,22 @@
 //!
 //! # Dispatch rule
 //!
-//! Each device keeps its requests in **dispatch order**: a *pinned*
-//! prefix the head has committed to, then an unstarted tail it may still
-//! re-order.
+//! Each device keeps one queue of its requests in **dispatch order** and
+//! a *barrier*: the queue's prefix up to it is committed, the unstarted
+//! tail behind it may still be re-ordered.
 //!
-//! * `D = 1` — **arrival order.** Every request is pinned on arrival, the
-//!   tail is always empty, and a completion time returned to a caller
+//! * `D = 1` — **arrival order.** Every request is committed on arrival,
+//!   the tail is always empty, and a completion time returned to a caller
 //!   never moves: the classic single-spindle FIFO disk, and the model
 //!   every single-device exhibit is calibrated on.
-//! * `D > 1` — **C-LOOK.** A request is pinned once its scheduled start
-//!   has passed, as is everything ahead of a read (reads are synchronous
-//!   barriers at the OS level). The tail behind the pinned prefix is an
-//!   ascending sweep from the head's position, wrapping to the lowest
-//!   outstanding block, re-planned whenever a write arrives — so a
-//!   returned completion time is a *scheduled estimate* that a later
-//!   arrival can shift. Exact durability is always available through
-//!   [`DiskArray::drain_time`] plus retirement, which is what
+//! * `D > 1` — **C-LOOK.** A request is committed once its scheduled
+//!   start has passed, as is everything ahead of a read (reads are
+//!   synchronous barriers at the OS level). Each write arrival
+//!   stable-sorts the tail into an ascending sweep from the head's
+//!   position, wrapping to the lowest outstanding block, and re-plans it
+//!   — so a returned completion time is a *scheduled estimate* that a
+//!   later arrival can shift. Exact durability is always available
+//!   through [`DiskArray::drain_time`] plus retirement, which is what
 //!   `SimDisk::sync` uses.
 //!
 //! The rule is a function of D and nothing else; no caller selects it.
@@ -63,7 +63,7 @@
 use crate::model::{DiskModel, Positioning};
 use crate::sim::{BlockBuf, BLOCK_SIZE};
 use crate::time::SimTime;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Maximum devices per array (bounded so per-device observability names
 /// can be interned as constants — no allocation on the submit path).
@@ -112,33 +112,22 @@ struct Req {
     hardened: bool,
 }
 
-/// One device: a pinned dispatch-order prefix plus a sweep-keyed
-/// unstarted tail, and the head state left behind by already-retired
-/// requests.
+/// One device: its requests in dispatch order, and the head state left
+/// behind by already-retired requests.
 ///
-/// The tail is a `BTreeMap` keyed by `(inner block, arrival seq)`:
-/// C-LOOK dispatch order is a wrap-iteration from [`Device::sweep_head`]
-/// (keys ≥ `(sweep_head, 0)` ascending, then the wrap-around below it).
-/// That order is exactly a stable sort of the tail by
-/// `(inner < head, inner)` — including the wart where a queued write to
-/// the boundary's own block is demoted to the end of the sweep once the
-/// head passes it — at the cost of an O(log q) keyed insert plus a
-/// reschedule of only the requests *behind* the new one in sweep order.
-/// An ascending write stream (the UBC flusher's common case) inserts at
-/// the sweep's end and re-plans nothing. With one device the tail is
-/// never used.
+/// `queue[..barrier]` is what the head has committed to: at D = 1 every
+/// request on arrival, at D > 1 everything up to the last read, and every
+/// request it has started. Behind the barrier lies the unstarted tail,
+/// which a C-LOOK insert re-sorts and re-plans whole. That tail is short:
+/// a traced `server-ufs` run (seed 1996) queues 5.1 writes per device at
+/// a submit on average and 137 at most, so one linear pass is all it
+/// needs.
 #[derive(Debug, Clone, Default)]
 struct Device {
-    /// Requests the head has committed to, in dispatch order: started
-    /// requests and everything sealed by a read barrier.
-    pinned: VecDeque<Req>,
-    /// Unstarted writes, keyed by `(inner, seq)`.
-    tail: BTreeMap<(u64, u64), Req>,
-    /// Arrival counter: the sort-stability tiebreak between same-block
-    /// writes.
-    seq: u64,
-    /// Sweep origin of the schedule currently stored in `tail`.
-    sweep_head: u64,
+    /// Every outstanding request, in dispatch order.
+    queue: VecDeque<Req>,
+    /// Length of the committed prefix of `queue`.
+    barrier: usize,
     /// The last *retired* request (head position when the queue is
     /// empty).
     retired: Option<HeadAt>,
@@ -213,10 +202,9 @@ impl DiskArray {
 
     /// Outstanding writes on one device at `now` (non-mutating).
     pub fn device_queue_depth_at(&self, dev: usize, now: SimTime) -> usize {
-        let d = &self.devices[dev];
-        d.pinned
+        self.devices[dev]
+            .queue
             .iter()
-            .chain(d.tail.values())
             .filter(|r| r.data.is_some() && r.end > now)
             .count()
     }
@@ -238,12 +226,15 @@ impl DiskArray {
     /// contents).
     pub fn retire(&mut self, now: SimTime, mut durable: impl FnMut(u64, BlockBuf)) {
         for dev in &mut self.devices {
-            dev.pin_started(now);
-            while let Some(front) = dev.pinned.front() {
+            // Whatever is complete has started, so lies in the committed
+            // prefix.
+            dev.commit_started(now);
+            while let Some(front) = dev.queue.front() {
                 if front.end > now {
                     break;
                 }
-                let r = dev.pinned.pop_front().expect("front exists");
+                let r = dev.queue.pop_front().expect("front exists");
+                dev.barrier -= 1;
                 dev.retired = Some(r.head_at());
                 dev.retired_until = r.end;
                 if let Some(data) = r.data {
@@ -296,14 +287,14 @@ impl DiskArray {
         let arrival_order = self.devices.len() == 1;
         let d = &mut self.devices[dev];
         if arrival_order {
-            d.push_pinned(req, now, model)
+            d.push_committed(req, now, model)
         } else {
             d.insert_clook(req, now, model)
         }
     }
 
     /// Submits a read of `block`; returns `(latest queued payload if any,
-    /// completion time)`. The read seals the device's queue order (no later
+    /// completion time)`. The read commits the device's queue order (no later
     /// write may be scheduled ahead of it).
     pub fn submit_read(
         &mut self,
@@ -317,24 +308,14 @@ impl DiskArray {
         let cmd = self.command();
         let d = &mut self.devices[dev];
         // Read-after-write: the latest queued write to this block wins.
-        // Tail entries dispatch after every pinned entry, and same-block
-        // tail writes share the inner key with seq ascending in arrival
-        // order, so the newest is the last in the inner's key range.
         let pending = d
-            .tail
-            .range((inner, 0)..=(inner, u64::MAX))
-            .next_back()
-            .map(|(_, r)| r)
-            .or_else(|| {
-                d.pinned
-                    .iter()
-                    .rev()
-                    .find(|r| r.global == block && r.data.is_some())
-            })
+            .queue
+            .iter()
+            .rev()
+            .find(|r| r.global == block && r.data.is_some())
             .and_then(|r| r.data.clone());
-        // The read seals the queue: everything unstarted dispatches in
+        // The read commits the queue: everything unstarted dispatches in
         // its current sweep order ahead of the read, then the read.
-        d.seal();
         let read = Req {
             inner,
             global: block,
@@ -345,7 +326,7 @@ impl DiskArray {
             end: SimTime::ZERO,
             hardened: false,
         };
-        (pending, d.push_pinned(read, now, model))
+        (pending, d.push_committed(read, now, model))
     }
 
     /// Marks every queued write completing by `t` as observed-complete by
@@ -353,9 +334,8 @@ impl DiskArray {
     pub fn harden_until(&mut self, t: SimTime) {
         for dev in &mut self.devices {
             for r in dev
-                .pinned
+                .queue
                 .iter_mut()
-                .chain(dev.tail.values_mut())
                 .filter(|r| r.data.is_some() && r.end <= t)
             {
                 r.hardened = true;
@@ -381,8 +361,7 @@ impl DiskArray {
         let mut torn = Vec::new();
         let mut lost = 0u64;
         for dev in &mut self.devices {
-            dev.seal();
-            while let Some(r) = dev.pinned.pop_front() {
+            while let Some(r) = dev.queue.pop_front() {
                 let Some(data) = r.data else { continue };
                 if r.hardened {
                     durable(r.global, data);
@@ -425,189 +404,71 @@ impl Req {
             cmd: self.cmd,
         }
     }
+
+    /// Schedules the request to start at `start`, dispatched behind
+    /// `prev`; returns its completion time.
+    fn plan(&mut self, prev: Option<HeadAt>, start: SimTime, model: &DiskModel) -> SimTime {
+        let kind = positioning(prev, self);
+        self.start = start;
+        self.end = start + model.service_time_kind(BLOCK_SIZE as u64, kind);
+        self.end
+    }
 }
 
 impl Device {
     fn busy_until(&self) -> SimTime {
-        self.last_in_sweep()
-            .map(|k| self.tail[&k].end)
-            .or_else(|| self.pinned.back().map(|r| r.end))
-            .unwrap_or(self.retired_until)
+        self.queue.back().map_or(self.retired_until, |r| r.end)
     }
 
-    /// Head state where the unstarted tail begins: `(the last committed
-    /// request, when the head frees up)`.
-    fn boundary(&self) -> (Option<HeadAt>, SimTime) {
-        if let Some(prev) = self.pinned.back() {
-            (Some(prev.head_at()), prev.end)
-        } else {
-            (self.retired, self.retired_until)
+    /// Head state ahead of `queue[idx]`: `(the request dispatched before
+    /// it, when the head frees up)`.
+    fn boundary(&self, idx: usize) -> (Option<HeadAt>, SimTime) {
+        match idx.checked_sub(1) {
+            Some(i) => (Some(self.queue[i].head_at()), self.queue[i].end),
+            None => (self.retired, self.retired_until),
         }
     }
 
-    /// First tail key in sweep-dispatch order: keys at or after the
-    /// sweep origin, wrapping to the lowest outstanding key.
-    fn first_in_sweep(&self) -> Option<(u64, u64)> {
-        self.tail
-            .range((self.sweep_head, 0)..)
-            .next()
-            .or_else(|| self.tail.iter().next())
-            .map(|(&k, _)| k)
+    /// Moves the barrier past every request the head has started by
+    /// `now` and returns it. Schedule times ascend along the queue, so
+    /// the started requests are a prefix.
+    fn commit_started(&mut self, now: SimTime) -> usize {
+        let started = self.queue.partition_point(|r| r.start <= now);
+        self.barrier = self.barrier.max(started);
+        self.barrier
     }
 
-    /// Last tail key in sweep-dispatch order (the request every queued
-    /// one completes by).
-    fn last_in_sweep(&self) -> Option<(u64, u64)> {
-        self.tail
-            .range(..(self.sweep_head, 0))
-            .next_back()
-            .or_else(|| self.tail.range((self.sweep_head, 0)..).next_back())
-            .map(|(&k, _)| k)
-    }
-
-    /// Moves every tail request the head has started (`start <= now`)
-    /// into the pinned prefix, in dispatch order. Schedule times ascend
-    /// along the sweep, so the started set is always a sweep-order
-    /// prefix.
-    fn pin_started(&mut self, now: SimTime) {
-        while let Some(k) = self.first_in_sweep() {
-            if self.tail[&k].start > now {
-                break;
-            }
-            let r = self.tail.remove(&k).expect("key just found");
-            self.pinned.push_back(r);
-        }
-    }
-
-    /// Commits the head to `req` behind everything already pinned and
-    /// schedules it there; returns its completion time, which no later
+    /// Appends `req`, schedules it behind everything queued and commits
+    /// the whole queue; returns its completion time, which no later
     /// arrival can move.
-    fn push_pinned(&mut self, mut req: Req, now: SimTime, model: &DiskModel) -> SimTime {
-        let (prev, free_at) = self.boundary();
-        let kind = positioning(prev, &req);
-        req.start = free_at.max(now);
-        req.end = req.start + model.service_time_kind(BLOCK_SIZE as u64, kind);
-        let end = req.end;
-        self.pinned.push_back(req);
+    fn push_committed(&mut self, mut req: Req, now: SimTime, model: &DiskModel) -> SimTime {
+        let (prev, free_at) = self.boundary(self.queue.len());
+        let end = req.plan(prev, free_at.max(now), model);
+        self.queue.push_back(req);
+        self.barrier = self.queue.len();
         end
     }
 
-    /// Seals the whole queue (read barrier / crash drain): every tail
-    /// request moves into the pinned prefix in dispatch order.
-    fn seal(&mut self) {
-        while let Some(k) = self.first_in_sweep() {
-            let r = self.tail.remove(&k).expect("key just found");
-            self.pinned.push_back(r);
-        }
-    }
-
-    /// Inserts `req` into the unstarted tail in C-LOOK order and
-    /// re-plans the schedule of the requests behind it in sweep order.
-    /// Returns the new request's completion time.
-    fn insert_clook(&mut self, mut req: Req, now: SimTime, model: &DiskModel) -> SimTime {
-        self.pin_started(now);
-        let (boundary, boundary_free) = self.boundary();
-        let boundary_inner = boundary.map(|b| b.inner);
-        // C-LOOK sweep origin: one past the head's current position.
-        let head = boundary_inner.map_or(0, |b| b.wrapping_add(1));
-        let key = (req.inner, self.seq);
-        self.seq += 1;
-        // If the head advanced past a block that still has queued writes
-        // (same-block resubmission), those writes demote from the front
-        // of the old sweep to the end of the wrap-around — the whole
-        // tail's order shifts, so the whole schedule is re-planned.
-        // Otherwise the sweep order of existing requests is unchanged
-        // and only the new request's successors move.
-        let demoted = head != self.sweep_head
-            && boundary_inner
-                .is_some_and(|b| self.tail.range((b, 0)..=(b, u64::MAX)).next().is_some());
-        self.sweep_head = head;
-        req.start = SimTime::ZERO;
-        req.end = SimTime::ZERO;
-        self.tail.insert(key, req);
-        if demoted {
-            self.replan_from(None, boundary, boundary_free, now, model);
-            return self.tail[&key].end;
-        }
-        // Fast path: requests ahead of the new one keep their schedule
-        // (their predecessor chain from the boundary is unchanged); the
-        // new request plans after its sweep predecessor, and everything
-        // behind it shifts.
-        let pred = if key >= (head, 0) {
-            self.tail.range((head, 0)..key).next_back().map(|(&k, _)| k)
-        } else {
-            // Wrap-group insert: predecessor is the nearest lower wrap
-            // key, else the last key of the ascending group.
-            self.tail
-                .range(..key)
-                .next_back()
-                .map(|(&k, _)| k)
-                .or_else(|| self.tail.range((head, 0)..).next_back().map(|(&k, _)| k))
-        };
-        let (prev, prev_free) = match pred {
-            Some(k) => {
-                let r = &self.tail[&k];
-                (Some(r.head_at()), r.end)
-            }
-            None => (boundary, boundary_free),
-        };
-        self.replan_from(
-            Some((key, prev, prev_free)),
-            boundary,
-            boundary_free,
-            now,
-            model,
-        );
-        self.tail[&key].end
-    }
-
-    /// Recomputes schedule times along the sweep. With `from = None`,
-    /// re-plans the entire tail from the boundary; with
-    /// `from = Some((key, prev, prev_free))`, re-plans `key` and
-    /// everything after it in sweep order, starting from its
-    /// predecessor's state.
-    fn replan_from(
-        &mut self,
-        from: Option<((u64, u64), Option<HeadAt>, SimTime)>,
-        boundary: Option<HeadAt>,
-        boundary_free: SimTime,
-        now: SimTime,
-        model: &DiskModel,
-    ) {
-        let head = self.sweep_head;
-        let keys: Vec<(u64, u64)> = match from {
-            None => self
-                .tail
-                .range((head, 0)..)
-                .chain(self.tail.range(..(head, 0)))
-                .map(|(&k, _)| k)
-                .collect(),
-            Some((key, _, _)) => {
-                let after = (key.0, key.1 + 1);
-                if key >= (head, 0) {
-                    std::iter::once(key)
-                        .chain(self.tail.range(after..).map(|(&k, _)| k))
-                        .chain(self.tail.range(..(head, 0)).map(|(&k, _)| k))
-                        .collect()
-                } else {
-                    std::iter::once(key)
-                        .chain(self.tail.range(after..(head, 0)).map(|(&k, _)| k))
-                        .collect()
-                }
-            }
-        };
-        let (mut prev, mut cursor) = match from {
-            None => (boundary, boundary_free.max(now)),
-            Some((_, p, p_free)) => (p, p_free.max(now)),
-        };
-        for k in keys {
-            let r = self.tail.get_mut(&k).expect("collected key");
-            let kind = positioning(prev, r);
-            r.start = cursor;
-            r.end = cursor + model.service_time_kind(BLOCK_SIZE as u64, kind);
-            cursor = r.end;
+    /// Adds `req` to the unstarted tail, stable-sorts the tail into a
+    /// C-LOOK sweep — ascending from one past the head, then wrapping to
+    /// the lowest block — and re-plans it. Returns the new request's
+    /// completion time.
+    fn insert_clook(&mut self, req: Req, now: SimTime, model: &DiskModel) -> SimTime {
+        let committed = self.commit_started(now);
+        let (mut prev, free_at) = self.boundary(committed);
+        let head = prev.map_or(0, |b| b.inner.wrapping_add(1));
+        let sweep = |r: &Req| (r.inner < head, r.inner);
+        let key = sweep(&req);
+        self.queue.push_back(req);
+        let tail = &mut self.queue.make_contiguous()[committed..];
+        tail.sort_by_key(sweep);
+        let mut cursor = free_at.max(now);
+        for r in tail.iter_mut() {
+            cursor = r.plan(prev, cursor, model);
             prev = Some(r.head_at());
         }
+        // The sort is stable, so the new request is the last of its key.
+        tail[tail.partition_point(|r| sweep(r) <= key) - 1].end
     }
 }
 
@@ -711,7 +572,7 @@ mod tests {
     }
 
     #[test]
-    fn read_seals_the_queue_and_sees_pending_writes() {
+    fn read_commits_the_queue_and_sees_pending_writes() {
         let mut a = DiskArray::new(2);
         a.submit_write(0, block_of(0xAB), SimTime::ZERO, false, &model());
         let (data, end) = a.submit_read(0, SimTime::ZERO, false, &model());
@@ -758,242 +619,30 @@ mod tests {
         assert_eq!(lost, 1, "the unwaited write is still lost");
     }
 
-    /// The retired linear-scan implementation, kept verbatim as the
-    /// byte-identical reference the BTreeMap-keyed queue is regression-
-    /// tested against: one dispatch-order `VecDeque` per device, full
-    /// drain + stable sort + full re-plan on every insert.
-    mod reference {
-        use super::super::{positioning, HeadAt, Req, TornWrite};
-        use super::RetiredWrite;
-        use crate::model::DiskModel;
-        use crate::sim::BlockBuf;
-        use crate::time::SimTime;
-        use std::collections::VecDeque;
-
-        #[derive(Debug, Clone, Default)]
-        struct Device {
-            queue: VecDeque<Req>,
-            barrier: usize,
-            retired: Option<HeadAt>,
-            retired_until: SimTime,
-        }
-
-        #[derive(Debug, Clone)]
-        pub struct RefArray {
-            devices: Vec<Device>,
-            commands: u64,
-        }
-
-        impl RefArray {
-            pub fn new(devices: usize) -> Self {
-                RefArray {
-                    devices: (0..devices).map(|_| Device::default()).collect(),
-                    commands: 0,
-                }
-            }
-
-            /// Every request is a command of its own.
-            fn command(&mut self) -> u64 {
-                self.commands += 1;
-                self.commands
-            }
-
-            fn device_of(&self, block: u64) -> usize {
-                (block % self.devices.len() as u64) as usize
-            }
-
-            fn inner_of(&self, block: u64) -> u64 {
-                block / self.devices.len() as u64
-            }
-
-            pub fn drain_time(&self, now: SimTime) -> SimTime {
-                self.devices
-                    .iter()
-                    .map(Device::busy_until)
-                    .fold(now, SimTime::max)
-            }
-
-            pub fn queue_depth_at(&self, now: SimTime) -> usize {
-                self.devices
-                    .iter()
-                    .flat_map(|d| d.queue.iter())
-                    .filter(|r| r.data.is_some() && r.end > now)
-                    .count()
-            }
-
-            pub fn retire(&mut self, now: SimTime) -> Vec<RetiredWrite> {
-                let mut out = Vec::new();
-                for dev in &mut self.devices {
-                    while let Some(front) = dev.queue.front() {
-                        if front.end > now {
-                            break;
-                        }
-                        let r = dev.queue.pop_front().expect("front exists");
-                        dev.barrier = dev.barrier.saturating_sub(1);
-                        dev.retired = Some(r.head_at());
-                        dev.retired_until = r.end;
-                        if let Some(data) = r.data {
-                            out.push((r.global, data));
-                        }
-                    }
-                }
-                out
-            }
-
-            pub fn submit_write(
-                &mut self,
-                block: u64,
-                data: BlockBuf,
-                now: SimTime,
-                force_sequential: bool,
-                model: &DiskModel,
-            ) -> SimTime {
-                let dev = self.device_of(block);
-                let inner = self.inner_of(block);
-                let req = Req {
-                    inner,
-                    global: block,
-                    cmd: self.command(),
-                    data: Some(data),
-                    force_sequential,
-                    start: SimTime::ZERO,
-                    end: SimTime::ZERO,
-                    hardened: false,
-                };
-                self.devices[dev].insert_clook(req, block, now, model)
-            }
-
-            pub fn submit_read(
-                &mut self,
-                block: u64,
-                now: SimTime,
-                force_sequential: bool,
-                model: &DiskModel,
-            ) -> (Option<BlockBuf>, SimTime) {
-                let dev = self.device_of(block);
-                let inner = self.inner_of(block);
-                let pending = self.devices[dev]
-                    .queue
-                    .iter()
-                    .rev()
-                    .find(|r| r.global == block && r.data.is_some())
-                    .and_then(|r| r.data.clone());
-                let cmd = self.command();
-                let d = &mut self.devices[dev];
-                let (prev, free_at) = d.tail_boundary(d.queue.len());
-                let mut read = Req {
-                    inner,
-                    global: block,
-                    cmd,
-                    data: None,
-                    force_sequential,
-                    start: free_at.max(now),
-                    end: SimTime::ZERO,
-                    hardened: false,
-                };
-                let kind = positioning(prev, &read);
-                read.end =
-                    read.start + model.service_time_kind(crate::sim::BLOCK_SIZE as u64, kind);
-                let end = read.end;
-                d.queue.push_back(read);
-                d.barrier = d.queue.len();
-                (pending, end)
-            }
-
-            pub fn harden_until(&mut self, t: SimTime) {
-                for dev in &mut self.devices {
-                    for r in dev
-                        .queue
-                        .iter_mut()
-                        .filter(|r| r.data.is_some() && r.end <= t)
-                    {
-                        r.hardened = true;
-                    }
-                }
-            }
-
-            pub fn crash(&mut self, now: SimTime) -> (Vec<RetiredWrite>, Vec<TornWrite>, u64) {
-                let _ = self.retire(now);
-                let mut hardened = Vec::new();
-                let mut torn = Vec::new();
-                let mut lost = 0u64;
-                for dev in &mut self.devices {
-                    while let Some(r) = dev.queue.pop_front() {
-                        let Some(data) = r.data else { continue };
-                        if r.hardened {
-                            hardened.push((r.global, data));
-                        } else if r.start < now && now < r.end {
-                            torn.push((r.global, data));
-                        } else {
-                            lost += 1;
-                        }
-                    }
-                    *dev = Device::default();
-                }
-                (hardened, torn, lost)
-            }
-        }
-
-        impl Device {
-            fn busy_until(&self) -> SimTime {
-                self.queue
-                    .back()
-                    .map(|r| r.end)
-                    .unwrap_or(self.retired_until)
-            }
-
-            fn tail_boundary(&self, idx: usize) -> (Option<HeadAt>, SimTime) {
-                if idx > 0 {
-                    let prev = &self.queue[idx - 1];
-                    (Some(prev.head_at()), prev.end)
-                } else {
-                    (self.retired, self.retired_until)
-                }
-            }
-
-            fn pinned(&self, now: SimTime) -> usize {
-                let started = self.queue.partition_point(|r| r.start <= now);
-                self.barrier.max(started)
-            }
-
-            fn insert_clook(
-                &mut self,
-                req: Req,
-                global: u64,
-                now: SimTime,
-                model: &DiskModel,
-            ) -> SimTime {
-                let pinned = self.pinned(now);
-                self.barrier = pinned;
-                let (boundary, boundary_free) = self.tail_boundary(pinned);
-                let head = boundary.map_or(0, |b| b.inner.wrapping_add(1));
-                let mut tail: Vec<Req> = self.queue.drain(pinned..).collect();
-                tail.push(req);
-                tail.sort_by_key(|r| (r.inner < head, r.inner));
-                let mut prev = boundary;
-                let mut cursor = boundary_free.max(now);
-                let mut submitted_end = SimTime::ZERO;
-                for r in &mut tail {
-                    let kind = positioning(prev, r);
-                    r.start = cursor;
-                    r.end = cursor + model.service_time_kind(crate::sim::BLOCK_SIZE as u64, kind);
-                    cursor = r.end;
-                    prev = Some(r.head_at());
-                    if r.global == global && r.data.is_some() {
-                        submitted_end = r.end;
-                    }
-                }
-                self.queue.extend(tail);
-                submitted_end
-            }
+    /// FNV-1a: folds `v`'s little-endian bytes into `h`.
+    fn fold(h: &mut u64, v: u64) {
+        for b in v.to_le_bytes() {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 
-    /// Drives an identical deterministic op sequence through the keyed
-    /// queue and the linear-scan reference, asserting every returned
-    /// value — scheduled completions, read payloads, retire batches,
-    /// drain times, queue depths, crash triage — is byte-identical.
-    fn cross_check_against_reference(seed: u64, burst: usize, ops: usize) {
+    /// Folds a list of durable or torn writes. Every payload in these
+    /// streams is a uniform fill, so its first byte names it.
+    fn fold_writes(h: &mut u64, writes: &[RetiredWrite]) {
+        fold(h, writes.len() as u64);
+        for (block, data) in writes {
+            fold(h, *block);
+            fold(h, u64::from(data[0]));
+        }
+    }
+
+    /// Drives one seeded op stream through a four-device plane and folds
+    /// every value it returns into `h`: write and read ends, read
+    /// payloads, retire batches, crash triage, and after each op the
+    /// drain time and queue depth. A write op is a burst of single-block
+    /// commands, or with `runs` one multi-block command over consecutive
+    /// blocks (which stripes into per-device streams).
+    fn fold_stream(h: &mut u64, seed: u64, burst: usize, ops: usize, runs: bool) {
         // A tiny splitmix-based generator keeps this self-contained.
         let mut state = seed;
         let mut rng = move || {
@@ -1004,107 +653,66 @@ mod tests {
             z ^ (z >> 31)
         };
         let m = model();
-        let mut new = DiskArray::new(4);
-        let mut old = reference::RefArray::new(4);
+        let mut a = DiskArray::new(4);
         let mut now = SimTime::ZERO;
         let mut payload = 0u8;
-        for op in 0..ops {
+        for _ in 0..ops {
             match rng() % 10 {
-                // Bursts of writes dominate: they exercise the C-LOOK
-                // insert both mid-sweep and at its end.
                 0..=5 => {
-                    for _ in 0..=(rng() as usize % burst) {
-                        let block = rng() % 512;
+                    let n = rng() as usize % burst + 1;
+                    let (cmd, first) = if runs {
+                        (a.command(), rng() % 512)
+                    } else {
+                        (0, 0)
+                    };
+                    for k in 0..n as u64 {
+                        let block = if runs { first + k } else { rng() % 512 };
                         payload = payload.wrapping_add(1);
-                        let e_new = new.submit_write(block, block_of(payload), now, false, &m);
-                        let e_old = old.submit_write(block, block_of(payload), now, false, &m);
-                        assert_eq!(e_new, e_old, "write end diverged at op {op}");
+                        let end = if runs {
+                            a.submit_command_write(cmd, block, block_of(payload), now, false, &m)
+                        } else {
+                            a.submit_write(block, block_of(payload), now, false, &m)
+                        };
+                        fold(h, end.0);
                     }
                 }
                 6 => {
-                    let block = rng() % 512;
-                    let (d_new, e_new) = new.submit_read(block, now, false, &m);
-                    let (d_old, e_old) = old.submit_read(block, now, false, &m);
-                    assert_eq!(d_new, d_old, "read payload diverged at op {op}");
-                    assert_eq!(e_new, e_old, "read end diverged at op {op}");
+                    let (data, end) = a.submit_read(rng() % 512, now, false, &m);
+                    fold(h, data.map_or(0, |d| 1 + u64::from(d[0])));
+                    fold(h, end.0);
                 }
                 7 => {
                     now += SimTime::from_micros(rng() % 30_000);
-                    assert_eq!(
-                        retire(&mut new, now),
-                        old.retire(now),
-                        "retire batch diverged at op {op}"
-                    );
+                    fold_writes(h, &retire(&mut a, now));
                 }
-                8 => {
-                    let t = now + SimTime::from_micros(rng() % 10_000);
-                    new.harden_until(t);
-                    old.harden_until(t);
-                }
+                8 => a.harden_until(now + SimTime::from_micros(rng() % 10_000)),
                 _ => {
                     now += SimTime::from_micros(rng() % 3_000);
                     if rng() % 8 == 0 {
-                        // The plane hands over what completed by the
-                        // crash instant together with what was hardened;
-                        // the reference returns the two separately.
-                        let mut durable = old.retire(now);
-                        let (hardened, torn, lost) = old.crash(now);
-                        durable.extend(hardened);
-                        assert_eq!(
-                            crash(&mut new, now),
-                            (durable, torn, lost),
-                            "crash triage diverged at op {op}"
-                        );
+                        let (durable, torn, lost) = crash(&mut a, now);
+                        fold_writes(h, &durable);
+                        fold_writes(h, &torn);
+                        fold(h, lost);
                     }
                 }
             }
-            assert_eq!(
-                new.drain_time(now),
-                old.drain_time(now),
-                "drain time diverged at op {op}"
-            );
-            assert_eq!(
-                new.queue_depth_at(now),
-                old.queue_depth_at(now),
-                "queue depth diverged at op {op}"
-            );
+            fold(h, a.drain_time(now).0);
+            fold(h, a.queue_depth_at(now) as u64);
         }
-        // Final drain: both retire the same writes in the same order.
-        let end = new.drain_time(now);
-        assert_eq!(retire(&mut new, end), old.retire(end));
+        let end = a.drain_time(now);
+        fold_writes(h, &retire(&mut a, end));
     }
 
-    #[test]
-    fn keyed_clook_matches_linear_reference_small_bursts() {
-        for seed in 0..8 {
-            cross_check_against_reference(seed, 4, 400);
-        }
-    }
-
-    #[test]
-    fn keyed_clook_matches_linear_reference_queue_depth_64() {
-        for seed in 0..4 {
-            cross_check_against_reference(100 + seed, 64, 120);
-        }
-    }
-
-    #[test]
-    fn keyed_clook_matches_linear_reference_queue_depth_1024() {
-        cross_check_against_reference(7, 1024, 24);
-    }
-
-    #[test]
-    fn same_block_resubmission_demotes_like_the_reference() {
-        // The delicate case: the head passes a block that still has a
-        // queued duplicate write, demoting it to the end of the sweep at
-        // the next insert. Force it deterministically.
+    /// The head passes a block that still has a queued duplicate write,
+    /// which demotes the duplicate to the end of the sweep at the next
+    /// insert. Folds every write end, retire batch and the final drain.
+    fn fold_same_block_resubmission(h: &mut u64) {
         let m = model();
-        let mut new = DiskArray::new(2);
-        let mut old = reference::RefArray::new(2);
+        let mut a = DiskArray::new(2);
         let seq = [
             // Two writes to the same block (device 0, inner 5), then far
             // blocks; let time pass so the first starts; then insert
-            // again to trigger the re-plan with the advanced head.
+            // again with the advanced head.
             (10u64, 0u64),
             (10, 0),
             (40, 0),
@@ -1114,21 +722,39 @@ mod tests {
             (60, 28_000),
             (10, 28_000),
         ];
-        let mut payload = 0u8;
-        for (i, &(block, at)) in seq.iter().enumerate() {
-            payload += 1;
+        for (payload, &(block, at)) in (1u8..).zip(&seq) {
             let now = SimTime::from_micros(at);
-            let retired_new = retire(&mut new, now);
-            let retired_old = old.retire(now);
-            assert_eq!(retired_new, retired_old, "retire diverged before op {i}");
-            let e_new = new.submit_write(block, block_of(payload), now, false, &m);
-            let e_old = old.submit_write(block, block_of(payload), now, false, &m);
-            assert_eq!(e_new, e_old, "write end diverged at op {i}");
+            fold_writes(h, &retire(&mut a, now));
+            fold(
+                h,
+                a.submit_write(block, block_of(payload), now, false, &m).0,
+            );
         }
-        let now = SimTime::from_micros(28_000);
-        let end = new.drain_time(now);
-        assert_eq!(end, old.drain_time(now));
-        assert_eq!(retire(&mut new, end), old.retire(end));
+        let end = a.drain_time(SimTime::from_micros(28_000));
+        fold(h, end.0);
+        fold_writes(h, &retire(&mut a, end));
+    }
+
+    /// Pins the C-LOOK schedule: every value the plane returns over
+    /// seeded write bursts at queue depths 4, 64 and 1024, seeded
+    /// multi-block commands, and a same-block resubmission, folded into
+    /// one hash. A change to dispatch order, positioning, pinning, read
+    /// barriers, hardening or crash triage moves it.
+    #[test]
+    fn clook_schedule_digest_is_pinned() {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for seed in 0..8 {
+            fold_stream(&mut h, seed, 4, 400, false);
+        }
+        for seed in 100..104 {
+            fold_stream(&mut h, seed, 64, 120, false);
+        }
+        fold_stream(&mut h, 7, 1024, 24, false);
+        for seed in 200..204 {
+            fold_stream(&mut h, seed, 16, 200, true);
+        }
+        fold_same_block_resubmission(&mut h);
+        assert_eq!(h, 0x70d1_c55c_5b3b_3905, "schedule digest {h:#018x}");
     }
 
     #[test]
